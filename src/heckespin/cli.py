@@ -26,7 +26,12 @@ import time
 import numpy as np
 
 from .baxter import RepHandle, baxter_j, check_ybe_re, transport_C_tau
-from .koornwinder import compute_P_detail, fixed_by_si, stabilizer_eigen_residual
+from .koornwinder import (
+    check_caps,
+    compute_P_detail,
+    fixed_by_si,
+    stabilizer_eigen_residual,
+)
 from .matchings import (
     enumerate_matchings,
     intertwiner_Psi,
@@ -398,11 +403,10 @@ def suite_transfer(cfg: Config):
 
 
 def suite_koornwinder(cfg: Config):
+    check_caps(cfg.n)
     p = _resolve_params(cfg)
     n = p.n
-    if n > 3:
-        raise ValueError("polynomial suite capped at n <= 3")
-    radius = 3 if n <= 3 else 2
+    radius = 3
     checks = []
     const = compute_P_detail((0,) * n, p)
     diff = (const.poly + LaurentPoly.one(n).scale(-1.0)).max_abs()
@@ -505,6 +509,8 @@ def run_suite(name: str, cfg: Config):
     """Execute one named suite (or all of them) and assemble the report."""
     t0 = time.monotonic()
     if name == "all":
+        # the polynomial suite refuses n > 3; refuse before any suite runs
+        check_caps(cfg.n)
         checks = []
         params = _resolve_params(cfg)
         for sub in _SUITES:
@@ -555,6 +561,7 @@ def cmd_koornwinder_compute(args) -> int:
     if cfg.params is not None and cfg.params.n != len(lam):
         raise ValueError("label length does not match the parameter rank")
     cfg.n = len(lam)
+    check_caps(len(lam), sum(abs(v) for v in lam))
     p = _resolve_params(cfg)
     det = compute_P_detail(lam, p)
     payload = {
@@ -609,6 +616,8 @@ def cmd_emit_tables(args) -> int:
     cfg = _load_config(args)
     if args.kind == "koornwinder":
         bound = cfg.m if cfg.m is not None else 2
+        if bound >= 0:
+            check_caps(cfg.n, bound)
         out_dir = cfg.out or "tables_koornwinder"
         os.makedirs(out_dir, exist_ok=True)
         p = _resolve_params(cfg)

@@ -28,7 +28,7 @@ from .numerics import (
     InternalDefectError,
     LaurentPoly,
     ParamSet,
-    _gamma_lambda_raw,
+    _gamma_vectors,
     divided_difference,
     l1_ball,
 )
@@ -146,7 +146,7 @@ class SpectralPoint:
 
 def gamma_lambda(lam, params: ParamSet) -> SpectralPoint:
     lam = tuple(int(v) for v in lam)
-    return SpectralPoint(gamma=_gamma_lambda_raw(lam, params), lam=lam)
+    return SpectralPoint(gamma=_gamma_vectors([lam], params)[0], lam=lam)
 
 
 def _dominated(mu, lam) -> bool:
@@ -202,6 +202,14 @@ def _ball_matrices(params: ParamSet, radius: int):
     return _BALL_CACHE[key]
 
 
+def check_caps(n: int, degree: int = 0) -> None:
+    """Refuse a rank or label degree beyond the exactly stable spans."""
+    if n > _N_CAP or degree > _DEGREE_CAP:
+        raise ValueError(
+            f"polynomial caps exceeded (n <= {_N_CAP}, sum|lambda| <= {_DEGREE_CAP})"
+        )
+
+
 def build_span(lam, params: ParamSet) -> MonomialSpan:
     """Monomial span for lambda with runtime-validated stability.
 
@@ -213,9 +221,8 @@ def build_span(lam, params: ParamSet) -> MonomialSpan:
     n = params.n
     if n != len(lam):
         raise ValueError("lambda length must match n")
-    if n > _N_CAP or sum(abs(v) for v in lam) > _DEGREE_CAP:
-        raise ValueError("degree cap exceeded (n <= 3, sum|lambda| <= 4)")
     radius = sum(abs(v) for v in lam)
+    check_caps(n, radius)
     basis, index, mats = _ball_matrices(params, radius)
     chosen = [mu for mu in basis if _dominated(mu, lam)]
     rows_in = [index[mu] for mu in chosen]

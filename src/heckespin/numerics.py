@@ -22,7 +22,6 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import hashlib
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -464,45 +463,69 @@ def divided_difference(
 
 
 def l1_ball(n: int, radius: int):
-    """All integer vectors mu in Z^n with sum |mu_i| <= radius, sorted."""
-    out = []
-    for exp in itertools.product(range(-radius, radius + 1), repeat=n):
-        if sum(abs(e) for e in exp) <= radius:
-            out.append(exp)
-    out.sort()
-    return out
+    """All integer vectors mu in Z^n with sum |mu_i| <= radius, sorted.
+
+    Built coordinate by coordinate, so the output comes out in lexicographic
+    order without a sort.
+    """
+
+    def ball(k, r):
+        if k == 0:
+            return [()]
+        return [(e,) + rest for e in range(-r, r + 1) for rest in ball(k - 1, r - abs(e))]
+
+    return ball(n, radius) if radius >= 0 else []
 
 
-def _gamma_lambda_raw(lam, params: ParamSet):
-    """Spectral vector attached to an integer weight; eta(0) = -1 throughout."""
+def _gamma_vectors(lams, params: ParamSet):
+    """Spectral vectors of integer weights, one tuple per weight.
+
+    Coordinate i is q^lam_i (kappa0 kappan)^(-eta(lam_i)) kappa^s_i, where
+    s_i = sum_{j<i} eta(lam_j - lam_i) - sum_{j>i} eta(lam_i - lam_j)
+    - sum_{j != i} eta(lam_i + lam_j), with eta(0) = -1 throughout.  The
+    integer exponents are found for all weights at once; each coordinate is
+    then one product of Python scalars.
+    """
     n = params.n
-    q = params.q
-    k0n = params.kappa0 * params.kappan
-    out = []
-    for i in range(n):
-        s = 0
-        for jj in range(n):
-            if jj == i:
-                continue
-            if jj < i:
-                s += eta(lam[jj] - lam[i])
-            else:
-                s -= eta(lam[i] - lam[jj])
-            s -= eta(lam[i] + lam[jj])
-        out.append(q ** lam[i] * k0n ** (-eta(lam[i])) * params.kappa**s)
-    return tuple(out)
+    lam = np.array(lams, dtype=np.int64).reshape(-1, n)
+
+    def etas(x):
+        return np.where(x > 0, 1, -1)
+
+    diff = lam[:, None, :] - lam[:, :, None]  # [w, i, j] = lam_j - lam_i
+    total = lam[:, :, None] + lam[:, None, :]
+    j_below_i = np.tri(n, k=-1, dtype=bool)
+    s = (
+        np.where(j_below_i, etas(diff), 0).sum(axis=2)
+        - np.where(j_below_i.T, etas(-diff), 0).sum(axis=2)
+        - np.where(np.eye(n, dtype=bool), 0, etas(total)).sum(axis=2)
+    )
+    q, k0n, kappa = params.q, params.kappa0 * params.kappan, params.kappa
+    return [
+        tuple(q**m * k0n ** (-e) * kappa**t for m, e, t in zip(mr, er, sr))
+        for mr, er, sr in zip(lam.tolist(), etas(lam).tolist(), s.tolist())
+    ]
 
 
 def _gamma_distinct(params: ParamSet, radius: int = _GAMMA_DEGREE) -> bool:
+    """False iff two weights of l1-degree <= radius have spectral vectors
+    within _GAMMA_GAP of each other in every coordinate.
+
+    Sort-and-sweep on a fixed real projection Re(gamma . c): such a pair
+    differs by at most sum|c_k| * _GAMMA_GAP in projection, so only rows
+    inside twice that window are compared coordinate by coordinate.
+    """
     lams = l1_ball(params.n, radius)
-    gam = np.array([_gamma_lambda_raw(l, params) for l in lams], dtype=complex)
-    m = len(lams)
-    for start in range(0, m, 64):
-        block = gam[start : start + 64]
-        # max-abs coordinate distance from each block row to every row
-        dist = np.max(np.abs(block[:, None, :] - gam[None, :, :]), axis=2)
-        for r in range(block.shape[0]):
-            dist[r, start + r] = np.inf
+    gam = np.array(_gamma_vectors(lams, params), dtype=complex)
+    c = np.exp(1j * np.sqrt(np.arange(2.0, params.n + 2)))
+    proj = (gam @ c).real
+    order = np.argsort(proj, kind="stable")
+    proj, gam = proj[order], gam[order]
+    window = 2 * np.sum(np.abs(c)) * _GAMMA_GAP
+    hi = np.searchsorted(proj, proj + window, side="right")
+    for i in np.flatnonzero(hi > np.arange(1, len(lams) + 1)):
+        # max-abs coordinate distance from row i to each candidate above it
+        dist = np.max(np.abs(gam[i + 1 : hi[i]] - gam[i]), axis=1)
         if dist.min() <= _GAMMA_GAP:
             return False
     return True

@@ -27,7 +27,6 @@ True
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -228,97 +227,76 @@ def length(w: WeylElem) -> int:
     return len(reduced_word(w))
 
 
-@functools.lru_cache(maxsize=8)
-def _finite_group_table(n: int):
-    """All of W_0 with lengths, by breadth-first search from the identity.
+def _parabolic_indices(I, n: int):
+    """I as a sorted list, refused unless it is a subset of 1..n."""
+    I = sorted(set(I))
+    if any(not 1 <= i <= n for i in I):
+        raise ValueError("parabolic index out of range")
+    return I
 
-    Returns {(perm, signs): length}; 2^n n! elements, capped at n <= 6.
+
+def _bfs_levels(I, n: int, key=lambda w: (w.perm, w.signs)):
+    """Breadth-first closure of the identity under left multiplication by the
+    generators s_i, i in I.
+
+    Level k lists, in discovery order, the first element reached of each new
+    class under ``key`` at distance k.  With the default key the classes are
+    the elements of the generated subgroup, and level k holds those of length
+    k.  Keyed by the image of a point fixed exactly by W_{0,I}, the classes are
+    the cosets w W_{0,I}, each first reached at its minimal representative.
     """
-    if n > 6:
-        raise ValueError("finite Weyl group enumeration is capped at n = 6")
-    gens = [WeylElem.generator(i, n) for i in range(1, n + 1)]
+    gens = [WeylElem.generator(i, n) for i in _parabolic_indices(I, n)]
     start = WeylElem.identity(n)
-    table = {(start.perm, start.signs): 0}
-    frontier = [start]
-    while frontier:
+    seen = {key(start)}
+    levels = [[start]]
+    while True:
         nxt = []
-        for w in frontier:
+        for w in levels[-1]:
             for g in gens:
-                v = w * g
-                key = (v.perm, v.signs)
-                if key not in table:
-                    table[key] = table[(w.perm, w.signs)] + 1
+                v = g * w
+                k = key(v)
+                if k not in seen:
+                    seen.add(k)
                     nxt.append(v)
-        frontier = nxt
-    return table
+        if not nxt:
+            return levels
+        levels.append(nxt)
 
 
 def finite_group(n: int):
-    """All elements of W_0 as WeylElems."""
-    return [
-        WeylElem(perm, signs, (0,) * n) for perm, signs in _finite_group_table(n)
-    ]
+    """All 2^n n! elements of W_0 as WeylElems, by length (a small-n oracle)."""
+    return [w for level in _bfs_levels(range(1, n + 1), n) for w in level]
 
 
 def finite_length(w: WeylElem) -> int:
     if not w.is_finite():
         raise ValueError("finite_length needs a finite element")
-    return _finite_group_table(w.n)[(w.perm, w.signs)]
-
-
-def parabolic_subgroup(I, n: int):
-    """The subgroup of W_0 generated by s_i, i in I (subset of 1..n)."""
-    I = sorted(set(I))
-    if any(not 1 <= i <= n for i in I):
-        raise ValueError("parabolic index out of range")
-    gens = [WeylElem.generator(i, n) for i in I]
-    seen = {}
-    start = WeylElem.identity(n)
-    seen[(start.perm, start.signs)] = start
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                v = w * g
-                key = (v.perm, v.signs)
-                if key not in seen:
-                    seen[key] = v
-                    nxt.append(v)
-        frontier = nxt
-    return list(seen.values())
+    return length(w)
 
 
 def longest_parabolic(I, n: int) -> "WeylElem":
     """Longest element w_{0,I} of the parabolic subgroup."""
-    elems = parabolic_subgroup(I, n)
-    return max(elems, key=finite_length)
+    return _bfs_levels(I, n)[-1][0]
 
 
 def min_coset_reps(I, n: int):
     """Minimal-length representatives of W_0 / W_{0,I}.
 
     Sorted by (length, reduced word); w qualifies iff every i in I lengthens
-    it on the right.
+    it on the right.  The cosets are found as the W_0-orbit of the point
+    x_j = #{k >= j : k not in I}, which lies in the closed chamber
+    x_1 >= ... >= x_n >= 0 on exactly the walls in I, so that its stabiliser
+    is W_{0,I}.
 
     >>> [reduced_word(w) for w in min_coset_reps([1], 2)]
     [[], [2], [1, 2], [2, 1, 2]]
     """
-    I = sorted(set(I))
-    table = _finite_group_table(n)
-    reps = []
-    for w in finite_group(n):
-        lw = table[(w.perm, w.signs)]
-        ok = True
-        for i in I:
-            v = w * WeylElem.generator(i, n)
-            if table[(v.perm, v.signs)] <= lw:
-                ok = False
-                break
-        if ok:
-            reps.append(w)
-    keyed = [(finite_length(w), reduced_word(w), w) for w in reps]
-    keyed.sort(key=lambda kk: (kk[0], kk[1]))
+    walls = set(_parabolic_indices(I, n))
+    outside = [k not in walls for k in range(1, n + 1)]
+    x = tuple(sum(outside[j:]) for j in range(n))
+    levels = _bfs_levels(range(1, n + 1), n, key=lambda w: w.linear_apply(x))
+    keyed = [(depth, reduced_word(w), w) for depth, lv in enumerate(levels) for w in lv]
+    keyed.sort(key=lambda kk: kk[:2])
     return [w for _, _, w in keyed]
 
 

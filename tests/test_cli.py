@@ -55,6 +55,33 @@ def test_rank_cap_is_a_refusal():
     assert run(["verify", "koornwinder", "--n", "7"]) == 2
 
 
+def test_polynomial_caps_refuse_before_sampling(tmp_path, monkeypatch):
+    import heckespin.cli as cli
+
+    pfile = tmp_path / "p4.json"
+    pfile.write_text(json.dumps(sample_generic(seed=8, n=4).to_dict()))
+
+    def no_sampling(*args, **kw):
+        raise AssertionError("sampled before the cap check")
+
+    monkeypatch.setattr(cli, "sample_generic", no_sampling)
+    assert run(["verify", "koornwinder", "--n", "4"]) == 2
+    # a parameter file sets the rank the cap is checked against
+    assert run(["verify", "koornwinder", "--params", str(pfile)]) == 2
+    assert run(["verify", "all", "--n", "4"]) == 2
+    assert run(["koornwinder", "compute", "--lambda", "3,2"]) == 2
+    assert run(["emit", "tables", "--kind", "koornwinder", "--n", "4",
+                "--out", str(tmp_path / "t")]) == 2
+
+
+def test_algebra_suite_runs_past_rank_six(tmp_path):
+    rep = tmp_path / "r.json"
+    code = run(["verify", "algebra", "--n", "7", "--report", str(rep)])
+    assert code in (0, 1)
+    data = json.loads(rep.read_text())
+    assert data["checks"] and all("pass" in c for c in data["checks"])
+
+
 def test_polynomial_compute_artifact(tmp_path):
     out = tmp_path / "poly.json"
     assert run(["koornwinder", "compute", "--lambda", "1,-1", "--seed", "2",

@@ -1,6 +1,8 @@
 """Laurent-polynomial arithmetic, parameter sampling, and error types."""
 
+import cmath
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,9 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckespin.numerics import (
+    _GAMMA_DEGREE,
+    _GAMMA_GAP,
     GenericityError,
     LaurentPoly,
     ParamSet,
+    _gamma_distinct,
+    _gamma_vectors,
     divided_difference,
     eta,
     l1_ball,
@@ -85,6 +91,76 @@ def test_l1_ball_counts():
     assert len(l1_ball(1, 2)) == 5
     # 1 + 4 + 8 = |l1 ball of radius 2 in Z^2|
     assert len(l1_ball(2, 2)) == 13
+
+
+@given(st.integers(1, 5), st.integers(-1, 5))
+@settings(max_examples=40, deadline=None)
+def test_l1_ball_is_sorted_complete_and_counted(n, radius):
+    ball = l1_ball(n, radius)
+    assert ball == sorted(set(ball))
+    assert all(len(mu) == n and sum(abs(e) for e in mu) <= radius for mu in ball)
+    # choose the k nonzero coordinates, their signs, and absolute values
+    # summing to at most radius (C(radius, k) compositions with slack)
+    expect = sum(2**k * math.comb(n, k) * math.comb(radius, k)
+                 for k in range(n + 1)) if radius >= 0 else 0
+    assert len(ball) == expect
+
+
+def _gamma_scalar(lam, params):
+    """Reference spectral vector, one weight at a time."""
+    n = params.n
+    k0n = params.kappa0 * params.kappan
+    out = []
+    for i in range(n):
+        s = 0
+        for j in range(n):
+            if j == i:
+                continue
+            if j < i:
+                s += eta(lam[j] - lam[i])
+            else:
+                s -= eta(lam[i] - lam[j])
+            s -= eta(lam[i] + lam[j])
+        out.append(params.q ** lam[i] * k0n ** (-eta(lam[i])) * params.kappa**s)
+    return tuple(out)
+
+
+def _gamma_distinct_all_pairs(params):
+    gam = np.array([_gamma_scalar(lam, params)
+                    for lam in l1_ball(params.n, _GAMMA_DEGREE)])
+    dist = np.max(np.abs(gam[:, None, :] - gam[None, :, :]), axis=2)
+    np.fill_diagonal(dist, np.inf)
+    return bool(dist.min() > _GAMMA_GAP)
+
+
+def _raw_draw(rng, n):
+    z = rng.uniform(0.6, 1.6, size=8) * np.exp(1j * rng.uniform(0, 2 * math.pi, 8))
+    q_sqrt, k0, k, kn, u0, un, p0, pn = map(complex, z)
+    return ParamSet(n=n, q_sqrt=q_sqrt, kappa0=k0, kappa=k, kappan=kn,
+                    upsilon0=u0, upsilonn=un, psi0=p0, psin=pn,
+                    kappa_sqrt=cmath.sqrt(k))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_batched_spectral_vectors_equal_the_scalar_formula(n):
+    p = sample_generic(seed=20 + n, n=n)
+    lams = l1_ball(n, 3)
+    # the same scalar products in the same order: equal to the last bit
+    assert _gamma_vectors(lams, p) == [_gamma_scalar(lam, p) for lam in lams]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_gamma_screen_matches_the_all_pairs_oracle(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(6):
+        p = _raw_draw(rng, n)
+        assert _gamma_distinct(p) == _gamma_distinct_all_pairs(p)
+    # negative control: with q a root of unity of order k <= 3, (1, 0, ...)
+    # and (1 + k, 0, ...) share a spectral vector; both screens must see it
+    for order in (1, 2, 3):
+        p = _raw_draw(rng, n).replace(q_sqrt=cmath.exp(1j * math.pi / order))
+        assert not _gamma_distinct_all_pairs(p)
+        assert not _gamma_distinct(p)
 
 
 def test_sample_generic_is_deterministic_and_constrained():

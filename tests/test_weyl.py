@@ -2,6 +2,7 @@
 coset representatives, and the point action."""
 
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from heckespin.weyl import (
     WeylElem,
     act_point,
     finite_group,
+    longest_parabolic,
     min_coset_reps,
     reduced_word,
     star_involution,
@@ -86,6 +88,57 @@ def test_min_coset_reps_count_and_minimality(n):
             assert len(reduced_word(w * WeylElem.generator(i, n))) > len(
                 reduced_word(w)
             )
+
+
+@functools.lru_cache(maxsize=None)
+def _words(n):
+    """Every element of W_0 with its reduced word, keyed by finite part."""
+    return {(w.perm, w.signs): (w, reduced_word(w)) for w in finite_group(n)}
+
+
+def _brute_coset_reps(I, n):
+    """Filter all of W_0: every s_i, i in I, must lengthen w on the right."""
+    words = _words(n)
+
+    def lengthens(w, i):
+        v = w * WeylElem.generator(i, n)
+        return len(words[(v.perm, v.signs)][1]) > len(words[(w.perm, w.signs)][1])
+
+    reps = [(len(word), word, w) for w, word in words.values()
+            if all(lengthens(w, i) for i in I)]
+    return [w for _, _, w in sorted(reps, key=lambda r: r[:2])]
+
+
+def _subsets(n):
+    for r in range(n + 1):
+        yield from itertools.combinations(range(1, n + 1), r)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_coset_constructions_match_the_whole_group_oracle(n):
+    for I in _subsets(n):
+        brute = _brute_coset_reps(I, n)
+        assert min_coset_reps(I, n) == brute
+        # the parabolic subgroup is the set of elements spelled in I alone
+        parabolic = [(len(word), w) for w, word in _words(n).values()
+                     if set(word) <= set(I)]
+        assert longest_parabolic(I, n) == max(parabolic, key=lambda p: p[0])[1]
+        assert w0_coset_element(I, n) == brute[-1]
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_min_coset_reps_reach_ranks_past_the_group_enumeration(n):
+    reps = min_coset_reps(range(1, n), n)
+    assert len(reps) == 2**n
+    assert len({(w.perm, w.signs) for w in reps}) == 2**n
+    assert len(reduced_word(reps[-1])) == n * (n + 1) // 2
+
+
+def test_min_coset_reps_refuses_indices_outside_the_finite_group():
+    with pytest.raises(ValueError):
+        min_coset_reps([0], 3)
+    with pytest.raises(ValueError):
+        longest_parabolic([4], 3)
 
 
 def test_w0_coset_element_is_the_longest_representative():
