@@ -49,7 +49,7 @@ from .numerics import (
     rel_residual,
     sample_generic,
 )
-from .qkz import KZSolution, build_polynomial_solution, check_mcondition, verify_solution
+from .qkz import KZSolution, build_polynomial_solution, check_degree_cap, verify_solution
 from .spinrep import (
     build_spin_rep,
     check_hecke_relations,
@@ -378,12 +378,12 @@ def suite_transfer(cfg: Config):
         "the logarithmic derivative of the normalized transfer matrix"
         " against the closed form",
     ))
-    if cfg.precision == "extended" and p.n == 2:
+    if cfg.precision == "extended":
         rng = np.random.default_rng(cfg.seed)
         x = complex(0.83 * np.exp(2j * np.pi * rng.uniform()))
         t = tuple(
             complex(rng.uniform(0.8, 1.3) * np.exp(2j * np.pi * rng.uniform()))
-            for _ in range(2)
+            for _ in range(p.n)
         )
         hi = transfer_T_mp(p, x, t, digits=40)
         lo = transfer_T(p, x, t)
@@ -452,6 +452,9 @@ def suite_koornwinder(cfg: Config):
 def suite_qkz(cfg: Config):
     checks = []
     ms = [cfg.m] if cfg.m is not None else [-1, 0, 1]
+    if cfg.params is None:
+        for m in ms:
+            check_degree_cap(cfg.n, m)
     base = _resolve_params(cfg)
     for m in ms:
         if cfg.params is not None:
@@ -586,6 +589,7 @@ def cmd_qkz_build(args) -> int:
     if cfg.params is not None:
         p = cfg.params
     else:
+        check_degree_cap(cfg.n, m)
         p = sample_generic(seed=cfg.seed, n=cfg.n, constraints={"mcondition": m})
     sol = build_polynomial_solution(p, m)
     _write_json(sol.to_dict(), cfg.out)

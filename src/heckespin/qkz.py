@@ -63,6 +63,12 @@ def check_mcondition(params: ParamSet, m: int) -> ConditionReport:
     return ConditionReport(m=int(m), lhs=lhs, rhs=rhs, satisfied=ok)
 
 
+def check_degree_cap(n: int, m: int) -> None:
+    """Refuse a solution degree beyond the polynomial caps (|m| n <= 4)."""
+    if abs(m) * n > 4:
+        raise ValueError("degree cap exceeded (|m| * n <= 4)")
+
+
 @dataclass
 class KZSolution:
     params: ParamSet
@@ -138,8 +144,7 @@ def build_polynomial_solution(params: ParamSet, m: int) -> KZSolution:
         )
         err.report = report
         raise err
-    if abs(m) * n > 4:
-        raise ValueError("degree cap exceeded (|m| * n <= 4)")
+    check_degree_cap(n, m)
     _basis, zeta, _reps, _rep = principal_series_basis(params)
     jset = list(range(1, n))
     w0j = w0_coset_element(jset, n)

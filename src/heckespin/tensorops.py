@@ -1,47 +1,55 @@
-"""Index arithmetic on tensor legs of (C^2)^(x m).
+"""Local operators on tensor legs of (C^2)^(x m).
 
 Basis convention used everywhere: legs are numbered left to right, the
 leftmost leg is the most significant bit, spin-up is bit 0.  So for m legs
 the basis index of a configuration (b_1, ..., b_m) is sum b_l * 2^(m-l),
 matching the order produced by iterated numpy.kron.
+
+A 2^k x 2^k block acting on k of the m legs is applied to an operand
+directly (apply_on_legs): the operand's rows are viewed as m legs of size 2,
+the block is contracted against the chosen legs, and the rows are put back.
+The full-space embedding is never formed on a product path; op_on_legs, which
+returns it, is the same primitive applied to the identity.  Any scalar type
+numpy can contract works, including object arrays of mpmath numbers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .numerics import InternalDefectError
 
-def op_on_legs(op: np.ndarray, legs, m: int) -> np.ndarray:
-    """Embed ``op`` acting on the listed legs (in that order) into m legs.
+
+def apply_on_legs(op: np.ndarray, legs, a: np.ndarray, m: int) -> np.ndarray:
+    """embed(op on legs) @ a, without forming the embedding.
 
     ``op`` must be a 2^k x 2^k matrix with k = len(legs); legs are 1-based
     and pairwise distinct but need not be adjacent or increasing, so the same
-    helper places r_{a b} for a > b.
+    helper places r_{a b} for a > b.  ``a`` has 2^m rows and any number of
+    columns.  A shape or leg mismatch is a defect of the calling code.
     """
     legs = list(legs)
     k = len(legs)
-    if op.shape != (2**k, 2**k):
-        raise ValueError("operator size does not match leg count")
+    if op.shape != (2**k, 2**k) or a.ndim != 2 or a.shape[0] != 2**m:
+        raise InternalDefectError("operator size does not match leg count")
     if len(set(legs)) != k or any(not 1 <= l <= m for l in legs):
-        raise ValueError("legs must be distinct and within range")
-    full = op.reshape((2,) * (2 * k))
-    t = np.eye(2**m, dtype=complex).reshape((2,) * (2 * m))
-    # contract the output axes of ``op`` against the chosen legs of identity
-    out_axes = [l - 1 for l in legs]
-    t = np.tensordot(full, t, axes=(list(range(k, 2 * k)), out_axes))
-    # tensordot moved the k new axes to the front; put them back in place
-    order = [0] * m
-    placed = {l - 1 for l in legs}
-    src = {l - 1: idx for idx, l in enumerate(legs)}
-    j = k
-    for axis in range(m):
-        if axis in placed:
-            order[axis] = src[axis]
-        else:
-            order[axis] = j
-            j += 1
-    t = np.transpose(t, order + [m + a for a in range(m)])
-    return t.reshape(2**m, 2**m)
+        raise InternalDefectError("legs must be distinct and within range")
+    axes = [l - 1 for l in legs]
+    if axes == list(range(axes[0], axes[0] + k)):
+        # adjacent legs in increasing order: one batched product, no copies
+        return np.matmul(op, a.reshape(2 ** axes[0], 2**k, -1)).reshape(a.shape)
+    t = np.tensordot(
+        op.reshape((2,) * (2 * k)),
+        a.reshape((2,) * m + (a.shape[1],)),
+        axes=(list(range(k, 2 * k)), axes),
+    )
+    # tensordot put the k output legs first; move them back into place
+    return np.moveaxis(t, list(range(k)), axes).reshape(a.shape)
+
+
+def op_on_legs(op: np.ndarray, legs, m: int) -> np.ndarray:
+    """The 2^m x 2^m embedding of ``op`` acting on the listed legs."""
+    return apply_on_legs(op, legs, np.eye(2**m, dtype=complex), m)
 
 
 def kron_all(mats) -> np.ndarray:

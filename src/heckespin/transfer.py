@@ -6,6 +6,13 @@ matrix k, and comes back; closing it with the dressed left boundary matrix
 kbar and a partial trace over the auxiliary leg gives a one-parameter family
 T(x; t) of commuting operators on (C^2)^(x n).
 
+The double row is one list of local factors (2x2 or 4x4 block, its
+x-derivative, legs) on the auxiliary leg and the n chain legs.  Products are
+built from the right by applying each block to the operand on its legs
+(tensorops.apply_on_legs); no factor is embedded into a dense 2^(n+1)
+matrix.  The derivative rides along in the same pass by the product rule,
+and the extended-precision T runs the same loop on mpmath object arrays.
+
 Three equivalent presentations of the boundary XXZ Hamiltonian are exposed:
 the logarithmic derivative of the normalized transfer matrix at x = 1, the
 explicit Pauli-matrix form, and the weighted sum of the diagrammatic
@@ -23,6 +30,7 @@ from .numerics import InternalDefectError, ParamSet, rel_residual
 from .spinrep import build_spin_rep
 from .tensorops import (
     PERMUTE_TWO,
+    apply_on_legs,
     kron_all,
     op_on_legs,
     partial_trace_first,
@@ -60,107 +68,79 @@ def c0_constant(params: ParamSet):
     return -num / (k * (1 + k**2) * den)
 
 
-def _bvalue(mat):
-    return mat, None
-
-
-def _transfer_factors(params: ParamSet, x, t, want_deriv: bool):
-    """Factor list (full-space matrix, derivative in x or None) of the
-    double-row product, auxiliary leg first.  Site factors use the checked
-    4x4 form (r followed by the leg swap) on adjacent legs.
-    """
-    n = params.n
-    m = n + 1
-    ex = explicit_rkk(params)
-    th = theta_matrix(params)
-    k2 = params.kappa**2
-
-    def emb(mat, legs):
-        return op_on_legs(mat, legs, m)
-
-    factors = []
-    a_val = th @ ex.kbar(k2 * x) @ th
-    a_der = k2 * (th @ ex.kbar.deriv(k2 * x) @ th) if want_deriv else None
-    factors.append((emb(a_val, [1]), emb(a_der, [1]) if want_deriv else None))
-    for j in range(1, n + 1):
-        arg = x / t[j - 1]
-        val = ex.r(arg) @ PERMUTE_TWO
-        der = (ex.r.deriv(arg) / t[j - 1]) @ PERMUTE_TWO if want_deriv else None
-        factors.append(
-            (emb(val, [j, j + 1]), emb(der, [j, j + 1]) if want_deriv else None)
-        )
-    kval = ex.k(x)
-    kder = ex.k.deriv(x) if want_deriv else None
-    factors.append((emb(kval, [m]), emb(kder, [m]) if want_deriv else None))
-    for j in range(n, 0, -1):
-        arg = x * t[j - 1]
-        val = ex.r(arg) @ PERMUTE_TWO
-        der = (ex.r.deriv(arg) * t[j - 1]) @ PERMUTE_TWO if want_deriv else None
-        factors.append(
-            (emb(val, [j, j + 1]), emb(der, [j, j + 1]) if want_deriv else None)
-        )
-    return factors
-
-
-def monodromy_U(params: ParamSet, x, t, form: str = "rcheck") -> np.ndarray:
-    """The double-row product without the left-boundary closure.
+def _double_row(params: ParamSet, x, t, form="closed", deriv=False, digits=None):
+    """The double-row product as local factors (block, d block/dx or None,
+    legs), left to right, on the auxiliary leg 1 and chain legs 2..n+1.
 
     form="rcheck" walks adjacent legs with the swapped 4x4 matrix and puts
     the right boundary matrix on the last chain leg; form="r" couples the
     auxiliary leg to each site directly and puts the boundary matrix on the
-    auxiliary leg.  Both give the same operator.
+    auxiliary leg; form="closed" is the rcheck row preceded by the closure
+    theta kbar(kappa^2 x) theta.  With ``digits`` the blocks are mpmath
+    object arrays evaluated at that precision.
     """
     n = params.n
-    m = n + 1
     ex = explicit_rkk(params)
-    out = np.eye(2**m, dtype=complex)
-    if form == "rcheck":
-        for j in range(1, n + 1):
-            out = out @ op_on_legs(ex.r(x / t[j - 1]) @ PERMUTE_TWO, [j, j + 1], m)
-        out = out @ op_on_legs(ex.k(x), [m], m)
-        for j in range(n, 0, -1):
-            out = out @ op_on_legs(ex.r(x * t[j - 1]) @ PERMUTE_TWO, [j, j + 1], m)
-    elif form == "r":
-        for j in range(1, n + 1):
-            out = out @ op_on_legs(ex.r(x / t[j - 1]), [1, j + 1], m)
-        out = out @ op_on_legs(ex.k(x), [1], m)
-        for j in range(n, 0, -1):
-            out = out @ op_on_legs(ex.r(x * t[j - 1]), [j + 1, 1], m)
-    else:
-        raise ValueError("form must be 'rcheck' or 'r'")
+    rcheck = form != "r"
+
+    def local(f, arg, slope, legs, swap=False):
+        val = f(arg) if digits is None else f.eval_mp(arg, digits)
+        der = slope * f.deriv(arg) if deriv else None
+        if swap:
+            val = val @ PERMUTE_TWO
+            der = der @ PERMUTE_TWO if deriv else None
+        return val, der, legs
+
+    def site(j, arg, slope, back):
+        legs = [j, j + 1] if rcheck else ([j + 1, 1] if back else [1, j + 1])
+        return local(ex.r, arg, slope, legs, swap=rcheck)
+
+    out = [site(j, x / t[j - 1], 1 / t[j - 1], False) for j in range(1, n + 1)]
+    out.append(local(ex.k, x, 1, [n + 1] if rcheck else [1]))
+    out += [site(j, x * t[j - 1], t[j - 1], True) for j in range(n, 0, -1)]
+    if form == "closed":
+        th = theta_matrix(params)
+        k2 = params.kappa**2
+        val, der, _ = local(ex.kbar, k2 * x, k2, [1])
+        out.insert(0, (th @ val @ th, th @ der @ th if deriv else None, [1]))
     return out
+
+
+def _product(factors, m: int):
+    """(A, dA/dx or None) for A the product of the factors, built from the
+    right by left-multiplication: (A, A') <- (F A, F' A + F A').  The
+    derivative is carried when the factors have derivative blocks."""
+    out = np.eye(2**m, dtype=complex)
+    dout = None if factors[0][1] is None else np.zeros_like(out)
+    for val, der, legs in reversed(factors):
+        if dout is not None:
+            dout = apply_on_legs(val, legs, dout, m)
+            dout += apply_on_legs(der, legs, out, m)
+        out = apply_on_legs(val, legs, out, m)
+    return out, dout
+
+
+def monodromy_U(params: ParamSet, x, t, form: str = "rcheck") -> np.ndarray:
+    """The double-row product without the left-boundary closure; the forms
+    "rcheck" and "r" of _double_row give the same operator."""
+    if form not in ("rcheck", "r"):
+        raise ValueError("form must be 'rcheck' or 'r'")
+    return _product(_double_row(params, x, t, form), params.n + 1)[0]
 
 
 def transfer_T(params: ParamSet, x, t) -> np.ndarray:
     """T(x; t): close the double row with theta kbar(kappa^2 x) theta and
     trace the auxiliary leg."""
-    factors = _transfer_factors(params, x, t, want_deriv=False)
     m = params.n + 1
-    out = factors[0][0]
-    for val, _ in factors[1:]:
-        out = out @ val
-    return partial_trace_first(out, m)
+    return partial_trace_first(_product(_double_row(params, x, t), m)[0], m)
 
 
 def transfer_T_deriv(params: ParamSet, x, t):
     """(T(x; t), dT/dx) with the derivative taken exactly by the product
-    rule over the factor list."""
-    factors = _transfer_factors(params, x, t, want_deriv=True)
+    rule, in the same pass over the factor list."""
     m = params.n + 1
-    vals = [f[0] for f in factors]
-    ders = [f[1] for f in factors]
-    count = len(vals)
-    prefix = [np.eye(2**m, dtype=complex)]
-    for v in vals:
-        prefix.append(prefix[-1] @ v)
-    suffix = [np.eye(2**m, dtype=complex)]
-    for v in reversed(vals):
-        suffix.append(v @ suffix[-1])
-    suffix.reverse()
-    total = np.zeros((2**m, 2**m), dtype=complex)
-    for kpos in range(count):
-        total += prefix[kpos] @ ders[kpos] @ suffix[kpos + 1]
-    return partial_trace_first(prefix[-1], m), partial_trace_first(total, m)
+    val, der = _product(_double_row(params, x, t, deriv=True), m)
+    return partial_trace_first(val, m), partial_trace_first(der, m)
 
 
 def _aux_normalizer(params: ParamSet, x):
@@ -360,59 +340,16 @@ def hamiltonian(params: ParamSet, form: str = "pauli") -> np.ndarray:
     raise ValueError("form must be 'transfer', 'pauli', or 'tl'")
 
 
-def _mp_ptrace_first(mat, half):
-    return mat[:half, :half] + mat[half:, half:]
-
-
 def transfer_T_mp(params: ParamSet, x, t, digits: int = 50) -> np.ndarray:
-    """Extended-precision recomputation of T(x; t) for n = 2.
+    """Extended-precision recomputation of T(x; t) at any n.
 
-    Rebuilds the double-row product from the same closed-form coefficient
-    data with 50-digit arithmetic; used as a roundoff regression anchor.
+    Runs the same factor list and contraction as transfer_T on mpmath
+    object arrays, evaluated from the same closed-form coefficient data;
+    used as a roundoff regression anchor.
     """
     import mpmath
 
-    if params.n != 2:
-        raise ValueError("extended recomputation is wired for n=2 only")
-    ex = explicit_rkk(params)
-    k2 = params.kappa**2
-
+    m = params.n + 1
     with mpmath.workdps(digits):
-        def mpm(arr):
-            out = np.empty(arr.shape, dtype=object)
-            for idx in np.ndindex(arr.shape):
-                out[idx] = mpmath.mpc(complex(arr[idx]))
-            return out
-
-        eye2 = mpm(np.eye(2, dtype=complex))
-        perm = mpm(PERMUTE_TWO)
-        th = mpm(theta_matrix(params))
-        rc = [
-            ex.r.eval_mp(x / t[0], digits) @ perm,
-            ex.r.eval_mp(x / t[1], digits) @ perm,
-            ex.k.eval_mp(x, digits),
-            ex.r.eval_mp(x * t[1], digits) @ perm,
-            ex.r.eval_mp(x * t[0], digits) @ perm,
-        ]
-        a_top = th @ ex.kbar.eval_mp(k2 * x, digits) @ th
-
-        def kron(a, b):
-            ra, ca = a.shape
-            rb, cb = b.shape
-            out = np.empty((ra * rb, ca * cb), dtype=object)
-            for i in range(ra):
-                for j in range(ca):
-                    out[i * rb : (i + 1) * rb, j * cb : (j + 1) * cb] = a[i, j] * b
-            return out
-
-        full = kron(kron(a_top, eye2), eye2)
-        full = full @ kron(rc[0], eye2)
-        full = full @ kron(eye2, rc[1])
-        full = full @ kron(kron(eye2, eye2), rc[2])
-        full = full @ kron(eye2, rc[3])
-        full = full @ kron(rc[4], eye2)
-        traced = _mp_ptrace_first(full, 4)
-        return np.array(
-            [[complex(v.real, v.imag) for v in row] for row in traced],
-            dtype=complex,
-        )
+        full, _ = _product(_double_row(params, x, t, digits=digits), m)
+        return partial_trace_first(full, m).astype(complex)

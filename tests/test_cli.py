@@ -155,3 +155,48 @@ def test_explicit_parameter_file_sets_the_rank(tmp_path):
                 "--report", str(rep)]) == 0
     data = json.loads(rep.read_text())
     assert data["params_fingerprint"] == p.fingerprint()
+
+
+@pytest.mark.parametrize("corrupt", ["leg out of range", "block on too many legs"])
+def test_bad_local_factor_is_an_internal_defect(monkeypatch, capsys, corrupt):
+    import heckespin.transfer as transfer
+
+    honest = transfer._double_row
+
+    def bad_row(*args, **kw):
+        factors = honest(*args, **kw)
+        val, der, legs = factors[-1]
+        if corrupt == "leg out of range":
+            factors[-1] = (val, der, [legs[0], len(args[2]) + 2])
+        else:
+            factors[-1] = (val, der, legs + [max(legs) + 1])
+        return factors
+
+    monkeypatch.setattr(transfer, "_double_row", bad_row)
+    assert run(["verify", "transfer", "--n", "2", "--seed", "1"]) == 3
+    assert "internal defect" in capsys.readouterr().err
+
+
+def test_qkz_degree_cap_refuses_before_sampling(tmp_path, monkeypatch, capsys):
+    import heckespin.cli as cli
+
+    def no_sampling(*args, **kw):
+        raise AssertionError("sampled before the cap check")
+
+    monkeypatch.setattr(cli, "sample_generic", no_sampling)
+    assert run(["qkz", "build", "--n", "5", "--m", "1",
+                "--out", str(tmp_path / "s.json")]) == 2
+    assert run(["qkz", "build", "--n", "3", "--m", "2"]) == 2
+    assert run(["verify", "qkz", "--n", "5"]) == 2
+    assert run(["verify", "qkz", "--n", "2", "--m", "-3"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("refused: degree cap exceeded (|m| * n <= 4)") == 4
+    assert not (tmp_path / "s.json").exists()
+
+
+def test_extended_precision_transfer_runs_past_two_sites(tmp_path):
+    rep = tmp_path / "r.json"
+    assert run(["verify", "transfer", "--n", "3", "--seed", "2",
+                "--precision", "extended", "--report", str(rep)]) in (0, 1)
+    checks = {c["name"]: c for c in json.loads(rep.read_text())["checks"]}
+    assert checks["extended precision transfer agreement"]["pass"]

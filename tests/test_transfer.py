@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
+import heckespin.tensorops
+import heckespin.transfer
+from heckespin.baxter import explicit_rkk
 from heckespin.numerics import rel_residual, sample_generic
 from heckespin.spinrep import build_spin_rep
+from heckespin.tensorops import PERMUTE_TWO
 from heckespin.transfer import (
     check_transfer,
     check_transfer_vs_transport,
@@ -13,8 +17,110 @@ from heckespin.transfer import (
     theta_matrix,
     tl_weight,
     transfer_T,
+    transfer_T_deriv,
     transfer_T_mp,
 )
+
+
+def _dense_row(params, x, t, embed, form):
+    """Oracle: the double row as dense full-space (value, x-derivative)
+    factors, left to right, each local block embedded by ``embed``."""
+    n, m = params.n, params.n + 1
+    ex = explicit_rkk(params)
+    rcheck = form != "r"
+    swap = PERMUTE_TWO if rcheck else np.eye(4)
+    out = []
+    for j in range(1, n + 1):
+        legs = [j, j + 1] if rcheck else [1, j + 1]
+        arg = x / t[j - 1]
+        out.append((embed(ex.r(arg) @ swap, legs, m),
+                    embed(ex.r.deriv(arg) / t[j - 1] @ swap, legs, m)))
+    legs = [m] if rcheck else [1]
+    out.append((embed(ex.k(x), legs, m), embed(ex.k.deriv(x), legs, m)))
+    for j in range(n, 0, -1):
+        legs = [j, j + 1] if rcheck else [j + 1, 1]
+        arg = x * t[j - 1]
+        out.append((embed(ex.r(arg) @ swap, legs, m),
+                    embed(ex.r.deriv(arg) * t[j - 1] @ swap, legs, m)))
+    if form == "closed":
+        th, k2 = theta_matrix(params), params.kappa**2
+        out.insert(0, (embed(th @ ex.kbar(k2 * x) @ th, [1], m),
+                       embed(k2 * th @ ex.kbar.deriv(k2 * x) @ th, [1], m)))
+    return out
+
+
+def _dense_product(factors):
+    """Left-to-right product and its derivative by the product rule."""
+    eye = np.eye(factors[0][0].shape[0], dtype=complex)
+    vals = [v for v, _d in factors]
+    der = np.zeros_like(eye)
+    for kpos, (_v, d) in enumerate(factors):
+        der += np.linalg.multi_dot([eye, *vals[:kpos], d, *vals[kpos + 1:], eye])
+    return np.linalg.multi_dot([eye, *vals, eye]), der
+
+
+def _trace_aux(mat):
+    h = mat.shape[0] // 2
+    return mat[:h, :h] + mat[h:, h:]
+
+
+def _point(n, seed):
+    rng = np.random.default_rng(seed)
+    x = complex(rng.uniform(0.8, 1.25) * np.exp(2j * np.pi * rng.uniform()))
+    t = tuple(
+        complex(rng.uniform(0.8, 1.25) * np.exp(2j * np.pi * rng.uniform()))
+        for _ in range(n)
+    )
+    return x, t
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_transfer_and_monodromy_match_the_dense_oracle(n, dense_embed):
+    p = sample_generic(seed=20 + n, n=n)
+    x, t = _point(n, n)
+    for form in ("rcheck", "r"):
+        want, _ = _dense_product(_dense_row(p, x, t, dense_embed, form))
+        assert rel_residual(monodromy_U(p, x, t, form=form), want) < 1e-12
+    want, dwant = _dense_product(_dense_row(p, x, t, dense_embed, "closed"))
+    assert rel_residual(transfer_T(p, x, t), _trace_aux(want)) < 1e-12
+    val, der = transfer_T_deriv(p, x, t)
+    assert rel_residual(val, _trace_aux(want)) < 1e-12
+    assert rel_residual(der, _trace_aux(dwant)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_transfer_derivative_matches_a_central_difference(n):
+    p = sample_generic(seed=30 + n, n=n)
+    x, t = _point(n, 40 + n)
+    h = 1e-5 * abs(x)
+    fd = (transfer_T(p, x + h, t) - transfer_T(p, x - h, t)) / (2 * h)
+    _val, der = transfer_T_deriv(p, x, t)
+    assert rel_residual(der, fd) < 1e-6
+    # a derivative that drops one factor's term is far outside that margin
+    assert rel_residual(der, 1.01 * fd) > 1e-3
+
+
+def test_no_dense_embedding_on_the_transfer_path(monkeypatch):
+    def refuse(*args, **kw):
+        raise AssertionError("dense embedding on the transfer path")
+
+    monkeypatch.setattr(heckespin.tensorops, "op_on_legs", refuse)
+    monkeypatch.setattr(heckespin.transfer, "op_on_legs", refuse)
+    p = sample_generic(seed=4, n=4)
+    x, t = _point(4, 4)
+    transfer_T(p, x, t)
+    transfer_T_deriv(p, x, t)
+    monodromy_U(p, x, t, form="rcheck")
+    monodromy_U(p, x, t, form="r")
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_high_precision_agreement_beyond_two_sites(n):
+    p = sample_generic(seed=5, n=n)
+    x, t = _point(n, 6)
+    hi = transfer_T_mp(p, x, t, digits=40)
+    assert hi.dtype == complex
+    assert rel_residual(transfer_T(p, x, t), hi) < 1e-12
 
 
 def test_transfer_identity_battery(params2):
