@@ -556,6 +556,18 @@ def cmd_verify(args) -> int:
     return _emit_report(report, cfg, wall_ms)
 
 
+def _polynomial_payload(det) -> dict:
+    return {
+        "polynomial": det.poly.to_dict(),
+        "metadata": {
+            "lambda": list(det.spectral.lam),
+            "gamma_lambda": [{"re": g.real, "im": g.imag} for g in det.spectral.gamma],
+            "eigen_residual": det.residual,
+            "span_size": det.span_size,
+        },
+    }
+
+
 def cmd_koornwinder_compute(args) -> int:
     cfg = _load_config(args)
     if cfg.lam is None:
@@ -566,19 +578,8 @@ def cmd_koornwinder_compute(args) -> int:
     cfg.n = len(lam)
     check_caps(len(lam), sum(abs(v) for v in lam))
     p = _resolve_params(cfg)
-    det = compute_P_detail(lam, p)
-    payload = {
-        "polynomial": det.poly.to_dict(),
-        "metadata": {
-            "lambda": list(lam),
-            "gamma_lambda": [
-                {"re": g.real, "im": g.imag} for g in det.spectral.gamma
-            ],
-            "eigen_residual": det.residual,
-            "span_size": det.span_size,
-        },
-        "params_fingerprint": p.fingerprint(),
-    }
+    payload = _polynomial_payload(compute_P_detail(lam, p))
+    payload["params_fingerprint"] = p.fingerprint()
     _write_json(payload, cfg.out)
     return 0
 
@@ -628,19 +629,8 @@ def cmd_emit_tables(args) -> int:
         entries = []
         labels = [tuple(v) for v in l1_ball(cfg.n, bound)] if bound >= 0 else []
         for lam in sorted(labels):
-            det = compute_P_detail(lam, p)
+            payload = _polynomial_payload(compute_P_detail(lam, p))
             fname = "lam_" + "_".join(str(v) for v in lam) + ".json"
-            payload = {
-                "polynomial": det.poly.to_dict(),
-                "metadata": {
-                    "lambda": list(lam),
-                    "gamma_lambda": [
-                        {"re": g.real, "im": g.imag} for g in det.spectral.gamma
-                    ],
-                    "eigen_residual": det.residual,
-                    "span_size": det.span_size,
-                },
-            }
             with open(os.path.join(out_dir, fname), "w", encoding="utf-8") as fh:
                 fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
             entries.append(fname)

@@ -12,9 +12,11 @@ with N_j the quadratic numerator polynomial and DD_j the exact divided
 difference, and the translation elements act with eigenvalue 1/gamma_lambda
 on the monic polynomial with leading monomial t^lambda.
 
-compute_P assembles the translation-element matrices on a validated monomial
-span and intersects the n eigenspaces; genericity of the parameter set keeps
-the intersection one-dimensional.
+noumi_T_apply realises that action on LaurentPoly dicts; it fills the n+1
+generator matrices on an l1 ball (which every T_j keeps) once per parameter
+set, and each Y_i is their product along tau_word.  compute_P intersects the
+Y_i eigenspaces on a validated span (genericity keeps the intersection a
+line); residuals are matrix-vector products on the full-ball vector.
 """
 
 from __future__ import annotations
@@ -120,15 +122,10 @@ def noumi_Y_apply(i: int, f: LaurentPoly, params: ParamSet) -> LaurentPoly:
     n = params.n
     if not 1 <= i <= n:
         raise ValueError("index out of range")
-    letters = tau_word(i, n)
-    flags = [k < i - 1 for k in range(len(letters))]
     out = f
-    for a, invflag in reversed(list(zip(letters, flags))):
-        out = (
-            noumi_T_inv_apply(a, out, params)
-            if invflag
-            else noumi_T_apply(a, out, params)
-        )
+    for k, a in reversed(list(enumerate(tau_word(i, n)))):
+        step = noumi_T_inv_apply if k < i - 1 else noumi_T_apply
+        out = step(a, out, params)
     return out
 
 
@@ -174,32 +171,63 @@ class MonomialSpan:
 _BALL_CACHE: dict = {}
 
 
-def _ball_matrices(params: ParamSet, radius: int):
-    """Matrices of all n translation elements on the full l1 ball (exactly
-    stable under every generator image), cached per parameter fingerprint."""
+def ball_vector(poly: LaurentPoly, index: dict) -> np.ndarray:
+    """Coefficient vector of poly on the ball enumerated by index; a term
+    outside the ball is a defect of the caller, never a truncation."""
+    vec = np.zeros(len(index), dtype=complex)
+    for ex, cf in poly.terms.items():
+        if ex not in index:
+            raise InternalDefectError("polynomial term left the degree ball")
+        vec[index[ex]] = cf
+    return vec
+
+
+def _ball(params: ParamSet, radius: int):
+    """(basis, index, {i: Y_i}, {j: T_j}) on the l1 ball, cached per (n,
+    radius, parameter fingerprint).  Column mu of T_j is the image of t^mu,
+    so each monomial's divided difference is verified once; Y_i multiplies
+    the T_j along tau_word(i, n) as noumi_Y_apply does, inverting the first
+    i - 1 letters by T_j + (kappa_j - 1/kappa_j)."""
     key = (params.n, radius, params.fingerprint())
     if key in _BALL_CACHE:
         return _BALL_CACHE[key]
     n = params.n
     basis = l1_ball(n, radius)
     index = {mu: a for a, mu in enumerate(basis)}
-    size = len(basis)
+    eye = np.eye(len(basis), dtype=complex)
+    gens = {}
+    for j in range(n + 1):
+        images = [noumi_T_apply(j, LaurentPoly.monomial(n, mu), params) for mu in basis]
+        gens[j] = np.stack([ball_vector(f, index) for f in images], axis=1)
     mats = {}
     for i in range(1, n + 1):
-        mat = np.zeros((size, size), dtype=complex)
-        for col, mu in enumerate(basis):
-            image = noumi_Y_apply(i, LaurentPoly.monomial(n, mu), params)
-            for ex, cf in image.terms.items():
-                if ex not in index:
-                    raise InternalDefectError(
-                        "translation image left the degree ball"
-                    )
-                mat[index[ex], col] = cf
-        mats[i] = mat
+        factors = []
+        for k, a in enumerate(tau_word(i, n)):
+            kj = params.kappa_j(a)
+            factors.append(gens[a] + (kj - 1 / kj) * eye if k < i - 1 else gens[a])
+        mats[i] = np.linalg.multi_dot(factors)
     if len(_BALL_CACHE) > 8:
         _BALL_CACHE.pop(next(iter(_BALL_CACHE)))
-    _BALL_CACHE[key] = (basis, index, mats)
+    _BALL_CACHE[key] = (basis, index, mats, gens)
     return _BALL_CACHE[key]
+
+
+def _ball_matrices(params: ParamSet, radius: int):
+    """(basis, index, {i: Y_i}) on the full l1 ball of the given radius."""
+    return _ball(params, radius)[:3]
+
+
+def generator_matrices(params: ParamSet, radius: int):
+    """(basis, index, {j: T_j}) on the full l1 ball, from the same cache."""
+    basis, index, _mats, gens = _ball(params, radius)
+    return basis, index, gens
+
+
+def _eigen_residual(poly: LaurentPoly, index: dict, pairs) -> float:
+    """max over (M, c) of |M v - c v| / max(|v|, 1), v the ball vector of poly."""
+    vec = ball_vector(poly, index)
+    scale = max(float(np.abs(vec).max()), 1.0)
+    return max(float(np.abs(m @ vec - c * vec).max()) for m, c in pairs) / scale
 
 
 def check_caps(n: int, degree: int = 0) -> None:
@@ -296,19 +324,21 @@ def compute_P_detail(lam, params: ParamSet) -> PolynomialResult:
     # exact by construction, so pin the leading coefficient
     terms[lam] = 1.0 + 0.0j
     poly = LaurentPoly(n, terms)
-    residual = 0.0
-    for i in range(1, n + 1):
-        diff = noumi_Y_apply(i, poly, params) + poly.scale(-1 / sp.gamma[i - 1])
-        residual = max(residual, diff.max_abs() / max(poly.max_abs(), 1.0))
-    return PolynomialResult(
-        poly=poly, spectral=sp, residual=residual, span_size=size
-    )
+    return PolynomialResult(poly, sp, joint_residual(poly, sp, params), size)
+
+
+def joint_residual(poly: LaurentPoly, sp: SpectralPoint, params: ParamSet):
+    """Relative residual of Y_i poly = poly / gamma_i, i = 1..n, taken on the
+    full degree ball of sp.lam, so that a term outside the span shows."""
+    _basis, index, mats = _ball_matrices(params, sum(abs(v) for v in sp.lam))
+    pairs = [(mats[i], 1 / g) for i, g in enumerate(sp.gamma, start=1)]
+    return _eigen_residual(poly, index, pairs)
 
 
 def stabilizer_eigen_residual(i: int, poly: LaurentPoly, params: ParamSet):
-    """(is lambda fixed by s_i, residual of T_i poly = kappa_i^{-1} poly)."""
-    diff = noumi_T_apply(i, poly, params) + poly.scale(-1 / params.kappa_j(i))
-    return diff.max_abs() / max(poly.max_abs(), 1.0)
+    """Relative residual of T_i poly = kappa_i^{-1} poly on the full ball."""
+    _basis, index, gens = generator_matrices(params, poly.l1_degree())
+    return _eigen_residual(poly, index, [(gens[i], 1 / params.kappa_j(i))])
 
 
 def fixed_by_si(i: int, lam) -> bool:

@@ -233,7 +233,7 @@ class LaurentPoly:
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if self.n_vars != other.n_vars:
-            raise ValueError("arity mismatch")
+            raise InternalDefectError("arity mismatch")
         terms = dict(self.terms)
         for exp, c in other.terms.items():
             terms[exp] = terms.get(exp, 0j) + c
@@ -365,7 +365,7 @@ class LaurentPoly:
 
 def laurent_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     if f.n_vars != g.n_vars:
-        raise ValueError("arity mismatch")
+        raise InternalDefectError("arity mismatch")
     terms = {}
     for e1, c1 in f.terms.items():
         for e2, c2 in g.terms.items():

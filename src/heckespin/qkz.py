@@ -7,11 +7,11 @@ C_{tau_i}(t) f(q^{-eps_i} t) = f(t), and f is invariant under the dressed
 reflections.  The solution builder pairs the basic-representation action on
 one monic joint eigenpolynomial with the principal-series basis of the spin
 representation: for each minimal coset representative w the Hecke element
-indexed by w (w_0^J)^{-1} is applied letterwise to the polynomial and the
-result is weighted by the basis vector v_w.  Existence of a nontrivial
-polynomial solution is governed by a single scalar constraint between the
-boundary parameters and q^m, checked by check_mcondition; the builder
-refuses to assemble anything when the constraint fails.
+indexed by w (w_0^J)^{-1} is applied letterwise by the cached generator
+matrices, and the result is weighted by the basis vector v_w.  Existence of
+a nontrivial polynomial solution is governed by a single scalar constraint
+between the boundary parameters and q^m, checked by check_mcondition; the
+builder refuses to assemble anything when the constraint fails.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baxter import RepHandle, baxter_j, transport_C_tau
-from .koornwinder import compute_P, gamma_lambda, noumi_T_apply
+from .koornwinder import ball_vector, compute_P, gamma_lambda, generator_matrices
 from .numerics import (
     GenericityError,
     InternalDefectError,
@@ -103,24 +103,25 @@ def cm_alpha(phi: LaurentPoly, params: ParamSet, metadata=None) -> KZSolution:
     """Pair the Hecke action on phi with the principal-series basis.
 
     For each minimal coset representative w the element u = w (w_0^J)^{-1}
-    is taken to its reduced word and the generator images act on phi
-    letterwise (rightmost letter first, as operators compose); the resulting
-    polynomial is added into every spin component with weight (v_w)_b.
+    is taken to its reduced word and the cached generator matrices act on
+    the coefficient vector of phi on its degree ball, rightmost letter first
+    as operators compose; the image is added into every spin component with
+    weight (v_w)_b.
     """
     n = params.n
     basis_mat, _zeta, reps, _rep = principal_series_basis(params)
     jset = list(range(1, n))
     w0j_inv = w0_coset_element(jset, n).inverse_finite()
-    components = [LaurentPoly.zero(n) for _ in range(2**n)]
-    for col, w in enumerate(reps):
-        u = w * w0j_inv
-        poly = phi
-        for a in reversed(reduced_word(u)):
-            poly = noumi_T_apply(a, poly, params)
-        for b in range(2**n):
-            weight = basis_mat[b, col]
-            if abs(weight) > 0.0:
-                components[b] = components[b] + poly.scale(weight)
+    ball, index, gens = generator_matrices(params, phi.l1_degree())
+    vec0 = ball_vector(phi, index)
+    images = []
+    for w in reps:
+        vec = vec0
+        for a in reversed(reduced_word(w * w0j_inv)):
+            vec = gens[a] @ vec
+        images.append(vec)
+    coeffs = np.stack(images, axis=1) @ basis_mat.T
+    components = [LaurentPoly(n, dict(zip(ball, col))) for col in coeffs.T]
     return KZSolution(
         params=params,
         components=components,

@@ -177,6 +177,25 @@ def test_bad_local_factor_is_an_internal_defect(monkeypatch, capsys, corrupt):
     assert "internal defect" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("corrupt", ["product", "sum"])
+def test_laurent_arity_mismatch_is_an_internal_defect(monkeypatch, capsys, corrupt):
+    import heckespin.koornwinder as koornwinder
+    from heckespin.numerics import LaurentPoly
+
+    def wide(*args, **kw):
+        return LaurentPoly.one(3)
+
+    # a cold cache forces the generator images through LaurentPoly arithmetic;
+    # a wrong-arity numerator breaks the product, and a wrong-arity divided
+    # difference on top of it lets the product through and breaks the sum
+    monkeypatch.setattr(koornwinder, "_BALL_CACHE", {})
+    monkeypatch.setattr(koornwinder, "_numerator_poly", wide)
+    if corrupt == "sum":
+        monkeypatch.setattr(koornwinder, "divided_difference", wide)
+    assert run(["verify", "koornwinder", "--n", "2", "--seed", "1"]) == 3
+    assert "internal defect: arity mismatch" in capsys.readouterr().err
+
+
 def test_qkz_degree_cap_refuses_before_sampling(tmp_path, monkeypatch, capsys):
     import heckespin.cli as cli
 

@@ -5,13 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import heckespin.koornwinder as koornwinder
+import heckespin.numerics as numerics
 from heckespin.koornwinder import (
+    _ball_matrices,
+    ball_vector,
     build_span,
     c_eval,
     compute_P,
     compute_P_detail,
     fixed_by_si,
     gamma_lambda,
+    generator_matrices,
+    joint_residual,
     noumi_T_apply,
     noumi_T_inv_apply,
     noumi_Y_apply,
@@ -19,11 +25,14 @@ from heckespin.koornwinder import (
 )
 from heckespin.numerics import (
     GenericityError,
+    InternalDefectError,
     LaurentPoly,
     eta,
     l1_ball,
     sample_generic,
 )
+from heckespin.qkz import build_polynomial_solution, cm_alpha
+from heckespin.spinrep import check_hecke_relations
 
 
 def test_constant_label_gives_the_constant_polynomial(params2):
@@ -156,3 +165,99 @@ def test_eta_convention_in_the_spectrum(params2):
     expected = params2.kappa0 * params2.kappan * params2.kappa**2
     assert abs(g0[0] - expected) < 1e-12 * abs(expected)
     assert eta(0) == -1
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=3),
+    radius=st.integers(min_value=0, max_value=3),
+    seed=st.integers(min_value=1, max_value=60),
+)
+def test_generator_products_match_the_letterwise_action(n, radius, seed):
+    """Y_i as a product of cached T_j matrices equals noumi_Y_apply on every
+    monomial of the ball, column by column."""
+    p = sample_generic(seed=seed, n=n)
+    basis, index, mats = _ball_matrices(p, radius)
+    for i in range(1, n + 1):
+        for col, mu in enumerate(basis):
+            image = noumi_Y_apply(i, LaurentPoly.monomial(n, mu), p)
+            ref = ball_vector(image, index)
+            scale = max(float(np.abs(ref).max()), 1.0)
+            assert np.abs(mats[i][:, col] - ref).max() < 1e-12 * scale, (i, mu)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_generator_matrices_satisfy_the_hecke_relations(n):
+    # the basic representation runs at inverted kappa's, so the relations
+    # are checked against the inverted parameter set
+    p = sample_generic(seed=2, n=n)
+    inv = p.replace(
+        kappa0=1 / p.kappa0, kappa=1 / p.kappa, kappa_sqrt=1 / p.kappa_sqrt,
+        kappan=1 / p.kappan,
+    )
+    _basis, _index, gens = generator_matrices(p, 3)
+    res = check_hecke_relations(gens, inv)
+    assert len(res) == {1: 2, 2: 6, 3: 10}[n]
+    assert max(res.values()) < 1e-10, res
+    plain = check_hecke_relations(gens, p)
+    assert max(v for k, v in plain.items() if k.startswith("quadratic")) > 1e-3
+
+
+def test_warm_paths_never_take_a_divided_difference(monkeypatch):
+    p = sample_generic(seed=11, n=2, constraints={"mcondition": 1})
+    sol = build_polynomial_solution(p, 1)
+    det = compute_P_detail((1, 1), p)
+    before = (det.residual, stabilizer_eigen_residual(1, det.poly, p))
+
+    def forbidden(*args, **kw):
+        raise AssertionError("divided difference on a cached path")
+
+    monkeypatch.setattr(koornwinder, "divided_difference", forbidden)
+    monkeypatch.setattr(numerics, "divided_difference", forbidden)
+    again = compute_P_detail((1, 1), p)
+    after = (again.residual, stabilizer_eigen_residual(1, again.poly, p))
+    assert again.poly.terms == det.poly.terms
+    assert after == before
+    rebuilt = cm_alpha(det.poly, p, metadata=sol.metadata)
+    assert [c.terms for c in rebuilt.components] == [
+        c.terms for c in sol.components
+    ]
+
+
+def test_full_ball_residual_flags_leakage_out_of_the_span(params2):
+    lam = (1, 1)
+    span = build_span(lam, params2)
+    assert not span.enlarged
+    det = compute_P_detail(lam, params2)
+    basis, _index, _mats = _ball_matrices(params2, 2)
+    outside = [mu for mu in basis if mu not in span.basis]
+    assert outside
+    assert joint_residual(det.poly, det.spectral, params2) < 1e-10
+    for mu in outside:
+        leaked = det.poly + LaurentPoly.monomial(2, mu, 1e-6)
+        assert joint_residual(leaked, det.spectral, params2) > 1e-8, mu
+
+
+def test_generator_image_outside_the_ball_is_a_defect(monkeypatch, params2):
+    honest = koornwinder.noumi_T_apply
+
+    def leaky(j, f, params):
+        return honest(j, f, params) + f.shift((3, 0))
+
+    monkeypatch.setattr(koornwinder, "_BALL_CACHE", {})
+    monkeypatch.setattr(koornwinder, "noumi_T_apply", leaky)
+    with pytest.raises(InternalDefectError, match="left the degree ball"):
+        generator_matrices(params2, 2)
+
+
+def test_every_label_up_to_the_cap_at_a_large_coefficient_draw():
+    """At this draw the degree-4 polynomials reach coefficients near 1e4;
+    re-applying the dict action to them used to trip the divided-difference
+    re-multiplication bound, so the residual is taken on the ball."""
+    p = sample_generic(seed=7, n=3)
+    worst = 0.0
+    for lam in l1_ball(3, 4):
+        det = compute_P_detail(tuple(lam), p)
+        assert det.poly.terms[tuple(lam)] == 1.0
+        worst = max(worst, det.residual)
+    assert worst < 1e-8
