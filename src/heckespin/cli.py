@@ -87,6 +87,7 @@ class Config:
         self.params = kw.get("params")
         self.out = kw.get("out")
         self.report = kw.get("report")
+        self.draws = {}
 
 
 def _load_config(args) -> Config:
@@ -128,10 +129,17 @@ def _load_config(args) -> Config:
     return Config(**merged)
 
 
-def _resolve_params(cfg: Config, constraints=None) -> ParamSet:
+def _resolve_params(cfg: Config, seed=None, mcondition=None) -> ParamSet:
+    """cfg.params if given, else sample_generic drawn once per (seed, n,
+    mcondition) and command (each suite of verify all asks for the point); a
+    GenericityError is not kept."""
     if cfg.params is not None:
         return cfg.params
-    return sample_generic(seed=cfg.seed, n=cfg.n, constraints=constraints)
+    key = (cfg.seed if seed is None else seed, cfg.n, mcondition)
+    if key not in cfg.draws:
+        cons = None if mcondition is None else {"mcondition": mcondition}
+        cfg.draws[key] = sample_generic(seed=key[0], n=cfg.n, constraints=cons)
+    return cfg.draws[key]
 
 
 def _check(name, residual, tolerance, context=""):
@@ -457,10 +465,7 @@ def suite_qkz(cfg: Config):
             check_degree_cap(cfg.n, m)
     base = _resolve_params(cfg)
     for m in ms:
-        if cfg.params is not None:
-            p = cfg.params
-        else:
-            p = sample_generic(seed=cfg.seed, n=cfg.n, constraints={"mcondition": m})
+        p = _resolve_params(cfg, mcondition=m)
         sol = build_polynomial_solution(p, m)
         res = verify_solution(sol, samples=cfg.samples, seed=cfg.seed)
         checks += _from_residuals(
@@ -472,7 +477,7 @@ def suite_qkz(cfg: Config):
             "largest coefficient of the assembled solution",
         ))
     if cfg.params is None:
-        free = sample_generic(seed=cfg.seed + 101, n=cfg.n)
+        free = _resolve_params(cfg, seed=cfg.seed + 101)
         try:
             build_polynomial_solution(free, ms[0])
             refused = 1.0
@@ -482,7 +487,7 @@ def suite_qkz(cfg: Config):
             "refusal on unconstrained parameters", refused, cfg.tolerance,
             "building at a generic unconstrained point must refuse",
         ))
-        p = sample_generic(seed=cfg.seed, n=cfg.n, constraints={"mcondition": ms[0]})
+        p = _resolve_params(cfg, mcondition=ms[0])
         sol = build_polynomial_solution(p, ms[0])
         bad = KZSolution(
             params=p,
@@ -591,7 +596,7 @@ def cmd_qkz_build(args) -> int:
         p = cfg.params
     else:
         check_degree_cap(cfg.n, m)
-        p = sample_generic(seed=cfg.seed, n=cfg.n, constraints={"mcondition": m})
+        p = _resolve_params(cfg, mcondition=m)
     sol = build_polynomial_solution(p, m)
     _write_json(sol.to_dict(), cfg.out)
     return 0

@@ -14,9 +14,10 @@ on the monic polynomial with leading monomial t^lambda.
 
 noumi_T_apply realises that action on LaurentPoly dicts; it fills the n+1
 generator matrices on an l1 ball (which every T_j keeps) once per parameter
-set, and each Y_i is their product along tau_word.  compute_P intersects the
-Y_i eigenspaces on a validated span (genericity keeps the intersection a
-line); residuals are matrix-vector products on the full-ball vector.
+set, and each Y_i is their product along tau_word.  compute_P stacks the
+Y_i - 1/gamma_i on a validated span and reads the joint kernel (a line, by
+genericity) off the SVD of the stack's square QR factor; residuals are
+matrix-vector products on the full-ball vector.
 """
 
 from __future__ import annotations
@@ -183,12 +184,12 @@ def ball_vector(poly: LaurentPoly, index: dict) -> np.ndarray:
 
 
 def _ball(params: ParamSet, radius: int):
-    """(basis, index, {i: Y_i}, {j: T_j}) on the l1 ball, cached per (n,
-    radius, parameter fingerprint).  Column mu of T_j is the image of t^mu,
+    """(basis, index, {i: Y_i}, {j: T_j}) on the l1 ball, cached per (frozen
+    parameter set, radius).  Column mu of T_j is the image of t^mu,
     so each monomial's divided difference is verified once; Y_i multiplies
     the T_j along tau_word(i, n) as noumi_Y_apply does, inverting the first
     i - 1 letters by T_j + (kappa_j - 1/kappa_j)."""
-    key = (params.n, radius, params.fingerprint())
+    key = (params, radius)
     if key in _BALL_CACHE:
         return _BALL_CACHE[key]
     n = params.n
@@ -251,10 +252,11 @@ def build_span(lam, params: ParamSet) -> MonomialSpan:
         raise ValueError("lambda length must match n")
     radius = sum(abs(v) for v in lam)
     check_caps(n, radius)
-    basis, index, mats = _ball_matrices(params, radius)
-    chosen = [mu for mu in basis if _dominated(mu, lam)]
-    rows_in = [index[mu] for mu in chosen]
-    rows_out = [a for a, mu in enumerate(basis) if not _dominated(mu, lam)]
+    basis, _index, mats = _ball_matrices(params, radius)
+    inside = [_dominated(mu, lam) for mu in basis]
+    chosen = [mu for mu, keep in zip(basis, inside) if keep]
+    rows_in = [a for a, keep in enumerate(inside) if keep]
+    rows_out = [a for a, keep in enumerate(inside) if not keep]
     enlarged = False
     if rows_out:
         for i in range(1, n + 1):
@@ -284,13 +286,19 @@ def compute_P(lam, params: ParamSet) -> LaurentPoly:
     return compute_P_detail(lam, params).poly
 
 
+def joint_kernel(stack):
+    """Singular values and last right singular vector of A = QR, from R (R-SVD)."""
+    _u, sigma, vh = np.linalg.svd(np.linalg.qr(stack, mode="r"))
+    return sigma, vh[-1].conj()
+
+
 def compute_P_detail(lam, params: ParamSet) -> PolynomialResult:
     """Monic joint eigenpolynomial with leading monomial t^lambda.
 
-    Intersects the n translation eigenspaces on the validated span by a
-    stacked singular-value decomposition; the kernel must be exactly
-    one-dimensional with a clear spectral gap, otherwise the parameter set is
-    rejected as non-generic.
+    Stacks the n blocks Y_i - 1/gamma_i on the validated span; the joint
+    kernel must be a line, sigma[-1] below and sigma[-2] above _KERNEL_GAP
+    relative to sigma[0], otherwise the parameter set is rejected as
+    non-generic.  The residual is taken on the full degree ball.
     """
     span = build_span(lam, params)
     lam = span.lam
@@ -302,14 +310,12 @@ def compute_P_detail(lam, params: ParamSet) -> PolynomialResult:
         stack[(i - 1) * size : i * size] = span.matrices[i] - (
             1 / sp.gamma[i - 1]
         ) * np.eye(size)
-    sv = np.linalg.svd(stack, compute_uv=True)
-    sigma, vh = sv[1], sv[2]
+    sigma, vec = joint_kernel(stack)
     scale = max(sigma[0], 1.0)
     if sigma[-1] > _KERNEL_GAP * scale:
         raise GenericityError(f"no joint eigenvector at lambda={lam}")
     if size > 1 and sigma[-2] < _KERNEL_GAP * scale:
         raise GenericityError(f"non-generic spectrum at lambda={lam}")
-    vec = vh[-1].conj()
     lead = vec[span.basis.index(lam)]
     if abs(lead) < 1e-12 * np.abs(vec).max():
         raise InternalDefectError("leading coefficient vanished on the span")

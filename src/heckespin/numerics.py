@@ -270,31 +270,15 @@ class LaurentPoly:
         )
 
     def eval(self, point) -> complex:
-        point = tuple(point)
-        if len(point) != self.n_vars:
-            raise ValueError("point arity mismatch")
-        total = 0j
-        for exp, c in self.terms.items():
-            v = c
-            for t, e in zip(point, exp):
-                if e:
-                    v *= t**e
-            total += v
-        return total
+        return complex(LaurentTable([self], self.n_vars)([tuple(point)])[0, 0])
 
     def eval_mp(self, point, digits: int = 50):
         """Evaluate with mpmath at the given working precision."""
         import mpmath
 
         with mpmath.workdps(digits):
-            total = mpmath.mpc(0)
-            for exp, c in self.terms.items():
-                v = mpmath.mpc(c)
-                for t, e in zip(point, exp):
-                    if e:
-                        v *= mpmath.mpc(t) ** e
-                total += v
-            return total
+            pts = [[mpmath.mpc(t) for t in point]]
+            return mpmath.mpc(LaurentTable([self], self.n_vars)(pts, object)[0, 0])
 
     # reflection substitutions; these are the only variable changes the
     # operators downstream ever need
@@ -361,6 +345,34 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly(n_vars={self.n_vars}, {len(self.terms)} terms)"
+
+
+class LaurentTable:
+    """Polynomials as one integer exponent table E (terms x n_vars) over the
+    union of their supports and a coefficient matrix C (polynomials x terms);
+    values at points t are C @ (t**E).T, integer powers by repeated squaring."""
+
+    def __init__(self, polys, n_vars: int):
+        if any(p.n_vars != n_vars for p in polys):
+            raise InternalDefectError("arity mismatch")
+        col: dict = {}
+        for p in polys:
+            for e in p.terms:
+                col.setdefault(e, len(col))
+        self.exps = np.array(list(col), dtype=np.int64).reshape(len(col), n_vars)
+        self.coeffs = np.zeros((len(polys), len(col)), dtype=complex)
+        for r, p in enumerate(polys):
+            for e, c in p.terms.items():
+                self.coeffs[r, col[e]] = c
+
+    def __call__(self, points, dtype=complex) -> np.ndarray:
+        """Values at the points, shape (polynomials, len(points)); dtype=object
+        evaluates mpmath points in mpmath arithmetic."""
+        n = self.exps.shape[1]
+        if any(len(t) != n for t in points):
+            raise InternalDefectError("point arity mismatch")
+        pts = np.array(points, dtype=dtype).reshape(len(points), 1, n)
+        return self.coeffs @ np.prod(pts**self.exps, axis=2).T
 
 
 def laurent_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:

@@ -1,17 +1,16 @@
 """Reflection difference equations on the spin chain and their polynomial
 solutions.
 
-A vector of Laurent polynomials f = (f_b) solves the reflection difference
-system when the translation transport matrices carry f across a q-shift,
-C_{tau_i}(t) f(q^{-eps_i} t) = f(t), and f is invariant under the dressed
-reflections.  The solution builder pairs the basic-representation action on
-one monic joint eigenpolynomial with the principal-series basis of the spin
-representation: for each minimal coset representative w the Hecke element
-indexed by w (w_0^J)^{-1} is applied letterwise by the cached generator
-matrices, and the result is weighted by the basis vector v_w.  Existence of
-a nontrivial polynomial solution is governed by a single scalar constraint
-between the boundary parameters and q^m, checked by check_mcondition; the
-builder refuses to assemble anything when the constraint fails.
+A vector f = (f_b) of Laurent polynomials solves the reflection difference
+system when C_{tau_i}(t) f(q^{-eps_i} t) = f(t) and f is invariant under the
+dressed reflections.  build_polynomial_solution refuses unless the scalar
+existence constraint between the boundary parameters and q^m holds
+(check_mcondition).  cm_alpha applies the Hecke element of w (w_0^J)^{-1},
+for each minimal coset representative w, to one monic joint eigenpolynomial
+through the cached generator matrices and weights the image by the
+principal-series vector v_w.  verify_solution tabulates the components once
+per call (LaurentTable) and evaluates each sample point, its q-shifts and its
+reflections as one product.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ from .numerics import (
     GenericityError,
     InternalDefectError,
     LaurentPoly,
+    LaurentTable,
     ParamSet,
     PoleProximityError,
     RefusalError,
@@ -80,7 +80,7 @@ class KZSolution:
         return len(self.components)
 
     def eval_at(self, t) -> np.ndarray:
-        return np.array([c.eval(t) for c in self.components], dtype=complex)
+        return LaurentTable(self.components, self.params.n)([t])[:, 0]
 
     def max_coeff(self) -> float:
         return max((c.max_abs() for c in self.components), default=0.0)
@@ -96,6 +96,10 @@ class KZSolution:
     def from_dict(cls, data) -> "KZSolution":
         params = ParamSet.from_dict(data["params"])
         comps = [LaurentPoly.from_dict(d) for d in data["components"]]
+        n, arities = params.n, sorted({c.n_vars for c in comps})
+        if len(comps) != 2**n or arities != [n]:
+            raise RefusalError(f"a stored solution needs 2^n = {2**n} components in n = "
+                               f"{n} variables, not {len(comps)} in {arities}")
         return cls(params=params, components=comps, metadata=dict(data.get("metadata", {})))
 
 
@@ -181,10 +185,13 @@ def _generic_point(rng, n):
 
 def verify_solution(sol: KZSolution, samples: int = 20, seed: int = 8) -> dict:
     """Pointwise residuals of the n transport equations and the n+1
-    invariance equations at random generic points; resamples on poles."""
+    invariance equations at random generic points; resamples on poles.  The
+    components are tabulated per call, as they stand, and each sample's
+    point, n shifts and n+1 reflections are one table product."""
     params = sol.params
     n = params.n
     rep = RepHandle.from_rep(build_spin_rep(params))
+    table = LaurentTable(sol.components, n)
     rng = np.random.default_rng(seed)
     out: dict = {}
 
@@ -201,14 +208,14 @@ def verify_solution(sol: KZSolution, samples: int = 20, seed: int = 8) -> dict:
                 "could not find enough pole-free sample points"
             )
         t = _generic_point(rng, n)
+        shifted = [t[:i] + (t[i] / q,) + t[i + 1 :] for i in range(n)]
+        reflected = [act_point(WeylElem.generator(j, n), t, params) for j in range(n + 1)]
+        vals = table([t, *shifted, *reflected])
+        ft = vals[:, 0]
+        scale = max(1e-300, float(np.abs(ft).max()))
         try:
-            ft = sol.eval_at(t)
-            scale = max(1e-300, float(np.abs(ft).max()))
             for i in range(1, n + 1):
-                shifted = tuple(
-                    v / q if idx == i - 1 else v for idx, v in enumerate(t)
-                )
-                lhs = transport_C_tau(rep, i, t) @ sol.eval_at(shifted)
+                lhs = transport_C_tau(rep, i, t) @ vals[:, i]
                 acc(
                     f"transport equation i={i}",
                     float(np.abs(lhs - ft).max()) / scale,
@@ -220,8 +227,7 @@ def verify_solution(sol: KZSolution, samples: int = 20, seed: int = 8) -> dict:
                     mat = baxter_j(rep, n, t[-1])
                 else:
                     mat = baxter_j(rep, j, t[j - 1] / t[j])
-                sj_t = act_point(WeylElem.generator(j, n), t, params)
-                lhs = mat @ sol.eval_at(sj_t)
+                lhs = mat @ vals[:, n + 1 + j]
                 acc(
                     f"invariance under s_{j}",
                     float(np.abs(lhs - ft).max()) / scale,

@@ -219,3 +219,54 @@ def test_extended_precision_transfer_runs_past_two_sites(tmp_path):
                 "--precision", "extended", "--report", str(rep)]) in (0, 1)
     checks = {c["name"]: c for c in json.loads(rep.read_text())["checks"]}
     assert checks["extended precision transfer agreement"]["pass"]
+
+
+def _stored_solution(tmp_path):
+    path = tmp_path / "sol.json"
+    assert run(["qkz", "build", "--n", "2", "--m", "1", "--seed", "5",
+                "--out", str(path)]) == 0
+    return path, json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("corrupt", ["missing component", "component arity"])
+def test_malformed_stored_solution_is_refused(tmp_path, capsys, corrupt):
+    path, data = _stored_solution(tmp_path)
+    if corrupt == "missing component":
+        data["components"].pop()
+    else:
+        comp = data["components"][1]
+        comp["n_vars"] = 3
+        for term in comp["terms"]:
+            term["exp"] = term["exp"] + [0]
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run(["qkz", "verify", "--in", str(path), "--samples", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "refused: a stored solution needs 2^n = 4 components in n = 2" in err
+
+
+def test_evaluator_arity_mismatch_is_an_internal_defect(tmp_path, monkeypatch, capsys):
+    import heckespin.qkz as qkz
+
+    path, _data = _stored_solution(tmp_path)
+    honest = qkz._generic_point
+    monkeypatch.setattr(qkz, "_generic_point", lambda rng, n: honest(rng, n) + (1.0,))
+    assert run(["qkz", "verify", "--in", str(path), "--samples", "2"]) == 3
+    assert "internal defect: point arity mismatch" in capsys.readouterr().err
+
+
+def test_verify_all_draws_each_parameter_set_once(monkeypatch, tmp_path):
+    import heckespin.cli as cli
+
+    calls = []
+
+    def counting(seed, n, constraints=None):
+        calls.append((seed, n, (constraints or {}).get("mcondition")))
+        return sample_generic(seed=seed, n=n, constraints=constraints)
+
+    monkeypatch.setattr(cli, "sample_generic", counting)
+    assert run(["verify", "all", "--n", "2", "--seed", "3",
+                "--report", str(tmp_path / "r.json")]) == 0
+    assert sorted(calls, key=str) == sorted(
+        [(3, 2, None), (3, 2, -1), (3, 2, 0), (3, 2, 1), (104, 2, None)], key=str
+    )

@@ -17,6 +17,7 @@ from heckespin.koornwinder import (
     fixed_by_si,
     gamma_lambda,
     generator_matrices,
+    joint_kernel,
     joint_residual,
     noumi_T_apply,
     noumi_T_inv_apply,
@@ -261,3 +262,70 @@ def test_every_label_up_to_the_cap_at_a_large_coefficient_draw():
         assert det.poly.terms[tuple(lam)] == 1.0
         worst = max(worst, det.residual)
     assert worst < 1e-8
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    size=st.integers(min_value=1, max_value=14),
+    blocks=st.integers(min_value=1, max_value=3),
+    deficit=st.integers(min_value=0, max_value=2),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_joint_kernel_matches_the_full_svd(size, blocks, deficit, seed):
+    """The SVD of the triangular factor gives the singular values and the
+    kernel line of the full SVD of the tall stack, also at an exact rank
+    deficit."""
+    rng = np.random.default_rng(seed)
+    deficit = min(deficit, size - 1)
+    stack = rng.normal(size=(blocks * size, size)) + 1j * rng.normal(
+        size=(blocks * size, size)
+    )
+    if deficit:
+        null = np.linalg.qr(
+            rng.normal(size=(size, deficit)) + 1j * rng.normal(size=(size, deficit))
+        )[0]
+        stack = stack - (stack @ null) @ null.conj().T
+    sigma, vec = joint_kernel(stack)
+    _u, ref_sigma, ref_vh = np.linalg.svd(stack)
+    assert sigma.shape == ref_sigma.shape
+    assert np.abs(sigma - ref_sigma).max() < 1e-12 * ref_sigma[0]
+    assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
+    if deficit:
+        assert np.linalg.norm(stack @ vec) < 1e-12 * ref_sigma[0]
+    if size == 1 or ref_sigma[-2] - ref_sigma[-1] > 1e-3 * ref_sigma[0]:
+        # a simple smallest singular value: the same line up to phase
+        assert abs(abs(np.vdot(ref_vh[-1].conj(), vec)) - 1.0) < 1e-9
+
+
+def test_kernel_svd_sees_only_square_matrices(monkeypatch):
+    honest = np.linalg.svd
+    shapes = []
+
+    def spy(a, *args, **kw):
+        shapes.append(np.shape(a))
+        return honest(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    for n in (2, 3):
+        p = sample_generic(seed=5, n=n)
+        for lam in l1_ball(n, 2):
+            assert compute_P_detail(tuple(lam), p).residual < 1e-9
+    assert shapes and all(len(s) == 2 and s[0] == s[1] for s in shapes), shapes
+
+
+def test_missing_joint_eigenvector_is_a_genericity_error(monkeypatch, params2):
+    """A perturbed spectral vector has no joint eigenvector on the span; the
+    sigma[-1] gate refuses it (the degenerate-spectrum test covers the
+    sigma[-2] gate)."""
+    honest = koornwinder.gamma_lambda
+
+    def perturbed(lam, params):
+        sp = honest(lam, params)
+        return koornwinder.SpectralPoint(
+            gamma=(sp.gamma[0] * (1 + 1e-3),) + sp.gamma[1:], lam=sp.lam
+        )
+
+    assert compute_P_detail((1, 0), params2).residual < 1e-9
+    monkeypatch.setattr(koornwinder, "gamma_lambda", perturbed)
+    with pytest.raises(GenericityError, match="no joint eigenvector"):
+        compute_P_detail((1, 0), params2)

@@ -13,7 +13,9 @@ from heckespin.numerics import (
     _GAMMA_DEGREE,
     _GAMMA_GAP,
     GenericityError,
+    InternalDefectError,
     LaurentPoly,
+    LaurentTable,
     ParamSet,
     _gamma_distinct,
     _gamma_vectors,
@@ -65,6 +67,73 @@ def test_eval_matches_terms():
     t = (0.7 + 0.1j, 1.2 - 0.3j)
     expected = 3.0 * t[0] ** 2 / t[1] - 1.5
     assert abs(p.eval(t) - expected) < 1e-14
+
+
+def _eval_by_terms(poly, point):
+    """Reference: the term-by-term sum of c * prod t_k**e_k."""
+    total = 0j
+    for exp, c in poly.terms.items():
+        v = c
+        for t, e in zip(point, exp):
+            v *= t**e
+        total += v
+    return total
+
+
+@st.composite
+def tables(draw):
+    n = draw(st.integers(1, 3))
+    exp = st.tuples(*[st.integers(-6, 6)] * n)
+    coeff = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+    rows = draw(st.lists(st.dictionaries(exp, coeff, max_size=8), min_size=1, max_size=5))
+    modulus = st.floats(0.5, 2.0)
+    phase = st.floats(0.0, 2 * math.pi)
+    points = draw(st.lists(
+        st.lists(st.builds(cmath.rect, modulus, phase), min_size=n, max_size=n),
+        min_size=1, max_size=6,
+    ))
+    return [LaurentPoly(n, d) for d in rows], n, [tuple(t) for t in points]
+
+
+@given(tables())
+@settings(max_examples=80, deadline=None)
+def test_table_evaluation_matches_the_term_loop(case):
+    polys_, n, points = case
+    vals = LaurentTable(polys_, n)(points)
+    assert vals.shape == (len(polys_), len(points))
+    for r, poly in enumerate(polys_):
+        for k, t in enumerate(points):
+            ref = _eval_by_terms(poly, t)
+            size = sum(abs(c) * math.prod(abs(x) ** e for x, e in zip(t, exp))
+                       for exp, c in poly.terms.items())
+            assert abs(vals[r, k] - ref) <= 2e-14 * max(size, 1e-300), (r, k)
+            one = poly.eval(t)
+            assert type(one) is complex and abs(one - ref) <= 2e-14 * max(size, 1e-300)
+
+
+def test_extended_precision_evaluation_uses_the_same_table():
+    import mpmath
+
+    p = LaurentPoly(2, {(2, -1): 3.0 + 1j, (0, 0): -1.5, (-3, 2): 0.25j})
+    t = (0.7 + 0.1j, 1.2 - 0.3j)
+    with mpmath.workdps(60):
+        ref = mpmath.fsum(
+            mpmath.mpc(c) * mpmath.mpc(t[0]) ** e[0] * mpmath.mpc(t[1]) ** e[1]
+            for e, c in p.terms.items()
+        )
+        got = p.eval_mp(t, digits=60)
+        assert isinstance(got, mpmath.mpc)
+        assert abs(got - ref) < mpmath.mpf(10) ** -55 * abs(ref)
+        assert LaurentPoly.zero(2).eval_mp(t) == 0
+    assert abs(complex(got) - p.eval(t)) < 1e-14 * abs(complex(ref))
+
+
+def test_table_arity_mismatch_is_an_internal_defect():
+    f = LaurentPoly(2, {(1, -1): 1.0})
+    with pytest.raises(InternalDefectError, match="point arity mismatch"):
+        f.eval((1.0, 2.0, 3.0))
+    with pytest.raises(InternalDefectError, match="arity mismatch"):
+        LaurentTable([f, LaurentPoly.one(3)], 2)
 
 
 def test_serialization_roundtrip():

@@ -36,12 +36,22 @@ def test_mcondition_report_fields():
     assert not check_mcondition(free, 1).satisfied
 
 
-@pytest.mark.parametrize("m", [-1, 0, 1])
-def test_built_solution_satisfies_all_equations(m):
-    p = constrained(11, 2, m)
+@pytest.mark.parametrize(
+    "n, m",
+    [
+        pytest.param(2, -1, id="-1"),
+        pytest.param(2, 0, id="0"),
+        pytest.param(2, 1, id="1"),
+        # at n = 3 the principal-series basis is not symmetric, so a
+        # transposed weight in cm_alpha shows
+        pytest.param(3, 1, id="n3-1"),
+    ],
+)
+def test_built_solution_satisfies_all_equations(n, m):
+    p = constrained(11, n, m)
     sol = build_polynomial_solution(p, m)
     res = verify_solution(sol, samples=8, seed=2)
-    assert len(res) == 2 + 3  # n transport + (n+1) invariance families
+    assert len(res) == n + (n + 1)  # transport + invariance families
     assert max(res.values()) < 1e-9, res
 
 
@@ -62,6 +72,19 @@ def test_distorted_solution_fails_verification():
     )
     bad.components[2] = bad.components[2].scale(1.01)
     assert max(verify_solution(bad, samples=5, seed=2).values()) > 1e-3
+
+
+def test_component_replaced_after_verification_still_fails():
+    """verify_solution and eval_at read the components as they stand at each
+    call; nothing tabulated earlier may mask a later replacement."""
+    p = constrained(11, 2, 1)
+    sol = build_polynomial_solution(p, 1)
+    assert max(verify_solution(sol, samples=3, seed=2).values()) < 1e-9
+    t = (0.9 + 0.2j, 1.1 - 0.3j)
+    before = sol.eval_at(t)
+    sol.components[1] = sol.components[1].scale(1.01)
+    assert abs(sol.eval_at(t)[1] - 1.01 * before[1]) < 1e-12 * abs(before[1])
+    assert max(verify_solution(sol, samples=3, seed=2).values()) > 1e-3
 
 
 def test_cm_alpha_is_linear():
