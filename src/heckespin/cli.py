@@ -464,9 +464,10 @@ def suite_qkz(cfg: Config):
         for m in ms:
             check_degree_cap(cfg.n, m)
     base = _resolve_params(cfg)
+    sols = {}
     for m in ms:
         p = _resolve_params(cfg, mcondition=m)
-        sol = build_polynomial_solution(p, m)
+        sol = sols[m] = build_polynomial_solution(p, m)
         res = verify_solution(sol, samples=cfg.samples, seed=cfg.seed)
         checks += _from_residuals(
             f"solution m={m}: ", res, max(cfg.tolerance, 1e-8),
@@ -487,10 +488,9 @@ def suite_qkz(cfg: Config):
             "refusal on unconstrained parameters", refused, cfg.tolerance,
             "building at a generic unconstrained point must refuse",
         ))
-        p = _resolve_params(cfg, mcondition=ms[0])
-        sol = build_polynomial_solution(p, ms[0])
+        sol = sols[ms[0]]
         bad = KZSolution(
-            params=p,
+            params=sol.params,
             components=[c.scale(1.0) for c in sol.components],
             metadata=dict(sol.metadata),
         )

@@ -256,14 +256,6 @@ class LaurentPoly:
 
     __rmul__ = scale
 
-    def shift(self, exp) -> "LaurentPoly":
-        """Multiply by the monomial t**exp."""
-        exp = tuple(exp)
-        return LaurentPoly(
-            self.n_vars,
-            {tuple(a + b for a, b in zip(e, exp)): c for e, c in self.terms.items()},
-        )
-
     def chop(self, tol: float) -> "LaurentPoly":
         return LaurentPoly(
             self.n_vars, {e: c for e, c in self.terms.items() if abs(c) > tol}

@@ -3,12 +3,14 @@ solutions.
 
 A vector f = (f_b) of Laurent polynomials solves the reflection difference
 system when C_{tau_i}(t) f(q^{-eps_i} t) = f(t) and f is invariant under the
-dressed reflections.  build_polynomial_solution refuses unless the scalar
-existence constraint between the boundary parameters and q^m holds
-(check_mcondition).  cm_alpha applies the Hecke element of w (w_0^J)^{-1},
-for each minimal coset representative w, to one monic joint eigenpolynomial
-through the cached generator matrices and weights the image by the
-principal-series vector v_w.  verify_solution tabulates the components once
+dressed reflections.  build_polynomial_solution refuses (RefusalError) unless
+the scalar existence constraint between the boundary parameters and q^m holds
+(check_mcondition) and |m| n <= 4.  It reads the monic joint eigenpolynomial
+at (m, ..., m) off the triangular eigenbasis of its degree ball and applies,
+for each minimal coset representative w, the Hecke element of w (w_0^J)^{-1}
+through the cached generator matrices, weighting the image by the
+principal-series vector v_w; one principal-series basis serves the spectral
+wiring check and the assembly.  verify_solution tabulates the components once
 per call (LaurentTable) and evaluates each sample point, its q-shifts and its
 reflections as one product.
 """
@@ -66,7 +68,7 @@ def check_mcondition(params: ParamSet, m: int) -> ConditionReport:
 def check_degree_cap(n: int, m: int) -> None:
     """Refuse a solution degree beyond the polynomial caps (|m| n <= 4)."""
     if abs(m) * n > 4:
-        raise ValueError("degree cap exceeded (|m| * n <= 4)")
+        raise RefusalError("degree cap exceeded (|m| * n <= 4)")
 
 
 @dataclass
@@ -112,8 +114,13 @@ def cm_alpha(phi: LaurentPoly, params: ParamSet, metadata=None) -> KZSolution:
     as operators compose; the image is added into every spin component with
     weight (v_w)_b.
     """
+    return _cm_alpha(phi, params, principal_series_basis(params), metadata)
+
+
+def _cm_alpha(phi: LaurentPoly, params: ParamSet, series, metadata) -> KZSolution:
+    """cm_alpha with the principal_series_basis result already in hand."""
     n = params.n
-    basis_mat, _zeta, reps, _rep = principal_series_basis(params)
+    basis_mat, _zeta, reps, _rep = series
     jset = list(range(1, n))
     w0j_inv = w0_coset_element(jset, n).inverse_finite()
     ball, index, gens = generator_matrices(params, phi.l1_degree())
@@ -150,10 +157,10 @@ def build_polynomial_solution(params: ParamSet, m: int) -> KZSolution:
         err.report = report
         raise err
     check_degree_cap(n, m)
-    _basis, zeta, _reps, _rep = principal_series_basis(params)
+    series = principal_series_basis(params)
     jset = list(range(1, n))
     w0j = w0_coset_element(jset, n)
-    mapped = act_point(w0j, zeta, params)
+    mapped = act_point(w0j, series[1], params)
     target = gamma_lambda((m,) * n, params).gamma
     gap = max(abs(a - b) for a, b in zip(mapped, target)) / max(
         max(abs(v) for v in target), 1.0
@@ -162,9 +169,10 @@ def build_polynomial_solution(params: ParamSet, m: int) -> KZSolution:
         raise InternalDefectError(f"spectral wiring mismatch ({gap:.2e})")
     lam = (m,) * n
     poly = compute_P(lam, params)
-    sol = cm_alpha(
+    sol = _cm_alpha(
         poly,
         params,
+        series,
         metadata={
             "construction": "alpha of the monic joint eigenpolynomial",
             "m": int(m),

@@ -7,6 +7,7 @@ import pytest
 
 from heckespin.cli import main
 from heckespin.numerics import sample_generic
+from heckespin.qkz import build_polynomial_solution
 
 
 def run(argv):
@@ -185,9 +186,9 @@ def test_laurent_arity_mismatch_is_an_internal_defect(monkeypatch, capsys, corru
     def wide(*args, **kw):
         return LaurentPoly.one(3)
 
-    # a cold cache forces the generator images through LaurentPoly arithmetic;
-    # a wrong-arity numerator breaks the product, and a wrong-arity divided
-    # difference on top of it lets the product through and breaks the sum
+    # a cold cache forces the generator fill, which multiplies the divided
+    # differences by the numerator's terms; a wrong-arity numerator is refused
+    # there, whether or not the dict-level divided difference is also wrong
     monkeypatch.setattr(koornwinder, "_BALL_CACHE", {})
     monkeypatch.setattr(koornwinder, "_numerator_poly", wide)
     if corrupt == "sum":
@@ -270,3 +271,19 @@ def test_verify_all_draws_each_parameter_set_once(monkeypatch, tmp_path):
     assert sorted(calls, key=str) == sorted(
         [(3, 2, None), (3, 2, -1), (3, 2, 0), (3, 2, 1), (104, 2, None)], key=str
     )
+
+
+def test_qkz_control_reuses_the_built_solution(monkeypatch, tmp_path):
+    import heckespin.cli as cli
+
+    calls = []
+
+    def counting(params, m):
+        calls.append(m)
+        return build_polynomial_solution(params, m)
+
+    monkeypatch.setattr(cli, "build_polynomial_solution", counting)
+    assert run(["verify", "all", "--n", "2", "--seed", "3",
+                "--report", str(tmp_path / "r.json")]) == 0
+    # three builds, then the refusal at the unconstrained point
+    assert calls == [-1, 0, 1, -1]

@@ -10,14 +10,11 @@ import heckespin.numerics as numerics
 from heckespin.koornwinder import (
     _ball_matrices,
     ball_vector,
-    build_span,
-    c_eval,
     compute_P,
     compute_P_detail,
     fixed_by_si,
     gamma_lambda,
     generator_matrices,
-    joint_kernel,
     joint_residual,
     noumi_T_apply,
     noumi_T_inv_apply,
@@ -28,6 +25,7 @@ from heckespin.numerics import (
     GenericityError,
     InternalDefectError,
     LaurentPoly,
+    RefusalError,
     eta,
     l1_ball,
     sample_generic,
@@ -146,17 +144,17 @@ def test_last_coordinate_zero_is_fixed_by_the_sign_flip(params2):
 
 
 def test_degree_cap_is_enforced(params2):
-    with pytest.raises(ValueError):
-        build_span((3, 2), params2)
+    with pytest.raises(RefusalError, match="polynomial caps exceeded"):
+        compute_P_detail((3, 2), params2)
 
 
 def test_degenerate_spectrum_is_a_genericity_error():
-    # at the undeformed point with reciprocal boundary weights the operators
-    # are simultaneously diagonalizable group actions, every eigenvalue
-    # string collapses to ones, and the joint kernel is no longer a line
+    # at the undeformed point with reciprocal boundary weights every
+    # eigenvalue string collapses to ones, so the labels below (1, 0) share
+    # its diagonal entry and the predecessor gate refuses
     p = sample_generic(seed=4, n=2)
     bad = p.replace(q_sqrt=1.0, kappa=1.0, kappa_sqrt=1.0, kappan=1 / p.kappa0)
-    with pytest.raises(GenericityError):
+    with pytest.raises(GenericityError, match="non-generic spectrum"):
         compute_P((1, 0), bad)
 
 
@@ -225,13 +223,45 @@ def test_warm_paths_never_take_a_divided_difference(monkeypatch):
     ]
 
 
+def test_cold_paths_take_no_divided_difference_and_no_factorization(monkeypatch):
+    """A cold ball is filled in closed form and solved by back-substitution:
+    no dict-level generator action, no divided difference, no SVD, no QR."""
+    p = sample_generic(seed=11, n=2, constraints={"mcondition": 1})
+    p3 = sample_generic(seed=5, n=3)
+
+    def results():
+        det = compute_P_detail((1, 1), p)
+        sol = cm_alpha(det.poly, p)
+        dets = [compute_P_detail(tuple(lam), p3) for lam in l1_ball(3, 2)]
+        return (
+            det.poly.terms, det.residual, stabilizer_eigen_residual(1, det.poly, p),
+            [c.terms for c in sol.components],
+            [(d.poly.terms, d.residual, d.span_size) for d in dets],
+        )
+
+    monkeypatch.setattr(koornwinder, "_BALL_CACHE", {})
+    before = results()
+
+    def forbidden(*args, **kw):
+        raise AssertionError("dict-level action or factorization on the fill path")
+
+    monkeypatch.setattr(koornwinder, "_BALL_CACHE", {})
+    monkeypatch.setattr(koornwinder, "noumi_T_apply", forbidden)
+    monkeypatch.setattr(koornwinder, "divided_difference", forbidden)
+    monkeypatch.setattr(numerics, "divided_difference", forbidden)
+    monkeypatch.setattr(np.linalg, "svd", forbidden)
+    monkeypatch.setattr(np.linalg, "qr", forbidden)
+    assert results() == before
+
+
 def test_full_ball_residual_flags_leakage_out_of_the_span(params2):
     lam = (1, 1)
-    span = build_span(lam, params2)
-    assert not span.enlarged
     det = compute_P_detail(lam, params2)
-    basis, _index, _mats = _ball_matrices(params2, 2)
-    outside = [mu for mu in basis if mu not in span.basis]
+    basis, index, _mats, _gens, eig = koornwinder._ball(params2, 2)
+    down = {basis[r] for r in np.flatnonzero(eig.down[:, index[lam]])}
+    assert det.span_size == len(down)
+    assert set(det.poly.terms) <= down
+    outside = [mu for mu in basis if mu not in down]
     assert outside
     assert joint_residual(det.poly, det.spectral, params2) < 1e-10
     for mu in outside:
@@ -240,15 +270,63 @@ def test_full_ball_residual_flags_leakage_out_of_the_span(params2):
 
 
 def test_generator_image_outside_the_ball_is_a_defect(monkeypatch, params2):
-    honest = koornwinder.noumi_T_apply
+    honest = koornwinder._dd_terms
 
-    def leaky(j, f, params):
-        return honest(j, f, params) + f.shift((3, 0))
+    def leaky(j, arr, params):
+        cols, exps, coeffs = honest(j, arr, params)
+        return np.append(cols, 0), np.vstack([exps, [[3, 0]]]), np.append(coeffs, 1.0)
 
     monkeypatch.setattr(koornwinder, "_BALL_CACHE", {})
-    monkeypatch.setattr(koornwinder, "noumi_T_apply", leaky)
+    monkeypatch.setattr(koornwinder, "_dd_terms", leaky)
     with pytest.raises(InternalDefectError, match="left the degree ball"):
         generator_matrices(params2, 2)
+
+
+@pytest.mark.parametrize("j", [0, 1, 2])
+def test_corrupted_divided_difference_fails_re_multiplication(monkeypatch, params2, j):
+    honest = koornwinder._dd_terms
+
+    def corrupted(jj, arr, params):
+        cols, exps, coeffs = honest(jj, arr, params)
+        if jj == j:
+            coeffs = coeffs.copy()
+            coeffs[len(coeffs) // 2] *= 1 + 1e-9
+        return cols, exps, coeffs
+
+    monkeypatch.setattr(koornwinder, "_BALL_CACHE", {})
+    monkeypatch.setattr(koornwinder, "_dd_terms", corrupted)
+    with pytest.raises(InternalDefectError, match=f"re-multiplication check at j={j}"):
+        generator_matrices(params2, 2)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=3),
+    radius=st.integers(min_value=0, max_value=4),
+    seed=st.integers(min_value=1, max_value=60),
+)
+def test_closed_form_generators_match_the_dict_action(n, radius, seed):
+    """Column mu of the closed-form T_j is noumi_T_apply(j, t^mu) on the ball."""
+    p = sample_generic(seed=seed, n=n)
+    basis, index, gens = generator_matrices(p, radius)
+    for j in range(n + 1):
+        for col, mu in enumerate(basis):
+            ref = ball_vector(noumi_T_apply(j, LaurentPoly.monomial(n, mu), p), index)
+            scale = max(float(np.abs(ref).max()), 1.0)
+            assert np.abs(gens[j][:, col] - ref).max() < 1e-12 * scale, (j, mu)
+
+
+def test_planted_lower_entry_is_a_triangularity_defect(params2):
+    _basis, _index, mats = _ball_matrices(params2, 2)
+    honest = koornwinder._joint_eigenbasis(mats)
+    y1 = mats[1] - np.diag(mats[1].diagonal())
+    r, c = np.unravel_index(np.argmax(np.abs(y1)), y1.shape)
+    assert honest.rank[r] < honest.rank[c]
+    planted = dict(mats)
+    planted[1] = mats[1].copy()
+    planted[1][c, r] = 1e-8 * np.abs(mats[1]).max()
+    with pytest.raises(InternalDefectError, match="not triangular"):
+        koornwinder._joint_eigenbasis(planted)
 
 
 def test_every_label_up_to_the_cap_at_a_large_coefficient_draw():
@@ -262,6 +340,13 @@ def test_every_label_up_to_the_cap_at_a_large_coefficient_draw():
         assert det.poly.terms[tuple(lam)] == 1.0
         worst = max(worst, det.residual)
     assert worst < 1e-8
+
+
+def joint_kernel(stack):
+    """SVD oracle: singular values and last right singular vector of A = QR,
+    from R (R-SVD)."""
+    _u, sigma, vh = np.linalg.svd(np.linalg.qr(stack, mode="r"))
+    return sigma, vh[-1].conj()
 
 
 @settings(max_examples=40, deadline=None)
@@ -297,26 +382,32 @@ def test_joint_kernel_matches_the_full_svd(size, blocks, deficit, seed):
         assert abs(abs(np.vdot(ref_vh[-1].conj(), vec)) - 1.0) < 1e-9
 
 
-def test_kernel_svd_sees_only_square_matrices(monkeypatch):
-    honest = np.linalg.svd
-    shapes = []
-
-    def spy(a, *args, **kw):
-        shapes.append(np.shape(a))
-        return honest(a, *args, **kw)
-
-    monkeypatch.setattr(np.linalg, "svd", spy)
-    for n in (2, 3):
-        p = sample_generic(seed=5, n=n)
-        for lam in l1_ball(n, 2):
-            assert compute_P_detail(tuple(lam), p).residual < 1e-9
-    assert shapes and all(len(s) == 2 and s[0] == s[1] for s in shapes), shapes
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_triangular_eigenvectors_match_the_svd_kernel(seed):
+    """Every label of degree <= 4 at n = 3: the back-substituted column is
+    the kernel line of the stacked Y_i - 1/gamma_i on the full ball."""
+    p = sample_generic(seed=seed, n=3)
+    for lam in l1_ball(3, 4):
+        lam = tuple(lam)
+        det = compute_P_detail(lam, p)
+        _basis, index, mats = _ball_matrices(p, sum(abs(v) for v in lam))
+        eye = np.eye(len(index))
+        stack = np.concatenate(
+            [mats[i] - eye / g for i, g in enumerate(det.spectral.gamma, start=1)]
+        )
+        sigma, vec = joint_kernel(stack)
+        scale = max(sigma[0], 1.0)
+        assert sigma[-1] < 1e-9 * scale, lam
+        assert len(sigma) == 1 or sigma[-2] > 1e-6 * scale, lam
+        vec = vec / vec[index[lam]]
+        ref = ball_vector(det.poly, index)
+        assert np.abs(vec - ref).max() < 1e-9 * np.abs(ref).max(), lam
 
 
 def test_missing_joint_eigenvector_is_a_genericity_error(monkeypatch, params2):
-    """A perturbed spectral vector has no joint eigenvector on the span; the
-    sigma[-1] gate refuses it (the degenerate-spectrum test covers the
-    sigma[-2] gate)."""
+    """A perturbed spectral vector misses the diagonal of Y_1 at the label;
+    that gate refuses it (the degenerate-spectrum test covers the
+    predecessor gate)."""
     honest = koornwinder.gamma_lambda
 
     def perturbed(lam, params):

@@ -172,3 +172,30 @@ def test_constant_label_solution_is_built_from_the_constant():
     assert compute_P((0, 0), p).terms == {(0, 0): 1.0}
     sol = build_polynomial_solution(p, 0)
     assert sol.max_coeff() > 1e-6
+
+
+def test_one_principal_series_basis_per_build(monkeypatch):
+    import heckespin.qkz as qkz
+
+    calls = []
+
+    def counting(params):
+        calls.append(params)
+        return principal_series_basis(params)
+
+    monkeypatch.setattr(qkz, "principal_series_basis", counting)
+    for n, m in ((2, 1), (3, -1)):
+        p = constrained(11, n, m)
+        sol = build_polynomial_solution(p, m)
+        assert calls == [p]
+        calls.clear()
+        # the public entry point still builds its own basis
+        again = cm_alpha(compute_P((m,) * n, p), p, metadata=sol.metadata)
+        assert calls == [p]
+        assert [c.terms for c in again.components] == [c.terms for c in sol.components]
+        calls.clear()
+
+
+def test_degree_cap_is_a_refusal():
+    with pytest.raises(RefusalError, match=r"degree cap exceeded \(\|m\| \* n <= 4\)"):
+        build_polynomial_solution(constrained(11, 3, 2), 2)
