@@ -16,7 +16,6 @@ from .numerics import (
     ParamSet,
     PoleProximityError,
     RefusalError,
-    ScalarPolicy,
     divided_difference,
     laurent_mul,
     sample_generic,
@@ -31,7 +30,6 @@ __all__ = [
     "ParamSet",
     "PoleProximityError",
     "RefusalError",
-    "ScalarPolicy",
     "divided_difference",
     "laurent_mul",
     "sample_generic",

@@ -1,21 +1,23 @@
 """Spectral-parameter dressing of the generator images and transport operators.
 
-From any representation handle (matrices for T_j and their inverses) the
-three rational families
+For a representation with matrices for T_j and their inverses (a SpinRep),
+baxter_j(rep, j, x) is the dressed generator of index j, one of three
+rational families
 
     K_0(x) = (T_0^{-1} + (1/u0 - u0) x - x^2 T_0) / (ko^{-1} (1 - k0 u0 x)(1 + k0 x/u0))
     R_i(x) = (T_i^{-1} - x T_i) / (kappa^{-1} (1 - kappa^2 x))
     K_n(x) = same shape as K_0 with the right-boundary scalars
 
-satisfy the reflection and Yang-Baxter identities, are unitary in the sense
-K(x) K(1/x) = Id, equal the identity at x = 1, and degenerate to kappa_j
-T_j^{-1} at x = 0.  Closed 2x2 and 4x4 forms for the spin representation are
-provided as matrix-polynomial quotients so that derivatives in x are exact.
+that satisfy the reflection and Yang-Baxter identities, are unitary in the
+sense K(x) K(1/x) = Id, equal the identity at x = 1, and degenerate to
+kappa_j T_j^{-1} at x = 0.  Closed 2x2 and 4x4 forms for the spin
+representation are provided as matrix-polynomial quotients (RationalMat) so
+that derivatives in x are exact; they evaluate at complex or mpmath x alike.
 
-The cocycle C_w(t) multiplies one dressed factor per reduced-word letter,
-each evaluated at the running image of the torus point; transport_C_tau is
-its closed product form along a translation, used by the difference-equation
-solver downstream.
+The cocycle C(t) along a word multiplies one dressed factor per letter
+(cocycle_factor), each evaluated at the running image of the torus point;
+transport_C_tau is its closed product form along a translation, used by the
+difference-equation solver downstream.
 """
 
 from __future__ import annotations
@@ -24,30 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ParamSet, PoleProximityError, rel_residual
-from .weyl import WeylElem, act_point, reduced_word, tau_word
+from .numerics import ParamSet, PoleProximityError, rel_residual, torus_point
+from .weyl import WeylElem, act_point, tau_word
 
 _POLE_TOL = 1e-6
-
-
-@dataclass
-class RepHandle:
-    """Matrices for the generators of one representation."""
-
-    T: dict
-    Tinv: dict
-    params: ParamSet
-    dim: int
-
-    @classmethod
-    def from_rep(cls, rep) -> "RepHandle":
-        return cls(T=rep.T, Tinv=rep.Tinv, params=rep.params, dim=rep.dim)
-
-
-def _handle(rep) -> RepHandle:
-    if isinstance(rep, RepHandle):
-        return rep
-    return RepHandle.from_rep(rep)
 
 
 def _guard(x, *factors):
@@ -56,101 +38,55 @@ def _guard(x, *factors):
             raise PoleProximityError(f"spectral-parameter pole near x={x}")
 
 
-def baxter_K0(rep, x) -> np.ndarray:
-    rep = _handle(rep)
-    p = rep.params
-    k0, u0 = p.kappa0, p.upsilon0
-    d1, d2 = 1 - k0 * u0 * x, 1 + k0 / u0 * x
-    _guard(x, d1, d2)
-    eye = np.eye(rep.dim, dtype=complex)
-    num = rep.Tinv[0] + (1 / u0 - u0) * x * eye - x**2 * rep.T[0]
-    return num * (k0 / (d1 * d2))
-
-
-def baxter_Ri(rep, i: int, x) -> np.ndarray:
-    rep = _handle(rep)
-    p = rep.params
-    if not 1 <= i <= p.n - 1:
-        raise ValueError("middle index out of range")
-    k = p.kappa
-    den = 1 - k**2 * x
-    _guard(x, den)
-    return (rep.Tinv[i] - x * rep.T[i]) * (k / den)
-
-
-def baxter_Kn(rep, x) -> np.ndarray:
-    rep = _handle(rep)
-    p = rep.params
-    kn, un = p.kappan, p.upsilonn
-    d1, d2 = 1 - kn * un * x, 1 + kn / un * x
-    _guard(x, d1, d2)
-    eye = np.eye(rep.dim, dtype=complex)
-    num = rep.Tinv[p.n] + (1 / un - un) * x * eye - x**2 * rep.T[p.n]
-    return num * (kn / (d1 * d2))
-
-
 def baxter_j(rep, j: int, x) -> np.ndarray:
-    rep = _handle(rep)
-    if j == 0:
-        return baxter_K0(rep, x)
-    if j == rep.params.n:
-        return baxter_Kn(rep, x)
-    return baxter_Ri(rep, j, x)
+    """The dressed generator of index j at x: K_0 for j = 0, K_n for j = n
+    (the boundary branch, with kappa_j and upsilon_j), R_j in between."""
+    p = rep.params
+    kj = p.kappa_j(j)
+    if j in (0, p.n):
+        uj = p.upsilon_j(j)
+        d1, d2 = 1 - kj * uj * x, 1 + kj / uj * x
+        _guard(x, d1, d2)
+        eye = np.eye(rep.dim, dtype=complex)
+        num = rep.Tinv[j] + (1 / uj - uj) * x * eye - x**2 * rep.T[j]
+        return num * (kj / (d1 * d2))
+    den = 1 - kj**2 * x
+    _guard(x, den)
+    return (rep.Tinv[j] - x * rep.T[j]) * (kj / den)
+
+
+def _horner(coeffs, x):
+    """sum_k coeffs[k] x^k by Horner's rule, for array or scalar coefficients
+    and a scalar x of any type; an mpmath x gives mpmath values (object
+    arrays for array coefficients)."""
+    out = 0j
+    for c in reversed(coeffs):
+        out = out * x + c
+    return out
 
 
 class RationalMat:
-    """Matrix polynomial over a scalar polynomial, with exact x-derivative."""
+    """Matrix polynomial over a scalar polynomial, with exact x-derivative.
+
+    Evaluation works for any scalar x: a complex x gives a complex array, an
+    mpmath x an object array of mpc entries at the working precision.
+    """
 
     def __init__(self, num_coeffs, den_coeffs):
         self.num = [np.array(c, dtype=complex) for c in num_coeffs]
         self.den = [complex(c) for c in den_coeffs]
 
-    def _num_at(self, x, coeffs):
-        out = np.zeros_like(coeffs[0])
-        for c in reversed(coeffs):
-            out = out * x + c
-        return out
-
-    def _den_at(self, x, coeffs):
-        out = 0j
-        for c in reversed(coeffs):
-            out = out * x + c
-        return out
-
     def __call__(self, x):
-        d = self._den_at(x, self.den)
+        d = _horner(self.den, x)
         if abs(d) < _POLE_TOL * max(1.0, abs(x)) ** (len(self.den) - 1):
             raise PoleProximityError(f"spectral-parameter pole near x={x}")
-        return self._num_at(x, self.num) / d
+        return _horner(self.num, x) / d
 
     def deriv(self, x):
-        dn = [k * c for k, c in enumerate(self.num)][1:] or [
-            np.zeros_like(self.num[0])
-        ]
+        dn = [k * c for k, c in enumerate(self.num)][1:] or [0j]
         dd = [k * c for k, c in enumerate(self.den)][1:] or [0j]
-        n, d = self._num_at(x, self.num), self._den_at(x, self.den)
-        np_, dp = self._num_at(x, dn), self._den_at(x, dd)
-        return (np_ * d - n * dp) / d**2
-
-    def eval_mp(self, x, digits: int = 50):
-        """Same value with 50-digit mpmath arithmetic (object-dtype array)."""
-        import mpmath
-
-        with mpmath.workdps(digits):
-            xx = mpmath.mpc(x)
-            shape = self.num[0].shape
-            num = np.empty(shape, dtype=object)
-            for idx in np.ndindex(shape):
-                acc = mpmath.mpc(0)
-                for c in reversed(self.num):
-                    acc = acc * xx + mpmath.mpc(complex(c[idx]))
-                num[idx] = acc
-            den = mpmath.mpc(0)
-            for c in reversed(self.den):
-                den = den * xx + mpmath.mpc(c)
-            for idx in np.ndindex(shape):
-                num[idx] = num[idx] / den
-            return num
+        n, d = _horner(self.num, x), _horner(self.den, x)
+        return (_horner(dn, x) * d - n * _horner(dd, x)) / d**2
 
 
 @dataclass
@@ -207,118 +143,103 @@ def check_ybe_re(params: ParamSet, samples: int = 20, seed: int = 1) -> dict:
     n = params.n
     if n < 2:
         raise ValueError("the identity suite needs n >= 2")
-    rep = RepHandle.from_rep(build_spin_rep(params))
+    rep = build_spin_rep(params)
     rng = np.random.default_rng(seed)
     out: dict = {}
-
-    def draw():
-        return complex(rng.uniform(0.7, 1.4) * np.exp(2j * np.pi * rng.uniform()))
 
     def acc(key, val):
         out[key] = max(out.get(key, 0.0), val)
 
+    def B(j, x):
+        return baxter_j(rep, j, x)
+
     eye = np.eye(rep.dim, dtype=complex)
-    perturbed = params.replace(upsilon0=params.upsilon0 * 1.01)
-    rep_bad = RepHandle.from_rep(build_spin_rep(perturbed))
+    rep_bad = build_spin_rep(params.replace(upsilon0=params.upsilon0 * 1.01))
     for _ in range(samples):
-        x, y = draw(), draw()
-        K0x, K0y = baxter_K0(rep, x), baxter_K0(rep, y)
-        lhs = K0x @ baxter_Ri(rep, 1, x * y) @ K0y @ baxter_Ri(rep, 1, y / x)
-        rhs = baxter_Ri(rep, 1, y / x) @ K0y @ baxter_Ri(rep, 1, x * y) @ K0x
+        x, y = torus_point(rng, 2, (0.7, 1.4))
+        K0x, K0y = B(0, x), B(0, y)
+        lhs = K0x @ B(1, x * y) @ K0y @ B(1, y / x)
+        rhs = B(1, y / x) @ K0y @ B(1, x * y) @ K0x
         acc("reflection at the left boundary", rel_residual(lhs, rhs))
-        Knx, Kny = baxter_Kn(rep, x), baxter_Kn(rep, y)
-        lhs = Kny @ baxter_Ri(rep, n - 1, x * y) @ Knx @ baxter_Ri(rep, n - 1, x / y)
-        rhs = baxter_Ri(rep, n - 1, x / y) @ Knx @ baxter_Ri(rep, n - 1, x * y) @ Kny
+        Knx, Kny = B(n, x), B(n, y)
+        lhs = Kny @ B(n - 1, x * y) @ Knx @ B(n - 1, x / y)
+        rhs = B(n - 1, x / y) @ Knx @ B(n - 1, x * y) @ Kny
         acc("reflection at the right boundary", rel_residual(lhs, rhs))
         for i in range(1, n - 1):
-            lhs = (
-                baxter_Ri(rep, i, x)
-                @ baxter_Ri(rep, i + 1, x * y)
-                @ baxter_Ri(rep, i, y)
-            )
-            rhs = (
-                baxter_Ri(rep, i + 1, y)
-                @ baxter_Ri(rep, i, x * y)
-                @ baxter_Ri(rep, i + 1, x)
-            )
+            lhs = B(i, x) @ B(i + 1, x * y) @ B(i, y)
+            rhs = B(i + 1, y) @ B(i, x * y) @ B(i + 1, x)
             acc(f"yang-baxter braid R{i} R{i + 1}", rel_residual(lhs, rhs))
-        acc("unitarity K0", rel_residual(K0x @ baxter_K0(rep, 1 / x), eye))
-        acc("unitarity Kn", rel_residual(Knx @ baxter_Kn(rep, 1 / x), eye))
+        acc("unitarity K0", rel_residual(K0x @ B(0, 1 / x), eye))
+        acc("unitarity Kn", rel_residual(Knx @ B(n, 1 / x), eye))
         for i in range(1, n):
-            acc(
-                f"unitarity R{i}",
-                rel_residual(baxter_Ri(rep, i, x) @ baxter_Ri(rep, i, 1 / x), eye),
-            )
+            acc(f"unitarity R{i}", rel_residual(B(i, x) @ B(i, 1 / x), eye))
         for i in range(2, n):
             acc(
                 f"far commutation K0 R{i}",
-                rel_residual(K0x @ baxter_Ri(rep, i, y), baxter_Ri(rep, i, y) @ K0x),
+                rel_residual(K0x @ B(i, y), B(i, y) @ K0x),
             )
         for i in range(1, n - 2):
             acc(
                 f"far commutation Kn R{i}",
-                rel_residual(Knx @ baxter_Ri(rep, i, y), baxter_Ri(rep, i, y) @ Knx),
+                rel_residual(Knx @ B(i, y), B(i, y) @ Knx),
             )
         for i in range(1, n):
             for j in range(i + 2, n):
-                lhs = baxter_Ri(rep, i, x) @ baxter_Ri(rep, j, y)
                 acc(
                     f"far commutation R{i} R{j}",
-                    rel_residual(lhs, baxter_Ri(rep, j, y) @ baxter_Ri(rep, i, x)),
+                    rel_residual(B(i, x) @ B(j, y), B(j, y) @ B(i, x)),
                 )
         acc("far commutation K0 Kn", rel_residual(K0x @ Knx, Knx @ K0x))
         # negative control: left reflection with upsilon0 nudged on one side
-        lhs = (
-            baxter_K0(rep_bad, x)
-            @ baxter_Ri(rep, 1, x * y)
-            @ K0y
-            @ baxter_Ri(rep, 1, y / x)
-        )
-        rhs = baxter_Ri(rep, 1, y / x) @ K0y @ baxter_Ri(rep, 1, x * y) @ baxter_K0(rep, x)
+        bad = baxter_j(rep_bad, 0, x)
+        lhs = bad @ B(1, x * y) @ K0y @ B(1, y / x)
+        rhs = B(1, y / x) @ K0y @ B(1, x * y) @ K0x
         acc("negative control perturbed reflection", rel_residual(lhs, rhs))
-    acc("regularity at x=1 K0", rel_residual(baxter_K0(rep, 1.0), eye))
-    acc("regularity at x=1 Kn", rel_residual(baxter_Kn(rep, 1.0), eye))
-    for i in range(1, n):
-        acc(f"regularity at x=1 R{i}", rel_residual(baxter_Ri(rep, i, 1.0), eye))
-    p = rep.params
-    acc(
-        "degeneration at x=0 K0",
-        rel_residual(baxter_K0(rep, 0.0), p.kappa0 * rep.Tinv[0]),
-    )
-    acc(
-        "degeneration at x=0 Kn",
-        rel_residual(baxter_Kn(rep, 0.0), p.kappan * rep.Tinv[n]),
-    )
-    for i in range(1, n):
+    for j, name in [(0, "K0"), (n, "Kn")] + [(i, f"R{i}") for i in range(1, n)]:
+        acc(f"regularity at x=1 {name}", rel_residual(B(j, 1.0), eye))
         acc(
-            f"degeneration at x=0 R{i}",
-            rel_residual(baxter_Ri(rep, i, 0.0), p.kappa * rep.Tinv[i]),
+            f"degeneration at x=0 {name}",
+            rel_residual(B(j, 0.0), params.kappa_j(j) * rep.Tinv[j]),
         )
     return out
 
 
-def _cocycle_factor(rep, a: int, t, q_sqrt):
-    """C_{s_a}(t): one dressed factor at the torus point t."""
-    p = _handle(rep).params
+def cocycle_factor(rep, a: int, t) -> np.ndarray:
+    """C_{s_a}(t): the dressed generator of letter a at the torus point t,
+    taken at sqrt(q)/t_1 for a = 0, t_n for a = n, t_a/t_{a+1} otherwise."""
+    p = rep.params
     if a == 0:
-        return baxter_K0(rep, q_sqrt / t[0])
+        return baxter_j(rep, 0, p.q_sqrt / t[0])
     if a == p.n:
-        return baxter_Kn(rep, t[-1])
-    return baxter_Ri(rep, a, t[a - 1] / t[a])
+        return baxter_j(rep, a, t[-1])
+    return baxter_j(rep, a, t[a - 1] / t[a])
 
 
-def cocycle_C(rep, w: WeylElem, t) -> np.ndarray:
-    """C_w(t) along the smallest reduced word; the k-th letter sees the point
-    moved by the first k-1 letters, so C_{w w'}(t) = C_w(t) C_{w'}(w^{-1} t)
-    holds by construction, and the dressed braid and unitarity identities
-    make the product independent of the chosen word.
+def cocycle_C(rep, word, t) -> np.ndarray:
+    """C along a word (any sequence of letters 0..n): the k-th letter's
+    factor is taken at the point moved by the first k-1 letters, so
+    C_{w w'}(t) = C_w(t) C_{w'}(w^{-1} t) holds by construction, and the
+    dressed braid and unitarity identities make the product depend only on
+    the group element the word spells.
+
+    >>> from heckespin.numerics import rel_residual, sample_generic
+    >>> from heckespin.spinrep import build_spin_rep
+    >>> from heckespin.weyl import reduced_word
+    >>> rep = build_spin_rep(sample_generic(seed=1, n=2))
+    >>> t = (0.9 + 0.2j, 1.1 - 0.3j)
+    >>> bool((cocycle_C(rep, [], t) == np.eye(4)).all())
+    True
+    >>> word = [1, 0, 2, 2, 1]
+    >>> reduced_word(WeylElem.from_word(word, 2))
+    [1, 0, 1]
+    >>> rel_residual(cocycle_C(rep, word, t), cocycle_C(rep, [1, 0, 1], t)) < 1e-12
+    True
     """
-    rep = _handle(rep)
     p = rep.params
     out = np.eye(rep.dim, dtype=complex)
     point = tuple(t)
-    for a in reduced_word(w):
-        out = out @ _cocycle_factor(rep, a, point, p.q_sqrt)
+    for a in word:
+        out = out @ cocycle_factor(rep, a, point)
         point = act_point(WeylElem.generator(a, p.n), point, p)
     return out
 
@@ -334,7 +255,6 @@ def transport_C_tau(rep, i: int, t, q_override=None) -> np.ndarray:
     scalar is replaced (the torus point is untouched); q_override=1 is the
     stationary specialization used by the transfer-matrix comparison.
     """
-    rep = _handle(rep)
     p = rep.params
     n = p.n
     if not 1 <= i <= n:
@@ -344,15 +264,15 @@ def transport_C_tau(rep, i: int, t, q_override=None) -> np.ndarray:
     ti = t[i - 1]
     out = np.eye(rep.dim, dtype=complex)
     for j in range(i - 1, 0, -1):
-        out = out @ baxter_Ri(rep, j, t[j - 1] / ti)
-    out = out @ baxter_K0(rep, q_sqrt / ti)
+        out = out @ baxter_j(rep, j, t[j - 1] / ti)
+    out = out @ baxter_j(rep, 0, q_sqrt / ti)
     for j in range(1, i):
-        out = out @ baxter_Ri(rep, j, q / (t[j - 1] * ti))
+        out = out @ baxter_j(rep, j, q / (t[j - 1] * ti))
     for j in range(i, n):
-        out = out @ baxter_Ri(rep, j, q / (ti * t[j]))
-    out = out @ baxter_Kn(rep, q / ti)
+        out = out @ baxter_j(rep, j, q / (ti * t[j]))
+    out = out @ baxter_j(rep, n, q / ti)
     for j in range(n - 1, i - 1, -1):
-        out = out @ baxter_Ri(rep, j, q * t[j] / ti)
+        out = out @ baxter_j(rep, j, q * t[j] / ti)
     return out
 
 

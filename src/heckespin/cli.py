@@ -22,10 +22,11 @@ import json
 import os
 import sys
 import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baxter import RepHandle, baxter_j, check_ybe_re, transport_C_tau
+from .baxter import check_ybe_re, cocycle_C, transport_C_tau
 from .koornwinder import (
     check_caps,
     compute_P_detail,
@@ -48,10 +49,12 @@ from .numerics import (
     l1_ball,
     rel_residual,
     sample_generic,
+    torus_point,
 )
 from .qkz import KZSolution, build_polynomial_solution, check_degree_cap, verify_solution
 from .spinrep import (
     build_spin_rep,
+    check_dim_cap,
     check_hecke_relations,
     check_tl_relations,
     delta_from_kappa,
@@ -60,73 +63,54 @@ from .spinrep import (
     quotient_map_residuals,
 )
 from .transfer import check_transfer, check_transfer_vs_transport, hamiltonian, transfer_T, transfer_T_mp
-from .weyl import WeylElem, act_point, reduced_word
+from .weyl import WeylElem, reduced_word
 
 _CONTROL_FLOOR = 1e-3
 _SUITES = ("algebra", "matchmaker", "baxter", "transfer", "koornwinder", "qkz")
 
-_DEFAULTS = {
-    "n": 2,
-    "seed": 1,
-    "precision": "double",
-    "tolerance": 1e-9,
-    "samples": 20,
-    "m": None,
-}
+# settings a config file or a flag may give, flag first
+_SETTINGS = ("n", "seed", "precision", "tolerance", "samples", "m")
 
 
+@dataclass
 class Config:
-    def __init__(self, **kw):
-        self.n = kw.get("n", 2)
-        self.seed = kw.get("seed", 1)
-        self.precision = kw.get("precision", "double")
-        self.tolerance = kw.get("tolerance", 1e-9)
-        self.samples = kw.get("samples", 20)
-        self.m = kw.get("m")
-        self.lam = kw.get("lam")
-        self.params = kw.get("params")
-        self.out = kw.get("out")
-        self.report = kw.get("report")
-        self.draws = {}
+    n: int = 2
+    seed: int = 1
+    precision: str = "double"
+    tolerance: float = 1e-9
+    samples: int = 20
+    m: int | None = None
+    lam: tuple | None = None
+    params: ParamSet | None = None
+    out: str | None = None
+    report: str | None = None
+    draws: dict = field(default_factory=dict)
 
 
 def _load_config(args) -> Config:
     """flag > file > default; the file may be a bare parameter dictionary
     or a config object with an optional "params" entry."""
-    fromfile: dict = {}
+    merged: dict = {}
     if getattr(args, "params", None):
         with open(args.params, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         if "q_sqrt" in data:
-            fromfile["params"] = ParamSet.from_dict(data)
+            merged["params"] = ParamSet.from_dict(data)
         else:
-            for key in ("n", "seed", "precision", "tolerance", "samples", "m"):
-                if key in data:
-                    fromfile[key] = data[key]
+            merged = {key: data[key] for key in _SETTINGS if key in data}
             if "lambda" in data:
-                fromfile["lam"] = tuple(int(v) for v in data["lambda"])
+                merged["lam"] = tuple(int(v) for v in data["lambda"])
             if "params" in data:
-                fromfile["params"] = ParamSet.from_dict(data["params"])
-    merged = {}
-    for key, default in _DEFAULTS.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-        elif key in fromfile:
-            merged[key] = fromfile[key]
-        else:
-            merged[key] = default
-    lam_flag = getattr(args, "lam", None)
-    if lam_flag is not None:
-        merged["lam"] = tuple(int(v) for v in lam_flag.split(","))
-    elif "lam" in fromfile:
-        merged["lam"] = fromfile["lam"]
-    if "params" in fromfile:
-        merged["params"] = fromfile["params"]
+                merged["params"] = ParamSet.from_dict(data["params"])
+    for key in _SETTINGS:
+        if getattr(args, key, None) is not None:
+            merged[key] = getattr(args, key)
+    if getattr(args, "lam", None) is not None:
+        merged["lam"] = tuple(int(v) for v in args.lam.split(","))
+    if "params" in merged:
         merged["n"] = merged["params"].n
-    merged["out"] = getattr(args, "out", None)
-    merged["report"] = getattr(args, "report", None)
-    return Config(**merged)
+    return Config(**merged, out=getattr(args, "out", None),
+                  report=getattr(args, "report", None))
 
 
 def _resolve_params(cfg: Config, seed=None, mcondition=None) -> ParamSet:
@@ -182,6 +166,7 @@ def _from_residuals(prefix, res, tol, context=""):
 
 
 def suite_algebra(cfg: Config):
+    check_dim_cap(cfg.n)
     p = _resolve_params(cfg)
     rep = build_spin_rep(p)
     tl = delta_from_kappa(p)
@@ -234,6 +219,7 @@ def suite_algebra(cfg: Config):
 
 
 def suite_matchmaker(cfg: Config):
+    check_dim_cap(cfg.n)
     p = _resolve_params(cfg)
     n = p.n
     tl = delta_from_kappa(p)
@@ -278,30 +264,15 @@ def suite_matchmaker(cfg: Config):
     return checks, p
 
 
-def _cocycle_along_word(rep: RepHandle, word, t):
-    p = rep.params
-    out = np.eye(rep.dim, dtype=complex)
-    pt = tuple(t)
-    for a in word:
-        if a == 0:
-            x = p.q_sqrt / pt[0]
-        elif a == p.n:
-            x = pt[-1]
-        else:
-            x = pt[a - 1] / pt[a]
-        out = out @ baxter_j(rep, a, x)
-        pt = act_point(WeylElem.generator(a, p.n), pt, p)
-    return out
-
-
 def suite_baxter(cfg: Config):
+    check_dim_cap(cfg.n)
     p = _resolve_params(cfg)
     n = p.n
     checks = _from_residuals(
         "", check_ybe_re(p, samples=cfg.samples, seed=cfg.seed), cfg.tolerance,
         "spectral-parameter identities of the dressed generators",
     )
-    rep = RepHandle.from_rep(build_spin_rep(p))
+    rep = build_spin_rep(p)
     rng = np.random.default_rng(cfg.seed)
     worst = 0.0
     trials = 0
@@ -313,13 +284,10 @@ def suite_baxter(cfg: Config):
         elem = functools.reduce(
             lambda w, a: w * WeylElem.generator(a, n), word, WeylElem.identity(n)
         )
-        t = tuple(
-            complex(rng.uniform(0.7, 1.4) * np.exp(2j * np.pi * rng.uniform()))
-            for _ in range(n)
-        )
+        t = torus_point(rng, n, (0.7, 1.4))
         try:
-            lhs = _cocycle_along_word(rep, word, t)
-            rhs = _cocycle_along_word(rep, reduced_word(elem), t)
+            lhs = cocycle_C(rep, word, t)
+            rhs = cocycle_C(rep, reduced_word(elem), t)
         except PoleProximityError:
             continue
         worst = max(worst, rel_residual(lhs, rhs))
@@ -335,10 +303,7 @@ def suite_baxter(cfg: Config):
     q = p.q
     while trials < 4 and n >= 2 and attempts < 200:
         attempts += 1
-        t = tuple(
-            complex(rng.uniform(0.7, 1.4) * np.exp(2j * np.pi * rng.uniform()))
-            for _ in range(n)
-        )
+        t = torus_point(rng, n, (0.7, 1.4))
         i, j = 1, n
         try:
             ti = transport_C_tau(rep, i, t)
@@ -361,6 +326,7 @@ def suite_baxter(cfg: Config):
 
 
 def suite_transfer(cfg: Config):
+    check_dim_cap(cfg.n)
     p = _resolve_params(cfg)
     samples = max(4, min(cfg.samples, 8))
     checks = _from_residuals(
@@ -389,10 +355,7 @@ def suite_transfer(cfg: Config):
     if cfg.precision == "extended":
         rng = np.random.default_rng(cfg.seed)
         x = complex(0.83 * np.exp(2j * np.pi * rng.uniform()))
-        t = tuple(
-            complex(rng.uniform(0.8, 1.3) * np.exp(2j * np.pi * rng.uniform()))
-            for _ in range(p.n)
-        )
+        t = torus_point(rng, p.n, (0.8, 1.3))
         hi = transfer_T_mp(p, x, t, digits=40)
         lo = transfer_T(p, x, t)
         checks.append(_check(
@@ -650,6 +613,7 @@ def cmd_emit_tables(args) -> int:
             fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
         print(f"wrote {len(entries)} files to {out_dir}", file=sys.stderr)
         return 0
+    check_dim_cap(cfg.n)
     p = _resolve_params(cfg)
     forms = {}
     for form in ("transfer", "pauli", "tl"):

@@ -28,8 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_TOLERANCE = 1e-9
-
 # attempts before sample_generic gives up on a seed
 _MAX_DRAWS = 64
 # moduli of the sampled scalars and of the probe points
@@ -60,21 +58,6 @@ class PoleProximityError(RuntimeError):
 def eta(x) -> int:
     """Sign function with eta(0) = -1."""
     return 1 if x > 0 else -1
-
-
-@dataclass(frozen=True)
-class ScalarPolicy:
-    """Numeric regime: float64 by default, mpmath at >= 50 digits otherwise."""
-
-    mode: str = "double"
-    tolerance: float = DEFAULT_TOLERANCE
-    digits: int = 50
-
-    def __post_init__(self):
-        if self.mode not in ("double", "extended"):
-            raise ValueError(f"unknown scalar mode {self.mode!r}")
-        if self.mode == "extended" and self.digits < 50:
-            raise ValueError("extended mode runs at no fewer than 50 digits")
 
 
 def _c2d(z: complex) -> dict:
@@ -149,13 +132,6 @@ class ParamSet:
             return self.upsilonn
         raise ValueError(f"no upsilon attached to index {j}")
 
-    def psi_j(self, j: int) -> complex:
-        if j == 0:
-            return self.psi0
-        if j == self.n:
-            return self.psin
-        raise ValueError(f"no psi attached to index {j}")
-
     def replace(self, **kw) -> "ParamSet":
         return dataclasses.replace(self, **kw)
 
@@ -174,10 +150,6 @@ class ParamSet:
         for name in _SCALAR_FIELDS:
             kw[name] = _d2c(d[name])
         return cls(**kw)
-
-    @classmethod
-    def from_json(cls, s: str) -> "ParamSet":
-        return cls.from_dict(json.loads(s))
 
     def fingerprint(self) -> str:
         return hashlib.sha256(self.to_json().encode()).hexdigest()
@@ -321,19 +293,12 @@ class LaurentPoly:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
     @classmethod
     def from_dict(cls, d: dict) -> "LaurentPoly":
         terms = {
             tuple(t["exp"]): complex(t["re"], t["im"]) for t in d["terms"]
         }
         return cls(int(d["n_vars"]), terms)
-
-    @classmethod
-    def from_json(cls, s: str) -> "LaurentPoly":
-        return cls.from_dict(json.loads(s))
 
     def __repr__(self):
         return f"LaurentPoly(n_vars={self.n_vars}, {len(self.terms)} terms)"
@@ -533,6 +498,20 @@ def _gamma_distinct(params: ParamSet, radius: int = _GAMMA_DEGREE) -> bool:
         if dist.min() <= _GAMMA_GAP:
             return False
     return True
+
+
+def torus_point(rng, count: int, band) -> tuple:
+    """count complex scalars, each a modulus uniform in band followed by a
+    uniform phase, drawn in that order from rng.
+
+    >>> torus_point(np.random.default_rng(7), 1, (0.7, 1.4))
+    ((0.908465037512749-0.6846528760260115j),)
+    """
+    lo, hi = band
+    return tuple(
+        complex(rng.uniform(lo, hi) * np.exp(2j * np.pi * rng.uniform()))
+        for _ in range(count)
+    )
 
 
 def _kbar_trace_denominator(p: ParamSet) -> complex:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baxter import RepHandle, baxter_j, transport_C_tau
+from .baxter import cocycle_factor, transport_C_tau
 from .koornwinder import ball_vector, compute_P, gamma_lambda, generator_matrices
 from .numerics import (
     GenericityError,
@@ -32,6 +32,7 @@ from .numerics import (
     PoleProximityError,
     RefusalError,
     eta,
+    torus_point,
 )
 from .spinrep import build_spin_rep, principal_series_basis
 from .weyl import WeylElem, act_point, reduced_word, w0_coset_element
@@ -184,13 +185,6 @@ def build_polynomial_solution(params: ParamSet, m: int) -> KZSolution:
     return sol
 
 
-def _generic_point(rng, n):
-    return tuple(
-        complex(rng.uniform(0.75, 1.35) * np.exp(2j * np.pi * rng.uniform()))
-        for _ in range(n)
-    )
-
-
 def verify_solution(sol: KZSolution, samples: int = 20, seed: int = 8) -> dict:
     """Pointwise residuals of the n transport equations and the n+1
     invariance equations at random generic points; resamples on poles.  The
@@ -198,7 +192,7 @@ def verify_solution(sol: KZSolution, samples: int = 20, seed: int = 8) -> dict:
     point, n shifts and n+1 reflections are one table product."""
     params = sol.params
     n = params.n
-    rep = RepHandle.from_rep(build_spin_rep(params))
+    rep = build_spin_rep(params)
     table = LaurentTable(sol.components, n)
     rng = np.random.default_rng(seed)
     out: dict = {}
@@ -215,7 +209,7 @@ def verify_solution(sol: KZSolution, samples: int = 20, seed: int = 8) -> dict:
             raise GenericityError(
                 "could not find enough pole-free sample points"
             )
-        t = _generic_point(rng, n)
+        t = torus_point(rng, n, (0.75, 1.35))
         shifted = [t[:i] + (t[i] / q,) + t[i + 1 :] for i in range(n)]
         reflected = [act_point(WeylElem.generator(j, n), t, params) for j in range(n + 1)]
         vals = table([t, *shifted, *reflected])
@@ -229,13 +223,7 @@ def verify_solution(sol: KZSolution, samples: int = 20, seed: int = 8) -> dict:
                     float(np.abs(lhs - ft).max()) / scale,
                 )
             for j in range(n + 1):
-                if j == 0:
-                    mat = baxter_j(rep, 0, params.q_sqrt / t[0])
-                elif j == n:
-                    mat = baxter_j(rep, n, t[-1])
-                else:
-                    mat = baxter_j(rep, j, t[j - 1] / t[j])
-                lhs = mat @ vals[:, n + 1 + j]
+                lhs = cocycle_factor(rep, j, t) @ vals[:, n + 1 + j]
                 acc(
                     f"invariance under s_{j}",
                     float(np.abs(lhs - ft).max()) / scale,

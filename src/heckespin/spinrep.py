@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensorops
-from .numerics import ParamSet, rel_residual
+from .numerics import ParamSet, RefusalError, rel_residual
 from .weyl import min_coset_reps, reduced_word
 
 _DIM_CAP = 10
@@ -169,10 +169,16 @@ class SpinRep:
         return out
 
 
+def check_dim_cap(n: int) -> None:
+    """Refuse a chain longer than the spin representation's cap (n <= 10,
+    dimension 2^10)."""
+    if n > _DIM_CAP:
+        raise RefusalError(f"spin representation capped at n = {_DIM_CAP}")
+
+
 def build_spin_rep(params: ParamSet) -> SpinRep:
     n = params.n
-    if n > _DIM_CAP:
-        raise ValueError(f"spin representation capped at n = {_DIM_CAP}")
+    check_dim_cap(n)
     rep = SpinRep(params=params)
     m = n
     rep.e[0] = tensorops.op_on_legs(_local_e0(params), [1], m)

@@ -10,8 +10,9 @@ The double row is one list of local factors (2x2 or 4x4 block, its
 x-derivative, legs) on the auxiliary leg and the n chain legs.  Products are
 built from the right by applying each block to the operand on its legs
 (tensorops.apply_on_legs); no factor is embedded into a dense 2^(n+1)
-matrix.  The derivative rides along in the same pass by the product rule,
-and the extended-precision T runs the same loop on mpmath object arrays.
+matrix.  The derivative rides along in the same pass by the product rule.
+The closed-form blocks evaluate at any scalar type, so the extended-precision
+T is transfer_T itself, called with mpmath x and t (object arrays throughout).
 
 Three equivalent presentations of the boundary XXZ Hamiltonian are exposed:
 the logarithmic derivative of the normalized transfer matrix at x = 1, the
@@ -25,8 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .baxter import RepHandle, explicit_rkk, transport_C_tau
-from .numerics import InternalDefectError, ParamSet, rel_residual
+from .baxter import explicit_rkk, transport_C_tau
+from .numerics import InternalDefectError, ParamSet, rel_residual, torus_point
 from .spinrep import build_spin_rep
 from .tensorops import (
     PERMUTE_TWO,
@@ -68,7 +69,7 @@ def c0_constant(params: ParamSet):
     return -num / (k * (1 + k**2) * den)
 
 
-def _double_row(params: ParamSet, x, t, form="closed", deriv=False, digits=None):
+def _double_row(params: ParamSet, x, t, form="closed", deriv=False):
     """The double-row product as local factors (block, d block/dx or None,
     legs), left to right, on the auxiliary leg 1 and chain legs 2..n+1.
 
@@ -76,15 +77,15 @@ def _double_row(params: ParamSet, x, t, form="closed", deriv=False, digits=None)
     the right boundary matrix on the last chain leg; form="r" couples the
     auxiliary leg to each site directly and puts the boundary matrix on the
     auxiliary leg; form="closed" is the rcheck row preceded by the closure
-    theta kbar(kappa^2 x) theta.  With ``digits`` the blocks are mpmath
-    object arrays evaluated at that precision.
+    theta kbar(kappa^2 x) theta.  With mpmath x and t the blocks are mpmath
+    object arrays at the working precision.
     """
     n = params.n
     ex = explicit_rkk(params)
     rcheck = form != "r"
 
     def local(f, arg, slope, legs, swap=False):
-        val = f(arg) if digits is None else f.eval_mp(arg, digits)
+        val = f(arg)
         der = slope * f.deriv(arg) if deriv else None
         if swap:
             val = val @ PERMUTE_TWO
@@ -159,9 +160,6 @@ def check_transfer(params: ParamSet, samples: int = 8, seed: int = 2) -> dict:
     rng = np.random.default_rng(seed)
     out: dict = {}
 
-    def draw():
-        return complex(rng.uniform(0.75, 1.35) * np.exp(2j * np.pi * rng.uniform()))
-
     def acc(key, val):
         out[key] = max(out.get(key, 0.0), val)
 
@@ -169,8 +167,7 @@ def check_transfer(params: ParamSet, samples: int = 8, seed: int = 2) -> dict:
     th = theta_matrix(params)
     k = params.kappa
     for _ in range(samples):
-        x, y = draw(), draw()
-        t = tuple(draw() for _ in range(n))
+        x, y, *t = torus_point(rng, n + 2, (0.75, 1.35))
         acc(
             "monodromy form agreement",
             rel_residual(
@@ -225,7 +222,7 @@ def check_transfer_vs_transport(
     transfer side never sees the shift at all.
     """
     n = params.n
-    rep = RepHandle.from_rep(build_spin_rep(params))
+    rep = build_spin_rep(params)
     rng = np.random.default_rng(seed)
     out: dict = {}
 
@@ -233,10 +230,7 @@ def check_transfer_vs_transport(
         out[key] = max(out.get(key, 0.0), val)
 
     for _ in range(samples):
-        t = tuple(
-            complex(rng.uniform(0.8, 1.3) * np.exp(2j * np.pi * rng.uniform()))
-            for _ in range(n)
-        )
+        t = torus_point(rng, n, (0.8, 1.3))
         for i in range(1, n + 1):
             ti = t[i - 1]
             trans = transport_C_tau(rep, i, t, q_override=1)
@@ -341,15 +335,12 @@ def hamiltonian(params: ParamSet, form: str = "pauli") -> np.ndarray:
 
 
 def transfer_T_mp(params: ParamSet, x, t, digits: int = 50) -> np.ndarray:
-    """Extended-precision recomputation of T(x; t) at any n.
-
-    Runs the same factor list and contraction as transfer_T on mpmath
-    object arrays, evaluated from the same closed-form coefficient data;
-    used as a roundoff regression anchor.
+    """Extended-precision recomputation of T(x; t) at any n: transfer_T run
+    on mpmath x and t, so that every block and product is in mpmath
+    arithmetic at ``digits``; used as a roundoff regression anchor.
     """
     import mpmath
 
-    m = params.n + 1
     with mpmath.workdps(digits):
-        full, _ = _product(_double_row(params, x, t, digits=digits), m)
-        return partial_trace_first(full, m).astype(complex)
+        pt = tuple(mpmath.mpc(v) for v in t)
+        return transfer_T(params, mpmath.mpc(x), pt).astype(complex)

@@ -223,10 +223,6 @@ def reduced_word(w: WeylElem):
     return letters
 
 
-def length(w: WeylElem) -> int:
-    return len(reduced_word(w))
-
-
 def _parabolic_indices(I, n: int):
     """I as a sorted list, refused unless it is a subset of 1..n."""
     I = sorted(set(I))
@@ -266,12 +262,6 @@ def _bfs_levels(I, n: int, key=lambda w: (w.perm, w.signs)):
 def finite_group(n: int):
     """All 2^n n! elements of W_0 as WeylElems, by length (a small-n oracle)."""
     return [w for level in _bfs_levels(range(1, n + 1), n) for w in level]
-
-
-def finite_length(w: WeylElem) -> int:
-    if not w.is_finite():
-        raise ValueError("finite_length needs a finite element")
-    return length(w)
 
 
 def longest_parabolic(I, n: int) -> "WeylElem":

@@ -7,10 +7,6 @@ import numpy as np
 import pytest
 
 from heckespin.baxter import (
-    RepHandle,
-    baxter_K0,
-    baxter_Kn,
-    baxter_Ri,
     baxter_j,
     check_ybe_re,
     cocycle_C,
@@ -18,7 +14,7 @@ from heckespin.baxter import (
     tau_elem,
     transport_C_tau,
 )
-from heckespin.numerics import PoleProximityError, rel_residual, sample_generic
+from heckespin.numerics import PoleProximityError, rel_residual, sample_generic, torus_point
 from heckespin.spinrep import build_spin_rep
 from heckespin.tensorops import PERMUTE_TWO, op_on_legs
 from heckespin.weyl import WeylElem, act_point, reduced_word
@@ -26,7 +22,7 @@ from heckespin.weyl import WeylElem, act_point, reduced_word
 
 @pytest.fixture
 def handle(params2):
-    return RepHandle.from_rep(build_spin_rep(params2))
+    return build_spin_rep(params2)
 
 
 def test_identity_battery(params2):
@@ -40,14 +36,13 @@ def test_pole_guard_raises(handle):
     p = handle.params
     x_pole = 1.0 / p.kappa**2
     with pytest.raises(PoleProximityError):
-        baxter_Ri(handle, 1, x_pole)
+        baxter_j(handle, 1, x_pole)
 
 
 def test_unit_argument_gives_identity(handle):
     eye = np.eye(handle.dim)
-    assert rel_residual(baxter_Ri(handle, 1, 1.0), eye) < 1e-12
-    assert rel_residual(baxter_K0(handle, 1.0), eye) < 1e-12
-    assert rel_residual(baxter_Kn(handle, 1.0), eye) < 1e-12
+    for j in (1, 0, handle.params.n):
+        assert rel_residual(baxter_j(handle, j, 1.0), eye) < 1e-12
 
 
 def test_boundary_matrix_is_unit_at_minus_one(params2):
@@ -59,7 +54,7 @@ def test_boundary_matrix_is_unit_at_minus_one(params2):
 def test_explicit_blocks_match_dressed_generators(params2):
     """The 2x2 / 4x4 rational families embed to the dressed generators."""
     ex = explicit_rkk(params2)
-    h = RepHandle.from_rep(build_spin_rep(params2))
+    h = build_spin_rep(params2)
     n = params2.n
     x = 0.73 + 0.21j
     assert rel_residual(
@@ -83,6 +78,20 @@ def test_rational_matrix_derivative_matches_finite_differences(params2):
     assert rel_residual(ex.kbar.deriv(x), fd) < 1e-7
 
 
+def test_rational_matrix_evaluates_at_mpmath_points(params2):
+    import mpmath
+
+    ex = explicit_rkk(params2)
+    x = 0.81 + 0.13j
+    with mpmath.workdps(40):
+        val = ex.kbar(mpmath.mpc(x))
+        der = ex.r.deriv(mpmath.mpc(x))
+    assert all(isinstance(z, mpmath.mpc) for z in val.ravel())
+    assert all(isinstance(z, mpmath.mpc) for z in der.ravel())
+    assert rel_residual(ex.kbar(x), val.astype(complex)) < 1e-14
+    assert rel_residual(ex.r.deriv(x), der.astype(complex)) < 1e-14
+
+
 def test_cocycle_respects_words(handle, rng):
     n = handle.params.n
     done = 0
@@ -91,13 +100,10 @@ def test_cocycle_respects_words(handle, rng):
         elem = functools.reduce(
             lambda w, a: w * WeylElem.generator(a, n), word, WeylElem.identity(n)
         )
-        t = tuple(
-            complex(rng.uniform(0.7, 1.3) * np.exp(2j * np.pi * rng.uniform()))
-            for _ in range(n)
-        )
+        t = torus_point(rng, n, (0.7, 1.3))
         try:
             along_word = _cocycle_along(handle, word, t)
-            canonical = cocycle_C(handle, elem, t)
+            canonical = cocycle_C(handle, reduced_word(elem), t)
         except PoleProximityError:
             continue
         assert rel_residual(along_word, canonical) < 1e-9
@@ -125,7 +131,7 @@ def test_transport_is_the_cocycle_of_the_lattice_word(handle):
     t = (0.93 + 0.18j, 1.12 - 0.21j)
     for i in (1, 2):
         direct = transport_C_tau(handle, i, t)
-        via_word = cocycle_C(handle, tau_elem(i, p.n), t)
+        via_word = cocycle_C(handle, reduced_word(tau_elem(i, p.n)), t)
         assert rel_residual(direct, via_word) < 1e-10
 
 

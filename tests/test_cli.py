@@ -75,6 +75,27 @@ def test_polynomial_caps_refuse_before_sampling(tmp_path, monkeypatch):
                 "--out", str(tmp_path / "t")]) == 2
 
 
+def test_spin_cap_refuses_before_sampling(tmp_path, monkeypatch, capsys):
+    import heckespin.cli as cli
+
+    pfile = tmp_path / "p11.json"
+    pfile.write_text(json.dumps(sample_generic(seed=8, n=2).replace(n=11).to_dict()))
+
+    def no_sampling(*args, **kw):
+        raise AssertionError("sampled before the cap check")
+
+    monkeypatch.setattr(cli, "sample_generic", no_sampling)
+    for suite in ("algebra", "matchmaker", "baxter", "transfer"):
+        assert run(["verify", suite, "--n", "11"]) == 2
+        assert "refused: spin representation capped at n = 10" in capsys.readouterr().err
+        # a parameter file sets the rank the cap is checked against
+        assert run(["verify", suite, "--params", str(pfile)]) == 2
+    assert run(["emit", "tables", "--kind", "hamiltonian_spectrum", "--n", "11"]) == 2
+    assert run(["emit", "tables", "--kind", "hamiltonian_spectrum",
+                "--params", str(pfile)]) == 2
+    assert "refused: spin representation capped at n = 10" in capsys.readouterr().err
+
+
 def test_algebra_suite_runs_past_rank_six(tmp_path):
     rep = tmp_path / "r.json"
     code = run(["verify", "algebra", "--n", "7", "--report", str(rep)])
@@ -250,8 +271,8 @@ def test_evaluator_arity_mismatch_is_an_internal_defect(tmp_path, monkeypatch, c
     import heckespin.qkz as qkz
 
     path, _data = _stored_solution(tmp_path)
-    honest = qkz._generic_point
-    monkeypatch.setattr(qkz, "_generic_point", lambda rng, n: honest(rng, n) + (1.0,))
+    honest = qkz.torus_point
+    monkeypatch.setattr(qkz, "torus_point", lambda rng, n, band: honest(rng, n, band) + (1.0,))
     assert run(["qkz", "verify", "--in", str(path), "--samples", "2"]) == 3
     assert "internal defect: point arity mismatch" in capsys.readouterr().err
 

@@ -4,6 +4,7 @@ import doctest
 
 import pytest
 
+import heckespin.baxter
 import heckespin.koornwinder
 import heckespin.matchings
 import heckespin.numerics
@@ -15,6 +16,7 @@ MODULES = [
     heckespin.weyl,
     heckespin.spinrep,
     heckespin.matchings,
+    heckespin.baxter,
     heckespin.koornwinder,
 ]
 

@@ -123,6 +123,30 @@ def test_high_precision_agreement_beyond_two_sites(n):
     assert rel_residual(transfer_T(p, x, t), hi) < 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_generic_path_converges_with_precision(n):
+    """The object-array double row at 30 and at 50 digits agrees far below
+    double rounding, so the mpmath path really runs in mpmath arithmetic."""
+    import mpmath
+
+    from heckespin.transfer import _double_row, _product
+
+    p = sample_generic(seed=5, n=n)
+    x, t = _point(n, 6)
+
+    def full(digits):
+        with mpmath.workdps(digits):
+            pt = tuple(mpmath.mpc(v) for v in t)
+            return _product(_double_row(p, mpmath.mpc(x), pt), n + 1)[0]
+
+    lo, hi = full(30), full(50)
+    assert isinstance(hi[0, 0], mpmath.mpc)
+    with mpmath.workdps(50):
+        diff = max(abs(a - b) for a, b in zip(lo.ravel(), hi.ravel()))
+        scale = max(abs(b) for b in hi.ravel())
+        assert diff / scale < 1e-25
+
+
 def test_transfer_identity_battery(params2):
     res = check_transfer(params2, samples=6, seed=2)
     assert max(res.values()) < 1e-9, res
