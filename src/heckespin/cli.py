@@ -168,7 +168,7 @@ def _from_residuals(prefix, res, tol, context=""):
 def suite_algebra(cfg: Config):
     check_dim_cap(cfg.n)
     p = _resolve_params(cfg)
-    rep = build_spin_rep(p)
+    basis, zeta, _reps, rep = principal_series_basis(p)
     tl = delta_from_kappa(p)
     checks = []
     checks += _from_residuals(
@@ -192,7 +192,6 @@ def suite_algebra(cfg: Config):
         "commuting family pairwise", worst, cfg.tolerance,
         "the 2n-fold generator products commute with one another",
     ))
-    basis, zeta, _reps, _rep2 = principal_series_basis(p)
     v0 = np.zeros(rep.dim, dtype=complex)
     v0[0] = 1.0
     worst = 0.0

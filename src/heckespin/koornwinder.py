@@ -98,12 +98,6 @@ class SpectralPoint:
     gamma: tuple
     lam: tuple
 
-    def to_dict(self):
-        return {
-            "lambda": list(self.lam),
-            "gamma": [{"re": g.real, "im": g.imag} for g in self.gamma],
-        }
-
 
 def gamma_lambda(lam, params: ParamSet) -> SpectralPoint:
     lam = tuple(int(v) for v in lam)

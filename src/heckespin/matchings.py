@@ -13,9 +13,10 @@ aligning with the spin basis where v_+ is bit 0).
 
 The matchmaker operators e_j re-pair sites (j with j+1, or a boundary with
 its neighbour) with multiplicative weights delta_j for closed loops and
-beta_0/beta_1 for arcs swallowed between the two boundaries.  Oriented
-matchings, their counters and the resulting intertwiner into the spin module
-live here as well.
+beta_0/beta_1 for arcs swallowed between the two boundaries.  The intertwiner
+Psi into the spin module sums over the orientations of each matching; their
+weights factor over the arcs, so each column is a tensor product of one
+vector per arc.
 
 >>> [m.nu_string() for m in enumerate_matchings(2)]
 ['(+,+)', '(+,-)', '(-,+)', '(-,-)']
@@ -121,13 +122,6 @@ class Matching:
         sites = set(sites)
         return tuple(p for p in self.pairs if not (p[0] in sites or p[1] in sites))
 
-    def to_dict(self) -> dict:
-        return {"n": self.n, "pairs": [list(p) for p in self.pairs]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Matching":
-        return cls.make(int(d["n"]), [tuple(p) for p in d["pairs"]])
-
 
 def enumerate_matchings(n: int):
     """All 2^n matchings, ordered by their sign strings (+ before -)."""
@@ -139,20 +133,6 @@ def enumerate_matchings(n: int):
 
 def pty(i: int) -> int:
     return i % 2
-
-
-def matchmaker_apply(j: int, vec: dict, tl: TLParams, beta0: complex, beta1: complex, n: int) -> dict:
-    """Apply e_j to a linear combination {Matching: coeff}."""
-    out: dict = {}
-
-    def add(m: Matching, c: complex):
-        if c != 0:
-            out[m] = out.get(m, 0j) + c
-
-    for p, c in vec.items():
-        for m, w in _apply_generator(j, p, tl, beta0, beta1, n):
-            add(m, c * w)
-    return out
 
 
 def _apply_generator(j: int, p: Matching, tl: TLParams, beta0, beta1, n: int):
@@ -257,82 +237,54 @@ def m_constants(params: ParamSet, beta0: complex = 1.0 + 0j) -> dict:
     return M
 
 
-def orientations(p: Matching):
-    """All 2^(#pairs) oriented refinements, as tuples of directed arcs."""
-    for flips in itertools.product((False, True), repeat=len(p.pairs)):
-        yield tuple(
-            (b, a) if f else (a, b) for (a, b), f in zip(p.pairs, flips)
-        )
-
-
-def orientation_stats(n: int, arcs) -> dict:
-    """Counters of one oriented matching: crossing-free rightward order
-    violations, boundary counters N_{j,h}, the spin word and its index."""
-    under = Matching.make(n, [tuple(sorted(a)) for a in arcs])
-    # site i points outward iff (i, partner) is among the directed arcs
-    arcset = set(map(tuple, arcs))
-    rword = []
-    for i in range(1, n + 1):
-        mi = under.partner(i)
-        rword.append(1 if (i, mi) in arcset else -1)
-    N = {(0, 0): 0, (0, 1): 0, (n, 0): 0, (n, 1): 0}
-    orient = 0
-    for a, b in arcs:
-        if b == 0:
-            N[(0, pty(a))] += 1
-        elif a == n + 1:
-            N[(n, pty(n + 1 - b))] += 1
-        elif 1 <= b < a <= n:
-            orient += 1
-    orient += N[(0, 0)] + N[(n, 0)]
-    idx = 0
-    for s in rword:
-        idx = 2 * idx + (0 if s > 0 else 1)
-    return {
-        "or": orient,
-        "N": N,
-        "r": tuple(rword),
-        "spin_index": idx,
-        "matching": under,
-    }
-
-
 def intertwiner_Psi(params: ParamSet, limit: bool = False):
     """The equivalence from the matching module to the spin module.
 
     Columns follow the sign-string order of enumerate_matchings; rows are the
-    spin basis.  With limit=True the weights are evaluated at the degenerate
-    point psi0 = psin = 1/kappa = 0 (and the boundary-arc prefactor M drops),
-    where only the all-rightward orientation of each matching survives.
+    spin basis.  Each orientation of a matching reaches one spin index and is
+    weighted by a product over its arcs, so a column is the tensor product of
+    one vector per arc, placed on that arc's sites.  An arc drawn left to
+    right puts + on its left end and - on its right end; turned around, it
+    carries (-kappa)^-1 (inner arc) or psi_j (-kappa_j)^(1-2h) (-kappa)^(h-1)
+    (boundary j, h the parity of the distance to it), and every boundary arc
+    carries its weight M_{j,h} (m_constants).  With limit=True the weights
+    are evaluated at the degenerate point psi0 = psin = 1/kappa = 0 (and M
+    drops), where only the drawn orientation of each matching survives.
+
+    >>> from heckespin.numerics import sample_generic
+    >>> p = sample_generic(seed=1, n=2)
+    >>> bool(np.allclose(intertwiner_Psi(p)[:, 1], [0, 1, -1 / p.kappa, 0]))
+    True
+    >>> bool(np.array_equal(intertwiner_Psi(p, limit=True), np.eye(4)))
+    True
     """
     n = params.n
-    basis = enumerate_matchings(n)
+    k = params.kappa
     M = None if limit else m_constants(params, matchmaker_betas(params)[0])
-    k, k0, kn = params.kappa, params.kappa0, params.kappan
     psi = {0: params.psi0, n: params.psin}
-    kjs = {0: k0, n: kn}
-    mat = np.zeros((2**n, 2**n), dtype=complex)
-    for col, p in enumerate(basis):
+
+    def turned(j: int, h: int) -> complex:
         if limit:
-            pref = 1.0 + 0j
-        else:
-            L = boundary_arc_counts(p)
-            pref = 1.0 + 0j
-            for key, count in L.items():
-                pref *= M[key] ** count
-        for arcs in orientations(p):
-            st = orientation_stats(n, arcs)
-            Nc = st["N"]
-            if limit:
-                # each summand is a monomial in 1/kappa, psi0, psin of
-                # multidegree (or, N_{0,*}, N_{n,*}); only degree zero survives
-                vanishing = st["or"] > 0 or any(v > 0 for v in Nc.values())
-                w = 0j if vanishing else 1.0 + 0j
+            return 0j
+        return psi[j] * (-params.kappa_j(j)) ** (1 - 2 * h) * (-k) ** (h - 1)
+
+    def weight(j: int, h: int) -> complex:
+        return 1.0 + 0j if limit else M[(j, h)]
+
+    inner = np.array([[0, 1], [0 if limit else 1 / -k, 0]], dtype=complex)
+    mat = np.zeros((2**n, 2**n), dtype=complex)
+    for col, p in enumerate(enumerate_matchings(n)):
+        vec, legs = np.ones((), dtype=complex), []
+        for a, b in p.pairs:
+            if a == 0:
+                arc = weight(0, pty(b)) * np.array([turned(0, pty(b)), 1])
+                legs.append(b)
+            elif b == n + 1:
+                arc = weight(n, pty(a)) * np.array([1, turned(n, pty(n + 1 - a))])
+                legs.append(a)
             else:
-                w = (-k) ** (-st["or"])
-                for j in (0, n):
-                    w *= (-kjs[j]) ** (Nc[(j, 0)] - Nc[(j, 1)])
-                    w *= psi[j] ** (Nc[(j, 0)] + Nc[(j, 1)])
-            if w != 0:
-                mat[st["spin_index"], col] += pref * w
+                arc = inner
+                legs += [a, b]
+            vec = np.multiply.outer(vec, arc)
+        mat[:, col] = vec.transpose(np.argsort(legs)).reshape(-1)
     return mat

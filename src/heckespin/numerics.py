@@ -191,12 +191,6 @@ class LaurentPoly:
     def monomial(cls, n_vars: int, exp, coeff=1.0) -> "LaurentPoly":
         return cls(n_vars, {tuple(exp): coeff})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coeff(self, exp) -> complex:
-        return self.terms.get(tuple(exp), 0j)
-
     def max_abs(self) -> float:
         return max((abs(c) for c in self.terms.values()), default=0.0)
 
@@ -227,11 +221,6 @@ class LaurentPoly:
         return self.scale(other)
 
     __rmul__ = scale
-
-    def chop(self, tol: float) -> "LaurentPoly":
-        return LaurentPoly(
-            self.n_vars, {e: c for e, c in self.terms.items() if abs(c) > tol}
-        )
 
     def eval(self, point) -> complex:
         return complex(LaurentTable([self], self.n_vars)([tuple(point)])[0, 0])

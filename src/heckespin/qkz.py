@@ -22,7 +22,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baxter import cocycle_factor, transport_C_tau
-from .koornwinder import ball_vector, compute_P, gamma_lambda, generator_matrices
+from .koornwinder import (
+    ball_vector,
+    check_caps,
+    compute_P,
+    gamma_lambda,
+    generator_matrices,
+)
 from .numerics import (
     GenericityError,
     InternalDefectError,
@@ -67,9 +73,11 @@ def check_mcondition(params: ParamSet, m: int) -> ConditionReport:
 
 
 def check_degree_cap(n: int, m: int) -> None:
-    """Refuse a solution degree beyond the polynomial caps (|m| n <= 4)."""
+    """Refuse a solution degree beyond the polynomial caps (|m| n <= 4), and
+    a rank beyond koornwinder's cap, which m = 0 would otherwise pass."""
     if abs(m) * n > 4:
         raise RefusalError("degree cap exceeded (|m| * n <= 4)")
+    check_caps(n)
 
 
 @dataclass

@@ -11,48 +11,23 @@ images are local:
 and every rho(T_j) equals kappa_j + (normalization) * rhohat(e_j), where the
 rhohat(e_j) are the local idempotent-like generators with e_j^2 = delta_j e_j.
 The inverse images come from the quadratic relation, never from a numeric
-matrix inverse.
+matrix inverse.  The Murphy elements Y_i multiply the generator images along
+tau_word, and the principal-series vector of a minimal coset representative
+is one generator image applied to the vector of a shorter representative.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensorops
-from .numerics import ParamSet, RefusalError, rel_residual
-from .weyl import min_coset_reps, reduced_word
+from .numerics import InternalDefectError, ParamSet, RefusalError, rel_residual
+from .weyl import min_coset_reps, reduced_word, tau_word
 
 _DIM_CAP = 10
-
-
-@dataclass(frozen=True)
-class LinOp:
-    """A dense operator tagged with the basis it is written in."""
-
-    mat: np.ndarray
-    basis_tag: str
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-    def to_dict(self) -> dict:
-        return {
-            "basis_tag": self.basis_tag,
-            "dim": int(self.dim),
-            "mat": [
-                [[float(z.real), float(z.imag)] for z in row] for row in self.mat
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LinOp":
-        mat = np.array(
-            [[complex(re, im) for re, im in row] for row in d["mat"]], dtype=complex
-        )
-        return cls(mat=mat, basis_tag=d["basis_tag"])
 
 
 @dataclass(frozen=True)
@@ -147,26 +122,6 @@ class SpinRep:
     @property
     def dim(self) -> int:
         return 2**self.params.n
-
-    def t_word(self, letters) -> np.ndarray:
-        """Product T_{a_1} T_{a_2} ... for a word, leftmost factor first."""
-        out = np.eye(self.dim, dtype=complex)
-        for a in letters:
-            out = out @ self.T[a]
-        return out
-
-    def t_elem(self, w) -> np.ndarray:
-        """rho(T_w) along the lexicographically smallest reduced word of w."""
-        return self.t_word(reduced_word(w))
-
-    def linops(self) -> dict:
-        tag = f"spin({self.n})"
-        out = {}
-        for j in sorted(self.e):
-            out[f"e{j}"] = LinOp(self.e[j], tag)
-        for j in sorted(self.T):
-            out[f"T{j}"] = LinOp(self.T[j], tag)
-        return out
 
 
 def check_dim_cap(n: int) -> None:
@@ -267,26 +222,22 @@ def check_tl_relations(e: dict, tl: TLParams, n: int) -> dict:
 
 
 def murphy_Y(rep: SpinRep, i: int) -> np.ndarray:
-    """The commuting family member Y_i as a 2n-fold generator product."""
-    n = rep.n
-    if not 1 <= i <= n:
-        raise ValueError("Murphy index out of range")
-    out = np.eye(rep.dim, dtype=complex)
-    for j in range(i - 1, 0, -1):
-        out = out @ rep.Tinv[j]
-    out = out @ rep.T[0]
-    for j in range(1, n):
-        out = out @ rep.T[j]
-    out = out @ rep.T[n]
-    for j in range(n - 1, i - 1, -1):
-        out = out @ rep.T[j]
-    return out
+    """The commuting family member Y_i: the generator images along
+    tau_word(i, n), multiplied left to right, the first i - 1 inverted."""
+    factors = [
+        rep.Tinv[a] if k < i - 1 else rep.T[a] for k, a in enumerate(tau_word(i, rep.n))
+    ]
+    return functools.reduce(np.matmul, factors)
 
 
 def principal_series_basis(params: ParamSet):
     """Column basis v_w = rho(T_w) v_+ over the minimal coset representatives
     of the symmetric-group parabolic, together with the highest-weight
     eigenvalue string zeta.
+
+    The representatives are closed under left division: dropping the first
+    letter a of w's reduced word leaves the reduced word of s_a w, an earlier
+    representative, so v_w = rho(T_a) v_{s_a w}.
 
     Returns (B, zeta, reps, rep) with B[:, k] = v_{reps[k]}.
     """
@@ -295,8 +246,13 @@ def principal_series_basis(params: ParamSet):
     reps = min_coset_reps(range(1, n), n)
     v0 = np.zeros(rep.dim, dtype=complex)
     v0[0] = 1.0
-    cols = [rep.t_elem(w) @ v0 for w in reps]
-    B = np.stack(cols, axis=1)
+    cols = {}
+    for w in reps:
+        word = tuple(reduced_word(w))
+        if word and word[1:] not in cols:
+            raise InternalDefectError(f"representative {list(word)} lacks its suffix")
+        cols[word] = rep.T[word[0]] @ cols[word[1:]] if word else v0
+    B = np.stack(list(cols.values()), axis=1)
     zeta = tuple(
         params.psi0 * params.psin * params.kappa ** (n - 2 * i + 1)
         for i in range(1, n + 1)

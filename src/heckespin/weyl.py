@@ -139,21 +139,6 @@ class WeylElem:
             out = out * cls.generator(a, n)
         return out
 
-    def to_dict(self) -> dict:
-        return {
-            "perm": [p + 1 for p in self.perm],
-            "signs": list(self.signs),
-            "trans": list(self.trans),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "WeylElem":
-        return cls(
-            tuple(p - 1 for p in d["perm"]),
-            tuple(d["signs"]),
-            tuple(d["trans"]),
-        )
-
     def __repr__(self):
         return f"WeylElem(perm={self.perm}, signs={self.signs}, trans={self.trans})"
 

@@ -235,6 +235,21 @@ def test_qkz_degree_cap_refuses_before_sampling(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "s.json").exists()
 
 
+def test_qkz_rank_cap_refuses_m0_before_sampling(tmp_path, monkeypatch, capsys):
+    import heckespin.cli as cli
+
+    def no_sampling(*args, **kw):
+        raise AssertionError("sampled before the cap check")
+
+    monkeypatch.setattr(cli, "sample_generic", no_sampling)
+    assert run(["qkz", "build", "--n", "5", "--m", "0",
+                "--out", str(tmp_path / "s.json")]) == 2
+    assert run(["verify", "qkz", "--n", "11", "--m", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("refused: polynomial caps exceeded") == 2
+    assert not (tmp_path / "s.json").exists()
+
+
 def test_extended_precision_transfer_runs_past_two_sites(tmp_path):
     rep = tmp_path / "r.json"
     assert run(["verify", "transfer", "--n", "3", "--seed", "2",

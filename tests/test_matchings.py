@@ -1,6 +1,8 @@
 """Boundary matchings, the diagram action on them, and the change of basis
 to the chain."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from heckespin.matchings import (
     boundary_arc_counts,
     enumerate_matchings,
     intertwiner_Psi,
+    m_constants,
     matchmaker_betas,
     matchmaker_matrix,
     pty,
@@ -89,3 +92,54 @@ def test_drop_sites_removes_touching_pairs():
     surviving = p.drop_sites(2)
     assert all(2 not in pair for pair in surviving)
     assert len(surviving) < len(p.pairs)
+
+
+def _psi_by_orientations(params, limit=False):
+    """Oracle: Psi as the sum over all 2^#arcs orientations of each matching,
+    each weighted by its counters of turned-around arcs."""
+    n, k = params.n, params.kappa
+    M = m_constants(params, matchmaker_betas(params)[0])
+    psi = {0: params.psi0, n: params.psin}
+    mat = np.zeros((2**n, 2**n), dtype=complex)
+    for col, p in enumerate(enumerate_matchings(n)):
+        pref = 1.0 + 0j
+        if not limit:
+            for key, count in boundary_arc_counts(p).items():
+                pref *= M[key] ** count
+        for flips in itertools.product((False, True), repeat=len(p.pairs)):
+            arcs = [(b, a) if f else (a, b) for (a, b), f in zip(p.pairs, flips)]
+            down = [False] * n
+            N = {(0, 0): 0, (0, 1): 0, (n, 0): 0, (n, 1): 0}
+            turned = 0
+            for start, end in arcs:
+                if 1 <= end <= n:
+                    down[end - 1] = True
+                if end == 0:
+                    N[(0, pty(start))] += 1
+                elif start == n + 1:
+                    N[(n, pty(n + 1 - end))] += 1
+                elif 1 <= end < start <= n:
+                    turned += 1
+            turned += N[(0, 0)] + N[(n, 0)]
+            if limit:
+                w = 1.0 if turned == 0 and not any(N.values()) else 0.0
+            else:
+                w = (-k) ** (-turned)
+                for j in (0, n):
+                    w *= (-params.kappa_j(j)) ** (N[(j, 0)] - N[(j, 1)])
+                    w *= psi[j] ** (N[(j, 0)] + N[(j, 1)])
+            row = int("".join("1" if d else "0" for d in down), 2)
+            mat[row, col] += pref * w
+    return mat
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_intertwiner_matches_the_orientation_sum(n, seed):
+    params = sample_generic(seed=seed, n=n)
+    psi = intertwiner_Psi(params)
+    oracle = _psi_by_orientations(params)
+    assert np.abs(psi - oracle).max() <= 1e-13 * np.abs(oracle).max()
+    assert np.array_equal(
+        intertwiner_Psi(params, limit=True), _psi_by_orientations(params, limit=True)
+    )

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from heckespin.numerics import sample_generic
+from heckespin import spinrep
+from heckespin.numerics import InternalDefectError, sample_generic
 from heckespin.spinrep import (
-    LinOp,
     build_spin_rep,
     check_hecke_relations,
     check_tl_relations,
@@ -14,6 +14,7 @@ from heckespin.spinrep import (
     principal_series_basis,
     quotient_map_residuals,
 )
+from heckespin.weyl import reduced_word
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -82,9 +83,44 @@ def test_principal_basis_is_invertible(params3):
     assert np.linalg.cond(B) < 1e8
 
 
-def test_linop_roundtrip(params2):
-    rep = build_spin_rep(params2)
-    op = rep.linops()["e1"]
-    back = LinOp.from_dict(op.to_dict())
-    assert np.allclose(op.mat, back.mat)
-    assert back.basis_tag == op.basis_tag
+def _dense_word(rep, letters):
+    """Oracle: T_{a_1} T_{a_2} ... as dense products, leftmost factor first."""
+    out = np.eye(rep.dim, dtype=complex)
+    for a in letters:
+        out = out @ rep.T[a]
+    return out
+
+
+def _murphy_chain(rep, i):
+    """Oracle: Y_i as the hand-written 2n-fold chain
+    T_{i-1}^-1 ... T_1^-1 T_0 T_1 ... T_{n-1} T_n T_{n-1} ... T_i."""
+    n = rep.n
+    out = np.eye(rep.dim, dtype=complex)
+    for j in range(i - 1, 0, -1):
+        out = out @ rep.Tinv[j]
+    out = out @ rep.T[0]
+    for j in range(1, n):
+        out = out @ rep.T[j]
+    out = out @ rep.T[n]
+    for j in range(n - 1, i - 1, -1):
+        out = out @ rep.T[j]
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_principal_basis_and_murphy_match_dense_products(n):
+    for seed in (1, 2):
+        B, _zeta, reps, rep = principal_series_basis(sample_generic(seed=seed, n=n))
+        v0 = np.zeros(rep.dim, dtype=complex)
+        v0[0] = 1.0
+        dense = np.stack([_dense_word(rep, reduced_word(w)) @ v0 for w in reps], axis=1)
+        assert np.array_equal(B, dense)
+        for i in range(1, n + 1):
+            assert np.array_equal(murphy_Y(rep, i), _murphy_chain(rep, i))
+
+
+def test_missing_suffix_is_an_internal_defect(monkeypatch, params3):
+    honest = spinrep.min_coset_reps
+    monkeypatch.setattr(spinrep, "min_coset_reps", lambda I, n: honest(I, n)[1:])
+    with pytest.raises(InternalDefectError, match="lacks its suffix"):
+        principal_series_basis(params3)
