@@ -1,20 +1,26 @@
-"""Spectral-parameter dressing of the generator images and transport operators.
+"""Spectral-parameter dressing of the generator images, the cocycle and the
+translation transport.
 
-For a representation with matrices for T_j and their inverses (a SpinRep),
-baxter_j(rep, j, x) is the dressed generator of index j, one of three
-rational families
+Every dressed generator is one local block on the legs of its generator
+image, built once per ParamSet from the local blocks That_j of the spin
+representation (spinrep: Kbar on leg 1, Upsilon o P on legs (i, i+1), K on
+leg n) by Baxterization, with That_j^{-1} = That_j - (kappa_j - 1/kappa_j)
+from the quadratic relation:
 
-    K_0(x) = (T_0^{-1} + (1/u0 - u0) x - x^2 T_0) / (ko^{-1} (1 - k0 u0 x)(1 + k0 x/u0))
-    R_i(x) = (T_i^{-1} - x T_i) / (kappa^{-1} (1 - kappa^2 x))
-    K_n(x) = same shape as K_0 with the right-boundary scalars
+    K_j(x) = kappa_j (That_j^{-1} + (1/u_j - u_j) x - x^2 That_j)
+             / (1 + kappa_j (1/u_j - u_j) x - kappa_j^2 x^2)       j = 0, n
+    R_i(x) = kappa (That_i^{-1} - x That_i) / (1 - kappa^2 x)      0 < i < n
 
-that satisfy the reflection and Yang-Baxter identities, are unitary in the
-sense K(x) K(1/x) = Id, equal the identity at x = 1, and degenerate to
-kappa_j T_j^{-1} at x = 0.  Closed 2x2 and 4x4 forms for the spin
-representation are provided as matrix-polynomial quotients (RationalMat) so
-that derivatives in x are exact; they evaluate at complex or mpmath x alike.
+with u_j = upsilon_j.  They satisfy the reflection and Yang-Baxter
+identities, are unitary in the sense K(x) K(1/x) = Id, equal the identity at
+x = 1, and degenerate to kappa_j T_j^{-1} at x = 0.  The blocks are
+matrix-polynomial quotients (RationalMat), so derivatives in x are exact, and
+they evaluate at complex or mpmath x alike; the double-row transfer matrix
+uses the same three blocks.
 
-The cocycle C(t) along a word multiplies one dressed factor per letter
+A product of dressed generators is a list of (block, legs) factors run
+through tensorops.factor_product; no factor is embedded into a dense 2^n
+matrix.  The cocycle C(t) along a word takes one factor per letter
 (cocycle_factor), each evaluated at the running image of the torus point;
 transport_C_tau is its closed product form along a translation, used by the
 difference-equation solver downstream.
@@ -22,37 +28,16 @@ difference-equation solver downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 
 import numpy as np
 
-from .numerics import ParamSet, PoleProximityError, rel_residual, torus_point
+from .numerics import ParamSet, PoleProximityError, Residuals, rel_residual, torus_point
+from .spinrep import _local_k, _local_kbar, _local_upsilon_p
+from .tensorops import factor_product
 from .weyl import WeylElem, act_point, tau_word
 
 _POLE_TOL = 1e-6
-
-
-def _guard(x, *factors):
-    for f in factors:
-        if abs(f) < _POLE_TOL * max(1.0, abs(x)):
-            raise PoleProximityError(f"spectral-parameter pole near x={x}")
-
-
-def baxter_j(rep, j: int, x) -> np.ndarray:
-    """The dressed generator of index j at x: K_0 for j = 0, K_n for j = n
-    (the boundary branch, with kappa_j and upsilon_j), R_j in between."""
-    p = rep.params
-    kj = p.kappa_j(j)
-    if j in (0, p.n):
-        uj = p.upsilon_j(j)
-        d1, d2 = 1 - kj * uj * x, 1 + kj / uj * x
-        _guard(x, d1, d2)
-        eye = np.eye(rep.dim, dtype=complex)
-        num = rep.Tinv[j] + (1 / uj - uj) * x * eye - x**2 * rep.T[j]
-        return num * (kj / (d1 * d2))
-    den = 1 - kj**2 * x
-    _guard(x, den)
-    return (rep.Tinv[j] - x * rep.T[j]) * (kj / den)
 
 
 def _horner(coeffs, x):
@@ -69,7 +54,8 @@ class RationalMat:
     """Matrix polynomial over a scalar polynomial, with exact x-derivative.
 
     Evaluation works for any scalar x: a complex x gives a complex array, an
-    mpmath x an object array of mpc entries at the working precision.
+    mpmath x an object array of mpc entries at the working precision.  A
+    denominator below 1e-6 max(1, |x|)^degree raises PoleProximityError.
     """
 
     def __init__(self, num_coeffs, den_coeffs):
@@ -89,133 +75,119 @@ class RationalMat:
         return (_horner(dn, x) * d - n * _horner(dd, x)) / d**2
 
 
-@dataclass
-class ExplicitRKK:
-    """Closed-form local matrices of the dressed spin operators."""
+def _baxterize(t_hat, kj, uj=None) -> RationalMat:
+    """The dressed block of the local generator image t_hat with scalar kj:
+    the boundary family when uj is given, the middle family otherwise."""
+    eye = np.eye(len(t_hat), dtype=complex)
+    t_inv = t_hat - (kj - 1 / kj) * eye
+    if uj is None:
+        return RationalMat([kj * t_inv, -kj * t_hat], [1.0, -(kj**2)])
+    c = kj * (1 / uj - uj)
+    return RationalMat([kj * t_inv, c * eye, -kj * t_hat], [1.0, c, -(kj**2)])
 
-    r: RationalMat
-    kbar: RationalMat
-    k: RationalMat
 
-
-def explicit_rkk(params: ParamSet) -> ExplicitRKK:
+@functools.lru_cache(maxsize=16)
+def dressed_blocks(params: ParamSet):
+    """(K_0, R, K_n): the 2x2 left boundary, 4x4 middle and 2x2 right
+    boundary dressed blocks, built once per ParamSet."""
     p = params
-    k, k0, kn = p.kappa, p.kappa0, p.kappan
-    u0, un, psi0, psin = p.upsilon0, p.upsilonn, p.psi0, p.psin
-    r0 = np.array(
-        [
-            [1, 0, 0, 0],
-            [0, k, 1 - k**2, 0],
-            [0, 0, k, 0],
-            [0, 0, 0, 1],
-        ],
-        dtype=complex,
+    return (
+        _baxterize(_local_kbar(p), p.kappa0, p.upsilon0),
+        _baxterize(_local_upsilon_p(p), p.kappa),
+        _baxterize(_local_k(p), p.kappan, p.upsilonn),
     )
-    r1 = np.array(
-        [
-            [-(k**2), 0, 0, 0],
-            [0, -k, 0, 0],
-            [0, 1 - k**2, -k, 0],
-            [0, 0, 0, -(k**2)],
-        ],
-        dtype=complex,
-    )
-    r = RationalMat([r0, r1], [1.0, -(k**2)])
-    kb0 = k0 * np.array([[0, psi0], [1 / psi0, 1 / k0 - k0]], dtype=complex)
-    kb1 = k0 * (1 / u0 - u0) * np.eye(2, dtype=complex)
-    kb2 = k0 * np.array([[1 / k0 - k0, -psi0], [-1 / psi0, 0]], dtype=complex)
-    kbar = RationalMat([kb0, kb1, kb2], [1.0, k0 * (1 / u0 - u0), -(k0**2)])
-    kk0 = kn * np.array([[1 / kn - kn, 1 / psin], [psin, 0]], dtype=complex)
-    kk1 = kn * (1 / un - un) * np.eye(2, dtype=complex)
-    kk2 = kn * np.array([[0, -1 / psin], [-psin, 1 / kn - kn]], dtype=complex)
-    kmat = RationalMat([kk0, kk1, kk2], [1.0, kn * (1 / un - un), -(kn**2)])
-    return ExplicitRKK(r=r, kbar=kbar, k=kmat)
+
+
+def baxter_j(params: ParamSet, j: int, x):
+    """The dressed generator of index j at x as (block, legs): K_0 on leg 1
+    for j = 0, K_n on leg n for j = n, R_j on legs (j, j+1) in between."""
+    n = params.n
+    k0, r, kn = dressed_blocks(params)
+    if j == 0:
+        return k0(x), [1]
+    if j == n:
+        return kn(x), [n]
+    if 0 < j < n:
+        return r(x), [j, j + 1]
+    raise ValueError(f"generator index {j} out of range for n={n}")
 
 
 def check_ybe_re(params: ParamSet, samples: int = 20, seed: int = 1) -> dict:
     """Residuals of the dressed-operator identities on the spin representation.
 
-    Keys beginning with "negative control" must come out LARGE; everything
-    else should sit at rounding level for generic parameters.
+    Both sides of every identity are factor lists multiplied out on the full
+    space; the one-factor rows (regularity, degeneration) compare blocks,
+    which leaves a max-abs residual unchanged.  Keys beginning with
+    "negative control" must come out LARGE; everything else should sit at
+    rounding level for generic parameters.
     """
-    from .spinrep import build_spin_rep
-
     n = params.n
     if n < 2:
         raise ValueError("the identity suite needs n >= 2")
-    rep = build_spin_rep(params)
     rng = np.random.default_rng(seed)
-    out: dict = {}
+    out = Residuals()
+    bad = params.replace(upsilon0=params.upsilon0 * 1.01)
+    names = [(0, "K0"), (n, "Kn")] + [(i, f"R{i}") for i in range(1, n)]
+    B = functools.partial(baxter_j, params)
 
-    def acc(key, val):
-        out[key] = max(out.get(key, 0.0), val)
+    def P(*factors):
+        return factor_product(factors, n)[0]
 
-    def B(j, x):
-        return baxter_j(rep, j, x)
+    def same(key, lhs, rhs):
+        out.add(key, rel_residual(lhs, rhs))
 
-    eye = np.eye(rep.dim, dtype=complex)
-    rep_bad = build_spin_rep(params.replace(upsilon0=params.upsilon0 * 1.01))
     for _ in range(samples):
         x, y = torus_point(rng, 2, (0.7, 1.4))
-        K0x, K0y = B(0, x), B(0, y)
-        lhs = K0x @ B(1, x * y) @ K0y @ B(1, y / x)
-        rhs = B(1, y / x) @ K0y @ B(1, x * y) @ K0x
-        acc("reflection at the left boundary", rel_residual(lhs, rhs))
-        Knx, Kny = B(n, x), B(n, y)
-        lhs = Kny @ B(n - 1, x * y) @ Knx @ B(n - 1, x / y)
-        rhs = B(n - 1, x / y) @ Knx @ B(n - 1, x * y) @ Kny
-        acc("reflection at the right boundary", rel_residual(lhs, rhs))
+        K0x, K0y, Knx, Kny = B(0, x), B(0, y), B(n, x), B(n, y)
+        left = P(B(1, y / x), K0y, B(1, x * y), K0x)
+        same("reflection at the left boundary", P(K0x, B(1, x * y), K0y, B(1, y / x)), left)
+        same(
+            "reflection at the right boundary",
+            P(Kny, B(n - 1, x * y), Knx, B(n - 1, x / y)),
+            P(B(n - 1, x / y), Knx, B(n - 1, x * y), Kny),
+        )
         for i in range(1, n - 1):
-            lhs = B(i, x) @ B(i + 1, x * y) @ B(i, y)
-            rhs = B(i + 1, y) @ B(i, x * y) @ B(i + 1, x)
-            acc(f"yang-baxter braid R{i} R{i + 1}", rel_residual(lhs, rhs))
-        acc("unitarity K0", rel_residual(K0x @ B(0, 1 / x), eye))
-        acc("unitarity Kn", rel_residual(Knx @ B(n, 1 / x), eye))
-        for i in range(1, n):
-            acc(f"unitarity R{i}", rel_residual(B(i, x) @ B(i, 1 / x), eye))
+            same(
+                f"yang-baxter braid R{i} R{i + 1}",
+                P(B(i, x), B(i + 1, x * y), B(i, y)),
+                P(B(i + 1, y), B(i, x * y), B(i + 1, x)),
+            )
+        for j, name in names:
+            same(f"unitarity {name}", P(B(j, x), B(j, 1 / x)), P())
         for i in range(2, n):
-            acc(
-                f"far commutation K0 R{i}",
-                rel_residual(K0x @ B(i, y), B(i, y) @ K0x),
-            )
+            same(f"far commutation K0 R{i}", P(K0x, B(i, y)), P(B(i, y), K0x))
         for i in range(1, n - 2):
-            acc(
-                f"far commutation Kn R{i}",
-                rel_residual(Knx @ B(i, y), B(i, y) @ Knx),
-            )
+            same(f"far commutation Kn R{i}", P(Knx, B(i, y)), P(B(i, y), Knx))
         for i in range(1, n):
             for j in range(i + 2, n):
-                acc(
-                    f"far commutation R{i} R{j}",
-                    rel_residual(B(i, x) @ B(j, y), B(j, y) @ B(i, x)),
-                )
-        acc("far commutation K0 Kn", rel_residual(K0x @ Knx, Knx @ K0x))
+                same(f"far commutation R{i} R{j}", P(B(i, x), B(j, y)), P(B(j, y), B(i, x)))
+        same("far commutation K0 Kn", P(K0x, Knx), P(Knx, K0x))
         # negative control: left reflection with upsilon0 nudged on one side
-        bad = baxter_j(rep_bad, 0, x)
-        lhs = bad @ B(1, x * y) @ K0y @ B(1, y / x)
-        rhs = B(1, y / x) @ K0y @ B(1, x * y) @ K0x
-        acc("negative control perturbed reflection", rel_residual(lhs, rhs))
-    for j, name in [(0, "K0"), (n, "Kn")] + [(i, f"R{i}") for i in range(1, n)]:
-        acc(f"regularity at x=1 {name}", rel_residual(B(j, 1.0), eye))
-        acc(
+        bad_lhs = P(baxter_j(bad, 0, x), B(1, x * y), K0y, B(1, y / x))
+        same("negative control perturbed reflection", bad_lhs, left)
+    t_hat = [_local_kbar(params)] + [_local_upsilon_p(params)] * (n - 1) + [_local_k(params)]
+    for j, name in names:
+        kj, eye = params.kappa_j(j), np.eye(len(t_hat[j]))
+        out.add(f"regularity at x=1 {name}", rel_residual(B(j, 1.0)[0], eye))
+        out.add(
             f"degeneration at x=0 {name}",
-            rel_residual(B(j, 0.0), params.kappa_j(j) * rep.Tinv[j]),
+            rel_residual(B(j, 0.0)[0], kj * (t_hat[j] - (kj - 1 / kj) * eye)),
         )
     return out
 
 
-def cocycle_factor(rep, a: int, t) -> np.ndarray:
-    """C_{s_a}(t): the dressed generator of letter a at the torus point t,
-    taken at sqrt(q)/t_1 for a = 0, t_n for a = n, t_a/t_{a+1} otherwise."""
-    p = rep.params
+def cocycle_factor(params: ParamSet, a: int, t):
+    """C_{s_a}(t) as (block, legs): the dressed generator of letter a at the
+    torus point t, taken at sqrt(q)/t_1 for a = 0, t_n for a = n, t_a/t_{a+1}
+    otherwise."""
     if a == 0:
-        return baxter_j(rep, 0, p.q_sqrt / t[0])
-    if a == p.n:
-        return baxter_j(rep, a, t[-1])
-    return baxter_j(rep, a, t[a - 1] / t[a])
+        return baxter_j(params, 0, params.q_sqrt / t[0])
+    if a == params.n:
+        return baxter_j(params, a, t[-1])
+    return baxter_j(params, a, t[a - 1] / t[a])
 
 
-def cocycle_C(rep, word, t) -> np.ndarray:
+def cocycle_C(params: ParamSet, word, t) -> np.ndarray:
     """C along a word (any sequence of letters 0..n): the k-th letter's
     factor is taken at the point moved by the first k-1 letters, so
     C_{w w'}(t) = C_w(t) C_{w'}(w^{-1} t) holds by construction, and the
@@ -223,57 +195,57 @@ def cocycle_C(rep, word, t) -> np.ndarray:
     the group element the word spells.
 
     >>> from heckespin.numerics import rel_residual, sample_generic
-    >>> from heckespin.spinrep import build_spin_rep
     >>> from heckespin.weyl import reduced_word
-    >>> rep = build_spin_rep(sample_generic(seed=1, n=2))
+    >>> p = sample_generic(seed=1, n=2)
     >>> t = (0.9 + 0.2j, 1.1 - 0.3j)
-    >>> bool((cocycle_C(rep, [], t) == np.eye(4)).all())
+    >>> bool((cocycle_C(p, [], t) == np.eye(4)).all())
     True
     >>> word = [1, 0, 2, 2, 1]
     >>> reduced_word(WeylElem.from_word(word, 2))
     [1, 0, 1]
-    >>> rel_residual(cocycle_C(rep, word, t), cocycle_C(rep, [1, 0, 1], t)) < 1e-12
+    >>> rel_residual(cocycle_C(p, word, t), cocycle_C(p, [1, 0, 1], t)) < 1e-12
     True
     """
-    p = rep.params
-    out = np.eye(rep.dim, dtype=complex)
+    factors = []
     point = tuple(t)
     for a in word:
-        out = out @ cocycle_factor(rep, a, point)
-        point = act_point(WeylElem.generator(a, p.n), point, p)
-    return out
+        factors.append(cocycle_factor(params, a, point))
+        point = act_point(WeylElem.generator(a, params.n), point, params)
+    return factor_product(factors, params.n)[0]
 
 
-def transport_C_tau(rep, i: int, t, q_override=None) -> np.ndarray:
-    """The closed product form of C along the i-th translation.
+def transport_factors(params: ParamSet, i: int, t, q_override=None) -> list:
+    """The factors of C along the i-th translation, left to right.
 
-    Factors, left to right: descending middle factors R_j(t_j/t_i) for
-    j = i-1..1, the left boundary factor at sqrt(q)/t_i, ascending middle
-    factors at q/(t_j t_i) for j = 1..i-1 then at q/(t_i t_{j+1}) for
-    j = i..n-1, the right boundary factor at q/t_i, and descending middle
-    factors at q t_{j+1}/t_i for j = n-1..i.  With q_override the shift
-    scalar is replaced (the torus point is untouched); q_override=1 is the
-    stationary specialization used by the transfer-matrix comparison.
+    Descending middle factors R_j(t_j/t_i) for j = i-1..1, the left boundary
+    factor at sqrt(q)/t_i, ascending middle factors at q/(t_j t_i) for
+    j = 1..i-1 then at q/(t_i t_{j+1}) for j = i..n-1, the right boundary
+    factor at q/t_i, and descending middle factors at q t_{j+1}/t_i for
+    j = n-1..i.  With q_override the shift scalar is replaced (the torus
+    point is untouched); q_override=1 is the stationary specialization used
+    by the transfer-matrix comparison.
     """
-    p = rep.params
-    n = p.n
+    n = params.n
     if not 1 <= i <= n:
         raise ValueError("translation index out of range")
-    q = p.q if q_override is None else complex(q_override)
-    q_sqrt = p.q_sqrt if q_override is None else complex(q_override) ** 0.5
+    q = params.q if q_override is None else complex(q_override)
+    q_sqrt = params.q_sqrt if q_override is None else complex(q_override) ** 0.5
     ti = t[i - 1]
-    out = np.eye(rep.dim, dtype=complex)
-    for j in range(i - 1, 0, -1):
-        out = out @ baxter_j(rep, j, t[j - 1] / ti)
-    out = out @ baxter_j(rep, 0, q_sqrt / ti)
-    for j in range(1, i):
-        out = out @ baxter_j(rep, j, q / (t[j - 1] * ti))
-    for j in range(i, n):
-        out = out @ baxter_j(rep, j, q / (ti * t[j]))
-    out = out @ baxter_j(rep, n, q / ti)
-    for j in range(n - 1, i - 1, -1):
-        out = out @ baxter_j(rep, j, q * t[j] / ti)
-    return out
+    B = functools.partial(baxter_j, params)
+    return (
+        [B(j, t[j - 1] / ti) for j in range(i - 1, 0, -1)]
+        + [B(0, q_sqrt / ti)]
+        + [B(j, q / (t[j - 1] * ti)) for j in range(1, i)]
+        + [B(j, q / (ti * t[j])) for j in range(i, n)]
+        + [B(n, q / ti)]
+        + [B(j, q * t[j] / ti) for j in range(n - 1, i - 1, -1)]
+    )
+
+
+def transport_C_tau(params: ParamSet, i: int, t, q_override=None) -> np.ndarray:
+    """The closed product form of C along the i-th translation (the factors
+    of transport_factors multiplied out)."""
+    return factor_product(transport_factors(params, i, t, q_override), params.n)[0]
 
 
 def tau_elem(i: int, n: int) -> WeylElem:

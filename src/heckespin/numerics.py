@@ -616,6 +616,13 @@ def sample_generic(seed: int, n: int, constraints=None) -> ParamSet:
     )
 
 
+class Residuals(dict):
+    """Check name -> the largest residual recorded under that name."""
+
+    def add(self, key: str, value: float) -> None:
+        self[key] = max(self.get(key, 0.0), value)
+
+
 def max_abs(a) -> float:
     a = np.asarray(a)
     if a.size == 0:

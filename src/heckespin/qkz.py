@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baxter import cocycle_factor, transport_C_tau
+from .baxter import cocycle_factor, transport_factors
 from .koornwinder import (
     ball_vector,
     check_caps,
@@ -37,10 +37,12 @@ from .numerics import (
     ParamSet,
     PoleProximityError,
     RefusalError,
+    Residuals,
     eta,
     torus_point,
 )
-from .spinrep import build_spin_rep, principal_series_basis
+from .spinrep import principal_series_basis
+from .tensorops import factor_product
 from .weyl import WeylElem, act_point, reduced_word, w0_coset_element
 
 _MCOND_TOL = 1e-9
@@ -200,14 +202,9 @@ def verify_solution(sol: KZSolution, samples: int = 20, seed: int = 8) -> dict:
     point, n shifts and n+1 reflections are one table product."""
     params = sol.params
     n = params.n
-    rep = build_spin_rep(params)
     table = LaurentTable(sol.components, n)
     rng = np.random.default_rng(seed)
-    out: dict = {}
-
-    def acc(key, val):
-        out[key] = max(out.get(key, 0.0), val)
-
+    out = Residuals()
     q = params.q
     done = 0
     attempts = 0
@@ -223,19 +220,16 @@ def verify_solution(sol: KZSolution, samples: int = 20, seed: int = 8) -> dict:
         vals = table([t, *shifted, *reflected])
         ft = vals[:, 0]
         scale = max(1e-300, float(np.abs(ft).max()))
+
+        def residual(factors, col):
+            lhs = factor_product(factors, n, vals[:, col : col + 1])[0][:, 0]
+            return float(np.abs(lhs - ft).max()) / scale
+
         try:
             for i in range(1, n + 1):
-                lhs = transport_C_tau(rep, i, t) @ vals[:, i]
-                acc(
-                    f"transport equation i={i}",
-                    float(np.abs(lhs - ft).max()) / scale,
-                )
+                out.add(f"transport equation i={i}", residual(transport_factors(params, i, t), i))
             for j in range(n + 1):
-                lhs = cocycle_factor(rep, j, t) @ vals[:, n + 1 + j]
-                acc(
-                    f"invariance under s_{j}",
-                    float(np.abs(lhs - ft).max()) / scale,
-                )
+                out.add(f"invariance under s_{j}", residual([cocycle_factor(params, j, t)], n + 1 + j))
         except PoleProximityError:
             continue
         done += 1

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import tensorops
 from .numerics import InternalDefectError, ParamSet, RefusalError, rel_residual
-from .weyl import min_coset_reps, reduced_word, tau_word
+from .weyl import WeylElem, first_descent, min_coset_reps, tau_word
 
 _DIM_CAP = 10
 
@@ -235,9 +235,9 @@ def principal_series_basis(params: ParamSet):
     of the symmetric-group parabolic, together with the highest-weight
     eigenvalue string zeta.
 
-    The representatives are closed under left division: dropping the first
-    letter a of w's reduced word leaves the reduced word of s_a w, an earlier
-    representative, so v_w = rho(T_a) v_{s_a w}.
+    The representatives are closed under left division: with a the first
+    left descent of w (the first letter of its reduced word), s_a w is an
+    earlier representative, so v_w = rho(T_a) v_{s_a w}.
 
     Returns (B, zeta, reps, rep) with B[:, k] = v_{reps[k]}.
     """
@@ -248,10 +248,14 @@ def principal_series_basis(params: ParamSet):
     v0[0] = 1.0
     cols = {}
     for w in reps:
-        word = tuple(reduced_word(w))
-        if word and word[1:] not in cols:
-            raise InternalDefectError(f"representative {list(word)} lacks its suffix")
-        cols[word] = rep.T[word[0]] @ cols[word[1:]] if word else v0
+        if w.is_identity():
+            cols[w] = v0
+            continue
+        a = first_descent(w)
+        suffix = WeylElem.generator(a, n) * w
+        if suffix not in cols:
+            raise InternalDefectError(f"representative {w} lacks its suffix")
+        cols[w] = rep.T[a] @ cols[suffix]
     B = np.stack(list(cols.values()), axis=1)
     zeta = tuple(
         params.psi0 * params.psin * params.kappa ** (n - 2 * i + 1)

@@ -8,6 +8,9 @@ matching the order produced by iterated numpy.kron.
 A 2^k x 2^k block acting on k of the m legs is applied to an operand
 directly (apply_on_legs): the operand's rows are viewed as m legs of size 2,
 the block is contracted against the chosen legs, and the rows are put back.
+A product of local factors, with its derivative when the factors carry one,
+is one loop over apply_on_legs (factor_product); the dressed generators, the
+cocycle, the transport and the double-row transfer matrix all run through it.
 The full-space embedding is never formed on a product path; op_on_legs, which
 returns it, is the same primitive applied to the identity.  Any scalar type
 numpy can contract works, including object arrays of mpmath numbers.
@@ -32,12 +35,12 @@ def apply_on_legs(op: np.ndarray, legs, a: np.ndarray, m: int) -> np.ndarray:
     k = len(legs)
     if op.shape != (2**k, 2**k) or a.ndim != 2 or a.shape[0] != 2**m:
         raise InternalDefectError("operator size does not match leg count")
-    if len(set(legs)) != k or any(not 1 <= l <= m for l in legs):
+    if not legs or len(set(legs)) != k or min(legs) < 1 or max(legs) > m:
         raise InternalDefectError("legs must be distinct and within range")
-    axes = [l - 1 for l in legs]
-    if axes == list(range(axes[0], axes[0] + k)):
+    if legs == list(range(legs[0], legs[0] + k)):
         # adjacent legs in increasing order: one batched product, no copies
-        return np.matmul(op, a.reshape(2 ** axes[0], 2**k, -1)).reshape(a.shape)
+        return np.matmul(op, a.reshape(2 ** (legs[0] - 1), 2**k, -1)).reshape(a.shape)
+    axes = [l - 1 for l in legs]
     t = np.tensordot(
         op.reshape((2,) * (2 * k)),
         a.reshape((2,) * m + (a.shape[1],)),
@@ -50,6 +53,38 @@ def apply_on_legs(op: np.ndarray, legs, a: np.ndarray, m: int) -> np.ndarray:
 def op_on_legs(op: np.ndarray, legs, m: int) -> np.ndarray:
     """The 2^m x 2^m embedding of ``op`` acting on the listed legs."""
     return apply_on_legs(op, legs, np.eye(2**m, dtype=complex), m)
+
+
+def factor_product(factors, m: int, a=None):
+    """(A a, A' a) for A = F_1 F_2 ... F_k, the local factors listed left to
+    right, applied to ``a`` (the identity by default) on m legs.
+
+    A factor is (block, legs) or (block, d block/dx, legs).  The product is
+    built from the right, (P, P') <- (F P, F' P + F P'), so the derivative
+    rides along by the product rule when the factors carry derivative
+    blocks; otherwise the second entry is None.
+
+    >>> x, dx = np.diag([2.0, 3.0]), np.eye(2)
+    >>> y, dy = np.array([[0.0, 1.0], [5.0, 0.0]]), np.diag([1.0, -1.0])
+    >>> val, der = factor_product([(x, dx, [1]), (y, dy, [2])], 2)
+    >>> bool(np.allclose(val, np.kron(x, y)))
+    True
+    >>> bool(np.allclose(der, np.kron(dx, y) + np.kron(x, dy)))
+    True
+    >>> factor_product([(x, [2])], 2, np.ones((4, 1)))[0].ravel().real
+    array([2., 3., 2., 3.])
+    """
+    out = np.eye(2**m, dtype=complex) if a is None else a
+    dout = None
+    if factors and len(factors[0]) == 3 and factors[0][1] is not None:
+        dout = np.zeros_like(out)
+    for factor in reversed(factors):
+        val, legs = factor[0], factor[-1]
+        if dout is not None:
+            dout = apply_on_legs(val, legs, dout, m)
+            dout += apply_on_legs(factor[1], legs, out, m)
+        out = apply_on_legs(val, legs, out, m)
+    return out, dout
 
 
 def kron_all(mats) -> np.ndarray:

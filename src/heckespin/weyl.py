@@ -171,18 +171,19 @@ def _alcove_point(n: int):
     return tuple((n + 1 - i) * c for i in range(1, n + 1))
 
 
-def _descents(w: WeylElem):
-    """Left descent set of w, read off the image of a generic alcove point."""
+def first_descent(w: WeylElem) -> int:
+    """The smallest left descent of a non-identity w, read off the image of a
+    generic alcove point: the first letter of reduced_word(w)."""
     x = w.affine_apply(_alcove_point(w.n))
-    out = []
     if x[0] > 0.5:
-        out.append(0)
+        return 0
     for i in range(1, w.n):
         if x[i - 1] < x[i]:
-            out.append(i)
+            return i
     if x[-1] < 0.0:
-        out.append(w.n)
-    return out
+        return w.n
+    raise InternalDefectError("non-identity element with empty descent set")
+
 
 def reduced_word(w: WeylElem):
     """Lexicographically smallest reduced word of w as a list of indices.
@@ -194,16 +195,11 @@ def reduced_word(w: WeylElem):
     """
     letters = []
     cur = w
-    guard = 0
     while not cur.is_identity():
-        ds = _descents(cur)
-        if not ds:
-            raise InternalDefectError("non-identity element with empty descent set")
-        a = ds[0]
+        a = first_descent(cur)
         letters.append(a)
         cur = WeylElem.generator(a, cur.n) * cur
-        guard += 1
-        if guard > 10_000:
+        if len(letters) > 10_000:
             raise InternalDefectError("descent walk failed to terminate")
     return letters
 
@@ -261,7 +257,9 @@ def min_coset_reps(I, n: int):
     it on the right.  The cosets are found as the W_0-orbit of the point
     x_j = #{k >= j : k not in I}, which lies in the closed chamber
     x_1 >= ... >= x_n >= 0 on exactly the walls in I, so that its stabiliser
-    is W_{0,I}.
+    is W_{0,I}.  The representatives are closed under left division, so the
+    reduced word of w is (a,) + the word of s_a w, an earlier
+    representative, with a = first_descent(w).
 
     >>> [reduced_word(w) for w in min_coset_reps([1], 2)]
     [[], [2], [1, 2], [2, 1, 2]]
@@ -270,9 +268,12 @@ def min_coset_reps(I, n: int):
     outside = [k not in walls for k in range(1, n + 1)]
     x = tuple(sum(outside[j:]) for j in range(n))
     levels = _bfs_levels(range(1, n + 1), n, key=lambda w: w.linear_apply(x))
-    keyed = [(depth, reduced_word(w), w) for depth, lv in enumerate(levels) for w in lv]
-    keyed.sort(key=lambda kk: kk[:2])
-    return [w for _, _, w in keyed]
+    words = {levels[0][0]: ()}
+    for level in levels[1:]:
+        for w in level:
+            a = first_descent(w)
+            words[w] = (a,) + words[WeylElem.generator(a, n) * w]
+    return sorted(words, key=lambda w: (len(words[w]), words[w]))
 
 
 def w0_coset_element(I, n: int) -> "WeylElem":

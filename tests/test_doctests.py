@@ -8,7 +8,10 @@ import heckespin.baxter
 import heckespin.koornwinder
 import heckespin.matchings
 import heckespin.numerics
+import heckespin.qkz
 import heckespin.spinrep
+import heckespin.tensorops
+import heckespin.transfer
 import heckespin.weyl
 
 MODULES = [
@@ -18,6 +21,9 @@ MODULES = [
     heckespin.matchings,
     heckespin.baxter,
     heckespin.koornwinder,
+    heckespin.tensorops,
+    heckespin.transfer,
+    heckespin.qkz,
 ]
 
 

@@ -69,7 +69,7 @@ def test_apply_on_legs_on_mpmath_object_arrays(legs):
 @pytest.mark.parametrize(
     "op_dim, legs, rows",
     [(4, [1], 8), (2, [1, 2], 8), (4, [2, 2], 8), (2, [0], 8), (2, [4], 8),
-     (4, [1, 2], 6)],
+     (4, [1, 2], 6), (1, [], 8)],
 )
 def test_shape_and_leg_mismatch_is_a_defect(op_dim, legs, rows):
     with pytest.raises(InternalDefectError):

@@ -5,15 +5,18 @@ import pytest
 
 import heckespin.tensorops
 import heckespin.transfer
-from heckespin.baxter import explicit_rkk
-from heckespin.numerics import rel_residual, sample_generic
+from conftest import explicit_rkk
+from heckespin.baxter import transport_C_tau, transport_factors
+from heckespin.numerics import rel_residual, sample_generic, torus_point
 from heckespin.spinrep import build_spin_rep
-from heckespin.tensorops import PERMUTE_TWO
+from heckespin.tensorops import PERMUTE_TWO, factor_product
 from heckespin.transfer import (
+    _double_row,
     check_transfer,
     check_transfer_vs_transport,
     hamiltonian,
     monodromy_U,
+    phi_bdy,
     theta_matrix,
     tl_weight,
     transfer_T,
@@ -129,7 +132,8 @@ def test_generic_path_converges_with_precision(n):
     double rounding, so the mpmath path really runs in mpmath arithmetic."""
     import mpmath
 
-    from heckespin.transfer import _double_row, _product
+    from heckespin.tensorops import factor_product
+    from heckespin.transfer import _double_row
 
     p = sample_generic(seed=5, n=n)
     x, t = _point(n, 6)
@@ -137,7 +141,7 @@ def test_generic_path_converges_with_precision(n):
     def full(digits):
         with mpmath.workdps(digits):
             pt = tuple(mpmath.mpc(v) for v in t)
-            return _product(_double_row(p, mpmath.mpc(x), pt), n + 1)[0]
+            return factor_product(_double_row(p, mpmath.mpc(x), pt), n + 1)[0]
 
     lo, hi = full(30), full(50)
     assert isinstance(hi[0, 0], mpmath.mpc)
@@ -183,6 +187,75 @@ def test_commuting_transfer_matrices(params3, rng):
 def test_transfer_interpolates_the_transport(params2):
     res = check_transfer_vs_transport(params2, samples=5, seed=3)
     assert max(res.values()) < 1e-9, res
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_scaled_transport_factor_fails_the_product_form(monkeypatch, n):
+    """A transport with one factor scaled by 1.01 must fail every
+    stationary row at the suite's 1e-9 tolerance, the product-form inverse
+    rows included (their smallest value here is 1.3e-7, at n = 6)."""
+
+    def scaled(p, i, t, q_override=None):
+        factors = transport_factors(p, i, t, q_override)
+        block, legs = factors[n // 2]
+        factors[n // 2] = (1.01 * block, legs)
+        return factor_product(factors, p.n)[0]
+
+    monkeypatch.setattr(heckespin.transfer, "transport_C_tau", scaled)
+    res = check_transfer_vs_transport(sample_generic(seed=1, n=n), samples=2, seed=1)
+    assert len(res) == 2 * n
+    assert min(res.values()) > 1e-9, res
+
+
+def _column_residual(a, b):
+    num = max(abs(u - v) for u, v in zip(a, b))
+    return float(num / max(max(abs(u) for u in a), max(abs(v) for v in b)))
+
+
+@pytest.mark.parametrize("seed", [1, 5, 7, 8])
+def test_inverse_transport_residual_falls_with_precision(seed):
+    """The inverse form T(t_i) = phi(t_i) C^{-1} of the stationary comparison
+    at n = 6, in the column where double precision (np.linalg.inv of the
+    product C) misses most over the suite's own draw.  With every block,
+    product and block inverse in mpmath (C^{-1} as the inverted factors in
+    reverse order) the residual drops by decades, to a level set by the
+    double-rounded block coefficients that is the same at 30 and at 50
+    digits: the double-precision miss is rounding in inverting C."""
+    import mpmath
+
+    n = 6
+    p = sample_generic(seed=seed, n=n)
+    rng = np.random.default_rng(seed)
+    worst = (0.0,)
+    for _ in range(8):
+        t = torus_point(rng, n, (0.8, 1.3))
+        for i in range(1, n + 1):
+            tt = transfer_T(p, t[i - 1], t)
+            ci = phi_bdy(t[i - 1], p) * np.linalg.inv(transport_C_tau(p, i, t, q_override=1))
+            k = int(np.abs(tt - ci).max(axis=0).argmax())
+            r = _column_residual(tt[:, k], ci[:, k])
+            if r > worst[0]:
+                worst = (r, t, i, k)
+    r53, t, i, k = worst
+
+    def column(digits):
+        with mpmath.workdps(digits):
+            tm = tuple(mpmath.mpc(v) for v in t)
+            aux = np.zeros((2 ** (n + 1), 2), dtype=complex)
+            aux[k, 0] = aux[2**n + k, 1] = 1
+            m = factor_product(_double_row(p, tm[i - 1], tm), n + 1, aux)[0]
+            inv = [
+                (np.array(mpmath.inverse(mpmath.matrix(b.tolist())).tolist()), legs)
+                for b, legs in reversed(transport_factors(p, i, tm, q_override=1))
+            ]
+            e = np.zeros((2**n, 1), dtype=complex)
+            e[k] = 1
+            ci = phi_bdy(tm[i - 1], p) * factor_product(inv, n, e)[0][:, 0]
+            return _column_residual(m[: 2**n, 0] + m[2**n :, 1], ci)
+
+    r30, r50 = column(30), column(50)
+    assert r30 < 1e-12 and r53 > 100 * r30, (r53, r30)
+    assert abs(r50 - r30) < 1e-3 * r30, (r30, r50)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
