@@ -35,7 +35,7 @@ import numpy as np
 from .numerics import ParamSet, PoleProximityError, Residuals, rel_residual, torus_point
 from .spinrep import _local_k, _local_kbar, _local_upsilon_p
 from .tensorops import factor_product
-from .weyl import WeylElem, act_point, tau_word
+from .weyl import WeylElem, act_point
 
 _POLE_TOL = 1e-6
 
@@ -246,7 +246,3 @@ def transport_C_tau(params: ParamSet, i: int, t, q_override=None) -> np.ndarray:
     """The closed product form of C along the i-th translation (the factors
     of transport_factors multiplied out)."""
     return factor_product(transport_factors(params, i, t, q_override), params.n)[0]
-
-
-def tau_elem(i: int, n: int) -> WeylElem:
-    return WeylElem.from_word(tau_word(i, n), n)

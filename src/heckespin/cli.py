@@ -17,12 +17,12 @@ their context string.
 from __future__ import annotations
 
 import argparse
-import functools
+import itertools
 import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,6 +47,7 @@ from .numerics import (
     PoleProximityError,
     RefusalError,
     l1_ball,
+    pole_free,
     rel_residual,
     sample_generic,
     torus_point,
@@ -67,7 +68,6 @@ from .transfer import check_transfer, check_transfer_vs_transport, hamiltonian, 
 from .weyl import WeylElem, reduced_word
 
 _CONTROL_FLOOR = 1e-3
-_SUITES = ("algebra", "matchmaker", "baxter", "transfer", "koornwinder", "qkz")
 
 # settings a config file or a flag may give, flag first
 _SETTINGS = ("n", "seed", "precision", "tolerance", "samples", "m")
@@ -85,7 +85,6 @@ class Config:
     params: ParamSet | None = None
     out: str | None = None
     report: str | None = None
-    draws: dict = field(default_factory=dict)
 
 
 def _load_config(args) -> Config:
@@ -114,17 +113,29 @@ def _load_config(args) -> Config:
                   report=getattr(args, "report", None))
 
 
-def _resolve_params(cfg: Config, seed=None, mcondition=None) -> ParamSet:
-    """cfg.params if given, else sample_generic drawn once per (seed, n,
-    mcondition) and command (each suite of verify all asks for the point); a
-    GenericityError is not kept."""
+def _resolve_params(cfg: Config, mcondition=None) -> ParamSet:
+    """cfg.params if given, else the generic point of cfg.seed and cfg.n."""
     if cfg.params is not None:
         return cfg.params
-    key = (cfg.seed if seed is None else seed, cfg.n, mcondition)
-    if key not in cfg.draws:
-        cons = None if mcondition is None else {"mcondition": mcondition}
-        cfg.draws[key] = sample_generic(seed=key[0], n=cfg.n, constraints=cons)
-    return cfg.draws[key]
+    return sample_generic(seed=cfg.seed, n=cfg.n, mcondition=mcondition)
+
+
+def _qkz_degrees(cfg: Config) -> list:
+    return [cfg.m] if cfg.m is not None else [-1, 0, 1]
+
+
+def _gate(suite: str, cfg: Config) -> None:
+    """Refuse before anything is sampled when cfg lies beyond the suite's
+    caps.  The qKZ degree cap is checked here only for sampled points; a
+    parameter file meets it when the solution is built."""
+    if suite == "koornwinder":
+        check_caps(cfg.n)
+    elif suite == "qkz":
+        if cfg.params is None:
+            for m in _qkz_degrees(cfg):
+                check_degree_cap(cfg.n, m)
+    else:
+        check_dim_cap(cfg.n)
 
 
 def _check(name, residual, tolerance, context=""):
@@ -166,9 +177,7 @@ def _from_residuals(prefix, res, tol, context=""):
 # ---------------------------------------------------------------- suites
 
 
-def suite_algebra(cfg: Config):
-    check_dim_cap(cfg.n)
-    p = _resolve_params(cfg)
+def suite_algebra(cfg: Config, p: ParamSet):
     basis, zeta, _reps, rep = principal_series_basis(p)
     tl = delta_from_kappa(p)
     checks = []
@@ -215,12 +224,10 @@ def suite_algebra(cfg: Config):
         "control scaled generator", raw, cfg.tolerance,
         "scaling one generator by 1.01 must break the defining relations",
     ))
-    return checks, p
+    return checks
 
 
-def suite_matchmaker(cfg: Config):
-    check_dim_cap(cfg.n)
-    p = _resolve_params(cfg)
+def suite_matchmaker(cfg: Config, p: ParamSet):
     n = p.n
     tl = delta_from_kappa(p)
     beta0, beta1 = matchmaker_betas(p)
@@ -261,68 +268,47 @@ def suite_matchmaker(cfg: Config):
         "control scaled projector", raw, cfg.tolerance,
         "scaling one projector by 1.01 must break the idempotent relations",
     ))
-    return checks, p
+    return checks
 
 
-def suite_baxter(cfg: Config):
-    check_dim_cap(cfg.n)
-    p = _resolve_params(cfg)
+def suite_baxter(cfg: Config, p: ParamSet):
     n = p.n
     checks = _from_residuals(
         "", check_ybe_re(p, samples=cfg.samples, seed=cfg.seed), cfg.tolerance,
         "spectral-parameter identities of the dressed generators",
     )
     rng = np.random.default_rng(cfg.seed)
-    worst = 0.0
-    trials = 0
-    attempts = 0
-    while trials < max(4, cfg.samples // 2) and attempts < 200:
-        attempts += 1
+
+    def word_trial():
         length = int(rng.integers(1, 7))
         word = [int(rng.integers(0, n + 1)) for _ in range(length)]
-        elem = functools.reduce(
-            lambda w, a: w * WeylElem.generator(a, n), word, WeylElem.identity(n)
-        )
         t = torus_point(rng, n, (0.7, 1.4))
-        try:
-            lhs = cocycle_C(p, word, t)
-            rhs = cocycle_C(p, reduced_word(elem), t)
-        except PoleProximityError:
-            continue
-        worst = max(worst, rel_residual(lhs, rhs))
-        trials += 1
+        shortest = reduced_word(WeylElem.from_word(word, n))
+        return rel_residual(cocycle_C(p, word, t), cocycle_C(p, shortest, t))
+
     checks.append(_check(
-        "word independence", worst, cfg.tolerance,
+        "word independence", max(pole_free(word_trial, max(4, cfg.samples // 2))),
+        cfg.tolerance,
         "the ordered product over any word for a group element matches the"
         " product over its shortest word",
     ))
-    worst = 0.0
-    trials = 0
-    attempts = 0
-    q = p.q
-    while trials < 4 and n >= 2 and attempts < 200:
-        attempts += 1
+
+    def transport_trial():
         t = torus_point(rng, n, (0.7, 1.4))
-        i, j = 1, n
-        shift_i = tuple(v / q if k == i - 1 else v for k, v in enumerate(t))
-        shift_j = tuple(v / q if k == j - 1 else v for k, v in enumerate(t))
-        try:
-            lhs = transport_factors(p, i, t) + transport_factors(p, j, shift_i)
-            rhs = transport_factors(p, j, t) + transport_factors(p, i, shift_j)
-        except PoleProximityError:
-            continue
-        worst = max(worst, rel_residual(factor_product(lhs, n)[0], factor_product(rhs, n)[0]))
-        trials += 1
+        shift_1 = (t[0] / p.q,) + t[1:]
+        shift_n = t[:-1] + (t[-1] / p.q,)
+        lhs = transport_factors(p, 1, t) + transport_factors(p, n, shift_1)
+        rhs = transport_factors(p, n, t) + transport_factors(p, 1, shift_n)
+        return rel_residual(factor_product(lhs, n)[0], factor_product(rhs, n)[0])
+
     checks.append(_check(
-        "commuting translation transports", worst, cfg.tolerance,
+        "commuting translation transports", max(pole_free(transport_trial, 4)), cfg.tolerance,
         "transports along distinct lattice directions compose in either order",
     ))
-    return checks, p
+    return checks
 
 
-def suite_transfer(cfg: Config):
-    check_dim_cap(cfg.n)
-    p = _resolve_params(cfg)
+def suite_transfer(cfg: Config, p: ParamSet):
     samples = max(4, min(cfg.samples, 8))
     checks = _from_residuals(
         "", check_transfer(p, samples=samples, seed=cfg.seed), cfg.tolerance,
@@ -365,12 +351,10 @@ def suite_transfer(cfg: Config):
         "control detuned boundary", raw, cfg.tolerance,
         "detuning one boundary parameter by 1.01 must separate the closed forms",
     ))
-    return checks, p
+    return checks
 
 
-def suite_koornwinder(cfg: Config):
-    check_caps(cfg.n)
-    p = _resolve_params(cfg)
+def suite_koornwinder(cfg: Config, p: ParamSet):
     n = p.n
     radius = 3
     checks = []
@@ -412,20 +396,17 @@ def suite_koornwinder(cfg: Config):
         cfg.tolerance,
         "labels moved by a simple reflection must not be generator eigenvectors",
     ))
-    return checks, p
+    return checks
 
 
-def suite_qkz(cfg: Config):
+def suite_qkz(cfg: Config, p: ParamSet):
     checks = []
-    ms = [cfg.m] if cfg.m is not None else [-1, 0, 1]
-    if cfg.params is None:
-        for m in ms:
-            check_degree_cap(cfg.n, m)
-    base = _resolve_params(cfg)
-    sols = {}
+    ms = _qkz_degrees(cfg)
+    sols = []
     for m in ms:
-        p = _resolve_params(cfg, mcondition=m)
-        sol = sols[m] = build_polynomial_solution(p, m)
+        at_m = p if cfg.params is not None else sample_generic(seed=cfg.seed, n=p.n, mcondition=m)
+        sol = build_polynomial_solution(at_m, m)
+        sols.append(sol)
         res = verify_solution(sol, samples=cfg.samples, seed=cfg.seed)
         checks += _from_residuals(
             f"solution m={m}: ", res, max(cfg.tolerance, 1e-8),
@@ -436,7 +417,7 @@ def suite_qkz(cfg: Config):
             "largest coefficient of the assembled solution",
         ))
     if cfg.params is None:
-        free = _resolve_params(cfg, seed=cfg.seed + 101)
+        free = sample_generic(seed=cfg.seed + 101, n=p.n)
         try:
             build_polynomial_solution(free, ms[0])
             refused = 1.0
@@ -446,7 +427,7 @@ def suite_qkz(cfg: Config):
             "refusal on unconstrained parameters", refused, cfg.tolerance,
             "building at a generic unconstrained point must refuse",
         ))
-        sol = sols[ms[0]]
+        sol = sols[0]
         bad = KZSolution(
             params=sol.params,
             components=[c.scale(1.0) for c in sol.components],
@@ -458,9 +439,10 @@ def suite_qkz(cfg: Config):
             "control distorted solution", raw, cfg.tolerance,
             "scaling one component by 1.01 must break the difference equations",
         ))
-    return checks, base
+    return checks
 
 
+# suite name -> suite(cfg, p) -> checks, in the order verify all runs them
 _SUITE_FNS = {
     "algebra": suite_algebra,
     "matchmaker": suite_matchmaker,
@@ -472,35 +454,35 @@ _SUITE_FNS = {
 
 
 def run_suite(name: str, cfg: Config):
-    """Execute one named suite (or all of them) and assemble the report."""
+    """Execute one named suite (or all of them) and assemble the report:
+    every requested suite's caps are checked, then the point is drawn once
+    and handed to each suite."""
     t0 = time.monotonic()
     if name == "all":
-        # the polynomial suite refuses n > 3; refuse before any suite runs
+        # the polynomial suites cap n first; keep that refusal text
         check_caps(cfg.n)
-        checks = []
-        params = _resolve_params(cfg)
-        for sub in _SUITES:
-            sub_checks, _p = _SUITE_FNS[sub](cfg)
-            checks += [dict(c, name=f"{sub}: {c['name']}") for c in sub_checks]
-    else:
-        checks, params = _SUITE_FNS[name](cfg)
-    wall_ms = int(1000 * (time.monotonic() - t0))
-    report = {
-        "suite": name,
+    names = list(_SUITE_FNS) if name == "all" else [name]
+    for sub in names:
+        _gate(sub, cfg)
+    p = _resolve_params(cfg)
+    checks = []
+    for sub in names:
+        prefix = f"{sub}: " if name == "all" else ""
+        checks += [dict(c, name=prefix + c["name"]) for c in _SUITE_FNS[sub](cfg, p)]
+    return _report(name, cfg, p, checks), int(1000 * (time.monotonic() - t0))
+
+
+def _report(suite: str, cfg: Config, params: ParamSet, checks) -> dict:
+    return {
+        "suite": suite,
         "seed": cfg.seed,
         "params_fingerprint": params.fingerprint(),
         "checks": sorted(checks, key=lambda c: c["name"]),
     }
-    return report, wall_ms
 
 
 def _emit_report(report, cfg, wall_ms):
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if cfg.report:
-        with open(cfg.report, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_json(report, cfg.report)
     ok = all(c["pass"] for c in report["checks"])
     print(
         f"suite {report['suite']}: {'PASS' if ok else 'FAIL'} "
@@ -539,7 +521,7 @@ def cmd_koornwinder_compute(args) -> int:
     if cfg.params is not None and cfg.params.n != len(lam):
         raise ValueError("label length does not match the parameter rank")
     cfg.n = len(lam)
-    check_caps(len(lam), sum(abs(v) for v in lam))
+    check_caps(cfg.n, sum(abs(v) for v in lam))
     p = _resolve_params(cfg)
     payload = _polynomial_payload(compute_P_detail(lam, p))
     payload["params_fingerprint"] = p.fingerprint()
@@ -549,13 +531,10 @@ def cmd_koornwinder_compute(args) -> int:
 
 def cmd_qkz_build(args) -> int:
     cfg = _load_config(args)
-    m = cfg.m if cfg.m is not None else 1
-    if cfg.params is not None:
-        p = cfg.params
-    else:
-        check_degree_cap(cfg.n, m)
-        p = _resolve_params(cfg, mcondition=m)
-    sol = build_polynomial_solution(p, m)
+    if cfg.m is None:
+        cfg.m = 1
+    _gate("qkz", cfg)
+    sol = build_polynomial_solution(_resolve_params(cfg, mcondition=cfg.m), cfg.m)
     _write_json(sol.to_dict(), cfg.out)
     return 0
 
@@ -565,19 +544,12 @@ def cmd_qkz_verify(args) -> int:
     with open(args.infile, "r", encoding="utf-8") as fh:
         sol = KZSolution.from_dict(json.load(fh))
     t0 = time.monotonic()
-    res = verify_solution(sol, samples=cfg.samples, seed=cfg.seed)
     checks = _from_residuals(
-        "", res, max(cfg.tolerance, 1e-8),
-        "pointwise residuals at random generic points",
+        "", verify_solution(sol, samples=cfg.samples, seed=cfg.seed),
+        max(cfg.tolerance, 1e-8), "pointwise residuals at random generic points",
     )
-    wall_ms = int(1000 * (time.monotonic() - t0))
-    report = {
-        "suite": "qkz-verify",
-        "seed": cfg.seed,
-        "params_fingerprint": sol.params.fingerprint(),
-        "checks": sorted(checks, key=lambda c: c["name"]),
-    }
-    return _emit_report(report, cfg, wall_ms)
+    report = _report("qkz-verify", cfg, sol.params, checks)
+    return _emit_report(report, cfg, int(1000 * (time.monotonic() - t0)))
 
 
 def cmd_emit_tables(args) -> int:
@@ -594,8 +566,7 @@ def cmd_emit_tables(args) -> int:
         for lam in sorted(labels):
             payload = _polynomial_payload(compute_P_detail(lam, p))
             fname = "lam_" + "_".join(str(v) for v in lam) + ".json"
-            with open(os.path.join(out_dir, fname), "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+            _write_json(payload, os.path.join(out_dir, fname))
             entries.append(fname)
         manifest = {
             "kind": "koornwinder",
@@ -604,34 +575,26 @@ def cmd_emit_tables(args) -> int:
             "entries": entries,
             "params_fingerprint": p.fingerprint(),
         }
-        with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        _write_json(manifest, os.path.join(out_dir, "manifest.json"))
         print(f"wrote {len(entries)} files to {out_dir}", file=sys.stderr)
         return 0
     check_dim_cap(cfg.n)
     p = _resolve_params(cfg)
-    forms = {}
-    for form in ("transfer", "pauli", "tl"):
-        vals = np.linalg.eigvals(hamiltonian(p, form=form))
-        vals = sorted(vals, key=lambda z: (round(z.real, 9), round(z.imag, 9)))
-        forms[form] = [{"re": v.real, "im": v.imag} for v in vals]
-    gap = 0.0
-    names = list(forms)
-    for a in range(len(names)):
-        for b in range(a + 1, len(names)):
-            va = forms[names[a]]
-            vb = forms[names[b]]
-            gap = max(
-                gap,
-                max(
-                    abs(complex(x["re"], x["im"]) - complex(y["re"], y["im"]))
-                    for x, y in zip(va, vb)
-                ),
-            )
+    spectra = {
+        form: sorted(np.linalg.eigvals(hamiltonian(p, form=form)),
+                     key=lambda z: (round(z.real, 9), round(z.imag, 9)))
+        for form in ("transfer", "pauli", "tl")
+    }
+    gap = max(
+        abs(complex(x) - complex(y))
+        for va, vb in itertools.combinations(spectra.values(), 2)
+        for x, y in zip(va, vb)
+    )
     payload = {
         "kind": "hamiltonian_spectrum",
         "n": p.n,
-        "forms": forms,
+        "forms": {form: [{"re": v.real, "im": v.imag} for v in vals]
+                  for form, vals in spectra.items()},
         "max_pairwise_gap": gap,
         "agree": bool(gap < 1e-7),
         "params_fingerprint": p.fingerprint(),
@@ -679,7 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", choices=_SUITES + ("all",))
+    p_verify.add_argument("suite", choices=(*_SUITE_FNS, "all"))
     _add_common(p_verify)
     p_verify.set_defaults(fn=cmd_verify)
 

@@ -111,12 +111,6 @@ class Matching:
         pairs.extend((j, n + 1) for j in stack)
         return cls.make(n, pairs)
 
-    @classmethod
-    def from_nu_string(cls, n: int, s: str) -> "Matching":
-        body = s.strip().strip("()")
-        alpha = [1 if tok.strip() == "+" else -1 for tok in body.split(",")]
-        return cls.from_signs(n, alpha)
-
     def drop_sites(self, *sites):
         """Pairs surviving after removing every pair touching the sites."""
         sites = set(sites)

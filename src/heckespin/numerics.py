@@ -30,6 +30,8 @@ import numpy as np
 
 # attempts before sample_generic gives up on a seed
 _MAX_DRAWS = 64
+# attempts beyond the requested count before pole_free gives up
+_MAX_RESAMPLE = 40
 # moduli of the sampled scalars and of the probe points
 _SCALAR_BAND = (0.6, 1.6)
 _PROBE_BAND = (0.7, 1.4)
@@ -342,15 +344,13 @@ def _denominator(j: int, n: int, q: complex) -> LaurentPoly:
     return LaurentPoly(n, {(0,) * n: 1.0, tuple(e): -1.0})
 
 
-def divided_difference(
-    f: LaurentPoly, j: int, params: ParamSet, verify: bool = True
-) -> LaurentPoly:
+def divided_difference(f: LaurentPoly, j: int, params: ParamSet) -> LaurentPoly:
     """The exact quotient (f o s_j - f) / denom_j, denominators as in the
     module docstring.
 
     Assembled monomial by monomial from geometric sums, never by pointwise
-    division.  With verify=True the quotient is multiplied back and compared
-    against f o s_j - f; disagreement raises InternalDefectError.
+    division.  The quotient is multiplied back and compared against
+    f o s_j - f; disagreement raises InternalDefectError.
 
     >>> p = ParamSet(n=1, q_sqrt=1.2, kappa0=0.7, kappa=1.1, kappan=0.9,
     ...              upsilon0=1.3, upsilonn=0.8, psi0=1.0, psin=1.0,
@@ -409,14 +409,13 @@ def divided_difference(
                     add(tuple(e), c)
 
     g = LaurentPoly(n, terms)
-    if verify:
-        lhs = laurent_mul(g, _denominator(j, n, q))
-        rhs = f.act_sj(j, q) - f
-        scale = max(lhs.max_abs(), rhs.max_abs(), 1.0)
-        if (lhs - rhs).max_abs() > 1e-12 * scale:
-            raise InternalDefectError(
-                f"divided difference failed re-multiplication check at j={j}"
-            )
+    lhs = laurent_mul(g, _denominator(j, n, q))
+    rhs = f.act_sj(j, q) - f
+    scale = max(lhs.max_abs(), rhs.max_abs(), 1.0)
+    if (lhs - rhs).max_abs() > 1e-12 * scale:
+        raise InternalDefectError(
+            f"divided difference failed re-multiplication check at j={j}"
+        )
     return g
 
 
@@ -562,21 +561,17 @@ def _denominator_values(p: ParamSet, rng) -> float:
     return min(abs(v) for v in vals)
 
 
-def sample_generic(seed: int, n: int, constraints=None) -> ParamSet:
+def sample_generic(seed: int, n: int, mcondition: int | None = None) -> ParamSet:
     """Draw a deterministic generic ParamSet.
 
     Moduli land in [0.6, 1.6] with uniform phases; draws are rejected until
     |q| sits away from 1, the spectral vectors of all weights of l1-degree
     <= 4 are pairwise distinct, and every structural denominator stays above
-    1e-3 in magnitude at 32 probe points.  ``constraints={"mcondition": m}``
-    solves the boundary compatibility for psin before screening.  Raises
+    1e-3 in magnitude at 32 probe points.  ``mcondition=m`` solves the
+    boundary compatibility for psin before screening.  Raises
     GenericityError after a bounded number of attempts.
     """
     rng = np.random.default_rng(seed)
-    constraints = constraints or {}
-    unknown = set(constraints) - {"mcondition"}
-    if unknown:
-        raise ValueError(f"unknown constraint keys {sorted(unknown)}")
     last = "no attempt"
     for _ in range(_MAX_DRAWS):
         mod = rng.uniform(*_SCALAR_BAND, size=8)
@@ -585,8 +580,8 @@ def sample_generic(seed: int, n: int, constraints=None) -> ParamSet:
         q_sqrt, kappa0, kappa, kappan, upsilon0, upsilonn, psi0, psin = map(
             complex, z
         )
-        if "mcondition" in constraints:
-            m = int(constraints["mcondition"])
+        if mcondition is not None:
+            m = int(mcondition)
             rhs = (kappa0 * kappan * kappa ** (n - 1)) ** eta(m)
             psin = rhs / (psi0 * (q_sqrt**2) ** m)
         p = ParamSet(
@@ -614,6 +609,24 @@ def sample_generic(seed: int, n: int, constraints=None) -> ParamSet:
     raise GenericityError(
         f"no generic parameter point for seed={seed}, n={n}: {last}"
     )
+
+
+def pole_free(sample, count: int) -> list:
+    """The values of the first count calls of sample() that do not raise
+    PoleProximityError, in call order; an attempt that raises is dropped.
+    Raises GenericityError once count + 40 attempts have not been enough.
+    """
+    out = []
+    for _ in range(count + _MAX_RESAMPLE):
+        if len(out) == count:
+            break
+        try:
+            out.append(sample())
+        except PoleProximityError:
+            pass
+    if len(out) < count:
+        raise GenericityError("could not find enough pole-free sample points")
+    return out
 
 
 class Residuals(dict):

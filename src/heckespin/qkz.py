@@ -30,15 +30,14 @@ from .koornwinder import (
     generator_matrices,
 )
 from .numerics import (
-    GenericityError,
     InternalDefectError,
     LaurentPoly,
     LaurentTable,
     ParamSet,
-    PoleProximityError,
     RefusalError,
     Residuals,
     eta,
+    pole_free,
     torus_point,
 )
 from .spinrep import principal_series_basis
@@ -46,7 +45,6 @@ from .tensorops import factor_product
 from .weyl import WeylElem, act_point, reduced_word, w0_coset_element
 
 _MCOND_TOL = 1e-9
-_MAX_RESAMPLE = 40
 
 
 @dataclass(frozen=True)
@@ -197,23 +195,17 @@ def build_polynomial_solution(params: ParamSet, m: int) -> KZSolution:
 
 def verify_solution(sol: KZSolution, samples: int = 20, seed: int = 8) -> dict:
     """Pointwise residuals of the n transport equations and the n+1
-    invariance equations at random generic points; resamples on poles.  The
-    components are tabulated per call, as they stand, and each sample's
-    point, n shifts and n+1 reflections are one table product."""
+    invariance equations at random generic points; a point near a pole is
+    dropped whole and another drawn (numerics.pole_free).  The components
+    are tabulated per call, as they stand, and each sample's point, n shifts
+    and n+1 reflections are one table product."""
     params = sol.params
     n = params.n
     table = LaurentTable(sol.components, n)
     rng = np.random.default_rng(seed)
-    out = Residuals()
     q = params.q
-    done = 0
-    attempts = 0
-    while done < samples:
-        attempts += 1
-        if attempts > samples + _MAX_RESAMPLE:
-            raise GenericityError(
-                "could not find enough pole-free sample points"
-            )
+
+    def sample() -> dict:
         t = torus_point(rng, n, (0.75, 1.35))
         shifted = [t[:i] + (t[i] / q,) + t[i + 1 :] for i in range(n)]
         reflected = [act_point(WeylElem.generator(j, n), t, params) for j in range(n + 1)]
@@ -225,12 +217,14 @@ def verify_solution(sol: KZSolution, samples: int = 20, seed: int = 8) -> dict:
             lhs = factor_product(factors, n, vals[:, col : col + 1])[0][:, 0]
             return float(np.abs(lhs - ft).max()) / scale
 
-        try:
-            for i in range(1, n + 1):
-                out.add(f"transport equation i={i}", residual(transport_factors(params, i, t), i))
-            for j in range(n + 1):
-                out.add(f"invariance under s_{j}", residual([cocycle_factor(params, j, t)], n + 1 + j))
-        except PoleProximityError:
-            continue
-        done += 1
+        rows = {f"transport equation i={i}": residual(transport_factors(params, i, t), i)
+                for i in range(1, n + 1)}
+        for j in range(n + 1):
+            rows[f"invariance under s_{j}"] = residual([cocycle_factor(params, j, t)], n + 1 + j)
+        return rows
+
+    out = Residuals()
+    for rows in pole_free(sample, samples):
+        for key, value in rows.items():
+            out.add(key, value)
     return out

@@ -21,8 +21,8 @@ smallest reduced word of its element.
 >>> (s0 * s1 * s0 * s1) == (s1 * s0 * s1 * s0)
 True
 >>> tau1 = WeylElem.from_word([0, 1, 2, 1], 2)
->>> tau1.trans, tau1.is_finite()
-((1, 0), False)
+>>> tau1.trans
+(1, 0)
 """
 
 from __future__ import annotations
@@ -90,9 +90,6 @@ class WeylElem:
 
     def is_identity(self) -> bool:
         return self == WeylElem.identity(self.n)
-
-    def is_finite(self) -> bool:
-        return all(m == 0 for m in self.trans)
 
     def finite_part(self) -> "WeylElem":
         return WeylElem(self.perm, self.signs, (0,) * self.n)
@@ -282,31 +279,6 @@ def w0_coset_element(I, n: int) -> "WeylElem":
     return w0 * longest_parabolic(I, n).inverse()
 
 
-def star_involution(I, n: int):
-    """The index involution i -> i* with w_0^I s_i = s_{i*} w_0^I.
-
-    Returns (I_star, mapping).
-
-    >>> star_involution([1, 2], 3)
-    ([1, 2], {1: 2, 2: 1})
-    """
-    I = sorted(set(I))
-    wI = w0_coset_element(I, n)
-    wI_inv = wI.inverse()
-    mapping = {}
-    for i in I:
-        conj = wI * WeylElem.generator(i, n) * wI_inv
-        found = None
-        for j in range(1, n + 1):
-            if conj == WeylElem.generator(j, n):
-                found = j
-                break
-        if found is None:
-            raise InternalDefectError(f"conjugate of s_{i} by w_0^I is not simple")
-        mapping[i] = found
-    return sorted(mapping.values()), mapping
-
-
 def tau_word(i: int, n: int):
     """Letters of the standard word for the translation tau_i.
 
@@ -323,11 +295,3 @@ def tau_word(i: int, n: int):
         + list(range(n - 1, i - 1, -1))
     )
 
-
-def weight_orbit(I, lam, n: int):
-    """Orbit facts for a weight: True iff s_i lam = lam for every i in I."""
-    for i in I:
-        g = WeylElem.generator(i, n)
-        if g.linear_apply(lam) != tuple(lam):
-            return False
-    return True

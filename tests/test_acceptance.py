@@ -259,7 +259,7 @@ def test_criterion_8_difference_equation_solutions():
     distortion_ok = True
     for n in (2, 3):
         for m in (-1, 0, 1):
-            p = sample_generic(seed=11, n=n, constraints={"mcondition": m})
+            p = sample_generic(seed=11, n=n, mcondition=m)
             sol = build_polynomial_solution(p, m)
             res = verify_solution(sol, samples=20, seed=2)
             worst = max(worst, max(res.values()))
@@ -269,7 +269,7 @@ def test_criterion_8_difference_equation_solutions():
             refusals_ok = False
         except RefusalError:
             pass
-    p = sample_generic(seed=11, n=2, constraints={"mcondition": 1})
+    p = sample_generic(seed=11, n=2, mcondition=1)
     sol = build_polynomial_solution(p, 1)
     bad = KZSolution(
         params=p,

@@ -19,7 +19,6 @@ from heckespin.baxter import (
     check_ybe_re,
     cocycle_C,
     dressed_blocks,
-    tau_elem,
     transport_C_tau,
 )
 from heckespin.numerics import (
@@ -32,7 +31,7 @@ from heckespin.numerics import (
 from heckespin.qkz import KZSolution, verify_solution
 from heckespin.tensorops import PERMUTE_TWO, op_on_legs
 from heckespin.transfer import check_transfer_vs_transport
-from heckespin.weyl import WeylElem, act_point, reduced_word
+from heckespin.weyl import WeylElem, act_point, reduced_word, tau_word
 
 
 def test_identity_battery(params2):
@@ -177,7 +176,7 @@ def test_transport_is_the_cocycle_of_the_lattice_word(params2):
     t = (0.93 + 0.18j, 1.12 - 0.21j)
     for i in (1, 2):
         direct = transport_C_tau(p, i, t)
-        via_word = cocycle_C(p, reduced_word(tau_elem(i, p.n)), t)
+        via_word = cocycle_C(p, reduced_word(WeylElem.from_word(tau_word(i, p.n), p.n)), t)
         assert rel_residual(direct, via_word) < 1e-10
 
 

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from heckespin.cli import main
-from heckespin.numerics import sample_generic
+from heckespin.numerics import PoleProximityError, sample_generic
 from heckespin.qkz import build_polynomial_solution
 
 
@@ -297,9 +297,9 @@ def test_verify_all_draws_each_parameter_set_once(monkeypatch, tmp_path):
 
     calls = []
 
-    def counting(seed, n, constraints=None):
-        calls.append((seed, n, (constraints or {}).get("mcondition")))
-        return sample_generic(seed=seed, n=n, constraints=constraints)
+    def counting(seed, n, mcondition=None):
+        calls.append((seed, n, mcondition))
+        return sample_generic(seed=seed, n=n, mcondition=mcondition)
 
     monkeypatch.setattr(cli, "sample_generic", counting)
     assert run(["verify", "all", "--n", "2", "--seed", "3",
@@ -323,3 +323,28 @@ def test_qkz_control_reuses_the_built_solution(monkeypatch, tmp_path):
                 "--report", str(tmp_path / "r.json")]) == 0
     # three builds, then the refusal at the unconstrained point
     assert calls == [-1, 0, 1, -1]
+
+
+def test_verify_all_refuses_a_qkz_degree_before_sampling(monkeypatch, capsys):
+    import heckespin.cli as cli
+
+    def no_sampling(*args, **kw):
+        raise AssertionError("sampled before the cap check")
+
+    monkeypatch.setattr(cli, "sample_generic", no_sampling)
+    assert run(["verify", "all", "--n", "3", "--m", "2"]) == 2
+    assert run(["verify", "all", "--n", "2", "--m", "3"]) == 2
+    assert capsys.readouterr().err.count("refused: degree cap exceeded (|m| * n <= 4)") == 2
+
+
+def test_exhausted_pole_retries_refuse_instead_of_passing(monkeypatch, capsys, tmp_path):
+    import heckespin.cli as cli
+
+    def at_pole(*args, **kw):
+        raise PoleProximityError("evaluation at a pole")
+
+    monkeypatch.setattr(cli, "cocycle_C", at_pole)
+    report = tmp_path / "r.json"
+    assert run(["verify", "baxter", "--n", "3", "--report", str(report)]) == 2
+    assert "refused: could not find enough pole-free sample points" in capsys.readouterr().err
+    assert not report.exists()

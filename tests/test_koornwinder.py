@@ -137,6 +137,13 @@ def test_stabilized_labels_are_generator_eigenvectors(params2):
     assert stabilizer_eigen_residual(1, det2.poly, params2) > 1e-3
 
 
+def test_fixed_by_si_detects_stabilized_labels():
+    assert fixed_by_si(1, (2, 2))
+    assert not fixed_by_si(1, (2, 1))
+    assert fixed_by_si(2, (2, 0))
+    assert not fixed_by_si(2, (2, 1))
+
+
 def test_last_coordinate_zero_is_fixed_by_the_sign_flip(params2):
     assert fixed_by_si(2, (1, 0))
     det = compute_P_detail((1, 0), params2)
@@ -203,7 +210,7 @@ def test_generator_matrices_satisfy_the_hecke_relations(n):
 
 
 def test_warm_paths_never_take_a_divided_difference(monkeypatch):
-    p = sample_generic(seed=11, n=2, constraints={"mcondition": 1})
+    p = sample_generic(seed=11, n=2, mcondition=1)
     sol = build_polynomial_solution(p, 1)
     det = compute_P_detail((1, 1), p)
     before = (det.residual, stabilizer_eigen_residual(1, det.poly, p))
@@ -226,7 +233,7 @@ def test_warm_paths_never_take_a_divided_difference(monkeypatch):
 def test_cold_paths_take_no_divided_difference_and_no_factorization(monkeypatch):
     """A cold ball is filled in closed form and solved by back-substitution:
     no dict-level generator action, no divided difference, no SVD, no QR."""
-    p = sample_generic(seed=11, n=2, constraints={"mcondition": 1})
+    p = sample_generic(seed=11, n=2, mcondition=1)
     p3 = sample_generic(seed=5, n=3)
 
     def results():

@@ -36,8 +36,6 @@ def test_sign_string_roundtrip(alpha):
     n = len(alpha)
     p = Matching.from_signs(n, alpha)
     assert p.nu() == tuple(alpha)
-    again = Matching.from_nu_string(n, p.nu_string())
-    assert again.pairs == p.pairs
 
 
 def test_noncrossing_validation_rejects_crossings():

@@ -17,11 +17,13 @@ from heckespin.numerics import (
     LaurentPoly,
     LaurentTable,
     ParamSet,
+    PoleProximityError,
     _gamma_distinct,
     _gamma_vectors,
     divided_difference,
     eta,
     l1_ball,
+    pole_free,
     rel_residual,
     sample_generic,
 )
@@ -236,7 +238,7 @@ def test_sample_generic_is_deterministic_and_constrained():
     a = sample_generic(seed=5, n=2)
     b = sample_generic(seed=5, n=2)
     assert a.fingerprint() == b.fingerprint()
-    c = sample_generic(seed=5, n=2, constraints={"mcondition": 1})
+    c = sample_generic(seed=5, n=2, mcondition=1)
     lhs = c.psi0 * c.psin * c.q
     rhs = c.kappa0 * c.kappan * c.kappa
     assert abs(lhs - rhs) < 1e-12
@@ -257,3 +259,31 @@ def test_rel_residual_scales():
 def test_genericity_error_is_raisable():
     with pytest.raises(GenericityError):
         raise GenericityError("synthetic")
+
+
+def _scripted(outcomes, log):
+    """A sample() that returns or raises the next outcome, logging each call."""
+    it = iter(outcomes)
+
+    def sample():
+        value = next(it)
+        log.append(value)
+        if value is None:
+            raise PoleProximityError("evaluation at a pole")
+        return value
+
+    return sample
+
+
+def test_pole_free_drops_attempts_at_poles_and_gives_up_after_count_plus_40():
+    log = []
+    assert pole_free(_scripted([1, None, 2, None, None, 3, 4, 5], log), 4) == [1, 2, 3, 4]
+    assert log == [1, None, 2, None, None, 3, 4]  # no attempt after the count is met
+    log = []
+    assert pole_free(_scripted([None] * 40 + [7], log), 1) == [7]
+    assert len(log) == 41
+    log = []
+    with pytest.raises(GenericityError, match="pole-free"):
+        pole_free(_scripted([None] * 41 + [7], log), 1)
+    assert len(log) == 41
+    assert pole_free(_scripted([], []), 0) == []

@@ -6,6 +6,7 @@ import pytest
 from heckespin.koornwinder import compute_P, noumi_T_apply
 from heckespin.numerics import (
     LaurentPoly,
+    PoleProximityError,
     RefusalError,
     l1_ball,
     sample_generic,
@@ -22,7 +23,7 @@ from heckespin.weyl import reduced_word, w0_coset_element
 
 
 def constrained(seed, n, m):
-    return sample_generic(seed=seed, n=n, constraints={"mcondition": m})
+    return sample_generic(seed=seed, n=n, mcondition=m)
 
 
 def test_mcondition_report_fields():
@@ -199,3 +200,36 @@ def test_one_principal_series_basis_per_build(monkeypatch):
 def test_degree_cap_is_a_refusal():
     with pytest.raises(RefusalError, match=r"degree cap exceeded \(\|m\| \* n <= 4\)"):
         build_polynomial_solution(constrained(11, 3, 2), 2)
+
+
+def test_a_sample_dropped_at_a_pole_leaves_no_rows(monkeypatch):
+    import heckespin.qkz as qkz
+
+    sol = build_polynomial_solution(constrained(11, 2, 1), 1)
+    honest_point, honest_transport = qkz.torus_point, qkz.transport_factors
+    honest_factor = qkz.cocycle_factor
+    points = []
+
+    def point(rng, n, band):
+        points.append(honest_point(rng, n, band))
+        return points[-1]
+
+    # at the first point the transports are distorted, then a reflection
+    # lands on a pole: none of that point's rows may reach the result
+    def transport(params, i, t):
+        factors = honest_transport(params, i, t)
+        if len(points) == 1:
+            factors[0] = (3.0 * factors[0][0], factors[0][-1])
+        return factors
+
+    def factor(params, a, t):
+        if len(points) == 1:
+            raise PoleProximityError("evaluation at a pole")
+        return honest_factor(params, a, t)
+
+    monkeypatch.setattr(qkz, "torus_point", point)
+    monkeypatch.setattr(qkz, "transport_factors", transport)
+    monkeypatch.setattr(qkz, "cocycle_factor", factor)
+    res = verify_solution(sol, samples=3, seed=5)
+    assert len(points) == 4
+    assert max(res.values()) < 1e-8

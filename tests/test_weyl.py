@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckespin.baxter import tau_elem
 from heckespin.numerics import sample_generic
 from heckespin.weyl import (
     WeylElem,
@@ -18,10 +17,8 @@ from heckespin.weyl import (
     longest_parabolic,
     min_coset_reps,
     reduced_word,
-    star_involution,
     tau_word,
     w0_coset_element,
-    weight_orbit,
 )
 
 N = 3
@@ -157,18 +154,10 @@ def test_w0_coset_element_is_the_longest_representative():
     assert cand * w0j_small == w0
 
 
-def test_star_involution_reverses_the_segment():
-    istar, mapping = star_involution([1, 2, 3], 4)
-    assert istar == [1, 2, 3]
-    assert mapping == {1: 3, 2: 2, 3: 1}
-    for i, j in mapping.items():
-        assert mapping[j] == i
-
-
 @pytest.mark.parametrize("i,n", [(1, 2), (2, 2), (1, 3), (3, 3)])
 def test_tau_word_shifts_one_coordinate(i, n):
     params = sample_generic(seed=4, n=n)
-    w = tau_elem(i, n)
+    w = WeylElem.from_word(tau_word(i, n), n)
     assert reduced_word(w) == tau_word(i, n)
     t = tuple(0.8 + 0.1j * k for k in range(1, n + 1))
     moved = act_point(w, t, params)
@@ -177,9 +166,3 @@ def test_tau_word_shifts_one_coordinate(i, n):
         expect = t[k] * q if k == i - 1 else t[k]
         assert abs(moved[k] - expect) < 1e-12
 
-
-def test_weight_orbit_detects_stabilized_labels():
-    assert weight_orbit([1], (2, 2), 2)
-    assert not weight_orbit([1], (2, 1), 2)
-    assert weight_orbit([2], (2, 0), 2)
-    assert not weight_orbit([2], (2, 1), 2)
