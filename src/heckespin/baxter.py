@@ -32,9 +32,9 @@ import functools
 
 import numpy as np
 
-from .numerics import ParamSet, PoleProximityError, Residuals, rel_residual, torus_point
+from .numerics import ParamSet, PoleProximityError, RefusalError, Residuals, rel_residual, torus_point
 from .spinrep import _local_k, _local_kbar, _local_upsilon_p
-from .tensorops import factor_product
+from .tensorops import factor_product, row_residual
 from .weyl import WeylElem, act_point
 
 _POLE_TOL = 1e-6
@@ -112,66 +112,79 @@ def baxter_j(params: ParamSet, j: int, x):
     raise ValueError(f"generator index {j} out of range for n={n}")
 
 
+def check_identity_rank(n: int) -> None:
+    """Refuse a chain too short for the identity suite: the reflection rows
+    need a middle generator (n >= 2)."""
+    if n < 2:
+        raise RefusalError("the identity suite needs n >= 2")
+
+
 def check_ybe_re(params: ParamSet, samples: int = 20, seed: int = 1) -> dict:
     """Residuals of the dressed-operator identities on the spin representation.
 
-    Both sides of every identity are factor lists multiplied out on the full
-    space; the one-factor rows (regularity, degeneration) compare blocks,
-    which leaves a max-abs residual unchanged.  Keys beginning with
-    "negative control" must come out LARGE; everything else should sit at
-    rounding level for generic parameters.
+    Both sides of every identity are factor lists evaluated on the union of
+    their legs (tensorops.row_residual), which gives the full-space
+    residual; each dressed block is evaluated once per argument within a
+    sample.  The one-factor rows (regularity, degeneration) compare blocks.
+    Keys beginning with "negative control" must come out LARGE; everything
+    else should sit at rounding level for generic parameters.
     """
     n = params.n
-    if n < 2:
-        raise ValueError("the identity suite needs n >= 2")
+    check_identity_rank(n)
     rng = np.random.default_rng(seed)
     out = Residuals()
     bad = params.replace(upsilon0=params.upsilon0 * 1.01)
     names = [(0, "K0"), (n, "Kn")] + [(i, f"R{i}") for i in range(1, n)]
-    B = functools.partial(baxter_j, params)
+    blocks, memo = dressed_blocks(params), {}
 
-    def P(*factors):
-        return factor_product(factors, n)[0]
+    def B(j, arg):
+        """baxter_j(params, j, arg), each (block, argument) evaluated once
+        per sample."""
+        kind = 0 if j == 0 else 2 if j == n else 1
+        if (kind, arg) not in memo:
+            memo[kind, arg] = blocks[kind](arg)
+        return memo[kind, arg], [1] if kind == 0 else [n] if kind == 2 else [j, j + 1]
 
     def same(key, lhs, rhs):
-        out.add(key, rel_residual(lhs, rhs))
+        out.add(key, row_residual(lhs, rhs))
 
     for _ in range(samples):
         x, y = torus_point(rng, 2, (0.7, 1.4))
+        memo.clear()
         K0x, K0y, Knx, Kny = B(0, x), B(0, y), B(n, x), B(n, y)
-        left = P(B(1, y / x), K0y, B(1, x * y), K0x)
-        same("reflection at the left boundary", P(K0x, B(1, x * y), K0y, B(1, y / x)), left)
+        left = [B(1, y / x), K0y, B(1, x * y), K0x]
+        same("reflection at the left boundary", [K0x, B(1, x * y), K0y, B(1, y / x)], left)
         same(
             "reflection at the right boundary",
-            P(Kny, B(n - 1, x * y), Knx, B(n - 1, x / y)),
-            P(B(n - 1, x / y), Knx, B(n - 1, x * y), Kny),
+            [Kny, B(n - 1, x * y), Knx, B(n - 1, x / y)],
+            [B(n - 1, x / y), Knx, B(n - 1, x * y), Kny],
         )
         for i in range(1, n - 1):
             same(
                 f"yang-baxter braid R{i} R{i + 1}",
-                P(B(i, x), B(i + 1, x * y), B(i, y)),
-                P(B(i + 1, y), B(i, x * y), B(i + 1, x)),
+                [B(i, x), B(i + 1, x * y), B(i, y)],
+                [B(i + 1, y), B(i, x * y), B(i + 1, x)],
             )
         for j, name in names:
-            same(f"unitarity {name}", P(B(j, x), B(j, 1 / x)), P())
+            same(f"unitarity {name}", [B(j, x), B(j, 1 / x)], [])
         for i in range(2, n):
-            same(f"far commutation K0 R{i}", P(K0x, B(i, y)), P(B(i, y), K0x))
+            same(f"far commutation K0 R{i}", [K0x, B(i, y)], [B(i, y), K0x])
         for i in range(1, n - 2):
-            same(f"far commutation Kn R{i}", P(Knx, B(i, y)), P(B(i, y), Knx))
+            same(f"far commutation Kn R{i}", [Knx, B(i, y)], [B(i, y), Knx])
         for i in range(1, n):
             for j in range(i + 2, n):
-                same(f"far commutation R{i} R{j}", P(B(i, x), B(j, y)), P(B(j, y), B(i, x)))
-        same("far commutation K0 Kn", P(K0x, Knx), P(Knx, K0x))
+                same(f"far commutation R{i} R{j}", [B(i, x), B(j, y)], [B(j, y), B(i, x)])
+        same("far commutation K0 Kn", [K0x, Knx], [Knx, K0x])
         # negative control: left reflection with upsilon0 nudged on one side
-        bad_lhs = P(baxter_j(bad, 0, x), B(1, x * y), K0y, B(1, y / x))
+        bad_lhs = [baxter_j(bad, 0, x), B(1, x * y), K0y, B(1, y / x)]
         same("negative control perturbed reflection", bad_lhs, left)
     t_hat = [_local_kbar(params)] + [_local_upsilon_p(params)] * (n - 1) + [_local_k(params)]
     for j, name in names:
         kj, eye = params.kappa_j(j), np.eye(len(t_hat[j]))
-        out.add(f"regularity at x=1 {name}", rel_residual(B(j, 1.0)[0], eye))
+        out.add(f"regularity at x=1 {name}", rel_residual(baxter_j(params, j, 1.0)[0], eye))
         out.add(
             f"degeneration at x=0 {name}",
-            rel_residual(B(j, 0.0)[0], kj * (t_hat[j] - (kj - 1 / kj) * eye)),
+            rel_residual(baxter_j(params, j, 0.0)[0], kj * (t_hat[j] - (kj - 1 / kj) * eye)),
         )
     return out
 

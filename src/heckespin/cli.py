@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baxter import check_ybe_re, cocycle_C, transport_factors
+from .baxter import check_identity_rank, check_ybe_re, cocycle_C, transport_factors
 from .koornwinder import (
     check_caps,
     compute_P_detail,
@@ -59,11 +59,12 @@ from .spinrep import (
     check_hecke_relations,
     check_tl_relations,
     delta_from_kappa,
+    murphy_commutator_residual,
     murphy_Y,
     principal_series_basis,
     quotient_map_residuals,
 )
-from .tensorops import factor_product
+from .tensorops import apply_on_legs, factor_product
 from .transfer import check_transfer, check_transfer_vs_transport, hamiltonian, transfer_T, transfer_T_mp
 from .weyl import WeylElem, reduced_word
 
@@ -130,6 +131,9 @@ def _gate(suite: str, cfg: Config) -> None:
     parameter file meets it when the solution is built."""
     if suite == "koornwinder":
         check_caps(cfg.n)
+    elif suite == "baxter":
+        check_dim_cap(cfg.n)
+        check_identity_rank(cfg.n)
     elif suite == "qkz":
         if cfg.params is None:
             for m in _qkz_degrees(cfg):
@@ -193,20 +197,15 @@ def suite_algebra(cfg: Config, p: ParamSet):
         "quotient ", quotient_map_residuals(rep), cfg.tolerance,
         "the generator image decomposes through the projector family",
     )
-    ys = {i: murphy_Y(rep, i) for i in range(1, p.n + 1)}
-    worst = 0.0
-    for i in range(1, p.n + 1):
-        for j in range(i + 1, p.n + 1):
-            worst = max(worst, rel_residual(ys[i] @ ys[j], ys[j] @ ys[i]))
     checks.append(_check(
-        "commuting family pairwise", worst, cfg.tolerance,
+        "commuting family pairwise", murphy_commutator_residual(rep), cfg.tolerance,
         "the 2n-fold generator products commute with one another",
     ))
-    v0 = np.zeros(rep.dim, dtype=complex)
+    v0 = np.zeros((rep.dim, 1), dtype=complex)
     v0[0] = 1.0
     worst = 0.0
     for i in range(1, p.n + 1):
-        worst = max(worst, float(np.abs(ys[i] @ v0 - zeta[i - 1] * v0).max()))
+        worst = max(worst, float(np.abs(murphy_Y(rep, i, v0) - zeta[i - 1] * v0).max()))
     checks.append(_check(
         "highest weight eigenvalues", worst, cfg.tolerance,
         "the all-plus vector is a joint eigenvector with the boundary-weighted"
@@ -217,8 +216,9 @@ def suite_algebra(cfg: Config, p: ParamSet):
         "principal basis independence", smin, 1e-8, cfg.tolerance,
         "smallest singular value of the coset-representative basis",
     ))
-    bad = {j: rep.T[j].copy() for j in rep.T}
-    bad[min(1, p.n)] = 1.01 * bad[min(1, p.n)]
+    bad = dict(rep.T)
+    block, legs = bad[min(1, p.n)]
+    bad[min(1, p.n)] = (1.01 * block, legs)
     raw = max(check_hecke_relations(bad, p).values())
     checks.append(_control_check(
         "control scaled generator", raw, cfg.tolerance,
@@ -240,7 +240,8 @@ def suite_matchmaker(cfg: Config, p: ParamSet):
     psi = intertwiner_Psi(p)
     worst = 0.0
     for j in range(n + 1):
-        worst = max(worst, rel_residual(rep.e[j] @ psi, psi @ mats[j]))
+        block, legs = rep.e[j]
+        worst = max(worst, rel_residual(apply_on_legs(block, legs, psi, n), psi @ mats[j]))
     checks.append(_check(
         "equivalence intertwines projectors", worst, cfg.tolerance,
         "the matching-to-spin map commutes with every projector",
@@ -261,8 +262,8 @@ def suite_matchmaker(cfg: Config, p: ParamSet):
     ))
     # the gauge weights only rescale basis vectors, so detuning them cannot
     # break any relation; the control must distort a generator itself
-    bad_mats = {j: mats[j].copy() for j in range(n + 1)}
-    bad_mats[min(1, n)] = 1.01 * bad_mats[min(1, n)]
+    bad_mats = dict(mats)
+    bad_mats[min(1, n)] = 1.01 * mats[min(1, n)]
     raw = max(check_tl_relations(bad_mats, tl, n).values())
     checks.append(_control_check(
         "control scaled projector", raw, cfg.tolerance,

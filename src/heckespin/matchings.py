@@ -13,10 +13,12 @@ aligning with the spin basis where v_+ is bit 0).
 
 The matchmaker operators e_j re-pair sites (j with j+1, or a boundary with
 its neighbour) with multiplicative weights delta_j for closed loops and
-beta_0/beta_1 for arcs swallowed between the two boundaries.  The intertwiner
-Psi into the spin module sums over the orientations of each matching; their
-weights factor over the arcs, so each column is a tensor product of one
-vector per arc.
+beta_0/beta_1 for arcs swallowed between the two boundaries.  Each matching
+goes to exactly one matching, so e_j is a monomial (index, weight) operator;
+the indices come from one enumeration per n and only the weights depend on
+the parameters.  The intertwiner Psi into the spin module sums over the
+orientations of each matching; their weights factor over the arcs, so each
+column is a tensor product of one vector per arc.
 
 >>> [m.nu_string() for m in enumerate_matchings(2)]
 ['(+,+)', '(+,-)', '(-,+)', '(-,-)']
@@ -26,6 +28,7 @@ vector per arc.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -33,6 +36,7 @@ import numpy as np
 
 from .numerics import ParamSet
 from .spinrep import TLParams
+from .tensorops import Monomial
 
 
 @dataclass(frozen=True)
@@ -117,66 +121,71 @@ class Matching:
         return tuple(p for p in self.pairs if not (p[0] in sites or p[1] in sites))
 
 
-def enumerate_matchings(n: int):
+@functools.lru_cache(maxsize=None)
+def enumerate_matchings(n: int) -> tuple:
     """All 2^n matchings, ordered by their sign strings (+ before -)."""
-    return [
+    return tuple(
         Matching.from_signs(n, alpha)
         for alpha in itertools.product((1, -1), repeat=n)
-    ]
+    )
 
 
 def pty(i: int) -> int:
     return i % 2
 
 
-def _apply_generator(j: int, p: Matching, tl: TLParams, beta0, beta1, n: int):
-    if p.n != n:
-        raise ValueError("matching size mismatch")
+def _apply_generator(j: int, p: Matching, n: int):
+    """e_j on the matching p: (image matching, name of its weight)."""
     if j == 0:
         m1 = p.partner(1)
         if m1 == 0:
-            return [(p, tl.delta0)]
+            return p, "delta0"
         if m1 == n + 1:
-            return [(Matching.make(n, p.drop_sites(1) + ((0, 1),)), beta0)]
-        return [
-            (Matching.make(n, p.drop_sites(1) + ((0, 1), (0, m1))), 1.0)
-        ]
+            return Matching.make(n, p.drop_sites(1) + ((0, 1),)), "beta0"
+        return Matching.make(n, p.drop_sites(1) + ((0, 1), (0, m1))), "one"
     if j == n:
         mn = p.partner(n)
         if mn == n + 1:
-            return [(p, tl.deltan)]
+            return p, "deltan"
         if mn == 0:
-            w = beta1 if pty(n) else beta0
-            return [(Matching.make(n, p.drop_sites(n) + ((n, n + 1),)), w)]
-        return [
-            (Matching.make(n, p.drop_sites(n) + ((n, n + 1), (mn, n + 1))), 1.0)
-        ]
+            w = "beta1" if pty(n) else "beta0"
+            return Matching.make(n, p.drop_sites(n) + ((n, n + 1),)), w
+        return Matching.make(n, p.drop_sites(n) + ((n, n + 1), (mn, n + 1))), "one"
     if not 1 <= j < n:
         raise ValueError("generator index out of range")
     mi, mi1 = p.partner(j), p.partner(j + 1)
     if mi == j + 1:
-        return [(p, tl.delta)]
+        return p, "delta"
     base = p.drop_sites(j, j + 1) + ((j, j + 1),)
     if mi == 0 and mi1 == 0:
-        w = tl.delta0 if pty(j - 1) else 1.0
-        return [(Matching.make(n, base), w)]
+        return Matching.make(n, base), "delta0" if pty(j - 1) else "one"
     if mi == n + 1 and mi1 == n + 1:
-        w = tl.deltan if pty(n + 1 - j) else 1.0
-        return [(Matching.make(n, base), w)]
+        return Matching.make(n, base), "deltan" if pty(n + 1 - j) else "one"
     if mi == 0 and mi1 == n + 1:
-        w = beta1 if pty(j) else beta0
-        return [(Matching.make(n, base), w)]
-    return [(Matching.make(n, base + (tuple(sorted((mi, mi1))),)), 1.0)]
+        return Matching.make(n, base), "beta1" if pty(j) else "beta0"
+    return Matching.make(n, base + (tuple(sorted((mi, mi1))),)), "one"
 
 
-def matchmaker_matrix(j: int, tl: TLParams, beta0, beta1, n: int) -> np.ndarray:
-    """omega(e_j) as a 2^n x 2^n matrix in the sign-string basis order."""
-    basis = enumerate_matchings(n)
-    mat = np.zeros((2**n, 2**n), dtype=complex)
-    for col, p in enumerate(basis):
-        for m, w in _apply_generator(j, p, tl, beta0, beta1, n):
-            mat[m.nu_index(), col] += w
-    return mat
+@functools.lru_cache(maxsize=None)
+def _generator_table(n: int) -> dict:
+    """j -> (row index of each column's image under e_j, weight names),
+    from one enumeration of the matchings of n."""
+    table = {}
+    for j in range(n + 1):
+        moves = [_apply_generator(j, p, n) for p in enumerate_matchings(n)]
+        index = np.array([m.nu_index() for m, _w in moves])
+        index.flags.writeable = False  # shared by every caller of the cache
+        table[j] = (index, tuple(w for _m, w in moves))
+    return table
+
+
+def matchmaker_matrix(j: int, tl: TLParams, beta0, beta1, n: int) -> Monomial:
+    """omega(e_j) in the sign-string basis order, as a monomial operator:
+    each matching goes to one matching times one weight."""
+    index, names = _generator_table(n)[j]
+    value = {"one": 1.0, "delta0": tl.delta0, "delta": tl.delta, "deltan": tl.deltan,
+             "beta0": beta0, "beta1": beta1}
+    return Monomial(index, np.array([value[w] for w in names], dtype=complex))
 
 
 def beta_product(params: ParamSet) -> complex:

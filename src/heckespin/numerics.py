@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -423,27 +424,24 @@ def l1_ball(n: int, radius: int):
     """All integer vectors mu in Z^n with sum |mu_i| <= radius, sorted.
 
     Built coordinate by coordinate, so the output comes out in lexicographic
-    order without a sort.
+    order without a sort; each (n, radius) is built once.
     """
-
-    def ball(k, r):
-        if k == 0:
-            return [()]
-        return [(e,) + rest for e in range(-r, r + 1) for rest in ball(k - 1, r - abs(e))]
-
-    return ball(n, radius) if radius >= 0 else []
+    return list(_l1_ball(n, radius))
 
 
-def _gamma_vectors(lams, params: ParamSet):
-    """Spectral vectors of integer weights, one tuple per weight.
+@functools.lru_cache(maxsize=None)
+def _l1_ball(n: int, radius: int) -> tuple:
+    if radius < 0:
+        return ()
+    if n == 0:
+        return ((),)
+    return tuple((e,) + rest for e in range(-radius, radius + 1)
+                 for rest in _l1_ball(n - 1, radius - abs(e)))
 
-    Coordinate i is q^lam_i (kappa0 kappan)^(-eta(lam_i)) kappa^s_i, where
-    s_i = sum_{j<i} eta(lam_j - lam_i) - sum_{j>i} eta(lam_i - lam_j)
-    - sum_{j != i} eta(lam_i + lam_j), with eta(0) = -1 throughout.  The
-    integer exponents are found for all weights at once; each coordinate is
-    then one product of Python scalars.
-    """
-    n = params.n
+
+def _gamma_exponents(lams, n: int):
+    """The integer exponents (lam_i, s_i) of every coordinate of the
+    spectral vectors of the weights, as two (weights, n) arrays."""
     lam = np.array(lams, dtype=np.int64).reshape(-1, n)
 
     def etas(x):
@@ -457,11 +455,45 @@ def _gamma_vectors(lams, params: ParamSet):
         - np.where(j_below_i.T, etas(-diff), 0).sum(axis=2)
         - np.where(np.eye(n, dtype=bool), 0, etas(total)).sum(axis=2)
     )
+    return lam, s
+
+
+@functools.lru_cache(maxsize=None)
+def _ball_exponents(n: int, radius: int):
+    exponents = _gamma_exponents(_l1_ball(n, radius), n)
+    for a in exponents:
+        a.flags.writeable = False  # shared by every caller of the cache
+    return exponents
+
+
+def _gamma_array(exponents, params: ParamSet) -> np.ndarray:
+    """The spectral vectors as a (weights, n) array.  Each coordinate is
+    q^m (kappa0 kappan)^(-eta(m)) kappa^s for its exponents (m, s): one
+    product of Python scalars per distinct (m, s), the same powers and
+    products as one coordinate at a time (so equal to the last bit), then
+    gathered."""
+    lam, s = exponents
+    if lam.size == 0:
+        return np.zeros(lam.shape, dtype=complex)
     q, k0n, kappa = params.q, params.kappa0 * params.kappan, params.kappa
-    return [
-        tuple(q**m * k0n ** (-e) * kappa**t for m, e, t in zip(mr, er, sr))
-        for mr, er, sr in zip(lam.tolist(), etas(lam).tolist(), s.tolist())
-    ]
+    ms = range(int(lam.min()), int(lam.max()) + 1)
+    ts = range(int(s.min()), int(s.max()) + 1)
+    table = np.array(
+        [[q**m * k0n ** (-eta(m)) * kappa**t for t in ts] for m in ms], dtype=complex
+    )
+    return table[lam - ms[0], s - ts[0]]
+
+
+def _gamma_vectors(lams, params: ParamSet):
+    """Spectral vectors of integer weights, one tuple per weight.
+
+    Coordinate i is q^lam_i (kappa0 kappan)^(-eta(lam_i)) kappa^s_i, where
+    s_i = sum_{j<i} eta(lam_j - lam_i) - sum_{j>i} eta(lam_i - lam_j)
+    - sum_{j != i} eta(lam_i + lam_j), with eta(0) = -1 throughout.  The
+    integer exponents are found for all weights at once; each coordinate is
+    then one product of Python scalars.
+    """
+    return [tuple(row) for row in _gamma_array(_gamma_exponents(lams, params.n), params).tolist()]
 
 
 def _gamma_distinct(params: ParamSet, radius: int = _GAMMA_DEGREE) -> bool:
@@ -470,17 +502,17 @@ def _gamma_distinct(params: ParamSet, radius: int = _GAMMA_DEGREE) -> bool:
 
     Sort-and-sweep on a fixed real projection Re(gamma . c): such a pair
     differs by at most sum|c_k| * _GAMMA_GAP in projection, so only rows
-    inside twice that window are compared coordinate by coordinate.
+    inside twice that window are compared coordinate by coordinate.  The
+    weights and their exponents are built once per (n, radius).
     """
-    lams = l1_ball(params.n, radius)
-    gam = np.array(_gamma_vectors(lams, params), dtype=complex)
+    gam = _gamma_array(_ball_exponents(params.n, radius), params)
     c = np.exp(1j * np.sqrt(np.arange(2.0, params.n + 2)))
     proj = (gam @ c).real
     order = np.argsort(proj, kind="stable")
     proj, gam = proj[order], gam[order]
     window = 2 * np.sum(np.abs(c)) * _GAMMA_GAP
     hi = np.searchsorted(proj, proj + window, side="right")
-    for i in np.flatnonzero(hi > np.arange(1, len(lams) + 1)):
+    for i in np.flatnonzero(hi > np.arange(1, len(gam) + 1)):
         # max-abs coordinate distance from row i to each candidate above it
         dist = np.max(np.abs(gam[i + 1 : hi[i]] - gam[i]), axis=1)
         if dist.min() <= _GAMMA_GAP:
@@ -640,7 +672,7 @@ def max_abs(a) -> float:
     a = np.asarray(a)
     if a.size == 0:
         return 0.0
-    return float(np.max(np.abs(a)))
+    return float(np.abs(a).max())
 
 
 def rel_residual(a, b, scale: float | None = None) -> float:
@@ -648,9 +680,10 @@ def rel_residual(a, b, scale: float | None = None) -> float:
 
     An explicit ``scale`` overrides the denominator (used when comparing
     against zero, where the natural scale is the size of the inputs that
-    produced the residual)."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    produced the residual).  The difference is taken in the scalar type of
+    the inputs, so exact (object-array) inputs give exactly 0 only when they
+    agree exactly."""
+    a, b = np.asarray(a), np.asarray(b)
     num = max_abs(a - b)
     if scale is None:
         scale = max(max_abs(a), max_abs(b))

@@ -11,23 +11,32 @@ images are local:
 and every rho(T_j) equals kappa_j + (normalization) * rhohat(e_j), where the
 rhohat(e_j) are the local idempotent-like generators with e_j^2 = delta_j e_j.
 The inverse images come from the quadratic relation, never from a numeric
-matrix inverse.  The Murphy elements Y_i multiply the generator images along
-tau_word, and the principal-series vector of a minimal coset representative
-is one generator image applied to the vector of a shorter representative.
+matrix inverse.
+
+A SpinRep holds each image as one (block, legs) pair; no generator is
+embedded into a dense 2^n matrix.  Every relation row is checked on the
+union of the legs it touches (at most 4), which gives the full-space
+residual because max|M (x) Id| = max|M|.  The Murphy elements Y_i are the
+generator images along tau_word, applied one local factor at a time, and
+the principal-series vector of a minimal coset representative is one
+generator image applied to the vector of a shorter representative.  The
+block builders keep the scalar type of the parameters, so exact rational
+parameters give exact object-array blocks.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensorops
-from .numerics import InternalDefectError, ParamSet, RefusalError, rel_residual
+from .numerics import InternalDefectError, ParamSet, RefusalError, max_abs, rel_residual
 from .weyl import WeylElem, first_descent, min_coset_reps, tau_word
 
 _DIM_CAP = 10
+# columns per block in the pairwise Murphy commutators
+_COLUMN_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -59,57 +68,53 @@ def delta_from_kappa(params: ParamSet) -> TLParams:
     return TLParams(delta0=vals["delta0"], delta=-(k + 1 / k), deltan=vals["deltan"])
 
 
+def _mat(rows) -> np.ndarray:
+    """A local block in the scalar type of its entries: complex for numeric
+    parameters, an object array for exact ones (fractions, mpmath)."""
+    a = np.array(rows)
+    return a if a.dtype == object else a.astype(complex)
+
+
 def _local_e0(p: ParamSet) -> np.ndarray:
     k, k0, psi0 = p.kappa, p.kappa0, p.psi0
     norm = k / k0 + k0 / k
-    return np.array([[-1 / k0, psi0], [1 / psi0, -k0]], dtype=complex) / norm
+    return _mat([[-1 / k0, psi0], [1 / psi0, -k0]]) / norm
 
 
 def _local_e_mid(p: ParamSet) -> np.ndarray:
     k = p.kappa
-    return np.array(
-        [
-            [0, 0, 0, 0],
-            [0, -k, 1, 0],
-            [0, 1, -1 / k, 0],
-            [0, 0, 0, 0],
-        ],
-        dtype=complex,
-    )
+    return _mat([[0, 0, 0, 0], [0, -k, 1, 0], [0, 1, -1 / k, 0], [0, 0, 0, 0]])
 
 
 def _local_en(p: ParamSet) -> np.ndarray:
     k, kn, psin = p.kappa, p.kappan, p.psin
     norm = k / kn + kn / k
-    return np.array([[-kn, 1 / psin], [psin, -1 / kn]], dtype=complex) / norm
+    return _mat([[-kn, 1 / psin], [psin, -1 / kn]]) / norm
 
 
 def _local_kbar(p: ParamSet) -> np.ndarray:
     k0, psi0 = p.kappa0, p.psi0
-    return np.array([[k0 - 1 / k0, psi0], [1 / psi0, 0]], dtype=complex)
+    return _mat([[k0 - 1 / k0, psi0], [1 / psi0, 0]])
 
 
 def _local_upsilon_p(p: ParamSet) -> np.ndarray:
+    """Upsilon o P: the permutation P swaps the middle two columns."""
     k = p.kappa
-    ups = np.array(
-        [
-            [k, 0, 0, 0],
-            [0, 1, 0, 0],
-            [0, k - 1 / k, 1, 0],
-            [0, 0, 0, k],
-        ],
-        dtype=complex,
-    )
-    return ups @ tensorops.PERMUTE_TWO
+    ups = _mat([[k, 0, 0, 0], [0, 1, 0, 0], [0, k - 1 / k, 1, 0], [0, 0, 0, k]])
+    return ups[:, [0, 2, 1, 3]]
 
 
 def _local_k(p: ParamSet) -> np.ndarray:
     kn, psin = p.kappan, p.psin
-    return np.array([[0, 1 / psin], [psin, kn - 1 / kn]], dtype=complex)
+    return _mat([[0, 1 / psin], [psin, kn - 1 / kn]])
 
 
 @dataclass
 class SpinRep:
+    """The generator images as local factors: T[j], Tinv[j] and e[j] are
+    (block, legs) pairs, the block acting on leg 1 (j = 0), legs (j, j+1)
+    or leg n (j = n)."""
+
     params: ParamSet
     e: dict = field(default_factory=dict)
     T: dict = field(default_factory=dict)
@@ -131,29 +136,32 @@ def check_dim_cap(n: int) -> None:
         raise RefusalError(f"spin representation capped at n = {_DIM_CAP}")
 
 
+def _eye(block: np.ndarray) -> np.ndarray:
+    return np.eye(len(block), dtype=block.dtype)
+
+
 def build_spin_rep(params: ParamSet) -> SpinRep:
     n = params.n
     check_dim_cap(n)
     rep = SpinRep(params=params)
-    m = n
-    rep.e[0] = tensorops.op_on_legs(_local_e0(params), [1], m)
-    rep.T[0] = tensorops.op_on_legs(_local_kbar(params), [1], m)
-    for i in range(1, n):
-        rep.e[i] = tensorops.op_on_legs(_local_e_mid(params), [i, i + 1], m)
-        rep.T[i] = tensorops.op_on_legs(_local_upsilon_p(params), [i, i + 1], m)
-    rep.e[n] = tensorops.op_on_legs(_local_en(params), [n], m)
-    rep.T[n] = tensorops.op_on_legs(_local_k(params), [n], m)
-    eye = np.eye(rep.dim, dtype=complex)
+    middle = _local_upsilon_p(params), _local_e_mid(params)
     for j in range(n + 1):
+        if j == 0:
+            (t, e), legs = (_local_kbar(params), _local_e0(params)), [1]
+        elif j == n:
+            (t, e), legs = (_local_k(params), _local_en(params)), [n]
+        else:
+            (t, e), legs = middle, [j, j + 1]
         kj = params.kappa_j(j)
-        rep.Tinv[j] = rep.T[j] - (kj - 1 / kj) * eye
+        rep.T[j], rep.e[j] = (t, legs), (e, legs)
+        rep.Tinv[j] = (t - (kj - 1 / kj) * _eye(t), legs)
     return rep
 
 
 def quotient_map_residuals(rep: SpinRep) -> dict:
-    """How far rho(T_j) sits from kappa_j + (norm_j) rhohat(e_j)."""
+    """How far rho(T_j) sits from kappa_j + (norm_j) rhohat(e_j); both act
+    on the same legs, so the blocks are compared."""
     p = rep.params
-    eye = np.eye(rep.dim, dtype=complex)
     out = {}
     for j in range(p.n + 1):
         kj = p.kappa_j(j)
@@ -161,73 +169,95 @@ def quotient_map_residuals(rep: SpinRep) -> dict:
             norm = p.kappa / kj + kj / p.kappa
         else:
             norm = 1.0
-        out[f"surjection T{j}"] = rel_residual(rep.T[j], kj * eye + norm * rep.e[j])
+        (t, _legs), (e, _legs) = rep.T[j], rep.e[j]
+        out[f"surjection T{j}"] = rel_residual(t, kj * _eye(t) + norm * e)
     return out
+
+
+def _row(family: dict, lhs, rhs, coeff=1) -> float:
+    """The relation prod(lhs) = coeff * prod(rhs) between two words over a
+    generator family, as a residual on the union of the words' legs."""
+    return tensorops.row_residual([family[j] for j in lhs], [family[j] for j in rhs], coeff)
 
 
 def check_hecke_relations(T: dict, params: ParamSet) -> dict:
     """Normalized residuals of the defining relations for a family {T_j}.
 
-    ``T`` maps 0..n to square matrices; callers probing a negative control
-    pass a deliberately perturbed family and expect large residuals back.
+    ``T`` maps 0..n to local (block, legs) factors; every row is evaluated
+    on the legs it touches.  Callers probing a negative control pass a
+    family with one block deliberately perturbed and expect large residuals
+    back.
     """
     n = params.n
-    mats = {j: np.array(T[j], dtype=complex) for j in range(n + 1)}
-    eye = np.eye(mats[0].shape[0], dtype=complex)
     out = {}
     for j in range(n + 1):
         kj = params.kappa_j(j)
-        prod = (mats[j] - kj * eye) @ (mats[j] + eye / kj)
-        scale = max(
-            (np.abs(mats[j]).max() + abs(kj))
-            * (np.abs(mats[j]).max() + 1 / abs(kj)),
-            1.0,
-        )
+        t = T[j][0]
+        eye = _eye(t)
+        prod = (t - kj * eye) @ (t + eye / kj)
+        big = max_abs(t)
+        scale = max((big + abs(kj)) * (big + 1 / abs(kj)), 1.0)
         out[f"quadratic T{j}"] = rel_residual(prod, np.zeros_like(prod), scale=scale)
     if n >= 2:
-        a = mats[0] @ mats[1] @ mats[0] @ mats[1]
-        b = mats[1] @ mats[0] @ mats[1] @ mats[0]
-        out["braid T0 T1 fourfold"] = rel_residual(a, b)
-        a = mats[n - 1] @ mats[n] @ mats[n - 1] @ mats[n]
-        b = mats[n] @ mats[n - 1] @ mats[n] @ mats[n - 1]
-        out["braid Tn-1 Tn fourfold"] = rel_residual(a, b)
+        out["braid T0 T1 fourfold"] = _row(T, [0, 1, 0, 1], [1, 0, 1, 0])
+        out["braid Tn-1 Tn fourfold"] = _row(T, [n - 1, n, n - 1, n], [n, n - 1, n, n - 1])
     for i in range(1, n - 1):
-        a = mats[i] @ mats[i + 1] @ mats[i]
-        b = mats[i + 1] @ mats[i] @ mats[i + 1]
-        out[f"braid T{i} T{i + 1} threefold"] = rel_residual(a, b)
+        out[f"braid T{i} T{i + 1} threefold"] = _row(T, [i, i + 1, i], [i + 1, i, i + 1])
     for i in range(n + 1):
         for j in range(i + 2, n + 1):
-            out[f"commute T{i} T{j}"] = rel_residual(
-                mats[i] @ mats[j], mats[j] @ mats[i]
-            )
+            out[f"commute T{i} T{j}"] = _row(T, [i, j], [j, i])
     return out
 
 
 def check_tl_relations(e: dict, tl: TLParams, n: int) -> dict:
-    """Normalized residuals of the diagram-algebra relations for {e_j}."""
+    """Normalized residuals of the diagram-algebra relations for {e_j}, a
+    family of local (block, legs) factors or of Monomial operators."""
     out = {}
     for j in range(n + 1):
-        dj = tl.weight(j, n)
-        sq = e[j] @ e[j]
-        out[f"idempotent e{j}"] = rel_residual(sq, dj * e[j])
+        out[f"idempotent e{j}"] = _row(e, [j, j], [j], tl.weight(j, n))
     # the hook relation pivots on a middle index but its neighbor may be a
     # boundary generator
     for i in range(1, n):
         for k in (i - 1, i + 1):
-            out[f"hook e{i} e{k}"] = rel_residual(e[i] @ e[k] @ e[i], e[i])
+            out[f"hook e{i} e{k}"] = _row(e, [i, k, i], [i])
     for i in range(n + 1):
         for j in range(i + 2, n + 1):
-            out[f"commute e{i} e{j}"] = rel_residual(e[i] @ e[j], e[j] @ e[i])
+            out[f"commute e{i} e{j}"] = _row(e, [i, j], [j, i])
     return out
 
 
-def murphy_Y(rep: SpinRep, i: int) -> np.ndarray:
-    """The commuting family member Y_i: the generator images along
-    tau_word(i, n), multiplied left to right, the first i - 1 inverted."""
-    factors = [
-        rep.Tinv[a] if k < i - 1 else rep.T[a] for k, a in enumerate(tau_word(i, rep.n))
-    ]
-    return functools.reduce(np.matmul, factors)
+def murphy_factors(rep: SpinRep, i: int) -> list:
+    """Y_i as local factors: the generator images along tau_word(i, n), left
+    to right, the first i - 1 inverted."""
+    return [rep.Tinv[a] if k < i - 1 else rep.T[a] for k, a in enumerate(tau_word(i, rep.n))]
+
+
+def murphy_Y(rep: SpinRep, i: int, a=None) -> np.ndarray:
+    """The commuting family member Y_i applied to ``a`` (the identity by
+    default), one local factor at a time."""
+    return tensorops.factor_product(murphy_factors(rep, i), rep.n, a)[0]
+
+
+def murphy_commutator_residual(rep: SpinRep) -> float:
+    """The largest rel_residual of Y_i Y_j against Y_j Y_i over i < j.
+
+    Each side is one Murphy word applied to the other element as the
+    operand.  The columns are taken in blocks of at most _COLUMN_BLOCK, so
+    no more than n such blocks are held at once; the max-abs norms of the
+    residual are maxima over the blocks.
+    """
+    n, dim = rep.n, rep.dim
+    words = {i: murphy_factors(rep, i) for i in range(1, n + 1)}
+    pairs = [(i, j) for i in words for j in words if i < j]
+    num, scale = dict.fromkeys(pairs, 0.0), dict.fromkeys(pairs, 0.0)
+    for start in range(0, dim, _COLUMN_BLOCK):
+        cols = np.eye(dim, min(_COLUMN_BLOCK, dim - start), -start, dtype=complex)
+        ys = {i: murphy_Y(rep, i, cols) for i in words}
+        for i, j in pairs:
+            a, b = murphy_Y(rep, i, ys[j]), murphy_Y(rep, j, ys[i])
+            num[i, j] = max(num[i, j], max_abs(a - b))
+            scale[i, j] = max(scale[i, j], max_abs(a), max_abs(b))
+    return max((num[k] / scale[k] for k in pairs), default=0.0)
 
 
 def principal_series_basis(params: ParamSet):
@@ -244,7 +274,7 @@ def principal_series_basis(params: ParamSet):
     n = params.n
     rep = build_spin_rep(params)
     reps = min_coset_reps(range(1, n), n)
-    v0 = np.zeros(rep.dim, dtype=complex)
+    v0 = np.zeros((rep.dim, 1), dtype=complex)
     v0[0] = 1.0
     cols = {}
     for w in reps:
@@ -255,8 +285,9 @@ def principal_series_basis(params: ParamSet):
         suffix = WeylElem.generator(a, n) * w
         if suffix not in cols:
             raise InternalDefectError(f"representative {w} lacks its suffix")
-        cols[w] = rep.T[a] @ cols[suffix]
-    B = np.stack(list(cols.values()), axis=1)
+        block, legs = rep.T[a]
+        cols[w] = tensorops.apply_on_legs(block, legs, cols[suffix], n)
+    B = np.concatenate(list(cols.values()), axis=1)
     zeta = tuple(
         params.psi0 * params.psin * params.kappa ** (n - 2 * i + 1)
         for i in range(1, n + 1)

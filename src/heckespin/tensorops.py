@@ -10,17 +10,23 @@ directly (apply_on_legs): the operand's rows are viewed as m legs of size 2,
 the block is contracted against the chosen legs, and the rows are put back.
 A product of local factors, with its derivative when the factors carry one,
 is one loop over apply_on_legs (factor_product); the dressed generators, the
-cocycle, the transport and the double-row transfer matrix all run through it.
-The full-space embedding is never formed on a product path; op_on_legs, which
-returns it, is the same primitive applied to the identity.  Any scalar type
-numpy can contract works, including object arrays of mpmath numbers.
+cocycle, the transport, the Murphy elements and the monodromy run through it.
+An identity between two products of local factors is checked on the union
+of their legs only (row_residual): both sides are (A - B) (x) Id there, and
+max|M (x) Id| = max|M|, so the residual is the one of the full space.  A
+monomial operator (one nonzero entry per column, as the diagram generators
+in the matching basis) is an (index, weight) pair, and products of them are
+gathers (Monomial).  The full-space embedding is never formed on a product
+path; op_on_legs, which returns it, is the same primitive applied to the
+identity.  Any scalar type numpy can contract works, including object
+arrays of mpmath numbers or of exact fractions.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .numerics import InternalDefectError
+from .numerics import InternalDefectError, max_abs, rel_residual
 
 
 def apply_on_legs(op: np.ndarray, legs, a: np.ndarray, m: int) -> np.ndarray:
@@ -33,13 +39,13 @@ def apply_on_legs(op: np.ndarray, legs, a: np.ndarray, m: int) -> np.ndarray:
     """
     legs = list(legs)
     k = len(legs)
-    if op.shape != (2**k, 2**k) or a.ndim != 2 or a.shape[0] != 2**m:
+    if op.shape != (1 << k, 1 << k) or a.ndim != 2 or a.shape[0] != 1 << m:
         raise InternalDefectError("operator size does not match leg count")
+    if k and 1 <= legs[0] <= m - k + 1 and legs == list(range(legs[0], legs[0] + k)):
+        # adjacent legs in increasing order: one batched product, no copies
+        return np.matmul(op, a.reshape(1 << (legs[0] - 1), 1 << k, -1)).reshape(a.shape)
     if not legs or len(set(legs)) != k or min(legs) < 1 or max(legs) > m:
         raise InternalDefectError("legs must be distinct and within range")
-    if legs == list(range(legs[0], legs[0] + k)):
-        # adjacent legs in increasing order: one batched product, no copies
-        return np.matmul(op, a.reshape(2 ** (legs[0] - 1), 2**k, -1)).reshape(a.shape)
     axes = [l - 1 for l in legs]
     t = np.tensordot(
         op.reshape((2,) * (2 * k)),
@@ -74,7 +80,10 @@ def factor_product(factors, m: int, a=None):
     >>> factor_product([(x, [2])], 2, np.ones((4, 1)))[0].ravel().real
     array([2., 3., 2., 3.])
     """
-    out = np.eye(2**m, dtype=complex) if a is None else a
+    if a is None:
+        exact = any(f[0].dtype == object for f in factors)
+        a = np.eye(2**m, dtype=object if exact else complex)
+    out = a
     dout = None
     if factors and len(factors[0]) == 3 and factors[0][1] is not None:
         dout = np.zeros_like(out)
@@ -85,6 +94,79 @@ def factor_product(factors, m: int, a=None):
             dout += apply_on_legs(factor[1], legs, out, m)
         out = apply_on_legs(val, legs, out, m)
     return out, dout
+
+
+def row_residual(lhs, rhs, coeff=1) -> float:
+    """rel_residual of prod(lhs) against coeff * prod(rhs), two products of
+    factors listed left to right.
+
+    The factors are local (block, legs) pairs, evaluated on the union of
+    the legs of both sides renumbered 1..k (max|M (x) Id| = max|M|, so this
+    is the residual on the full space), or Monomial operators, composed as
+    gathers.
+
+    >>> x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    >>> row_residual([(x, [3]), (x, [5])], [(x, [5]), (x, [3])])
+    0.0
+    >>> row_residual([(x, [2]), (x, [2])], [], coeff=2)
+    0.5
+    """
+    if any(isinstance(f, Monomial) for f in lhs + rhs):
+        a, b = lhs[0], rhs[0]
+        for f in lhs[1:]:
+            a = a @ f
+        for f in rhs[1:]:
+            b = b @ f
+        return a.residual(coeff * b)
+    legs = sorted({leg for _block, ls in lhs + rhs for leg in ls})
+    local = {leg: k for k, leg in enumerate(legs, 1)}
+
+    def prod(side):
+        return factor_product([(b, [local[l] for l in ls]) for b, ls in side], len(legs))[0]
+
+    right = prod(rhs)
+    return rel_residual(prod(lhs), right if coeff == 1 else coeff * right)
+
+
+class Monomial:
+    """The matrix with the single nonzero entry weight[c] in row index[c] of
+    each column c.  Products with each other are gathers, a dense matrix on
+    the left takes a column gather (a @ M), and a scalar scales the weights.
+
+    >>> m = Monomial(np.array([1, 1]), np.array([2.0, 3.0]))
+    >>> dense = np.eye(2) @ m
+    >>> dense
+    array([[0., 0.],
+           [2., 3.]])
+    >>> bool((np.eye(2) @ (m @ m) == dense @ dense).all())
+    True
+    """
+
+    __array_ufunc__ = None  # a dense a @ M defers to __rmatmul__
+
+    def __init__(self, index, weight):
+        self.index = np.asarray(index)
+        self.weight = np.asarray(weight)
+
+    def __matmul__(self, other: "Monomial") -> "Monomial":
+        return Monomial(self.index[other.index], self.weight[other.index] * other.weight)
+
+    def __rmatmul__(self, a: np.ndarray) -> np.ndarray:
+        return a[:, self.index] * self.weight
+
+    def __rmul__(self, c) -> "Monomial":
+        return Monomial(self.index, c * self.weight)
+
+    def residual(self, other: "Monomial") -> float:
+        """rel_residual of the two dense matrices: where a column's entries
+        sit in different rows, the difference holds both of them."""
+        same = self.index == other.index
+        apart = np.concatenate([
+            np.where(same, self.weight - other.weight, 0),
+            np.where(same, 0, self.weight),
+            np.where(same, 0, other.weight),
+        ])
+        return rel_residual(apart, 0, scale=max(max_abs(self.weight), max_abs(other.weight)))
 
 
 def kron_all(mats) -> np.ndarray:

@@ -6,13 +6,19 @@ the right boundary block K_n, and comes back; closing it with the dressed
 left boundary block K_0 and a partial trace over the auxiliary leg gives a
 one-parameter family T(x; t) of commuting operators on (C^2)^(x n).
 
-The double row is one list of local factors (2x2 or 4x4 block, its
-x-derivative, legs) on the auxiliary leg and the n chain legs, multiplied
-out by tensorops.factor_product, the same loop that runs the cocycle and the
-transport; no factor is embedded into a dense 2^(n+1) matrix, and the
-derivative rides along in the same pass by the product rule.  The blocks
-evaluate at any scalar type, so the extended-precision T is transfer_T
-itself, called with mpmath x and t (object arrays throughout).
+T is contracted as a matrix product operator of bond dimension 4 (Sklyanin,
+J. Phys. A 21, 2375 (1988); Murg, Korepin & Verstraete, Phys. Rev. B 86,
+045125 (2012)): chain site j carries its forward block R(x/t_j) and its
+backward block R(x t_j), the auxiliary leg's in and out indices form the
+bond, and the chain is contracted one site at a time from the closure
+theta K_0(kappa^2 x) theta, with K_n folded into the last site.  No
+operator on the 2^(n+1)-dimensional double space is formed.  The
+derivative rides along by the product rule on every site, which is the
+contraction of the bond-doubled triangular MPO [[W, W'], [0, W]].  The blocks evaluate at any scalar type,
+so the extended-precision T is transfer_T itself, called with mpmath x and
+t (object arrays throughout).  The double row as a list of local factors
+(_double_row) is kept for the monodromy operator, whose two forms are
+compared by check_transfer.
 
 Three equivalent presentations of the boundary XXZ Hamiltonian are exposed:
 the logarithmic derivative of the normalized transfer matrix at x = 1, the
@@ -115,19 +121,65 @@ def monodromy_U(params: ParamSet, x, t, form: str = "rcheck") -> np.ndarray:
     return factor_product(_double_row(params, x, t, form), params.n + 1)[0]
 
 
+def _leibniz(op, a, b) -> list:
+    """op of two jets, [value] or [value, x-derivative], for a bilinear op:
+    the value, and its derivative by the product rule when a carries one."""
+    out = [op(a[0], b[0])]
+    if len(a) > 1:
+        out.append(op(a[1], b[0]) + op(a[0], b[1]))
+    return out
+
+
+def _site(fwd, bwd):
+    """The site tensor [in bond, out bond, row, col] of one chain site: the
+    forward r = R P on (aux, site) followed by the backward r on (site,
+    aux), from the two middle blocks R.  The bond is the pair (forward aux
+    index, backward aux index); P only reorders the column legs."""
+    # fwd[c s, t c'] and bwd[t d', d u]: contract the middle site index t
+    w = fwd.reshape(2, 2, 2, 2).transpose(0, 1, 3, 2).reshape(8, 2) @ bwd.reshape(2, 8)
+    return w.reshape((2,) * 6).transpose(0, 4, 2, 3, 1, 5).reshape(4, 4, 2, 2)
+
+
+def _absorb(left, w):
+    """The environment left [bond, row, col] on the first sites times the
+    next site tensor w: the environment on one more site."""
+    bond, d = w.shape[1], left.shape[1]
+    out = left.reshape(len(left), d * d).T @ w.reshape(len(w), 4 * bond)
+    return out.reshape(d, d, bond, 2, 2).transpose(2, 0, 3, 1, 4).reshape(bond, 2 * d, 2 * d)
+
+
+def _transfer_mpo(params: ParamSet, x, t, deriv: bool) -> list:
+    """[T(x; t)] or [T, dT/dx], contracted site by site from the MPO."""
+    n = params.n
+    kbar, R, k = dressed_blocks(params)
+    th, k2 = theta_matrix(params), params.kappa**2
+
+    def jet(f, arg, slope):
+        return [f(arg)] + ([slope * f.deriv(arg)] if deriv else [])
+
+    # the trace pairs the closure's column with the backward row: bond (c, d)
+    # starts at A[d, c]; the right boundary closes it with K_n[c, d]
+    left = [(th @ a @ th).T.reshape(4, 1, 1) for a in jet(kbar, k2 * x, k2)]
+    right = [a.reshape(4) for a in jet(k, x, 1)]
+    for j in range(1, n + 1):
+        fwd, bwd = jet(R, x / t[j - 1], 1 / t[j - 1]), jet(R, x * t[j - 1], t[j - 1])
+        w = _leibniz(_site, fwd, bwd)
+        if j == n:  # fold K_n into the out bond of the last site
+            w = _leibniz(lambda a, b: (a.transpose(0, 2, 3, 1) @ b)[:, None], w, right)
+        left = _leibniz(_absorb, left, w)
+    return [a[0] for a in left]
+
+
 def transfer_T(params: ParamSet, x, t) -> np.ndarray:
-    """T(x; t): close the double row with theta K_0(kappa^2 x) theta and
-    trace the auxiliary leg."""
-    m = params.n + 1
-    return partial_trace_first(factor_product(_double_row(params, x, t), m)[0], m)
+    """T(x; t): the double row closed with theta K_0(kappa^2 x) theta and
+    traced over the auxiliary leg, contracted as a bond-4 MPO."""
+    return _transfer_mpo(params, x, t, deriv=False)[0]
 
 
 def transfer_T_deriv(params: ParamSet, x, t):
     """(T(x; t), dT/dx) with the derivative taken exactly by the product
-    rule, in the same pass over the factor list."""
-    m = params.n + 1
-    val, der = factor_product(_double_row(params, x, t, deriv=True), m)
-    return partial_trace_first(val, m), partial_trace_first(der, m)
+    rule, in the same pass over the sites."""
+    return tuple(_transfer_mpo(params, x, t, deriv=True))
 
 
 def _aux_normalizer(params: ParamSet, x):
@@ -310,7 +362,8 @@ def hamiltonian(params: ParamSet, form: str = "pauli") -> np.ndarray:
         rep = build_spin_rep(params)
         acc = np.zeros((2**n, 2**n), dtype=complex)
         for j in range(n + 1):
-            acc += tl_weight(params, j) * rep.e[j]
+            block, legs = rep.e[j]
+            acc += op_on_legs(tl_weight(params, j) * block, legs, n)
         return acc
     raise ValueError("form must be 'transfer', 'pauli', or 'tl'")
 

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from heckespin.baxter import RationalMat
-from heckespin.numerics import sample_generic
+from heckespin.numerics import rel_residual, sample_generic
+from heckespin.tensorops import factor_product
+from heckespin.transfer import _double_row
 
 _ACCEPTANCE: list = []
 
@@ -60,6 +62,51 @@ def explicit_rkk(p):
         kbar=RationalMat([kb0, kb1, kb2], [1.0, k0 * (1 / u0 - u0), -(k0**2)]),
         k=RationalMat([kk0, kk1, kk2], [1.0, kn * (1 / un - un), -(kn**2)]),
     )
+
+
+def dense_hecke_relations(mats, params):
+    """Oracle: the defining-relation battery on dense square matrices
+    {T_j}, every row multiplied out on the full space."""
+    n = params.n
+    mats = {j: np.array(mats[j], dtype=complex) for j in range(n + 1)}
+    eye = np.eye(mats[0].shape[0], dtype=complex)
+    out = {}
+    for j in range(n + 1):
+        kj = params.kappa_j(j)
+        prod = (mats[j] - kj * eye) @ (mats[j] + eye / kj)
+        big = np.abs(mats[j]).max()
+        scale = max((big + abs(kj)) * (big + 1 / abs(kj)), 1.0)
+        out[f"quadratic T{j}"] = rel_residual(prod, np.zeros_like(prod), scale=scale)
+
+    def row(lhs, rhs):
+        return rel_residual(np.linalg.multi_dot([eye, *(mats[j] for j in lhs), eye]),
+                            np.linalg.multi_dot([eye, *(mats[j] for j in rhs), eye]))
+
+    if n >= 2:
+        out["braid T0 T1 fourfold"] = row([0, 1, 0, 1], [1, 0, 1, 0])
+        out["braid Tn-1 Tn fourfold"] = row([n - 1, n, n - 1, n], [n, n - 1, n, n - 1])
+    for i in range(1, n - 1):
+        out[f"braid T{i} T{i + 1} threefold"] = row([i, i + 1, i], [i + 1, i, i + 1])
+    for i in range(n + 1):
+        for j in range(i + 2, n + 1):
+            out[f"commute T{i} T{j}"] = row([i, j], [j, i])
+    return out
+
+
+def factor_loop_T(params, x, t, deriv=False, cols=None):
+    """Oracle: T(x; t) (and dT/dx) as the closed double row multiplied out
+    on the auxiliary leg and the chain, one local factor at a time, then
+    traced over the auxiliary leg; with ``cols`` only those columns of T,
+    from the two columns of the double space that the trace pairs."""
+    dim = 2**params.n
+    cols = range(dim) if cols is None else cols
+    aux = np.zeros((2 * dim, 2 * len(cols)), dtype=complex)
+    for c, k in enumerate(cols):
+        aux[k, c] = aux[dim + k, len(cols) + c] = 1
+    row = _double_row(params, x, t, deriv=deriv)
+    out = [a[:dim, : len(cols)] + a[dim:, len(cols) :]
+           for a in factor_product(row, params.n + 1, aux) if a is not None]
+    return tuple(out) if deriv else out[0]
 
 
 @pytest.fixture(scope="session")

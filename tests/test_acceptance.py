@@ -36,7 +36,7 @@ from heckespin.numerics import (
     sample_generic,
 )
 from heckespin.qkz import KZSolution, build_polynomial_solution, verify_solution
-from heckespin.tensorops import PERMUTE_TWO
+from heckespin.tensorops import PERMUTE_TWO, op_on_legs
 from heckespin.spinrep import (
     build_spin_rep,
     check_hecke_relations,
@@ -100,7 +100,7 @@ def test_criterion_3_intertwiner():
         psi = intertwiner_Psi(p)
         for j in range(n + 1):
             mm = matchmaker_matrix(j, tl, b0, b1, n)
-            worst = max(worst, rel_residual(rep.e[j] @ psi, psi @ mm))
+            worst = max(worst, rel_residual(op_on_legs(*rep.e[j], n) @ psi, psi @ mm))
         min_det = min(min_det, abs(np.linalg.det(psi)))
     lsum_exact = all(
         sum((-1) ** h * c for (_, h), c in boundary_arc_counts(m).items())

@@ -348,3 +348,15 @@ def test_exhausted_pole_retries_refuse_instead_of_passing(monkeypatch, capsys, t
     assert run(["verify", "baxter", "--n", "3", "--report", str(report)]) == 2
     assert "refused: could not find enough pole-free sample points" in capsys.readouterr().err
     assert not report.exists()
+
+
+def test_identity_suite_refuses_one_site_before_sampling(monkeypatch, capsys):
+    import heckespin.cli as cli
+
+    def no_sampling(*args, **kw):
+        raise AssertionError("sampled before the rank check")
+
+    monkeypatch.setattr(cli, "sample_generic", no_sampling)
+    for suite in ("baxter", "all"):
+        assert run(["verify", suite, "--n", "1"]) == 2
+        assert "refused: the identity suite needs n >= 2" in capsys.readouterr().err

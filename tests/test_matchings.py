@@ -20,6 +20,7 @@ from heckespin.matchings import (
 )
 from heckespin.numerics import sample_generic
 from heckespin.spinrep import build_spin_rep, check_tl_relations, delta_from_kappa
+from heckespin.tensorops import op_on_legs
 
 signs = st.lists(st.sampled_from([1, -1]), min_size=1, max_size=7)
 
@@ -69,7 +70,7 @@ def test_intertwiner_commutes_and_is_invertible(n):
     rep = build_spin_rep(params)
     psi = intertwiner_Psi(params)
     for j in range(n + 1):
-        lhs = rep.e[j] @ psi
+        lhs = op_on_legs(*rep.e[j], n) @ psi
         rhs = psi @ matchmaker_matrix(j, tl, b0, b1, n)
         scale = max(np.abs(lhs).max(), 1.0)
         assert np.abs(lhs - rhs).max() / scale < 1e-10

@@ -1,15 +1,19 @@
 """The two-parameter action on the tensor-product chain."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from conftest import _kron_embed, dense_hecke_relations
 from heckespin import spinrep
-from heckespin.numerics import InternalDefectError, sample_generic
+from heckespin.numerics import InternalDefectError, ParamSet, rel_residual, sample_generic
 from heckespin.spinrep import (
     build_spin_rep,
     check_hecke_relations,
     check_tl_relations,
     delta_from_kappa,
+    murphy_commutator_residual,
     murphy_Y,
     principal_series_basis,
     quotient_map_residuals,
@@ -38,15 +42,17 @@ def test_single_site_has_no_braid_checks():
 
 def test_inverse_generators(params2):
     rep = build_spin_rep(params2)
-    eye = np.eye(rep.dim)
     for j in range(params2.n + 1):
-        assert np.allclose(rep.T[j] @ rep.Tinv[j], eye)
+        (t, legs), (tinv, inv_legs) = rep.T[j], rep.Tinv[j]
+        assert legs == inv_legs
+        assert np.allclose(t @ tinv, np.eye(len(t)))
 
 
 def test_perturbed_generator_breaks_relations(params2):
     rep = build_spin_rep(params2)
     bad = dict(rep.T)
-    bad[1] = 1.01 * bad[1]
+    block, legs = bad[1]
+    bad[1] = (1.01 * block, legs)
     assert max(check_hecke_relations(bad, params2).values()) > 1e-3
 
 
@@ -83,28 +89,24 @@ def test_principal_basis_is_invertible(params3):
     assert np.linalg.cond(B) < 1e8
 
 
-def _dense_word(rep, letters):
-    """Oracle: T_{a_1} T_{a_2} ... as dense products, leftmost factor first."""
-    out = np.eye(rep.dim, dtype=complex)
-    for a in letters:
-        out = out @ rep.T[a]
-    return out
+def _dense_product(rep, factors, a):
+    """Oracle: F_1 F_2 ... F_k a with every local factor embedded densely
+    (kron and a basis permutation), multiplied onto ``a`` from the right."""
+    for block, legs in reversed(factors):
+        a = _kron_embed(block, legs, rep.n) @ a
+    return a
 
 
 def _murphy_chain(rep, i):
     """Oracle: Y_i as the hand-written 2n-fold chain
     T_{i-1}^-1 ... T_1^-1 T_0 T_1 ... T_{n-1} T_n T_{n-1} ... T_i."""
     n = rep.n
-    out = np.eye(rep.dim, dtype=complex)
-    for j in range(i - 1, 0, -1):
-        out = out @ rep.Tinv[j]
-    out = out @ rep.T[0]
-    for j in range(1, n):
-        out = out @ rep.T[j]
-    out = out @ rep.T[n]
-    for j in range(n - 1, i - 1, -1):
-        out = out @ rep.T[j]
-    return out
+    chain = (
+        [rep.Tinv[j] for j in range(i - 1, 0, -1)]
+        + [rep.T[j] for j in range(n + 1)]
+        + [rep.T[j] for j in range(n - 1, i - 1, -1)]
+    )
+    return _dense_product(rep, chain, np.eye(rep.dim, dtype=complex))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -113,8 +115,12 @@ def test_principal_basis_and_murphy_match_dense_products(n):
         B, _zeta, reps, rep = principal_series_basis(sample_generic(seed=seed, n=n))
         v0 = np.zeros(rep.dim, dtype=complex)
         v0[0] = 1.0
-        dense = np.stack([_dense_word(rep, reduced_word(w)) @ v0 for w in reps], axis=1)
-        assert np.array_equal(B, dense)
+        dense = np.stack(
+            [_dense_product(rep, [rep.T[a] for a in reduced_word(w)], v0) for w in reps], axis=1
+        )
+        # the columns are short local sums here and BLAS matrix-vector sums
+        # over the zero-padded rows in the oracle: equal up to their rounding
+        assert np.abs(B - dense).max() <= 1e-15 * np.abs(dense).max()
         for i in range(1, n + 1):
             assert np.array_equal(murphy_Y(rep, i), _murphy_chain(rep, i))
 
@@ -124,3 +130,117 @@ def test_missing_suffix_is_an_internal_defect(monkeypatch, params3):
     monkeypatch.setattr(spinrep, "min_coset_reps", lambda I, n: honest(I, n)[1:])
     with pytest.raises(InternalDefectError, match="lacks its suffix"):
         principal_series_basis(params3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_local_rows_match_the_dense_battery(n):
+    """Each relation row on its own legs against the same row multiplied
+    out on the full space: the same names, residuals at rounding level."""
+    p = sample_generic(seed=3, n=n)
+    rep = build_spin_rep(p)
+    dense = {j: _kron_embed(block, legs, n) for j, (block, legs) in rep.T.items()}
+    local, full = check_hecke_relations(rep.T, p), dense_hecke_relations(dense, p)
+    assert local.keys() == full.keys()
+    assert all(abs(local[k] - full[k]) < 1e-14 for k in local), (local, full)
+    bad = dict(rep.T)
+    bad[n // 2] = (1.01 * bad[n // 2][0], bad[n // 2][1])
+    dense[n // 2] = 1.01 * dense[n // 2]
+    got = check_hecke_relations(bad, p)
+    for key, value in dense_hecke_relations(dense, p).items():
+        assert abs(got[key] - value) <= 1e-12 * value + 1e-14, key
+
+
+def _rational_params(n):
+    """A rational point off the poles, with kappa = (3/2)^2 a square."""
+    F = Fraction
+    return ParamSet(
+        n=n, q_sqrt=F(7, 5), kappa0=F(5, 3), kappa=F(9, 4), kappan=F(2, 7),
+        upsilon0=F(3, 11), upsilonn=F(13, 6), psi0=F(-4, 5), psin=F(8, 3),
+        kappa_sqrt=F(3, 2),
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_relation_rows_are_exactly_zero_in_rational_arithmetic(n):
+    p = _rational_params(n)
+    rep = build_spin_rep(p)
+    assert all(b.dtype == object for family in (rep.T, rep.Tinv, rep.e)
+               for b, _legs in family.values())
+    assert all(isinstance(z, (Fraction, int)) for z in rep.T[min(1, n)][0].ravel())
+    tl = delta_from_kappa(p)
+    rows = {**check_hecke_relations(rep.T, p), **check_tl_relations(rep.e, tl, n),
+            **quotient_map_residuals(rep)}
+    assert rows and all(v == 0.0 for v in rows.values()), rows
+    for family, battery in ((rep.T, lambda f: check_hecke_relations(f, p)),
+                            (rep.e, lambda f: check_tl_relations(f, tl, n))):
+        bad = dict(family)
+        block, legs = bad[min(1, n)]
+        bad[min(1, n)] = (Fraction(101, 100) * block, legs)
+        assert max(battery(bad).values()) > 0.0
+
+
+def test_complex_parameters_keep_complex_blocks(params3):
+    rep = build_spin_rep(params3)
+    assert all(b.dtype == np.complex128 for family in (rep.T, rep.Tinv, rep.e)
+               for b, _legs in family.values())
+
+
+def test_relation_rows_stay_on_at_most_four_legs(monkeypatch):
+    """No relation battery and no identity row of the dressed generators
+    hands an operand of more than 2^4 rows to the local primitive."""
+    import heckespin.tensorops as tensorops
+    from heckespin.baxter import check_ybe_re
+
+    honest, rows = tensorops.apply_on_legs, []
+
+    def watched(op, legs, a, m):
+        rows.append(a.shape[0])
+        return honest(op, legs, a, m)
+
+    monkeypatch.setattr(tensorops, "apply_on_legs", watched)
+    p = sample_generic(seed=2, n=6)
+    rep = build_spin_rep(p)
+    check_hecke_relations(rep.T, p)
+    check_tl_relations(rep.e, delta_from_kappa(p), 6)
+    quotient_map_residuals(rep)
+    check_ybe_re(p, samples=2, seed=1)
+    assert rows and max(rows) <= 2**4
+
+
+def test_murphy_elements_apply_local_factors_only(monkeypatch):
+    """Y_i is its 2n-letter word applied one local block at a time: no
+    product of two dense 2^n matrices."""
+    import heckespin.tensorops as tensorops
+    from heckespin.weyl import tau_word
+
+    n = 5
+    rep = build_spin_rep(sample_generic(seed=2, n=n))
+    honest_matmul, honest_apply, blocks = np.matmul, tensorops.apply_on_legs, []
+
+    def guarded(a, b, *args, **kw):
+        if min(np.shape(a)[-2:] + np.shape(b)[-2:]) >= 2**n:
+            raise AssertionError("dense 2^n x 2^n product")
+        return honest_matmul(a, b, *args, **kw)
+
+    def watched(op, legs, a, m):
+        blocks.append(op.shape[0])
+        return honest_apply(op, legs, a, m)
+
+    monkeypatch.setattr(np, "matmul", guarded)
+    monkeypatch.setattr(tensorops, "apply_on_legs", watched)
+    for i in range(1, n + 1):
+        blocks.clear()
+        murphy_Y(rep, i)
+        assert len(blocks) == len(tau_word(i, n)) and max(blocks) <= 4
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_murphy_commutators_match_the_dense_pairs(n, monkeypatch):
+    rep = build_spin_rep(sample_generic(seed=4, n=n))
+    ys = {i: murphy_Y(rep, i) for i in range(1, n + 1)}
+    want = max((rel_residual(ys[i] @ ys[j], ys[j] @ ys[i])
+                for i in ys for j in ys if i < j), default=0.0)
+    # blocks of 16 columns split every n >= 5 into several blocks
+    monkeypatch.setattr(spinrep, "_COLUMN_BLOCK", 16)
+    got = murphy_commutator_residual(rep)
+    assert abs(got - want) <= 1e-15

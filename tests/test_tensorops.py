@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckespin.numerics import InternalDefectError
+from heckespin.numerics import InternalDefectError, rel_residual
 from heckespin.tensorops import (
+    Monomial,
     apply_on_legs,
     op_on_legs,
     partial_trace_first,
     partial_transpose_leg,
+    row_residual,
 )
 
 
@@ -106,3 +108,48 @@ def test_partial_transpose_leg(m, data):
     assert np.allclose(partial_transpose_leg(total, leg, m), want, rtol=0, atol=1e-12)
     twice = partial_transpose_leg(partial_transpose_leg(total, leg, m), leg, m)
     assert np.allclose(twice, total)
+
+
+@given(st.integers(1, 5), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_monomial_products_and_residual_match_dense(m, seed):
+    rng = np.random.default_rng(seed)
+    dim = 2**m
+
+    def draw():
+        return Monomial(rng.integers(0, dim, dim), _cplx(rng, dim))
+
+    a, b = draw(), draw()
+    eye = np.eye(dim)
+    dense_a, dense_b = eye @ a, eye @ b
+    assert np.allclose(eye @ (a @ b), dense_a @ dense_b, rtol=0, atol=1e-12)
+    x = _cplx(rng, 3, dim)
+    assert np.allclose(x @ a, x @ dense_a, rtol=0, atol=1e-12)
+    assert np.array_equal(eye @ (1.5 * a), 1.5 * dense_a)
+    # columns that agree in row, and columns that do not
+    c = Monomial(np.where(rng.uniform(size=dim) < 0.5, a.index, b.index), _cplx(rng, dim))
+    for other in (b, c, a):
+        want = rel_residual(dense_a, eye @ other)
+        assert a.residual(other) == pytest.approx(want, rel=1e-15, abs=0)
+
+
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_row_residual_is_the_full_space_residual(dense_embed, m, seed):
+    rng = np.random.default_rng(seed)
+
+    def factor():
+        k = int(rng.integers(1, 3))
+        start = int(rng.integers(1, m - k + 2))
+        return _cplx(rng, 2**k, 2**k), list(range(start, start + k))
+
+    lhs, rhs = [factor() for _ in range(3)], [factor() for _ in range(2)]
+
+    def full(side):
+        out = np.eye(2**m, dtype=complex)
+        for block, legs in side:
+            out = out @ dense_embed(block, legs, m)
+        return out
+
+    want = rel_residual(full(lhs), 0.5 * full(rhs))
+    assert row_residual(lhs, rhs, 0.5) == pytest.approx(want, rel=1e-12)

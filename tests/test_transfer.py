@@ -5,11 +5,11 @@ import pytest
 
 import heckespin.tensorops
 import heckespin.transfer
-from conftest import explicit_rkk
+from conftest import explicit_rkk, factor_loop_T
 from heckespin.baxter import transport_C_tau, transport_factors
 from heckespin.numerics import rel_residual, sample_generic, torus_point
 from heckespin.spinrep import build_spin_rep
-from heckespin.tensorops import PERMUTE_TWO, factor_product
+from heckespin.tensorops import PERMUTE_TWO, factor_product, op_on_legs
 from heckespin.transfer import (
     _double_row,
     check_transfer,
@@ -271,11 +271,7 @@ def test_hamiltonian_forms_agree(seed):
 def test_hamiltonian_is_a_projector_combination(params2):
     p = params2
     rep = build_spin_rep(p)
-    direct = (
-        tl_weight(p, 0) * rep.e[0]
-        + tl_weight(p, 1) * rep.e[1]
-        + tl_weight(p, 2) * rep.e[2]
-    )
+    direct = sum(tl_weight(p, j) * op_on_legs(*rep.e[j], 2) for j in range(3))
     assert rel_residual(hamiltonian(p, form="tl"), direct) < 1e-12
     assert tl_weight(p, 1) == 1.0
 
@@ -298,3 +294,58 @@ def test_detuned_boundary_separates_forms(params2):
     bad = params2.replace(kappa0=params2.kappa0 * 1.01)
     raw = rel_residual(hamiltonian(bad, form="tl"), hamiltonian(params2, form="pauli"))
     assert raw > 1e-3
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_mpo_matches_the_factor_loop(n):
+    """The site-by-site MPO contraction against the closed double row
+    multiplied out one local factor at a time on 2^(n+1) rows."""
+    p = sample_generic(seed=10 + n, n=n)
+    x, t = _point(n, 50 + n)
+    want, dwant = factor_loop_T(p, x, t, deriv=True)
+    val, der = transfer_T_deriv(p, x, t)
+    assert rel_residual(transfer_T(p, x, t), want) < 1e-13
+    assert rel_residual(val, want) < 1e-13
+    assert rel_residual(der, dwant) < 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_mpo_matches_the_factor_loop_in_mpmath(n):
+    import mpmath
+
+    p = sample_generic(seed=10 + n, n=n)
+    x, t = _point(n, 60 + n)
+    cols = sorted({0, 2 ** (n - 1), 2**n - 1})
+    with mpmath.workdps(30):
+        xm, tm = mpmath.mpc(x), tuple(mpmath.mpc(v) for v in t)
+        want, dwant = factor_loop_T(p, xm, tm, deriv=True, cols=cols)
+        val, der = transfer_T_deriv(p, xm, tm)
+        got = transfer_T(p, xm, tm)
+        assert isinstance(got[0, 0], mpmath.mpc) and isinstance(der[0, 0], mpmath.mpc)
+        for a, b in ((got[:, cols], want), (val[:, cols], want), (der[:, cols], dwant)):
+            diff = max(abs(u - v) for u, v in zip(a.ravel(), b.ravel()))
+            assert diff < 1e-25 * max(abs(v) for v in b.ravel())
+
+
+def test_transfer_matrix_never_forms_the_double_space(monkeypatch):
+    """T and dT/dx are contracted site by site: nothing with 2^(n+1) rows
+    reaches the local primitive, the factor loop or the auxiliary trace."""
+    n = 5
+
+    def guard(fn):
+        def wrapped(*args, **kw):
+            if any(np.ndim(a) == 2 and np.shape(a)[0] >= 2 ** (n + 1) for a in args):
+                raise AssertionError("operand on the double space")
+            return fn(*args, **kw)
+        return wrapped
+
+    for mod in (heckespin.tensorops, heckespin.transfer):
+        for name in ("apply_on_legs", "factor_product", "partial_trace_first"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, guard(getattr(mod, name)))
+    p = sample_generic(seed=4, n=n)
+    x, t = _point(n, 4)
+    transfer_T(p, x, t)
+    transfer_T_deriv(p, x, t)
+    with pytest.raises(AssertionError, match="double space"):
+        factor_loop_T(p, x, t)
