@@ -174,10 +174,11 @@ def quotient_map_residuals(rep: SpinRep) -> dict:
     return out
 
 
-def _row(family: dict, lhs, rhs, coeff=1) -> float:
+def _row(family: dict, lhs, rhs, coeff=1, residual=tensorops.row_residual) -> float:
     """The relation prod(lhs) = coeff * prod(rhs) between two words over a
-    generator family, as a residual on the union of the words' legs."""
-    return tensorops.row_residual([family[j] for j in lhs], [family[j] for j in rhs], coeff)
+    generator family, as a residual on the union of the words' legs (or,
+    with residual=Monomial.row, on the words' (index, weight) arrays)."""
+    return residual([family[j] for j in lhs], [family[j] for j in rhs], coeff)
 
 
 def check_hecke_relations(T: dict, params: ParamSet) -> dict:
@@ -212,17 +213,19 @@ def check_hecke_relations(T: dict, params: ParamSet) -> dict:
 def check_tl_relations(e: dict, tl: TLParams, n: int) -> dict:
     """Normalized residuals of the diagram-algebra relations for {e_j}, a
     family of local (block, legs) factors or of Monomial operators."""
+    monomial = isinstance(e[0], tensorops.Monomial)
+    residual = tensorops.Monomial.row if monomial else tensorops.row_residual
     out = {}
     for j in range(n + 1):
-        out[f"idempotent e{j}"] = _row(e, [j, j], [j], tl.weight(j, n))
+        out[f"idempotent e{j}"] = _row(e, [j, j], [j], tl.weight(j, n), residual)
     # the hook relation pivots on a middle index but its neighbor may be a
     # boundary generator
     for i in range(1, n):
         for k in (i - 1, i + 1):
-            out[f"hook e{i} e{k}"] = _row(e, [i, k, i], [i])
+            out[f"hook e{i} e{k}"] = _row(e, [i, k, i], [i], 1, residual)
     for i in range(n + 1):
         for j in range(i + 2, n + 1):
-            out[f"commute e{i} e{j}"] = _row(e, [i, j], [j, i])
+            out[f"commute e{i} e{j}"] = _row(e, [i, j], [j, i], 1, residual)
     return out
 
 

@@ -15,11 +15,12 @@ An identity between two products of local factors is checked on the union
 of their legs only (row_residual): both sides are (A - B) (x) Id there, and
 max|M (x) Id| = max|M|, so the residual is the one of the full space.  A
 monomial operator (one nonzero entry per column, as the diagram generators
-in the matching basis) is an (index, weight) pair, and products of them are
-gathers (Monomial).  The full-space embedding is never formed on a product
-path; op_on_legs, which returns it, is the same primitive applied to the
-identity.  Any scalar type numpy can contract works, including object
-arrays of mpmath numbers or of exact fractions.
+in the matching basis) is an (index, weight) pair, products of them are
+gathers, and an identity between two such products is checked on the
+(index, weight) arrays (Monomial.row).  The full-space embedding is never
+formed on a product path; op_on_legs, which returns it, is the same
+primitive applied to the identity.  Any scalar type numpy can contract
+works, including object arrays of mpmath numbers or of exact fractions.
 """
 
 from __future__ import annotations
@@ -98,12 +99,9 @@ def factor_product(factors, m: int, a=None):
 
 def row_residual(lhs, rhs, coeff=1) -> float:
     """rel_residual of prod(lhs) against coeff * prod(rhs), two products of
-    factors listed left to right.
-
-    The factors are local (block, legs) pairs, evaluated on the union of
-    the legs of both sides renumbered 1..k (max|M (x) Id| = max|M|, so this
-    is the residual on the full space), or Monomial operators, composed as
-    gathers.
+    local (block, legs) factors listed left to right, evaluated on the union
+    of the legs of both sides renumbered 1..k (max|M (x) Id| = max|M|, so
+    this is the residual on the full space).
 
     >>> x = np.array([[0.0, 1.0], [1.0, 0.0]])
     >>> row_residual([(x, [3]), (x, [5])], [(x, [5]), (x, [3])])
@@ -111,13 +109,6 @@ def row_residual(lhs, rhs, coeff=1) -> float:
     >>> row_residual([(x, [2]), (x, [2])], [], coeff=2)
     0.5
     """
-    if any(isinstance(f, Monomial) for f in lhs + rhs):
-        a, b = lhs[0], rhs[0]
-        for f in lhs[1:]:
-            a = a @ f
-        for f in rhs[1:]:
-            b = b @ f
-        return a.residual(coeff * b)
     legs = sorted({leg for _block, ls in lhs + rhs for leg in ls})
     local = {leg: k for k, leg in enumerate(legs, 1)}
 
@@ -156,6 +147,17 @@ class Monomial:
 
     def __rmul__(self, c) -> "Monomial":
         return Monomial(self.index, c * self.weight)
+
+    @staticmethod
+    def row(lhs, rhs, coeff=1) -> float:
+        """rel_residual of prod(lhs) against coeff * prod(rhs), two
+        products of Monomial operators listed left to right."""
+        a, b = lhs[0], rhs[0]
+        for f in lhs[1:]:
+            a = a @ f
+        for f in rhs[1:]:
+            b = b @ f
+        return a.residual(coeff * b)
 
     def residual(self, other: "Monomial") -> float:
         """rel_residual of the two dense matrices: where a column's entries

@@ -14,10 +14,11 @@ bond, and the chain is contracted one site at a time from the closure
 theta K_0(kappa^2 x) theta, with K_n folded into the last site.  No
 operator on the 2^(n+1)-dimensional double space is formed.  The
 derivative rides along by the product rule on every site, which is the
-contraction of the bond-doubled triangular MPO [[W, W'], [0, W]].  The blocks evaluate at any scalar type,
-so the extended-precision T is transfer_T itself, called with mpmath x and
-t (object arrays throughout).  The double row as a list of local factors
-(_double_row) is kept for the monodromy operator, whose two forms are
+contraction of the bond-doubled triangular MPO [[W, W'], [0, W]].  The
+blocks evaluate at any scalar type, so the extended-precision T is
+transfer_T itself, called with mpmath x and t (object arrays throughout).
+The double row without the closure, as a list of local factors in two
+forms (_double_row), is the monodromy operator, whose two forms are
 compared by check_transfer.
 
 Three equivalent presentations of the boundary XXZ Hamiltonian are exposed:
@@ -75,42 +76,28 @@ def c0_constant(params: ParamSet):
     return -num / (k * (1 + k**2) * den)
 
 
-def _double_row(params: ParamSet, x, t, form="closed", deriv=False):
-    """The double-row product as local factors (block, d block/dx or None,
-    legs), left to right, on the auxiliary leg 1 and chain legs 2..n+1.
+def _double_row(params: ParamSet, x, t, form: str) -> list:
+    """The double-row product as local factors (block, legs), left to right,
+    on the auxiliary leg 1 and chain legs 2..n+1.
 
     form="rcheck" walks adjacent legs with R and puts the right boundary
     block on the last chain leg; form="r" couples the auxiliary leg to each
     site directly with r = R P and puts the boundary block on the auxiliary
-    leg; form="closed" is the rcheck row preceded by the closure
-    theta K_0(kappa^2 x) theta.  With mpmath x and t the blocks are mpmath
-    object arrays at the working precision.
+    leg.  With mpmath x and t the blocks are mpmath object arrays at the
+    working precision.
     """
     n = params.n
-    kbar, R, k = dressed_blocks(params)
-    rcheck = form != "r"
+    _kbar, R, k = dressed_blocks(params)
+    rcheck = form == "rcheck"
 
-    def local(f, arg, slope, legs, swap=False):
-        val = f(arg)
-        der = slope * f.deriv(arg) if deriv else None
-        if swap:
-            val = val @ PERMUTE_TWO
-            der = der @ PERMUTE_TWO if deriv else None
-        return val, der, legs
+    def site(j, arg, back):
+        if rcheck:
+            return R(arg), [j, j + 1]
+        return R(arg) @ PERMUTE_TWO, [j + 1, 1] if back else [1, j + 1]
 
-    def site(j, arg, slope, back):
-        legs = [j, j + 1] if rcheck else ([j + 1, 1] if back else [1, j + 1])
-        return local(R, arg, slope, legs, swap=not rcheck)
-
-    out = [site(j, x / t[j - 1], 1 / t[j - 1], False) for j in range(1, n + 1)]
-    out.append(local(k, x, 1, [n + 1] if rcheck else [1]))
-    out += [site(j, x * t[j - 1], t[j - 1], True) for j in range(n, 0, -1)]
-    if form == "closed":
-        th = theta_matrix(params)
-        k2 = params.kappa**2
-        val, der, _ = local(kbar, k2 * x, k2, [1])
-        out.insert(0, (th @ val @ th, th @ der @ th if deriv else None, [1]))
-    return out
+    out = [site(j, x / t[j - 1], False) for j in range(1, n + 1)]
+    out.append((k(x), [n + 1] if rcheck else [1]))
+    return out + [site(j, x * t[j - 1], True) for j in range(n, 0, -1)]
 
 
 def monodromy_U(params: ParamSet, x, t, form: str = "rcheck") -> np.ndarray:

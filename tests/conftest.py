@@ -5,10 +5,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from heckespin.baxter import RationalMat
+from heckespin.baxter import RationalMat, dressed_blocks
 from heckespin.numerics import rel_residual, sample_generic
 from heckespin.tensorops import factor_product
-from heckespin.transfer import _double_row
+from heckespin.transfer import theta_matrix
 
 _ACCEPTANCE: list = []
 
@@ -95,17 +95,28 @@ def dense_hecke_relations(mats, params):
 
 def factor_loop_T(params, x, t, deriv=False, cols=None):
     """Oracle: T(x; t) (and dT/dx) as the closed double row multiplied out
-    on the auxiliary leg and the chain, one local factor at a time, then
-    traced over the auxiliary leg; with ``cols`` only those columns of T,
-    from the two columns of the double space that the trace pairs."""
-    dim = 2**params.n
+    on the auxiliary leg 1 and the chain legs 2..n+1, one local factor at a
+    time, then traced over the auxiliary leg; with ``cols`` only those
+    columns of T, from the two columns of the double space that the trace
+    pairs.  The closure theta K_0(kappa^2 x) theta leads, R walks adjacent
+    legs, and each factor carries its x-derivative when ``deriv`` is set."""
+    n, dim = params.n, 2**params.n
+    kbar, R, k = dressed_blocks(params)
+    th, k2 = theta_matrix(params), params.kappa**2
+
+    def local(f, arg, slope, legs, dress=lambda a: a):
+        return dress(f(arg)), dress(slope * f.deriv(arg)) if deriv else None, legs
+
+    row = [local(kbar, k2 * x, k2, [1], lambda a: th @ a @ th)]
+    row += [local(R, x / t[j - 1], 1 / t[j - 1], [j, j + 1]) for j in range(1, n + 1)]
+    row.append(local(k, x, 1, [n + 1]))
+    row += [local(R, x * t[j - 1], t[j - 1], [j, j + 1]) for j in range(n, 0, -1)]
     cols = range(dim) if cols is None else cols
     aux = np.zeros((2 * dim, 2 * len(cols)), dtype=complex)
-    for c, k in enumerate(cols):
-        aux[k, c] = aux[dim + k, len(cols) + c] = 1
-    row = _double_row(params, x, t, deriv=deriv)
+    for c, col in enumerate(cols):
+        aux[col, c] = aux[dim + col, len(cols) + c] = 1
     out = [a[:dim, : len(cols)] + a[dim:, len(cols) :]
-           for a in factor_product(row, params.n + 1, aux) if a is not None]
+           for a in factor_product(row, n + 1, aux) if a is not None]
     return tuple(out) if deriv else out[0]
 
 

@@ -187,11 +187,11 @@ def test_bad_local_factor_is_an_internal_defect(monkeypatch, capsys, corrupt):
 
     def bad_row(*args, **kw):
         factors = honest(*args, **kw)
-        val, der, legs = factors[-1]
+        val, legs = factors[-1]
         if corrupt == "leg out of range":
-            factors[-1] = (val, der, [legs[0], len(args[2]) + 2])
+            factors[-1] = (val, [legs[0], len(args[2]) + 2])
         else:
-            factors[-1] = (val, der, legs + [max(legs) + 1])
+            factors[-1] = (val, legs + [max(legs) + 1])
         return factors
 
     monkeypatch.setattr(transfer, "_double_row", bad_row)

@@ -131,6 +131,8 @@ def test_monomial_products_and_residual_match_dense(m, seed):
     for other in (b, c, a):
         want = rel_residual(dense_a, eye @ other)
         assert a.residual(other) == pytest.approx(want, rel=1e-15, abs=0)
+    want = rel_residual(dense_a @ dense_b, 0.5 * (eye @ c))
+    assert Monomial.row([a, b], [c], 0.5) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 @given(st.integers(2, 6), st.integers(0, 2**32 - 1))

@@ -11,7 +11,6 @@ from heckespin.numerics import rel_residual, sample_generic, torus_point
 from heckespin.spinrep import build_spin_rep
 from heckespin.tensorops import PERMUTE_TWO, factor_product, op_on_legs
 from heckespin.transfer import (
-    _double_row,
     check_transfer,
     check_transfer_vs_transport,
     hamiltonian,
@@ -128,20 +127,17 @@ def test_high_precision_agreement_beyond_two_sites(n):
 
 @pytest.mark.parametrize("n", [1, 3])
 def test_generic_path_converges_with_precision(n):
-    """The object-array double row at 30 and at 50 digits agrees far below
-    double rounding, so the mpmath path really runs in mpmath arithmetic."""
+    """The object-array transfer matrix at 30 and at 50 digits agrees far
+    below double rounding, so the mpmath path really runs in mpmath
+    arithmetic."""
     import mpmath
-
-    from heckespin.tensorops import factor_product
-    from heckespin.transfer import _double_row
 
     p = sample_generic(seed=5, n=n)
     x, t = _point(n, 6)
 
     def full(digits):
         with mpmath.workdps(digits):
-            pt = tuple(mpmath.mpc(v) for v in t)
-            return factor_product(_double_row(p, mpmath.mpc(x), pt), n + 1)[0]
+            return transfer_T(p, mpmath.mpc(x), tuple(mpmath.mpc(v) for v in t))
 
     lo, hi = full(30), full(50)
     assert isinstance(hi[0, 0], mpmath.mpc)
@@ -241,9 +237,7 @@ def test_inverse_transport_residual_falls_with_precision(seed):
     def column(digits):
         with mpmath.workdps(digits):
             tm = tuple(mpmath.mpc(v) for v in t)
-            aux = np.zeros((2 ** (n + 1), 2), dtype=complex)
-            aux[k, 0] = aux[2**n + k, 1] = 1
-            m = factor_product(_double_row(p, tm[i - 1], tm), n + 1, aux)[0]
+            col = factor_loop_T(p, tm[i - 1], tm, cols=[k])[:, 0]
             inv = [
                 (np.array(mpmath.inverse(mpmath.matrix(b.tolist())).tolist()), legs)
                 for b, legs in reversed(transport_factors(p, i, tm, q_override=1))
@@ -251,7 +245,7 @@ def test_inverse_transport_residual_falls_with_precision(seed):
             e = np.zeros((2**n, 1), dtype=complex)
             e[k] = 1
             ci = phi_bdy(tm[i - 1], p) * factor_product(inv, n, e)[0][:, 0]
-            return _column_residual(m[: 2**n, 0] + m[2**n :, 1], ci)
+            return _column_residual(col, ci)
 
     r30, r50 = column(30), column(50)
     assert r30 < 1e-12 and r53 > 100 * r30, (r53, r30)
