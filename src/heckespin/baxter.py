@@ -224,7 +224,7 @@ def cocycle_C(params: ParamSet, word, t) -> np.ndarray:
     for a in word:
         factors.append(cocycle_factor(params, a, point))
         point = act_point(WeylElem.generator(a, params.n), point, params)
-    return factor_product(factors, params.n)[0]
+    return factor_product(factors, params.n)
 
 
 def transport_factors(params: ParamSet, i: int, t, q_override=None) -> list:
@@ -258,4 +258,4 @@ def transport_factors(params: ParamSet, i: int, t, q_override=None) -> list:
 def transport_C_tau(params: ParamSet, i: int, t, q_override=None) -> np.ndarray:
     """The closed product form of C along the i-th translation (the factors
     of transport_factors multiplied out)."""
-    return factor_product(transport_factors(params, i, t, q_override), params.n)[0]
+    return factor_product(transport_factors(params, i, t, q_override), params.n)

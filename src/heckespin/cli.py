@@ -300,7 +300,7 @@ def suite_baxter(cfg: Config, p: ParamSet):
         shift_n = t[:-1] + (t[-1] / p.q,)
         lhs = transport_factors(p, 1, t) + transport_factors(p, n, shift_1)
         rhs = transport_factors(p, n, t) + transport_factors(p, 1, shift_n)
-        return rel_residual(factor_product(lhs, n)[0], factor_product(rhs, n)[0])
+        return rel_residual(factor_product(lhs, n), factor_product(rhs, n))
 
     checks.append(_check(
         "commuting translation transports", max(pole_free(transport_trial, 4)), cfg.tolerance,

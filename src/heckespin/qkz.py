@@ -214,7 +214,7 @@ def verify_solution(sol: KZSolution, samples: int = 20, seed: int = 8) -> dict:
         scale = max(1e-300, float(np.abs(ft).max()))
 
         def residual(factors, col):
-            lhs = factor_product(factors, n, vals[:, col : col + 1])[0][:, 0]
+            lhs = factor_product(factors, n, vals[:, col : col + 1])[:, 0]
             return float(np.abs(lhs - ft).max()) / scale
 
         rows = {f"transport equation i={i}": residual(transport_factors(params, i, t), i)

@@ -238,7 +238,7 @@ def murphy_factors(rep: SpinRep, i: int) -> list:
 def murphy_Y(rep: SpinRep, i: int, a=None) -> np.ndarray:
     """The commuting family member Y_i applied to ``a`` (the identity by
     default), one local factor at a time."""
-    return tensorops.factor_product(murphy_factors(rep, i), rep.n, a)[0]
+    return tensorops.factor_product(murphy_factors(rep, i), rep.n, a)
 
 
 def murphy_commutator_residual(rep: SpinRep) -> float:

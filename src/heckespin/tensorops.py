@@ -5,12 +5,12 @@ leftmost leg is the most significant bit, spin-up is bit 0.  So for m legs
 the basis index of a configuration (b_1, ..., b_m) is sum b_l * 2^(m-l),
 matching the order produced by iterated numpy.kron.
 
-A 2^k x 2^k block acting on k of the m legs is applied to an operand
-directly (apply_on_legs): the operand's rows are viewed as m legs of size 2,
-the block is contracted against the chosen legs, and the rows are put back.
-A product of local factors, with its derivative when the factors carry one,
-is one loop over apply_on_legs (factor_product); the dressed generators, the
-cocycle, the transport, the Murphy elements and the monodromy run through it.
+A 2^k x 2^k block acting on k adjacent legs of the m, in increasing order,
+is applied to an operand directly (apply_on_legs): one batched matmul on the
+rows viewed as (legs before, the k legs, legs after).  A product of local
+factors is one loop over apply_on_legs (factor_product); the dressed
+generators, the cocycle, the transport, the Murphy elements and the
+monodromy's factor list run through it.
 An identity between two products of local factors is checked on the union
 of their legs only (row_residual): both sides are (A - B) (x) Id there, and
 max|M (x) Id| = max|M|, so the residual is the one of the full space.  A
@@ -33,28 +33,18 @@ from .numerics import InternalDefectError, max_abs, rel_residual
 def apply_on_legs(op: np.ndarray, legs, a: np.ndarray, m: int) -> np.ndarray:
     """embed(op on legs) @ a, without forming the embedding.
 
-    ``op`` must be a 2^k x 2^k matrix with k = len(legs); legs are 1-based
-    and pairwise distinct but need not be adjacent or increasing, so the same
-    helper places r_{a b} for a > b.  ``a`` has 2^m rows and any number of
-    columns.  A shape or leg mismatch is a defect of the calling code.
+    ``op`` must be a 2^k x 2^k matrix with k = len(legs) >= 1; legs are
+    1-based, adjacent and increasing, within 1..m.  ``a`` has 2^m rows and
+    any number of columns.  A shape or leg mismatch is a defect of the
+    calling code.
     """
     legs = list(legs)
     k = len(legs)
     if op.shape != (1 << k, 1 << k) or a.ndim != 2 or a.shape[0] != 1 << m:
         raise InternalDefectError("operator size does not match leg count")
-    if k and 1 <= legs[0] <= m - k + 1 and legs == list(range(legs[0], legs[0] + k)):
-        # adjacent legs in increasing order: one batched product, no copies
-        return np.matmul(op, a.reshape(1 << (legs[0] - 1), 1 << k, -1)).reshape(a.shape)
-    if not legs or len(set(legs)) != k or min(legs) < 1 or max(legs) > m:
-        raise InternalDefectError("legs must be distinct and within range")
-    axes = [l - 1 for l in legs]
-    t = np.tensordot(
-        op.reshape((2,) * (2 * k)),
-        a.reshape((2,) * m + (a.shape[1],)),
-        axes=(list(range(k, 2 * k)), axes),
-    )
-    # tensordot put the k output legs first; move them back into place
-    return np.moveaxis(t, list(range(k)), axes).reshape(a.shape)
+    if not k or not 1 <= legs[0] <= m - k + 1 or legs != list(range(legs[0], legs[0] + k)):
+        raise InternalDefectError("legs must be adjacent, increasing and within range")
+    return np.matmul(op, a.reshape(1 << (legs[0] - 1), 1 << k, -1)).reshape(a.shape)
 
 
 def op_on_legs(op: np.ndarray, legs, m: int) -> np.ndarray:
@@ -63,38 +53,22 @@ def op_on_legs(op: np.ndarray, legs, m: int) -> np.ndarray:
 
 
 def factor_product(factors, m: int, a=None):
-    """(A a, A' a) for A = F_1 F_2 ... F_k, the local factors listed left to
-    right, applied to ``a`` (the identity by default) on m legs.
+    """F_1 F_2 ... F_k a for the local factors (block, legs) listed left to
+    right, on m legs; ``a`` is the identity by default.
 
-    A factor is (block, legs) or (block, d block/dx, legs).  The product is
-    built from the right, (P, P') <- (F P, F' P + F P'), so the derivative
-    rides along by the product rule when the factors carry derivative
-    blocks; otherwise the second entry is None.
-
-    >>> x, dx = np.diag([2.0, 3.0]), np.eye(2)
-    >>> y, dy = np.array([[0.0, 1.0], [5.0, 0.0]]), np.diag([1.0, -1.0])
-    >>> val, der = factor_product([(x, dx, [1]), (y, dy, [2])], 2)
-    >>> bool(np.allclose(val, np.kron(x, y)))
+    >>> x = np.diag([2.0, 3.0])
+    >>> y = np.array([[0.0, 1.0], [5.0, 0.0]])
+    >>> bool(np.allclose(factor_product([(x, [1]), (y, [2])], 2), np.kron(x, y)))
     True
-    >>> bool(np.allclose(der, np.kron(dx, y) + np.kron(x, dy)))
-    True
-    >>> factor_product([(x, [2])], 2, np.ones((4, 1)))[0].ravel().real
+    >>> factor_product([(x, [2])], 2, np.ones((4, 1))).ravel().real
     array([2., 3., 2., 3.])
     """
     if a is None:
-        exact = any(f[0].dtype == object for f in factors)
+        exact = any(block.dtype == object for block, _legs in factors)
         a = np.eye(2**m, dtype=object if exact else complex)
-    out = a
-    dout = None
-    if factors and len(factors[0]) == 3 and factors[0][1] is not None:
-        dout = np.zeros_like(out)
-    for factor in reversed(factors):
-        val, legs = factor[0], factor[-1]
-        if dout is not None:
-            dout = apply_on_legs(val, legs, dout, m)
-            dout += apply_on_legs(factor[1], legs, out, m)
-        out = apply_on_legs(val, legs, out, m)
-    return out, dout
+    for block, legs in reversed(factors):
+        a = apply_on_legs(block, legs, a, m)
+    return a
 
 
 def row_residual(lhs, rhs, coeff=1) -> float:
@@ -113,7 +87,7 @@ def row_residual(lhs, rhs, coeff=1) -> float:
     local = {leg: k for k, leg in enumerate(legs, 1)}
 
     def prod(side):
-        return factor_product([(b, [local[l] for l in ls]) for b, ls in side], len(legs))[0]
+        return factor_product([(b, [local[l] for l in ls]) for b, ls in side], len(legs))
 
     right = prod(rhs)
     return rel_residual(prod(lhs), right if coeff == 1 else coeff * right)

@@ -17,9 +17,11 @@ derivative rides along by the product rule on every site, which is the
 contraction of the bond-doubled triangular MPO [[W, W'], [0, W]].  The
 blocks evaluate at any scalar type, so the extended-precision T is
 transfer_T itself, called with mpmath x and t (object arrays throughout).
-The double row without the closure, as a list of local factors in two
-forms (_double_row), is the monodromy operator, whose two forms are
-compared by check_transfer.
+Contracted from the open start eye(4) instead of the closure, the same MPO
+leaves the auxiliary leg open and gives the monodromy operator U, the
+double row without the closure (monodromy_U).  check_transfer compares it
+with an independent construction: the double row as a list of local
+factors on adjacent legs (_double_row), multiplied out one at a time.
 
 Three equivalent presentations of the boundary XXZ Hamiltonian are exposed:
 the logarithmic derivative of the normalized transfer matrix at x = 1, the
@@ -76,36 +78,26 @@ def c0_constant(params: ParamSet):
     return -num / (k * (1 + k**2) * den)
 
 
-def _double_row(params: ParamSet, x, t, form: str) -> list:
-    """The double-row product as local factors (block, legs), left to right,
-    on the auxiliary leg 1 and chain legs 2..n+1.
-
-    form="rcheck" walks adjacent legs with R and puts the right boundary
-    block on the last chain leg; form="r" couples the auxiliary leg to each
-    site directly with r = R P and puts the boundary block on the auxiliary
-    leg.  With mpmath x and t the blocks are mpmath object arrays at the
-    working precision.
+def _double_row(params: ParamSet, x, t) -> list:
+    """The monodromy operator U(x; t) as local factors (block, legs), left
+    to right, on the auxiliary leg 1 and chain legs 2..n+1: the middle block
+    R walks adjacent legs out and back, with the right boundary block on the
+    last chain leg.  With mpmath x and t the blocks are mpmath object arrays
+    at the working precision.
     """
     n = params.n
     _kbar, R, k = dressed_blocks(params)
-    rcheck = form == "rcheck"
-
-    def site(j, arg, back):
-        if rcheck:
-            return R(arg), [j, j + 1]
-        return R(arg) @ PERMUTE_TWO, [j + 1, 1] if back else [1, j + 1]
-
-    out = [site(j, x / t[j - 1], False) for j in range(1, n + 1)]
-    out.append((k(x), [n + 1] if rcheck else [1]))
-    return out + [site(j, x * t[j - 1], True) for j in range(n, 0, -1)]
+    out = [(R(x / t[j - 1]), [j, j + 1]) for j in range(1, n + 1)]
+    out.append((k(x), [n + 1]))
+    return out + [(R(x * t[j - 1]), [j, j + 1]) for j in range(n, 0, -1)]
 
 
-def monodromy_U(params: ParamSet, x, t, form: str = "rcheck") -> np.ndarray:
-    """The double-row product without the left-boundary closure; the forms
-    "rcheck" and "r" of _double_row give the same operator."""
-    if form not in ("rcheck", "r"):
-        raise ValueError("form must be 'rcheck' or 'r'")
-    return factor_product(_double_row(params, x, t, form), params.n + 1)[0]
+def monodromy_U(params: ParamSet, x, t) -> np.ndarray:
+    """U(x; t), the double row without the closure, on the auxiliary leg 1
+    and chain legs 2..n+1: the MPO of transfer_T contracted from the open
+    start, where bond (c, d) starts at |c><d| on the auxiliary leg, so that
+    leg stays the leading row and column leg."""
+    return _transfer_mpo(params, x, t, deriv=False, start=np.eye(4).reshape(4, 2, 2))[0]
 
 
 def _leibniz(op, a, b) -> list:
@@ -135,8 +127,10 @@ def _absorb(left, w):
     return out.reshape(d, d, bond, 2, 2).transpose(2, 0, 3, 1, 4).reshape(bond, 2 * d, 2 * d)
 
 
-def _transfer_mpo(params: ParamSet, x, t, deriv: bool) -> list:
-    """[T(x; t)] or [T, dT/dx], contracted site by site from the MPO."""
+def _transfer_mpo(params: ParamSet, x, t, deriv: bool, start=None) -> list:
+    """[T(x; t)] or [T, dT/dx], contracted site by site from the MPO.  The
+    start environment [bond, row, col] is the closure unless ``start`` is
+    given; a given start carries no derivative."""
     n = params.n
     kbar, R, k = dressed_blocks(params)
     th, k2 = theta_matrix(params), params.kappa**2
@@ -146,7 +140,10 @@ def _transfer_mpo(params: ParamSet, x, t, deriv: bool) -> list:
 
     # the trace pairs the closure's column with the backward row: bond (c, d)
     # starts at A[d, c]; the right boundary closes it with K_n[c, d]
-    left = [(th @ a @ th).T.reshape(4, 1, 1) for a in jet(kbar, k2 * x, k2)]
+    if start is None:
+        left = [(th @ a @ th).T.reshape(4, 1, 1) for a in jet(kbar, k2 * x, k2)]
+    else:
+        left = [start]
     right = [a.reshape(4) for a in jet(k, x, 1)]
     for j in range(1, n + 1):
         fwd, bwd = jet(R, x / t[j - 1], 1 / t[j - 1]), jet(R, x * t[j - 1], t[j - 1])
@@ -192,7 +189,7 @@ def check_transfer(params: ParamSet, samples: int = 8, seed: int = 2) -> dict:
         out.add(
             "monodromy form agreement",
             rel_residual(
-                monodromy_U(params, x, t, "rcheck"), monodromy_U(params, x, t, "r")
+                factor_product(_double_row(params, x, t), n + 1), monodromy_U(params, x, t)
             ),
         )
         Tx, Ty = transfer_T(params, x, t), transfer_T(params, y, t)
@@ -220,7 +217,7 @@ def check_transfer(params: ParamSet, samples: int = 8, seed: int = 2) -> dict:
         out.add(
             "boundary crossing",
             rel_residual(
-                partial_trace_first(factor_product(closure, 2)[0], 2),
+                partial_trace_first(factor_product(closure, 2), 2),
                 phi_bdy(x, params) * kbar(x),
             ),
         )

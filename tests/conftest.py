@@ -98,8 +98,9 @@ def factor_loop_T(params, x, t, deriv=False, cols=None):
     on the auxiliary leg 1 and the chain legs 2..n+1, one local factor at a
     time, then traced over the auxiliary leg; with ``cols`` only those
     columns of T, from the two columns of the double space that the trace
-    pairs.  The closure theta K_0(kappa^2 x) theta leads, R walks adjacent
-    legs, and each factor carries its x-derivative when ``deriv`` is set."""
+    pairs.  The closure theta K_0(kappa^2 x) theta leads and R walks adjacent
+    legs.  With ``deriv`` set, dT/dx is the sum over positions of the same
+    product with that one factor replaced by its x-derivative."""
     n, dim = params.n, 2**params.n
     kbar, R, k = dressed_blocks(params)
     th, k2 = theta_matrix(params), params.kappa**2
@@ -115,9 +116,14 @@ def factor_loop_T(params, x, t, deriv=False, cols=None):
     aux = np.zeros((2 * dim, 2 * len(cols)), dtype=complex)
     for c, col in enumerate(cols):
         aux[col, c] = aux[dim + col, len(cols) + c] = 1
-    out = [a[:dim, : len(cols)] + a[dim:, len(cols) :]
-           for a in factor_product(row, n + 1, aux) if a is not None]
-    return tuple(out) if deriv else out[0]
+
+    def traced(swap):
+        a = factor_product([(d if pos == swap else v, legs)
+                            for pos, (v, d, legs) in enumerate(row)], n + 1, aux)
+        return a[:dim, : len(cols)] + a[dim:, len(cols) :]
+
+    val = traced(None)
+    return (val, sum(traced(k) for k in range(len(row)))) if deriv else val
 
 
 @pytest.fixture(scope="session")

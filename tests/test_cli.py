@@ -179,7 +179,9 @@ def test_explicit_parameter_file_sets_the_rank(tmp_path):
     assert data["params_fingerprint"] == p.fingerprint()
 
 
-@pytest.mark.parametrize("corrupt", ["leg out of range", "block on too many legs"])
+@pytest.mark.parametrize(
+    "corrupt", ["leg out of range", "block on too many legs", "non-adjacent legs"]
+)
 def test_bad_local_factor_is_an_internal_defect(monkeypatch, capsys, corrupt):
     import heckespin.transfer as transfer
 
@@ -190,6 +192,8 @@ def test_bad_local_factor_is_an_internal_defect(monkeypatch, capsys, corrupt):
         val, legs = factors[-1]
         if corrupt == "leg out of range":
             factors[-1] = (val, [legs[0], len(args[2]) + 2])
+        elif corrupt == "non-adjacent legs":
+            factors[-1] = (val, [legs[0], legs[-1] + 1])
         else:
             factors[-1] = (val, legs + [max(legs) + 1])
         return factors

@@ -23,12 +23,12 @@ def _cplx(rng, *shape):
 
 @st.composite
 def placements(draw):
-    """(m, legs, cols, seed): k <= 3 distinct legs of m <= 6 in any order."""
+    """(m, legs, cols, seed): k <= 3 adjacent, increasing legs of m <= 6."""
     m = draw(st.integers(1, 6))
     k = draw(st.integers(1, min(3, m)))
-    legs = draw(st.permutations(range(1, m + 1)))[:k]
+    start = draw(st.integers(1, m - k + 1))
     cols = draw(st.sampled_from([1, 3, 2**m]))
-    return m, list(legs), cols, draw(st.integers(0, 2**32 - 1))
+    return m, list(range(start, start + k)), cols, draw(st.integers(0, 2**32 - 1))
 
 
 @given(placements())
@@ -46,8 +46,8 @@ def test_apply_on_legs_matches_the_dense_embedding(dense_embed, case):
 
 @pytest.mark.parametrize(
     "legs, m",
-    [([2, 1], 2), ([4, 1], 4), ([1, 4], 5), ([5, 3], 5), ([3, 1, 5], 5),
-     ([6, 4, 2], 6), ([2, 3], 4), ([1, 2, 3], 3), ([3, 2, 1], 3)],
+    [([1, 2], 2), ([3, 4], 4), ([4, 5], 5), ([2, 3], 5), ([3, 4, 5], 5),
+     ([4, 5, 6], 6), ([2, 3], 4), ([1, 2, 3], 3), ([3], 3)],
 )
 def test_op_on_legs_is_the_embedding(dense_embed, legs, m):
     rng = np.random.default_rng(m + 10 * len(legs))
@@ -56,7 +56,7 @@ def test_op_on_legs_is_the_embedding(dense_embed, legs, m):
                        rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("legs", [[2, 3], [3, 1]])
+@pytest.mark.parametrize("legs", [[2, 3], [1, 2]])
 def test_apply_on_legs_on_mpmath_object_arrays(legs):
     rng = np.random.default_rng(3)
     op = _cplx(rng, 4, 4)
@@ -71,7 +71,7 @@ def test_apply_on_legs_on_mpmath_object_arrays(legs):
 @pytest.mark.parametrize(
     "op_dim, legs, rows",
     [(4, [1], 8), (2, [1, 2], 8), (4, [2, 2], 8), (2, [0], 8), (2, [4], 8),
-     (4, [1, 2], 6), (1, [], 8)],
+     (4, [1, 2], 6), (1, [], 8), (4, [1, 3], 8), (4, [2, 1], 8), (8, [3, 2, 1], 8)],
 )
 def test_shape_and_leg_mismatch_is_a_defect(op_dim, legs, rows):
     with pytest.raises(InternalDefectError):

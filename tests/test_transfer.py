@@ -80,9 +80,10 @@ def _point(n, seed):
 def test_transfer_and_monodromy_match_the_dense_oracle(n, dense_embed):
     p = sample_generic(seed=20 + n, n=n)
     x, t = _point(n, n)
+    got = monodromy_U(p, x, t)
     for form in ("rcheck", "r"):
         want, _ = _dense_product(_dense_row(p, x, t, dense_embed, form))
-        assert rel_residual(monodromy_U(p, x, t, form=form), want) < 1e-12
+        assert rel_residual(got, want) < 1e-12
     want, dwant = _dense_product(_dense_row(p, x, t, dense_embed, "closed"))
     assert rel_residual(transfer_T(p, x, t), _trace_aux(want)) < 1e-12
     val, der = transfer_T_deriv(p, x, t)
@@ -112,8 +113,7 @@ def test_no_dense_embedding_on_the_transfer_path(monkeypatch):
     x, t = _point(4, 4)
     transfer_T(p, x, t)
     transfer_T_deriv(p, x, t)
-    monodromy_U(p, x, t, form="rcheck")
-    monodromy_U(p, x, t, form="r")
+    monodromy_U(p, x, t)
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -163,9 +163,26 @@ def test_monodromy_forms_agree(params3, rng):
         complex(rng.uniform(0.8, 1.2) * np.exp(2j * np.pi * rng.uniform()))
         for _ in range(3)
     )
-    a = monodromy_U(params3, x, t, form="rcheck")
-    b = monodromy_U(params3, x, t, form="r")
+    a = factor_product(heckespin.transfer._double_row(params3, x, t), 4)
+    b = monodromy_U(params3, x, t)
     assert rel_residual(a, b) < 1e-11
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_scaled_double_row_factor_fails_the_monodromy_row(monkeypatch, n):
+    """The monodromy row compares the MPO's U with the factor list of
+    _double_row; one factor of that list scaled by 1.01 must break it."""
+    honest = heckespin.transfer._double_row
+
+    def scaled(*args):
+        factors = honest(*args)
+        block, legs = factors[n]
+        factors[n] = (1.01 * block, legs)
+        return factors
+
+    monkeypatch.setattr(heckespin.transfer, "_double_row", scaled)
+    res = check_transfer(sample_generic(seed=1, n=n), samples=2, seed=2)
+    assert res["monodromy form agreement"] > 1e-3, res
 
 
 def test_commuting_transfer_matrices(params3, rng):
@@ -195,7 +212,7 @@ def test_scaled_transport_factor_fails_the_product_form(monkeypatch, n):
         factors = transport_factors(p, i, t, q_override)
         block, legs = factors[n // 2]
         factors[n // 2] = (1.01 * block, legs)
-        return factor_product(factors, p.n)[0]
+        return factor_product(factors, p.n)
 
     monkeypatch.setattr(heckespin.transfer, "transport_C_tau", scaled)
     res = check_transfer_vs_transport(sample_generic(seed=1, n=n), samples=2, seed=1)
@@ -244,7 +261,7 @@ def test_inverse_transport_residual_falls_with_precision(seed):
             ]
             e = np.zeros((2**n, 1), dtype=complex)
             e[k] = 1
-            ci = phi_bdy(tm[i - 1], p) * factor_product(inv, n, e)[0][:, 0]
+            ci = phi_bdy(tm[i - 1], p) * factor_product(inv, n, e)[:, 0]
             return _column_residual(col, ci)
 
     r30, r50 = column(30), column(50)
