@@ -15,8 +15,9 @@ with u_j = upsilon_j.  They satisfy the reflection and Yang-Baxter
 identities, are unitary in the sense K(x) K(1/x) = Id, equal the identity at
 x = 1, and degenerate to kappa_j T_j^{-1} at x = 0.  The blocks are
 matrix-polynomial quotients (RationalMat), so derivatives in x are exact, and
-they evaluate at complex or mpmath x alike; the double-row transfer matrix
-uses the same three blocks.
+they evaluate at complex or mpmath x alike, or at a whole array of x at once
+(one block per point); the double-row transfer matrix uses the same three
+blocks.
 
 A product of dressed generators is a list of (block, legs) factors run
 through tensorops.factor_product; no factor is embedded into a dense 2^n
@@ -32,7 +33,15 @@ import functools
 
 import numpy as np
 
-from .numerics import ParamSet, PoleProximityError, RefusalError, Residuals, rel_residual, torus_point
+from .numerics import (
+    InternalDefectError,
+    ParamSet,
+    PoleProximityError,
+    RefusalError,
+    Residuals,
+    rel_residual,
+    torus_point,
+)
 from .spinrep import _local_k, _local_kbar, _local_upsilon_p
 from .tensorops import factor_product, row_residual
 from .weyl import WeylElem, act_point
@@ -42,8 +51,8 @@ _POLE_TOL = 1e-6
 
 def _horner(coeffs, x):
     """sum_k coeffs[k] x^k by Horner's rule, for array or scalar coefficients
-    and a scalar x of any type; an mpmath x gives mpmath values (object
-    arrays for array coefficients)."""
+    and an x of any type that broadcasts against them; an mpmath x gives
+    mpmath values (object arrays for array coefficients)."""
     out = 0j
     for c in reversed(coeffs):
         out = out * x + c
@@ -53,26 +62,39 @@ def _horner(coeffs, x):
 class RationalMat:
     """Matrix polynomial over a scalar polynomial, with exact x-derivative.
 
-    Evaluation works for any scalar x: a complex x gives a complex array, an
-    mpmath x an object array of mpc entries at the working precision.  A
-    denominator below 1e-6 max(1, |x|)^degree raises PoleProximityError.
+    x is one spectral parameter of any scalar type, or a 1-D array of them,
+    which gives a (len(x), r, r) stack; an unbatched call is the same code
+    without the leading axis.  A complex x gives complex arrays, an mpmath x
+    an object array of mpc entries at the working precision.  A denominator
+    below 1e-6 max(1, |x|)^degree at any point raises PoleProximityError,
+    whose ``where`` flags those points.
     """
 
     def __init__(self, num_coeffs, den_coeffs):
         self.num = [np.array(c, dtype=complex) for c in num_coeffs]
         self.den = [complex(c) for c in den_coeffs]
+        self.dnum = [k * c for k, c in enumerate(self.num)][1:] or [0j]
+        self.dden = [k * c for k, c in enumerate(self.den)][1:] or [0j]
+        self.degree = len(self.den) - 1
 
     def __call__(self, x):
         d = _horner(self.den, x)
-        if abs(d) < _POLE_TOL * max(1.0, abs(x)) ** (len(self.den) - 1):
-            raise PoleProximityError(f"spectral-parameter pole near x={x}")
+        # |d| < tol max(1, |x|)^deg point by point, as max(1, a)^deg =
+        # max(1, a^deg); a scalar x gives a Python bool, spared np.any
+        ad = abs(d)
+        near = (ad < _POLE_TOL) | (ad < _POLE_TOL * abs(x) ** self.degree)
+        if near is not False and np.any(near):
+            first = np.asarray(x)[near].ravel()[0]
+            raise PoleProximityError(f"spectral-parameter pole near x={first}", where=near)
+        if isinstance(x, np.ndarray):  # one matrix per point
+            x, d = x[..., None, None], d[..., None, None]
         return _horner(self.num, x) / d
 
     def deriv(self, x):
-        dn = [k * c for k, c in enumerate(self.num)][1:] or [0j]
-        dd = [k * c for k, c in enumerate(self.den)][1:] or [0j]
-        n, d = _horner(self.num, x), _horner(self.den, x)
-        return (_horner(dn, x) * d - n * _horner(dd, x)) / d**2
+        d, dd = _horner(self.den, x), _horner(self.dden, x)
+        if isinstance(x, np.ndarray):
+            x, d, dd = x[..., None, None], d[..., None, None], dd[..., None, None]
+        return (_horner(self.dnum, x) * d - _horner(self.num, x) * dd) / d**2
 
 
 def _baxterize(t_hat, kj, uj=None) -> RationalMat:
@@ -100,7 +122,8 @@ def dressed_blocks(params: ParamSet):
 
 def baxter_j(params: ParamSet, j: int, x):
     """The dressed generator of index j at x as (block, legs): K_0 on leg 1
-    for j = 0, K_n on leg n for j = n, R_j on legs (j, j+1) in between."""
+    for j = 0, K_n on leg n for j = n, R_j on legs (j, j+1) in between.  An
+    array x gives a stack of blocks, one per point."""
     n = params.n
     k0, r, kn = dressed_blocks(params)
     if j == 0:
@@ -109,7 +132,7 @@ def baxter_j(params: ParamSet, j: int, x):
         return kn(x), [n]
     if 0 < j < n:
         return r(x), [j, j + 1]
-    raise ValueError(f"generator index {j} out of range for n={n}")
+    raise InternalDefectError(f"generator index {j} out of range for n={n}")
 
 
 def check_identity_rank(n: int) -> None:
@@ -122,12 +145,15 @@ def check_identity_rank(n: int) -> None:
 def check_ybe_re(params: ParamSet, samples: int = 20, seed: int = 1) -> dict:
     """Residuals of the dressed-operator identities on the spin representation.
 
-    Both sides of every identity are factor lists evaluated on the union of
-    their legs (tensorops.row_residual), which gives the full-space
-    residual; each dressed block is evaluated once per argument within a
-    sample.  The one-factor rows (regularity, degeneration) compare blocks.
-    Keys beginning with "negative control" must come out LARGE; everything
-    else should sit at rounding level for generic parameters.
+    All sample pairs (x, y) are drawn first, and every identity is checked
+    over all of them at once: each dressed block is evaluated once per
+    argument as a stack over the samples, and both sides of every identity
+    are factor lists evaluated on the union of their legs
+    (tensorops.row_residual), which gives the full-space residual, the
+    largest over the samples.  The one-factor rows (regularity,
+    degeneration) compare blocks.  Keys beginning with "negative control"
+    must come out LARGE; everything else should sit at rounding level for
+    generic parameters.
     """
     n = params.n
     check_identity_rank(n)
@@ -136,48 +162,49 @@ def check_ybe_re(params: ParamSet, samples: int = 20, seed: int = 1) -> dict:
     bad = params.replace(upsilon0=params.upsilon0 * 1.01)
     names = [(0, "K0"), (n, "Kn")] + [(i, f"R{i}") for i in range(1, n)]
     blocks, memo = dressed_blocks(params), {}
+    x, y = np.array([torus_point(rng, 2, (0.7, 1.4)) for _ in range(samples)],
+                    dtype=complex).reshape(samples, 2).T
+    args = {"x": x, "y": y, "xy": x * y, "y/x": y / x, "x/y": x / y, "1/x": 1 / x}
 
     def B(j, arg):
-        """baxter_j(params, j, arg), each (block, argument) evaluated once
-        per sample."""
+        """baxter_j(params, j, args[arg]) over all samples, each (block,
+        argument) evaluated once."""
         kind = 0 if j == 0 else 2 if j == n else 1
         if (kind, arg) not in memo:
-            memo[kind, arg] = blocks[kind](arg)
+            memo[kind, arg] = blocks[kind](args[arg])
         return memo[kind, arg], [1] if kind == 0 else [n] if kind == 2 else [j, j + 1]
 
     def same(key, lhs, rhs):
-        out.add(key, row_residual(lhs, rhs))
+        if samples > 0:  # an empty stack has no residual, and no row
+            out.add(key, row_residual(lhs, rhs))
 
-    for _ in range(samples):
-        x, y = torus_point(rng, 2, (0.7, 1.4))
-        memo.clear()
-        K0x, K0y, Knx, Kny = B(0, x), B(0, y), B(n, x), B(n, y)
-        left = [B(1, y / x), K0y, B(1, x * y), K0x]
-        same("reflection at the left boundary", [K0x, B(1, x * y), K0y, B(1, y / x)], left)
+    K0x, K0y, Knx, Kny = B(0, "x"), B(0, "y"), B(n, "x"), B(n, "y")
+    left = [B(1, "y/x"), K0y, B(1, "xy"), K0x]
+    same("reflection at the left boundary", [K0x, B(1, "xy"), K0y, B(1, "y/x")], left)
+    same(
+        "reflection at the right boundary",
+        [Kny, B(n - 1, "xy"), Knx, B(n - 1, "x/y")],
+        [B(n - 1, "x/y"), Knx, B(n - 1, "xy"), Kny],
+    )
+    for i in range(1, n - 1):
         same(
-            "reflection at the right boundary",
-            [Kny, B(n - 1, x * y), Knx, B(n - 1, x / y)],
-            [B(n - 1, x / y), Knx, B(n - 1, x * y), Kny],
+            f"yang-baxter braid R{i} R{i + 1}",
+            [B(i, "x"), B(i + 1, "xy"), B(i, "y")],
+            [B(i + 1, "y"), B(i, "xy"), B(i + 1, "x")],
         )
-        for i in range(1, n - 1):
-            same(
-                f"yang-baxter braid R{i} R{i + 1}",
-                [B(i, x), B(i + 1, x * y), B(i, y)],
-                [B(i + 1, y), B(i, x * y), B(i + 1, x)],
-            )
-        for j, name in names:
-            same(f"unitarity {name}", [B(j, x), B(j, 1 / x)], [])
-        for i in range(2, n):
-            same(f"far commutation K0 R{i}", [K0x, B(i, y)], [B(i, y), K0x])
-        for i in range(1, n - 2):
-            same(f"far commutation Kn R{i}", [Knx, B(i, y)], [B(i, y), Knx])
-        for i in range(1, n):
-            for j in range(i + 2, n):
-                same(f"far commutation R{i} R{j}", [B(i, x), B(j, y)], [B(j, y), B(i, x)])
-        same("far commutation K0 Kn", [K0x, Knx], [Knx, K0x])
-        # negative control: left reflection with upsilon0 nudged on one side
-        bad_lhs = [baxter_j(bad, 0, x), B(1, x * y), K0y, B(1, y / x)]
-        same("negative control perturbed reflection", bad_lhs, left)
+    for j, name in names:
+        same(f"unitarity {name}", [B(j, "x"), B(j, "1/x")], [])
+    for i in range(2, n):
+        same(f"far commutation K0 R{i}", [K0x, B(i, "y")], [B(i, "y"), K0x])
+    for i in range(1, n - 2):
+        same(f"far commutation Kn R{i}", [Knx, B(i, "y")], [B(i, "y"), Knx])
+    for i in range(1, n):
+        for j in range(i + 2, n):
+            same(f"far commutation R{i} R{j}", [B(i, "x"), B(j, "y")], [B(j, "y"), B(i, "x")])
+    same("far commutation K0 Kn", [K0x, Knx], [Knx, K0x])
+    # negative control: left reflection with upsilon0 nudged on one side
+    bad_lhs = [baxter_j(bad, 0, x), B(1, "xy"), K0y, B(1, "y/x")]
+    same("negative control perturbed reflection", bad_lhs, left)
     t_hat = [_local_kbar(params)] + [_local_upsilon_p(params)] * (n - 1) + [_local_k(params)]
     for j, name in names:
         kj, eye = params.kappa_j(j), np.eye(len(t_hat[j]))
@@ -240,7 +267,7 @@ def transport_factors(params: ParamSet, i: int, t, q_override=None) -> list:
     """
     n = params.n
     if not 1 <= i <= n:
-        raise ValueError("translation index out of range")
+        raise InternalDefectError("translation index out of range")
     q = params.q if q_override is None else complex(q_override)
     q_sqrt = params.q_sqrt if q_override is None else complex(q_override) ** 0.5
     ti = t[i - 1]

@@ -27,12 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baxter import check_identity_rank, check_ybe_re, cocycle_C, transport_factors
-from .koornwinder import (
-    check_caps,
-    compute_P_detail,
-    fixed_by_si,
-    stabilizer_eigen_residual,
-)
+from .koornwinder import check_caps, compute_P_detail, fixed_by_si, label_residuals
 from .matchings import (
     enumerate_matchings,
     intertwiner_Psi,
@@ -356,6 +351,9 @@ def suite_transfer(cfg: Config, p: ParamSet):
 
 
 def suite_koornwinder(cfg: Config, p: ParamSet):
+    """The constant label, then every label of degree at most 3, one degree
+    at a time: all labels of degree r are checked at once on the ball of
+    radius r (koornwinder.label_residuals)."""
     n = p.n
     radius = 3
     checks = []
@@ -370,18 +368,16 @@ def suite_koornwinder(cfg: Config, p: ParamSet):
     worst_fixed = 0.0
     sep = float("inf")
     count = 0
-    for lam in l1_ball(n, radius):
-        det = compute_P_detail(tuple(lam), p)
-        worst_eig = max(worst_eig, det.residual)
-        lead = det.poly.terms.get(tuple(lam), 0.0)
-        worst_monic = max(worst_monic, abs(lead - 1.0))
+    for r in range(radius + 1):
+        labels = [lam for lam in l1_ball(n, r) if sum(map(abs, lam)) == r]
+        joint, monic, stab = label_residuals(labels, p)
+        worst_eig = max(worst_eig, float(joint.max()))
+        worst_monic = max(worst_monic, float(monic.max()))
         for i in range(1, n + 1):
-            r = stabilizer_eigen_residual(i, det.poly, p)
-            if fixed_by_si(i, tuple(lam)):
-                worst_fixed = max(worst_fixed, r)
-            else:
-                sep = min(sep, r)
-        count += 1
+            fixed = np.array([fixed_by_si(i, lam) for lam in labels])
+            worst_fixed = max(worst_fixed, float(stab[i - 1, fixed].max(initial=0.0)))
+            sep = min(sep, float(stab[i - 1, ~fixed].min(initial=np.inf)))
+        count += len(labels)
     ctx = f"all {count} labels with degree at most {radius}"
     checks.append(_check(
         "joint eigenvector residual", worst_eig, max(cfg.tolerance, 1e-8), ctx,

@@ -19,7 +19,8 @@ difference of a monomial is a finite geometric sum, checked against its
 denominator.  Y_i is the product of the T_j along tau_word.  The Y_i are
 jointly triangular on monomials (Cherednik, IMRN 1995; Sahi, Ann. Math. 150,
 1999), so in a checked topological order one back-substitution gives the
-eigenvector of every monomial of the ball; compute_P reads its label's column.
+eigenvector of every monomial of the ball; compute_P reads its label's column,
+and label_residuals checks all labels of one degree at once on their ball.
 """
 
 from __future__ import annotations
@@ -264,11 +265,18 @@ def generator_matrices(params: ParamSet, radius: int):
     return basis, index, gens
 
 
+def _eigen_residuals(mats, vals, vecs) -> np.ndarray:
+    """R[k, l] = max|M_k v_l - c_kl v_l| / max(max|v_l|, 1) for the columns
+    v_l of vecs, with c_kl = vals[k] (one scalar, or one per column): one
+    product per M_k for all columns."""
+    scale = np.maximum(np.abs(vecs).max(axis=0), 1.0)
+    return np.array([np.abs(m @ vecs - c * vecs).max(axis=0) for m, c in zip(mats, vals)]) / scale
+
+
 def _eigen_residual(poly: LaurentPoly, index: dict, pairs) -> float:
     """max over (M, c) of |M v - c v| / max(|v|, 1), v the ball vector of poly."""
-    vec = ball_vector(poly, index)
-    scale = max(float(np.abs(vec).max()), 1.0)
-    return max(float(np.abs(m @ vec - c * vec).max()) for m, c in pairs) / scale
+    vec = ball_vector(poly, index)[:, None]
+    return float(_eigen_residuals([m for m, _c in pairs], [c for _m, c in pairs], vec).max())
 
 
 def check_caps(n: int, degree: int = 0) -> None:
@@ -291,38 +299,82 @@ def compute_P(lam, params: ParamSet) -> LaurentPoly:
     return compute_P_detail(lam, params).poly
 
 
+class _Monic(NamedTuple):
+    ball: tuple  # the _ball entry of the labels' degree
+    inv_gamma: np.ndarray  # inv_gamma[i - 1, l] = 1 / gamma_i of label l
+    vecs: np.ndarray  # column l: the monic eigenvector of label l on the ball
+    span: np.ndarray  # span[l]: the size of label l's down-set
+
+
+def _monic_vectors(labels, gammas, params: ParamSet) -> _Monic:
+    """The monic joint eigenvectors of labels of one degree r, with spectral
+    vectors gammas, as the columns of one matrix on the ball of radius r:
+    each label's column of the joint eigenbasis on its down-set, entries at
+    most 1e-13 of the column's largest dropped, the leading entry pinned to
+    1.  GenericityError when a diagonal entry of some Y_i at a label misses
+    1/gamma_i, or a predecessor in the triangular order shares the label's
+    entry of Z, by _KERNEL_GAP of the largest such entry (at least 1)."""
+    n, radius = params.n, sum(abs(v) for v in labels[0])
+    check_caps(n, radius)
+    ball = _ball(params, radius)
+    _basis, index, _mats, _gens, eig = ball
+    cols = np.array([index[lam] for lam in labels], dtype=np.int64)
+    inv = 1 / np.array(gammas, dtype=complex).reshape(len(labels), n).T
+    yscale = max(float(np.abs(eig.ydiag).max()), 1.0)
+    missed = np.abs(eig.ydiag[:, cols] - inv).max(axis=0) > _KERNEL_GAP * yscale
+    zscale = max(float(np.abs(eig.zdiag).max()), 1.0)
+    gaps = np.where(eig.rank[:, None] < eig.rank[cols],
+                    np.abs(eig.zdiag[:, None] - eig.zdiag[cols]), np.inf)
+    shared = gaps.min(axis=0, initial=np.inf) < _KERNEL_GAP * zscale
+    down = eig.down[:, cols]
+    vecs = np.where(down, eig.vecs[:, cols], 0)
+    top = np.abs(vecs).max(axis=0)
+    vanished = np.abs(eig.vecs[cols, cols]) < 1e-12 * top
+    for l in np.flatnonzero(missed | shared | vanished)[:1]:
+        if missed[l]:
+            raise GenericityError(f"no joint eigenvector at lambda={labels[l]}")
+        if shared[l]:
+            raise GenericityError(f"non-generic spectrum at lambda={labels[l]}")
+        raise InternalDefectError("leading coefficient vanished on the span")
+    lead = np.arange(len(vecs))[:, None] == cols
+    vecs = np.where((np.abs(vecs) > 1e-13 * top) | lead, vecs, 0)
+    vecs[lead] = 1.0  # one by construction; pinned, never left to rounding
+    return _Monic(ball, inv, vecs, down.sum(axis=0))
+
+
 def compute_P_detail(lam, params: ParamSet) -> PolynomialResult:
-    """Monic joint eigenpolynomial with leading monomial t^lambda: lambda's
-    column of the joint eigenbasis of its degree ball, on its down-set (of
-    size span_size).  GenericityError when a diagonal entry of some Y_i at
-    lambda misses 1/gamma_i, or a predecessor in the triangular order shares
-    lambda's entry of Z, by _KERNEL_GAP of the largest such entry (at least
-    1).  The residual is taken on the full degree ball."""
+    """Monic joint eigenpolynomial with leading monomial t^lambda: the
+    one-label case of _monic_vectors, read off on lambda's down-set (of size
+    span_size).  The residual is taken on the full degree ball."""
     lam = tuple(int(v) for v in lam)
     n = params.n
     if n != len(lam):
-        raise ValueError("lambda length must match n")
-    radius = sum(abs(v) for v in lam)
-    check_caps(n, radius)
-    basis, index, _mats, _gens, eig = _ball(params, radius)
-    a = index[lam]
+        raise InternalDefectError("lambda length must match n")
     sp = gamma_lambda(lam, params)
-    yscale = max(float(np.abs(eig.ydiag).max()), 1.0)
-    if np.abs(eig.ydiag[:, a] - 1 / np.array(sp.gamma)).max() > _KERNEL_GAP * yscale:
-        raise GenericityError(f"no joint eigenvector at lambda={lam}")
-    pred = eig.zdiag[eig.rank < eig.rank[a]]
-    zscale = max(float(np.abs(eig.zdiag).max()), 1.0)
-    if pred.size and np.abs(pred - eig.zdiag[a]).min() < _KERNEL_GAP * zscale:
-        raise GenericityError(f"non-generic spectrum at lambda={lam}")
-    down = np.flatnonzero(eig.down[:, a])
-    vec = eig.vecs[down, a]
-    if abs(eig.vecs[a, a]) < 1e-12 * np.abs(vec).max():
-        raise InternalDefectError("leading coefficient vanished on the span")
-    cutoff = 1e-13 * np.abs(vec).max()
-    terms = {basis[r]: complex(c) for r, c in zip(down, vec) if abs(c) > cutoff or r == a}
-    terms[lam] = 1.0 + 0.0j  # one by construction; pinned, never left to rounding
-    poly = LaurentPoly(n, terms)
-    return PolynomialResult(poly, sp, joint_residual(poly, sp, params), len(down))
+    mon = _monic_vectors([lam], [sp.gamma], params)
+    basis, _index, mats, _gens, _eig = mon.ball
+    vec = mon.vecs[:, 0]
+    poly = LaurentPoly(n, {basis[r]: complex(vec[r]) for r in np.flatnonzero(vec)})
+    ys = [mats[i] for i in range(1, n + 1)]
+    residual = float(_eigen_residuals(ys, mon.inv_gamma, mon.vecs).max())
+    return PolynomialResult(poly, sp, residual, int(mon.span[0]))
+
+
+def label_residuals(labels, params: ParamSet):
+    """For labels of one degree r, all at once on the ball of radius r, what
+    compute_P_detail gives label by label: the joint residual of each
+    label's monic eigenpolynomial, |leading coefficient - 1|, and stab[i - 1,
+    l], the relative residual of T_i P = kappa_i^{-1} P on the ball, i =
+    1..n.  The spectral vectors are one _gamma_vectors call, and each
+    residual one product per Y_i or per T_i."""
+    n = params.n
+    mon = _monic_vectors(labels, _gamma_vectors(labels, params), params)
+    _basis, index, mats, gens, _eig = mon.ball
+    joint = _eigen_residuals([mats[i] for i in range(1, n + 1)], mon.inv_gamma, mon.vecs)
+    lead = mon.vecs[[index[lam] for lam in labels], np.arange(len(labels))]
+    stab = _eigen_residuals([gens[i] for i in range(1, n + 1)],
+                            [1 / params.kappa_j(i) for i in range(1, n + 1)], mon.vecs)
+    return joint.max(axis=0), np.abs(lead - 1.0), stab
 
 
 def joint_residual(poly: LaurentPoly, sp: SpectralPoint, params: ParamSet):

@@ -55,7 +55,13 @@ class InternalDefectError(RuntimeError):
 
 
 class PoleProximityError(RuntimeError):
-    """A spectral-parameter evaluation landed too close to a pole."""
+    """A spectral-parameter evaluation landed too close to a pole.  An
+    evaluation over a stack of points flags the points at a pole in
+    ``where`` (a boolean per point); None means every point."""
+
+    def __init__(self, message: str, where=None):
+        super().__init__(message)
+        self.where = where
 
 
 def eta(x) -> int:
@@ -315,13 +321,19 @@ class LaurentTable:
                 self.coeffs[r, col[e]] = c
 
     def __call__(self, points, dtype=complex) -> np.ndarray:
-        """Values at the points, shape (polynomials, len(points)); dtype=object
-        evaluates mpmath points in mpmath arithmetic."""
+        """Values at the points, shape (polynomials, len(points)); a point
+        whose coordinates are arrays over a stack of S points adds a trailing
+        axis, (polynomials, len(points), S).  dtype=object evaluates mpmath
+        points in mpmath arithmetic."""
         n = self.exps.shape[1]
         if any(len(t) != n for t in points):
             raise InternalDefectError("point arity mismatch")
-        pts = np.array(points, dtype=dtype).reshape(len(points), 1, n)
-        return self.coeffs @ np.prod(pts**self.exps, axis=2).T
+        pts = np.array(points, dtype=dtype)
+        batch = pts.shape[2:]
+        size = int(np.prod(batch, dtype=np.int64))
+        pts = np.moveaxis(pts.reshape(len(points), n, size), 1, 2).reshape(-1, 1, n)
+        vals = self.coeffs @ np.prod(pts**self.exps, axis=2).T
+        return vals.reshape((len(self.coeffs), len(points)) + batch)
 
 
 def laurent_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
@@ -661,11 +673,37 @@ def pole_free(sample, count: int) -> list:
     return out
 
 
+def pole_free_points(draw, evaluate, count: int):
+    """evaluate(points) at the first count results of draw() that lie clear
+    of every pole, in draw order: the batched form of pole_free, with the
+    same budget.  evaluate takes the list of points and evaluates them all
+    at once; the points a PoleProximityError from it flags (every point when
+    it flags none) are dropped, and new ones drawn in their place.  Raises
+    GenericityError once count + 40 draws have not been enough.
+    """
+    points, dropped = [], set()
+    while True:
+        kept = [k for k in range(len(points)) if k not in dropped]
+        short = min(count - len(kept), count + _MAX_RESAMPLE - len(points))
+        if short > 0:
+            points += [draw() for _ in range(short)]
+            continue
+        if len(kept) < count:
+            raise GenericityError("could not find enough pole-free sample points")
+        try:
+            return evaluate([points[k] for k in kept])
+        except PoleProximityError as err:
+            where = True if err.where is None else err.where
+            dropped.update(k for k, bad in zip(kept, np.broadcast_to(where, len(kept))) if bad)
+
+
 class Residuals(dict):
-    """Check name -> the largest residual recorded under that name."""
+    """Check name -> the largest residual recorded under that name; a NaN,
+    once recorded, stays, so that its check fails."""
 
     def add(self, key: str, value: float) -> None:
-        self[key] = max(self.get(key, 0.0), value)
+        old = self.get(key, 0.0)
+        self[key] = value if value > old or value != value else old
 
 
 def max_abs(a) -> float:
@@ -675,6 +713,13 @@ def max_abs(a) -> float:
     return float(np.abs(a).max())
 
 
+def _point_max(a: np.ndarray):
+    """max|a| over each point of a stack (an array of more than two axes,
+    the leading one running over the points), else over all of a."""
+    axes = tuple(range(1, a.ndim)) if a.ndim > 2 else None
+    return np.asarray(np.abs(a).max(axis=axes, initial=0.0), dtype=float)
+
+
 def rel_residual(a, b, scale: float | None = None) -> float:
     """Max-abs difference normalized by the larger of the compared objects.
 
@@ -682,11 +727,12 @@ def rel_residual(a, b, scale: float | None = None) -> float:
     against zero, where the natural scale is the size of the inputs that
     produced the residual).  The difference is taken in the scalar type of
     the inputs, so exact (object-array) inputs give exactly 0 only when they
-    agree exactly."""
+    agree exactly.  Over a stack of matrices (more than two axes, the
+    leading one running over points) it is the largest of the points' own
+    residuals, each with its own scale."""
     a, b = np.asarray(a), np.asarray(b)
-    num = max_abs(a - b)
-    if scale is None:
-        scale = max(max_abs(a), max_abs(b))
-    if scale < 1e-300:
-        return 0.0 if num < 1e-300 else float("inf")
-    return float(num / scale)
+    num = _point_max(a - b)
+    scale = np.maximum(_point_max(a), _point_max(b)) if scale is None else np.asarray(scale, dtype=float)
+    # below a scale of 1e-300: 0 if the difference vanishes too, else inf
+    ratio = np.divide(num, scale, out=np.where(num < 1e-300, 0.0, np.inf), where=scale >= 1e-300)
+    return float(ratio.max())

@@ -11,8 +11,9 @@ for each minimal coset representative w, the Hecke element of w (w_0^J)^{-1}
 through the cached generator matrices, weighting the image by the
 principal-series vector v_w; one principal-series basis serves the spectral
 wiring check and the assembly.  verify_solution tabulates the components once
-per call (LaurentTable) and evaluates each sample point, its q-shifts and its
-reflections as one product.
+per call (LaurentTable), evaluates all sample points, their q-shifts and
+their reflections as one product, and checks each equation once over the
+stack of points.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .numerics import (
     RefusalError,
     Residuals,
     eta,
-    pole_free,
+    pole_free_points,
     torus_point,
 )
 from .spinrep import principal_series_basis
@@ -195,36 +196,41 @@ def build_polynomial_solution(params: ParamSet, m: int) -> KZSolution:
 
 def verify_solution(sol: KZSolution, samples: int = 20, seed: int = 8) -> dict:
     """Pointwise residuals of the n transport equations and the n+1
-    invariance equations at random generic points; a point near a pole is
-    dropped whole and another drawn (numerics.pole_free).  The components
-    are tabulated per call, as they stand, and each sample's point, n shifts
-    and n+1 reflections are one table product."""
+    invariance equations at random generic points, all points at once.  The
+    points are the first ``samples`` draws at which no factor lies near a
+    pole, in draw order (numerics.pole_free_points).  The components are
+    tabulated per call, as they stand; every point, its n shifts and its n+1
+    reflections are one table product, and each equation is one factor
+    product over the stack of points, reporting the largest of the points'
+    residuals."""
     params = sol.params
     n = params.n
     table = LaurentTable(sol.components, n)
     rng = np.random.default_rng(seed)
     q = params.q
 
-    def sample() -> dict:
-        t = torus_point(rng, n, (0.75, 1.35))
+    def rows(points) -> dict:
+        if not points:
+            return {}
+        t = tuple(np.array(points, dtype=complex).T)
         shifted = [t[:i] + (t[i] / q,) + t[i + 1 :] for i in range(n)]
         reflected = [act_point(WeylElem.generator(j, n), t, params) for j in range(n + 1)]
-        vals = table([t, *shifted, *reflected])
-        ft = vals[:, 0]
-        scale = max(1e-300, float(np.abs(ft).max()))
+        # vals[c, s]: the components at the c-th of these points of sample s
+        vals = np.moveaxis(table([t, *shifted, *reflected]), 0, -1)
+        ft = vals[0]
+        scale = np.maximum(np.abs(ft).max(axis=1), 1e-300)
 
         def residual(factors, col):
-            lhs = factor_product(factors, n, vals[:, col : col + 1])[:, 0]
-            return float(np.abs(lhs - ft).max()) / scale
+            lhs = factor_product(factors, n, vals[col][..., None])[..., 0]
+            return float((np.abs(lhs - ft).max(axis=1) / scale).max())
 
-        rows = {f"transport equation i={i}": residual(transport_factors(params, i, t), i)
-                for i in range(1, n + 1)}
+        out = {f"transport equation i={i}": residual(transport_factors(params, i, t), i)
+               for i in range(1, n + 1)}
         for j in range(n + 1):
-            rows[f"invariance under s_{j}"] = residual([cocycle_factor(params, j, t)], n + 1 + j)
-        return rows
+            out[f"invariance under s_{j}"] = residual([cocycle_factor(params, j, t)], n + 1 + j)
+        return out
 
-    out = Residuals()
-    for rows in pole_free(sample, samples):
-        for key, value in rows.items():
-            out.add(key, value)
-    return out
+    def draw():
+        return torus_point(rng, n, (0.75, 1.35))
+
+    return Residuals(pole_free_points(draw, rows, samples))

@@ -21,6 +21,12 @@ gathers, and an identity between two such products is checked on the
 formed on a product path; op_on_legs, which returns it, is the same
 primitive applied to the identity.  Any scalar type numpy can contract
 works, including object arrays of mpmath numbers or of exact fractions.
+
+Blocks and operands may carry a leading batch axis, one matrix per sample
+point, as the dressed blocks do when evaluated over a stack of spectral
+parameters: apply_on_legs and factor_product then act point by point (the
+batch axes broadcast), and row_residual is the largest of the points' own
+residuals.  An unbatched call is the same code without that axis.
 """
 
 from __future__ import annotations
@@ -35,16 +41,20 @@ def apply_on_legs(op: np.ndarray, legs, a: np.ndarray, m: int) -> np.ndarray:
 
     ``op`` must be a 2^k x 2^k matrix with k = len(legs) >= 1; legs are
     1-based, adjacent and increasing, within 1..m.  ``a`` has 2^m rows and
-    any number of columns.  A shape or leg mismatch is a defect of the
-    calling code.
+    any number of columns.  Either may carry a leading batch axis (a stack
+    of matrices, one per point), and the batch axes broadcast: a stack of
+    blocks applied to one operand gives one product per block.  A shape or
+    leg mismatch is a defect of the calling code.
     """
     legs = list(legs)
     k = len(legs)
-    if op.shape != (1 << k, 1 << k) or a.ndim != 2 or a.shape[0] != 1 << m:
+    if op.shape[-2:] != (1 << k, 1 << k) or a.ndim < 2 or a.shape[-2] != 1 << m:
         raise InternalDefectError("operator size does not match leg count")
     if not k or not 1 <= legs[0] <= m - k + 1 or legs != list(range(legs[0], legs[0] + k)):
         raise InternalDefectError("legs must be adjacent, increasing and within range")
-    return np.matmul(op, a.reshape(1 << (legs[0] - 1), 1 << k, -1)).reshape(a.shape)
+    after = (1 << (m - legs[0] - k + 1)) * a.shape[-1]
+    out = np.matmul(op[..., None, :, :], a.reshape(a.shape[:-2] + (1 << (legs[0] - 1), 1 << k, after)))
+    return out.reshape(out.shape[:-3] + a.shape[-2:])
 
 
 def op_on_legs(op: np.ndarray, legs, m: int) -> np.ndarray:
@@ -54,7 +64,8 @@ def op_on_legs(op: np.ndarray, legs, m: int) -> np.ndarray:
 
 def factor_product(factors, m: int, a=None):
     """F_1 F_2 ... F_k a for the local factors (block, legs) listed left to
-    right, on m legs; ``a`` is the identity by default.
+    right, on m legs; ``a`` is the identity by default.  Blocks stacked over
+    points give the stack of the points' products.
 
     >>> x = np.diag([2.0, 3.0])
     >>> y = np.array([[0.0, 1.0], [5.0, 0.0]])
@@ -75,7 +86,9 @@ def row_residual(lhs, rhs, coeff=1) -> float:
     """rel_residual of prod(lhs) against coeff * prod(rhs), two products of
     local (block, legs) factors listed left to right, evaluated on the union
     of the legs of both sides renumbered 1..k (max|M (x) Id| = max|M|, so
-    this is the residual on the full space).
+    this is the residual on the full space).  With blocks stacked over
+    points it is the largest of the points' residuals, each point with its
+    own scale.
 
     >>> x = np.array([[0.0, 1.0], [1.0, 0.0]])
     >>> row_residual([(x, [3]), (x, [5])], [(x, [5]), (x, [3])])

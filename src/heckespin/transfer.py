@@ -349,7 +349,7 @@ def hamiltonian(params: ParamSet, form: str = "pauli") -> np.ndarray:
             block, legs = rep.e[j]
             acc += op_on_legs(tl_weight(params, j) * block, legs, n)
         return acc
-    raise ValueError("form must be 'transfer', 'pauli', or 'tl'")
+    raise InternalDefectError("form must be 'transfer', 'pauli', or 'tl'")
 
 
 def transfer_T_mp(params: ParamSet, x, t, digits: int = 50) -> np.ndarray:

@@ -5,10 +5,21 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from heckespin.baxter import RationalMat, dressed_blocks
-from heckespin.numerics import rel_residual, sample_generic
-from heckespin.tensorops import factor_product
+from heckespin.baxter import RationalMat, baxter_j, cocycle_factor, dressed_blocks, transport_factors
+from heckespin.koornwinder import _ball, ball_vector, compute_P_detail, fixed_by_si
+from heckespin.numerics import (
+    LaurentTable,
+    Residuals,
+    l1_ball,
+    pole_free,
+    rel_residual,
+    sample_generic,
+    torus_point,
+)
+from heckespin.spinrep import _local_k, _local_kbar, _local_upsilon_p
+from heckespin.tensorops import factor_product, row_residual
 from heckespin.transfer import theta_matrix
+from heckespin.weyl import WeylElem, act_point
 
 _ACCEPTANCE: list = []
 
@@ -124,6 +135,133 @@ def factor_loop_T(params, x, t, deriv=False, cols=None):
 
     val = traced(None)
     return (val, sum(traced(k) for k in range(len(row)))) if deriv else val
+
+
+def ybe_per_sample(params, samples=20, seed=1):
+    """Oracle: the identity battery of baxter.check_ybe_re one sample at a
+    time, at scalar spectral parameters, each (block, argument) evaluated
+    once within a sample; every row keeps its largest residual over the
+    samples."""
+    n = params.n
+    rng = np.random.default_rng(seed)
+    out = Residuals()
+    bad = params.replace(upsilon0=params.upsilon0 * 1.01)
+    names = [(0, "K0"), (n, "Kn")] + [(i, f"R{i}") for i in range(1, n)]
+    blocks, memo = dressed_blocks(params), {}
+
+    def B(j, arg):
+        kind = 0 if j == 0 else 2 if j == n else 1
+        if (kind, arg) not in memo:
+            memo[kind, arg] = blocks[kind](arg)
+        return memo[kind, arg], [1] if kind == 0 else [n] if kind == 2 else [j, j + 1]
+
+    def same(key, lhs, rhs):
+        out.add(key, row_residual(lhs, rhs))
+
+    for _ in range(samples):
+        x, y = torus_point(rng, 2, (0.7, 1.4))
+        memo.clear()
+        K0x, K0y, Knx, Kny = B(0, x), B(0, y), B(n, x), B(n, y)
+        left = [B(1, y / x), K0y, B(1, x * y), K0x]
+        same("reflection at the left boundary", [K0x, B(1, x * y), K0y, B(1, y / x)], left)
+        same(
+            "reflection at the right boundary",
+            [Kny, B(n - 1, x * y), Knx, B(n - 1, x / y)],
+            [B(n - 1, x / y), Knx, B(n - 1, x * y), Kny],
+        )
+        for i in range(1, n - 1):
+            same(
+                f"yang-baxter braid R{i} R{i + 1}",
+                [B(i, x), B(i + 1, x * y), B(i, y)],
+                [B(i + 1, y), B(i, x * y), B(i + 1, x)],
+            )
+        for j, name in names:
+            same(f"unitarity {name}", [B(j, x), B(j, 1 / x)], [])
+        for i in range(2, n):
+            same(f"far commutation K0 R{i}", [K0x, B(i, y)], [B(i, y), K0x])
+        for i in range(1, n - 2):
+            same(f"far commutation Kn R{i}", [Knx, B(i, y)], [B(i, y), Knx])
+        for i in range(1, n):
+            for j in range(i + 2, n):
+                same(f"far commutation R{i} R{j}", [B(i, x), B(j, y)], [B(j, y), B(i, x)])
+        same("far commutation K0 Kn", [K0x, Knx], [Knx, K0x])
+        bad_lhs = [baxter_j(bad, 0, x), B(1, x * y), K0y, B(1, y / x)]
+        same("negative control perturbed reflection", bad_lhs, left)
+    t_hat = [_local_kbar(params)] + [_local_upsilon_p(params)] * (n - 1) + [_local_k(params)]
+    for j, name in names:
+        kj, eye = params.kappa_j(j), np.eye(len(t_hat[j]))
+        out.add(f"regularity at x=1 {name}", rel_residual(baxter_j(params, j, 1.0)[0], eye))
+        out.add(
+            f"degeneration at x=0 {name}",
+            rel_residual(baxter_j(params, j, 0.0)[0], kj * (t_hat[j] - (kj - 1 / kj) * eye)),
+        )
+    return out
+
+
+def qkz_per_sample(sol, samples=20, seed=8):
+    """Oracle: qkz.verify_solution one point at a time, at scalar
+    coordinates; a point near a pole is dropped whole and another drawn
+    (numerics.pole_free)."""
+    params = sol.params
+    n = params.n
+    table = LaurentTable(sol.components, n)
+    rng = np.random.default_rng(seed)
+    q = params.q
+
+    def sample():
+        t = torus_point(rng, n, (0.75, 1.35))
+        shifted = [t[:i] + (t[i] / q,) + t[i + 1 :] for i in range(n)]
+        reflected = [act_point(WeylElem.generator(j, n), t, params) for j in range(n + 1)]
+        vals = table([t, *shifted, *reflected])
+        ft = vals[:, 0]
+        scale = max(1e-300, float(np.abs(ft).max()))
+
+        def residual(factors, col):
+            lhs = factor_product(factors, n, vals[:, col : col + 1])[:, 0]
+            return float(np.abs(lhs - ft).max()) / scale
+
+        rows = {f"transport equation i={i}": residual(transport_factors(params, i, t), i)
+                for i in range(1, n + 1)}
+        for j in range(n + 1):
+            rows[f"invariance under s_{j}"] = residual([cocycle_factor(params, j, t)], n + 1 + j)
+        return rows
+
+    out = Residuals()
+    for rows in pole_free(sample, samples):
+        for key, value in rows.items():
+            out.add(key, value)
+    return out
+
+
+def koornwinder_per_label(params, radius=3):
+    """Oracle: the label loop of the polynomial suite, one compute_P_detail
+    per label of degree at most radius, with each residual recomputed from
+    the polynomial's ball vector by one matrix-vector product per Y_i and
+    per T_i.  Returns the per-label (joint, |lead - 1|, [stabilizer_i]) and
+    the four suite values: the worst joint residual, the worst monic
+    deviation, the worst stabilizer residual at fixed labels and the least
+    at moving ones."""
+    n = params.n
+    labels, worst = {}, {"joint": 0.0, "monic": 0.0, "fixed": 0.0, "separation": float("inf")}
+    for lam in l1_ball(n, radius):
+        det = compute_P_detail(lam, params)
+        _basis, index, mats, gens, _eig = _ball(params, sum(abs(v) for v in lam))
+        vec = ball_vector(det.poly, index)
+        scale = max(float(np.abs(vec).max()), 1.0)
+        joint = max(float(np.abs(mats[i] @ vec - vec / g).max())
+                    for i, g in enumerate(det.spectral.gamma, start=1)) / scale
+        stab = [float(np.abs(gens[i] @ vec - vec / params.kappa_j(i)).max()) / scale
+                for i in range(1, n + 1)]
+        monic = abs(det.poly.terms.get(lam, 0.0) - 1.0)
+        labels[lam] = (joint, monic, stab)
+        worst["joint"] = max(worst["joint"], joint)
+        worst["monic"] = max(worst["monic"], monic)
+        for i, r in enumerate(stab, start=1):
+            if fixed_by_si(i, lam):
+                worst["fixed"] = max(worst["fixed"], r)
+            else:
+                worst["separation"] = min(worst["separation"], r)
+    return labels, worst
 
 
 @pytest.fixture(scope="session")

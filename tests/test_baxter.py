@@ -6,6 +6,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import heckespin.baxter
 import heckespin.cli
@@ -13,7 +15,7 @@ import heckespin.qkz
 import heckespin.spinrep
 import heckespin.tensorops
 import heckespin.transfer
-from conftest import explicit_rkk
+from conftest import explicit_rkk, ybe_per_sample
 from heckespin.baxter import (
     baxter_j,
     check_ybe_re,
@@ -212,3 +214,84 @@ def test_dressed_paths_build_no_spin_rep_and_no_embedding(monkeypatch):
     comps = [LaurentPoly.monomial(4, (b % 3 - 1, 0, b % 2, 0), 1 + b) for b in range(16)]
     res = verify_solution(KZSolution(params=p, components=comps), samples=2, seed=1)
     assert len(res) == 2 * 4 + 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_batched_battery_matches_the_per_sample_oracle(n):
+    """All samples at once against one sample at a time: the same keys,
+    every row within 1e-13 and the control within 1e-12 relative."""
+    for seed in (1, 2, 3):
+        p = sample_generic(seed=seed, n=n)
+        got, want = check_ybe_re(p, samples=20, seed=seed), ybe_per_sample(p, 20, seed)
+        assert sorted(got) == sorted(want)
+        key = "negative control perturbed reflection"
+        assert abs(got.pop(key) - want[key]) <= 1e-12 * want.pop(key)
+        assert max(abs(got[k] - want[k]) for k in want) < 1e-13
+
+
+def _poles(block):
+    return np.roots(block.den[::-1])
+
+
+@given(st.integers(1, 5), st.integers(0, 2), st.integers(0, 2**32 - 1), st.integers(1, 6))
+@settings(max_examples=60, deadline=None)
+def test_a_stack_of_parameters_evaluates_point_by_point(seed, kind, draw, points):
+    """Values and derivatives over a stack of generic points equal the
+    per-point calls to rounding."""
+    block = dressed_blocks(sample_generic(seed=seed, n=3))[kind]
+    rng = np.random.default_rng(draw)
+    x = rng.uniform(0.5, 2.0, points) * np.exp(2j * np.pi * rng.uniform(size=points))
+    assume(all(np.abs(x[:, None] / _poles(block) - 1).min(axis=1) > 1e-3))
+    for got, f in ((block(x), block), (block.deriv(x), block.deriv)):
+        assert got.shape == (points,) + block.num[0].shape
+        for s in range(points):
+            assert rel_residual(got[s], f(complex(x[s]))) < 1e-13
+
+
+@given(st.integers(1, 5), st.integers(0, 2),
+       st.lists(st.tuples(st.floats(-9, -3), st.floats(0, 1)), min_size=1, max_size=6))
+@settings(max_examples=80, deadline=None)
+def test_the_pole_rule_flags_the_points_the_scalar_rule_flags(seed, kind, offsets):
+    """Points at relative distances 1e-9..1e-3 from a pole, so that some
+    fall inside the 1e-6 rule and some outside: the stack flags exactly the
+    points at which a scalar call raises, and evaluates when none does."""
+    block = dressed_blocks(sample_generic(seed=seed, n=3))[kind]
+    pole = _poles(block)[0]
+    x = np.array([pole * (1 + 10**e * np.exp(2j * np.pi * phase)) for e, phase in offsets])
+
+    def raises(z):
+        try:
+            block(complex(z))
+        except PoleProximityError:
+            return True
+        return False
+
+    want = [raises(z) for z in x]
+    try:
+        block(x)
+        got = [False] * len(x)
+    except PoleProximityError as err:
+        got = list(np.broadcast_to(err.where, len(x)))
+        assert any(got)
+    assert got == want
+
+
+def test_the_battery_evaluates_each_block_once_per_argument(monkeypatch):
+    """The dressed blocks are evaluated once per (block, argument) for all
+    samples together, so the count does not grow with the samples."""
+    calls = []
+    honest = heckespin.baxter.RationalMat.__call__
+
+    def counting(self, x):
+        calls.append(np.shape(x))
+        return honest(self, x)
+
+    monkeypatch.setattr(heckespin.baxter.RationalMat, "__call__", counting)
+    p = sample_generic(seed=2, n=4)
+    counts = []
+    for samples in (5, 20):
+        calls.clear()
+        check_ybe_re(p, samples=samples, seed=1)
+        counts.append(len(calls))
+        assert (samples,) in calls
+    assert counts[0] == counts[1]

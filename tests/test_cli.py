@@ -364,3 +364,67 @@ def test_identity_suite_refuses_one_site_before_sampling(monkeypatch, capsys):
     for suite in ("baxter", "all"):
         assert run(["verify", suite, "--n", "1"]) == 2
         assert "refused: the identity suite needs n >= 2" in capsys.readouterr().err
+
+
+def _index_out_of_range(monkeypatch):
+    import heckespin.baxter as baxter
+
+    # the word trial's cocycle asks for a generator past the right boundary
+    monkeypatch.setattr(baxter, "cocycle_factor",
+                        lambda params, a, t: baxter.baxter_j(params, params.n + 1, t[0]))
+    return ["verify", "baxter", "--n", "2"]
+
+
+def _translation_out_of_range(monkeypatch):
+    import heckespin.cli as cli
+
+    honest = cli.transport_factors
+    monkeypatch.setattr(cli, "transport_factors",
+                        lambda params, i, t: honest(params, params.n + 1, t))
+    return ["verify", "baxter", "--n", "2"]
+
+
+def _unknown_hamiltonian_form(monkeypatch):
+    import heckespin.cli as cli
+
+    honest = cli.hamiltonian
+    monkeypatch.setattr(cli, "hamiltonian", lambda params, form: honest(params, form="xxz"))
+    return ["verify", "transfer", "--n", "2"]
+
+
+def _label_length(monkeypatch):
+    import heckespin.cli as cli
+
+    honest = cli.compute_P_detail
+    monkeypatch.setattr(cli, "compute_P_detail", lambda lam, params: honest(lam + (0,), params))
+    return ["koornwinder", "compute", "--lambda", "1,0"]
+
+
+@pytest.mark.parametrize("corrupt", [_index_out_of_range, _translation_out_of_range,
+                                     _unknown_hamiltonian_form, _label_length])
+def test_bad_argument_from_a_caller_is_an_internal_defect(monkeypatch, capsys, tmp_path, corrupt):
+    """A generator index, translation index, Hamiltonian form or label
+    length that no input can produce is a defect of the calling code: exit
+    3, never a refusal."""
+    argv = corrupt(monkeypatch) + ["--seed", "1", "--out", str(tmp_path / "o.json")]
+    assert run(argv) == 3
+    assert "internal defect" in capsys.readouterr().err
+
+
+def test_benchmark_gated_commands_keep_their_check_names():
+    """The six commands the benchmark gates, at seed 1, report exactly the
+    check names the benchmark expects (perfbench/expected_checks.json, only
+    read here), so that a battery which adds, drops or renames a row fails
+    here first."""
+    import heckespin.cli as cli
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "expected_checks.json"
+    expected = json.loads(path.read_text(encoding="utf-8"))
+    commands = {f"verify {suite} --n 6": (suite, 6)
+                for suite in ("algebra", "matchmaker", "baxter", "transfer")}
+    commands.update({f"verify all --n {n}": ("all", n) for n in (2, 3)})
+    assert sorted(commands) == sorted(expected)
+    for label, (suite, n) in commands.items():
+        report, _wall = cli.run_suite(suite, cli.Config(n=n, seed=1))
+        assert sorted(c["name"] for c in report["checks"]) == sorted(expected[label]), label

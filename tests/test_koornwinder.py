@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heckespin.koornwinder as koornwinder
-from conftest import dense_hecke_relations
+from conftest import dense_hecke_relations, koornwinder_per_label
 import heckespin.numerics as numerics
 from heckespin.koornwinder import (
     _ball_matrices,
@@ -17,6 +17,7 @@ from heckespin.koornwinder import (
     gamma_lambda,
     generator_matrices,
     joint_residual,
+    label_residuals,
     noumi_T_apply,
     noumi_T_inv_apply,
     noumi_Y_apply,
@@ -427,3 +428,39 @@ def test_missing_joint_eigenvector_is_a_genericity_error(monkeypatch, params2):
     monkeypatch.setattr(koornwinder, "gamma_lambda", perturbed)
     with pytest.raises(GenericityError, match="no joint eigenvector"):
         compute_P_detail((1, 0), params2)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_label_batches_match_the_per_label_oracle(n):
+    """Every label of degree at most 3, one degree at a time, against one
+    compute_P_detail per label: each label's vector exactly, its joint,
+    monic and stabilizer residuals within 1e-13, the separation within
+    1e-12 relative, and the suite's report built from the batches."""
+    from heckespin.cli import Config, suite_koornwinder
+
+    for seed in (1, 2, 3):
+        p = sample_generic(seed=seed, n=n)
+        per_label, worst = koornwinder_per_label(p)
+        sep = float("inf")
+        for r in range(4):
+            labels = [lam for lam in l1_ball(n, r) if sum(map(abs, lam)) == r]
+            joint, monic, stab = label_residuals(labels, p)
+            batch = koornwinder._monic_vectors(labels, numerics._gamma_vectors(labels, p), p)
+            index = batch.ball[1]
+            for col, lam in enumerate(labels):
+                # the same chopped, pinned column as the label on its own
+                alone = ball_vector(compute_P_detail(lam, p).poly, index)
+                assert np.array_equal(batch.vecs[:, col], alone), lam
+                want_joint, want_monic, want_stab = per_label.pop(lam)
+                assert abs(joint[col] - want_joint) < 1e-13, lam
+                assert monic[col] == want_monic == 0
+                assert np.abs(stab[:, col] - want_stab).max() < 1e-13, lam
+                sep = min([sep] + [stab[i - 1, col] for i in range(1, n + 1)
+                                   if not fixed_by_si(i, lam)])
+        assert not per_label
+        assert abs(sep - worst["separation"]) <= 1e-12 * worst["separation"]
+        checks = {c["name"]: c["residual"] for c in suite_koornwinder(Config(n=n), p)}
+        assert abs(checks["joint eigenvector residual"] - worst["joint"]) < 1e-13
+        assert checks["monic leading coefficient"] == worst["monic"]
+        assert abs(checks["stabilizer eigenvalue at symmetric labels"] - worst["fixed"]) < 1e-13
+        assert checks["stabilizer separation at moving labels"] == max(0.0, 1e-3 - sep)

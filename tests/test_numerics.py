@@ -18,12 +18,14 @@ from heckespin.numerics import (
     LaurentTable,
     ParamSet,
     PoleProximityError,
+    Residuals,
     _gamma_distinct,
     _gamma_vectors,
     divided_difference,
     eta,
     l1_ball,
     pole_free,
+    pole_free_points,
     rel_residual,
     sample_generic,
 )
@@ -287,3 +289,62 @@ def test_pole_free_drops_attempts_at_poles_and_gives_up_after_count_plus_40():
         pole_free(_scripted([None] * 41 + [7], log), 1)
     assert len(log) == 41
     assert pole_free(_scripted([], []), 0) == []
+
+
+def _drawn(values, log):
+    """A draw() returning the next of values, logging each draw."""
+    it = iter(values)
+
+    def draw():
+        log.append(next(it))
+        return log[-1]
+
+    return draw
+
+
+def _flag_none(points):
+    """Evaluate a list of points at once; None marks a point at a pole."""
+    bad = np.array([p is None for p in points])
+    if bad.any():
+        raise PoleProximityError("evaluation at a pole", where=bad)
+    return list(points)
+
+
+def test_pole_free_points_keeps_the_first_clear_draws_with_pole_frees_budget():
+    """The same points and draws as pole_free's one-at-a-time loop: the first
+    count draws clear of every pole, in draw order, no draw after the count
+    is met, and GenericityError after count + 40 draws."""
+    log = []
+    got = pole_free_points(_drawn([1, None, 2, None, None, 3, 4, 5], log), _flag_none, 4)
+    assert got == [1, 2, 3, 4]
+    assert log == [1, None, 2, None, None, 3, 4]
+    log = []
+    assert pole_free_points(_drawn([None] * 40 + [7], log), _flag_none, 1) == [7]
+    assert len(log) == 41
+    log = []
+    with pytest.raises(GenericityError, match="pole-free"):
+        pole_free_points(_drawn([None] * 41 + [7], log), _flag_none, 1)
+    assert len(log) == 41
+    assert pole_free_points(_drawn([], []), _flag_none, 0) == []
+
+    def unflagged(points):  # an error that names no point drops them all
+        if len(points) > 1:
+            raise PoleProximityError("evaluation at a pole")
+        return points
+
+    log = []
+    assert pole_free_points(_drawn([1, 2, 3, 4], log), unflagged, 1) == [1]
+    assert log == [1]
+    with pytest.raises(GenericityError):
+        pole_free_points(_drawn(range(100), []), unflagged, 2)
+
+
+def test_residuals_keep_the_largest_value_and_any_nan():
+    nan = float("nan")
+    res = Residuals()
+    for key, values in {"plain": [1e-16, 3e-15, 2e-15], "nan first": [nan, 1.0],
+                        "nan last": [1.0, nan], "nan between": [1e-16, nan, 1e-15]}.items():
+        for v in values:
+            res.add(key, v)
+    assert res["plain"] == 3e-15
+    assert all(res[k] != res[k] for k in ("nan first", "nan last", "nan between"))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import qkz_per_sample
 from heckespin.koornwinder import compute_P, noumi_T_apply
 from heckespin.numerics import (
     LaurentPoly,
@@ -214,17 +215,21 @@ def test_a_sample_dropped_at_a_pole_leaves_no_rows(monkeypatch):
         points.append(honest_point(rng, n, band))
         return points[-1]
 
+    def at_first(t):
+        """Over the stack of points, the flag of the first point drawn."""
+        return t[0] == points[0][0]
+
     # at the first point the transports are distorted, then a reflection
-    # lands on a pole: none of that point's rows may reach the result
+    # lands on a pole there: none of that point's rows may reach the result
     def transport(params, i, t):
         factors = honest_transport(params, i, t)
-        if len(points) == 1:
-            factors[0] = (3.0 * factors[0][0], factors[0][-1])
+        block, legs = factors[0]
+        factors[0] = (np.where(at_first(t)[:, None, None], 3.0 * block, block), legs)
         return factors
 
     def factor(params, a, t):
-        if len(points) == 1:
-            raise PoleProximityError("evaluation at a pole")
+        if at_first(t).any():
+            raise PoleProximityError("evaluation at a pole", where=at_first(t))
         return honest_factor(params, a, t)
 
     monkeypatch.setattr(qkz, "torus_point", point)
@@ -233,3 +238,43 @@ def test_a_sample_dropped_at_a_pole_leaves_no_rows(monkeypatch):
     res = verify_solution(sol, samples=3, seed=5)
     assert len(points) == 4
     assert max(res.values()) < 1e-8
+
+
+@pytest.mark.parametrize("n, m", [(2, -1), (2, 1), (3, -1), (3, 1), (3, 0)])
+def test_batched_check_matches_the_per_point_oracle(n, m):
+    """All points at once against one point at a time: the same keys,
+    every row within 1e-13, and the suite's control (a distorted solution's
+    largest row) within 1e-12 relative."""
+    for seed in (1, 2, 3):
+        sol = build_polynomial_solution(constrained(seed, n, m), m)
+        got, want = verify_solution(sol, samples=20, seed=seed), qkz_per_sample(sol, 20, seed)
+        assert sorted(got) == sorted(want)
+        assert max(abs(got[k] - want[k]) for k in want) < 1e-13
+        bad = KZSolution(params=sol.params, components=list(sol.components))
+        bad.components[0] = bad.components[0].scale(1.01)
+        got, want = verify_solution(bad, samples=4, seed=seed), qkz_per_sample(bad, 4, seed)
+        assert sorted(got) == sorted(want)
+        control = max(want.values())
+        assert control > 1e-3
+        assert abs(max(got.values()) - control) <= 1e-12 * control
+
+
+def test_the_check_evaluates_each_factor_once_for_all_points(monkeypatch):
+    import heckespin.baxter as baxter
+
+    calls = []
+    honest = baxter.RationalMat.__call__
+
+    def counting(self, x):
+        calls.append(np.shape(x))
+        return honest(self, x)
+
+    monkeypatch.setattr(baxter.RationalMat, "__call__", counting)
+    sol = build_polynomial_solution(constrained(11, 3, 1), 1)
+    counts = []
+    for samples in (5, 20):
+        calls.clear()
+        verify_solution(sol, samples=samples, seed=2)
+        counts.append(len(calls))
+        assert set(calls) == {(samples,)}
+    assert counts[0] == counts[1]

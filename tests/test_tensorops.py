@@ -10,6 +10,7 @@ from heckespin.numerics import InternalDefectError, rel_residual
 from heckespin.tensorops import (
     Monomial,
     apply_on_legs,
+    factor_product,
     op_on_legs,
     partial_trace_first,
     partial_transpose_leg,
@@ -155,3 +156,43 @@ def test_row_residual_is_the_full_space_residual(dense_embed, m, seed):
 
     want = rel_residual(full(lhs), 0.5 * full(rhs))
     assert row_residual(lhs, rhs, 0.5) == pytest.approx(want, rel=1e-12)
+
+
+@given(placements(), st.integers(1, 4), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_a_batch_axis_applies_point_by_point(case, points, shared_operand):
+    m, legs, cols, seed = case
+    rng = np.random.default_rng(seed)
+    op = _cplx(rng, points, 2 ** len(legs), 2 ** len(legs))
+    a = _cplx(rng, 2**m, cols) if shared_operand else _cplx(rng, points, 2**m, cols)
+    want = np.stack([apply_on_legs(op[s], legs, a if shared_operand else a[s], m)
+                     for s in range(points)])
+    assert np.array_equal(apply_on_legs(op, legs, a, m), want)
+
+
+@given(st.integers(2, 5), st.integers(1, 4), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_stacked_factors_give_the_stack_of_products_and_residuals(m, points, seed):
+    """Factors of which some are stacked over points: factor_product is the
+    stack of the points' products, and row_residual the largest of the
+    points' own residuals."""
+    rng = np.random.default_rng(seed)
+
+    def factor():
+        k = int(rng.integers(1, 3))
+        start = int(rng.integers(1, m - k + 2))
+        stacked = rng.uniform() < 0.5
+        shape = (points, 2**k, 2**k) if stacked else (2**k, 2**k)
+        return _cplx(rng, *shape), list(range(start, start + k))
+
+    def at(side, s):
+        return [(b[s] if b.ndim == 3 else b, legs) for b, legs in side]
+
+    lhs, rhs = [factor() for _ in range(3)], [factor() for _ in range(2)]
+    rhs[0] = (_cplx(rng, points, *rhs[0][0].shape[-2:]), rhs[0][1])  # one stack at least
+    want = np.stack([factor_product(at(lhs, s), m) for s in range(points)])
+    got = factor_product(lhs, m)  # unstacked when no lhs factor is stacked
+    assert np.array_equal(np.broadcast_to(got, want.shape), want)
+    per_point = [row_residual(at(lhs, s), at(rhs, s), 0.5) for s in range(points)]
+    assert row_residual(lhs, rhs, 0.5) == max(per_point)
+    assert rel_residual(want, 0.5 * want) == 1 / 2
