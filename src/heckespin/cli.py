@@ -10,8 +10,8 @@ pass, 1 at least one check failed, 2 precondition or genericity refusal
 Negative-control checks invert the usual reading: the underlying deviation
 must be LARGE for the control to count.  To keep the uniform rule
 "pass iff residual < tolerance", such checks report the shortfall
-max(0, floor - deviation) instead of the deviation itself, and say so in
-their context string.
+max(0, floor - deviation) instead of the deviation itself (NaN, which
+fails, when the deviation is NaN), and say so in their context string.
 """
 
 from __future__ import annotations
@@ -149,8 +149,10 @@ def _check(name, residual, tolerance, context=""):
 
 
 def _floor_check(name, value, floor, tolerance, context):
-    """pass iff value >= floor, reported as the shortfall below the floor."""
-    shortfall = max(0.0, floor - float(value))
+    """pass iff value >= floor, reported as the shortfall below the floor; a
+    NaN value gives a NaN shortfall, which fails."""
+    value = float(value)
+    shortfall = 0.0 if value >= floor else floor - value
     ctx = context + (
         f"; the value must exceed {floor:g} (observed {float(value):.6e}); "
         "the reported residual is the shortfall below that floor"
@@ -198,9 +200,8 @@ def suite_algebra(cfg: Config, p: ParamSet):
     ))
     v0 = np.zeros((rep.dim, 1), dtype=complex)
     v0[0] = 1.0
-    worst = 0.0
-    for i in range(1, p.n + 1):
-        worst = max(worst, float(np.abs(murphy_Y(rep, i, v0) - zeta[i - 1] * v0).max()))
+    worst = np.max([np.abs(murphy_Y(rep, i, v0) - zeta[i - 1] * v0).max()
+                    for i in range(1, p.n + 1)])
     checks.append(_check(
         "highest weight eigenvalues", worst, cfg.tolerance,
         "the all-plus vector is a joint eigenvector with the boundary-weighted"
@@ -214,7 +215,7 @@ def suite_algebra(cfg: Config, p: ParamSet):
     bad = dict(rep.T)
     block, legs = bad[min(1, p.n)]
     bad[min(1, p.n)] = (1.01 * block, legs)
-    raw = max(check_hecke_relations(bad, p).values())
+    raw = np.max(list(check_hecke_relations(bad, p).values()))
     checks.append(_control_check(
         "control scaled generator", raw, cfg.tolerance,
         "scaling one generator by 1.01 must break the defining relations",
@@ -233,10 +234,8 @@ def suite_matchmaker(cfg: Config, p: ParamSet):
     )
     rep = build_spin_rep(p)
     psi = intertwiner_Psi(p)
-    worst = 0.0
-    for j in range(n + 1):
-        block, legs = rep.e[j]
-        worst = max(worst, rel_residual(apply_on_legs(block, legs, psi, n), psi @ mats[j]))
+    worst = np.max([rel_residual(apply_on_legs(*rep.e[j], psi, n), psi @ mats[j])
+                    for j in range(n + 1)])
     checks.append(_check(
         "equivalence intertwines projectors", worst, cfg.tolerance,
         "the matching-to-spin map commutes with every projector",
@@ -259,7 +258,7 @@ def suite_matchmaker(cfg: Config, p: ParamSet):
     # break any relation; the control must distort a generator itself
     bad_mats = dict(mats)
     bad_mats[min(1, n)] = 1.01 * mats[min(1, n)]
-    raw = max(check_tl_relations(bad_mats, tl, n).values())
+    raw = np.max(list(check_tl_relations(bad_mats, tl, n).values()))
     checks.append(_control_check(
         "control scaled projector", raw, cfg.tolerance,
         "scaling one projector by 1.01 must break the idempotent relations",
@@ -283,7 +282,7 @@ def suite_baxter(cfg: Config, p: ParamSet):
         return rel_residual(cocycle_C(p, word, t), cocycle_C(p, shortest, t))
 
     checks.append(_check(
-        "word independence", max(pole_free(word_trial, max(4, cfg.samples // 2))),
+        "word independence", np.max(pole_free(word_trial, max(4, cfg.samples // 2))),
         cfg.tolerance,
         "the ordered product over any word for a group element matches the"
         " product over its shortest word",
@@ -298,7 +297,7 @@ def suite_baxter(cfg: Config, p: ParamSet):
         return rel_residual(factor_product(lhs, n), factor_product(rhs, n))
 
     checks.append(_check(
-        "commuting translation transports", max(pole_free(transport_trial, 4)), cfg.tolerance,
+        "commuting translation transports", np.max(pole_free(transport_trial, 4)), cfg.tolerance,
         "transports along distinct lattice directions compose in either order",
     ))
     return checks
@@ -363,22 +362,21 @@ def suite_koornwinder(cfg: Config, p: ParamSet):
         "constant polynomial", diff, cfg.tolerance,
         "the zero label yields the constant polynomial exactly",
     ))
-    worst_eig = 0.0
-    worst_monic = 0.0
-    worst_fixed = 0.0
-    sep = float("inf")
-    count = 0
+    # per degree: the joint and monic residuals, the stabilizer residuals at
+    # fixed and at moving (i, label); folded by np.max / np.min, so a NaN fails
+    joint, monic, fixed, moving = [], [], [], []
     for r in range(radius + 1):
         labels = [lam for lam in l1_ball(n, r) if sum(map(abs, lam)) == r]
-        joint, monic, stab = label_residuals(labels, p)
-        worst_eig = max(worst_eig, float(joint.max()))
-        worst_monic = max(worst_monic, float(monic.max()))
-        for i in range(1, n + 1):
-            fixed = np.array([fixed_by_si(i, lam) for lam in labels])
-            worst_fixed = max(worst_fixed, float(stab[i - 1, fixed].max(initial=0.0)))
-            sep = min(sep, float(stab[i - 1, ~fixed].min(initial=np.inf)))
-        count += len(labels)
-    ctx = f"all {count} labels with degree at most {radius}"
+        res = label_residuals(labels, p)
+        joint.append(res[0])
+        monic.append(res[1])
+        at = np.array([[fixed_by_si(i, lam) for lam in labels] for i in range(1, n + 1)])
+        fixed.append(res[2][at])
+        moving.append(res[2][~at])
+    worst_eig, worst_monic = np.max(np.concatenate(joint)), np.max(np.concatenate(monic))
+    worst_fixed = np.max(np.concatenate(fixed), initial=0.0)
+    sep = np.min(np.concatenate(moving), initial=np.inf)
+    ctx = f"all {sum(map(len, joint))} labels with degree at most {radius}"
     checks.append(_check(
         "joint eigenvector residual", worst_eig, max(cfg.tolerance, 1e-8), ctx,
     ))
@@ -431,7 +429,7 @@ def suite_qkz(cfg: Config, p: ParamSet):
             metadata=dict(sol.metadata),
         )
         bad.components[0] = bad.components[0].scale(1.01)
-        raw = max(verify_solution(bad, samples=4, seed=cfg.seed).values())
+        raw = np.max(list(verify_solution(bad, samples=4, seed=cfg.seed).values()))
         checks.append(_control_check(
             "control distorted solution", raw, cfg.tolerance,
             "scaling one component by 1.01 must break the difference equations",

@@ -254,11 +254,6 @@ def _ball(params: ParamSet, radius: int):
     return _BALL_CACHE[key]
 
 
-def _ball_matrices(params: ParamSet, radius: int):
-    """(basis, index, {i: Y_i}) on the full l1 ball of the given radius."""
-    return _ball(params, radius)[:3]
-
-
 def generator_matrices(params: ParamSet, radius: int):
     """(basis, index, {j: T_j}) on the full l1 ball, from the same cache."""
     basis, index, _mats, gens, _eig = _ball(params, radius)
@@ -271,12 +266,6 @@ def _eigen_residuals(mats, vals, vecs) -> np.ndarray:
     product per M_k for all columns."""
     scale = np.maximum(np.abs(vecs).max(axis=0), 1.0)
     return np.array([np.abs(m @ vecs - c * vecs).max(axis=0) for m, c in zip(mats, vals)]) / scale
-
-
-def _eigen_residual(poly: LaurentPoly, index: dict, pairs) -> float:
-    """max over (M, c) of |M v - c v| / max(|v|, 1), v the ball vector of poly."""
-    vec = ball_vector(poly, index)[:, None]
-    return float(_eigen_residuals([m for m, _c in pairs], [c for _m, c in pairs], vec).max())
 
 
 def check_caps(n: int, degree: int = 0) -> None:
@@ -375,20 +364,6 @@ def label_residuals(labels, params: ParamSet):
     stab = _eigen_residuals([gens[i] for i in range(1, n + 1)],
                             [1 / params.kappa_j(i) for i in range(1, n + 1)], mon.vecs)
     return joint.max(axis=0), np.abs(lead - 1.0), stab
-
-
-def joint_residual(poly: LaurentPoly, sp: SpectralPoint, params: ParamSet):
-    """Relative residual of Y_i poly = poly / gamma_i, i = 1..n, taken on the
-    full degree ball of sp.lam, so that a term outside the span shows."""
-    _basis, index, mats = _ball_matrices(params, sum(abs(v) for v in sp.lam))
-    pairs = [(mats[i], 1 / g) for i, g in enumerate(sp.gamma, start=1)]
-    return _eigen_residual(poly, index, pairs)
-
-
-def stabilizer_eigen_residual(i: int, poly: LaurentPoly, params: ParamSet):
-    """Relative residual of T_i poly = kappa_i^{-1} poly on the full ball."""
-    _basis, index, gens = generator_matrices(params, poly.l1_degree())
-    return _eigen_residual(poly, index, [(gens[i], 1 / params.kappa_j(i))])
 
 
 def fixed_by_si(i: int, lam) -> bool:

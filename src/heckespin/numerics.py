@@ -57,9 +57,10 @@ class InternalDefectError(RuntimeError):
 class PoleProximityError(RuntimeError):
     """A spectral-parameter evaluation landed too close to a pole.  An
     evaluation over a stack of points flags the points at a pole in
-    ``where`` (a boolean per point); None means every point."""
+    ``where``, a boolean per point; one boolean, True by default, stands for
+    every point."""
 
-    def __init__(self, message: str, where=None):
+    def __init__(self, message: str, where=True):
         super().__init__(message)
         self.where = where
 
@@ -321,19 +322,13 @@ class LaurentTable:
                 self.coeffs[r, col[e]] = c
 
     def __call__(self, points, dtype=complex) -> np.ndarray:
-        """Values at the points, shape (polynomials, len(points)); a point
-        whose coordinates are arrays over a stack of S points adds a trailing
-        axis, (polynomials, len(points), S).  dtype=object evaluates mpmath
-        points in mpmath arithmetic."""
+        """Values at the points, shape (polynomials, len(points)); dtype=object
+        evaluates mpmath points in mpmath arithmetic."""
         n = self.exps.shape[1]
         if any(len(t) != n for t in points):
             raise InternalDefectError("point arity mismatch")
-        pts = np.array(points, dtype=dtype)
-        batch = pts.shape[2:]
-        size = int(np.prod(batch, dtype=np.int64))
-        pts = np.moveaxis(pts.reshape(len(points), n, size), 1, 2).reshape(-1, 1, n)
-        vals = self.coeffs @ np.prod(pts**self.exps, axis=2).T
-        return vals.reshape((len(self.coeffs), len(points)) + batch)
+        pts = np.array(points, dtype=dtype).reshape(len(points), 1, n)
+        return self.coeffs @ np.prod(pts**self.exps, axis=2).T
 
 
 def laurent_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
@@ -677,8 +672,8 @@ def pole_free_points(draw, evaluate, count: int):
     """evaluate(points) at the first count results of draw() that lie clear
     of every pole, in draw order: the batched form of pole_free, with the
     same budget.  evaluate takes the list of points and evaluates them all
-    at once; the points a PoleProximityError from it flags (every point when
-    it flags none) are dropped, and new ones drawn in their place.  Raises
+    at once; the points a PoleProximityError from it flags in its ``where``
+    are dropped, and new ones drawn in their place.  Raises
     GenericityError once count + 40 draws have not been enough.
     """
     points, dropped = [], set()
@@ -693,8 +688,7 @@ def pole_free_points(draw, evaluate, count: int):
         try:
             return evaluate([points[k] for k in kept])
         except PoleProximityError as err:
-            where = True if err.where is None else err.where
-            dropped.update(k for k, bad in zip(kept, np.broadcast_to(where, len(kept))) if bad)
+            dropped.update(k for k, bad in zip(kept, np.broadcast_to(err.where, len(kept))) if bad)
 
 
 class Residuals(dict):
@@ -733,6 +727,7 @@ def rel_residual(a, b, scale: float | None = None) -> float:
     a, b = np.asarray(a), np.asarray(b)
     num = _point_max(a - b)
     scale = np.maximum(_point_max(a), _point_max(b)) if scale is None else np.asarray(scale, dtype=float)
-    # below a scale of 1e-300: 0 if the difference vanishes too, else inf
-    ratio = np.divide(num, scale, out=np.where(num < 1e-300, 0.0, np.inf), where=scale >= 1e-300)
+    # below a scale of 1e-300: 0 if the difference vanishes too, else inf; a
+    # NaN scale is divided by, so that the point's residual stays NaN
+    ratio = np.divide(num, scale, out=np.where(num < 1e-300, 0.0, np.inf), where=~(scale < 1e-300))
     return float(ratio.max())

@@ -216,7 +216,9 @@ def verify_solution(sol: KZSolution, samples: int = 20, seed: int = 8) -> dict:
         shifted = [t[:i] + (t[i] / q,) + t[i + 1 :] for i in range(n)]
         reflected = [act_point(WeylElem.generator(j, n), t, params) for j in range(n + 1)]
         # vals[c, s]: the components at the c-th of these points of sample s
-        vals = np.moveaxis(table([t, *shifted, *reflected]), 0, -1)
+        groups = [np.stack(u, axis=-1) for u in (t, *shifted, *reflected)]
+        vals = table([point for group in groups for point in group])
+        vals = np.moveaxis(vals.reshape(-1, len(groups), len(points)), 0, -1)
         ft = vals[0]
         scale = np.maximum(np.abs(ft).max(axis=1), 1e-300)
 

@@ -264,6 +264,28 @@ def koornwinder_per_label(params, radius=3):
     return labels, worst
 
 
+def _eigen_residual(poly, index, pairs):
+    """max over (M, c) of |M v - c v| / max(|v|, 1), v the vector of poly on
+    a full l1 ball, so that a term outside the span shows."""
+    vec = ball_vector(poly, index)
+    scale = max(float(np.abs(vec).max()), 1.0)
+    return max(float(np.abs(m @ vec - c * vec).max()) for m, c in pairs) / scale
+
+
+def joint_residual(poly, sp, params):
+    """Reference: the relative residual of Y_i poly = poly / gamma_i, i =
+    1..n, on the full degree ball of sp.lam."""
+    _basis, index, mats, _gens, _eig = _ball(params, sum(abs(v) for v in sp.lam))
+    return _eigen_residual(poly, index, [(mats[i], 1 / g) for i, g in enumerate(sp.gamma, start=1)])
+
+
+def stabilizer_eigen_residual(i, poly, params):
+    """Reference: the relative residual of T_i poly = kappa_i^{-1} poly on
+    the full degree ball of poly."""
+    _basis, index, _mats, gens, _eig = _ball(params, poly.l1_degree())
+    return _eigen_residual(poly, index, [(gens[i], 1 / params.kappa_j(i))])
+
+
 @pytest.fixture(scope="session")
 def dense_embed():
     """The dense-embedding oracle for local operators on (C^2)^(x m)."""

@@ -10,15 +10,14 @@ import time
 
 import numpy as np
 
-from conftest import record_acceptance
+from conftest import record_acceptance, stabilizer_eigen_residual
 from heckespin.baxter import check_ybe_re, cocycle_C, dressed_blocks
 from heckespin.cli import Config, run_suite
 from heckespin.koornwinder import (
-    _ball_matrices,
+    _ball,
     compute_P,
     compute_P_detail,
     fixed_by_si,
-    stabilizer_eigen_residual,
 )
 from heckespin.matchings import (
     boundary_arc_counts,
@@ -232,7 +231,7 @@ def test_criterion_7_polynomial_family():
                     lemma_ok = lemma_ok and r < 1e-8
                 else:
                     lemma_ok = lemma_ok and r > 1e-3
-        basis, _index, mats = _ball_matrices(p, 3)
+        basis, _index, mats = _ball(p, 3)[:3]
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
                 worst_comm = max(

@@ -3,6 +3,7 @@ flag precedence."""
 
 import json
 
+import numpy as np
 import pytest
 
 from heckespin.cli import main
@@ -428,3 +429,88 @@ def test_benchmark_gated_commands_keep_their_check_names():
     for label, (suite, n) in commands.items():
         report, _wall = cli.run_suite(suite, cli.Config(n=n, seed=1))
         assert sorted(c["name"] for c in report["checks"]) == sorted(expected[label]), label
+
+
+def test_a_nan_floor_value_fails_its_check():
+    import heckespin.cli as cli
+
+    assert not cli._floor_check("c", float("nan"), 1e-3, 1e-9, "")["pass"]
+    assert not cli._floor_check("c", 5e-4, 1e-3, 1e-9, "")["pass"]
+    assert cli._floor_check("c", 2e-3, 1e-3, 1e-9, "")["pass"]
+
+
+def _checks(monkeypatch, module, name, wrapper, suite, n):
+    """run_suite(suite) at n, seed 1, with module.name replaced by
+    wrapper(honest); the report's checks by name."""
+    import heckespin.cli as cli
+
+    monkeypatch.setattr(module, name, wrapper(getattr(module, name)))
+    report, _wall = cli.run_suite(suite, cli.Config(n=n, seed=1))
+    return {c["name"]: c for c in report["checks"]}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_a_nan_at_one_sample_fails_the_reflection_control(monkeypatch):
+    """A NaN coordinate at the third of the battery's sample points makes
+    every sampled row NaN over the stack, the negative control included; the
+    control fails instead of reading as a detected distortion."""
+    import heckespin.baxter as baxter
+
+    def wrapper(honest):
+        drawn = []
+
+        def one_nan(rng, n, band):
+            drawn.append(honest(rng, n, band))
+            return (float("nan"),) + tuple(drawn[-1][1:]) if len(drawn) == 3 else drawn[-1]
+
+        return one_nan
+
+    checks = _checks(monkeypatch, baxter, "torus_point", wrapper, "baxter", 3)
+    control = checks["negative control perturbed reflection"]
+    assert control["residual"] != control["residual"]
+    assert not control["pass"]
+    assert not checks["reflection at the left boundary"]["pass"]
+    assert checks["regularity at x=1 K0"]["pass"]
+
+
+def test_a_nan_row_fails_the_distorted_solution_control(monkeypatch):
+    """A NaN in a row after the first of the control's residuals fails the
+    control: the rows are folded by a NaN-propagating max."""
+    import heckespin.cli as cli
+
+    def wrapper(honest):
+        def nan_in_control(sol, samples=20, seed=8):
+            res = honest(sol, samples=samples, seed=seed)
+            if samples == 4:  # the control's call
+                res["invariance under s_0"] = float("nan")
+            return res
+
+        return nan_in_control
+
+    checks = _checks(monkeypatch, cli, "verify_solution", wrapper, "qkz", 2)
+    assert not checks["control distorted solution"]["pass"]
+    assert checks["solution m=1: invariance under s_0"]["pass"]
+
+
+def test_a_nan_label_fails_every_label_check(monkeypatch):
+    """A NaN in every residual of the label (1, 0), which s_2 fixes and s_1
+    moves, fails the four label checks of its degree's fold; the other
+    labels of that degree pass, and their values cannot hide it."""
+    import heckespin.cli as cli
+
+    def wrapper(honest):
+        def nan_label(labels, params):
+            joint, monic, stab = honest(labels, params)
+            if (1, 0) in labels:
+                at = labels.index((1, 0))
+                joint[at], monic[at], stab[:, at] = np.nan, np.nan, np.nan
+            return joint, monic, stab
+
+        return nan_label
+
+    checks = _checks(monkeypatch, cli, "label_residuals", wrapper, "koornwinder", 2)
+    assert checks["constant polynomial"]["pass"]
+    for name in ("joint eigenvector residual", "monic leading coefficient",
+                 "stabilizer eigenvalue at symmetric labels",
+                 "stabilizer separation at moving labels"):
+        assert not checks[name]["pass"], name

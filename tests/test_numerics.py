@@ -258,6 +258,17 @@ def test_rel_residual_scales():
     assert rel_residual(a, a * (1 + 1e-10)) < 1e-9
 
 
+def test_a_nan_point_keeps_a_stacked_residual_nan():
+    """Over a stack, a NaN at one point gives a NaN residual (never inf or a
+    neighbour's value), as the one-point residual at that point does."""
+    a = np.stack([np.eye(2), 2 * np.eye(2), np.eye(2)])
+    b = a.copy()
+    b[1, 0, 0] = np.nan
+    assert rel_residual(a, a) == 0.0
+    for r in (rel_residual(a, b), rel_residual(a[1], b[1]), rel_residual(b, b)):
+        assert r != r
+
+
 def test_genericity_error_is_raisable():
     with pytest.raises(GenericityError):
         raise GenericityError("synthetic")
@@ -327,7 +338,7 @@ def test_pole_free_points_keeps_the_first_clear_draws_with_pole_frees_budget():
     assert len(log) == 41
     assert pole_free_points(_drawn([], []), _flag_none, 0) == []
 
-    def unflagged(points):  # an error that names no point drops them all
+    def unflagged(points):  # an error left at its default where flags every point
         if len(points) > 1:
             raise PoleProximityError("evaluation at a pole")
         return points
