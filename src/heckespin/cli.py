@@ -154,7 +154,7 @@ def _floor_check(name, value, floor, tolerance, context):
     value = float(value)
     shortfall = 0.0 if value >= floor else floor - value
     ctx = context + (
-        f"; the value must exceed {floor:g} (observed {float(value):.6e}); "
+        f"; the value must exceed {floor:g} (observed {value:.6e}); "
         "the reported residual is the shortfall below that floor"
     )
     return _check(name, shortfall, tolerance, ctx)
