@@ -16,8 +16,6 @@ from .numerics import (
     ParamSet,
     PoleProximityError,
     RefusalError,
-    divided_difference,
-    laurent_mul,
     sample_generic,
 )
 
@@ -30,8 +28,6 @@ __all__ = [
     "ParamSet",
     "PoleProximityError",
     "RefusalError",
-    "divided_difference",
-    "laurent_mul",
     "sample_generic",
     "__version__",
 ]

@@ -22,7 +22,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -423,12 +423,7 @@ def suite_qkz(cfg: Config, p: ParamSet):
             "building at a generic unconstrained point must refuse",
         ))
         sol = sols[0]
-        bad = KZSolution(
-            params=sol.params,
-            components=[c.scale(1.0) for c in sol.components],
-            metadata=dict(sol.metadata),
-        )
-        bad.components[0] = bad.components[0].scale(1.01)
+        bad = replace(sol, components=[sol.components[0].scale(1.01), *sol.components[1:]])
         raw = np.max(list(verify_solution(bad, samples=4, seed=cfg.seed).values()))
         checks.append(_control_check(
             "control distorted solution", raw, cfg.tolerance,

@@ -8,19 +8,20 @@ kappa_j^{-1}-eigenvector of every generator image, the generator action is
 
     T_j . f = kappa_j^{-1} f + kappa_j N_j(t) DD_j(f)
 
-with N_j the quadratic numerator polynomial and DD_j the exact divided
-difference, and the translation elements act with eigenvalue 1/gamma_lambda
-on the monic polynomial with leading monomial t^lambda.
+with N_j the quadratic numerator polynomial and DD_j(f) = (f o s_j - f) /
+denom_j the exact divided difference, and the translation elements act with
+eigenvalue 1/gamma_lambda on the monic polynomial with leading monomial
+t^lambda.
 
-noumi_T_apply realises that action on LaurentPoly dicts and is the reference
-for the n+1 generator matrices on an l1 ball (which every T_j keeps).  Those
-are filled in closed form once per parameter set and radius: the divided
-difference of a monomial is a finite geometric sum, checked against its
-denominator.  Y_i is the product of the T_j along tau_word.  The Y_i are
-jointly triangular on monomials (Cherednik, IMRN 1995; Sahi, Ann. Math. 150,
-1999), so in a checked topological order one back-substitution gives the
-eigenvector of every monomial of the ball; compute_P reads its label's column,
-and label_residuals checks all labels of one degree at once on their ball.
+That action is applied only as the n+1 generator matrices on an l1 ball
+(which every T_j keeps), filled in closed form once per parameter set and
+radius: the divided difference of a monomial is a finite geometric sum,
+checked against its denominator.  Y_i is the product of the T_j along
+tau_word.  The Y_i are jointly triangular on monomials (Cherednik, IMRN
+1995; Sahi, Ann. Math. 150, 1999), so in a checked topological order one
+back-substitution gives the eigenvector of every monomial of the ball;
+compute_P reads its label's column, and label_residuals checks all labels
+of one degree at once on their ball.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .numerics import (
     RefusalError,
     _denominator,
     _gamma_vectors,
-    divided_difference,
     l1_ball,
 )
 from .weyl import tau_word
@@ -67,31 +67,6 @@ def _numerator_poly(j: int, params: ParamSet) -> LaurentPoly:
         e1[-1], e2[-1] = 1, 2
         c1, c2 = (un - 1 / un) / kn, -1 / kn**2
     return LaurentPoly(n, {(0,) * n: 1.0, tuple(e1): c1, tuple(e2): c2})
-
-
-def noumi_T_apply(j: int, f: LaurentPoly, params: ParamSet) -> LaurentPoly:
-    kj = params.kappa_j(j)
-    out = f.scale(1 / kj)
-    dd = divided_difference(f, j, params)
-    return out + (_numerator_poly(j, params) * dd).scale(kj)
-
-
-def noumi_T_inv_apply(j: int, f: LaurentPoly, params: ParamSet) -> LaurentPoly:
-    # quadratic relation in inverted parameters: T^{-1} = T - 1/kappa + kappa
-    kj = params.kappa_j(j)
-    return noumi_T_apply(j, f, params) + f.scale(kj - 1 / kj)
-
-
-def noumi_Y_apply(i: int, f: LaurentPoly, params: ParamSet) -> LaurentPoly:
-    """The i-th commuting translation element through the basic action."""
-    n = params.n
-    if not 1 <= i <= n:
-        raise ValueError("index out of range")
-    out = f
-    for k, a in reversed(list(enumerate(tau_word(i, n)))):
-        step = noumi_T_inv_apply if k < i - 1 else noumi_T_apply
-        out = step(a, out, params)
-    return out
 
 
 @dataclass(frozen=True)
@@ -230,8 +205,8 @@ def _joint_eigenbasis(mats: dict) -> _Eigenbasis:
 def _ball(params: ParamSet, radius: int):
     """(basis, index, {i: Y_i}, {j: T_j}, joint eigenbasis) on the l1 ball,
     cached per (frozen parameter set, radius).  Y_i multiplies the T_j along
-    tau_word(i, n) as noumi_Y_apply does, inverting the first i - 1 letters
-    by T_j + (kappa_j - 1/kappa_j)."""
+    tau_word(i, n), inverting the first i - 1 letters by the quadratic
+    relation, T_j^{-1} = T_j + (kappa_j - 1/kappa_j)."""
     key = (params, radius)
     if key in _BALL_CACHE:
         return _BALL_CACHE[key]

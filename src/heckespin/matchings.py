@@ -207,24 +207,14 @@ def matchmaker_betas(params: ParamSet):
     return 1.0 + 0j, beta_product(params)
 
 
-def boundary_arc_counts(p: Matching) -> dict:
-    """The per-parity counters of arcs into each boundary."""
-    L = {(0, 0): 0, (0, 1): 0, (p.n, 0): 0, (p.n, 1): 0}
-    for a, b in p.pairs:
-        if a == 0:
-            L[(0, pty(b))] += 1
-        elif b == p.n + 1:
-            L[(p.n, pty(a))] += 1
-    return L
-
-
-def m_constants(params: ParamSet, beta0: complex = 1.0 + 0j) -> dict:
+def m_constants(params: ParamSet) -> dict:
     """The boundary-arc weights M_{j,h}, gauge-fixed by M_{0,0} = 1.
 
     They satisfy the two product relations
         M_{j,0} M_{j,1} = 1/(psi_j (kappa/kappa_j + kappa_j/kappa)),
         M_{0,0} M_{n,1} = beta0 / f_n   (f_n the n-parity factor),
-    which pin every value once the gauge and beta0 are chosen.
+    which pin every value once the gauge is chosen, with beta0 = 1 as in
+    matchmaker_betas.
     """
     p = params
     k, k0, kn = p.kappa, p.kappa0, p.kappan
@@ -235,7 +225,7 @@ def m_constants(params: ParamSet, beta0: complex = 1.0 + 0j) -> dict:
         fn = 1 - k0 * kn / k * ps
     M = {(0, 0): 1.0 + 0j}
     M[(0, 1)] = 1 / (p.psi0 * (k / k0 + k0 / k)) / M[(0, 0)]
-    M[(p.n, 1)] = beta0 / fn / M[(0, 0)]
+    M[(p.n, 1)] = 1 / fn / M[(0, 0)]
     M[(p.n, 0)] = 1 / (p.psin * (k / kn + kn / k)) / M[(p.n, 1)]
     return M
 
@@ -263,7 +253,7 @@ def intertwiner_Psi(params: ParamSet, limit: bool = False):
     """
     n = params.n
     k = params.kappa
-    M = None if limit else m_constants(params, matchmaker_betas(params)[0])
+    M = None if limit else m_constants(params)
     psi = {0: params.psi0, n: params.psin}
 
     def turned(j: int, h: int) -> complex:

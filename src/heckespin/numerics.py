@@ -1,4 +1,4 @@
-"""Scalar parameters, exact Laurent-polynomial arithmetic, and generic sampling.
+"""Scalar parameters, Laurent polynomials, and generic sampling.
 
 Everything downstream runs over one immutable bundle of nonzero complex
 scalars (kappa0, kappa, kappan, upsilon0, upsilonn, psi0, psin) plus a rank n
@@ -6,15 +6,14 @@ and a square root of q.  q itself is always recovered as q_sqrt**2 so the two
 can never drift apart.
 
 Laurent polynomials in t_1..t_n are dicts mapping integer exponent tuples to
-complex coefficients.  The only division ever performed on them is by the
-three reflection denominators
+complex coefficients.  They are added, scaled, stored and evaluated here
+(``LaurentTable``); the library never multiplies two of them or changes
+their variables.  ``_denominator`` gives the three reflection denominators
 
     1 - q*t_1**-2,      1 - t_i/t_{i+1},      1 - t_n**2,
 
-and those quotients are assembled term by term from geometric sums, so the
-exponent arithmetic is exact; floats only enter through the coefficients.
-``divided_difference`` additionally re-multiplies by the denominator and
-checks the product, raising ``InternalDefectError`` on any mismatch.
+by which koornwinder's closed-form generator fill divides exactly, in
+integer exponent arithmetic; floats only enter through the coefficients.
 """
 
 from __future__ import annotations
@@ -225,62 +224,8 @@ class LaurentPoly:
         z = complex(z)
         return LaurentPoly(self.n_vars, {e: z * c for e, c in self.terms.items()})
 
-    def __mul__(self, other):
-        if isinstance(other, LaurentPoly):
-            return laurent_mul(self, other)
-        return self.scale(other)
-
-    __rmul__ = scale
-
     def eval(self, point) -> complex:
         return complex(LaurentTable([self], self.n_vars)([tuple(point)])[0, 0])
-
-    def eval_mp(self, point, digits: int = 50):
-        """Evaluate with mpmath at the given working precision."""
-        import mpmath
-
-        with mpmath.workdps(digits):
-            pts = [[mpmath.mpc(t) for t in point]]
-            return mpmath.mpc(LaurentTable([self], self.n_vars)(pts, object)[0, 0])
-
-    # reflection substitutions; these are the only variable changes the
-    # operators downstream ever need
-    def act_s0(self, q: complex) -> "LaurentPoly":
-        """f(t) -> f(q/t_1, t_2, ..., t_n)."""
-        terms = {}
-        for exp, c in self.terms.items():
-            m = exp[0]
-            new = (-m,) + exp[1:]
-            terms[new] = terms.get(new, 0j) + c * q**m
-        return LaurentPoly(self.n_vars, terms)
-
-    def act_si(self, i: int) -> "LaurentPoly":
-        """f(t) -> f with t_i and t_{i+1} exchanged, 1 <= i <= n-1."""
-        if not 1 <= i <= self.n_vars - 1:
-            raise ValueError("middle reflection index out of range")
-        a, b = i - 1, i
-        terms = {}
-        for exp, c in self.terms.items():
-            e = list(exp)
-            e[a], e[b] = e[b], e[a]
-            e = tuple(e)
-            terms[e] = terms.get(e, 0j) + c
-        return LaurentPoly(self.n_vars, terms)
-
-    def act_sn(self) -> "LaurentPoly":
-        """f(t) -> f(t_1, ..., t_{n-1}, 1/t_n)."""
-        terms = {}
-        for exp, c in self.terms.items():
-            new = exp[:-1] + (-exp[-1],)
-            terms[new] = terms.get(new, 0j) + c
-        return LaurentPoly(self.n_vars, terms)
-
-    def act_sj(self, j: int, q: complex) -> "LaurentPoly":
-        if j == 0:
-            return self.act_s0(q)
-        if j == self.n_vars:
-            return self.act_sn()
-        return self.act_si(j)
 
     def to_dict(self) -> dict:
         items = sorted(self.terms.items())
@@ -331,18 +276,8 @@ class LaurentTable:
         return self.coeffs @ np.prod(pts**self.exps, axis=2).T
 
 
-def laurent_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    if f.n_vars != g.n_vars:
-        raise InternalDefectError("arity mismatch")
-    terms = {}
-    for e1, c1 in f.terms.items():
-        for e2, c2 in g.terms.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            terms[e] = terms.get(e, 0j) + c1 * c2
-    return LaurentPoly(f.n_vars, terms)
-
-
 def _denominator(j: int, n: int, q: complex) -> LaurentPoly:
+    """denom_j, the reflection denominator of s_j (module docstring)."""
     if j == 0:
         return LaurentPoly(n, {(0,) * n: 1.0, (-2,) + (0,) * (n - 1): -q})
     if j == n:
@@ -350,81 +285,6 @@ def _denominator(j: int, n: int, q: complex) -> LaurentPoly:
     e = [0] * n
     e[j - 1], e[j] = 1, -1
     return LaurentPoly(n, {(0,) * n: 1.0, tuple(e): -1.0})
-
-
-def divided_difference(f: LaurentPoly, j: int, params: ParamSet) -> LaurentPoly:
-    """The exact quotient (f o s_j - f) / denom_j, denominators as in the
-    module docstring.
-
-    Assembled monomial by monomial from geometric sums, never by pointwise
-    division.  The quotient is multiplied back and compared against
-    f o s_j - f; disagreement raises InternalDefectError.
-
-    >>> p = ParamSet(n=1, q_sqrt=1.2, kappa0=0.7, kappa=1.1, kappan=0.9,
-    ...              upsilon0=1.3, upsilonn=0.8, psi0=1.0, psin=1.0,
-    ...              kappa_sqrt=1.1**0.5)
-    >>> g = divided_difference(LaurentPoly.monomial(1, (1,)), 1, p)
-    >>> g.terms
-    {(-1,): (1+0j)}
-    """
-    n = f.n_vars
-    if n != params.n:
-        raise ValueError("polynomial arity does not match ParamSet rank")
-    if not 0 <= j <= n:
-        raise ValueError("reflection index out of range")
-    q = params.q
-    terms: dict = {}
-
-    def add(exp, c):
-        terms[exp] = terms.get(exp, 0j) + c
-
-    for exp, c in f.terms.items():
-        if j == 0:
-            m = exp[0]
-            # (u^m - 1)/(1 - u) with u = q/t_1^2; each u^l sends t_1^m to
-            # q^l t_1^(m-2l)
-            if m > 0:
-                for l in range(m):
-                    add((m - 2 * l,) + exp[1:], -c * q**l)
-            elif m < 0:
-                for l in range(m, 0):
-                    add((m - 2 * l,) + exp[1:], c * q**l)
-        elif j == n:
-            m = exp[-1]
-            # here the denominator is 1 - t_n^2 = -u^{-1}(1 - u) for
-            # u = t_n^{-2}, which shifts the geometric sum by one step
-            if m > 0:
-                for l in range(1, m + 1):
-                    add(exp[:-1] + (m - 2 * l,), c)
-            elif m < 0:
-                for l in range(m + 1, 1):
-                    add(exp[:-1] + (m - 2 * l,), -c)
-        else:
-            a, b = j - 1, j
-            d = exp[a] - exp[b]
-            # (u^{-d} - 1)/(1 - u) with u = t_j/t_{j+1}
-            if d < 0:
-                for l in range(-d):
-                    e = list(exp)
-                    e[a] += l
-                    e[b] -= l
-                    add(tuple(e), -c)
-            elif d > 0:
-                for l in range(-d, 0):
-                    e = list(exp)
-                    e[a] += l
-                    e[b] -= l
-                    add(tuple(e), c)
-
-    g = LaurentPoly(n, terms)
-    lhs = laurent_mul(g, _denominator(j, n, q))
-    rhs = f.act_sj(j, q) - f
-    scale = max(lhs.max_abs(), rhs.max_abs(), 1.0)
-    if (lhs - rhs).max_abs() > 1e-12 * scale:
-        raise InternalDefectError(
-            f"divided difference failed re-multiplication check at j={j}"
-        )
-    return g
 
 
 def l1_ball(n: int, radius: int):
@@ -674,7 +534,8 @@ def pole_free_points(draw, evaluate, count: int):
     same budget.  evaluate takes the list of points and evaluates them all
     at once; the points a PoleProximityError from it flags in its ``where``
     are dropped, and new ones drawn in their place.  Raises
-    GenericityError once count + 40 draws have not been enough.
+    GenericityError once count + 40 draws have not been enough, and
+    InternalDefectError when such an error flags none of the points.
     """
     points, dropped = [], set()
     while True:
@@ -688,7 +549,10 @@ def pole_free_points(draw, evaluate, count: int):
         try:
             return evaluate([points[k] for k in kept])
         except PoleProximityError as err:
-            dropped.update(k for k, bad in zip(kept, np.broadcast_to(err.where, len(kept))) if bad)
+            bad = np.broadcast_to(err.where, len(kept))
+            if not bad.any():
+                raise InternalDefectError("a pole error flagged none of the points") from err
+            dropped.update(k for k, flag in zip(kept, bad) if flag)
 
 
 class Residuals(dict):

@@ -136,9 +136,6 @@ class WeylElem:
             out = out * cls.generator(a, n)
         return out
 
-    def __repr__(self):
-        return f"WeylElem(perm={self.perm}, signs={self.signs}, trans={self.trans})"
-
 
 def act_point(w: WeylElem, point, params: ParamSet):
     """The q-deformed action on (C*)^n.
@@ -235,11 +232,6 @@ def _bfs_levels(I, n: int, key=lambda w: (w.perm, w.signs)):
         if not nxt:
             return levels
         levels.append(nxt)
-
-
-def finite_group(n: int):
-    """All 2^n n! elements of W_0 as WeylElems, by length (a small-n oracle)."""
-    return [w for level in _bfs_levels(range(1, n + 1), n) for w in level]
 
 
 def longest_parabolic(I, n: int) -> "WeylElem":

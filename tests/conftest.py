@@ -6,10 +6,14 @@ import numpy as np
 import pytest
 
 from heckespin.baxter import RationalMat, baxter_j, cocycle_factor, dressed_blocks, transport_factors
-from heckespin.koornwinder import _ball, ball_vector, compute_P_detail, fixed_by_si
+from heckespin.koornwinder import _ball, _numerator_poly, ball_vector, compute_P_detail, fixed_by_si
+from heckespin.matchings import pty
 from heckespin.numerics import (
+    InternalDefectError,
+    LaurentPoly,
     LaurentTable,
     Residuals,
+    _denominator,
     l1_ball,
     pole_free,
     rel_residual,
@@ -19,7 +23,7 @@ from heckespin.numerics import (
 from heckespin.spinrep import _local_k, _local_kbar, _local_upsilon_p
 from heckespin.tensorops import factor_product, row_residual
 from heckespin.transfer import theta_matrix
-from heckespin.weyl import WeylElem, act_point
+from heckespin.weyl import WeylElem, _bfs_levels, act_point, tau_word
 
 _ACCEPTANCE: list = []
 
@@ -34,6 +38,144 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for label, ok in _ACCEPTANCE:
         terminalreporter.write_line(f"{'PASS' if ok else 'FAIL'}  {label}")
+
+
+def laurent_mul(f, g):
+    """Oracle: the product of two LaurentPolys, term by term."""
+    if f.n_vars != g.n_vars:
+        raise InternalDefectError("arity mismatch")
+    terms = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            terms[e] = terms.get(e, 0j) + c1 * c2
+    return LaurentPoly(f.n_vars, terms)
+
+
+def s_j(f, j, q):
+    """Oracle: f o s_j, the substitution t_1 -> q/t_1 (j = 0), t_j <-> t_{j+1}
+    (0 < j < n) or t_n -> 1/t_n (j = n)."""
+    n = f.n_vars
+    terms = {}
+    for exp, c in f.terms.items():
+        e = list(exp)
+        if j == 0:
+            e[0], c = -e[0], c * q ** e[0]
+        elif j == n:
+            e[-1] = -e[-1]
+        else:
+            e[j - 1], e[j] = e[j], e[j - 1]
+        terms[tuple(e)] = terms.get(tuple(e), 0j) + c
+    return LaurentPoly(n, terms)
+
+
+def divided_difference(f, j, params):
+    """Oracle: the exact quotient (f o s_j - f) / denom_j, assembled monomial
+    by monomial from geometric sums, never by pointwise division.  The
+    quotient is multiplied back and compared against f o s_j - f;
+    disagreement raises InternalDefectError."""
+    n = f.n_vars
+    if n != params.n:
+        raise ValueError("polynomial arity does not match ParamSet rank")
+    if not 0 <= j <= n:
+        raise ValueError("reflection index out of range")
+    q = params.q
+    terms: dict = {}
+
+    def add(exp, c):
+        terms[exp] = terms.get(exp, 0j) + c
+
+    for exp, c in f.terms.items():
+        if j == 0:
+            m = exp[0]
+            # (u^m - 1)/(1 - u) with u = q/t_1^2; each u^l sends t_1^m to
+            # q^l t_1^(m-2l)
+            if m > 0:
+                for l in range(m):
+                    add((m - 2 * l,) + exp[1:], -c * q**l)
+            elif m < 0:
+                for l in range(m, 0):
+                    add((m - 2 * l,) + exp[1:], c * q**l)
+        elif j == n:
+            m = exp[-1]
+            # here the denominator is 1 - t_n^2 = -u^{-1}(1 - u) for
+            # u = t_n^{-2}, which shifts the geometric sum by one step
+            if m > 0:
+                for l in range(1, m + 1):
+                    add(exp[:-1] + (m - 2 * l,), c)
+            elif m < 0:
+                for l in range(m + 1, 1):
+                    add(exp[:-1] + (m - 2 * l,), -c)
+        else:
+            a, b = j - 1, j
+            d = exp[a] - exp[b]
+            # (u^{-d} - 1)/(1 - u) with u = t_j/t_{j+1}
+            if d < 0:
+                for l in range(-d):
+                    e = list(exp)
+                    e[a] += l
+                    e[b] -= l
+                    add(tuple(e), -c)
+            elif d > 0:
+                for l in range(-d, 0):
+                    e = list(exp)
+                    e[a] += l
+                    e[b] -= l
+                    add(tuple(e), c)
+
+    g = LaurentPoly(n, terms)
+    lhs = laurent_mul(g, _denominator(j, n, q))
+    rhs = s_j(f, j, q) - f
+    scale = max(lhs.max_abs(), rhs.max_abs(), 1.0)
+    if (lhs - rhs).max_abs() > 1e-12 * scale:
+        raise InternalDefectError(
+            f"divided difference failed re-multiplication check at j={j}"
+        )
+    return g
+
+
+def noumi_T_apply(j, f, params):
+    """Oracle: the generator action T_j . f = kappa_j^{-1} f + kappa_j N_j
+    DD_j(f) of koornwinder, on LaurentPoly dicts."""
+    kj = params.kappa_j(j)
+    out = f.scale(1 / kj)
+    dd = divided_difference(f, j, params)
+    return out + laurent_mul(_numerator_poly(j, params), dd).scale(kj)
+
+
+def noumi_T_inv_apply(j, f, params):
+    # quadratic relation in inverted parameters: T^{-1} = T - 1/kappa + kappa
+    kj = params.kappa_j(j)
+    return noumi_T_apply(j, f, params) + f.scale(kj - 1 / kj)
+
+
+def noumi_Y_apply(i, f, params):
+    """Oracle: the i-th commuting translation element through the basic
+    action, letter by letter along tau_word."""
+    n = params.n
+    if not 1 <= i <= n:
+        raise ValueError("index out of range")
+    out = f
+    for k, a in reversed(list(enumerate(tau_word(i, n)))):
+        step = noumi_T_inv_apply if k < i - 1 else noumi_T_apply
+        out = step(a, out, params)
+    return out
+
+
+def finite_group(n):
+    """All 2^n n! elements of W_0 as WeylElems, by length (a small-n oracle)."""
+    return [w for level in _bfs_levels(range(1, n + 1), n) for w in level]
+
+
+def boundary_arc_counts(p):
+    """The per-parity counters of arcs into each boundary of a matching."""
+    L = {(0, 0): 0, (0, 1): 0, (p.n, 0): 0, (p.n, 1): 0}
+    for a, b in p.pairs:
+        if a == 0:
+            L[(0, pty(b))] += 1
+        elif b == p.n + 1:
+            L[(p.n, pty(a))] += 1
+    return L
 
 
 def _kron_embed(op, legs, m):

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from conftest import record_acceptance, stabilizer_eigen_residual
+from conftest import boundary_arc_counts, record_acceptance, stabilizer_eigen_residual
 from heckespin.baxter import check_ybe_re, cocycle_C, dressed_blocks
 from heckespin.cli import Config, run_suite
 from heckespin.koornwinder import (
@@ -20,7 +20,6 @@ from heckespin.koornwinder import (
     fixed_by_si,
 )
 from heckespin.matchings import (
-    boundary_arc_counts,
     enumerate_matchings,
     intertwiner_Psi,
     matchmaker_betas,

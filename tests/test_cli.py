@@ -214,11 +214,12 @@ def test_laurent_arity_mismatch_is_an_internal_defect(monkeypatch, capsys, corru
 
     # a cold cache forces the generator fill, which multiplies the divided
     # differences by the numerator's terms; a wrong-arity numerator is refused
-    # there, whether or not the dict-level divided difference is also wrong
+    # there, whether or not the denominator of the re-multiplication check of
+    # the divided differences is also wrong
     monkeypatch.setattr(koornwinder, "_BALL_CACHE", {})
     monkeypatch.setattr(koornwinder, "_numerator_poly", wide)
     if corrupt == "sum":
-        monkeypatch.setattr(koornwinder, "divided_difference", wide)
+        monkeypatch.setattr(koornwinder, "_denominator", wide)
     assert run(["verify", "koornwinder", "--n", "2", "--seed", "1"]) == 3
     assert "internal defect: arity mismatch" in capsys.readouterr().err
 

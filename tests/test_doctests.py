@@ -1,30 +1,15 @@
 """Run the inline usage examples embedded in module docstrings."""
 
 import doctest
+import importlib
+import pkgutil
 
 import pytest
 
-import heckespin.baxter
-import heckespin.koornwinder
-import heckespin.matchings
-import heckespin.numerics
-import heckespin.qkz
-import heckespin.spinrep
-import heckespin.tensorops
-import heckespin.transfer
-import heckespin.weyl
+import heckespin
 
-MODULES = [
-    heckespin.numerics,
-    heckespin.weyl,
-    heckespin.spinrep,
-    heckespin.matchings,
-    heckespin.baxter,
-    heckespin.koornwinder,
-    heckespin.tensorops,
-    heckespin.transfer,
-    heckespin.qkz,
-]
+MODULES = [importlib.import_module(f"heckespin.{m.name}")
+           for m in pkgutil.iter_modules(heckespin.__path__)]
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import boundary_arc_counts
 from heckespin.matchings import (
     Matching,
-    boundary_arc_counts,
     enumerate_matchings,
     intertwiner_Psi,
     m_constants,
@@ -97,7 +97,7 @@ def _psi_by_orientations(params, limit=False):
     """Oracle: Psi as the sum over all 2^#arcs orientations of each matching,
     each weighted by its counters of turned-around arcs."""
     n, k = params.n, params.kappa
-    M = m_constants(params, matchmaker_betas(params)[0])
+    M = m_constants(params)
     psi = {0: params.psi0, n: params.psin}
     mat = np.zeros((2**n, 2**n), dtype=complex)
     for col, p in enumerate(enumerate_matchings(n)):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import divided_difference, laurent_mul, s_j
 from heckespin.numerics import (
     _GAMMA_DEGREE,
     _GAMMA_GAP,
@@ -21,7 +22,6 @@ from heckespin.numerics import (
     Residuals,
     _gamma_distinct,
     _gamma_vectors,
-    divided_difference,
     eta,
     l1_ball,
     pole_free,
@@ -49,8 +49,8 @@ def _is_zero(p: LaurentPoly) -> bool:
 @settings(max_examples=60, deadline=None)
 def test_ring_axioms(a, b, c):
     assert _is_zero((a + b) + c + ((a + (b + c)).scale(-1)))
-    assert _is_zero(a * b + (b * a).scale(-1))
-    assert _is_zero(a * (b + c) + (a * b + a * c).scale(-1))
+    assert _is_zero(laurent_mul(a, b) + laurent_mul(b, a).scale(-1))
+    assert _is_zero(laurent_mul(a, b + c) + (laurent_mul(a, b) + laurent_mul(a, c)).scale(-1))
 
 
 @given(polys())
@@ -59,11 +59,12 @@ def test_sign_flip_is_an_involution(p):
     q = 1.37 + 0.2j
     # the inversion and swap actions permute monomials exactly; the affine
     # one multiplies by powers of q and only returns up to rounding
-    assert _is_zero(p.act_sn().act_sn() + p.scale(-1))
-    doubled = p.act_sj(0, q).act_sj(0, q) + p.scale(-1)
+    n = p.n_vars
+    assert _is_zero(s_j(s_j(p, n, q), n, q) + p.scale(-1))
+    doubled = s_j(s_j(p, 0, q), 0, q) + p.scale(-1)
     assert doubled.max_abs() < 1e-12 * (1.0 + p.max_abs())
     if p.n_vars >= 2:
-        assert _is_zero(p.act_sj(1, q).act_sj(1, q) + p.scale(-1))
+        assert _is_zero(s_j(s_j(p, 1, q), 1, q) + p.scale(-1))
 
 
 def test_eval_matches_terms():
@@ -125,10 +126,11 @@ def test_extended_precision_evaluation_uses_the_same_table():
             mpmath.mpc(c) * mpmath.mpc(t[0]) ** e[0] * mpmath.mpc(t[1]) ** e[1]
             for e, c in p.terms.items()
         )
-        got = p.eval_mp(t, digits=60)
+        pts = [[mpmath.mpc(x) for x in t]]
+        got = LaurentTable([p], 2)(pts, object)[0, 0]
         assert isinstance(got, mpmath.mpc)
         assert abs(got - ref) < mpmath.mpf(10) ** -55 * abs(ref)
-        assert LaurentPoly.zero(2).eval_mp(t) == 0
+        assert LaurentTable([LaurentPoly.zero(2)], 2)(pts, object)[0, 0] == 0
     assert abs(complex(got) - p.eval(t)) < 1e-14 * abs(complex(ref))
 
 
@@ -153,6 +155,14 @@ def test_divided_difference_kills_symmetric_input():
     sym = LaurentPoly(2, {(1, 1): 1.0, (0, 0): 2.0})  # s_1-symmetric
     out = divided_difference(sym, 1, params)
     assert out.max_abs() < 1e-12
+
+
+def test_divided_difference_of_a_monomial():
+    p = ParamSet(n=1, q_sqrt=1.2, kappa0=0.7, kappa=1.1, kappan=0.9,
+                 upsilon0=1.3, upsilonn=0.8, psi0=1.0, psin=1.0,
+                 kappa_sqrt=1.1**0.5)
+    g = divided_difference(LaurentPoly.monomial(1, (1,)), 1, p)
+    assert g.terms == {(-1,): 1 + 0j}
 
 
 def test_eta_step():
@@ -348,6 +358,18 @@ def test_pole_free_points_keeps_the_first_clear_draws_with_pole_frees_budget():
     assert log == [1]
     with pytest.raises(GenericityError):
         pole_free_points(_drawn(range(100), []), unflagged, 2)
+
+    calls = []
+
+    def flags_none(points):  # an error whose where flags no point
+        calls.append(points)
+        if len(calls) > 50:
+            raise AssertionError("the same points evaluated again and again")
+        raise PoleProximityError("evaluation at a pole", where=np.zeros(len(points), dtype=bool))
+
+    with pytest.raises(InternalDefectError, match="flagged none of the points"):
+        pole_free_points(_drawn(range(100), []), flags_none, 2)
+    assert calls == [[0, 1]]
 
 
 def test_residuals_keep_the_largest_value_and_any_nan():

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import qkz_per_sample
-from heckespin.koornwinder import compute_P, noumi_T_apply
+from conftest import noumi_T_apply, qkz_per_sample
+from heckespin.koornwinder import compute_P
 from heckespin.numerics import (
     LaurentPoly,
     PoleProximityError,

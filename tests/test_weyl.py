@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import finite_group
 from heckespin.numerics import sample_generic
 from heckespin.weyl import (
     WeylElem,
     act_point,
-    finite_group,
     longest_parabolic,
     min_coset_reps,
     reduced_word,
@@ -59,6 +59,7 @@ def test_simple_reflections_are_involutions():
     for j in range(N + 1):
         s = WeylElem.generator(j, N)
         assert s * s == WeylElem.identity(N)
+    assert repr(WeylElem.generator(0, 2)) == "WeylElem(perm=(0, 1), signs=(-1, 1), trans=(-1, 0))"
 
 
 def test_finite_group_order():
