@@ -356,8 +356,9 @@ def suite_koornwinder(cfg: Config, p: ParamSet):
     n = p.n
     radius = 3
     checks = []
-    const = compute_P_detail((0,) * n, p)
-    diff = (const.poly + LaurentPoly.one(n).scale(-1.0)).max_abs()
+    const = compute_P_detail((0,) * n, p).poly
+    # every coefficient against those of 1: one at the zero exponent, else 0
+    diff = np.abs(const.coeffs - ~const.exps.any(axis=1)).max()
     checks.append(_check(
         "constant polynomial", diff, cfg.tolerance,
         "the zero label yields the constant polynomial exactly",
@@ -408,7 +409,7 @@ def suite_qkz(cfg: Config, p: ParamSet):
             "pointwise residuals at random generic points",
         )
         checks.append(_floor_check(
-            f"solution m={m}: nontrivial", sol.max_coeff(), 1e-6, cfg.tolerance,
+            f"solution m={m}: nontrivial", sol.components.max_abs(), 1e-6, cfg.tolerance,
             "largest coefficient of the assembled solution",
         ))
     if cfg.params is None:
@@ -422,8 +423,9 @@ def suite_qkz(cfg: Config, p: ParamSet):
             "refusal on unconstrained parameters", refused, cfg.tolerance,
             "building at a generic unconstrained point must refuse",
         ))
-        sol = sols[0]
-        bad = replace(sol, components=[sol.components[0].scale(1.01), *sol.components[1:]])
+        coeffs = sols[0].components.coeffs.copy()
+        coeffs[0] *= 1.01
+        bad = replace(sols[0], components=LaurentPoly(sols[0].components.exps, coeffs))
         raw = np.max(list(verify_solution(bad, samples=4, seed=cfg.seed).values()))
         checks.append(_control_check(
             "control distorted solution", raw, cfg.tolerance,
@@ -493,7 +495,7 @@ def cmd_verify(args) -> int:
 
 def _polynomial_payload(det) -> dict:
     return {
-        "polynomial": det.poly.to_dict(),
+        "polynomial": det.poly.to_dicts()[0],
         "metadata": {
             "lambda": list(det.spectral.lam),
             "gamma_lambda": [{"re": g.real, "im": g.imag} for g in det.spectral.gamma],

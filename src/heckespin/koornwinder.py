@@ -56,7 +56,7 @@ def _numerator_poly(j: int, params: ParamSet) -> LaurentPoly:
     if 0 < j < n:
         ex = [0] * n
         ex[j - 1], ex[j] = 1, -1
-        return LaurentPoly(n, {(0,) * n: 1.0, tuple(ex): -1 / params.kappa**2})
+        return LaurentPoly([(0,) * n, ex], [1.0, -1 / params.kappa**2])
     e1, e2 = [0] * n, [0] * n
     if j == 0:
         k0, u0 = params.kappa0, params.upsilon0
@@ -66,7 +66,7 @@ def _numerator_poly(j: int, params: ParamSet) -> LaurentPoly:
         kn, un = params.kappan, params.upsilonn
         e1[-1], e2[-1] = 1, 2
         c1, c2 = (un - 1 / un) / kn, -1 / kn**2
-    return LaurentPoly(n, {(0,) * n: 1.0, tuple(e1): c1, tuple(e2): c2})
+    return LaurentPoly([(0,) * n, e1, e2], [1.0, c1, c2])
 
 
 @dataclass(frozen=True)
@@ -84,13 +84,13 @@ _BALL_CACHE: dict = {}
 
 
 def ball_vector(poly: LaurentPoly, index: dict) -> np.ndarray:
-    """Coefficient vector of poly on the ball enumerated by index; a term
-    outside the ball is a defect of the caller, never a truncation."""
-    vec = np.zeros(len(index), dtype=complex)
-    for ex, cf in poly.terms.items():
-        if ex not in index:
-            raise InternalDefectError("polynomial term left the degree ball")
-        vec[index[ex]] = cf
+    """The rows of poly on the ball enumerated by index, one column per row;
+    a term outside the ball is a defect of the caller, never a truncation."""
+    at = np.array([index.get(ex, -1) for ex in map(tuple, poly.exps.tolist())], dtype=np.int64)
+    if np.any(at < 0):
+        raise InternalDefectError("polynomial term left the degree ball")
+    vec = np.zeros((len(index), len(poly.coeffs)), dtype=poly.coeffs.dtype)
+    vec[at] = poly.coeffs.T
     return vec
 
 
@@ -119,13 +119,13 @@ def _scatter(arr, poly: LaurentPoly, cols, exps, coeffs) -> np.ndarray:
     the terms (cols, exps, coeffs); a nonzero term outside the ball is a
     defect, never a truncation."""
     n, radius = arr.shape[1], int(np.abs(arr).sum(axis=1).max())
-    if poly.n_vars != n:
+    if poly.exps.shape[1] != n:
         raise InternalDefectError("arity mismatch")
     digits = (2 * radius + 1) ** np.arange(n - 1, -1, -1)
     keys = (arr + radius) @ digits
     out = np.zeros((len(arr), len(arr)), dtype=complex)
-    for e, c in poly.terms.items():
-        shifted = exps + np.array(e)
+    for e, c in zip(poly.exps, poly.coeffs[0]):
+        shifted = exps + e
         inside = np.abs(shifted).sum(axis=1) <= radius
         if np.any(coeffs[~inside] != 0):
             raise InternalDefectError("polynomial term left the degree ball")
@@ -317,8 +317,7 @@ def compute_P_detail(lam, params: ParamSet) -> PolynomialResult:
     sp = gamma_lambda(lam, params)
     mon = _monic_vectors([lam], [sp.gamma], params)
     basis, _index, mats, _gens, _eig = mon.ball
-    vec = mon.vecs[:, 0]
-    poly = LaurentPoly(n, {basis[r]: complex(vec[r]) for r in np.flatnonzero(vec)})
+    poly = LaurentPoly(basis, mon.vecs[:, 0])
     ys = [mats[i] for i in range(1, n + 1)]
     residual = float(_eigen_residuals(ys, mon.inv_gamma, mon.vecs).max())
     return PolynomialResult(poly, sp, residual, int(mon.span[0]))

@@ -5,10 +5,11 @@ scalars (kappa0, kappa, kappan, upsilon0, upsilonn, psi0, psin) plus a rank n
 and a square root of q.  q itself is always recovered as q_sqrt**2 so the two
 can never drift apart.
 
-Laurent polynomials in t_1..t_n are dicts mapping integer exponent tuples to
-complex coefficients.  They are added, scaled, stored and evaluated here
-(``LaurentTable``); the library never multiplies two of them or changes
-their variables.  ``_denominator`` gives the three reflection denominators
+Laurent polynomials in t_1..t_n are ``LaurentPoly`` tables: one integer
+exponent table shared by the rows of a complex coefficient matrix, one row
+per polynomial.  They are built, stored as JSON and evaluated here; the
+library never multiplies two of them or changes their variables.
+``_denominator`` gives the three reflection denominators
 
     1 - q*t_1**-2,      1 - t_i/t_{i+1},      1 - t_n**2,
 
@@ -24,6 +25,7 @@ import functools
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,109 +167,38 @@ class ParamSet:
 
 
 class LaurentPoly:
-    """Laurent polynomial in n_vars variables, exponent-dict representation.
+    """Laurent polynomials in n variables t_1..t_n, one per row of a
+    coefficient matrix ``coeffs`` (rows x terms) over one integer exponent
+    table ``exps`` (terms x n), of the exponents that some row uses.  Values
+    at points t are coeffs @ (t**exps).T, integer powers by repeated squaring.
 
-    >>> f = LaurentPoly.monomial(2, (1, 0)) + LaurentPoly.monomial(2, (0, -1), 2.0)
-    >>> sorted(f.terms)
-    [(0, -1), (1, 0)]
-    >>> f.eval((2.0, 4.0))
-    (2.5+0j)
+    >>> f = LaurentPoly([(1, 0), (0, -1)], [1.0, 2.0])
+    >>> f([(2.0, 4.0)])
+    array([[2.5+0.j]])
     """
 
-    __slots__ = ("n_vars", "terms")
+    __slots__ = ("exps", "coeffs")
 
-    def __init__(self, n_vars: int, terms=None):
-        self.n_vars = int(n_vars)
-        clean = {}
-        if terms:
-            for exp, c in terms.items():
-                if len(exp) != self.n_vars:
-                    raise ValueError("exponent arity does not match n_vars")
-                c = complex(c)
-                if c != 0:
-                    clean[tuple(int(e) for e in exp)] = c
-        self.terms = clean
+    def __init__(self, exps, coeffs):
+        exps = np.array(exps, dtype=np.int64)
+        coeffs = np.atleast_2d(np.array(coeffs, dtype=complex))
+        if exps.ndim != 2 or coeffs.ndim != 2 or coeffs.shape[1] != len(exps):
+            raise InternalDefectError("coefficient rows do not match the exponent table")
+        used = coeffs.any(axis=0)
+        self.exps, self.coeffs = exps[used], coeffs[:, used]
 
     @classmethod
-    def zero(cls, n_vars: int) -> "LaurentPoly":
-        return cls(n_vars)
-
-    @classmethod
-    def one(cls, n_vars: int) -> "LaurentPoly":
-        return cls(n_vars, {(0,) * n_vars: 1.0})
-
-    @classmethod
-    def monomial(cls, n_vars: int, exp, coeff=1.0) -> "LaurentPoly":
-        return cls(n_vars, {tuple(exp): coeff})
+    def one(cls, n: int) -> "LaurentPoly":
+        return cls([(0,) * n], [1.0])
 
     def max_abs(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
+        return max_abs(self.coeffs)
 
     def l1_degree(self) -> int:
-        return max((sum(abs(e) for e in exp) for exp in self.terms), default=0)
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if self.n_vars != other.n_vars:
-            raise InternalDefectError("arity mismatch")
-        terms = dict(self.terms)
-        for exp, c in other.terms.items():
-            terms[exp] = terms.get(exp, 0j) + c
-        return LaurentPoly(self.n_vars, terms)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.n_vars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def scale(self, z: complex) -> "LaurentPoly":
-        z = complex(z)
-        return LaurentPoly(self.n_vars, {e: z * c for e, c in self.terms.items()})
-
-    def eval(self, point) -> complex:
-        return complex(LaurentTable([self], self.n_vars)([tuple(point)])[0, 0])
-
-    def to_dict(self) -> dict:
-        items = sorted(self.terms.items())
-        return {
-            "n_vars": self.n_vars,
-            "terms": [
-                {"exp": list(e), "im": float(c.imag), "re": float(c.real)}
-                for e, c in items
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LaurentPoly":
-        terms = {
-            tuple(t["exp"]): complex(t["re"], t["im"]) for t in d["terms"]
-        }
-        return cls(int(d["n_vars"]), terms)
-
-    def __repr__(self):
-        return f"LaurentPoly(n_vars={self.n_vars}, {len(self.terms)} terms)"
-
-
-class LaurentTable:
-    """Polynomials as one integer exponent table E (terms x n_vars) over the
-    union of their supports and a coefficient matrix C (polynomials x terms);
-    values at points t are C @ (t**E).T, integer powers by repeated squaring."""
-
-    def __init__(self, polys, n_vars: int):
-        if any(p.n_vars != n_vars for p in polys):
-            raise InternalDefectError("arity mismatch")
-        col: dict = {}
-        for p in polys:
-            for e in p.terms:
-                col.setdefault(e, len(col))
-        self.exps = np.array(list(col), dtype=np.int64).reshape(len(col), n_vars)
-        self.coeffs = np.zeros((len(polys), len(col)), dtype=complex)
-        for r, p in enumerate(polys):
-            for e, c in p.terms.items():
-                self.coeffs[r, col[e]] = c
+        return int(np.abs(self.exps).sum(axis=1).max(initial=0))
 
     def __call__(self, points, dtype=complex) -> np.ndarray:
-        """Values at the points, shape (polynomials, len(points)); dtype=object
+        """Values at the points, shape (rows, len(points)); dtype=object
         evaluates mpmath points in mpmath arithmetic."""
         n = self.exps.shape[1]
         if any(len(t) != n for t in points):
@@ -275,16 +206,44 @@ class LaurentTable:
         pts = np.array(points, dtype=dtype).reshape(len(points), 1, n)
         return self.coeffs @ np.prod(pts**self.exps, axis=2).T
 
+    def to_dicts(self) -> list:
+        """One JSON dict per row: n_vars and the nonzero terms, sorted by
+        exponent."""
+        exps = self.exps.tolist()
+        order = sorted(range(len(exps)), key=exps.__getitem__)
+        return [
+            {"n_vars": self.exps.shape[1],
+             "terms": [{"exp": exps[k], "im": row[k].imag, "re": row[k].real}
+                       for k in order if row[k] != 0]}
+            for row in self.coeffs.tolist()
+        ]
+
+    @classmethod
+    def from_dicts(cls, rows) -> "LaurentPoly":
+        """The polynomials of to_dicts, one row per dict, over their exponents
+        in order of first appearance.  RefusalError unless every exponent is
+        n_vars integers, with one n_vars for all rows; KeyError or TypeError
+        on a missing key or a value of the wrong type."""
+        n, col, table = operator.index(rows[0]["n_vars"]), {}, []
+        for row in rows:
+            terms = {tuple(map(operator.index, t["exp"])): complex(t["re"], t["im"])
+                     for t in row["terms"]}
+            if operator.index(row["n_vars"]) != n or any(len(e) != n for e in terms):
+                raise RefusalError("exponent arity does not match n_vars")
+            table.append({col.setdefault(e, len(col)): c for e, c in terms.items()})
+        coeffs = [[row.get(k, 0) for k in range(len(col))] for row in table]
+        return cls(np.reshape(list(col), (len(col), n)), coeffs)
+
 
 def _denominator(j: int, n: int, q: complex) -> LaurentPoly:
     """denom_j, the reflection denominator of s_j (module docstring)."""
     if j == 0:
-        return LaurentPoly(n, {(0,) * n: 1.0, (-2,) + (0,) * (n - 1): -q})
+        return LaurentPoly([(0,) * n, (-2,) + (0,) * (n - 1)], [1.0, -q])
     if j == n:
-        return LaurentPoly(n, {(0,) * n: 1.0, (0,) * (n - 1) + (2,): -1.0})
+        return LaurentPoly([(0,) * n, (0,) * (n - 1) + (2,)], [1.0, -1.0])
     e = [0] * n
     e[j - 1], e[j] = 1, -1
-    return LaurentPoly(n, {(0,) * n: 1.0, tuple(e): -1.0})
+    return LaurentPoly([(0,) * n, e], [1.0, -1.0])
 
 
 def l1_ball(n: int, radius: int):

@@ -10,10 +10,10 @@ at (m, ..., m) off the triangular eigenbasis of its degree ball and applies,
 for each minimal coset representative w, the Hecke element of w (w_0^J)^{-1}
 through the cached generator matrices, weighting the image by the
 principal-series vector v_w; one principal-series basis serves the spectral
-wiring check and the assembly.  verify_solution tabulates the components once
-per call (LaurentTable), evaluates all sample points, their q-shifts and
-their reflections as one product, and checks each equation once over the
-stack of points.
+wiring check and the assembly, and the 2^n components are the rows of one
+LaurentPoly.  verify_solution evaluates all sample points, their q-shifts
+and their reflections as one product of that table, and checks each
+equation once over the stack of points.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .koornwinder import (
 from .numerics import (
     InternalDefectError,
     LaurentPoly,
-    LaurentTable,
     ParamSet,
     RefusalError,
     Residuals,
@@ -84,35 +83,29 @@ def check_degree_cap(n: int, m: int) -> None:
 @dataclass
 class KZSolution:
     params: ParamSet
-    components: list
+    components: LaurentPoly  # one row per spin basis vector b
     metadata: dict = field(default_factory=dict)
-
-    @property
-    def dim(self) -> int:
-        return len(self.components)
-
-    def eval_at(self, t) -> np.ndarray:
-        return LaurentTable(self.components, self.params.n)([t])[:, 0]
-
-    def max_coeff(self) -> float:
-        return max((c.max_abs() for c in self.components), default=0.0)
 
     def to_dict(self):
         return {
             "params": self.params.to_dict(),
-            "components": [c.to_dict() for c in self.components],
+            "components": self.components.to_dicts(),
             "metadata": dict(self.metadata),
         }
 
     @classmethod
     def from_dict(cls, data) -> "KZSolution":
-        params = ParamSet.from_dict(data["params"])
-        comps = [LaurentPoly.from_dict(d) for d in data["components"]]
-        n, arities = params.n, sorted({c.n_vars for c in comps})
-        if len(comps) != 2**n or arities != [n]:
-            raise RefusalError(f"a stored solution needs 2^n = {2**n} components in n = "
-                               f"{n} variables, not {len(comps)} in {arities}")
-        return cls(params=params, components=comps, metadata=dict(data.get("metadata", {})))
+        """The inverse of to_dict; RefusalError on a malformed solution."""
+        try:
+            params = ParamSet.from_dict(data["params"])
+            rows = data["components"]
+            n, arities = params.n, sorted({row["n_vars"] for row in rows})
+            if len(rows) != 2**n or arities != [n]:
+                raise RefusalError(f"a stored solution needs 2^n = {2**n} components in n = "
+                                   f"{n} variables, not {len(rows)} in {arities}")
+            return cls(params, LaurentPoly.from_dicts(rows), dict(data.get("metadata", {})))
+        except (KeyError, TypeError) as exc:
+            raise RefusalError(f"malformed solution: {type(exc).__name__} {exc}") from exc
 
 
 def cm_alpha(phi: LaurentPoly, params: ParamSet, metadata=None) -> KZSolution:
@@ -134,7 +127,7 @@ def _cm_alpha(phi: LaurentPoly, params: ParamSet, series, metadata) -> KZSolutio
     jset = list(range(1, n))
     w0j_inv = w0_coset_element(jset, n).inverse_finite()
     ball, index, gens = generator_matrices(params, phi.l1_degree())
-    vec0 = ball_vector(phi, index)
+    vec0 = ball_vector(phi, index)[:, 0]
     images = []
     for w in reps:
         vec = vec0
@@ -142,10 +135,9 @@ def _cm_alpha(phi: LaurentPoly, params: ParamSet, series, metadata) -> KZSolutio
             vec = gens[a] @ vec
         images.append(vec)
     coeffs = np.stack(images, axis=1) @ basis_mat.T
-    components = [LaurentPoly(n, dict(zip(ball, col))) for col in coeffs.T]
     return KZSolution(
         params=params,
-        components=components,
+        components=LaurentPoly(ball, coeffs.T),
         metadata=dict(metadata or {"construction": "cm_alpha"}),
     )
 
@@ -189,7 +181,7 @@ def build_polynomial_solution(params: ParamSet, m: int) -> KZSolution:
             "lambda": list(lam),
         },
     )
-    if sol.max_coeff() < 1e-9:
+    if sol.components.max_abs() < 1e-9:
         raise InternalDefectError("assembled solution is numerically zero")
     return sol
 
@@ -198,14 +190,12 @@ def verify_solution(sol: KZSolution, samples: int = 20, seed: int = 8) -> dict:
     """Pointwise residuals of the n transport equations and the n+1
     invariance equations at random generic points, all points at once.  The
     points are the first ``samples`` draws at which no factor lies near a
-    pole, in draw order (numerics.pole_free_points).  The components are
-    tabulated per call, as they stand; every point, its n shifts and its n+1
-    reflections are one table product, and each equation is one factor
-    product over the stack of points, reporting the largest of the points'
-    residuals."""
+    pole, in draw order (numerics.pole_free_points).  Every point, its n
+    shifts and its n+1 reflections are one product of the component table,
+    and each equation is one factor product over the stack of points,
+    reporting the largest of the points' residuals."""
     params = sol.params
     n = params.n
-    table = LaurentTable(sol.components, n)
     rng = np.random.default_rng(seed)
     q = params.q
 
@@ -217,7 +207,7 @@ def verify_solution(sol: KZSolution, samples: int = 20, seed: int = 8) -> dict:
         reflected = [act_point(WeylElem.generator(j, n), t, params) for j in range(n + 1)]
         # vals[c, s]: the components at the c-th of these points of sample s
         groups = [np.stack(u, axis=-1) for u in (t, *shifted, *reflected)]
-        vals = table([point for group in groups for point in group])
+        vals = sol.components([point for group in groups for point in group])
         vals = np.moveaxis(vals.reshape(-1, len(groups), len(points)), 0, -1)
         ft = vals[0]
         scale = np.maximum(np.abs(ft).max(axis=1), 1e-300)

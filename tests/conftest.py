@@ -11,7 +11,6 @@ from heckespin.matchings import pty
 from heckespin.numerics import (
     InternalDefectError,
     LaurentPoly,
-    LaurentTable,
     Residuals,
     _denominator,
     l1_ball,
@@ -40,8 +39,82 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(f"{'PASS' if ok else 'FAIL'}  {label}")
 
 
+class DictPoly:
+    """Oracle: one Laurent polynomial in n_vars variables as a dict from
+    integer exponent tuples to its nonzero complex coefficients, with the
+    sum, scaling and pointwise value the term-by-term oracles below need."""
+
+    __slots__ = ("n_vars", "terms")
+
+    def __init__(self, n_vars, terms=None):
+        self.n_vars = int(n_vars)
+        clean = {}
+        for exp, c in (terms or {}).items():
+            if len(exp) != self.n_vars:
+                raise ValueError("exponent arity does not match n_vars")
+            c = complex(c)
+            if c != 0:
+                clean[tuple(int(e) for e in exp)] = c
+        self.terms = clean
+
+    @classmethod
+    def one(cls, n_vars):
+        return cls(n_vars, {(0,) * n_vars: 1.0})
+
+    @classmethod
+    def monomial(cls, n_vars, exp, coeff=1.0):
+        return cls(n_vars, {tuple(exp): coeff})
+
+    def max_abs(self):
+        return max((abs(c) for c in self.terms.values()), default=0.0)
+
+    def __add__(self, other):
+        if self.n_vars != other.n_vars:
+            raise InternalDefectError("arity mismatch")
+        terms = dict(self.terms)
+        for exp, c in other.terms.items():
+            terms[exp] = terms.get(exp, 0j) + c
+        return DictPoly(self.n_vars, terms)
+
+    def __neg__(self):
+        return DictPoly(self.n_vars, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, z):
+        z = complex(z)
+        return DictPoly(self.n_vars, {e: z * c for e, c in self.terms.items()})
+
+    def eval(self, point):
+        return complex(to_table([self], self.n_vars)([tuple(point)])[0, 0])
+
+
+def to_table(polys, n_vars):
+    """The DictPolys as the rows of one LaurentPoly, over the union of their
+    supports in order of first appearance."""
+    if any(p.n_vars != n_vars for p in polys):
+        raise InternalDefectError("arity mismatch")
+    col = list(dict.fromkeys(e for p in polys for e in p.terms))
+    coeffs = [[p.terms.get(e, 0) for e in col] for p in polys]
+    return LaurentPoly(np.reshape(col, (len(col), n_vars)), coeffs)
+
+
+def from_table(table):
+    """The rows of a LaurentPoly as DictPolys, one per row."""
+    exps = [tuple(e) for e in table.exps.tolist()]
+    return [DictPoly(table.exps.shape[1], dict(zip(exps, row))) for row in table.coeffs]
+
+
+def scale_row(table, row, z):
+    """A copy of the LaurentPoly with its row-th polynomial times z."""
+    coeffs = table.coeffs.copy()
+    coeffs[row] *= z
+    return LaurentPoly(table.exps, coeffs)
+
+
 def laurent_mul(f, g):
-    """Oracle: the product of two LaurentPolys, term by term."""
+    """Oracle: the product of two DictPolys, term by term."""
     if f.n_vars != g.n_vars:
         raise InternalDefectError("arity mismatch")
     terms = {}
@@ -49,7 +122,7 @@ def laurent_mul(f, g):
         for e2, c2 in g.terms.items():
             e = tuple(a + b for a, b in zip(e1, e2))
             terms[e] = terms.get(e, 0j) + c1 * c2
-    return LaurentPoly(f.n_vars, terms)
+    return DictPoly(f.n_vars, terms)
 
 
 def s_j(f, j, q):
@@ -66,7 +139,7 @@ def s_j(f, j, q):
         else:
             e[j - 1], e[j] = e[j], e[j - 1]
         terms[tuple(e)] = terms.get(tuple(e), 0j) + c
-    return LaurentPoly(n, terms)
+    return DictPoly(n, terms)
 
 
 def divided_difference(f, j, params):
@@ -123,8 +196,8 @@ def divided_difference(f, j, params):
                     e[b] -= l
                     add(tuple(e), c)
 
-    g = LaurentPoly(n, terms)
-    lhs = laurent_mul(g, _denominator(j, n, q))
+    g = DictPoly(n, terms)
+    lhs = laurent_mul(g, from_table(_denominator(j, n, q))[0])
     rhs = s_j(f, j, q) - f
     scale = max(lhs.max_abs(), rhs.max_abs(), 1.0)
     if (lhs - rhs).max_abs() > 1e-12 * scale:
@@ -136,11 +209,11 @@ def divided_difference(f, j, params):
 
 def noumi_T_apply(j, f, params):
     """Oracle: the generator action T_j . f = kappa_j^{-1} f + kappa_j N_j
-    DD_j(f) of koornwinder, on LaurentPoly dicts."""
+    DD_j(f) of koornwinder, on DictPolys."""
     kj = params.kappa_j(j)
     out = f.scale(1 / kj)
     dd = divided_difference(f, j, params)
-    return out + laurent_mul(_numerator_poly(j, params), dd).scale(kj)
+    return out + laurent_mul(from_table(_numerator_poly(j, params))[0], dd).scale(kj)
 
 
 def noumi_T_inv_apply(j, f, params):
@@ -346,7 +419,7 @@ def qkz_per_sample(sol, samples=20, seed=8):
     (numerics.pole_free)."""
     params = sol.params
     n = params.n
-    table = LaurentTable(sol.components, n)
+    table = sol.components
     rng = np.random.default_rng(seed)
     q = params.q
 
@@ -394,7 +467,7 @@ def koornwinder_per_label(params, radius=3):
                     for i, g in enumerate(det.spectral.gamma, start=1)) / scale
         stab = [float(np.abs(gens[i] @ vec - vec / params.kappa_j(i)).max()) / scale
                 for i in range(1, n + 1)]
-        monic = abs(det.poly.terms.get(lam, 0.0) - 1.0)
+        monic = abs(from_table(det.poly)[0].terms.get(lam, 0.0) - 1.0)
         labels[lam] = (joint, monic, stab)
         worst["joint"] = max(worst["joint"], joint)
         worst["monic"] = max(worst["monic"], monic)

@@ -15,7 +15,7 @@ import heckespin.qkz
 import heckespin.spinrep
 import heckespin.tensorops
 import heckespin.transfer
-from conftest import explicit_rkk, ybe_per_sample
+from conftest import DictPoly, explicit_rkk, to_table, ybe_per_sample
 from heckespin.baxter import (
     baxter_j,
     check_ybe_re,
@@ -24,7 +24,6 @@ from heckespin.baxter import (
     transport_C_tau,
 )
 from heckespin.numerics import (
-    LaurentPoly,
     PoleProximityError,
     rel_residual,
     sample_generic,
@@ -211,7 +210,7 @@ def test_dressed_paths_build_no_spin_rep_and_no_embedding(monkeypatch):
     transport_C_tau(p, 2, t)
     check_ybe_re(p, samples=2, seed=1)
     check_transfer_vs_transport(p, samples=1, seed=1)
-    comps = [LaurentPoly.monomial(4, (b % 3 - 1, 0, b % 2, 0), 1 + b) for b in range(16)]
+    comps = to_table([DictPoly.monomial(4, (b % 3 - 1, 0, b % 2, 0), 1 + b) for b in range(16)], 4)
     res = verify_solution(KZSolution(params=p, components=comps), samples=2, seed=1)
     assert len(res) == 2 * 4 + 1
 

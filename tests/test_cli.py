@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from heckespin.cli import main
-from heckespin.numerics import PoleProximityError, sample_generic
+from heckespin.numerics import LaurentPoly, PoleProximityError, sample_generic
 from heckespin.qkz import build_polynomial_solution
 
 
@@ -113,6 +113,8 @@ def test_polynomial_compute_artifact(tmp_path):
     assert data["metadata"]["lambda"] == [1, -1]
     assert data["metadata"]["eigen_residual"] < 1e-9
     assert data["polynomial"]["n_vars"] == 2
+    # read back through the table and written again, the payload is unchanged
+    assert LaurentPoly.from_dicts([data["polynomial"]]).to_dicts() == [data["polynomial"]]
 
 
 def test_solution_build_then_verify_roundtrip(tmp_path):
@@ -207,7 +209,6 @@ def test_bad_local_factor_is_an_internal_defect(monkeypatch, capsys, corrupt):
 @pytest.mark.parametrize("corrupt", ["product", "sum"])
 def test_laurent_arity_mismatch_is_an_internal_defect(monkeypatch, capsys, corrupt):
     import heckespin.koornwinder as koornwinder
-    from heckespin.numerics import LaurentPoly
 
     def wide(*args, **kw):
         return LaurentPoly.one(3)
@@ -271,21 +272,39 @@ def _stored_solution(tmp_path):
     return path, json.loads(path.read_text())
 
 
-@pytest.mark.parametrize("corrupt", ["missing component", "component arity"])
+_COUNT = "refused: a stored solution needs 2^n = 4 components in n = 2"
+_MALFORMED = {
+    "missing component": _COUNT,
+    "component arity": _COUNT,
+    "component without terms": "refused: malformed solution: KeyError 'terms'",
+    "text coefficient": "refused: malformed solution: TypeError",
+    "params without psin": "refused: malformed solution: KeyError 'psin'",
+    "fractional exponent": "refused: malformed solution: TypeError",
+}
+
+
+@pytest.mark.parametrize("corrupt", _MALFORMED)
 def test_malformed_stored_solution_is_refused(tmp_path, capsys, corrupt):
     path, data = _stored_solution(tmp_path)
+    comp = data["components"][1]
     if corrupt == "missing component":
         data["components"].pop()
-    else:
-        comp = data["components"][1]
+    elif corrupt == "component arity":
         comp["n_vars"] = 3
         for term in comp["terms"]:
             term["exp"] = term["exp"] + [0]
+    elif corrupt == "component without terms":
+        del comp["terms"]
+    elif corrupt == "text coefficient":
+        comp["terms"][0]["re"] = "x"
+    elif corrupt == "params without psin":
+        del data["params"]["psin"]
+    else:
+        comp["terms"][0]["exp"] = [0.5, 1]
     path.write_text(json.dumps(data))
     capsys.readouterr()
     assert run(["qkz", "verify", "--in", str(path), "--samples", "2"]) == 2
-    err = capsys.readouterr().err
-    assert "refused: a stored solution needs 2^n = 4 components in n = 2" in err
+    assert _MALFORMED[corrupt] in capsys.readouterr().err
 
 
 def test_evaluator_arity_mismatch_is_an_internal_defect(tmp_path, monkeypatch, capsys):
@@ -430,6 +449,26 @@ def test_benchmark_gated_commands_keep_their_check_names():
     for label, (suite, n) in commands.items():
         report, _wall = cli.run_suite(suite, cli.Config(n=n, seed=1))
         assert sorted(c["name"] for c in report["checks"]) == sorted(expected[label]), label
+
+
+def test_traced_classes_exist_in_the_package():
+    """Every class whose methods the benchmark's tracer wraps by name
+    (CLASSES in perfbench/tracejob.py, only read here) is a class of its
+    module, so that a rename fails here and not in every traced run."""
+    import ast
+    import importlib
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracejob.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    [classes] = [ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["CLASSES"]]
+    assert classes
+    for layer, names in classes.items():
+        module = importlib.import_module(f"heckespin.{layer}")
+        for name in names:
+            assert isinstance(getattr(module, name, None), type), f"{layer}.{name}"
 
 
 def test_a_nan_floor_value_fails_its_check():

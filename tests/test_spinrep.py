@@ -1,5 +1,6 @@
 """The two-parameter action on the tensor-product chain."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -251,13 +252,23 @@ def test_murphy_elements_apply_local_factors_only(monkeypatch):
         assert len(blocks) == len(tau_word(i, n)) and max(blocks) <= 4
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 6])
-def test_murphy_commutators_match_the_dense_pairs(n, monkeypatch):
+@pytest.mark.parametrize("n, bent", [
+    *(pytest.param(n, False, id=str(n)) for n in (1, 2, 3, 6)),
+    pytest.param(6, True, id="6-noncommuting"),
+])
+def test_murphy_commutators_match_the_dense_pairs(n, bent, monkeypatch):
     rep = build_spin_rep(sample_generic(seed=4, n=n))
+    if bent:
+        # T_2 with its leg-2-up columns scaled by 1.01: the Y_i no longer
+        # commute, and at n = 6 the largest defect lies outside the first
+        # block of 16 columns (that block alone reads 9.9e-3, all 64 1.5e-2)
+        block, legs = rep.T[2]
+        rep = replace(rep, T={**rep.T, 2: (block @ np.diag([1, 1, 1.01, 1.01]), legs)})
     ys = {i: murphy_Y(rep, i) for i in range(1, n + 1)}
     want = max((rel_residual(ys[i] @ ys[j], ys[j] @ ys[i])
                 for i in ys for j in ys if i < j), default=0.0)
+    assert (want > 1e-3) == bent
     # blocks of 16 columns split every n >= 5 into several blocks
     monkeypatch.setattr(spinrep, "_COLUMN_BLOCK", 16)
     got = murphy_commutator_residual(rep)
-    assert abs(got - want) <= 1e-15
+    assert abs(got - want) <= max(1e-15, 1e-12 * want)
