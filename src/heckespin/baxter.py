@@ -1,5 +1,5 @@
-"""Spectral-parameter dressing of the generator images, the cocycle and the
-translation transport.
+"""Spectral-parameter dressing of the generator images and the cocycle,
+the one routine behind every translation transport.
 
 Every dressed generator is one local block on the legs of its generator
 image, built once per ParamSet from the local blocks That_j of the spin
@@ -21,10 +21,12 @@ blocks.
 
 A product of dressed generators is a list of (block, legs) factors run
 through tensorops.factor_product; no factor is embedded into a dense 2^n
-matrix.  The cocycle C(t) along a word takes one factor per letter
-(cocycle_factor), each evaluated at the running image of the torus point;
-transport_C_tau is its closed product form along a translation, used by the
-difference-equation solver downstream.
+matrix.  The cocycle C(t) along a word takes one factor per letter, each
+evaluated at the running image of the torus point (cocycle_factors).  Every
+transport is this cocycle along a translation word: the difference
+equations downstream (qkz), the commuting-transport row of the suite and
+the stationary comparison with the transfer matrix (transfer) all run
+through it.
 """
 
 from __future__ import annotations
@@ -216,23 +218,28 @@ def check_ybe_re(params: ParamSet, samples: int = 20, seed: int = 1) -> dict:
     return out
 
 
-def cocycle_factor(params: ParamSet, a: int, t):
-    """C_{s_a}(t) as (block, legs): the dressed generator of letter a at the
-    torus point t, taken at sqrt(q)/t_1 for a = 0, t_n for a = n, t_a/t_{a+1}
-    otherwise."""
-    if a == 0:
-        return baxter_j(params, 0, params.q_sqrt / t[0])
-    if a == params.n:
-        return baxter_j(params, a, t[-1])
-    return baxter_j(params, a, t[a - 1] / t[a])
+def cocycle_factors(params: ParamSet, word, t) -> list:
+    """C along a word (any sequence of letters 0..n) as (block, legs)
+    factors, left to right: the k-th letter a is the dressed generator of a
+    at the point moved by the first k-1 letters, taken at sqrt(q)/t_1 for
+    a = 0, t_n for a = n and t_a/t_{a+1} otherwise.  The transport along the
+    i-th translation is the word weyl.tau_word(i, n); its stationary
+    specialization is the same word at params.replace(q_sqrt=1), as the
+    dressed blocks do not depend on q.  The coordinates of t may be arrays,
+    which gives stacks of blocks, one per point.  A letter outside 0..n
+    reaches baxter_j, which raises InternalDefectError."""
+    n, pt, factors = params.n, tuple(t), []
+    for a in word:
+        x = params.q_sqrt / pt[0] if a == 0 else pt[a - 1] / pt[a] if 0 < a < n else pt[-1]
+        factors.append(baxter_j(params, a, x))
+        pt = act_point(WeylElem.generator(a, n), pt, params)
+    return factors
 
 
 def cocycle_C(params: ParamSet, word, t) -> np.ndarray:
-    """C along a word (any sequence of letters 0..n): the k-th letter's
-    factor is taken at the point moved by the first k-1 letters, so
-    C_{w w'}(t) = C_w(t) C_{w'}(w^{-1} t) holds by construction, and the
-    dressed braid and unitarity identities make the product depend only on
-    the group element the word spells.
+    """The product of cocycle_factors: C_{w w'}(t) = C_w(t) C_{w'}(w^{-1} t)
+    holds by construction, and the dressed braid and unitarity identities
+    make the product depend only on the group element the word spells.
 
     >>> from heckespin.numerics import rel_residual, sample_generic
     >>> from heckespin.weyl import reduced_word
@@ -246,43 +253,4 @@ def cocycle_C(params: ParamSet, word, t) -> np.ndarray:
     >>> rel_residual(cocycle_C(p, word, t), cocycle_C(p, [1, 0, 1], t)) < 1e-12
     True
     """
-    factors = []
-    point = tuple(t)
-    for a in word:
-        factors.append(cocycle_factor(params, a, point))
-        point = act_point(WeylElem.generator(a, params.n), point, params)
-    return factor_product(factors, params.n)
-
-
-def transport_factors(params: ParamSet, i: int, t, q_override=None) -> list:
-    """The factors of C along the i-th translation, left to right.
-
-    Descending middle factors R_j(t_j/t_i) for j = i-1..1, the left boundary
-    factor at sqrt(q)/t_i, ascending middle factors at q/(t_j t_i) for
-    j = 1..i-1 then at q/(t_i t_{j+1}) for j = i..n-1, the right boundary
-    factor at q/t_i, and descending middle factors at q t_{j+1}/t_i for
-    j = n-1..i.  With q_override the shift scalar is replaced (the torus
-    point is untouched); q_override=1 is the stationary specialization used
-    by the transfer-matrix comparison.
-    """
-    n = params.n
-    if not 1 <= i <= n:
-        raise InternalDefectError("translation index out of range")
-    q = params.q if q_override is None else complex(q_override)
-    q_sqrt = params.q_sqrt if q_override is None else complex(q_override) ** 0.5
-    ti = t[i - 1]
-    B = functools.partial(baxter_j, params)
-    return (
-        [B(j, t[j - 1] / ti) for j in range(i - 1, 0, -1)]
-        + [B(0, q_sqrt / ti)]
-        + [B(j, q / (t[j - 1] * ti)) for j in range(1, i)]
-        + [B(j, q / (ti * t[j])) for j in range(i, n)]
-        + [B(n, q / ti)]
-        + [B(j, q * t[j] / ti) for j in range(n - 1, i - 1, -1)]
-    )
-
-
-def transport_C_tau(params: ParamSet, i: int, t, q_override=None) -> np.ndarray:
-    """The closed product form of C along the i-th translation (the factors
-    of transport_factors multiplied out)."""
-    return factor_product(transport_factors(params, i, t, q_override), params.n)
+    return factor_product(cocycle_factors(params, word, t), params.n)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .baxter import check_identity_rank, check_ybe_re, cocycle_C, transport_factors
+from .baxter import check_identity_rank, check_ybe_re, cocycle_C
 from .koornwinder import check_caps, compute_P_detail, fixed_by_si, label_residuals
 from .matchings import (
     enumerate_matchings,
@@ -59,9 +59,9 @@ from .spinrep import (
     principal_series_basis,
     quotient_map_residuals,
 )
-from .tensorops import apply_on_legs, factor_product
+from .tensorops import apply_on_legs
 from .transfer import check_transfer, check_transfer_vs_transport, hamiltonian, transfer_T, transfer_T_mp
-from .weyl import WeylElem, reduced_word
+from .weyl import WeylElem, reduced_word, tau_word
 
 _CONTROL_FLOOR = 1e-3
 
@@ -85,19 +85,23 @@ class Config:
 
 def _load_config(args) -> Config:
     """flag > file > default; the file may be a bare parameter dictionary
-    or a config object with an optional "params" entry."""
+    or a config object with an optional "params" entry.  A missing entry or
+    one of the wrong type is refused as malformed parameters."""
     merged: dict = {}
     if getattr(args, "params", None):
         with open(args.params, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        if "q_sqrt" in data:
-            merged["params"] = ParamSet.from_dict(data)
-        else:
-            merged = {key: data[key] for key in _SETTINGS if key in data}
-            if "lambda" in data:
-                merged["lam"] = tuple(int(v) for v in data["lambda"])
-            if "params" in data:
-                merged["params"] = ParamSet.from_dict(data["params"])
+        try:
+            if "q_sqrt" in data:
+                merged["params"] = ParamSet.from_dict(data)
+            else:
+                merged = {key: data[key] for key in _SETTINGS if key in data}
+                if "lambda" in data:
+                    merged["lam"] = tuple(int(v) for v in data["lambda"])
+                if "params" in data:
+                    merged["params"] = ParamSet.from_dict(data["params"])
+        except (KeyError, TypeError) as exc:
+            raise RefusalError(f"malformed parameters: {type(exc).__name__} {exc}") from exc
     for key in _SETTINGS:
         if getattr(args, key, None) is not None:
             merged[key] = getattr(args, key)
@@ -289,12 +293,11 @@ def suite_baxter(cfg: Config, p: ParamSet):
     ))
 
     def transport_trial():
+        """C_{tau_1}(t) C_{tau_n}(tau_1^{-1} t) against the other order, each
+        the cocycle along the concatenated translation words."""
         t = torus_point(rng, n, (0.7, 1.4))
-        shift_1 = (t[0] / p.q,) + t[1:]
-        shift_n = t[:-1] + (t[-1] / p.q,)
-        lhs = transport_factors(p, 1, t) + transport_factors(p, n, shift_1)
-        rhs = transport_factors(p, n, t) + transport_factors(p, 1, shift_n)
-        return rel_residual(factor_product(lhs, n), factor_product(rhs, n))
+        first, last = tau_word(1, n), tau_word(n, n)
+        return rel_residual(cocycle_C(p, first + last, t), cocycle_C(p, last + first, t))
 
     checks.append(_check(
         "commuting translation transports", np.max(pole_free(transport_trial, 4)), cfg.tolerance,

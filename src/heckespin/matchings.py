@@ -20,8 +20,8 @@ the parameters.  The intertwiner Psi into the spin module sums over the
 orientations of each matching; their weights factor over the arcs, so each
 column is a tensor product of one vector per arc.
 
->>> [m.nu_string() for m in enumerate_matchings(2)]
-['(+,+)', '(+,-)', '(-,+)', '(-,-)']
+>>> [m.nu() for m in enumerate_matchings(2)]
+[(1, 1), (1, -1), (-1, 1), (-1, -1)]
 >>> Matching.from_signs(2, (1, -1)).pairs
 ((1, 2),)
 """
@@ -88,9 +88,6 @@ class Matching:
         return tuple(
             -1 if self.partner(i) < i else 1 for i in range(1, self.n + 1)
         )
-
-    def nu_string(self) -> str:
-        return "(" + ",".join("+" if a > 0 else "-" for a in self.nu()) + ")"
 
     def nu_index(self) -> int:
         idx = 0

@@ -157,7 +157,11 @@ class ParamSet:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ParamSet":
-        kw = {"n": int(d["n"])}
+        """The inverse of to_dict; KeyError or TypeError on a missing entry
+        or one of the wrong type, n included: it must be an integer."""
+        if isinstance(d["n"], bool):
+            raise TypeError("n must be an integer, not a bool")
+        kw = {"n": operator.index(d["n"])}
         for name in _SCALAR_FIELDS:
             kw[name] = _d2c(d[name])
         return cls(**kw)

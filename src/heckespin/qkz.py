@@ -3,17 +3,19 @@ solutions.
 
 A vector f = (f_b) of Laurent polynomials solves the reflection difference
 system when C_{tau_i}(t) f(q^{-eps_i} t) = f(t) and f is invariant under the
-dressed reflections.  build_polynomial_solution refuses (RefusalError) unless
-the scalar existence constraint between the boundary parameters and q^m holds
-(check_mcondition) and |m| n <= 4.  It reads the monic joint eigenpolynomial
-at (m, ..., m) off the triangular eigenbasis of its degree ball and applies,
-for each minimal coset representative w, the Hecke element of w (w_0^J)^{-1}
-through the cached generator matrices, weighting the image by the
-principal-series vector v_w; one principal-series basis serves the spectral
-wiring check and the assembly, and the 2^n components are the rows of one
-LaurentPoly.  verify_solution evaluates all sample points, their q-shifts
-and their reflections as one product of that table, and checks each
-equation once over the stack of points.
+dressed reflections C_{s_j}; each C_w is the cocycle along a word for w
+(baxter.cocycle_factors), weyl.tau_word(i, n) for tau_i.
+build_polynomial_solution refuses (RefusalError) unless the scalar existence
+constraint between the boundary parameters and q^m holds (check_mcondition)
+and |m| n <= 4.  It reads the monic joint eigenpolynomial at (m, ..., m) off
+the triangular eigenbasis of its degree ball and applies, for each minimal
+coset representative w, the Hecke element of w (w_0^J)^{-1} through the
+cached generator matrices, weighting the image by the principal-series
+vector v_w; one principal-series basis serves the spectral wiring check and
+the assembly, and the 2^n components are the rows of one LaurentPoly.
+verify_solution evaluates all sample points, their q-shifts and their
+reflections as one product of that table, and checks each equation once
+over the stack of points.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baxter import cocycle_factor, transport_factors
+from .baxter import cocycle_factors
 from .koornwinder import (
     ball_vector,
     check_caps,
@@ -42,7 +44,7 @@ from .numerics import (
 )
 from .spinrep import principal_series_basis
 from .tensorops import factor_product
-from .weyl import WeylElem, act_point, reduced_word, w0_coset_element
+from .weyl import WeylElem, act_point, reduced_word, tau_word, w0_coset_element
 
 _MCOND_TOL = 1e-9
 
@@ -192,8 +194,9 @@ def verify_solution(sol: KZSolution, samples: int = 20, seed: int = 8) -> dict:
     points are the first ``samples`` draws at which no factor lies near a
     pole, in draw order (numerics.pole_free_points).  Every point, its n
     shifts and its n+1 reflections are one product of the component table,
-    and each equation is one factor product over the stack of points,
-    reporting the largest of the points' residuals."""
+    and each equation is one cocycle factor list (baxter.cocycle_factors)
+    applied over the stack of points, reporting the largest of the points'
+    residuals."""
     params = sol.params
     n = params.n
     rng = np.random.default_rng(seed)
@@ -216,11 +219,10 @@ def verify_solution(sol: KZSolution, samples: int = 20, seed: int = 8) -> dict:
             lhs = factor_product(factors, n, vals[col][..., None])[..., 0]
             return float((np.abs(lhs - ft).max(axis=1) / scale).max())
 
-        out = {f"transport equation i={i}": residual(transport_factors(params, i, t), i)
-               for i in range(1, n + 1)}
-        for j in range(n + 1):
-            out[f"invariance under s_{j}"] = residual([cocycle_factor(params, j, t)], n + 1 + j)
-        return out
+        keys = [(f"transport equation i={i}", tau_word(i, n)) for i in range(1, n + 1)]
+        keys += [(f"invariance under s_{j}", [j]) for j in range(n + 1)]
+        return {key: residual(cocycle_factors(params, word, t), col)
+                for col, (key, word) in enumerate(keys, 1)}
 
     def draw():
         return torus_point(rng, n, (0.75, 1.35))

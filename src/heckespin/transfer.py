@@ -27,7 +27,7 @@ Three equivalent presentations of the boundary XXZ Hamiltonian are exposed:
 the logarithmic derivative of the normalized transfer matrix at x = 1, the
 explicit Pauli-matrix form, and the weighted sum of the diagrammatic
 generator images.  The stationary identity linking T at x = 1/t_i and at
-x = t_i to the translation transport (with the shift scalar set to 1) is in
+x = t_i to the translation transport at q = 1 is in
 check_transfer_vs_transport.
 """
 
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .baxter import dressed_blocks, transport_C_tau
+from .baxter import cocycle_C, dressed_blocks
 from .numerics import InternalDefectError, ParamSet, Residuals, max_abs, rel_residual, torus_point
 from .spinrep import build_spin_rep
 from .tensorops import (
@@ -46,6 +46,7 @@ from .tensorops import (
     partial_trace_first,
     partial_transpose_leg,
 )
+from .weyl import tau_word
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -240,18 +241,20 @@ def check_transfer_vs_transport(
     T(t_i) = phi(t_i) C^{-1} is checked in product form, T(t_i) C against
     phi(t_i) Id scaled by max|T| max|C|, because C reaches condition numbers
     of 1e12 at n = 6 and inverting it loses that many digits.  The transport
-    is evaluated with its shift scalar set to 1; the transfer side never sees
-    the shift at all.
+    is the cocycle along weyl.tau_word(i, n) at the stationary
+    specialization params.replace(q_sqrt=1); the transfer side never sees q
+    at all.
     """
     n = params.n
     rng = np.random.default_rng(seed)
     out = Residuals()
     eye = np.eye(2**n)
+    stationary = params.replace(q_sqrt=1)
     for _ in range(samples):
         t = torus_point(rng, n, (0.8, 1.3))
         for i in range(1, n + 1):
             ti = t[i - 1]
-            trans = transport_C_tau(params, i, t, q_override=1)
+            trans = cocycle_C(stationary, tau_word(i, n), t)
             out.add(
                 f"stationary transport at x=1/t_{i}",
                 rel_residual(

@@ -278,7 +278,7 @@ def tau_word(i: int, n: int):
     ([0, 1, 2, 1], [1, 0, 1, 2])
     """
     if not 1 <= i <= n:
-        raise ValueError("translation index out of range")
+        raise InternalDefectError(f"translation index {i} out of range for n={n}")
     return (
         list(range(i - 1, 0, -1))
         + [0]

@@ -15,14 +15,8 @@ import heckespin.qkz
 import heckespin.spinrep
 import heckespin.tensorops
 import heckespin.transfer
-from conftest import DictPoly, explicit_rkk, to_table, ybe_per_sample
-from heckespin.baxter import (
-    baxter_j,
-    check_ybe_re,
-    cocycle_C,
-    dressed_blocks,
-    transport_C_tau,
-)
+from conftest import DictPoly, explicit_rkk, letter_factor, to_table, transport_factors, ybe_per_sample
+from heckespin.baxter import baxter_j, check_ybe_re, cocycle_C, dressed_blocks
 from heckespin.numerics import (
     PoleProximityError,
     rel_residual,
@@ -30,7 +24,7 @@ from heckespin.numerics import (
     torus_point,
 )
 from heckespin.qkz import KZSolution, verify_solution
-from heckespin.tensorops import PERMUTE_TWO, op_on_legs
+from heckespin.tensorops import PERMUTE_TWO, factor_product, op_on_legs
 from heckespin.transfer import check_transfer_vs_transport
 from heckespin.weyl import WeylElem, act_point, reduced_word, tau_word
 
@@ -117,28 +111,8 @@ def _cocycle_along(p, word, t):
     factors = []
     pt = tuple(t)
     for a in word:
-        if a == 0:
-            x = p.q_sqrt / pt[0]
-        elif a == p.n:
-            x = pt[-1]
-        else:
-            x = pt[a - 1] / pt[a]
-        factors.append(baxter_j(p, a, x))
+        factors.append(letter_factor(p, a, pt))
         pt = act_point(WeylElem.generator(a, p.n), pt, p)
-    return _dense(p, factors)
-
-
-def _transport_dense(p, i, t):
-    """Oracle: the closed transport product written out letter by letter,
-    multiplied densely."""
-    n, q, ti = p.n, p.q, t[i - 1]
-    B = functools.partial(baxter_j, p)
-    factors = [B(j, t[j - 1] / ti) for j in range(i - 1, 0, -1)]
-    factors.append(B(0, p.q_sqrt / ti))
-    factors += [B(j, q / (t[j - 1] * ti)) for j in range(1, i)]
-    factors += [B(j, q / (ti * t[j])) for j in range(i, n)]
-    factors.append(B(n, q / ti))
-    factors += [B(j, q * t[j] / ti) for j in range(n - 1, i - 1, -1)]
     return _dense(p, factors)
 
 
@@ -169,16 +143,34 @@ def test_cocycle_and_transport_match_dense_products(n):
         word = [int(rng.integers(0, n + 1)) for _ in range(6)]
         assert rel_residual(cocycle_C(p, word, t), _cocycle_along(p, word, t)) < 1e-12
         for i in range(1, n + 1):
-            assert rel_residual(transport_C_tau(p, i, t), _transport_dense(p, i, t)) < 1e-12
+            transport = cocycle_C(p, tau_word(i, n), t)
+            assert rel_residual(transport, _dense(p, transport_factors(p, i, t))) < 1e-12
 
 
-def test_transport_is_the_cocycle_of_the_lattice_word(params2):
-    p = params2
-    t = (0.93 + 0.18j, 1.12 - 0.21j)
-    for i in (1, 2):
-        direct = transport_C_tau(p, i, t)
-        via_word = cocycle_C(p, reduced_word(WeylElem.from_word(tau_word(i, p.n), p.n)), t)
-        assert rel_residual(direct, via_word) < 1e-10
+def test_transport_is_the_cocycle_of_the_lattice_word():
+    """The closed-form transport (the conftest oracle) against the cocycle
+    along the reduced word of the translation, at n = 2..6."""
+    for n in range(2, 7):
+        p = sample_generic(seed=n, n=n)
+        t = torus_point(np.random.default_rng(n), n, (0.8, 1.25))
+        for i in range(1, n + 1):
+            direct = factor_product(transport_factors(p, i, t), n)
+            via_word = cocycle_C(p, reduced_word(WeylElem.from_word(tau_word(i, n), n)), t)
+            assert rel_residual(direct, via_word) < 1e-10
+
+
+def test_stationary_transport_is_the_cocycle_at_q_one():
+    """The stationary specialization of the transfer comparison, the
+    cocycle along tau_word at q = 1, against the closed form at q = 1, at
+    n = 2..6; the shifted and unshifted transports differ there."""
+    for n in range(2, 7):
+        p = sample_generic(seed=n, n=n)
+        stationary = p.replace(q_sqrt=1)
+        t = torus_point(np.random.default_rng(n + 10), n, (0.8, 1.25))
+        for i in range(1, n + 1):
+            got = cocycle_C(stationary, tau_word(i, n), t)
+            assert rel_residual(got, factor_product(transport_factors(stationary, i, t), n)) < 1e-10
+            assert rel_residual(got, cocycle_C(p, tau_word(i, n), t)) > 1e-3
 
 
 def test_transports_commute_after_shifting(params2):
@@ -187,8 +179,8 @@ def test_transports_commute_after_shifting(params2):
     t = (0.88 + 0.2j, 1.07 - 0.15j)
     sh1 = (t[0] / q, t[1])
     sh2 = (t[0], t[1] / q)
-    lhs = transport_C_tau(p, 1, t) @ transport_C_tau(p, 2, sh1)
-    rhs = transport_C_tau(p, 2, t) @ transport_C_tau(p, 1, sh2)
+    lhs = cocycle_C(p, tau_word(1, 2), t) @ cocycle_C(p, tau_word(2, 2), sh1)
+    rhs = cocycle_C(p, tau_word(2, 2), t) @ cocycle_C(p, tau_word(1, 2), sh2)
     assert rel_residual(lhs, rhs) < 1e-10
 
 
@@ -207,7 +199,7 @@ def test_dressed_paths_build_no_spin_rep_and_no_embedding(monkeypatch):
     p = sample_generic(seed=4, n=4)
     t = (0.91 + 0.2j, 1.1 - 0.1j, 0.95 - 0.3j, 1.2 + 0.05j)
     cocycle_C(p, [0, 1, 2, 3, 4, 2], t)
-    transport_C_tau(p, 2, t)
+    cocycle_C(p, tau_word(2, 4), t)
     check_ybe_re(p, samples=2, seed=1)
     check_transfer_vs_transport(p, samples=1, seed=1)
     comps = to_table([DictPoly.monomial(4, (b % 3 - 1, 0, b % 2, 0), 1 + b) for b in range(16)], 4)

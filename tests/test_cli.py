@@ -307,6 +307,38 @@ def test_malformed_stored_solution_is_refused(tmp_path, capsys, corrupt):
     assert _MALFORMED[corrupt] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", [2.5, True])
+def test_stored_solution_with_a_rank_that_is_not_an_integer_is_refused(tmp_path, capsys, n):
+    """The stored solution's rank must be a JSON integer: 2.5 is not read as
+    2, nor true as 1."""
+    path, data = _stored_solution(tmp_path)
+    data["params"]["n"] = n
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run(["qkz", "verify", "--in", str(path), "--samples", "2"]) == 2
+    assert "refused: malformed solution: TypeError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [2.5, True])
+def test_parameter_file_with_a_rank_that_is_not_an_integer_is_refused(tmp_path, capsys, n):
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps(dict(sample_generic(seed=8, n=2).to_dict(), n=n)))
+    assert run(["verify", "algebra", "--params", str(pfile)]) == 2
+    assert "refused: malformed parameters: TypeError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["bare", "config"])
+def test_parameter_file_without_psin_is_refused(tmp_path, capsys, nested):
+    """A parameter dictionary that lacks an entry, bare or under a config
+    object's "params", is a refusal, not a KeyError."""
+    data = sample_generic(seed=8, n=2).to_dict()
+    del data["psin"]
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps({"seed": 3, "params": data} if nested else data))
+    assert run(["verify", "algebra", "--params", str(pfile)]) == 2
+    assert "refused: malformed parameters: KeyError 'psin'" in capsys.readouterr().err
+
+
 def test_evaluator_arity_mismatch_is_an_internal_defect(tmp_path, monkeypatch, capsys):
     import heckespin.qkz as qkz
 
@@ -388,20 +420,21 @@ def test_identity_suite_refuses_one_site_before_sampling(monkeypatch, capsys):
 
 
 def _index_out_of_range(monkeypatch):
-    import heckespin.baxter as baxter
+    import heckespin.cli as cli
 
     # the word trial's cocycle asks for a generator past the right boundary
-    monkeypatch.setattr(baxter, "cocycle_factor",
-                        lambda params, a, t: baxter.baxter_j(params, params.n + 1, t[0]))
+    honest = cli.cocycle_C
+    monkeypatch.setattr(cli, "cocycle_C",
+                        lambda params, word, t: honest(params, [*word, params.n + 1], t))
     return ["verify", "baxter", "--n", "2"]
 
 
 def _translation_out_of_range(monkeypatch):
     import heckespin.cli as cli
 
-    honest = cli.transport_factors
-    monkeypatch.setattr(cli, "transport_factors",
-                        lambda params, i, t: honest(params, params.n + 1, t))
+    # the transport trial asks for the translation word past the last one
+    honest = cli.tau_word
+    monkeypatch.setattr(cli, "tau_word", lambda i, n: honest(n + 1, n))
     return ["verify", "baxter", "--n", "2"]
 
 

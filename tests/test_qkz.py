@@ -206,8 +206,7 @@ def test_a_sample_dropped_at_a_pole_leaves_no_rows(monkeypatch):
     import heckespin.qkz as qkz
 
     sol = build_polynomial_solution(constrained(11, 2, 1), 1)
-    honest_point, honest_transport = qkz.torus_point, qkz.transport_factors
-    honest_factor = qkz.cocycle_factor
+    honest_point, honest_factors = qkz.torus_point, qkz.cocycle_factors
     points = []
 
     def point(rng, n, band):
@@ -218,22 +217,20 @@ def test_a_sample_dropped_at_a_pole_leaves_no_rows(monkeypatch):
         """Over the stack of points, the flag of the first point drawn."""
         return t[0] == points[0][0]
 
-    # at the first point the transports are distorted, then a reflection
-    # lands on a pole there: none of that point's rows may reach the result
-    def transport(params, i, t):
-        factors = honest_transport(params, i, t)
-        block, legs = factors[0]
-        factors[0] = (np.where(at_first(t)[:, None, None], 3.0 * block, block), legs)
-        return factors
-
-    def factor(params, a, t):
-        if at_first(t).any():
+    # at the first point the transports (the translation words) are
+    # distorted, then a reflection (a one-letter word) lands on a pole there:
+    # none of that point's rows may reach the result
+    def factors(params, word, t):
+        if len(word) == 1 and at_first(t).any():
             raise PoleProximityError("evaluation at a pole", where=at_first(t))
-        return honest_factor(params, a, t)
+        out = honest_factors(params, word, t)
+        if len(word) > 1:
+            block, legs = out[0]
+            out[0] = (np.where(at_first(t)[:, None, None], 3.0 * block, block), legs)
+        return out
 
     monkeypatch.setattr(qkz, "torus_point", point)
-    monkeypatch.setattr(qkz, "transport_factors", transport)
-    monkeypatch.setattr(qkz, "cocycle_factor", factor)
+    monkeypatch.setattr(qkz, "cocycle_factors", factors)
     res = verify_solution(sol, samples=3, seed=5)
     assert len(points) == 4
     assert max(res.values()) < 1e-8

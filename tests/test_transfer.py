@@ -5,8 +5,8 @@ import pytest
 
 import heckespin.tensorops
 import heckespin.transfer
-from conftest import explicit_rkk, factor_loop_T
-from heckespin.baxter import transport_C_tau, transport_factors
+from conftest import explicit_rkk, factor_loop_T, transport_factors
+from heckespin.baxter import cocycle_factors
 from heckespin.numerics import rel_residual, sample_generic, torus_point
 from heckespin.spinrep import build_spin_rep
 from heckespin.tensorops import PERMUTE_TWO, factor_product, op_on_legs
@@ -208,13 +208,13 @@ def test_scaled_transport_factor_fails_the_product_form(monkeypatch, n):
     stationary row at the suite's 1e-9 tolerance, the product-form inverse
     rows included (their smallest value here is 1.3e-7, at n = 6)."""
 
-    def scaled(p, i, t, q_override=None):
-        factors = transport_factors(p, i, t, q_override)
+    def scaled(p, word, t):
+        factors = cocycle_factors(p, word, t)
         block, legs = factors[n // 2]
         factors[n // 2] = (1.01 * block, legs)
         return factor_product(factors, p.n)
 
-    monkeypatch.setattr(heckespin.transfer, "transport_C_tau", scaled)
+    monkeypatch.setattr(heckespin.transfer, "cocycle_C", scaled)
     res = check_transfer_vs_transport(sample_generic(seed=1, n=n), samples=2, seed=1)
     assert len(res) == 2 * n
     assert min(res.values()) > 1e-9, res
@@ -238,13 +238,15 @@ def test_inverse_transport_residual_falls_with_precision(seed):
 
     n = 6
     p = sample_generic(seed=seed, n=n)
+    stationary = p.replace(q_sqrt=1)
     rng = np.random.default_rng(seed)
     worst = (0.0,)
     for _ in range(8):
         t = torus_point(rng, n, (0.8, 1.3))
         for i in range(1, n + 1):
             tt = transfer_T(p, t[i - 1], t)
-            ci = phi_bdy(t[i - 1], p) * np.linalg.inv(transport_C_tau(p, i, t, q_override=1))
+            trans = factor_product(transport_factors(stationary, i, t), n)
+            ci = phi_bdy(t[i - 1], p) * np.linalg.inv(trans)
             k = int(np.abs(tt - ci).max(axis=0).argmax())
             r = _column_residual(tt[:, k], ci[:, k])
             if r > worst[0]:
@@ -257,7 +259,7 @@ def test_inverse_transport_residual_falls_with_precision(seed):
             col = factor_loop_T(p, tm[i - 1], tm, cols=[k])[:, 0]
             inv = [
                 (np.array(mpmath.inverse(mpmath.matrix(b.tolist())).tolist()), legs)
-                for b, legs in reversed(transport_factors(p, i, tm, q_override=1))
+                for b, legs in reversed(transport_factors(stationary, i, tm))
             ]
             e = np.zeros((2**n, 1), dtype=complex)
             e[k] = 1
