@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import operator
 import os
 import sys
 import time
@@ -83,10 +84,24 @@ class Config:
     report: str | None = None
 
 
+def _typed(key: str, value):
+    """A setting or lambda entry from a file with the type of its flag: precision
+    double or extended, a real tolerance, else an integer; never a bool."""
+    if isinstance(value, bool):
+        raise TypeError(f"{key} must not be a bool")
+    if key == "precision" and value not in ("double", "extended"):
+        raise TypeError(f"precision must be double or extended, not {value!r}")
+    if key != "tolerance":
+        return value if key == "precision" else operator.index(value)
+    if not isinstance(value, (int, float)):
+        raise TypeError(f"tolerance must be a real number, not {value!r}")
+    return float(value)
+
+
 def _load_config(args) -> Config:
     """flag > file > default; the file may be a bare parameter dictionary
-    or a config object with an optional "params" entry.  A missing entry or
-    one of the wrong type is refused as malformed parameters."""
+    or a config object with an optional "params" entry.  A missing or mistyped
+    entry, or a label whose length is not the given rank, is refused."""
     merged: dict = {}
     if getattr(args, "params", None):
         with open(args.params, "r", encoding="utf-8") as fh:
@@ -95,9 +110,9 @@ def _load_config(args) -> Config:
             if "q_sqrt" in data:
                 merged["params"] = ParamSet.from_dict(data)
             else:
-                merged = {key: data[key] for key in _SETTINGS if key in data}
+                merged = {key: _typed(key, data[key]) for key in _SETTINGS if key in data}
                 if "lambda" in data:
-                    merged["lam"] = tuple(int(v) for v in data["lambda"])
+                    merged["lam"] = tuple(_typed("lambda", v) for v in data["lambda"])
                 if "params" in data:
                     merged["params"] = ParamSet.from_dict(data["params"])
         except (KeyError, TypeError) as exc:
@@ -109,6 +124,8 @@ def _load_config(args) -> Config:
         merged["lam"] = tuple(int(v) for v in args.lam.split(","))
     if "params" in merged:
         merged["n"] = merged["params"].n
+    if "lam" in merged and merged.setdefault("n", len(merged["lam"])) != len(merged["lam"]):
+        raise RefusalError("label length does not match the rank")
     return Config(**merged, out=getattr(args, "out", None),
                   report=getattr(args, "report", None))
 
@@ -512,13 +529,9 @@ def cmd_koornwinder_compute(args) -> int:
     cfg = _load_config(args)
     if cfg.lam is None:
         raise ValueError("--lambda is required (comma-separated integers)")
-    lam = cfg.lam
-    if cfg.params is not None and cfg.params.n != len(lam):
-        raise ValueError("label length does not match the parameter rank")
-    cfg.n = len(lam)
-    check_caps(cfg.n, sum(abs(v) for v in lam))
+    check_caps(cfg.n, sum(abs(v) for v in cfg.lam))
     p = _resolve_params(cfg)
-    payload = _polynomial_payload(compute_P_detail(lam, p))
+    payload = _polynomial_payload(compute_P_detail(cfg.lam, p))
     payload["params_fingerprint"] = p.fingerprint()
     _write_json(payload, cfg.out)
     return 0

@@ -9,9 +9,10 @@ kappa_j^{-1}-eigenvector of every generator image, the generator action is
     T_j . f = kappa_j^{-1} f + kappa_j N_j(t) DD_j(f)
 
 with N_j the quadratic numerator polynomial and DD_j(f) = (f o s_j - f) /
-denom_j the exact divided difference, and the translation elements act with
-eigenvalue 1/gamma_lambda on the monic polynomial with leading monomial
-t^lambda.
+(1 - w t^v) the exact divided difference, for s_j written once as a step
+(m, v, w) on exponents, t^mu o s_j = w^m t^(mu + m v); the translation
+elements act with eigenvalue 1/gamma_lambda on the monic polynomial with
+leading monomial t^lambda.
 
 That action is applied only as the n+1 generator matrices on an l1 ball
 (which every T_j keeps), filled in closed form once per parameter set and
@@ -37,7 +38,6 @@ from .numerics import (
     LaurentPoly,
     ParamSet,
     RefusalError,
-    _denominator,
     _gamma_vectors,
     l1_ball,
 )
@@ -49,24 +49,16 @@ _TRIANGULAR_TOL = 1e-10
 _KERNEL_GAP = 1e-6
 
 
-def _numerator_poly(j: int, params: ParamSet) -> LaurentPoly:
-    """N_j: the inverted-parameter numerator of c_j times the denominator of
-    the divided difference, as a Laurent polynomial."""
-    n = params.n
-    if 0 < j < n:
-        ex = [0] * n
-        ex[j - 1], ex[j] = 1, -1
-        return LaurentPoly([(0,) * n, ex], [1.0, -1 / params.kappa**2])
-    e1, e2 = [0] * n, [0] * n
+def _numerator_poly(j: int, v, w, params: ParamSet) -> LaurentPoly:
+    """N_j = 1 + b t^(v/2) - (w / kappa_j^2) t^v: the inverted-parameter
+    numerator of c_j times the denominator 1 - w t^v of the step (m, v, w)
+    of s_j.  b = 0, so the t^(v/2) term drops out, for 0 < j < n."""
+    kj, b = params.kappa_j(j), 0.0
     if j == 0:
-        k0, u0 = params.kappa0, params.upsilon0
-        e1[0], e2[0] = -1, -2
-        c1, c2 = params.q_sqrt / k0 * (u0 - 1 / u0), -params.q / k0**2
-    else:
-        kn, un = params.kappan, params.upsilonn
-        e1[-1], e2[-1] = 1, 2
-        c1, c2 = (un - 1 / un) / kn, -1 / kn**2
-    return LaurentPoly([(0,) * n, e1, e2], [1.0, c1, c2])
+        b = params.q_sqrt / kj * (params.upsilon0 - 1 / params.upsilon0)
+    elif j == params.n:
+        b = (params.upsilonn - 1 / params.upsilonn) / kj
+    return LaurentPoly([0 * v, v // 2, v], [1.0, b, -w / kj**2])
 
 
 @dataclass(frozen=True)
@@ -94,11 +86,10 @@ def ball_vector(poly: LaurentPoly, index: dict) -> np.ndarray:
     return vec
 
 
-def _dd_terms(j: int, arr: np.ndarray, params: ParamSet):
-    """DD_j(t^mu) for each exponent row mu of arr, as term arrays (cols, exps,
-    coeffs) with cols[k] the row term k came from.  For the step x = w t^v of
-    s_j, t^mu o s_j = t^mu x^m and the denominator is 1 - x, so the quotient
-    is -(1 + ... + x^(m-1)) for m > 0 and x^m + ... + x^(-1) for m < 0."""
+def _step(j: int, arr: np.ndarray, params: ParamSet):
+    """s_j on the exponent rows mu of arr as one step (m, v, w), m one integer
+    per row: t^mu o s_j = w^m t^(mu + m v) with denominator 1 - w t^v, for
+    v = -2 e_1 and w = q at j = 0, else w = 1 and v = e_j - e_(j+1) or 2 e_n."""
     n = params.n
     v, w = np.zeros(n, dtype=np.int64), 1.0
     if j == 0:
@@ -107,6 +98,15 @@ def _dd_terms(j: int, arr: np.ndarray, params: ParamSet):
         m, v[-1] = -arr[:, -1], 2
     else:
         m, v[j - 1], v[j] = arr[:, j] - arr[:, j - 1], 1, -1
+    return m, v, w
+
+
+def _dd_terms(j: int, arr: np.ndarray, params: ParamSet):
+    """DD_j(t^mu) for each exponent row mu of arr, as term arrays (cols, exps,
+    coeffs) with cols[k] the row term k came from.  For x = w t^v of the step
+    of s_j, DD_j(t^mu) = t^mu (x^m - 1) / (1 - x) is -t^mu (1 + ... + x^(m-1))
+    for m > 0 and t^mu (x^m + ... + x^(-1)) for m < 0."""
+    m, v, w = _step(j, arr, params)
     counts = np.abs(m)
     cols = np.repeat(np.arange(len(arr)), counts)
     first = np.repeat(np.cumsum(counts) - counts, counts)
@@ -136,25 +136,20 @@ def _scatter(arr, poly: LaurentPoly, cols, exps, coeffs) -> np.ndarray:
 
 def _generator(j: int, arr, params: ParamSet) -> np.ndarray:
     """T_j on the ball of exponent rows arr.  Every column's DD_j(t^mu) times
-    denom_j must equal t^mu o s_j - t^mu to 1e-12 relative, else
-    InternalDefectError."""
+    the denominator 1 - w t^v must equal t^mu o s_j - t^mu to 1e-12
+    relative, else InternalDefectError."""
     n, size = params.n, len(arr)
+    m, v, w = _step(j, arr, params)
     cols, exps, dd = _dd_terms(j, arr, params)
-    lhs = _scatter(arr, _denominator(j, n, params.q), cols, exps, dd)
-    image, weight = arr.copy(), np.ones(size, dtype=complex)
-    if j == 0:
-        image[:, 0], weight = -arr[:, 0], np.power(complex(params.q), arr[:, 0])
-    elif j == n:
-        image[:, -1] = -arr[:, -1]
-    else:
-        image[:, [j - 1, j]] = arr[:, [j, j - 1]]
+    lhs = _scatter(arr, LaurentPoly([0 * v, v], [1.0, -w]), cols, exps, dd)
     eye = np.eye(size)
-    rhs = _scatter(arr, LaurentPoly.one(n), np.arange(size), image, weight) - eye
+    image = arr + m[:, None] * v
+    rhs = _scatter(arr, LaurentPoly.one(n), np.arange(size), image, np.power(complex(w), m)) - eye
     scale = np.maximum(np.abs(lhs).max(axis=0), np.abs(rhs).max(axis=0))
     if np.any(np.abs(lhs - rhs).max(axis=0) > 1e-12 * np.maximum(scale, 1.0)):
         raise InternalDefectError(f"divided difference failed re-multiplication check at j={j}")
     kj = params.kappa_j(j)
-    return eye / kj + kj * _scatter(arr, _numerator_poly(j, params), cols, exps, dd)
+    return eye / kj + kj * _scatter(arr, _numerator_poly(j, v, w, params), cols, exps, dd)
 
 
 class _Eigenbasis(NamedTuple):

@@ -9,12 +9,6 @@ Laurent polynomials in t_1..t_n are ``LaurentPoly`` tables: one integer
 exponent table shared by the rows of a complex coefficient matrix, one row
 per polynomial.  They are built, stored as JSON and evaluated here; the
 library never multiplies two of them or changes their variables.
-``_denominator`` gives the three reflection denominators
-
-    1 - q*t_1**-2,      1 - t_i/t_{i+1},      1 - t_n**2,
-
-by which koornwinder's closed-form generator fill divides exactly, in
-integer exponent arithmetic; floats only enter through the coefficients.
 """
 
 from __future__ import annotations
@@ -237,17 +231,6 @@ class LaurentPoly:
             table.append({col.setdefault(e, len(col)): c for e, c in terms.items()})
         coeffs = [[row.get(k, 0) for k in range(len(col))] for row in table]
         return cls(np.reshape(list(col), (len(col), n)), coeffs)
-
-
-def _denominator(j: int, n: int, q: complex) -> LaurentPoly:
-    """denom_j, the reflection denominator of s_j (module docstring)."""
-    if j == 0:
-        return LaurentPoly([(0,) * n, (-2,) + (0,) * (n - 1)], [1.0, -q])
-    if j == n:
-        return LaurentPoly([(0,) * n, (0,) * (n - 1) + (2,)], [1.0, -1.0])
-    e = [0] * n
-    e[j - 1], e[j] = 1, -1
-    return LaurentPoly([(0,) * n, e], [1.0, -1.0])
 
 
 def l1_ball(n: int, radius: int):

@@ -11,8 +11,9 @@ and |m| n <= 4.  It reads the monic joint eigenpolynomial at (m, ..., m) off
 the triangular eigenbasis of its degree ball and applies, for each minimal
 coset representative w, the Hecke element of w (w_0^J)^{-1} through the
 cached generator matrices, weighting the image by the principal-series
-vector v_w; one principal-series basis serves the spectral wiring check and
-the assembly, and the 2^n components are the rows of one LaurentPoly.
+vector v_w; one principal-series basis, whose last representative is w_0^J,
+serves the spectral wiring check and the assembly, and the 2^n components
+are the rows of one LaurentPoly.
 verify_solution evaluates all sample points, their q-shifts and their
 reflections as one product of that table, and checks each equation once
 over the stack of points.
@@ -44,7 +45,7 @@ from .numerics import (
 )
 from .spinrep import principal_series_basis
 from .tensorops import factor_product
-from .weyl import WeylElem, act_point, reduced_word, tau_word, w0_coset_element
+from .weyl import WeylElem, act_point, reduced_word, tau_word
 
 _MCOND_TOL = 1e-9
 
@@ -124,10 +125,8 @@ def cm_alpha(phi: LaurentPoly, params: ParamSet, metadata=None) -> KZSolution:
 
 def _cm_alpha(phi: LaurentPoly, params: ParamSet, series, metadata) -> KZSolution:
     """cm_alpha with the principal_series_basis result already in hand."""
-    n = params.n
     basis_mat, _zeta, reps, _rep = series
-    jset = list(range(1, n))
-    w0j_inv = w0_coset_element(jset, n).inverse_finite()
+    w0j_inv = reps[-1].inverse_finite()
     ball, index, gens = generator_matrices(params, phi.l1_degree())
     vec0 = ball_vector(phi, index)[:, 0]
     images = []
@@ -148,8 +147,8 @@ def build_polynomial_solution(params: ParamSet, m: int) -> KZSolution:
     """The polynomial solution at lambda = (m, ..., m).
 
     Refuses when the existence constraint fails; validates the spectral
-    wiring (the longest-coset image of the principal-series point must be
-    the translation spectrum of (m, ..., m)) before assembling.
+    wiring (the w_0^J-image of the principal-series point must be the
+    translation spectrum of (m, ..., m)) before assembling.
     """
     n = params.n
     report = check_mcondition(params, m)
@@ -162,9 +161,8 @@ def build_polynomial_solution(params: ParamSet, m: int) -> KZSolution:
         raise err
     check_degree_cap(n, m)
     series = principal_series_basis(params)
-    jset = list(range(1, n))
-    w0j = w0_coset_element(jset, n)
-    mapped = act_point(w0j, series[1], params)
+    _basis, zeta, reps, _rep = series
+    mapped = act_point(reps[-1], zeta, params)
     target = gamma_lambda((m,) * n, params).gamma
     gap = max(abs(a - b) for a, b in zip(mapped, target)) / max(
         max(abs(v) for v in target), 1.0

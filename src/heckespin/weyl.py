@@ -36,16 +36,13 @@ from .numerics import InternalDefectError, ParamSet
 def _compose_signed(pu, su, pv, sv):
     """Signed permutation composition (u o v) in image convention.
 
-    u maps e_j to su[pu[j]] e_{pu[j]}; signs are indexed by the target slot.
+    u maps e_j to su[pu[j]] e_{pu[j]}; signs are indexed by the target slot,
+    so u o v carries the sign su[pu[i]] sv[i] into slot pu[i].
     """
-    n = len(pu)
-    perm = tuple(pu[pv[j]] for j in range(n))
-    signs = tuple(su[pu[pv[j]]] * sv[pv[j]] for j in range(n))
-    # reindex signs by target slot
-    out_signs = [1] * n
-    for j in range(n):
-        out_signs[perm[j]] = signs[j]
-    return perm, tuple(out_signs)
+    signs = [1] * len(pu)
+    for i, k in enumerate(pu):
+        signs[k] = su[k] * sv[i]
+    return tuple(pu[j] for j in pv), tuple(signs)
 
 
 @dataclass(frozen=True)
@@ -79,20 +76,8 @@ class WeylElem:
             return cls(tuple(perm), (1,) * n, (0,) * n)
         raise ValueError(f"generator index {i} out of range for n={n}")
 
-    @classmethod
-    def translation(cls, mu, n: int) -> "WeylElem":
-        return cls(tuple(range(n)), (1,) * n, tuple(int(m) for m in mu))
-
-    @classmethod
-    def longest_w0(cls, n: int) -> "WeylElem":
-        """The longest element of the finite group; acts as -1 and is central."""
-        return cls(tuple(range(n)), (-1,) * n, (0,) * n)
-
     def is_identity(self) -> bool:
         return self == WeylElem.identity(self.n)
-
-    def finite_part(self) -> "WeylElem":
-        return WeylElem(self.perm, self.signs, (0,) * self.n)
 
     def linear_apply(self, x):
         """The finite part acting linearly (translation ignored)."""
@@ -111,8 +96,7 @@ class WeylElem:
             raise ValueError("rank mismatch")
         # (u, a)(v, b) = (uv, v^{-1}(a) + b)
         perm, signs = _compose_signed(self.perm, self.signs, other.perm, other.signs)
-        vinv = other.inverse_finite()
-        a = vinv.linear_apply(self.trans)
+        a = other.inverse_finite().linear_apply(self.trans)
         trans = tuple(x + y for x, y in zip(a, other.trans))
         return WeylElem(perm, signs, trans)
 
@@ -123,11 +107,6 @@ class WeylElem:
         # signs of the inverse live on the source slots of the original
         inv_signs = tuple(self.signs[self.perm[i]] for i in range(self.n))
         return WeylElem(tuple(inv_perm), inv_signs, (0,) * self.n)
-
-    def inverse(self) -> "WeylElem":
-        u_inv = self.inverse_finite()
-        lam = self.finite_part().linear_apply(self.trans)
-        return WeylElem(u_inv.perm, u_inv.signs, tuple(-x for x in lam))
 
     @classmethod
     def from_word(cls, letters, n: int) -> "WeylElem":
@@ -182,10 +161,10 @@ def first_descent(w: WeylElem) -> int:
 def reduced_word(w: WeylElem):
     """Lexicographically smallest reduced word of w as a list of indices.
 
-    >>> reduced_word(WeylElem.longest_w0(1))
-    [1]
-    >>> reduced_word(WeylElem.translation((1,), 1))
-    [0, 1]
+    >>> reduced_word(WeylElem.from_word([1, 0, 1], 1))
+    [1, 0, 1]
+    >>> reduced_word(WeylElem.from_word([0, 1, 1, 2], 2))
+    [0, 2]
     """
     letters = []
     cur = w
@@ -206,12 +185,12 @@ def _parabolic_indices(I, n: int):
     return I
 
 
-def _bfs_levels(I, n: int, key=lambda w: (w.perm, w.signs)):
+def _bfs_levels(I, n: int, key):
     """Breadth-first closure of the identity under left multiplication by the
     generators s_i, i in I.
 
     Level k lists, in discovery order, the first element reached of each new
-    class under ``key`` at distance k.  With the default key the classes are
+    class under ``key`` at distance k.  Keyed by (perm, signs) the classes are
     the elements of the generated subgroup, and level k holds those of length
     k.  Keyed by the image of a point fixed exactly by W_{0,I}, the classes are
     the cosets w W_{0,I}, each first reached at its minimal representative.
@@ -234,11 +213,6 @@ def _bfs_levels(I, n: int, key=lambda w: (w.perm, w.signs)):
         levels.append(nxt)
 
 
-def longest_parabolic(I, n: int) -> "WeylElem":
-    """Longest element w_{0,I} of the parabolic subgroup."""
-    return _bfs_levels(I, n)[-1][0]
-
-
 def min_coset_reps(I, n: int):
     """Minimal-length representatives of W_0 / W_{0,I}.
 
@@ -248,7 +222,8 @@ def min_coset_reps(I, n: int):
     x_1 >= ... >= x_n >= 0 on exactly the walls in I, so that its stabiliser
     is W_{0,I}.  The representatives are closed under left division, so the
     reduced word of w is (a,) + the word of s_a w, an earlier
-    representative, with a = first_descent(w).
+    representative, with a = first_descent(w).  The last entry is w_0^I =
+    w_0 w_{0,I}, the unique longest one (Bjorner & Brenti, section 2.4).
 
     >>> [reduced_word(w) for w in min_coset_reps([1], 2)]
     [[], [2], [1, 2], [2, 1, 2]]
@@ -263,12 +238,6 @@ def min_coset_reps(I, n: int):
             a = first_descent(w)
             words[w] = (a,) + words[WeylElem.generator(a, n) * w]
     return sorted(words, key=lambda w: (len(words[w]), words[w]))
-
-
-def w0_coset_element(I, n: int) -> "WeylElem":
-    """w_0^I = w_0 w_{0,I}^{-1}, the longest minimal coset representative."""
-    w0 = WeylElem.longest_w0(n)
-    return w0 * longest_parabolic(I, n).inverse()
 
 
 def tau_word(i: int, n: int):

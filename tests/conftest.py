@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 from heckespin.baxter import RationalMat, baxter_j, dressed_blocks
-from heckespin.koornwinder import _ball, _numerator_poly, ball_vector, compute_P_detail, fixed_by_si
+from heckespin.koornwinder import _ball, ball_vector, compute_P_detail, fixed_by_si
 from heckespin.matchings import pty
 from heckespin.numerics import (
     InternalDefectError,
     LaurentPoly,
     Residuals,
-    _denominator,
     l1_ball,
     pole_free,
     rel_residual,
@@ -143,11 +142,43 @@ def s_j(f, j, q):
     return DictPoly(n, terms)
 
 
+def denominator(j, n, q):
+    """Oracle: the reflection denominator of s_j, 1 - q t_1^-2 (j = 0),
+    1 - t_j/t_{j+1} (0 < j < n) or 1 - t_n^2 (j = n), as a DictPoly."""
+    e = [0] * n
+    if j == 0:
+        e[0], c = -2, -q
+    elif j == n:
+        e[-1], c = 2, -1.0
+    else:
+        e[j - 1], e[j], c = 1, -1, -1.0
+    return DictPoly(n, {(0,) * n: 1.0, tuple(e): c})
+
+
+def numerator_poly(j, params):
+    """Oracle: N_j, the inverted-parameter numerator of c_j times the
+    reflection denominator of s_j, as a DictPoly."""
+    n = params.n
+    e1, e2 = [0] * n, [0] * n
+    if 0 < j < n:
+        e2[j - 1], e2[j] = 1, -1
+        return DictPoly(n, {(0,) * n: 1.0, tuple(e2): -1 / params.kappa**2})
+    if j == 0:
+        k0, u0 = params.kappa0, params.upsilon0
+        e1[0], e2[0] = -1, -2
+        c1, c2 = params.q_sqrt / k0 * (u0 - 1 / u0), -params.q / k0**2
+    else:
+        kn, un = params.kappan, params.upsilonn
+        e1[-1], e2[-1] = 1, 2
+        c1, c2 = (un - 1 / un) / kn, -1 / kn**2
+    return DictPoly(n, {(0,) * n: 1.0, tuple(e1): c1, tuple(e2): c2})
+
+
 def divided_difference(f, j, params):
-    """Oracle: the exact quotient (f o s_j - f) / denom_j, assembled monomial
-    by monomial from geometric sums, never by pointwise division.  The
-    quotient is multiplied back and compared against f o s_j - f;
-    disagreement raises InternalDefectError."""
+    """Oracle: the exact quotient (f o s_j - f) / denominator(j, n, q),
+    assembled monomial by monomial from geometric sums, never by pointwise
+    division.  The quotient is multiplied back and compared against
+    f o s_j - f; disagreement raises InternalDefectError."""
     n = f.n_vars
     if n != params.n:
         raise ValueError("polynomial arity does not match ParamSet rank")
@@ -198,7 +229,7 @@ def divided_difference(f, j, params):
                     add(tuple(e), c)
 
     g = DictPoly(n, terms)
-    lhs = laurent_mul(g, from_table(_denominator(j, n, q))[0])
+    lhs = laurent_mul(g, denominator(j, n, q))
     rhs = s_j(f, j, q) - f
     scale = max(lhs.max_abs(), rhs.max_abs(), 1.0)
     if (lhs - rhs).max_abs() > 1e-12 * scale:
@@ -214,7 +245,7 @@ def noumi_T_apply(j, f, params):
     kj = params.kappa_j(j)
     out = f.scale(1 / kj)
     dd = divided_difference(f, j, params)
-    return out + laurent_mul(from_table(_numerator_poly(j, params))[0], dd).scale(kj)
+    return out + laurent_mul(numerator_poly(j, params), dd).scale(kj)
 
 
 def noumi_T_inv_apply(j, f, params):
@@ -238,7 +269,8 @@ def noumi_Y_apply(i, f, params):
 
 def finite_group(n):
     """All 2^n n! elements of W_0 as WeylElems, by length (a small-n oracle)."""
-    return [w for level in _bfs_levels(range(1, n + 1), n) for w in level]
+    levels = _bfs_levels(range(1, n + 1), n, key=lambda w: (w.perm, w.signs))
+    return [w for level in levels for w in level]
 
 
 def boundary_arc_counts(p):

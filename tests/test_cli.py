@@ -206,7 +206,7 @@ def test_bad_local_factor_is_an_internal_defect(monkeypatch, capsys, corrupt):
     assert "internal defect" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("corrupt", ["product", "sum"])
+@pytest.mark.parametrize("corrupt", ["product"])
 def test_laurent_arity_mismatch_is_an_internal_defect(monkeypatch, capsys, corrupt):
     import heckespin.koornwinder as koornwinder
 
@@ -215,12 +215,9 @@ def test_laurent_arity_mismatch_is_an_internal_defect(monkeypatch, capsys, corru
 
     # a cold cache forces the generator fill, which multiplies the divided
     # differences by the numerator's terms; a wrong-arity numerator is refused
-    # there, whether or not the denominator of the re-multiplication check of
-    # the divided differences is also wrong
+    # there
     monkeypatch.setattr(koornwinder, "_BALL_CACHE", {})
     monkeypatch.setattr(koornwinder, "_numerator_poly", wide)
-    if corrupt == "sum":
-        monkeypatch.setattr(koornwinder, "_denominator", wide)
     assert run(["verify", "koornwinder", "--n", "2", "--seed", "1"]) == 3
     assert "internal defect: arity mismatch" in capsys.readouterr().err
 
@@ -337,6 +334,31 @@ def test_parameter_file_without_psin_is_refused(tmp_path, capsys, nested):
     pfile.write_text(json.dumps({"seed": 3, "params": data} if nested else data))
     assert run(["verify", "algebra", "--params", str(pfile)]) == 2
     assert "refused: malformed parameters: KeyError 'psin'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config,argv,message", [
+    ({"n": 2.5, "seed": 1}, ["verify", "algebra"], "malformed parameters: TypeError"),
+    ({"n": 2, "seed": 1.5}, ["verify", "algebra"], "malformed parameters: TypeError"),
+    ({"n": True, "seed": 1}, ["verify", "algebra"], "malformed parameters: TypeError"),
+    ({"n": 2, "samples": 2.5}, ["verify", "algebra"], "malformed parameters: TypeError"),
+    ({"n": 2, "tolerance": "1e-9"}, ["verify", "algebra"], "malformed parameters: TypeError"),
+    ({"n": 2, "precision": "quad"}, ["verify", "algebra"], "malformed parameters: TypeError"),
+    ({"lambda": [1.5, 0], "seed": 2}, ["koornwinder", "compute"],
+     "malformed parameters: TypeError"),
+    (None, ["koornwinder", "compute", "--n", "3", "--lambda", "1,1"],
+     "label length does not match the rank"),
+], ids=["n=2.5", "seed=1.5", "n=true", "samples=2.5", "tolerance=text", "precision=quad",
+        "lambda=1.5,0", "flag rank 3, label 1,1"])
+def test_settings_without_the_type_of_their_flag_are_refused(tmp_path, capsys, config,
+                                                            argv, message):
+    """A setting from a --params file has the type its flag has, a bool is
+    not an integer, and a label's length must be the rank a flag gives."""
+    if config is not None:
+        pfile = tmp_path / "c.json"
+        pfile.write_text(json.dumps(config))
+        argv = argv + ["--params", str(pfile)]
+    assert run(argv) == 2
+    assert f"refused: {message}" in capsys.readouterr().err
 
 
 def test_evaluator_arity_mismatch_is_an_internal_defect(tmp_path, monkeypatch, capsys):

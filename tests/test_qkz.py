@@ -20,7 +20,7 @@ from heckespin.qkz import (
     verify_solution,
 )
 from heckespin.spinrep import principal_series_basis
-from heckespin.weyl import reduced_word, w0_coset_element
+from heckespin.weyl import reduced_word
 
 
 def constrained(seed, n, m):
@@ -131,7 +131,7 @@ def test_two_paths_through_the_hecke_action_agree():
     vec0 = np.zeros(len(basis), dtype=complex)
     vec0[index[(1, 0)]] = 1.0
     B, _zeta, reps, _rep = principal_series_basis(p)
-    w0j_inv = w0_coset_element(range(1, n), n).inverse_finite()
+    w0j_inv = reps[-1].inverse_finite()
     matrix_components = [np.zeros(len(basis), dtype=complex) for _ in range(2**n)]
     for col, w in enumerate(reps):
         vec = vec0
