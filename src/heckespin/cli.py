@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import operator
 import os
 import sys
@@ -43,7 +44,8 @@ from .numerics import (
     PoleProximityError,
     RefusalError,
     l1_ball,
-    pole_free,
+    max_abs,
+    pole_free_points,
     rel_residual,
     sample_generic,
     torus_point,
@@ -98,14 +100,26 @@ def _typed(key: str, value):
     return float(value)
 
 
+def _read_json(path):
+    """The JSON document in the file at path; RefusalError if unreadable."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise RefusalError(f"cannot read {path}: {exc.strerror}") from exc
+
+
 def _load_config(args) -> Config:
     """flag > file > default; the file may be a bare parameter dictionary
-    or a config object with an optional "params" entry.  A missing or mistyped
-    entry, or a label whose length is not the given rank, is refused."""
+    or a config object with an optional "params" entry.  A file whose top
+    level is not an object, a missing or mistyped entry, a label whose
+    length is not the given rank, fewer than one sample and a tolerance that
+    is not finite and positive are refused."""
     merged: dict = {}
     if getattr(args, "params", None):
-        with open(args.params, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = _read_json(args.params)
+        if not isinstance(data, dict):
+            raise RefusalError("malformed parameters: the top level is not a JSON object")
         try:
             if "q_sqrt" in data:
                 merged["params"] = ParamSet.from_dict(data)
@@ -126,8 +140,12 @@ def _load_config(args) -> Config:
         merged["n"] = merged["params"].n
     if "lam" in merged and merged.setdefault("n", len(merged["lam"])) != len(merged["lam"]):
         raise RefusalError("label length does not match the rank")
-    return Config(**merged, out=getattr(args, "out", None),
-                  report=getattr(args, "report", None))
+    cfg = Config(**merged, out=getattr(args, "out", None), report=getattr(args, "report", None))
+    if cfg.samples < 1:
+        raise RefusalError(f"samples must be at least 1, not {cfg.samples}")
+    if not (math.isfinite(cfg.tolerance) and cfg.tolerance > 0):
+        raise RefusalError(f"tolerance must be finite and positive, not {cfg.tolerance}")
+    return cfg
 
 
 def _resolve_params(cfg: Config, mcondition=None) -> ParamSet:
@@ -295,29 +313,43 @@ def suite_baxter(cfg: Config, p: ParamSet):
     )
     rng = np.random.default_rng(cfg.seed)
 
-    def word_trial():
+    def draw_word():
         length = int(rng.integers(1, 7))
         word = [int(rng.integers(0, n + 1)) for _ in range(length)]
-        t = torus_point(rng, n, (0.7, 1.4))
-        shortest = reduced_word(WeylElem.from_word(word, n))
-        return rel_residual(cocycle_C(p, word, t), cocycle_C(p, shortest, t))
+        return word, torus_point(rng, n, (0.7, 1.4))
 
+    def word_residuals(trials):
+        """Each word's cocycle against its shortest word's at its point; a
+        PoleProximityError flags the trials whose cocycle meets a pole."""
+        out, at_pole = [], np.zeros(len(trials), dtype=bool)
+        for k, (word, t) in enumerate(trials):
+            shortest = reduced_word(WeylElem.from_word(word, n))
+            try:
+                out.append(rel_residual(cocycle_C(p, word, t), cocycle_C(p, shortest, t)))
+            except PoleProximityError:
+                at_pole[k] = True
+        if at_pole.any():
+            raise PoleProximityError("a word trial met a pole", where=at_pole)
+        return out
+
+    words = pole_free_points(draw_word, word_residuals, max(4, cfg.samples // 2))
     checks.append(_check(
-        "word independence", np.max(pole_free(word_trial, max(4, cfg.samples // 2))),
-        cfg.tolerance,
+        "word independence", np.max(words), cfg.tolerance,
         "the ordered product over any word for a group element matches the"
         " product over its shortest word",
     ))
 
-    def transport_trial():
+    def transport_residual(points):
         """C_{tau_1}(t) C_{tau_n}(tau_1^{-1} t) against the other order, each
-        the cocycle along the concatenated translation words."""
-        t = torus_point(rng, n, (0.7, 1.4))
+        the cocycle along the concatenated translation words, over the stack
+        of points."""
+        t = tuple(np.array(points, dtype=complex).T)
         first, last = tau_word(1, n), tau_word(n, n)
         return rel_residual(cocycle_C(p, first + last, t), cocycle_C(p, last + first, t))
 
+    transport = pole_free_points(lambda: torus_point(rng, n, (0.7, 1.4)), transport_residual, 4)
     checks.append(_check(
-        "commuting translation transports", np.max(pole_free(transport_trial, 4)), cfg.tolerance,
+        "commuting translation transports", transport, cfg.tolerance,
         "transports along distinct lattice directions compose in either order",
     ))
     return checks
@@ -429,7 +461,7 @@ def suite_qkz(cfg: Config, p: ParamSet):
             "pointwise residuals at random generic points",
         )
         checks.append(_floor_check(
-            f"solution m={m}: nontrivial", sol.components.max_abs(), 1e-6, cfg.tolerance,
+            f"solution m={m}: nontrivial", max_abs(sol.components.coeffs), 1e-6, cfg.tolerance,
             "largest coefficient of the assembled solution",
         ))
     if cfg.params is None:
@@ -517,8 +549,8 @@ def _polynomial_payload(det) -> dict:
     return {
         "polynomial": det.poly.to_dicts()[0],
         "metadata": {
-            "lambda": list(det.spectral.lam),
-            "gamma_lambda": [{"re": g.real, "im": g.imag} for g in det.spectral.gamma],
+            "lambda": list(det.lam),
+            "gamma_lambda": [{"re": g.real, "im": g.imag} for g in det.gamma.tolist()],
             "eigen_residual": det.residual,
             "span_size": det.span_size,
         },
@@ -549,8 +581,7 @@ def cmd_qkz_build(args) -> int:
 
 def cmd_qkz_verify(args) -> int:
     cfg = _load_config(args)
-    with open(args.infile, "r", encoding="utf-8") as fh:
-        sol = KZSolution.from_dict(json.load(fh))
+    sol = KZSolution.from_dict(_read_json(args.infile))
     t0 = time.monotonic()
     checks = _from_residuals(
         "", verify_solution(sol, samples=cfg.samples, seed=cfg.seed),
@@ -570,8 +601,7 @@ def cmd_emit_tables(args) -> int:
         os.makedirs(out_dir, exist_ok=True)
         p = _resolve_params(cfg)
         entries = []
-        labels = [tuple(v) for v in l1_ball(cfg.n, bound)] if bound >= 0 else []
-        for lam in sorted(labels):
+        for lam in l1_ball(cfg.n, bound):
             payload = _polynomial_payload(compute_P_detail(lam, p))
             fname = "lam_" + "_".join(str(v) for v in lam) + ".json"
             _write_json(payload, os.path.join(out_dir, fname))

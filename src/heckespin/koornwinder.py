@@ -10,9 +10,9 @@ kappa_j^{-1}-eigenvector of every generator image, the generator action is
 
 with N_j the quadratic numerator polynomial and DD_j(f) = (f o s_j - f) /
 (1 - w t^v) the exact divided difference, for s_j written once as a step
-(m, v, w) on exponents, t^mu o s_j = w^m t^(mu + m v); the translation
-elements act with eigenvalue 1/gamma_lambda on the monic polynomial with
-leading monomial t^lambda.
+(m, v, w) on exponents, t^mu o s_j = w^m t^(mu + m v); the translations Y_i
+act with eigenvalues 1/gamma_i (numerics.gamma_vectors) on the monic
+polynomial with leading monomial t^lambda.
 
 That action is applied only as the n+1 generator matrices on an l1 ball
 (which every T_j keeps), filled in closed form once per parameter set and
@@ -21,12 +21,13 @@ checked against its denominator.  Y_i is the product of the T_j along
 tau_word.  The Y_i are jointly triangular on monomials (Cherednik, IMRN
 1995; Sahi, Ann. Math. 150, 1999), so in a checked topological order one
 back-substitution gives the eigenvector of every monomial of the ball;
-compute_P reads its label's column, and label_residuals checks all labels
-of one degree at once on their ball.
+compute_P_detail reads its label's column, and label_residuals checks all
+labels of one degree at once on their ball.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -38,7 +39,7 @@ from .numerics import (
     LaurentPoly,
     ParamSet,
     RefusalError,
-    _gamma_vectors,
+    gamma_vectors,
     l1_ball,
 )
 from .weyl import tau_word
@@ -59,20 +60,6 @@ def _numerator_poly(j: int, v, w, params: ParamSet) -> LaurentPoly:
     elif j == params.n:
         b = (params.upsilonn - 1 / params.upsilonn) / kj
     return LaurentPoly([0 * v, v // 2, v], [1.0, b, -w / kj**2])
-
-
-@dataclass(frozen=True)
-class SpectralPoint:
-    gamma: tuple
-    lam: tuple
-
-
-def gamma_lambda(lam, params: ParamSet) -> SpectralPoint:
-    lam = tuple(int(v) for v in lam)
-    return SpectralPoint(gamma=_gamma_vectors([lam], params)[0], lam=lam)
-
-
-_BALL_CACHE: dict = {}
 
 
 def ball_vector(poly: LaurentPoly, index: dict) -> np.ndarray:
@@ -197,14 +184,12 @@ def _joint_eigenbasis(mats: dict) -> _Eigenbasis:
     return _Eigenbasis(out, down, rank, np.array([y.diagonal() for y in ys]), zd[rank])
 
 
+@functools.lru_cache(maxsize=9)
 def _ball(params: ParamSet, radius: int):
     """(basis, index, {i: Y_i}, {j: T_j}, joint eigenbasis) on the l1 ball,
     cached per (frozen parameter set, radius).  Y_i multiplies the T_j along
     tau_word(i, n), inverting the first i - 1 letters by the quadratic
     relation, T_j^{-1} = T_j + (kappa_j - 1/kappa_j)."""
-    key = (params, radius)
-    if key in _BALL_CACHE:
-        return _BALL_CACHE[key]
     n = params.n
     basis = l1_ball(n, radius)
     index = {mu: a for a, mu in enumerate(basis)}
@@ -218,10 +203,7 @@ def _ball(params: ParamSet, radius: int):
             kj = params.kappa_j(a)
             factors.append(gens[a] + (kj - 1 / kj) * eye if k < i - 1 else gens[a])
         mats[i] = np.linalg.multi_dot(factors)
-    if len(_BALL_CACHE) > 8:
-        _BALL_CACHE.pop(next(iter(_BALL_CACHE)))
-    _BALL_CACHE[key] = (basis, index, mats, gens, _joint_eigenbasis(mats))
-    return _BALL_CACHE[key]
+    return basis, index, mats, gens, _joint_eigenbasis(mats)
 
 
 def generator_matrices(params: ParamSet, radius: int):
@@ -249,13 +231,10 @@ def check_caps(n: int, degree: int = 0) -> None:
 @dataclass
 class PolynomialResult:
     poly: LaurentPoly
-    spectral: SpectralPoint
+    lam: tuple
+    gamma: np.ndarray  # the spectral vector of lam (numerics.gamma_vectors)
     residual: float
     span_size: int
-
-
-def compute_P(lam, params: ParamSet) -> LaurentPoly:
-    return compute_P_detail(lam, params).poly
 
 
 class _Monic(NamedTuple):
@@ -267,10 +246,10 @@ class _Monic(NamedTuple):
 
 def _monic_vectors(labels, gammas, params: ParamSet) -> _Monic:
     """The monic joint eigenvectors of labels of one degree r, with spectral
-    vectors gammas, as the columns of one matrix on the ball of radius r:
-    each label's column of the joint eigenbasis on its down-set, entries at
-    most 1e-13 of the column's largest dropped, the leading entry pinned to
-    1.  GenericityError when a diagonal entry of some Y_i at a label misses
+    vectors the rows of gammas, as the columns of one matrix on the ball of
+    radius r: each label's column of the joint eigenbasis on its down-set,
+    entries at most 1e-13 of the column's largest dropped, the leading entry
+    pinned to 1.  GenericityError when a diagonal entry of some Y_i at a label misses
     1/gamma_i, or a predecessor in the triangular order shares the label's
     entry of Z, by _KERNEL_GAP of the largest such entry (at least 1)."""
     n, radius = params.n, sum(abs(v) for v in labels[0])
@@ -278,7 +257,7 @@ def _monic_vectors(labels, gammas, params: ParamSet) -> _Monic:
     ball = _ball(params, radius)
     _basis, index, _mats, _gens, eig = ball
     cols = np.array([index[lam] for lam in labels], dtype=np.int64)
-    inv = 1 / np.array(gammas, dtype=complex).reshape(len(labels), n).T
+    inv = 1 / gammas.T
     yscale = max(float(np.abs(eig.ydiag).max()), 1.0)
     missed = np.abs(eig.ydiag[:, cols] - inv).max(axis=0) > _KERNEL_GAP * yscale
     zscale = max(float(np.abs(eig.zdiag).max()), 1.0)
@@ -309,13 +288,13 @@ def compute_P_detail(lam, params: ParamSet) -> PolynomialResult:
     n = params.n
     if n != len(lam):
         raise InternalDefectError("lambda length must match n")
-    sp = gamma_lambda(lam, params)
-    mon = _monic_vectors([lam], [sp.gamma], params)
+    gammas = gamma_vectors([lam], params)
+    mon = _monic_vectors([lam], gammas, params)
     basis, _index, mats, _gens, _eig = mon.ball
     poly = LaurentPoly(basis, mon.vecs[:, 0])
     ys = [mats[i] for i in range(1, n + 1)]
     residual = float(_eigen_residuals(ys, mon.inv_gamma, mon.vecs).max())
-    return PolynomialResult(poly, sp, residual, int(mon.span[0]))
+    return PolynomialResult(poly, lam, gammas[0], residual, int(mon.span[0]))
 
 
 def label_residuals(labels, params: ParamSet):
@@ -323,10 +302,10 @@ def label_residuals(labels, params: ParamSet):
     compute_P_detail gives label by label: the joint residual of each
     label's monic eigenpolynomial, |leading coefficient - 1|, and stab[i - 1,
     l], the relative residual of T_i P = kappa_i^{-1} P on the ball, i =
-    1..n.  The spectral vectors are one _gamma_vectors call, and each
+    1..n.  The spectral vectors are one gamma_vectors call, and each
     residual one product per Y_i or per T_i."""
     n = params.n
-    mon = _monic_vectors(labels, _gamma_vectors(labels, params), params)
+    mon = _monic_vectors(labels, gamma_vectors(labels, params), params)
     _basis, index, mats, gens, _eig = mon.ball
     joint = _eigen_residuals([mats[i] for i in range(1, n + 1)], mon.inv_gamma, mon.vecs)
     lead = mon.vecs[[index[lam] for lam in labels], np.arange(len(labels))]

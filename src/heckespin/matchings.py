@@ -185,9 +185,10 @@ def matchmaker_matrix(j: int, tl: TLParams, beta0, beta1, n: int) -> Monomial:
     return Monomial(index, np.array([value[w] for w in names], dtype=complex))
 
 
-def beta_product(params: ParamSet) -> complex:
-    """The constraint value of beta_0 * beta_1 for equivalence with the spin
-    module; the numerator alternates with the parity of n."""
+def matchmaker_betas(params: ParamSet):
+    """The (beta_0, beta_1) split used throughout: beta_0 = 1, so beta_1 is
+    the constraint value of beta_0 * beta_1 for equivalence with the spin
+    module; its numerator alternates with the parity of n."""
     p = params
     k, k0, kn = p.kappa, p.kappa0, p.kappan
     ps = p.psi0 * p.psin
@@ -196,12 +197,7 @@ def beta_product(params: ParamSet) -> complex:
         num = (1 + k0 / kn * ps) * (1 + kn / k0 * ps)
     else:
         num = (1 - k0 * kn / k * ps) * (1 - k * ps / (k0 * kn))
-    return num / (ps * den)
-
-
-def matchmaker_betas(params: ParamSet):
-    """The (beta_0, beta_1) split used throughout: beta_0 = 1."""
-    return 1.0 + 0j, beta_product(params)
+    return 1.0 + 0j, num / (ps * den)
 
 
 def m_constants(params: ParamSet) -> dict:

@@ -1,4 +1,4 @@
-"""Scalar parameters, Laurent polynomials, and generic sampling.
+"""Scalar parameters, Laurent polynomials, spectral vectors and sampling.
 
 Everything downstream runs over one immutable bundle of nonzero complex
 scalars (kappa0, kappa, kappan, upsilon0, upsilonn, psi0, psin) plus a rank n
@@ -8,7 +8,10 @@ can never drift apart.
 Laurent polynomials in t_1..t_n are ``LaurentPoly`` tables: one integer
 exponent table shared by the rows of a complex coefficient matrix, one row
 per polynomial.  They are built, stored as JSON and evaluated here; the
-library never multiplies two of them or changes their variables.
+library never multiplies two of them or changes their variables.  The
+spectral vectors of integer weights are the rows of one array
+(gamma_vectors), and every sample clear of the poles comes from one
+batched sampler (pole_free_points).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 # attempts before sample_generic gives up on a seed
 _MAX_DRAWS = 64
-# attempts beyond the requested count before pole_free gives up
+# draws beyond the requested count before pole_free_points gives up
 _MAX_RESAMPLE = 40
 # moduli of the sampled scalars and of the probe points
 _SCALAR_BAND = (0.6, 1.6)
@@ -146,9 +149,6 @@ class ParamSet:
             d[name] = _c2d(getattr(self, name))
         return d
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
     @classmethod
     def from_dict(cls, d: dict) -> "ParamSet":
         """The inverse of to_dict; KeyError or TypeError on a missing entry
@@ -161,7 +161,8 @@ class ParamSet:
         return cls(**kw)
 
     def fingerprint(self) -> str:
-        return hashlib.sha256(self.to_json().encode()).hexdigest()
+        text = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(text.encode()).hexdigest()
 
 
 class LaurentPoly:
@@ -188,9 +189,6 @@ class LaurentPoly:
     @classmethod
     def one(cls, n: int) -> "LaurentPoly":
         return cls([(0,) * n], [1.0])
-
-    def max_abs(self) -> float:
-        return max_abs(self.coeffs)
 
     def l1_degree(self) -> int:
         return int(np.abs(self.exps).sum(axis=1).max(initial=0))
@@ -233,23 +231,19 @@ class LaurentPoly:
         return cls(np.reshape(list(col), (len(col), n)), coeffs)
 
 
-def l1_ball(n: int, radius: int):
+@functools.lru_cache(maxsize=None)
+def l1_ball(n: int, radius: int) -> tuple:
     """All integer vectors mu in Z^n with sum |mu_i| <= radius, sorted.
 
     Built coordinate by coordinate, so the output comes out in lexicographic
     order without a sort; each (n, radius) is built once.
     """
-    return list(_l1_ball(n, radius))
-
-
-@functools.lru_cache(maxsize=None)
-def _l1_ball(n: int, radius: int) -> tuple:
     if radius < 0:
         return ()
     if n == 0:
         return ((),)
     return tuple((e,) + rest for e in range(-radius, radius + 1)
-                 for rest in _l1_ball(n - 1, radius - abs(e)))
+                 for rest in l1_ball(n - 1, radius - abs(e)))
 
 
 def _gamma_exponents(lams, n: int):
@@ -273,18 +267,29 @@ def _gamma_exponents(lams, n: int):
 
 @functools.lru_cache(maxsize=None)
 def _ball_exponents(n: int, radius: int):
-    exponents = _gamma_exponents(_l1_ball(n, radius), n)
+    exponents = _gamma_exponents(l1_ball(n, radius), n)
     for a in exponents:
         a.flags.writeable = False  # shared by every caller of the cache
     return exponents
 
 
+def gamma_vectors(lams, params: ParamSet) -> np.ndarray:
+    """Spectral vectors of integer weights, one row of a (weights, n) array
+    per weight.
+
+    Coordinate i is q^lam_i (kappa0 kappan)^(-eta(lam_i)) kappa^s_i, where
+    s_i = sum_{j<i} eta(lam_j - lam_i) - sum_{j>i} eta(lam_i - lam_j)
+    - sum_{j != i} eta(lam_i + lam_j), with eta(0) = -1 throughout.  The
+    integer exponents are found for all weights at once (_gamma_exponents).
+    """
+    return _gamma_array(_gamma_exponents(lams, params.n), params)
+
+
 def _gamma_array(exponents, params: ParamSet) -> np.ndarray:
-    """The spectral vectors as a (weights, n) array.  Each coordinate is
-    q^m (kappa0 kappan)^(-eta(m)) kappa^s for its exponents (m, s): one
-    product of Python scalars per distinct (m, s), the same powers and
-    products as one coordinate at a time (so equal to the last bit), then
-    gathered."""
+    """gamma_vectors from the exponents (m, s) of every coordinate: one
+    product q^m (kappa0 kappan)^(-eta(m)) kappa^s of Python scalars per
+    distinct (m, s), the same powers and products as one coordinate at a
+    time (so equal to the last bit), then gathered."""
     lam, s = exponents
     if lam.size == 0:
         return np.zeros(lam.shape, dtype=complex)
@@ -295,18 +300,6 @@ def _gamma_array(exponents, params: ParamSet) -> np.ndarray:
         [[q**m * k0n ** (-eta(m)) * kappa**t for t in ts] for m in ms], dtype=complex
     )
     return table[lam - ms[0], s - ts[0]]
-
-
-def _gamma_vectors(lams, params: ParamSet):
-    """Spectral vectors of integer weights, one tuple per weight.
-
-    Coordinate i is q^lam_i (kappa0 kappan)^(-eta(lam_i)) kappa^s_i, where
-    s_i = sum_{j<i} eta(lam_j - lam_i) - sum_{j>i} eta(lam_i - lam_j)
-    - sum_{j != i} eta(lam_i + lam_j), with eta(0) = -1 throughout.  The
-    integer exponents are found for all weights at once; each coordinate is
-    then one product of Python scalars.
-    """
-    return [tuple(row) for row in _gamma_array(_gamma_exponents(lams, params.n), params).tolist()]
 
 
 def _gamma_distinct(params: ParamSet, radius: int = _GAMMA_DEGREE) -> bool:
@@ -456,30 +449,12 @@ def sample_generic(seed: int, n: int, mcondition: int | None = None) -> ParamSet
     )
 
 
-def pole_free(sample, count: int) -> list:
-    """The values of the first count calls of sample() that do not raise
-    PoleProximityError, in call order; an attempt that raises is dropped.
-    Raises GenericityError once count + 40 attempts have not been enough.
-    """
-    out = []
-    for _ in range(count + _MAX_RESAMPLE):
-        if len(out) == count:
-            break
-        try:
-            out.append(sample())
-        except PoleProximityError:
-            pass
-    if len(out) < count:
-        raise GenericityError("could not find enough pole-free sample points")
-    return out
-
-
 def pole_free_points(draw, evaluate, count: int):
     """evaluate(points) at the first count results of draw() that lie clear
-    of every pole, in draw order: the batched form of pole_free, with the
-    same budget.  evaluate takes the list of points and evaluates them all
-    at once; the points a PoleProximityError from it flags in its ``where``
-    are dropped, and new ones drawn in their place.  Raises
+    of every pole, in draw order, with no draw after count of them are in
+    hand.  evaluate takes the list of points and evaluates them all at once;
+    the points a PoleProximityError from it flags in its ``where`` are
+    dropped, and new ones drawn in their place.  Raises
     GenericityError once count + 40 draws have not been enough, and
     InternalDefectError when such an error flags none of the points.
     """

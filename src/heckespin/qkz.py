@@ -8,12 +8,12 @@ dressed reflections C_{s_j}; each C_w is the cocycle along a word for w
 build_polynomial_solution refuses (RefusalError) unless the scalar existence
 constraint between the boundary parameters and q^m holds (check_mcondition)
 and |m| n <= 4.  It reads the monic joint eigenpolynomial at (m, ..., m) off
-the triangular eigenbasis of its degree ball and applies, for each minimal
-coset representative w, the Hecke element of w (w_0^J)^{-1} through the
-cached generator matrices, weighting the image by the principal-series
-vector v_w; one principal-series basis, whose last representative is w_0^J,
-serves the spectral wiring check and the assembly, and the 2^n components
-are the rows of one LaurentPoly.
+the triangular eigenbasis of its degree ball, and cm_alpha applies, for each
+minimal coset representative w, the Hecke element of w (w_0^J)^{-1} through
+the cached generator matrices, weighting the image by the principal-series
+vector v_w.  One principal-series basis, whose last representative is
+w_0^J, serves the spectral wiring check (against numerics.gamma_vectors at
+(m, ..., m)) and cm_alpha; the 2^n components are the rows of one table.
 verify_solution evaluates all sample points, their q-shifts and their
 reflections as one product of that table, and checks each equation once
 over the stack of points.
@@ -26,13 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baxter import cocycle_factors
-from .koornwinder import (
-    ball_vector,
-    check_caps,
-    compute_P,
-    gamma_lambda,
-    generator_matrices,
-)
+from .koornwinder import ball_vector, check_caps, compute_P_detail, generator_matrices
 from .numerics import (
     InternalDefectError,
     LaurentPoly,
@@ -40,6 +34,8 @@ from .numerics import (
     RefusalError,
     Residuals,
     eta,
+    gamma_vectors,
+    max_abs,
     pole_free_points,
     torus_point,
 )
@@ -111,8 +107,9 @@ class KZSolution:
             raise RefusalError(f"malformed solution: {type(exc).__name__} {exc}") from exc
 
 
-def cm_alpha(phi: LaurentPoly, params: ParamSet, metadata=None) -> KZSolution:
-    """Pair the Hecke action on phi with the principal-series basis.
+def cm_alpha(phi: LaurentPoly, params: ParamSet, series, metadata=None) -> KZSolution:
+    """Pair the Hecke action on phi with the principal-series basis
+    ``series``, the result of spinrep.principal_series_basis(params).
 
     For each minimal coset representative w the element u = w (w_0^J)^{-1}
     is taken to its reduced word and the cached generator matrices act on
@@ -120,11 +117,6 @@ def cm_alpha(phi: LaurentPoly, params: ParamSet, metadata=None) -> KZSolution:
     as operators compose; the image is added into every spin component with
     weight (v_w)_b.
     """
-    return _cm_alpha(phi, params, principal_series_basis(params), metadata)
-
-
-def _cm_alpha(phi: LaurentPoly, params: ParamSet, series, metadata) -> KZSolution:
-    """cm_alpha with the principal_series_basis result already in hand."""
     basis_mat, _zeta, reps, _rep = series
     w0j_inv = reps[-1].inverse_finite()
     ball, index, gens = generator_matrices(params, phi.l1_degree())
@@ -163,16 +155,13 @@ def build_polynomial_solution(params: ParamSet, m: int) -> KZSolution:
     series = principal_series_basis(params)
     _basis, zeta, reps, _rep = series
     mapped = act_point(reps[-1], zeta, params)
-    target = gamma_lambda((m,) * n, params).gamma
-    gap = max(abs(a - b) for a, b in zip(mapped, target)) / max(
-        max(abs(v) for v in target), 1.0
-    )
+    lam = (m,) * n
+    target = gamma_vectors([lam], params)[0]
+    gap = max_abs(np.array(mapped) - target) / max(max_abs(target), 1.0)
     if gap > 1e-9:
         raise InternalDefectError(f"spectral wiring mismatch ({gap:.2e})")
-    lam = (m,) * n
-    poly = compute_P(lam, params)
-    sol = _cm_alpha(
-        poly,
+    sol = cm_alpha(
+        compute_P_detail(lam, params).poly,
         params,
         series,
         metadata={
@@ -181,7 +170,7 @@ def build_polynomial_solution(params: ParamSet, m: int) -> KZSolution:
             "lambda": list(lam),
         },
     )
-    if sol.components.max_abs() < 1e-9:
+    if max_abs(sol.components.coeffs) < 1e-9:
         raise InternalDefectError("assembled solution is numerically zero")
     return sol
 

@@ -10,11 +10,13 @@ from heckespin.baxter import RationalMat, baxter_j, dressed_blocks
 from heckespin.koornwinder import _ball, ball_vector, compute_P_detail, fixed_by_si
 from heckespin.matchings import pty
 from heckespin.numerics import (
+    _MAX_RESAMPLE,
+    GenericityError,
     InternalDefectError,
     LaurentPoly,
+    PoleProximityError,
     Residuals,
     l1_ball,
-    pole_free,
     rel_residual,
     sample_generic,
     torus_point,
@@ -477,11 +479,30 @@ def transport_factors(params, i, t):
     )
 
 
+def pole_free(sample, count: int) -> list:
+    """Oracle of numerics.pole_free_points, one point at a time: the values
+    of the first count calls of sample() that do not raise
+    PoleProximityError, in call order; an attempt that raises is dropped.
+    Raises GenericityError once count + 40 attempts have not been enough.
+    """
+    out = []
+    for _ in range(count + _MAX_RESAMPLE):
+        if len(out) == count:
+            break
+        try:
+            out.append(sample())
+        except PoleProximityError:
+            pass
+    if len(out) < count:
+        raise GenericityError("could not find enough pole-free sample points")
+    return out
+
+
 def qkz_per_sample(sol, samples=20, seed=8):
     """Oracle: qkz.verify_solution one point at a time, at scalar
     coordinates, with the closed-form transports and letter factors in place
     of the cocycle; a point near a pole is dropped whole and another drawn
-    (numerics.pole_free)."""
+    (pole_free)."""
     params = sol.params
     n = params.n
     table = sol.components
@@ -529,7 +550,7 @@ def koornwinder_per_label(params, radius=3):
         vec = ball_vector(det.poly, index)
         scale = max(float(np.abs(vec).max()), 1.0)
         joint = max(float(np.abs(mats[i] @ vec - vec / g).max())
-                    for i, g in enumerate(det.spectral.gamma, start=1)) / scale
+                    for i, g in enumerate(det.gamma, start=1)) / scale
         stab = [float(np.abs(gens[i] @ vec - vec / params.kappa_j(i)).max()) / scale
                 for i in range(1, n + 1)]
         monic = abs(from_table(det.poly)[0].terms.get(lam, 0.0) - 1.0)
@@ -552,11 +573,12 @@ def _eigen_residual(poly, index, pairs):
     return max(float(np.abs(m @ vec - c * vec).max()) for m, c in pairs) / scale
 
 
-def joint_residual(poly, sp, params):
+def joint_residual(poly, det, params):
     """Reference: the relative residual of Y_i poly = poly / gamma_i, i =
-    1..n, on the full degree ball of sp.lam."""
-    _basis, index, mats, _gens, _eig = _ball(params, sum(abs(v) for v in sp.lam))
-    return _eigen_residual(poly, index, [(mats[i], 1 / g) for i, g in enumerate(sp.gamma, start=1)])
+    1..n, on the full degree ball of det.lam, for det.gamma the spectral
+    vector of det.lam (a koornwinder.PolynomialResult)."""
+    _basis, index, mats, _gens, _eig = _ball(params, sum(abs(v) for v in det.lam))
+    return _eigen_residual(poly, index, [(mats[i], 1 / g) for i, g in enumerate(det.gamma, start=1)])
 
 
 def stabilizer_eigen_residual(i, poly, params):
@@ -570,6 +592,15 @@ def stabilizer_eigen_residual(i, poly, params):
 def dense_embed():
     """The dense-embedding oracle for local operators on (C^2)^(x m)."""
     return _kron_embed
+
+
+@pytest.fixture
+def cold_ball():
+    """An empty koornwinder._ball cache before and after the test, so that
+    no ball built under a monkeypatch outlives it."""
+    _ball.cache_clear()
+    yield
+    _ball.cache_clear()
 
 
 @pytest.fixture

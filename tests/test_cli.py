@@ -6,9 +6,18 @@ import json
 import numpy as np
 import pytest
 
+from conftest import pole_free
+from heckespin.baxter import cocycle_C
 from heckespin.cli import main
-from heckespin.numerics import LaurentPoly, PoleProximityError, sample_generic
+from heckespin.numerics import (
+    LaurentPoly,
+    PoleProximityError,
+    rel_residual,
+    sample_generic,
+    torus_point,
+)
 from heckespin.qkz import build_polynomial_solution
+from heckespin.weyl import WeylElem, reduced_word, tau_word
 
 
 def run(argv):
@@ -207,7 +216,7 @@ def test_bad_local_factor_is_an_internal_defect(monkeypatch, capsys, corrupt):
 
 
 @pytest.mark.parametrize("corrupt", ["product"])
-def test_laurent_arity_mismatch_is_an_internal_defect(monkeypatch, capsys, corrupt):
+def test_laurent_arity_mismatch_is_an_internal_defect(monkeypatch, capsys, corrupt, cold_ball):
     import heckespin.koornwinder as koornwinder
 
     def wide(*args, **kw):
@@ -216,7 +225,6 @@ def test_laurent_arity_mismatch_is_an_internal_defect(monkeypatch, capsys, corru
     # a cold cache forces the generator fill, which multiplies the divided
     # differences by the numerator's terms; a wrong-arity numerator is refused
     # there
-    monkeypatch.setattr(koornwinder, "_BALL_CACHE", {})
     monkeypatch.setattr(koornwinder, "_numerator_poly", wide)
     assert run(["verify", "koornwinder", "--n", "2", "--seed", "1"]) == 3
     assert "internal defect: arity mismatch" in capsys.readouterr().err
@@ -361,6 +369,54 @@ def test_settings_without_the_type_of_their_flag_are_refused(tmp_path, capsys, c
     assert f"refused: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("setting,value", [
+    ("samples", 0), ("samples", -3), ("tolerance", float("inf")), ("tolerance", float("nan")),
+    ("tolerance", -1.0), ("tolerance", 0.0),
+])
+def test_settings_that_switch_checks_off_are_refused(tmp_path, monkeypatch, capsys,
+                                                     setting, value, source):
+    """Fewer than one sample drops the sampled rows, and a tolerance that is
+    not finite and positive passes or fails every row whatever its
+    residual; either is refused, from a flag or a file, before sampling."""
+    import heckespin.cli as cli
+
+    def no_sampling(*args, **kw):
+        raise AssertionError("sampled before the settings were checked")
+
+    monkeypatch.setattr(cli, "sample_generic", no_sampling)
+    argv = ["verify", "baxter", "--n", "3"]
+    if source == "flag":
+        argv += [f"--{setting}", str(value)]
+    else:
+        pfile = tmp_path / "c.json"
+        pfile.write_text(json.dumps({setting: value}))
+        argv += ["--params", str(pfile)]
+    assert run(argv) == 2
+    assert f"refused: {setting} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "algebra", "--n", "2", "--params"],
+    ["qkz", "verify", "--in"],
+], ids=["params", "in"])
+def test_a_missing_input_file_is_refused(tmp_path, capsys, argv):
+    missing = str(tmp_path / "absent.json")
+    assert run(argv + [missing]) == 2
+    assert f"refused: cannot read {missing}: No such file or directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data", ["xyz", []], ids=["string", "list"])
+def test_a_parameter_file_that_is_not_an_object_is_refused(tmp_path, capsys, data):
+    """Membership tests on a string or a list find no setting, so such a
+    file would otherwise run the defaults."""
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps(data))
+    assert run(["verify", "algebra", "--n", "2", "--params", str(pfile)]) == 2
+    assert "refused: malformed parameters: the top level is not a JSON object" in (
+        capsys.readouterr().err)
+
+
 def test_evaluator_arity_mismatch_is_an_internal_defect(tmp_path, monkeypatch, capsys):
     import heckespin.qkz as qkz
 
@@ -427,6 +483,60 @@ def test_exhausted_pole_retries_refuse_instead_of_passing(monkeypatch, capsys, t
     assert run(["verify", "baxter", "--n", "3", "--report", str(report)]) == 2
     assert "refused: could not find enough pole-free sample points" in capsys.readouterr().err
     assert not report.exists()
+
+
+def test_a_pole_at_one_draw_drops_only_that_draw(monkeypatch):
+    """A pole at the second word trial and at the second transport point of
+    verify baxter drops only that draw: both rows equal the rows of the
+    one-at-a-time pole_free oracle on the same draws."""
+    import heckespin.cli as cli
+
+    n, seed = 3, 1
+    p = sample_generic(seed=seed, n=n)
+    rng = np.random.default_rng(seed)
+    planted = []
+
+    def second_at_pole(draw, value):
+        drawn = []
+
+        def sample():
+            drawn.append(draw())
+            if len(drawn) == 2:
+                planted.append(drawn[-1])
+                raise PoleProximityError("planted pole")
+            return value(drawn[-1])
+
+        return sample
+
+    def draw_word():
+        length = int(rng.integers(1, 7))
+        word = [int(rng.integers(0, n + 1)) for _ in range(length)]
+        return word, torus_point(rng, n, (0.7, 1.4))
+
+    def word_residual(trial):
+        word, t = trial
+        shortest = reduced_word(WeylElem.from_word(word, n))
+        return rel_residual(cocycle_C(p, word, t), cocycle_C(p, shortest, t))
+
+    words = pole_free(second_at_pole(draw_word, word_residual), 4)
+    kept = pole_free(second_at_pole(lambda: torus_point(rng, n, (0.7, 1.4)), tuple), 4)
+    stack = tuple(np.array(kept).T)
+    first, last = tau_word(1, n), tau_word(n, n)
+    transport = rel_residual(cocycle_C(p, first + last, stack), cocycle_C(p, last + first, stack))
+
+    poles = [planted[0][1][0], planted[1][0]]
+
+    def planted_pole(params, word, t):
+        at = np.isin(t[0], poles)
+        if at.any():
+            raise PoleProximityError("planted pole", where=at)
+        return cocycle_C(params, word, t)
+
+    monkeypatch.setattr(cli, "cocycle_C", planted_pole)
+    checks = {c["name"]: c["residual"]
+              for c in cli.suite_baxter(cli.Config(n=n, seed=seed, samples=8), p)}
+    assert checks["word independence"] == max(words)
+    assert checks["commuting translation transports"] == transport
 
 
 def test_identity_suite_refuses_one_site_before_sampling(monkeypatch, capsys):

@@ -22,10 +22,8 @@ import heckespin.numerics as numerics
 from heckespin.koornwinder import (
     _ball,
     ball_vector,
-    compute_P,
     compute_P_detail,
     fixed_by_si,
-    gamma_lambda,
     generator_matrices,
     label_residuals,
 )
@@ -34,15 +32,17 @@ from heckespin.numerics import (
     InternalDefectError,
     RefusalError,
     eta,
+    gamma_vectors,
     l1_ball,
     sample_generic,
 )
 from heckespin.qkz import build_polynomial_solution, cm_alpha
+from heckespin.spinrep import principal_series_basis
 from heckespin.weyl import WeylElem, act_point
 
 
 def test_constant_label_gives_the_constant_polynomial(params2):
-    p = compute_P((0, 0), params2)
+    p = compute_P_detail((0, 0), params2).poly
     assert from_table(p)[0].terms == {(0, 0): 1.0}
 
 
@@ -69,7 +69,7 @@ def test_operators_commute_on_a_sample(params2):
 
 def test_constant_is_a_joint_eigenfunction(params2):
     one = DictPoly.one(2)
-    g = gamma_lambda((0, 0), params2).gamma
+    g = gamma_vectors([(0, 0)], params2)[0]
     for i in (1, 2):
         out = noumi_Y_apply(i, one, params2)
         diff = out + one.scale(-1 / g[i - 1])
@@ -84,7 +84,7 @@ def test_spectrum_branch_values(lam, params2):
     """Closed-form eigenvalue strings at constant and weakly increasing
     nonpositive labels."""
     p = params2
-    g = gamma_lambda(lam, p).gamma
+    g = gamma_vectors([lam], p)[0]
     n = 2
     for i in (1, 2):
         if all(v == lam[0] for v in lam) and lam[0] > 0:
@@ -123,12 +123,12 @@ def test_interpolation_oracle_single_variable():
         vals = np.array([g.eval((pt,)) for pt in pts], dtype=complex)
         cols.append(np.linalg.solve(V, vals))
     M = np.stack(cols, axis=1)
-    target = 1.0 / gamma_lambda((1,), p).gamma[0]
+    target = 1.0 / gamma_vectors([(1,)], p)[0, 0]
     vals, vecs = np.linalg.eig(M)
     k = int(np.argmin(np.abs(vals - target)))
     assert abs(vals[k] - target) < 1e-9
     vec = vecs[:, k] / vecs[0, k]  # monic: coefficient of t^1 is one
-    computed = compute_P((1,), p)
+    computed = compute_P_detail((1,), p).poly
     recovered = {(e,): vec[idx] for idx, e in enumerate(exps) if abs(vec[idx]) > 1e-12}
     for exp, coeff in recovered.items():
         assert abs(from_table(computed)[0].terms.get(exp, 0.0) - coeff) < 1e-9
@@ -169,12 +169,12 @@ def test_degenerate_spectrum_is_a_genericity_error():
     p = sample_generic(seed=4, n=2)
     bad = p.replace(q_sqrt=1.0, kappa=1.0, kappa_sqrt=1.0, kappan=1 / p.kappa0)
     with pytest.raises(GenericityError, match="non-generic spectrum"):
-        compute_P((1, 0), bad)
+        compute_P_detail((1, 0), bad)
 
 
 def test_eta_convention_in_the_spectrum(params2):
     # eta(0) = -1 puts the zero label on the boundary-product branch
-    g0 = gamma_lambda((0, 0), params2).gamma
+    g0 = gamma_vectors([(0, 0)], params2)[0]
     expected = params2.kappa0 * params2.kappan * params2.kappa**2
     assert abs(g0[0] - expected) < 1e-12 * abs(expected)
     assert eta(0) == -1
@@ -246,11 +246,11 @@ def test_warm_paths_never_take_a_divided_difference(monkeypatch):
     after = (again.residual, stabilizer_eigen_residual(1, again.poly, p))
     assert again.poly.to_dicts() == det.poly.to_dicts()
     assert after == before
-    rebuilt = cm_alpha(det.poly, p, metadata=sol.metadata)
+    rebuilt = cm_alpha(det.poly, p, principal_series_basis(p), metadata=sol.metadata)
     assert rebuilt.components.to_dicts() == sol.components.to_dicts()
 
 
-def test_cold_paths_take_no_divided_difference_and_no_factorization(monkeypatch):
+def test_cold_paths_take_no_divided_difference_and_no_factorization(monkeypatch, cold_ball):
     """A cold ball is filled in closed form and solved by back-substitution:
     no SVD, no QR (the library has no dict-level generator action)."""
     p = sample_generic(seed=11, n=2, mcondition=1)
@@ -258,7 +258,7 @@ def test_cold_paths_take_no_divided_difference_and_no_factorization(monkeypatch)
 
     def results():
         det = compute_P_detail((1, 1), p)
-        sol = cm_alpha(det.poly, p)
+        sol = cm_alpha(det.poly, p, principal_series_basis(p))
         dets = [compute_P_detail(tuple(lam), p3) for lam in l1_ball(3, 2)]
         return (
             det.poly.to_dicts(), det.residual, stabilizer_eigen_residual(1, det.poly, p),
@@ -266,13 +266,12 @@ def test_cold_paths_take_no_divided_difference_and_no_factorization(monkeypatch)
             [(d.poly.to_dicts(), d.residual, d.span_size) for d in dets],
         )
 
-    monkeypatch.setattr(koornwinder, "_BALL_CACHE", {})
     before = results()
 
     def forbidden(*args, **kw):
         raise AssertionError("factorization on the fill path")
 
-    monkeypatch.setattr(koornwinder, "_BALL_CACHE", {})
+    _ball.cache_clear()
     monkeypatch.setattr(np.linalg, "svd", forbidden)
     monkeypatch.setattr(np.linalg, "qr", forbidden)
     assert results() == before
@@ -287,27 +286,27 @@ def test_full_ball_residual_flags_leakage_out_of_the_span(params2):
     assert set(from_table(det.poly)[0].terms) <= down
     outside = [mu for mu in basis if mu not in down]
     assert outside
-    assert joint_residual(det.poly, det.spectral, params2) < 1e-10
+    assert joint_residual(det.poly, det, params2) < 1e-10
     for mu in outside:
         leaked = to_table([from_table(det.poly)[0] + DictPoly.monomial(2, mu, 1e-6)], 2)
-        assert joint_residual(leaked, det.spectral, params2) > 1e-8, mu
+        assert joint_residual(leaked, det, params2) > 1e-8, mu
 
 
-def test_generator_image_outside_the_ball_is_a_defect(monkeypatch, params2):
+def test_generator_image_outside_the_ball_is_a_defect(monkeypatch, params2, cold_ball):
     honest = koornwinder._dd_terms
 
     def leaky(j, arr, params):
         cols, exps, coeffs = honest(j, arr, params)
         return np.append(cols, 0), np.vstack([exps, [[3, 0]]]), np.append(coeffs, 1.0)
 
-    monkeypatch.setattr(koornwinder, "_BALL_CACHE", {})
     monkeypatch.setattr(koornwinder, "_dd_terms", leaky)
     with pytest.raises(InternalDefectError, match="left the degree ball"):
         generator_matrices(params2, 2)
 
 
 @pytest.mark.parametrize("j", [0, 1, 2])
-def test_corrupted_divided_difference_fails_re_multiplication(monkeypatch, params2, j):
+def test_corrupted_divided_difference_fails_re_multiplication(monkeypatch, params2, j,
+                                                             cold_ball):
     honest = koornwinder._dd_terms
 
     def corrupted(jj, arr, params):
@@ -317,7 +316,6 @@ def test_corrupted_divided_difference_fails_re_multiplication(monkeypatch, param
             coeffs[len(coeffs) // 2] *= 1 + 1e-9
         return cols, exps, coeffs
 
-    monkeypatch.setattr(koornwinder, "_BALL_CACHE", {})
     monkeypatch.setattr(koornwinder, "_dd_terms", corrupted)
     with pytest.raises(InternalDefectError, match=f"re-multiplication check at j={j}"):
         generator_matrices(params2, 2)
@@ -418,7 +416,7 @@ def test_triangular_eigenvectors_match_the_svd_kernel(seed):
         _basis, index, mats = _ball(p, sum(abs(v) for v in lam))[:3]
         eye = np.eye(len(index))
         stack = np.concatenate(
-            [mats[i] - eye / g for i, g in enumerate(det.spectral.gamma, start=1)]
+            [mats[i] - eye / g for i, g in enumerate(det.gamma, start=1)]
         )
         sigma, vec = joint_kernel(stack)
         scale = max(sigma[0], 1.0)
@@ -433,16 +431,15 @@ def test_missing_joint_eigenvector_is_a_genericity_error(monkeypatch, params2):
     """A perturbed spectral vector misses the diagonal of Y_1 at the label;
     that gate refuses it (the degenerate-spectrum test covers the
     predecessor gate)."""
-    honest = koornwinder.gamma_lambda
+    honest = koornwinder.gamma_vectors
 
-    def perturbed(lam, params):
-        sp = honest(lam, params)
-        return koornwinder.SpectralPoint(
-            gamma=(sp.gamma[0] * (1 + 1e-3),) + sp.gamma[1:], lam=sp.lam
-        )
+    def perturbed(lams, params):
+        gammas = honest(lams, params)
+        gammas[:, 0] *= 1 + 1e-3
+        return gammas
 
     assert compute_P_detail((1, 0), params2).residual < 1e-9
-    monkeypatch.setattr(koornwinder, "gamma_lambda", perturbed)
+    monkeypatch.setattr(koornwinder, "gamma_vectors", perturbed)
     with pytest.raises(GenericityError, match="no joint eigenvector"):
         compute_P_detail((1, 0), params2)
 
@@ -462,7 +459,7 @@ def test_label_batches_match_the_per_label_oracle(n):
         for r in range(4):
             labels = [lam for lam in l1_ball(n, r) if sum(map(abs, lam)) == r]
             joint, monic, stab = label_residuals(labels, p)
-            batch = koornwinder._monic_vectors(labels, numerics._gamma_vectors(labels, p), p)
+            batch = koornwinder._monic_vectors(labels, numerics.gamma_vectors(labels, p), p)
             index = batch.ball[1]
             for col, lam in enumerate(labels):
                 # the same chopped, pinned column as the label on its own
