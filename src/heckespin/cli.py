@@ -4,8 +4,10 @@ solution build/verify, and table emission.
 Reports are plain JSON with keys sorted and checks sorted by name, so a
 fixed command line, config file, and seed always produce byte-identical
 output; wall-clock timing goes to stderr only.  Exit codes: 0 all checks
-pass, 1 at least one check failed, 2 precondition or genericity refusal
-(including caps and config errors), 3 internal defect.
+pass, 1 at least one check failed, 2 a refusal: a precondition, cap,
+genericity or pole refusal, or an input that cannot be read (unreadable or
+malformed JSON, a mistyped, zero or non-finite parameter, a negative seed),
+3 an internal defect, which includes any ValueError that no input reaches.
 
 Negative-control checks invert the usual reading: the underlying deviation
 must be LARGE for the control to count.  To keep the uniform rule
@@ -101,20 +103,24 @@ def _typed(key: str, value):
 
 
 def _read_json(path):
-    """The JSON document in the file at path; RefusalError if unreadable."""
+    """The JSON document in the file at path; RefusalError if unreadable or
+    not JSON."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise RefusalError(f"cannot read {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise RefusalError(f"malformed JSON in {path}: {exc}") from exc
 
 
 def _load_config(args) -> Config:
     """flag > file > default; the file may be a bare parameter dictionary
     or a config object with an optional "params" entry.  A file whose top
     level is not an object, a missing or mistyped entry, a label whose
-    length is not the given rank, fewer than one sample and a tolerance that
-    is not finite and positive are refused."""
+    length is not the given rank, a label that is not integers, a negative
+    seed, fewer than one sample and a tolerance that is not finite and
+    positive are refused."""
     merged: dict = {}
     if getattr(args, "params", None):
         data = _read_json(args.params)
@@ -129,18 +135,24 @@ def _load_config(args) -> Config:
                     merged["lam"] = tuple(_typed("lambda", v) for v in data["lambda"])
                 if "params" in data:
                     merged["params"] = ParamSet.from_dict(data["params"])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise RefusalError(f"malformed parameters: {type(exc).__name__} {exc}") from exc
     for key in _SETTINGS:
         if getattr(args, key, None) is not None:
             merged[key] = getattr(args, key)
     if getattr(args, "lam", None) is not None:
-        merged["lam"] = tuple(int(v) for v in args.lam.split(","))
+        try:
+            merged["lam"] = tuple(int(v) for v in args.lam.split(","))
+        except ValueError as exc:
+            raise RefusalError(
+                f"--lambda must be comma-separated integers, not {args.lam!r}") from exc
     if "params" in merged:
         merged["n"] = merged["params"].n
     if "lam" in merged and merged.setdefault("n", len(merged["lam"])) != len(merged["lam"]):
         raise RefusalError("label length does not match the rank")
     cfg = Config(**merged, out=getattr(args, "out", None), report=getattr(args, "report", None))
+    if cfg.seed < 0:
+        raise RefusalError(f"seed must be non-negative, not {cfg.seed}")
     if cfg.samples < 1:
         raise RefusalError(f"samples must be at least 1, not {cfg.samples}")
     if not (math.isfinite(cfg.tolerance) and cfg.tolerance > 0):
@@ -148,70 +160,60 @@ def _load_config(args) -> Config:
     return cfg
 
 
-def _resolve_params(cfg: Config, mcondition=None) -> ParamSet:
-    """cfg.params if given, else the generic point of cfg.seed and cfg.n."""
-    if cfg.params is not None:
-        return cfg.params
-    return sample_generic(seed=cfg.seed, n=cfg.n, mcondition=mcondition)
-
-
 def _qkz_degrees(cfg: Config) -> list:
     return [cfg.m] if cfg.m is not None else [-1, 0, 1]
 
 
 def _gate(suite: str, cfg: Config) -> None:
-    """Refuse before anything is sampled when cfg lies beyond the suite's
-    caps.  The qKZ degree cap is checked here only for sampled points; a
-    parameter file meets it when the solution is built."""
-    if suite == "koornwinder":
+    """Refuse when cfg lies beyond the caps of the suite, or of every suite
+    for "all": the polynomial caps, then the spin cap, the identity rank and
+    the qKZ degrees, and last a rank below 1.  The qKZ degree cap is checked
+    here only for sampled points; a parameter file meets it when the
+    solution is built."""
+    if suite in ("koornwinder", "all"):
         check_caps(cfg.n)
-    elif suite == "baxter":
+    if suite not in ("koornwinder", "qkz"):
         check_dim_cap(cfg.n)
+    if suite in ("baxter", "all"):
         check_identity_rank(cfg.n)
-    elif suite == "qkz":
-        if cfg.params is None:
-            for m in _qkz_degrees(cfg):
-                check_degree_cap(cfg.n, m)
-    else:
-        check_dim_cap(cfg.n)
+    if suite in ("qkz", "all") and cfg.params is None:
+        for m in _qkz_degrees(cfg):
+            check_degree_cap(cfg.n, m)
+    if cfg.n < 1:
+        raise RefusalError("rank n must be at least 1")
 
 
-def _check(name, residual, tolerance, context=""):
-    residual = float(residual)
-    return {
-        "name": name,
-        "residual": residual,
-        "tolerance": float(tolerance),
-        "pass": bool(residual < tolerance),
-        "context": context,
-    }
+def _resolve_params(cfg: Config, suite: str, mcondition=None) -> ParamSet:
+    """The point a command runs at, once the suite's gate has passed:
+    cfg.params if given, else the generic point of cfg.seed and cfg.n."""
+    _gate(suite, cfg)
+    if cfg.params is not None:
+        return cfg.params
+    return sample_generic(seed=cfg.seed, n=cfg.n, mcondition=mcondition)
 
 
-def _floor_check(name, value, floor, tolerance, context):
-    """pass iff value >= floor, reported as the shortfall below the floor; a
-    NaN value gives a NaN shortfall, which fails."""
+def _row(name, value, tolerance, context="", floor=None):
+    """One report row, passed iff its residual is below the tolerance.  With
+    a floor the value must reach the floor instead, and the residual is the
+    shortfall below it; a NaN value gives a NaN shortfall, which fails."""
     value = float(value)
-    shortfall = 0.0 if value >= floor else floor - value
-    ctx = context + (
-        f"; the value must exceed {floor:g} (observed {value:.6e}); "
-        "the reported residual is the shortfall below that floor"
-    )
-    return _check(name, shortfall, tolerance, ctx)
+    if floor is not None:
+        context += (f"; the value must exceed {floor:g} (observed {value:.6e}); "
+                    "the reported residual is the shortfall below that floor")
+        value = 0.0 if value >= floor else floor - value
+    return {"name": name, "residual": value, "tolerance": float(tolerance),
+            "pass": bool(value < tolerance), "context": context}
 
 
-def _control_check(name, raw, tolerance, context):
-    return _floor_check(name, raw, _CONTROL_FLOOR, tolerance, "negative control; " + context)
+def _control(name, raw, tolerance, context):
+    return _row(name, raw, tolerance, "negative control; " + context, floor=_CONTROL_FLOOR)
 
 
-def _from_residuals(prefix, res, tol, context=""):
-    out = []
-    for name, val in sorted(res.items()):
-        full = prefix + name
-        if name.startswith("negative control"):
-            out.append(_control_check(full, val, tol, context))
-        else:
-            out.append(_check(full, val, tol, context))
-    return out
+def _rows(prefix, res, tol, context=""):
+    """One row per residual in key order; a key that starts with "negative
+    control" is a control."""
+    return [(_control if key.startswith("negative control") else _row)(
+        prefix + key, val, tol, context) for key, val in sorted(res.items())]
 
 
 # ---------------------------------------------------------------- suites
@@ -221,19 +223,19 @@ def suite_algebra(cfg: Config, p: ParamSet):
     basis, zeta, _reps, rep = principal_series_basis(p)
     tl = delta_from_kappa(p)
     checks = []
-    checks += _from_residuals(
+    checks += _rows(
         "hecke ", check_hecke_relations(rep.T, p), cfg.tolerance,
         "defining relations of the generator family in the spin representation",
     )
-    checks += _from_residuals(
+    checks += _rows(
         "diagram ", check_tl_relations(rep.e, tl, p.n), cfg.tolerance,
         "diagram-algebra relations for the projector family",
     )
-    checks += _from_residuals(
+    checks += _rows(
         "quotient ", quotient_map_residuals(rep), cfg.tolerance,
         "the generator image decomposes through the projector family",
     )
-    checks.append(_check(
+    checks.append(_row(
         "commuting family pairwise", murphy_commutator_residual(rep), cfg.tolerance,
         "the 2n-fold generator products commute with one another",
     ))
@@ -241,21 +243,21 @@ def suite_algebra(cfg: Config, p: ParamSet):
     v0[0] = 1.0
     worst = np.max([np.abs(murphy_Y(rep, i, v0) - zeta[i - 1] * v0).max()
                     for i in range(1, p.n + 1)])
-    checks.append(_check(
+    checks.append(_row(
         "highest weight eigenvalues", worst, cfg.tolerance,
         "the all-plus vector is a joint eigenvector with the boundary-weighted"
         " geometric eigenvalue string",
     ))
     smin = float(np.linalg.svd(basis, compute_uv=False)[-1])
-    checks.append(_floor_check(
-        "principal basis independence", smin, 1e-8, cfg.tolerance,
-        "smallest singular value of the coset-representative basis",
+    checks.append(_row(
+        "principal basis independence", smin, cfg.tolerance,
+        "smallest singular value of the coset-representative basis", floor=1e-8,
     ))
     bad = dict(rep.T)
     block, legs = bad[min(1, p.n)]
     bad[min(1, p.n)] = (1.01 * block, legs)
     raw = np.max(list(check_hecke_relations(bad, p).values()))
-    checks.append(_control_check(
+    checks.append(_control(
         "control scaled generator", raw, cfg.tolerance,
         "scaling one generator by 1.01 must break the defining relations",
     ))
@@ -267,7 +269,7 @@ def suite_matchmaker(cfg: Config, p: ParamSet):
     tl = delta_from_kappa(p)
     beta0, beta1 = matchmaker_betas(p)
     mats = {j: matchmaker_matrix(j, tl, beta0, beta1, n) for j in range(n + 1)}
-    checks = _from_residuals(
+    checks = _rows(
         "matchmaker ", check_tl_relations(mats, tl, n), cfg.tolerance,
         "diagram-algebra relations in the matching basis",
     )
@@ -275,20 +277,20 @@ def suite_matchmaker(cfg: Config, p: ParamSet):
     psi = intertwiner_Psi(p)
     worst = np.max([rel_residual(apply_on_legs(*rep.e[j], psi, n), psi @ mats[j])
                     for j in range(n + 1)])
-    checks.append(_check(
+    checks.append(_row(
         "equivalence intertwines projectors", worst, cfg.tolerance,
         "the matching-to-spin map commutes with every projector",
     ))
     smin = float(np.linalg.svd(psi, compute_uv=False)[-1])
-    checks.append(_floor_check(
-        "equivalence invertibility", smin, 1e-8, cfg.tolerance,
-        "smallest singular value of the matching-to-spin map",
+    checks.append(_row(
+        "equivalence invertibility", smin, cfg.tolerance,
+        "smallest singular value of the matching-to-spin map", floor=1e-8,
     ))
     limit_map = intertwiner_Psi(p, limit=True)
     expected = np.zeros_like(limit_map)
     for col, match in enumerate(enumerate_matchings(n)):
         expected[match.nu_index(), col] = 1.0
-    checks.append(_check(
+    checks.append(_row(
         "degenerate point sign map", rel_residual(limit_map, expected), cfg.tolerance,
         "at the degenerate parameter point the map collapses to the"
         " sign-string relabeling",
@@ -298,7 +300,7 @@ def suite_matchmaker(cfg: Config, p: ParamSet):
     bad_mats = dict(mats)
     bad_mats[min(1, n)] = 1.01 * mats[min(1, n)]
     raw = np.max(list(check_tl_relations(bad_mats, tl, n).values()))
-    checks.append(_control_check(
+    checks.append(_control(
         "control scaled projector", raw, cfg.tolerance,
         "scaling one projector by 1.01 must break the idempotent relations",
     ))
@@ -307,7 +309,7 @@ def suite_matchmaker(cfg: Config, p: ParamSet):
 
 def suite_baxter(cfg: Config, p: ParamSet):
     n = p.n
-    checks = _from_residuals(
+    checks = _rows(
         "", check_ybe_re(p, samples=cfg.samples, seed=cfg.seed), cfg.tolerance,
         "spectral-parameter identities of the dressed generators",
     )
@@ -333,7 +335,7 @@ def suite_baxter(cfg: Config, p: ParamSet):
         return out
 
     words = pole_free_points(draw_word, word_residuals, max(4, cfg.samples // 2))
-    checks.append(_check(
+    checks.append(_row(
         "word independence", np.max(words), cfg.tolerance,
         "the ordered product over any word for a group element matches the"
         " product over its shortest word",
@@ -348,7 +350,7 @@ def suite_baxter(cfg: Config, p: ParamSet):
         return rel_residual(cocycle_C(p, first + last, t), cocycle_C(p, last + first, t))
 
     transport = pole_free_points(lambda: torus_point(rng, n, (0.7, 1.4)), transport_residual, 4)
-    checks.append(_check(
+    checks.append(_row(
         "commuting translation transports", transport, cfg.tolerance,
         "transports along distinct lattice directions compose in either order",
     ))
@@ -357,11 +359,11 @@ def suite_baxter(cfg: Config, p: ParamSet):
 
 def suite_transfer(cfg: Config, p: ParamSet):
     samples = max(4, min(cfg.samples, 8))
-    checks = _from_residuals(
+    checks = _rows(
         "", check_transfer(p, samples=samples, seed=cfg.seed), cfg.tolerance,
         "double-row transfer matrix identities",
     )
-    checks += _from_residuals(
+    checks += _rows(
         "", check_transfer_vs_transport(p, samples=samples, seed=cfg.seed),
         cfg.tolerance,
         "the transfer matrix at the distinguished points acts as the"
@@ -370,11 +372,11 @@ def suite_transfer(cfg: Config, p: ParamSet):
     h_tl = hamiltonian(p, form="tl")
     h_pauli = hamiltonian(p, form="pauli")
     h_transfer = hamiltonian(p, form="transfer")
-    checks.append(_check(
+    checks.append(_row(
         "hamiltonian projector vs pauli form", rel_residual(h_tl, h_pauli),
         cfg.tolerance, "two closed forms of the spin-chain hamiltonian",
     ))
-    checks.append(_check(
+    checks.append(_row(
         "hamiltonian transfer vs pauli form", rel_residual(h_transfer, h_pauli),
         max(cfg.tolerance, 1e-7),
         "the logarithmic derivative of the normalized transfer matrix"
@@ -386,7 +388,7 @@ def suite_transfer(cfg: Config, p: ParamSet):
         t = torus_point(rng, p.n, (0.8, 1.3))
         hi = transfer_T_mp(p, x, t, digits=40)
         lo = transfer_T(p, x, t)
-        checks.append(_check(
+        checks.append(_row(
             "extended precision transfer agreement", rel_residual(lo, hi),
             cfg.tolerance,
             "the double-precision transfer matrix against a 40-digit"
@@ -394,7 +396,7 @@ def suite_transfer(cfg: Config, p: ParamSet):
         ))
     bad = p.replace(kappa0=p.kappa0 * 1.01)
     raw = rel_residual(hamiltonian(bad, form="tl"), h_pauli)
-    checks.append(_control_check(
+    checks.append(_control(
         "control detuned boundary", raw, cfg.tolerance,
         "detuning one boundary parameter by 1.01 must separate the closed forms",
     ))
@@ -411,7 +413,7 @@ def suite_koornwinder(cfg: Config, p: ParamSet):
     const = compute_P_detail((0,) * n, p).poly
     # every coefficient against those of 1: one at the zero exponent, else 0
     diff = np.abs(const.coeffs - ~const.exps.any(axis=1)).max()
-    checks.append(_check(
+    checks.append(_row(
         "constant polynomial", diff, cfg.tolerance,
         "the zero label yields the constant polynomial exactly",
     ))
@@ -430,19 +432,19 @@ def suite_koornwinder(cfg: Config, p: ParamSet):
     worst_fixed = np.max(np.concatenate(fixed), initial=0.0)
     sep = np.min(np.concatenate(moving), initial=np.inf)
     ctx = f"all {sum(map(len, joint))} labels with degree at most {radius}"
-    checks.append(_check(
+    checks.append(_row(
         "joint eigenvector residual", worst_eig, max(cfg.tolerance, 1e-8), ctx,
     ))
-    checks.append(_check("monic leading coefficient", worst_monic, cfg.tolerance, ctx))
-    checks.append(_check(
+    checks.append(_row("monic leading coefficient", worst_monic, cfg.tolerance, ctx))
+    checks.append(_row(
         "stabilizer eigenvalue at symmetric labels", worst_fixed,
         max(cfg.tolerance, 1e-8),
         "labels fixed by a simple reflection are generator eigenvectors",
     ))
-    checks.append(_floor_check(
-        "stabilizer separation at moving labels", sep, _CONTROL_FLOOR,
-        cfg.tolerance,
+    checks.append(_row(
+        "stabilizer separation at moving labels", sep, cfg.tolerance,
         "labels moved by a simple reflection must not be generator eigenvectors",
+        floor=_CONTROL_FLOOR,
     ))
     return checks
 
@@ -452,17 +454,16 @@ def suite_qkz(cfg: Config, p: ParamSet):
     ms = _qkz_degrees(cfg)
     sols = []
     for m in ms:
-        at_m = p if cfg.params is not None else sample_generic(seed=cfg.seed, n=p.n, mcondition=m)
-        sol = build_polynomial_solution(at_m, m)
+        sol = build_polynomial_solution(_resolve_params(cfg, "qkz", mcondition=m), m)
         sols.append(sol)
         res = verify_solution(sol, samples=cfg.samples, seed=cfg.seed)
-        checks += _from_residuals(
+        checks += _rows(
             f"solution m={m}: ", res, max(cfg.tolerance, 1e-8),
             "pointwise residuals at random generic points",
         )
-        checks.append(_floor_check(
-            f"solution m={m}: nontrivial", max_abs(sol.components.coeffs), 1e-6, cfg.tolerance,
-            "largest coefficient of the assembled solution",
+        checks.append(_row(
+            f"solution m={m}: nontrivial", max_abs(sol.components.coeffs), cfg.tolerance,
+            "largest coefficient of the assembled solution", floor=1e-6,
         ))
     if cfg.params is None:
         free = sample_generic(seed=cfg.seed + 101, n=p.n)
@@ -471,7 +472,7 @@ def suite_qkz(cfg: Config, p: ParamSet):
             refused = 1.0
         except RefusalError:
             refused = 0.0
-        checks.append(_check(
+        checks.append(_row(
             "refusal on unconstrained parameters", refused, cfg.tolerance,
             "building at a generic unconstrained point must refuse",
         ))
@@ -479,7 +480,7 @@ def suite_qkz(cfg: Config, p: ParamSet):
         coeffs[0] *= 1.01
         bad = replace(sols[0], components=LaurentPoly(sols[0].components.exps, coeffs))
         raw = np.max(list(verify_solution(bad, samples=4, seed=cfg.seed).values()))
-        checks.append(_control_check(
+        checks.append(_control(
             "control distorted solution", raw, cfg.tolerance,
             "scaling one component by 1.01 must break the difference equations",
         ))
@@ -499,16 +500,10 @@ _SUITE_FNS = {
 
 def run_suite(name: str, cfg: Config):
     """Execute one named suite (or all of them) and assemble the report:
-    every requested suite's caps are checked, then the point is drawn once
-    and handed to each suite."""
+    the point is drawn once, past the gate, and handed to each suite."""
     t0 = time.monotonic()
-    if name == "all":
-        # the polynomial suites cap n first; keep that refusal text
-        check_caps(cfg.n)
+    p = _resolve_params(cfg, name)
     names = list(_SUITE_FNS) if name == "all" else [name]
-    for sub in names:
-        _gate(sub, cfg)
-    p = _resolve_params(cfg)
     checks = []
     for sub in names:
         prefix = f"{sub}: " if name == "all" else ""
@@ -560,9 +555,9 @@ def _polynomial_payload(det) -> dict:
 def cmd_koornwinder_compute(args) -> int:
     cfg = _load_config(args)
     if cfg.lam is None:
-        raise ValueError("--lambda is required (comma-separated integers)")
+        raise RefusalError("--lambda is required (comma-separated integers)")
     check_caps(cfg.n, sum(abs(v) for v in cfg.lam))
-    p = _resolve_params(cfg)
+    p = _resolve_params(cfg, "koornwinder")
     payload = _polynomial_payload(compute_P_detail(cfg.lam, p))
     payload["params_fingerprint"] = p.fingerprint()
     _write_json(payload, cfg.out)
@@ -573,8 +568,7 @@ def cmd_qkz_build(args) -> int:
     cfg = _load_config(args)
     if cfg.m is None:
         cfg.m = 1
-    _gate("qkz", cfg)
-    sol = build_polynomial_solution(_resolve_params(cfg, mcondition=cfg.m), cfg.m)
+    sol = build_polynomial_solution(_resolve_params(cfg, "qkz", mcondition=cfg.m), cfg.m)
     _write_json(sol.to_dict(), cfg.out)
     return 0
 
@@ -583,7 +577,7 @@ def cmd_qkz_verify(args) -> int:
     cfg = _load_config(args)
     sol = KZSolution.from_dict(_read_json(args.infile))
     t0 = time.monotonic()
-    checks = _from_residuals(
+    checks = _rows(
         "", verify_solution(sol, samples=cfg.samples, seed=cfg.seed),
         max(cfg.tolerance, 1e-8), "pointwise residuals at random generic points",
     )
@@ -593,51 +587,49 @@ def cmd_qkz_verify(args) -> int:
 
 def cmd_emit_tables(args) -> int:
     cfg = _load_config(args)
+    bound = cfg.m if cfg.m is not None else 2
     if args.kind == "koornwinder":
-        bound = cfg.m if cfg.m is not None else 2
-        if bound >= 0:
-            check_caps(cfg.n, bound)
-        out_dir = cfg.out or "tables_koornwinder"
-        os.makedirs(out_dir, exist_ok=True)
-        p = _resolve_params(cfg)
-        entries = []
-        for lam in l1_ball(cfg.n, bound):
-            payload = _polynomial_payload(compute_P_detail(lam, p))
-            fname = "lam_" + "_".join(str(v) for v in lam) + ".json"
-            _write_json(payload, os.path.join(out_dir, fname))
-            entries.append(fname)
-        manifest = {
-            "kind": "koornwinder",
-            "n": cfg.n,
-            "degree_bound": bound,
-            "entries": entries,
+        check_caps(cfg.n, bound)
+    p = _resolve_params(cfg, args.kind)
+    if args.kind == "hamiltonian_spectrum":
+        spectra = {
+            form: sorted(np.linalg.eigvals(hamiltonian(p, form=form)),
+                         key=lambda z: (round(z.real, 9), round(z.imag, 9)))
+            for form in ("transfer", "pauli", "tl")
+        }
+        gap = max(
+            abs(complex(x) - complex(y))
+            for va, vb in itertools.combinations(spectra.values(), 2)
+            for x, y in zip(va, vb)
+        )
+        payload = {
+            "kind": "hamiltonian_spectrum",
+            "n": p.n,
+            "forms": {form: [{"re": v.real, "im": v.imag} for v in vals]
+                      for form, vals in spectra.items()},
+            "max_pairwise_gap": gap,
+            "agree": bool(gap < 1e-7),
             "params_fingerprint": p.fingerprint(),
         }
-        _write_json(manifest, os.path.join(out_dir, "manifest.json"))
-        print(f"wrote {len(entries)} files to {out_dir}", file=sys.stderr)
+        _write_json(payload, cfg.out)
         return 0
-    check_dim_cap(cfg.n)
-    p = _resolve_params(cfg)
-    spectra = {
-        form: sorted(np.linalg.eigvals(hamiltonian(p, form=form)),
-                     key=lambda z: (round(z.real, 9), round(z.imag, 9)))
-        for form in ("transfer", "pauli", "tl")
-    }
-    gap = max(
-        abs(complex(x) - complex(y))
-        for va, vb in itertools.combinations(spectra.values(), 2)
-        for x, y in zip(va, vb)
-    )
-    payload = {
-        "kind": "hamiltonian_spectrum",
-        "n": p.n,
-        "forms": {form: [{"re": v.real, "im": v.imag} for v in vals]
-                  for form, vals in spectra.items()},
-        "max_pairwise_gap": gap,
-        "agree": bool(gap < 1e-7),
+    out_dir = cfg.out or "tables_koornwinder"
+    os.makedirs(out_dir, exist_ok=True)
+    entries = []
+    for lam in l1_ball(cfg.n, bound):
+        payload = _polynomial_payload(compute_P_detail(lam, p))
+        fname = "lam_" + "_".join(str(v) for v in lam) + ".json"
+        _write_json(payload, os.path.join(out_dir, fname))
+        entries.append(fname)
+    manifest = {
+        "kind": "koornwinder",
+        "n": cfg.n,
+        "degree_bound": bound,
+        "entries": entries,
         "params_fingerprint": p.fingerprint(),
     }
-    _write_json(payload, cfg.out)
+    _write_json(manifest, os.path.join(out_dir, "manifest.json"))
+    print(f"wrote {len(entries)} files to {out_dir}", file=sys.stderr)
     return 0
 
 
@@ -717,7 +709,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (RefusalError, GenericityError, PoleProximityError, ValueError) as exc:
+    except (RefusalError, GenericityError, PoleProximityError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         cond = getattr(exc, "report", None)
         if cond is not None:
@@ -726,7 +718,7 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
         return 2
-    except InternalDefectError as exc:
+    except (InternalDefectError, ValueError) as exc:
         print(f"internal defect: {exc}", file=sys.stderr)
         return 3
 

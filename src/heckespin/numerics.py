@@ -94,7 +94,8 @@ class ParamSet:
     """The full scalar bundle at a fixed rank n.
 
     kappa_sqrt is a chosen square root of kappa (it appears on its own only
-    inside the twist matrix of the transfer trace); the constructor refuses a
+    inside the twist matrix of the transfer trace); the constructor raises
+    ValueError on a rank below 1, a scalar that is zero or not finite, and a
     root that does not square back to kappa.
     """
 
@@ -116,6 +117,8 @@ class ParamSet:
             z = getattr(self, name)
             if z == 0:
                 raise ValueError(f"{name} must be nonzero")
+            if not cmath.isfinite(z):
+                raise ValueError(f"{name} must be finite")
         if abs(self.kappa_sqrt**2 - self.kappa) > 1e-12 * max(1.0, abs(self.kappa)):
             raise ValueError("kappa_sqrt**2 does not match kappa")
 

@@ -103,7 +103,7 @@ class KZSolution:
                 raise RefusalError(f"a stored solution needs 2^n = {2**n} components in n = "
                                    f"{n} variables, not {len(rows)} in {arities}")
             return cls(params, LaurentPoly.from_dicts(rows), dict(data.get("metadata", {})))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise RefusalError(f"malformed solution: {type(exc).__name__} {exc}") from exc
 
 

@@ -63,7 +63,7 @@ def delta_from_kappa(params: ParamSet) -> TLParams:
         kj = params.kappa_j(j)
         den = k / kj + kj / k
         if abs(den) < 1e-12:
-            raise ValueError(f"parameter mismatch singularity at index {j}")
+            raise RefusalError(f"parameter mismatch singularity at index {j}")
         vals[name] = -(kj + 1 / kj) / den
     return TLParams(delta0=vals["delta0"], delta=-(k + 1 / k), deltan=vals["deltan"])
 
@@ -247,20 +247,20 @@ def murphy_commutator_residual(rep: SpinRep) -> float:
     Each side is one Murphy word applied to the other element as the
     operand.  The columns are taken in blocks of at most _COLUMN_BLOCK, so
     no more than n such blocks are held at once; the max-abs norms of the
-    residual are maxima over the blocks.
+    residual are maxima over the blocks, folded so that a NaN stays NaN.
     """
     n, dim = rep.n, rep.dim
     words = {i: murphy_factors(rep, i) for i in range(1, n + 1)}
     pairs = [(i, j) for i in words for j in words if i < j]
-    num, scale = dict.fromkeys(pairs, 0.0), dict.fromkeys(pairs, 0.0)
+    num, scale = np.zeros(len(pairs)), np.zeros(len(pairs))
     for start in range(0, dim, _COLUMN_BLOCK):
         cols = np.eye(dim, min(_COLUMN_BLOCK, dim - start), -start, dtype=complex)
         ys = {i: murphy_Y(rep, i, cols) for i in words}
-        for i, j in pairs:
+        for k, (i, j) in enumerate(pairs):
             a, b = murphy_Y(rep, i, ys[j]), murphy_Y(rep, j, ys[i])
-            num[i, j] = max(num[i, j], max_abs(a - b))
-            scale[i, j] = max(scale[i, j], max_abs(a), max_abs(b))
-    return max((num[k] / scale[k] for k in pairs), default=0.0)
+            num[k] = np.max([num[k], max_abs(a - b)])
+            scale[k] = np.max([scale[k], max_abs(a), max_abs(b)])
+    return float(np.max([rel_residual(d, 0, scale=s) for d, s in zip(num, scale)], initial=0.0))
 
 
 def principal_series_basis(params: ParamSet):

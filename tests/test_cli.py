@@ -1,10 +1,14 @@
 """Driver behavior: exit codes, report determinism, artifact files, and
 flag precedence."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import pole_free
 from heckespin.baxter import cocycle_C
@@ -285,6 +289,8 @@ _MALFORMED = {
     "text coefficient": "refused: malformed solution: TypeError",
     "params without psin": "refused: malformed solution: KeyError 'psin'",
     "fractional exponent": "refused: malformed solution: TypeError",
+    "NaN psi0": "refused: malformed solution: ValueError psi0 must be finite",
+    "infinite psi0": "refused: malformed solution: ValueError psi0 must be finite",
 }
 
 
@@ -304,6 +310,8 @@ def test_malformed_stored_solution_is_refused(tmp_path, capsys, corrupt):
         comp["terms"][0]["re"] = "x"
     elif corrupt == "params without psin":
         del data["params"]["psin"]
+    elif corrupt.endswith("psi0"):
+        data["params"]["psi0"]["im"] = float("nan" if corrupt == "NaN psi0" else "-inf")
     else:
         comp["terms"][0]["exp"] = [0.5, 1]
     path.write_text(json.dumps(data))
@@ -415,6 +423,96 @@ def test_a_parameter_file_that_is_not_an_object_is_refused(tmp_path, capsys, dat
     assert run(["verify", "algebra", "--n", "2", "--params", str(pfile)]) == 2
     assert "refused: malformed parameters: the top level is not a JSON object" in (
         capsys.readouterr().err)
+
+
+def _write(tmp_path, data, name="p.json"):
+    """The path of a file holding data: text as it is, else as JSON."""
+    path = tmp_path / name
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
+    return str(path)
+
+
+def _params_file(tmp_path, seed=8, n=2, **fields):
+    """A file of the generic point of seed and n, with fields replaced."""
+    return _write(tmp_path, dict(sample_generic(seed=seed, n=n).to_dict(), **fields))
+
+
+def _singular_params():
+    """kappa0 = i kappa, where the loop weight's denominator vanishes."""
+    p = sample_generic(seed=8, n=2)
+    return p.replace(kappa0=1j * p.kappa).to_dict()
+
+
+def _stored_with_params(tmp_path, **fields):
+    path, data = _stored_solution(tmp_path)
+    data["params"].update(fields)
+    return _write(tmp_path, data, "sol.json")
+
+
+_INPUT_EDGE = {
+    "malformed JSON": lambda tmp: ["verify", "algebra", "--params", _write(tmp, "{not json")],
+    "label a,b": lambda tmp: ["koornwinder", "compute", "--lambda", "a,b"],
+    "label 1,,2": lambda tmp: ["koornwinder", "compute", "--lambda", "1,,2"],
+    "rank 0": lambda tmp: ["verify", "algebra", "--n", "0"],
+    "seed -1": lambda tmp: ["verify", "algebra", "--n", "2", "--seed", "-1"],
+    "zero parameter file": lambda tmp: [
+        "verify", "algebra", "--params", _params_file(tmp, psi0={"re": 0, "im": 0})],
+    "stored solution root of kappa": lambda tmp: [
+        "qkz", "verify", "--in", _stored_with_params(tmp, kappa_sqrt={"re": 3, "im": 0})],
+    "integer beyond the float range": lambda tmp: [
+        "verify", "algebra", "--params", _params_file(tmp, psi0={"re": 10**400, "im": 0})],
+    "boundary singularity": lambda tmp: [
+        "verify", "matchmaker", "--params", _write(tmp, _singular_params())],
+    "no label": lambda tmp: ["koornwinder", "compute", "--n", "2"],
+}
+
+
+@pytest.mark.parametrize("case", _INPUT_EDGE)
+def test_a_bad_input_is_refused_where_it_is_read(tmp_path, capsys, case):
+    """Each input that used to surface deep in the run, as a bare ValueError
+    or a traceback, is refused with exit 2 where it is read."""
+    argv = _INPUT_EDGE[case](tmp_path)
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert "refused: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("suite", ["algebra", "baxter", "transfer", "koornwinder", "all"])
+def test_a_non_finite_parameter_file_is_refused(tmp_path, capsys, suite, value):
+    """psi0 = NaN or inf crashed verify algebra and verify all, failed verify
+    baxter and verify transfer, and passed verify koornwinder."""
+    pfile = _params_file(tmp_path, seed=1, n=3, psi0={"re": value, "im": 0.0})
+    assert run(["verify", suite, "--params", pfile]) == 2
+    assert "refused: malformed parameters: ValueError psi0 must be finite" in (
+        capsys.readouterr().err)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_huge_finite_parameter_fails_rows_instead_of_crashing(tmp_path, capsys):
+    """psi0 = 1e300 overflows the Murphy products; the commutator row reads
+    NaN and fails, where its division raised ZeroDivisionError."""
+    pfile = _params_file(tmp_path, seed=1, n=3, psi0={"re": 1e300, "im": 0.0})
+    report = tmp_path / "r.json"
+    assert run(["verify", "algebra", "--params", pfile, "--report", str(report)]) == 1
+    checks = {c["name"]: c for c in json.loads(report.read_text())["checks"]}
+    assert not checks["commuting family pairwise"]["pass"]
+
+
+def test_a_negative_table_bound_still_meets_the_rank_cap(tmp_path, monkeypatch, capsys):
+    """A bound below 0 asks for no label, but the rank cap still holds: n = 4
+    is refused before sampling, and no output directory is made."""
+    import heckespin.cli as cli
+
+    def no_sampling(*args, **kw):
+        raise AssertionError("sampled before the cap check")
+
+    monkeypatch.setattr(cli, "sample_generic", no_sampling)
+    out = tmp_path / "t"
+    assert run(["emit", "tables", "--kind", "koornwinder", "--n", "4", "--m", "-1",
+                "--out", str(out)]) == 2
+    assert "refused: polynomial caps exceeded" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_evaluator_arity_mismatch_is_an_internal_defect(tmp_path, monkeypatch, capsys):
@@ -597,6 +695,16 @@ def test_bad_argument_from_a_caller_is_an_internal_defect(monkeypatch, capsys, t
     assert "internal defect" in capsys.readouterr().err
 
 
+def test_an_internal_value_error_is_an_internal_defect(monkeypatch, capsys):
+    """A ValueError that no input reaches, here a simple reflection past the
+    right boundary, exits 3, not 2."""
+    import heckespin.cli as cli
+
+    monkeypatch.setattr(cli, "reduced_word", lambda w: cli.WeylElem.generator(w.n + 1, w.n))
+    assert run(["verify", "baxter", "--n", "2", "--seed", "1"]) == 3
+    assert "internal defect: generator index 3 out of range for n=2" in capsys.readouterr().err
+
+
 def test_benchmark_gated_commands_keep_their_check_names():
     """The six commands the benchmark gates, at seed 1, report exactly the
     check names the benchmark expects (perfbench/expected_checks.json, only
@@ -636,12 +744,31 @@ def test_traced_classes_exist_in_the_package():
             assert isinstance(getattr(module, name, None), type), f"{layer}.{name}"
 
 
+def test_traced_suite_names_are_the_suite_functions():
+    """Every suite the benchmark times by name (SUITES in perfbench/run.py,
+    only read here) is dispatched through the module-level _SUITE_FNS to
+    cli.suite_<name>: the tracer rebinds module globals and the values of
+    module-level dicts, so a suite reached any other way would read 0."""
+    import ast
+    import heckespin.cli as cli
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    [suites] = [ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["SUITES"]]
+    assert suites
+    for name in suites:
+        assert cli._SUITE_FNS[name] is getattr(cli, f"suite_{name}"), name
+
+
 def test_a_nan_floor_value_fails_its_check():
     import heckespin.cli as cli
 
-    assert not cli._floor_check("c", float("nan"), 1e-3, 1e-9, "")["pass"]
-    assert not cli._floor_check("c", 5e-4, 1e-3, 1e-9, "")["pass"]
-    assert cli._floor_check("c", 2e-3, 1e-3, 1e-9, "")["pass"]
+    assert not cli._row("c", float("nan"), 1e-9, "", floor=1e-3)["pass"]
+    assert not cli._row("c", 5e-4, 1e-9, "", floor=1e-3)["pass"]
+    assert cli._row("c", 2e-3, 1e-9, "", floor=1e-3)["pass"]
 
 
 def _checks(monkeypatch, module, name, wrapper, suite, n):
@@ -719,3 +846,58 @@ def test_a_nan_label_fails_every_label_check(monkeypatch):
                  "stabilizer eigenvalue at symmetric labels",
                  "stabilizer separation at moving labels"):
         assert not checks[name]["pass"], name
+
+
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.just(10**400), st.text(max_size=3),
+    st.lists(st.integers(-2, 2), max_size=2),
+    st.dictionaries(st.sampled_from(["re", "im", "n", "params"]),
+                    st.none() | st.booleans() | st.text(max_size=2) | st.lists(st.none()),
+                    max_size=2),
+)
+# one part of a scalar: zero, non-finite, or of size in [0.5, 2]
+_PART = st.one_of(st.sampled_from([0.0, float("nan"), float("inf"), float("-inf")]),
+                  st.floats(0.5, 2.0), st.floats(-2.0, -0.5))
+
+
+@st.composite
+def _parameter_documents(draw):
+    """A generic parameter file with up to three entries dropped or replaced
+    by junk, by another rank, or by a scalar part that is zero, non-finite or
+    of moderate size; bare, under a config object, or replaced whole."""
+    doc = sample_generic(seed=draw(st.integers(1, 3)), n=draw(st.sampled_from([2, 3]))).to_dict()
+    for key in draw(st.lists(st.sampled_from(list(doc)), max_size=3, unique=True)):
+        how = draw(st.sampled_from(["drop", "junk", "value"]))
+        if how == "drop":
+            del doc[key]
+        elif how == "junk":
+            doc[key] = draw(_JUNK)
+        elif key == "n":
+            doc[key] = draw(st.sampled_from([0, -1, 1, 2, 3, 11, 2.5, True, "2"]))
+        else:
+            doc[key] = {"re": draw(_PART), "im": draw(_PART)}
+    wrap = draw(st.sampled_from(["bare", "config", "replaced"]))
+    if wrap == "config":
+        return {"params": doc, "seed": draw(st.integers(0, 3))}
+    return draw(_JUNK) if wrap == "replaced" else doc
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_parameter_documents(), argv=st.sampled_from([
+    ["verify", "algebra"], ["verify", "baxter", "--samples", "4"],
+    ["koornwinder", "compute", "--lambda", "1,0"], ["koornwinder", "compute", "--lambda", "1,0,-1"],
+    ["emit", "tables", "--kind", "hamiltonian_spectrum"],
+]))
+def test_no_parameter_file_crashes_the_driver(tmp_path, doc, argv):
+    """Whatever a --params file holds, the driver passes, fails or refuses:
+    no traceback and no internal defect.  Finite scalar parts keep a size in
+    [0.5, 2]: extreme finite points, which skip the sampler's genericity
+    screen, still fail badly and are left out (CHANGES.md)."""
+    pfile = _write(tmp_path, doc)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv + ["--params", pfile])
+    assert code in (0, 1, 2), err.getvalue()
+    assert code != 2 or "refused: " in err.getvalue()

@@ -272,3 +272,27 @@ def test_murphy_commutators_match_the_dense_pairs(n, bent, monkeypatch):
     monkeypatch.setattr(spinrep, "_COLUMN_BLOCK", 16)
     got = murphy_commutator_residual(rep)
     assert abs(got - want) <= max(1e-15, 1e-12 * want)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("poison", ["one entry", "every product"])
+def test_a_nan_in_a_murphy_product_fails_the_commutator_row(monkeypatch, poison):
+    """A NaN in one entry of the first product Y_i Y_j, or in every entry of
+    every product, makes the commutator residual NaN: the block maxima and
+    the division keep it, where Python's max dropped it (one entry read
+    4.7e-16) or left 0 / 0 (every product)."""
+    rep = build_spin_rep(sample_generic(seed=1, n=3))
+    honest, calls = spinrep.murphy_Y, []
+
+    def poisoned(rep, i, a=None):
+        out = honest(rep, i, a)
+        calls.append(i)
+        # the first n calls are the column images; the products follow
+        if len(calls) > rep.n and (poison == "every product" or len(calls) == rep.n + 1):
+            out = out.copy()
+            out[(0, 0) if poison == "one entry" else ...] = np.nan
+        return out
+
+    monkeypatch.setattr(spinrep, "murphy_Y", poisoned)
+    got = murphy_commutator_residual(rep)
+    assert got != got
