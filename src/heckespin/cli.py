@@ -9,6 +9,12 @@ genericity or pole refusal, or an input that cannot be read (unreadable or
 malformed JSON, a mistyped, zero or non-finite parameter, a negative seed),
 3 an internal defect, which includes any ValueError that no input reaches.
 
+A suite beyond its caps (_CAPS) refuses before sampling.  "verify all" runs
+the suites within theirs and lists the others in a "skipped" report key,
+{suite: reason}, absent when none is skipped; a skip is not a pass, and the
+stderr line reads "PASS (k checks, s suites skipped, ...)".  With no suite
+left, "verify all" refuses before sampling and names every reason.
+
 Negative-control checks invert the usual reading: the underlying deviation
 must be LARGE for the control to count.  To keep the uniform rule
 "pass iff residual < tolerance", such checks report the shortfall
@@ -118,9 +124,9 @@ def _load_config(args) -> Config:
     """flag > file > default; the file may be a bare parameter dictionary
     or a config object with an optional "params" entry.  A file whose top
     level is not an object, a missing or mistyped entry, a label whose
-    length is not the given rank, a label that is not integers, a negative
-    seed, fewer than one sample and a tolerance that is not finite and
-    positive are refused."""
+    length is not the given rank, a label that is not integers, a rank
+    below 1, a negative seed, fewer than one sample and a tolerance that is
+    not finite and positive are refused."""
     merged: dict = {}
     if getattr(args, "params", None):
         data = _read_json(args.params)
@@ -151,6 +157,8 @@ def _load_config(args) -> Config:
     if "lam" in merged and merged.setdefault("n", len(merged["lam"])) != len(merged["lam"]):
         raise RefusalError("label length does not match the rank")
     cfg = Config(**merged, out=getattr(args, "out", None), report=getattr(args, "report", None))
+    if cfg.n < 1:
+        raise RefusalError("rank n must be at least 1")
     if cfg.seed < 0:
         raise RefusalError(f"seed must be non-negative, not {cfg.seed}")
     if cfg.samples < 1:
@@ -164,29 +172,12 @@ def _qkz_degrees(cfg: Config) -> list:
     return [cfg.m] if cfg.m is not None else [-1, 0, 1]
 
 
-def _gate(suite: str, cfg: Config) -> None:
-    """Refuse when cfg lies beyond the caps of the suite, or of every suite
-    for "all": the polynomial caps, then the spin cap, the identity rank and
-    the qKZ degrees, and last a rank below 1.  The qKZ degree cap is checked
-    here only for sampled points; a parameter file meets it when the
-    solution is built."""
-    if suite in ("koornwinder", "all"):
-        check_caps(cfg.n)
-    if suite not in ("koornwinder", "qkz"):
-        check_dim_cap(cfg.n)
-    if suite in ("baxter", "all"):
-        check_identity_rank(cfg.n)
-    if suite in ("qkz", "all") and cfg.params is None:
-        for m in _qkz_degrees(cfg):
-            check_degree_cap(cfg.n, m)
-    if cfg.n < 1:
-        raise RefusalError("rank n must be at least 1")
-
-
-def _resolve_params(cfg: Config, suite: str, mcondition=None) -> ParamSet:
-    """The point a command runs at, once the suite's gate has passed:
-    cfg.params if given, else the generic point of cfg.seed and cfg.n."""
-    _gate(suite, cfg)
+def _resolve_params(cfg: Config, suite=None, mcondition=None, degree=0) -> ParamSet:
+    """The point a command runs at, once the caps of suite have passed (none
+    is named where run_suite has checked them): cfg.params if given, else the
+    generic point of cfg.seed and cfg.n."""
+    if suite is not None:
+        _CAPS[suite](cfg, degree)
     if cfg.params is not None:
         return cfg.params
     return sample_generic(seed=cfg.seed, n=cfg.n, mcondition=mcondition)
@@ -210,10 +201,8 @@ def _control(name, raw, tolerance, context):
 
 
 def _rows(prefix, res, tol, context=""):
-    """One row per residual in key order; a key that starts with "negative
-    control" is a control."""
-    return [(_control if key.startswith("negative control") else _row)(
-        prefix + key, val, tol, context) for key, val in sorted(res.items())]
+    """One row per residual in key order."""
+    return [_row(prefix + key, val, tol, context) for key, val in sorted(res.items())]
 
 
 # ---------------------------------------------------------------- suites
@@ -309,10 +298,11 @@ def suite_matchmaker(cfg: Config, p: ParamSet):
 
 def suite_baxter(cfg: Config, p: ParamSet):
     n = p.n
-    checks = _rows(
-        "", check_ybe_re(p, samples=cfg.samples, seed=cfg.seed), cfg.tolerance,
-        "spectral-parameter identities of the dressed generators",
-    )
+    res = check_ybe_re(p, samples=cfg.samples, seed=cfg.seed)
+    ctx = "spectral-parameter identities of the dressed generators"
+    control = "negative control perturbed reflection"
+    checks = [_control(control, res.pop(control), cfg.tolerance, ctx)]
+    checks += _rows("", res, cfg.tolerance, ctx)
     rng = np.random.default_rng(cfg.seed)
 
     def draw_word():
@@ -454,7 +444,7 @@ def suite_qkz(cfg: Config, p: ParamSet):
     ms = _qkz_degrees(cfg)
     sols = []
     for m in ms:
-        sol = build_polynomial_solution(_resolve_params(cfg, "qkz", mcondition=m), m)
+        sol = build_polynomial_solution(_resolve_params(cfg, mcondition=m), m)
         sols.append(sol)
         res = verify_solution(sol, samples=cfg.samples, seed=cfg.seed)
         checks += _rows(
@@ -498,36 +488,63 @@ _SUITE_FNS = {
 }
 
 
+# suite -> caps(cfg, degree), which raise RefusalError beyond them; degree is
+# the label degree a polynomial command asks for.  A parameter file meets the
+# qKZ degree cap when its solution is built.
+_CAPS = {
+    "algebra": lambda cfg, degree: check_dim_cap(cfg.n),
+    "matchmaker": lambda cfg, degree: check_dim_cap(cfg.n),
+    "baxter": lambda cfg, degree: (check_dim_cap(cfg.n), check_identity_rank(cfg.n)),
+    "transfer": lambda cfg, degree: check_dim_cap(cfg.n),
+    "koornwinder": lambda cfg, degree: check_caps(cfg.n, degree),
+    "qkz": lambda cfg, degree: [check_degree_cap(cfg.n, m) for m in _qkz_degrees(cfg)
+                                if cfg.params is None],
+}
+
+
 def run_suite(name: str, cfg: Config):
-    """Execute one named suite (or all of them) and assemble the report:
-    the point is drawn once, past the gate, and handed to each suite."""
+    """Execute one named suite, or for "all" each suite within its caps, and
+    assemble the report: every cap is checked before the point is drawn,
+    once, and handed to each suite that runs."""
     t0 = time.monotonic()
-    p = _resolve_params(cfg, name)
     names = list(_SUITE_FNS) if name == "all" else [name]
+    skipped = {}
+    for sub in names:
+        try:
+            _CAPS[sub](cfg, 0)
+        except RefusalError as exc:
+            if name != "all":
+                raise
+            skipped[sub] = str(exc)
+    names = [sub for sub in names if sub not in skipped]
+    if not names:
+        raise RefusalError("every suite is beyond its caps: " + "; ".join(
+            f"{sub}: {why}" for sub, why in skipped.items()))
+    p = _resolve_params(cfg)
     checks = []
     for sub in names:
         prefix = f"{sub}: " if name == "all" else ""
         checks += [dict(c, name=prefix + c["name"]) for c in _SUITE_FNS[sub](cfg, p)]
-    return _report(name, cfg, p, checks), int(1000 * (time.monotonic() - t0))
+    return _report(name, cfg, p, checks, skipped), int(1000 * (time.monotonic() - t0))
 
 
-def _report(suite: str, cfg: Config, params: ParamSet, checks) -> dict:
+def _report(suite: str, cfg: Config, params: ParamSet, checks, skipped=None) -> dict:
     return {
         "suite": suite,
         "seed": cfg.seed,
         "params_fingerprint": params.fingerprint(),
         "checks": sorted(checks, key=lambda c: c["name"]),
+        **({"skipped": skipped} if skipped else {}),
     }
 
 
-def _emit_report(report, cfg, wall_ms):
+def _emit_report(report, wall_ms, cfg):
     _write_json(report, cfg.report)
     ok = all(c["pass"] for c in report["checks"])
-    print(
-        f"suite {report['suite']}: {'PASS' if ok else 'FAIL'} "
-        f"({len(report['checks'])} checks, wall {wall_ms} ms)",
-        file=sys.stderr,
-    )
+    skips = len(report.get("skipped", ()))
+    skipped = f"{skips} suite{'s' * (skips > 1)} skipped, " if skips else ""
+    print(f"suite {report['suite']}: {'PASS' if ok else 'FAIL'} "
+          f"({len(report['checks'])} checks, {skipped}wall {wall_ms} ms)", file=sys.stderr)
     return 0 if ok else 1
 
 
@@ -536,8 +553,7 @@ def _emit_report(report, cfg, wall_ms):
 
 def cmd_verify(args) -> int:
     cfg = _load_config(args)
-    report, wall_ms = run_suite(args.suite, cfg)
-    return _emit_report(report, cfg, wall_ms)
+    return _emit_report(*run_suite(args.suite, cfg), cfg)
 
 
 def _polynomial_payload(det) -> dict:
@@ -556,8 +572,7 @@ def cmd_koornwinder_compute(args) -> int:
     cfg = _load_config(args)
     if cfg.lam is None:
         raise RefusalError("--lambda is required (comma-separated integers)")
-    check_caps(cfg.n, sum(abs(v) for v in cfg.lam))
-    p = _resolve_params(cfg, "koornwinder")
+    p = _resolve_params(cfg, "koornwinder", degree=sum(abs(v) for v in cfg.lam))
     payload = _polynomial_payload(compute_P_detail(cfg.lam, p))
     payload["params_fingerprint"] = p.fingerprint()
     _write_json(payload, cfg.out)
@@ -582,15 +597,14 @@ def cmd_qkz_verify(args) -> int:
         max(cfg.tolerance, 1e-8), "pointwise residuals at random generic points",
     )
     report = _report("qkz-verify", cfg, sol.params, checks)
-    return _emit_report(report, cfg, int(1000 * (time.monotonic() - t0)))
+    return _emit_report(report, int(1000 * (time.monotonic() - t0)), cfg)
 
 
 def cmd_emit_tables(args) -> int:
     cfg = _load_config(args)
     bound = cfg.m if cfg.m is not None else 2
-    if args.kind == "koornwinder":
-        check_caps(cfg.n, bound)
-    p = _resolve_params(cfg, args.kind)
+    suite = {"koornwinder": "koornwinder", "hamiltonian_spectrum": "transfer"}[args.kind]
+    p = _resolve_params(cfg, suite, degree=bound)
     if args.kind == "hamiltonian_spectrum":
         spectra = {
             form: sorted(np.linalg.eigvals(hamiltonian(p, form=form)),
@@ -642,26 +656,22 @@ def _write_json(payload, out):
         sys.stdout.write(text)
 
 
-def _add_common(parser):
-    parser.add_argument("--n", type=int, default=None, help="chain length / rank")
-    parser.add_argument("--seed", type=int, default=None, help="deterministic sampling seed")
-    parser.add_argument(
-        "--precision", choices=("double", "extended"), default=None,
-        help="extended adds high-precision cross-checks where supported",
-    )
-    parser.add_argument("--tolerance", type=float, default=None, help="pass threshold")
-    parser.add_argument("--samples", type=int, default=None, help="random sample count")
-    parser.add_argument("--params", default=None, help="JSON config or parameter file")
-    parser.add_argument(
-        "--m", type=int, default=None,
-        help="translation degree; degree bound for emitted polynomial tables",
-    )
-    parser.add_argument(
-        "--lambda", dest="lam", default=None,
-        help="polynomial label, comma-separated integers",
-    )
-    parser.add_argument("--out", default=None, help="output file (or directory for tables)")
-    parser.add_argument("--report", default=None, help="write the check report here")
+def _add_common(parser, fn):
+    """The flags every command takes, each None unless given so that a file
+    value shows through, and the command function fn(args) it runs."""
+    parser.set_defaults(fn=fn)
+    parser.add_argument("--n", type=int, help="chain length / rank")
+    parser.add_argument("--seed", type=int, help="deterministic sampling seed")
+    parser.add_argument("--precision", choices=("double", "extended"),
+                        help="extended adds high-precision cross-checks where supported")
+    parser.add_argument("--tolerance", type=float, help="pass threshold")
+    parser.add_argument("--samples", type=int, help="random sample count")
+    parser.add_argument("--params", help="JSON config or parameter file")
+    parser.add_argument("--m", type=int,
+                        help="translation degree; degree bound for emitted polynomial tables")
+    parser.add_argument("--lambda", dest="lam", help="polynomial label, comma-separated integers")
+    parser.add_argument("--out", help="output file (or directory for tables)")
+    parser.add_argument("--report", help="write the check report here")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -673,33 +683,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=(*_SUITE_FNS, "all"))
-    _add_common(p_verify)
-    p_verify.set_defaults(fn=cmd_verify)
+    _add_common(p_verify, cmd_verify)
 
-    p_koorn = sub.add_parser("koornwinder", help="polynomial computations")
-    koorn_sub = p_koorn.add_subparsers(dest="subcommand", required=True)
-    p_kc = koorn_sub.add_parser("compute", help="compute one labeled polynomial")
-    _add_common(p_kc)
-    p_kc.set_defaults(fn=cmd_koornwinder_compute)
+    koorn_sub = sub.add_parser("koornwinder", help="polynomial computations").add_subparsers(
+        dest="subcommand", required=True)
+    _add_common(koorn_sub.add_parser("compute", help="compute one labeled polynomial"),
+                cmd_koornwinder_compute)
 
-    p_qkz = sub.add_parser("qkz", help="difference-equation solutions")
-    qkz_sub = p_qkz.add_subparsers(dest="subcommand", required=True)
-    p_qb = qkz_sub.add_parser("build", help="build a polynomial solution")
-    _add_common(p_qb)
-    p_qb.set_defaults(fn=cmd_qkz_build)
+    qkz_sub = sub.add_parser("qkz", help="difference-equation solutions").add_subparsers(
+        dest="subcommand", required=True)
+    _add_common(qkz_sub.add_parser("build", help="build a polynomial solution"), cmd_qkz_build)
     p_qv = qkz_sub.add_parser("verify", help="verify a stored solution")
     p_qv.add_argument("--in", dest="infile", required=True, help="solution JSON file")
-    _add_common(p_qv)
-    p_qv.set_defaults(fn=cmd_qkz_verify)
+    _add_common(p_qv, cmd_qkz_verify)
 
-    p_emit = sub.add_parser("emit", help="emit JSON artifacts")
-    emit_sub = p_emit.add_subparsers(dest="subcommand", required=True)
+    emit_sub = sub.add_parser("emit", help="emit JSON artifacts").add_subparsers(
+        dest="subcommand", required=True)
     p_tables = emit_sub.add_parser("tables", help="write polynomial or spectrum tables")
-    p_tables.add_argument(
-        "--kind", choices=("koornwinder", "hamiltonian_spectrum"), required=True,
-    )
-    _add_common(p_tables)
-    p_tables.set_defaults(fn=cmd_emit_tables)
+    p_tables.add_argument("--kind", choices=("koornwinder", "hamiltonian_spectrum"), required=True)
+    _add_common(p_tables, cmd_emit_tables)
 
     return parser
 
@@ -713,10 +715,7 @@ def main(argv=None) -> int:
         print(f"refused: {exc}", file=sys.stderr)
         cond = getattr(exc, "report", None)
         if cond is not None:
-            print(
-                json.dumps({"refusal": cond.to_dict()}, sort_keys=True, indent=2),
-                file=sys.stderr,
-            )
+            print(json.dumps({"refusal": cond.to_dict()}, sort_keys=True, indent=2), file=sys.stderr)
         return 2
     except (InternalDefectError, ValueError) as exc:
         print(f"internal defect: {exc}", file=sys.stderr)

@@ -251,7 +251,8 @@ def _monic_vectors(labels, gammas, params: ParamSet) -> _Monic:
     entries at most 1e-13 of the column's largest dropped, the leading entry
     pinned to 1.  GenericityError when a diagonal entry of some Y_i at a label misses
     1/gamma_i, or a predecessor in the triangular order shares the label's
-    entry of Z, by _KERNEL_GAP of the largest such entry (at least 1)."""
+    entry of Z, by _KERNEL_GAP of the largest such entry (at least 1), or
+    the leading entry is below 1e-12 of its column's largest."""
     n, radius = params.n, sum(abs(v) for v in labels[0])
     check_caps(n, radius)
     ball = _ball(params, radius)
@@ -269,11 +270,9 @@ def _monic_vectors(labels, gammas, params: ParamSet) -> _Monic:
     top = np.abs(vecs).max(axis=0)
     vanished = np.abs(eig.vecs[cols, cols]) < 1e-12 * top
     for l in np.flatnonzero(missed | shared | vanished)[:1]:
-        if missed[l]:
-            raise GenericityError(f"no joint eigenvector at lambda={labels[l]}")
-        if shared[l]:
-            raise GenericityError(f"non-generic spectrum at lambda={labels[l]}")
-        raise InternalDefectError("leading coefficient vanished on the span")
+        why = ("no joint eigenvector" if missed[l] else "non-generic spectrum" if shared[l]
+               else "leading coefficient vanished")
+        raise GenericityError(f"{why} at lambda={labels[l]}")
     lead = np.arange(len(vecs))[:, None] == cols
     vecs = np.where((np.abs(vecs) > 1e-13 * top) | lead, vecs, 0)
     vecs[lead] = 1.0  # one by construction; pinned, never left to rounding

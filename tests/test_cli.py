@@ -83,7 +83,6 @@ def test_polynomial_caps_refuse_before_sampling(tmp_path, monkeypatch):
     assert run(["verify", "koornwinder", "--n", "4"]) == 2
     # a parameter file sets the rank the cap is checked against
     assert run(["verify", "koornwinder", "--params", str(pfile)]) == 2
-    assert run(["verify", "all", "--n", "4"]) == 2
     assert run(["koornwinder", "compute", "--lambda", "3,2"]) == 2
     assert run(["emit", "tables", "--kind", "koornwinder", "--n", "4",
                 "--out", str(tmp_path / "t")]) == 2
@@ -515,6 +514,26 @@ def test_a_negative_table_bound_still_meets_the_rank_cap(tmp_path, monkeypatch, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("q_sqrt", [1e-200, 1e200])
+def test_a_parameter_file_whose_q_is_not_finite_and_nonzero_is_refused(tmp_path, capsys, q_sqrt):
+    """q_sqrt = 1e-200 squares to q = 0, which made verify baxter exit 1 with
+    a ZeroDivisionError traceback."""
+    pfile = _params_file(tmp_path, seed=1, n=2, q_sqrt={"re": q_sqrt, "im": 0.0})
+    assert run(["verify", "baxter", "--params", pfile]) == 2
+    assert "refused: malformed parameters: ValueError q = q_sqrt**2 must be " in (
+        capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv", [["koornwinder", "compute", "--lambda", "1,0"],
+                                  ["verify", "all"]], ids=["compute", "all"])
+def test_a_vanished_leading_coefficient_is_a_genericity_refusal(tmp_path, capsys, argv):
+    """upsilon0 = 1e50 leaves a label's leading entry at rounding level; that
+    is a property of the point, so it is refused, not an internal defect."""
+    pfile = _params_file(tmp_path, seed=1, n=2, upsilon0={"re": 1e50, "im": 0.0})
+    assert run([*argv, "--params", pfile]) == 2
+    assert "refused: leading coefficient vanished at lambda=" in capsys.readouterr().err
+
+
 def test_evaluator_arity_mismatch_is_an_internal_defect(tmp_path, monkeypatch, capsys):
     import heckespin.qkz as qkz
 
@@ -558,16 +577,89 @@ def test_qkz_control_reuses_the_built_solution(monkeypatch, tmp_path):
     assert calls == [-1, 0, 1, -1]
 
 
-def test_verify_all_refuses_a_qkz_degree_before_sampling(monkeypatch, capsys):
+def test_verify_all_skips_a_qkz_degree_beyond_its_cap(monkeypatch, tmp_path, capsys):
+    """A degree beyond the qKZ cap skips qkz alone: the other suites run on
+    the one point drawn, and no point is drawn for the capped degree."""
+    import heckespin.cli as cli
+
+    conditions = []
+
+    def counting(seed, n, mcondition=None):
+        conditions.append(mcondition)
+        return sample_generic(seed=seed, n=n, mcondition=mcondition)
+
+    monkeypatch.setattr(cli, "sample_generic", counting)
+    report = tmp_path / "r.json"
+    for argv in (["--n", "3", "--m", "2"], ["--n", "2", "--m", "3"]):
+        assert run(["verify", "all", *argv, "--report", str(report)]) == 0
+        assert json.loads(report.read_text())["skipped"] == {
+            "qkz": "degree cap exceeded (|m| * n <= 4)"}
+    assert conditions == [None, None]
+    assert capsys.readouterr().err.count("PASS (") == 2
+
+
+_POLYNOMIAL_CAP = "polynomial caps exceeded (n <= 3, sum|lambda| <= 4)"
+
+
+@pytest.mark.parametrize("n,skipped,line", [
+    (4, {"koornwinder": _POLYNOMIAL_CAP, "qkz": _POLYNOMIAL_CAP}, "2 suites skipped"),
+    (1, {"baxter": "the identity suite needs n >= 2"}, "1 suite skipped"),
+], ids=["n4", "n1"])
+def test_verify_all_runs_every_suite_within_its_caps(tmp_path, capsys, n, skipped, line):
+    """verify all runs each suite within its caps and lists the others, with
+    their refusal reasons, under "skipped"; the skips do not fail the run."""
+    import heckespin.cli as cli
+
+    report = tmp_path / "r.json"
+    assert run(["verify", "all", "--n", str(n), "--seed", "1", "--report", str(report)]) == 0
+    data = json.loads(report.read_text())
+    assert data["skipped"] == skipped
+    ran = {c["name"].split(": ")[0] for c in data["checks"]}
+    assert ran == set(cli._SUITE_FNS) - set(skipped)
+    assert f"suite all: PASS ({len(data['checks'])} checks, {line}, wall " in (
+        capsys.readouterr().err)
+
+
+def test_a_skip_does_not_hide_a_failing_row(tmp_path, capsys):
+    report = tmp_path / "r.json"
+    assert run(["verify", "all", "--n", "1", "--tolerance", "1e-20",
+                "--report", str(report)]) == 1
+    assert list(json.loads(report.read_text())["skipped"]) == ["baxter"]
+    assert "suite all: FAIL (" in capsys.readouterr().err
+
+
+def test_a_report_without_skips_has_no_skipped_key(tmp_path):
+    for suite in ("algebra", "all"):
+        report = tmp_path / f"{suite}.json"
+        assert run(["verify", suite, "--n", "2", "--report", str(report)]) == 0
+        assert "skipped" not in json.loads(report.read_text())
+
+
+def test_verify_all_refuses_when_every_suite_is_capped(tmp_path, monkeypatch, capsys):
     import heckespin.cli as cli
 
     def no_sampling(*args, **kw):
         raise AssertionError("sampled before the cap check")
 
     monkeypatch.setattr(cli, "sample_generic", no_sampling)
-    assert run(["verify", "all", "--n", "3", "--m", "2"]) == 2
-    assert run(["verify", "all", "--n", "2", "--m", "3"]) == 2
-    assert capsys.readouterr().err.count("refused: degree cap exceeded (|m| * n <= 4)") == 2
+    report = tmp_path / "r.json"
+    assert run(["verify", "all", "--n", "11", "--report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert "refused: every suite is beyond its caps: algebra: spin representation" in err
+    assert "; qkz: degree cap exceeded (|m| * n <= 4)" in err
+    assert not report.exists()
+
+
+def test_the_cap_table_names_the_suites():
+    """Every suite has caps and every capped name is a suite, and verify
+    offers exactly those suites and "all"."""
+    import heckespin.cli as cli
+
+    assert list(cli._CAPS) == list(cli._SUITE_FNS)
+    [verify] = [action.choices["verify"] for action in cli.build_parser()._actions
+                if action.dest == "command"]
+    [suite] = [action for action in verify._actions if action.dest == "suite"]
+    assert list(suite.choices) == [*cli._SUITE_FNS, "all"]
 
 
 def test_exhausted_pole_retries_refuse_instead_of_passing(monkeypatch, capsys, tmp_path):
@@ -644,9 +736,8 @@ def test_identity_suite_refuses_one_site_before_sampling(monkeypatch, capsys):
         raise AssertionError("sampled before the rank check")
 
     monkeypatch.setattr(cli, "sample_generic", no_sampling)
-    for suite in ("baxter", "all"):
-        assert run(["verify", suite, "--n", "1"]) == 2
-        assert "refused: the identity suite needs n >= 2" in capsys.readouterr().err
+    assert run(["verify", "baxter", "--n", "1"]) == 2
+    assert "refused: the identity suite needs n >= 2" in capsys.readouterr().err
 
 
 def _index_out_of_range(monkeypatch):
