@@ -96,7 +96,7 @@ class RationalMat:
         d, dd = _horner(self.den, x), _horner(self.dden, x)
         if isinstance(x, np.ndarray):
             x, d, dd = x[..., None, None], d[..., None, None], dd[..., None, None]
-        return (_horner(self.dnum, x) * d - _horner(self.num, x) * dd) / d**2
+        return (_horner(self.dnum, x) * d - _horner(self.num, x) * dd) / (d * d)
 
 
 def _baxterize(t_hat, kj, uj=None) -> RationalMat:

@@ -58,7 +58,7 @@ from .numerics import (
     sample_generic,
     torus_point,
 )
-from .qkz import KZSolution, build_polynomial_solution, check_degree_cap, verify_solution
+from .qkz import KZSolution, build_polynomial_solution, check_degree_cap, require_mcondition, verify_solution
 from .spinrep import (
     build_spin_rep,
     check_dim_cap,
@@ -489,16 +489,16 @@ _SUITE_FNS = {
 
 
 # suite -> caps(cfg, degree), which raise RefusalError beyond them; degree is
-# the label degree a polynomial command asks for.  A parameter file meets the
-# qKZ degree cap when its solution is built.
+# the label degree a polynomial command asks for.  At a parameter file's point
+# each qKZ degree must meet its existence constraint first, as its build does.
 _CAPS = {
     "algebra": lambda cfg, degree: check_dim_cap(cfg.n),
     "matchmaker": lambda cfg, degree: check_dim_cap(cfg.n),
     "baxter": lambda cfg, degree: (check_dim_cap(cfg.n), check_identity_rank(cfg.n)),
     "transfer": lambda cfg, degree: check_dim_cap(cfg.n),
     "koornwinder": lambda cfg, degree: check_caps(cfg.n, degree),
-    "qkz": lambda cfg, degree: [check_degree_cap(cfg.n, m) for m in _qkz_degrees(cfg)
-                                if cfg.params is None],
+    "qkz": lambda cfg, degree: [(cfg.params is None or require_mcondition(cfg.params, m),
+                                 check_degree_cap(cfg.n, m)) for m in _qkz_degrees(cfg)],
 }
 
 

@@ -95,8 +95,8 @@ class ParamSet:
 
     kappa_sqrt is a chosen square root of kappa (it appears on its own only
     inside the twist matrix of the transfer trace); the constructor raises
-    ValueError on a rank below 1, a scalar or a q = q_sqrt**2 that is zero or
-    not finite, and a root that does not square back to kappa.
+    ValueError on a rank below 1, a scalar, q = q_sqrt**2, kappa**2 or kappa**4
+    that is zero or not finite, and a root that does not square back to kappa.
     """
 
     n: int
@@ -113,9 +113,10 @@ class ParamSet:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("rank n must be at least 1")
-        # q by multiplication, which overflows to inf where ** raises
-        q = ("q = q_sqrt**2", self.q_sqrt * self.q_sqrt)
-        for name, z in [(name, getattr(self, name)) for name in _SCALAR_FIELDS] + [q]:
+        # powers by multiplication, which overflows to inf where ** raises
+        k2 = self.kappa * self.kappa
+        powers = [("q = q_sqrt**2", self.q_sqrt * self.q_sqrt), ("kappa**2", k2), ("kappa**4", k2 * k2)]
+        for name, z in [(name, getattr(self, name)) for name in _SCALAR_FIELDS] + powers:
             if z == 0:
                 raise ValueError(f"{name} must be nonzero")
             if not cmath.isfinite(z):

@@ -6,7 +6,7 @@ system when C_{tau_i}(t) f(q^{-eps_i} t) = f(t) and f is invariant under the
 dressed reflections C_{s_j}; each C_w is the cocycle along a word for w
 (baxter.cocycle_factors), weyl.tau_word(i, n) for tau_i.
 build_polynomial_solution refuses (RefusalError) unless the scalar existence
-constraint between the boundary parameters and q^m holds (check_mcondition)
+constraint between the boundary parameters and q^m holds (require_mcondition)
 and |m| n <= 4.  It reads the monic joint eigenpolynomial at (m, ..., m) off
 the triangular eigenbasis of its degree ball, and cm_alpha applies, for each
 minimal coset representative w, the Hecke element of w (w_0^J)^{-1} through
@@ -69,6 +69,18 @@ def check_mcondition(params: ParamSet, m: int) -> ConditionReport:
     rhs = (params.kappa0 * params.kappan * params.kappa ** (params.n - 1)) ** eta(m)
     ok = abs(lhs - rhs) < _MCOND_TOL * max(abs(lhs), abs(rhs))
     return ConditionReport(m=int(m), lhs=lhs, rhs=rhs, satisfied=ok)
+
+
+def require_mcondition(params: ParamSet, m: int) -> None:
+    """Refuse unless check_mcondition holds; the error carries its report."""
+    report = check_mcondition(params, m)
+    if not report.satisfied:
+        err = RefusalError(
+            "existence constraint unsatisfied: "
+            f"lhs={report.lhs:.6g}, rhs={report.rhs:.6g} (m={m})"
+        )
+        err.report = report
+        raise err
 
 
 def check_degree_cap(n: int, m: int) -> None:
@@ -143,14 +155,7 @@ def build_polynomial_solution(params: ParamSet, m: int) -> KZSolution:
     translation spectrum of (m, ..., m)) before assembling.
     """
     n = params.n
-    report = check_mcondition(params, m)
-    if not report.satisfied:
-        err = RefusalError(
-            "existence constraint unsatisfied: "
-            f"lhs={report.lhs:.6g}, rhs={report.rhs:.6g} (m={m})"
-        )
-        err.report = report
-        raise err
+    require_mcondition(params, m)
     check_degree_cap(n, m)
     series = principal_series_basis(params)
     _basis, zeta, reps, _rep = series

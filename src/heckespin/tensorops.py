@@ -166,17 +166,16 @@ def kron_all(mats) -> np.ndarray:
 
 
 def partial_trace_first(mat: np.ndarray, m: int) -> np.ndarray:
-    """Trace out the first of m legs of a 2^m x 2^m matrix."""
-    t = mat.reshape(2, 2 ** (m - 1), 2, 2 ** (m - 1))
-    return np.trace(t, axis1=0, axis2=2)
+    """Trace out the first of m legs of a 2^m x 2^m matrix (or a stack)."""
+    t = mat.reshape(mat.shape[:-2] + (2, 2 ** (m - 1), 2, 2 ** (m - 1)))
+    return np.trace(t, axis1=-4, axis2=-2)
 
 
 def partial_transpose_leg(mat: np.ndarray, leg: int, m: int) -> np.ndarray:
-    """Transpose a 2^m x 2^m matrix on one leg only (1-based)."""
-    t = mat.reshape((2,) * (2 * m))
-    a = leg - 1
-    t = np.swapaxes(t, a, m + a)
-    return t.reshape(2**m, 2**m)
+    """Transpose a 2^m x 2^m matrix (or a stack) on one leg only (1-based)."""
+    a = mat.ndim - 2 + leg - 1
+    t = np.swapaxes(mat.reshape(mat.shape[:-2] + (2,) * (2 * m)), a, a + m)
+    return t.reshape(mat.shape)
 
 
 PERMUTE_TWO = np.array(

@@ -6,22 +6,22 @@ the right boundary block K_n, and comes back; closing it with the dressed
 left boundary block K_0 and a partial trace over the auxiliary leg gives a
 one-parameter family T(x; t) of commuting operators on (C^2)^(x n).
 
-T is contracted as a matrix product operator of bond dimension 4 (Sklyanin,
-J. Phys. A 21, 2375 (1988); Murg, Korepin & Verstraete, Phys. Rev. B 86,
-045125 (2012)): chain site j carries its forward block R(x/t_j) and its
-backward block R(x t_j), the auxiliary leg's in and out indices form the
-bond, and the chain is contracted one site at a time from the closure
-theta K_0(kappa^2 x) theta, with K_n folded into the last site.  No
-operator on the 2^(n+1)-dimensional double space is formed.  The
-derivative rides along by the product rule on every site, which is the
-contraction of the bond-doubled triangular MPO [[W, W'], [0, W]].  The
-blocks evaluate at any scalar type, so the extended-precision T is
-transfer_T itself, called with mpmath x and t (object arrays throughout).
-Contracted from the open start eye(4) instead of the closure, the same MPO
-leaves the auxiliary leg open and gives the monodromy operator U, the
-double row without the closure (monodromy_U).  check_transfer compares it
-with an independent construction: the double row as a list of local
-factors on adjacent legs (_double_row), multiplied out one at a time.
+T is a matrix product operator of bond dimension 4 (Sklyanin, J. Phys. A
+21, 2375 (1988); Murg, Korepin & Verstraete, Phys. Rev. B 86, 045125
+(2012)): chain site j carries its forward block R(x/t_j) and its backward
+block R(x t_j), the auxiliary leg's in and out indices form the bond, the
+closure theta K_0(kappa^2 x) theta starts it and K_n is folded into the
+last site.  One generator (_mpo) feeds both contractions; neither forms an
+operator on the double space.  transfer_apply runs a block V through the
+sites and gives T V (Schollwoeck, Ann. Phys. 326, 96 (2011), sec. 5); x,
+the t_j and V may carry a point axis, so a check's points take one pass.
+monodromy_U is that pass with the auxiliary leg open in V's rows: U V, for
+the double row U without the closure.  _absorb contracts the dense T, with
+dT/dx by the product rule, for the transfer-form Hamiltonian, the spectrum
+table and transfer_T_mp (mpmath x and t): on the identity, transfer_apply
+takes 0.56 against 0.30 ms at n = 6, 437 against 63 ms at n = 10 (one Xeon
+core, one BLAS thread).  The checks compare operators on random vectors
+(Freivalds, IFIP 1977), U V against _double_row's local factors run on V.
 
 Three equivalent presentations of the boundary XXZ Hamiltonian are exposed:
 the logarithmic derivative of the normalized transfer matrix at x = 1, the
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .baxter import cocycle_C, dressed_blocks
+from .baxter import cocycle_factors, dressed_blocks
 from .numerics import InternalDefectError, ParamSet, Residuals, max_abs, rel_residual, torus_point
 from .spinrep import build_spin_rep
 from .tensorops import (
@@ -84,21 +84,13 @@ def _double_row(params: ParamSet, x, t) -> list:
     to right, on the auxiliary leg 1 and chain legs 2..n+1: the middle block
     R walks adjacent legs out and back, with the right boundary block on the
     last chain leg.  With mpmath x and t the blocks are mpmath object arrays
-    at the working precision.
+    at the working precision; with arrays of points, stacks of blocks.
     """
     n = params.n
     _kbar, R, k = dressed_blocks(params)
     out = [(R(x / t[j - 1]), [j, j + 1]) for j in range(1, n + 1)]
     out.append((k(x), [n + 1]))
     return out + [(R(x * t[j - 1]), [j, j + 1]) for j in range(n, 0, -1)]
-
-
-def monodromy_U(params: ParamSet, x, t) -> np.ndarray:
-    """U(x; t), the double row without the closure, on the auxiliary leg 1
-    and chain legs 2..n+1: the MPO of transfer_T contracted from the open
-    start, where bond (c, d) starts at |c><d| on the auxiliary leg, so that
-    leg stays the leading row and column leg."""
-    return _transfer_mpo(params, x, t, deriv=False, start=np.eye(4).reshape(4, 2, 2))[0]
 
 
 def _leibniz(op, a, b) -> list:
@@ -116,8 +108,29 @@ def _site(fwd, bwd):
     aux), from the two middle blocks R.  The bond is the pair (forward aux
     index, backward aux index); P only reorders the column legs."""
     # fwd[c s, t c'] and bwd[t d', d u]: contract the middle site index t
-    w = fwd.reshape(2, 2, 2, 2).transpose(0, 1, 3, 2).reshape(8, 2) @ bwd.reshape(2, 8)
-    return w.reshape((2,) * 6).transpose(0, 4, 2, 3, 1, 5).reshape(4, 4, 2, 2)
+    lead = fwd.shape[:-2]
+    w = np.swapaxes(fwd.reshape(lead + (2,) * 4), -1, -2).reshape(lead + (8, 2)) @ bwd.reshape(lead + (2, 8))
+    w = np.moveaxis(w.reshape(lead + (2,) * 6), (-6, -2, -4, -3, -5, -1), range(-6, 0))
+    return w.reshape(lead + (4, 4, 2, 2))
+
+
+def _mpo(params: ParamSet, x, t, deriv=False):
+    """The closure [bond] and the site tensors of T(x; t), each a jet [value]
+    or [value, d/dx]; arrays of points x and t_j (values only) give stacks."""
+    kbar, R, k = dressed_blocks(params)
+    th, k2 = theta_matrix(params), params.kappa**2
+
+    def jet(f, arg, slope):
+        return [f(arg)] + ([slope * f.deriv(arg)] if deriv else [])
+
+    # the trace pairs the closure's column with the backward row: bond (c, d)
+    # starts at A[d, c]; the right boundary closes it with K_n[c, d]
+    closure = [np.swapaxes(th @ a @ th, -1, -2).reshape(a.shape[:-2] + (4,))
+               for a in jet(kbar, k2 * x, k2)]
+    sites = [_leibniz(_site, jet(R, x / tj, 1 / tj), jet(R, x * tj, tj)) for tj in t]
+    sites[-1] = _leibniz(lambda w, kn: (np.moveaxis(w, -3, -1) @ kn.reshape(
+        kn.shape[:-2] + (1, 1, 4, 1)))[..., None, :, :, 0], sites[-1], jet(k, x, 1))
+    return closure, sites
 
 
 def _absorb(left, w):
@@ -128,31 +141,41 @@ def _absorb(left, w):
     return out.reshape(d, d, bond, 2, 2).transpose(2, 0, 3, 1, 4).reshape(bond, 2 * d, 2 * d)
 
 
-def _transfer_mpo(params: ParamSet, x, t, deriv: bool, start=None) -> list:
-    """[T(x; t)] or [T, dT/dx], contracted site by site from the MPO.  The
-    start environment [bond, row, col] is the closure unless ``start`` is
-    given; a given start carries no derivative."""
-    n = params.n
-    kbar, R, k = dressed_blocks(params)
-    th, k2 = theta_matrix(params), params.kappa**2
-
-    def jet(f, arg, slope):
-        return [f(arg)] + ([slope * f.deriv(arg)] if deriv else [])
-
-    # the trace pairs the closure's column with the backward row: bond (c, d)
-    # starts at A[d, c]; the right boundary closes it with K_n[c, d]
-    if start is None:
-        left = [(th @ a @ th).T.reshape(4, 1, 1) for a in jet(kbar, k2 * x, k2)]
-    else:
-        left = [start]
-    right = [a.reshape(4) for a in jet(k, x, 1)]
-    for j in range(1, n + 1):
-        fwd, bwd = jet(R, x / t[j - 1], 1 / t[j - 1]), jet(R, x * t[j - 1], t[j - 1])
-        w = _leibniz(_site, fwd, bwd)
-        if j == n:  # fold K_n into the out bond of the last site
-            w = _leibniz(lambda a, b: (a.transpose(0, 2, 3, 1) @ b)[:, None], w, right)
+def _transfer_mpo(params: ParamSet, x, t, deriv: bool) -> list:
+    """[T(x; t)] or [T, dT/dx], contracted site by site from the closure."""
+    closure, sites = _mpo(params, x, t, deriv)
+    left = [c.reshape(4, 1, 1) for c in closure]
+    for w in sites:
         left = _leibniz(_absorb, left, w)
     return [a[0] for a in left]
+
+
+def _apply(sites, v):
+    """The MPO of the site tensors (in bond 1 first, out bond 1 last) applied
+    to the block v, held as [rows done, bond, legs to come and columns]: one
+    matmul over (bond, leg) per site leaves its row leg after the rows done."""
+    a = v.reshape(v.shape[:-2] + (1, 1, -1))
+    for w in sites:
+        mat = np.moveaxis(w, (-2, -3), (-4, -3))  # [.., row, out, in, col]
+        mat = mat.reshape(mat.shape[:-4] + (1, 2 * w.shape[-3], -1))
+        a = mat @ a.reshape(a.shape[:-2] + (2 * a.shape[-2], -1))
+        a = a.reshape(a.shape[:-3] + (2 * a.shape[-3], w.shape[-3], -1))
+    return a.reshape(a.shape[:-3] + v.shape[-2:])
+
+
+def transfer_apply(params: ParamSet, x, t, v) -> np.ndarray:
+    """T(x; t) v for a block v of 2^n rows, the closure folded into the first
+    site; x, the t_j and v may carry a leading point axis, which broadcasts."""
+    closure, sites = _mpo(params, x, t)
+    first = np.einsum("...b,...bcrs->...crs", closure[0], sites[0][0])[..., None, :, :, :]
+    return _apply([first] + [w[0] for w in sites[1:]], v)
+
+
+def monodromy_U(params: ParamSet, x, t, v) -> np.ndarray:
+    """U(x; t) v for a block v of 2^(n+1) rows, auxiliary leg first: the
+    auxiliary leg is one more site, whose out bond (c, d) is |c><d|."""
+    sites = [np.eye(4).reshape(1, 4, 2, 2)] + [w[0] for w in _mpo(params, x, t)[1]]
+    return _apply(sites, v)
 
 
 def transfer_T(params: ParamSet, x, t) -> np.ndarray:
@@ -177,57 +200,47 @@ def _aux_normalizer(params: ParamSet, x):
     return g, gp
 
 
+def _block(rng, rows: int) -> np.ndarray:
+    """Four complex Gaussian vectors: (A - B) V = 0 for almost no V unless A = B."""
+    return rng.standard_normal((rows, 4)) + 1j * rng.standard_normal((rows, 4))
+
+
 def check_transfer(params: ParamSet, samples: int = 8, seed: int = 2) -> dict:
-    """Residuals of the structural transfer-matrix identities."""
+    """Residuals of the structural transfer-matrix identities, each at all
+    samples at once: the local rows on stacks of blocks, the operator rows on
+    a block V (_block) drawn after the samples, in one MPO pass per product.
+    T_x (T_y V) - T_y (T_x V) is scaled by the norm product max|T_x V| max|T_y
+    V| / max|V|, the size of its rounding: at n = 10 a product can be 1e-6
+    of that, and a row scaled by the product failed on rounding alone.
+    """
     n = params.n
     rng = np.random.default_rng(seed)
     out = Residuals()
     kbar, R, _k = dressed_blocks(params)
     th = theta_matrix(params)
     k = params.kappa
-    for _ in range(samples):
-        x, y, *t = torus_point(rng, n + 2, (0.75, 1.35))
-        out.add(
-            "monodromy form agreement",
-            rel_residual(
-                factor_product(_double_row(params, x, t), n + 1), monodromy_U(params, x, t)
-            ),
-        )
-        Tx, Ty = transfer_T(params, x, t), transfer_T(params, y, t)
-        out.add(
-            "commuting transfer matrices",
-            rel_residual(Tx @ Ty, Ty @ Tx, scale=max(1.0, np.abs(Tx @ Ty).max())),
-        )
-        rx = R(x) @ PERMUTE_TWO
-        out.add(
-            "transpose flip of r",
-            rel_residual(PERMUTE_TWO @ rx @ PERMUTE_TWO, rx.T),
-        )
-        th2 = kron_all([th, th])
-        lhs = (
-            np.linalg.inv(th2)
-            @ partial_transpose_leg(R(1 / (k**4 * x)) @ PERMUTE_TWO, 1, 2)
-            @ th2
-            @ partial_transpose_leg(rx, 2, 2)
-        )
-        out.add(
-            "crossing unitarity",
-            rel_residual(lhs, phi_bulk(x, params) * np.eye(4)),
-        )
-        closure = [(th @ kbar(k**2 * x) @ th, [1]), (R(x**2), [1, 2])]
-        out.add(
-            "boundary crossing",
-            rel_residual(
-                partial_trace_first(factor_product(closure, 2), 2),
-                phi_bdy(x, params) * kbar(x),
-            ),
-        )
-    ones = (1.0,) * n
+    x, y, *t = np.array([torus_point(rng, n + 2, (0.75, 1.35)) for _ in range(samples)]).T
+    v = _block(rng, 2 ** (n + 1))
+    out.add("monodromy form agreement", rel_residual(
+        factor_product(_double_row(params, x, t), n + 1, v), monodromy_U(params, x, t, v)))
+    v = v[: 2**n]  # the chain rows
+    xy, txy = np.concatenate([x, y]), [np.concatenate([tj, tj]) for tj in t]
+    once = transfer_apply(params, xy, txy, v)  # [T_x V, T_y V]
+    twice = transfer_apply(params, xy, txy, np.roll(once, samples, axis=0))
+    nx, ny = np.abs(once).max(axis=(1, 2)).reshape(2, samples)
+    out.add("commuting transfer matrices", rel_residual(
+        twice[:samples], twice[samples:], scale=nx * ny / max_abs(v)))
+    rx = R(x) @ PERMUTE_TWO
+    out.add("transpose flip of r", rel_residual(PERMUTE_TWO @ rx @ PERMUTE_TWO, np.swapaxes(rx, -1, -2)))
+    th2 = kron_all([th, th])
+    lhs = (np.linalg.inv(th2) @ partial_transpose_leg(R(1 / (k**4 * x)) @ PERMUTE_TWO, 1, 2)
+           @ th2 @ partial_transpose_leg(rx, 2, 2))
+    out.add("crossing unitarity", rel_residual(lhs, phi_bulk(x, params)[:, None, None] * np.eye(4)))
+    closure = [(th @ kbar(k**2 * x) @ th, [1]), (R(x**2), [1, 2])]
+    out.add("boundary crossing", rel_residual(
+        partial_trace_first(factor_product(closure, 2), 2), phi_bdy(x, params)[:, None, None] * kbar(x)))
     g1, _ = _aux_normalizer(params, 1.0)
-    out.add(
-        "normalized transfer at x=1",
-        rel_residual(transfer_T(params, 1.0, ones) / g1, np.eye(2**n)),
-    )
+    out.add("normalized transfer at x=1", rel_residual(transfer_apply(params, 1.0, (1.0,) * n, v) / g1, v))
     return out
 
 
@@ -235,38 +248,32 @@ def check_transfer_vs_transport(
     params: ParamSet, samples: int = 5, seed: int = 4
 ) -> dict:
     """The transfer matrix at x = 1/t_i and x = t_i against the stationary
-    transport C along the i-th translation.
-
-    T(1/t_i) = phi(1/t_i) C is compared directly.  The inverse direction
-    T(t_i) = phi(t_i) C^{-1} is checked in product form, T(t_i) C against
-    phi(t_i) Id scaled by max|T| max|C|, because C reaches condition numbers
-    of 1e12 at n = 6 and inverting it loses that many digits.  The transport
-    is the cocycle along weyl.tau_word(i, n) at the stationary
-    specialization params.replace(q_sqrt=1); the transfer side never sees q
-    at all.
+    transport C along the i-th translation, on a block V (_block) drawn
+    after the samples: T(1/t_i) V against phi(1/t_i) C V, and the inverse
+    direction T(t_i) = phi(t_i) C^{-1} in product form, T(t_i) C V against
+    phi(t_i) V, as C reaches condition numbers of 1e12 at n = 6.  That row
+    is scaled by the norm product max|T(t_i) V| max|C V| / max|V|, the size
+    of its rounding (by max|phi V| it read 1.2e-9 at n = 6).  C V is the
+    cocycle along weyl.tau_word(i, n) at params.replace(q_sqrt=1) run
+    through V; T never sees q.  Each i takes one MPO pass over its samples.
     """
     n = params.n
     rng = np.random.default_rng(seed)
     out = Residuals()
-    eye = np.eye(2**n)
     stationary = params.replace(q_sqrt=1)
-    for _ in range(samples):
-        t = torus_point(rng, n, (0.8, 1.3))
-        for i in range(1, n + 1):
-            ti = t[i - 1]
-            trans = cocycle_C(stationary, tau_word(i, n), t)
-            out.add(
-                f"stationary transport at x=1/t_{i}",
-                rel_residual(
-                    transfer_T(params, 1 / ti, t), phi_bdy(1 / ti, params) * trans
-                ),
-            )
-            tt = transfer_T(params, ti, t)
-            scale = max_abs(tt) * max_abs(trans)
-            out.add(
-                f"stationary inverse transport at x=t_{i}",
-                rel_residual(tt @ trans, phi_bdy(ti, params) * eye, scale=scale),
-            )
+    t = np.array([torus_point(rng, n, (0.8, 1.3)) for _ in range(samples)]).T
+    v = _block(rng, 2**n)
+    for i, ti in enumerate(t, 1):
+        cv = factor_product(cocycle_factors(stationary, tau_word(i, n), t), n, v)
+        vs = np.broadcast_to(v, cv.shape)
+        at_inv, at_t_cv, at_t = np.split(transfer_apply(
+            params, np.concatenate([1 / ti, ti, ti]), [np.tile(tj, 3) for tj in t],
+            np.concatenate([vs, cv, vs])), 3)
+        out.add(f"stationary transport at x=1/t_{i}", rel_residual(
+            at_inv, phi_bdy(1 / ti, params)[:, None, None] * cv))
+        scale = np.abs(at_t).max(axis=(1, 2)) * np.abs(cv).max(axis=(1, 2)) / max_abs(v)
+        out.add(f"stationary inverse transport at x=t_{i}", rel_residual(
+            at_t_cv, phi_bdy(ti, params)[:, None, None] * v, scale=scale))
     return out
 
 

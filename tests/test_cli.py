@@ -524,6 +524,30 @@ def test_a_parameter_file_whose_q_is_not_finite_and_nonzero_is_refused(tmp_path,
         capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("kappa, why", [(1e-150, "nonzero"), (1e150, "finite")])
+def test_a_parameter_file_whose_kappa_powers_are_not_finite_and_nonzero_is_refused(
+        tmp_path, capsys, kappa, why):
+    """kappa = 1e-150 made verify transfer raise ZeroDivisionError in the
+    crossing row, and kappa = 1e150 raised OverflowError in the blocks."""
+    pfile = _params_file(tmp_path, seed=1, n=2, kappa={"re": kappa, "im": 0.0},
+                         kappa_sqrt={"re": kappa**0.5, "im": 0.0})
+    assert run(["verify", "transfer", "--params", pfile]) == 2
+    assert f"refused: malformed parameters: ValueError kappa**4 must be {why}" in (
+        capsys.readouterr().err)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_huge_boundary_kappa_fails_a_row_instead_of_crashing(tmp_path):
+    """kappan = 1e80 overflows the square of K_n's denominator in its
+    derivative, which raised OverflowError; the transfer-form Hamiltonian
+    now reads NaN and fails its row."""
+    pfile = _params_file(tmp_path, seed=1, n=2, kappan={"re": 1e80, "im": 0.0})
+    report = tmp_path / "r.json"
+    assert run(["verify", "transfer", "--params", pfile, "--report", str(report)]) == 1
+    checks = {c["name"]: c for c in json.loads(report.read_text())["checks"]}
+    assert not checks["hamiltonian transfer vs pauli form"]["pass"]
+
+
 @pytest.mark.parametrize("argv", [["koornwinder", "compute", "--lambda", "1,0"],
                                   ["verify", "all"]], ids=["compute", "all"])
 def test_a_vanished_leading_coefficient_is_a_genericity_refusal(tmp_path, capsys, argv):
@@ -596,6 +620,25 @@ def test_verify_all_skips_a_qkz_degree_beyond_its_cap(monkeypatch, tmp_path, cap
             "qkz": "degree cap exceeded (|m| * n <= 4)"}
     assert conditions == [None, None]
     assert capsys.readouterr().err.count("PASS (") == 2
+
+
+def test_verify_all_skips_qkz_where_a_parameter_file_meets_no_existence_constraint(
+        tmp_path, capsys):
+    """At a generic file point no qKZ degree's existence constraint holds:
+    verify all runs the other five suites and skips qkz with the refusal
+    text (it exited 2 after running them), while verify qkz refuses."""
+    pfile = _params_file(tmp_path, seed=1, n=2)
+    report = tmp_path / "r.json"
+    assert run(["verify", "all", "--params", pfile, "--report", str(report)]) == 0
+    data = json.loads(report.read_text())
+    assert list(data["skipped"]) == ["qkz"]
+    assert data["skipped"]["qkz"].startswith("existence constraint unsatisfied: ")
+    assert data["skipped"]["qkz"].endswith("(m=-1)")
+    assert {c["name"].split(":")[0] for c in data["checks"]} == {
+        "algebra", "matchmaker", "baxter", "transfer", "koornwinder"}
+    capsys.readouterr()
+    assert run(["verify", "qkz", "--params", pfile]) == 2
+    assert "refused: " + data["skipped"]["qkz"] in capsys.readouterr().err
 
 
 _POLYNOMIAL_CAP = "polynomial caps exceeded (n <= 3, sum|lambda| <= 4)"

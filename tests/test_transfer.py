@@ -18,6 +18,7 @@ from heckespin.transfer import (
     phi_bdy,
     theta_matrix,
     tl_weight,
+    transfer_apply,
     transfer_T,
     transfer_T_deriv,
     transfer_T_mp,
@@ -80,7 +81,7 @@ def _point(n, seed):
 def test_transfer_and_monodromy_match_the_dense_oracle(n, dense_embed):
     p = sample_generic(seed=20 + n, n=n)
     x, t = _point(n, n)
-    got = monodromy_U(p, x, t)
+    got = monodromy_U(p, x, t, np.eye(2 ** (n + 1)))
     for form in ("rcheck", "r"):
         want, _ = _dense_product(_dense_row(p, x, t, dense_embed, form))
         assert rel_residual(got, want) < 1e-12
@@ -89,6 +90,28 @@ def test_transfer_and_monodromy_match_the_dense_oracle(n, dense_embed):
     val, der = transfer_T_deriv(p, x, t)
     assert rel_residual(val, _trace_aux(want)) < 1e-12
     assert rel_residual(der, _trace_aux(dwant)) < 1e-12
+
+
+def _gaussian(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_block_contraction_matches_the_dense_operators(n):
+    """transfer_apply against the dense transfer_T times the block, and
+    monodromy_U against the factor list of _double_row run through the
+    block, at one point and at a stack of three: one block per point for T,
+    one block shared by the points for U."""
+    p = sample_generic(seed=20 + n, n=n)
+    rng = np.random.default_rng(n)
+    x, *t = np.array([torus_point(rng, n + 1, (0.8, 1.25)) for _ in range(3)]).T
+    v, w = _gaussian(rng, 3, 2**n, 4), _gaussian(rng, 2 ** (n + 1), 4)
+    want = np.stack([transfer_T(p, x[s], [tj[s] for tj in t]) @ v[s] for s in range(3)])
+    assert rel_residual(transfer_apply(p, x, t, v), want) < 1e-13
+    assert rel_residual(transfer_apply(p, x[0], [tj[0] for tj in t], v[0]), want[0]) < 1e-13
+    want = factor_product(heckespin.transfer._double_row(p, x, t), n + 1, w)
+    assert rel_residual(monodromy_U(p, x, t, w), want) < 1e-13
+    assert rel_residual(monodromy_U(p, x[0], [tj[0] for tj in t], w), want[0]) < 1e-13
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -113,7 +136,7 @@ def test_no_dense_embedding_on_the_transfer_path(monkeypatch):
     x, t = _point(4, 4)
     transfer_T(p, x, t)
     transfer_T_deriv(p, x, t)
-    monodromy_U(p, x, t)
+    monodromy_U(p, x, t, np.eye(32))
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -164,7 +187,7 @@ def test_monodromy_forms_agree(params3, rng):
         for _ in range(3)
     )
     a = factor_product(heckespin.transfer._double_row(params3, x, t), 4)
-    b = monodromy_U(params3, x, t)
+    b = monodromy_U(params3, x, t, np.eye(16))
     assert rel_residual(a, b) < 1e-11
 
 
@@ -197,24 +220,45 @@ def test_commuting_transfer_matrices(params3, rng):
     assert rel_residual(a @ b, b @ a) < 1e-10
 
 
+@pytest.mark.parametrize("n", range(4, 11))
+def test_a_detuned_transfer_matrix_fails_the_commuting_row(monkeypatch, n):
+    """T_y with one t_j scaled by 1.01, wherever T is applied at a y of the
+    suite's draw, must read at least 100 times the suite's 1e-9 tolerance
+    in the norm-product scaled commuting row; the weakest of seeds 1-5 is
+    4.1e-3, at n = 10."""
+    honest = heckespin.transfer.transfer_apply
+    for seed in range(1, 6):
+        rng = np.random.default_rng(seed)
+        ys = [torus_point(rng, n + 2, (0.75, 1.35))[1] for _ in range(8)]
+
+        def detuned(params, x, t, v):
+            t = list(t)
+            t[n // 2] = np.where(np.isin(x, ys), 1.01 * t[n // 2], t[n // 2])
+            return honest(params, x, t, v)
+
+        monkeypatch.setattr(heckespin.transfer, "transfer_apply", detuned)
+        res = check_transfer(sample_generic(seed=seed, n=n), samples=8, seed=seed)
+        assert res["commuting transfer matrices"] >= 100 * 1e-9, (seed, res)
+
+
 def test_transfer_interpolates_the_transport(params2):
     res = check_transfer_vs_transport(params2, samples=5, seed=3)
     assert max(res.values()) < 1e-9, res
 
 
-@pytest.mark.parametrize("n", [2, 6])
+@pytest.mark.parametrize("n", [2, 6, 8])
 def test_scaled_transport_factor_fails_the_product_form(monkeypatch, n):
     """A transport with one factor scaled by 1.01 must fail every
     stationary row at the suite's 1e-9 tolerance, the product-form inverse
-    rows included (their smallest value here is 1.3e-7, at n = 6)."""
+    rows included (their smallest value here is 5.3e-8, at n = 6)."""
 
     def scaled(p, word, t):
         factors = cocycle_factors(p, word, t)
         block, legs = factors[n // 2]
         factors[n // 2] = (1.01 * block, legs)
-        return factor_product(factors, p.n)
+        return factors
 
-    monkeypatch.setattr(heckespin.transfer, "cocycle_C", scaled)
+    monkeypatch.setattr(heckespin.transfer, "cocycle_factors", scaled)
     res = check_transfer_vs_transport(sample_generic(seed=1, n=n), samples=2, seed=1)
     assert len(res) == 2 * n
     assert min(res.values()) > 1e-9, res
