@@ -9,25 +9,4 @@ q-difference equations.  The ``heckespin`` console script drives the
 verification suites over randomly sampled generic parameters.
 """
 
-from .numerics import (
-    GenericityError,
-    InternalDefectError,
-    LaurentPoly,
-    ParamSet,
-    PoleProximityError,
-    RefusalError,
-    sample_generic,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "GenericityError",
-    "InternalDefectError",
-    "LaurentPoly",
-    "ParamSet",
-    "PoleProximityError",
-    "RefusalError",
-    "sample_generic",
-    "__version__",
-]

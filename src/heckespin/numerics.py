@@ -38,6 +38,7 @@ _PROBE_COUNT = 32
 _DENOM_FLOOR = 1e-3
 _GAMMA_DEGREE = 4
 _GAMMA_GAP = 1e-6
+_LOG_TINY, _LOG_HUGE = -708.39, 709.78  # within log of the least and largest normal double
 
 
 class GenericityError(RuntimeError):
@@ -95,8 +96,9 @@ class ParamSet:
 
     kappa_sqrt is a chosen square root of kappa (it appears on its own only
     inside the twist matrix of the transfer trace); the constructor raises
-    ValueError on a rank below 1, a scalar, q = q_sqrt**2, kappa**2 or kappa**4
-    that is zero or not finite, and a root that does not square back to kappa.
+    ValueError on a rank below 1, a scalar or a power q = q_sqrt**2, q**4,
+    kappa**max(4, n-1), kappa0**2 or kappan**2 that is not a normal double,
+    and a root that does not square back to kappa.
     """
 
     n: int
@@ -113,13 +115,15 @@ class ParamSet:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("rank n must be at least 1")
-        # powers by multiplication, which overflows to inf where ** raises
-        k2 = self.kappa * self.kappa
-        powers = [("q = q_sqrt**2", self.q_sqrt * self.q_sqrt), ("kappa**2", k2), ("kappa**4", k2 * k2)]
-        for name, z in [(name, getattr(self, name)) for name in _SCALAR_FIELDS] + powers:
-            if z == 0:
+        # each scalar, and its highest power in the layers, must be a normal
+        # double: complex ** raises OverflowError or ZeroDivisionError outside
+        k = max(4, self.n - 1)
+        for name, z, power in [(name, getattr(self, name), 1) for name in _SCALAR_FIELDS] + [
+                ("q = q_sqrt**2", self.q_sqrt, 2), ("q**4", self.q_sqrt, 8), (f"kappa**{k}", self.kappa, k),
+                ("kappa0**2", self.kappa0, 2), ("kappan**2", self.kappan, 2)]:
+            if z == 0 or power * cmath.log(z).real < _LOG_TINY:
                 raise ValueError(f"{name} must be nonzero")
-            if not cmath.isfinite(z):
+            if not cmath.isfinite(z) or power * cmath.log(z).real > _LOG_HUGE:
                 raise ValueError(f"{name} must be finite")
         if abs(self.kappa_sqrt**2 - self.kappa) > 1e-12 * max(1.0, abs(self.kappa)):
             raise ValueError("kappa_sqrt**2 does not match kappa")
@@ -149,10 +153,7 @@ class ParamSet:
         return dataclasses.replace(self, **kw)
 
     def to_dict(self) -> dict:
-        d = {"n": self.n}
-        for name in _SCALAR_FIELDS:
-            d[name] = _c2d(getattr(self, name))
-        return d
+        return {"n": self.n, **{name: _c2d(getattr(self, name)) for name in _SCALAR_FIELDS}}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ParamSet":

@@ -1,9 +1,11 @@
 """Driver behavior: exit codes, report determinism, artifact files, and
 flag precedence."""
 
+import cmath
 import contextlib
 import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -26,6 +28,48 @@ from heckespin.weyl import WeylElem, reduced_word, tau_word
 
 def run(argv):
     return main(argv)
+
+
+# runs `python -m heckespin.cli ARGV...` and writes sys.modules at exit to OUT
+_PROBE = """
+import atexit, runpy, sys
+out, sys.argv = sys.argv[1], ["heckespin", *sys.argv[2:]]
+atexit.register(lambda: open(out, "w").write("\\n".join(sorted(sys.modules))))
+runpy.run_module("heckespin.cli", run_name="__main__", alter_sys=True)
+"""
+_LAYERS = ("numerics", "weyl", "tensorops", "spinrep", "matchings", "baxter", "transfer",
+           "koornwinder", "qkz")
+
+
+@pytest.mark.parametrize("argv,code,loaded,unloaded", [
+    (["--help"], 0, (), ("numpy", *_LAYERS)),
+    (["verify", "algebra", "--n"], 2, (), ("numpy", *_LAYERS)),
+    (["verify", "algebra", "--n", "2"], 0, ("numpy", "spinrep"),
+     ("matchings", "baxter", "transfer", "koornwinder", "qkz")),
+    (["verify", "transfer", "--n", "2"], 0, ("transfer",), ("koornwinder", "qkz", "matchings")),
+    (["emit", "tables", "--kind", "hamiltonian_spectrum", "--n", "2"], 0, ("transfer",),
+     ("koornwinder", "qkz", "matchings")),
+    (["verify", "all", "--n", "2"], 0, ("numpy", *_LAYERS), ()),
+], ids=["help", "argparse error", "algebra", "transfer", "spectrum", "all"])
+def test_a_command_imports_only_the_layers_it_runs(tmp_path, argv, code, loaded, unloaded):
+    """The package and the driver import only the standard library: --help
+    and an argparse error load no numpy and no layer, and a suite loads only
+    the layers it calls (numpy and the layers here by module name)."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import heckespin
+
+    src = str(Path(heckespin.__file__).resolve().parents[1])
+    out = tmp_path / "modules.txt"
+    proc = subprocess.run([sys.executable, "-c", _PROBE, str(out), *argv], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True)
+    assert proc.returncode == code, proc.stderr.decode()
+    modules = set(out.read_text().split("\n"))
+    name = {"numpy": "numpy", **{layer: f"heckespin.{layer}" for layer in _LAYERS}}
+    assert {layer for layer in loaded if name[layer] not in modules} == set()
+    assert {layer for layer in unloaded if name[layer] in modules} == set()
 
 
 def test_verify_suite_passes_and_writes_report(tmp_path):
@@ -71,7 +115,7 @@ def test_rank_cap_is_a_refusal():
 
 
 def test_polynomial_caps_refuse_before_sampling(tmp_path, monkeypatch):
-    import heckespin.cli as cli
+    import heckespin.numerics as numerics
 
     pfile = tmp_path / "p4.json"
     pfile.write_text(json.dumps(sample_generic(seed=8, n=4).to_dict()))
@@ -79,7 +123,7 @@ def test_polynomial_caps_refuse_before_sampling(tmp_path, monkeypatch):
     def no_sampling(*args, **kw):
         raise AssertionError("sampled before the cap check")
 
-    monkeypatch.setattr(cli, "sample_generic", no_sampling)
+    monkeypatch.setattr(numerics, "sample_generic", no_sampling)
     assert run(["verify", "koornwinder", "--n", "4"]) == 2
     # a parameter file sets the rank the cap is checked against
     assert run(["verify", "koornwinder", "--params", str(pfile)]) == 2
@@ -89,7 +133,7 @@ def test_polynomial_caps_refuse_before_sampling(tmp_path, monkeypatch):
 
 
 def test_spin_cap_refuses_before_sampling(tmp_path, monkeypatch, capsys):
-    import heckespin.cli as cli
+    import heckespin.numerics as numerics
 
     pfile = tmp_path / "p11.json"
     pfile.write_text(json.dumps(sample_generic(seed=8, n=2).replace(n=11).to_dict()))
@@ -97,7 +141,7 @@ def test_spin_cap_refuses_before_sampling(tmp_path, monkeypatch, capsys):
     def no_sampling(*args, **kw):
         raise AssertionError("sampled before the cap check")
 
-    monkeypatch.setattr(cli, "sample_generic", no_sampling)
+    monkeypatch.setattr(numerics, "sample_generic", no_sampling)
     for suite in ("algebra", "matchmaker", "baxter", "transfer"):
         assert run(["verify", suite, "--n", "11"]) == 2
         assert "refused: spin representation capped at n = 10" in capsys.readouterr().err
@@ -234,12 +278,12 @@ def test_laurent_arity_mismatch_is_an_internal_defect(monkeypatch, capsys, corru
 
 
 def test_qkz_degree_cap_refuses_before_sampling(tmp_path, monkeypatch, capsys):
-    import heckespin.cli as cli
+    import heckespin.numerics as numerics
 
     def no_sampling(*args, **kw):
         raise AssertionError("sampled before the cap check")
 
-    monkeypatch.setattr(cli, "sample_generic", no_sampling)
+    monkeypatch.setattr(numerics, "sample_generic", no_sampling)
     assert run(["qkz", "build", "--n", "5", "--m", "1",
                 "--out", str(tmp_path / "s.json")]) == 2
     assert run(["qkz", "build", "--n", "3", "--m", "2"]) == 2
@@ -251,12 +295,12 @@ def test_qkz_degree_cap_refuses_before_sampling(tmp_path, monkeypatch, capsys):
 
 
 def test_qkz_rank_cap_refuses_m0_before_sampling(tmp_path, monkeypatch, capsys):
-    import heckespin.cli as cli
+    import heckespin.numerics as numerics
 
     def no_sampling(*args, **kw):
         raise AssertionError("sampled before the cap check")
 
-    monkeypatch.setattr(cli, "sample_generic", no_sampling)
+    monkeypatch.setattr(numerics, "sample_generic", no_sampling)
     assert run(["qkz", "build", "--n", "5", "--m", "0",
                 "--out", str(tmp_path / "s.json")]) == 2
     assert run(["verify", "qkz", "--n", "11", "--m", "0"]) == 2
@@ -386,12 +430,12 @@ def test_settings_that_switch_checks_off_are_refused(tmp_path, monkeypatch, caps
     """Fewer than one sample drops the sampled rows, and a tolerance that is
     not finite and positive passes or fails every row whatever its
     residual; either is refused, from a flag or a file, before sampling."""
-    import heckespin.cli as cli
+    import heckespin.numerics as numerics
 
     def no_sampling(*args, **kw):
         raise AssertionError("sampled before the settings were checked")
 
-    monkeypatch.setattr(cli, "sample_generic", no_sampling)
+    monkeypatch.setattr(numerics, "sample_generic", no_sampling)
     argv = ["verify", "baxter", "--n", "3"]
     if source == "flag":
         argv += [f"--{setting}", str(value)]
@@ -501,12 +545,12 @@ def test_a_huge_finite_parameter_fails_rows_instead_of_crashing(tmp_path, capsys
 def test_a_negative_table_bound_still_meets_the_rank_cap(tmp_path, monkeypatch, capsys):
     """A bound below 0 asks for no label, but the rank cap still holds: n = 4
     is refused before sampling, and no output directory is made."""
-    import heckespin.cli as cli
+    import heckespin.numerics as numerics
 
     def no_sampling(*args, **kw):
         raise AssertionError("sampled before the cap check")
 
-    monkeypatch.setattr(cli, "sample_generic", no_sampling)
+    monkeypatch.setattr(numerics, "sample_generic", no_sampling)
     out = tmp_path / "t"
     assert run(["emit", "tables", "--kind", "koornwinder", "--n", "4", "--m", "-1",
                 "--out", str(out)]) == 2
@@ -548,6 +592,61 @@ def test_a_huge_boundary_kappa_fails_a_row_instead_of_crashing(tmp_path):
     assert not checks["hamiltonian transfer vs pauli form"]["pass"]
 
 
+@pytest.mark.parametrize("n,field,value,argv,message", [
+    (2, "q_sqrt", 1e-60, ["koornwinder", "compute", "--lambda=-3,0"], "q**4 must be nonzero"),
+    (2, "q_sqrt", 1e60, ["koornwinder", "compute", "--lambda", "3,0"], "q**4 must be finite"),
+    (6, "kappa", 1e-62, ["verify", "algebra"], "kappa**5 must be nonzero"),
+    (6, "kappa", 1e62, ["verify", "algebra"], "kappa**5 must be finite"),
+    (2, "kappa0", 1e155, ["verify", "baxter"], "kappa0**2 must be finite"),
+    (2, "kappan", 1e155, ["verify", "baxter"], "kappan**2 must be finite"),
+], ids=["q tiny", "q huge", "kappa tiny", "kappa huge", "kappa0 huge", "kappan huge"])
+def test_a_parameter_file_whose_powers_leave_the_double_range_is_refused(
+        tmp_path, capsys, n, field, value, argv, message):
+    """Each point raised ZeroDivisionError or OverflowError from a complex
+    power in a layer (q^-3 in the spectral vectors, kappa^5 in the eigenvalue
+    string at n = 6, kappa_j^2 in the boundary blocks) with a traceback; the
+    power is refused where the file is read."""
+    fields = {field: {"re": value, "im": 0.0}}
+    if field == "kappa":
+        fields["kappa_sqrt"] = {"re": value**0.5, "im": 0.0}
+    pfile = _params_file(tmp_path, seed=1, n=n, **fields)
+    assert run([*argv, "--params", pfile]) == 2
+    assert f"refused: malformed parameters: ValueError {message}" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("suite,fields,row", [
+    ("algebra", {"psin": 1e300}, "principal basis independence"),
+    ("matchmaker", {"kappa0": 1e124, "kappan": 1e-56, "psin": 1e147}, "equivalence invertibility"),
+], ids=["algebra", "matchmaker"])
+def test_an_overflowed_map_fails_its_singular_value_row_instead_of_crashing(tmp_path, suite,
+                                                                           fields, row):
+    """At these n = 3 points the principal-series basis or the intertwiner
+    holds a NaN, whose SVD raised numpy's LinAlgError (exit 3); its smallest
+    singular value now reads NaN and the floor row fails."""
+    pfile = _params_file(tmp_path, seed=1, n=3,
+                         **{key: {"re": value, "im": 0.0} for key, value in fields.items()})
+    report = tmp_path / "r.json"
+    assert run(["verify", suite, "--params", pfile, "--report", str(report)]) == 1
+    check = {c["name"]: c for c in json.loads(report.read_text())["checks"]}[row]
+    assert not check["pass"] and check["residual"] != check["residual"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("key", ["kappa0", "kappan"])
+def test_a_spectrum_table_at_an_overflowing_point_is_refused(tmp_path, capsys, key):
+    """kappa0 or kappan = 1e80 leaves the transfer-form Hamiltonian NaN, whose
+    eigenvalues raised numpy's LinAlgError (exit 3); the table is refused and
+    no file is written."""
+    pfile = _params_file(tmp_path, seed=1, n=2, **{key: {"re": 1e80, "im": 0.0}})
+    out = tmp_path / "spec.json"
+    assert run(["emit", "tables", "--kind", "hamiltonian_spectrum", "--params", pfile,
+                "--out", str(out)]) == 2
+    assert "refused: the transfer form of the Hamiltonian overflows at this point" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [["koornwinder", "compute", "--lambda", "1,0"],
                                   ["verify", "all"]], ids=["compute", "all"])
 def test_a_vanished_leading_coefficient_is_a_genericity_refusal(tmp_path, capsys, argv):
@@ -569,7 +668,7 @@ def test_evaluator_arity_mismatch_is_an_internal_defect(tmp_path, monkeypatch, c
 
 
 def test_verify_all_draws_each_parameter_set_once(monkeypatch, tmp_path):
-    import heckespin.cli as cli
+    import heckespin.numerics as numerics
 
     calls = []
 
@@ -577,7 +676,7 @@ def test_verify_all_draws_each_parameter_set_once(monkeypatch, tmp_path):
         calls.append((seed, n, mcondition))
         return sample_generic(seed=seed, n=n, mcondition=mcondition)
 
-    monkeypatch.setattr(cli, "sample_generic", counting)
+    monkeypatch.setattr(numerics, "sample_generic", counting)
     assert run(["verify", "all", "--n", "2", "--seed", "3",
                 "--report", str(tmp_path / "r.json")]) == 0
     assert sorted(calls, key=str) == sorted(
@@ -586,7 +685,7 @@ def test_verify_all_draws_each_parameter_set_once(monkeypatch, tmp_path):
 
 
 def test_qkz_control_reuses_the_built_solution(monkeypatch, tmp_path):
-    import heckespin.cli as cli
+    import heckespin.qkz as qkz
 
     calls = []
 
@@ -594,7 +693,7 @@ def test_qkz_control_reuses_the_built_solution(monkeypatch, tmp_path):
         calls.append(m)
         return build_polynomial_solution(params, m)
 
-    monkeypatch.setattr(cli, "build_polynomial_solution", counting)
+    monkeypatch.setattr(qkz, "build_polynomial_solution", counting)
     assert run(["verify", "all", "--n", "2", "--seed", "3",
                 "--report", str(tmp_path / "r.json")]) == 0
     # three builds, then the refusal at the unconstrained point
@@ -604,7 +703,7 @@ def test_qkz_control_reuses_the_built_solution(monkeypatch, tmp_path):
 def test_verify_all_skips_a_qkz_degree_beyond_its_cap(monkeypatch, tmp_path, capsys):
     """A degree beyond the qKZ cap skips qkz alone: the other suites run on
     the one point drawn, and no point is drawn for the capped degree."""
-    import heckespin.cli as cli
+    import heckespin.numerics as numerics
 
     conditions = []
 
@@ -612,7 +711,7 @@ def test_verify_all_skips_a_qkz_degree_beyond_its_cap(monkeypatch, tmp_path, cap
         conditions.append(mcondition)
         return sample_generic(seed=seed, n=n, mcondition=mcondition)
 
-    monkeypatch.setattr(cli, "sample_generic", counting)
+    monkeypatch.setattr(numerics, "sample_generic", counting)
     report = tmp_path / "r.json"
     for argv in (["--n", "3", "--m", "2"], ["--n", "2", "--m", "3"]):
         assert run(["verify", "all", *argv, "--report", str(report)]) == 0
@@ -679,12 +778,12 @@ def test_a_report_without_skips_has_no_skipped_key(tmp_path):
 
 
 def test_verify_all_refuses_when_every_suite_is_capped(tmp_path, monkeypatch, capsys):
-    import heckespin.cli as cli
+    import heckespin.numerics as numerics
 
     def no_sampling(*args, **kw):
         raise AssertionError("sampled before the cap check")
 
-    monkeypatch.setattr(cli, "sample_generic", no_sampling)
+    monkeypatch.setattr(numerics, "sample_generic", no_sampling)
     report = tmp_path / "r.json"
     assert run(["verify", "all", "--n", "11", "--report", str(report)]) == 2
     err = capsys.readouterr().err
@@ -706,12 +805,12 @@ def test_the_cap_table_names_the_suites():
 
 
 def test_exhausted_pole_retries_refuse_instead_of_passing(monkeypatch, capsys, tmp_path):
-    import heckespin.cli as cli
+    import heckespin.baxter as baxter
 
     def at_pole(*args, **kw):
         raise PoleProximityError("evaluation at a pole")
 
-    monkeypatch.setattr(cli, "cocycle_C", at_pole)
+    monkeypatch.setattr(baxter, "cocycle_C", at_pole)
     report = tmp_path / "r.json"
     assert run(["verify", "baxter", "--n", "3", "--report", str(report)]) == 2
     assert "refused: could not find enough pole-free sample points" in capsys.readouterr().err
@@ -722,6 +821,7 @@ def test_a_pole_at_one_draw_drops_only_that_draw(monkeypatch):
     """A pole at the second word trial and at the second transport point of
     verify baxter drops only that draw: both rows equal the rows of the
     one-at-a-time pole_free oracle on the same draws."""
+    import heckespin.baxter as baxter
     import heckespin.cli as cli
 
     n, seed = 3, 1
@@ -765,7 +865,7 @@ def test_a_pole_at_one_draw_drops_only_that_draw(monkeypatch):
             raise PoleProximityError("planted pole", where=at)
         return cocycle_C(params, word, t)
 
-    monkeypatch.setattr(cli, "cocycle_C", planted_pole)
+    monkeypatch.setattr(baxter, "cocycle_C", planted_pole)
     checks = {c["name"]: c["residual"]
               for c in cli.suite_baxter(cli.Config(n=n, seed=seed, samples=8), p)}
     assert checks["word independence"] == max(words)
@@ -773,48 +873,48 @@ def test_a_pole_at_one_draw_drops_only_that_draw(monkeypatch):
 
 
 def test_identity_suite_refuses_one_site_before_sampling(monkeypatch, capsys):
-    import heckespin.cli as cli
+    import heckespin.numerics as numerics
 
     def no_sampling(*args, **kw):
         raise AssertionError("sampled before the rank check")
 
-    monkeypatch.setattr(cli, "sample_generic", no_sampling)
+    monkeypatch.setattr(numerics, "sample_generic", no_sampling)
     assert run(["verify", "baxter", "--n", "1"]) == 2
     assert "refused: the identity suite needs n >= 2" in capsys.readouterr().err
 
 
 def _index_out_of_range(monkeypatch):
-    import heckespin.cli as cli
+    import heckespin.baxter as baxter
 
     # the word trial's cocycle asks for a generator past the right boundary
-    honest = cli.cocycle_C
-    monkeypatch.setattr(cli, "cocycle_C",
+    honest = baxter.cocycle_C
+    monkeypatch.setattr(baxter, "cocycle_C",
                         lambda params, word, t: honest(params, [*word, params.n + 1], t))
     return ["verify", "baxter", "--n", "2"]
 
 
 def _translation_out_of_range(monkeypatch):
-    import heckespin.cli as cli
+    import heckespin.weyl as weyl
 
     # the transport trial asks for the translation word past the last one
-    honest = cli.tau_word
-    monkeypatch.setattr(cli, "tau_word", lambda i, n: honest(n + 1, n))
+    honest = weyl.tau_word
+    monkeypatch.setattr(weyl, "tau_word", lambda i, n: honest(n + 1, n))
     return ["verify", "baxter", "--n", "2"]
 
 
 def _unknown_hamiltonian_form(monkeypatch):
-    import heckespin.cli as cli
+    import heckespin.transfer as transfer
 
-    honest = cli.hamiltonian
-    monkeypatch.setattr(cli, "hamiltonian", lambda params, form: honest(params, form="xxz"))
+    honest = transfer.hamiltonian
+    monkeypatch.setattr(transfer, "hamiltonian", lambda params, form: honest(params, form="xxz"))
     return ["verify", "transfer", "--n", "2"]
 
 
 def _label_length(monkeypatch):
-    import heckespin.cli as cli
+    import heckespin.koornwinder as koornwinder
 
-    honest = cli.compute_P_detail
-    monkeypatch.setattr(cli, "compute_P_detail", lambda lam, params: honest(lam + (0,), params))
+    honest = koornwinder.compute_P_detail
+    monkeypatch.setattr(koornwinder, "compute_P_detail", lambda lam, params: honest(lam + (0,), params))
     return ["koornwinder", "compute", "--lambda", "1,0"]
 
 
@@ -832,9 +932,9 @@ def test_bad_argument_from_a_caller_is_an_internal_defect(monkeypatch, capsys, t
 def test_an_internal_value_error_is_an_internal_defect(monkeypatch, capsys):
     """A ValueError that no input reaches, here a simple reflection past the
     right boundary, exits 3, not 2."""
-    import heckespin.cli as cli
+    import heckespin.weyl as weyl
 
-    monkeypatch.setattr(cli, "reduced_word", lambda w: cli.WeylElem.generator(w.n + 1, w.n))
+    monkeypatch.setattr(weyl, "reduced_word", lambda w: WeylElem.generator(w.n + 1, w.n))
     assert run(["verify", "baxter", "--n", "2", "--seed", "1"]) == 3
     assert "internal defect: generator index 3 out of range for n=2" in capsys.readouterr().err
 
@@ -942,7 +1042,7 @@ def test_a_nan_at_one_sample_fails_the_reflection_control(monkeypatch):
 def test_a_nan_row_fails_the_distorted_solution_control(monkeypatch):
     """A NaN in a row after the first of the control's residuals fails the
     control: the rows are folded by a NaN-propagating max."""
-    import heckespin.cli as cli
+    import heckespin.qkz as qkz
 
     def wrapper(honest):
         def nan_in_control(sol, samples=20, seed=8):
@@ -953,7 +1053,7 @@ def test_a_nan_row_fails_the_distorted_solution_control(monkeypatch):
 
         return nan_in_control
 
-    checks = _checks(monkeypatch, cli, "verify_solution", wrapper, "qkz", 2)
+    checks = _checks(monkeypatch, qkz, "verify_solution", wrapper, "qkz", 2)
     assert not checks["control distorted solution"]["pass"]
     assert checks["solution m=1: invariance under s_0"]["pass"]
 
@@ -962,7 +1062,7 @@ def test_a_nan_label_fails_every_label_check(monkeypatch):
     """A NaN in every residual of the label (1, 0), which s_2 fixes and s_1
     moves, fails the four label checks of its degree's fold; the other
     labels of that degree pass, and their values cannot hide it."""
-    import heckespin.cli as cli
+    import heckespin.koornwinder as koornwinder
 
     def wrapper(honest):
         def nan_label(labels, params):
@@ -974,7 +1074,7 @@ def test_a_nan_label_fails_every_label_check(monkeypatch):
 
         return nan_label
 
-    checks = _checks(monkeypatch, cli, "label_residuals", wrapper, "koornwinder", 2)
+    checks = _checks(monkeypatch, koornwinder, "label_residuals", wrapper, "koornwinder", 2)
     assert checks["constant polynomial"]["pass"]
     for name in ("joint eigenvector residual", "monic leading coefficient",
                  "stabilizer eigenvalue at symmetric labels",
@@ -989,16 +1089,19 @@ _JUNK = st.one_of(
                     st.none() | st.booleans() | st.text(max_size=2) | st.lists(st.none()),
                     max_size=2),
 )
-# one part of a scalar: zero, non-finite, or of size in [0.5, 2]
+# one part of a scalar: zero, non-finite, or of either sign with a size
+# log-uniform in [1e-150, 1e150]
 _PART = st.one_of(st.sampled_from([0.0, float("nan"), float("inf"), float("-inf")]),
-                  st.floats(0.5, 2.0), st.floats(-2.0, -0.5))
+                  st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([1.0, -1.0]),
+                            st.floats(-150.0, 150.0)))
 
 
 @st.composite
 def _parameter_documents(draw):
     """A generic parameter file with up to three entries dropped or replaced
     by junk, by another rank, or by a scalar part that is zero, non-finite or
-    of moderate size; bare, under a config object, or replaced whole."""
+    of any size in [1e-150, 1e150]; bare, under a config object, or replaced
+    whole."""
     doc = sample_generic(seed=draw(st.integers(1, 3)), n=draw(st.sampled_from([2, 3]))).to_dict()
     for key in draw(st.lists(st.sampled_from(list(doc)), max_size=3, unique=True)):
         how = draw(st.sampled_from(["drop", "junk", "value"]))
@@ -1016,6 +1119,43 @@ def _parameter_documents(draw):
     return draw(_JUNK) if wrap == "replaced" else doc
 
 
+@st.composite
+def _extreme_points(draw):
+    """A generic point with one to three scalars replaced by finite values of
+    any phase and a size log-uniform in [1e-150, 1e150]; kappa_sqrt follows
+    kappa, so that the point is well formed."""
+    doc = sample_generic(seed=draw(st.integers(1, 3)), n=draw(st.sampled_from([2, 3]))).to_dict()
+    keys = [key for key in doc if key not in ("n", "kappa_sqrt")]
+    for key in draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3, unique=True)):
+        z = 10.0 ** draw(st.floats(-150.0, 150.0)) * cmath.exp(1j * draw(st.floats(0.0, 6.3)))
+        doc[key] = {"re": z.real, "im": z.imag}
+        if key == "kappa":
+            root = cmath.sqrt(z)
+            doc["kappa_sqrt"] = {"re": root.real, "im": root.imag}
+    return doc
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_extreme_points(), argv=st.sampled_from([
+    ["verify", "algebra"], ["verify", "matchmaker"], ["verify", "baxter", "--samples", "4"],
+    ["verify", "transfer", "--samples", "4"], ["verify", "koornwinder"],
+    ["koornwinder", "compute", "--lambda", "1,0"],
+    ["emit", "tables", "--kind", "hamiltonian_spectrum"],
+]))
+def test_no_extreme_finite_point_crashes_the_driver(tmp_path, doc, argv):
+    """At a well-formed point with scalars of any size, which skips the
+    sampler's genericity screen, every command passes, fails or refuses: no
+    traceback and no internal defect."""
+    pfile = _write(tmp_path, doc)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv + ["--params", pfile])
+    assert code in (0, 1, 2), err.getvalue()
+    assert code != 2 or "refused: " in err.getvalue()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=100, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -1026,9 +1166,9 @@ def _parameter_documents(draw):
 ]))
 def test_no_parameter_file_crashes_the_driver(tmp_path, doc, argv):
     """Whatever a --params file holds, the driver passes, fails or refuses:
-    no traceback and no internal defect.  Finite scalar parts keep a size in
-    [0.5, 2]: extreme finite points, which skip the sampler's genericity
-    screen, still fail badly and are left out (CHANGES.md)."""
+    no traceback and no internal defect.  Finite scalar parts range over
+    1e-150 to 1e150, so the extreme finite points that skip the sampler's
+    genericity screen are fuzzed too."""
     pfile = _write(tmp_path, doc)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

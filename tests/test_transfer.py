@@ -353,6 +353,24 @@ def test_detuned_boundary_separates_forms(params2):
     assert raw > 1e-3
 
 
+@pytest.mark.parametrize("n,seed", [(2, 1), (2, 105), (6, 1), (6, 105), (10, 6), (10, 9), (10, 11)])
+def test_the_detuned_boundary_control_holds_as_the_chain_grows(n, seed):
+    """The suite's detuning of kappa0 is sized by the boundary term's first
+    derivative to move H by 1e-2 of max|H|; a fixed factor 1.01 fell below
+    the 1e-3 floor as max|H| grew with n (seeds 6, 9 and 11 at n = 10) and
+    where the boundary term is nearly flat in kappa0 (seed 105 at n = 2 and
+    6)."""
+    import re
+
+    from heckespin.cli import Config, suite_transfer
+
+    rows = {c["name"]: c for c in suite_transfer(Config(n=n, seed=seed), sample_generic(seed=seed, n=n))}
+    control = rows["control detuned boundary"]
+    assert control["pass"] and control["residual"] == 0.0
+    observed = float(re.search(r"\(observed ([^)]+)\)", control["context"]).group(1))
+    assert 5e-3 < observed < 2e-2
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_mpo_matches_the_factor_loop(n):
     """The site-by-site MPO contraction against the closed double row
