@@ -29,6 +29,7 @@ should not pay for numpy or for compiling layers they never call.
 from __future__ import annotations
 
 import argparse
+import atexit
 import importlib
 import itertools
 import json
@@ -740,5 +741,21 @@ def main(argv=None) -> int:
         return 3
 
 
+def entry() -> None:
+    """The process entry of `python -m heckespin.cli` and the heckespin script:
+    main's exit code ends the process once the atexit handlers have run and
+    stdout and stderr are flushed, skipping the interpreter's teardown of
+    modules and numpy state that nothing reads again.  argparse's exits
+    (--help, usage errors) and uncaught exceptions take the normal path."""
+    code = main()
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:  # a closed pipe; the interpreter's own exit gives 120
+            code = 120
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -203,6 +203,11 @@ def _ball(params: ParamSet, radius: int):
             kj = params.kappa_j(a)
             factors.append(gens[a] + (kj - 1 / kj) * eye if k < i - 1 else gens[a])
         mats[i] = np.linalg.multi_dot(factors)
+        # the product's rounding, eps times the factors' sizes, must stay
+        # below the pattern threshold of _joint_eigenbasis
+        noise = np.finfo(float).eps * np.prod([np.abs(f).max() for f in factors])
+        if noise > _TRIANGULAR_TOL * max(float(np.abs(mats[i]).max()), 1.0):
+            raise GenericityError(f"rounding in Y_{i} reaches its triangular pattern on the ball")
     return basis, index, mats, gens, _joint_eigenbasis(mats)
 
 

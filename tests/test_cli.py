@@ -6,6 +6,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -70,6 +72,83 @@ def test_a_command_imports_only_the_layers_it_runs(tmp_path, argv, code, loaded,
     name = {"numpy": "numpy", **{layer: f"heckespin.{layer}" for layer in _LAYERS}}
     assert {layer for layer in loaded if name[layer] not in modules} == set()
     assert {layer for layer in unloaded if name[layer] in modules} == set()
+
+
+# runs `python -m heckespin.cli ARGV...` with the translation word past the
+# last one planted in weyl, a defect no input reaches
+_PLANTED = """
+import runpy, sys
+import heckespin.weyl as weyl
+honest, sys.argv = weyl.tau_word, ["heckespin", *sys.argv[1:]]
+weyl.tau_word = lambda i, n: honest(n + 1, n)
+runpy.run_module("heckespin.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def _cli_process(cwd, argv, script=None, stdout=subprocess.PIPE):
+    """`python -m heckespin.cli ARGV...`, or `python -c SCRIPT ARGV...`, run
+    to completion in cwd with stderr piped, stdout piped unless given, and
+    both block-buffered, so that only the final flush delivers what is left
+    in the buffers."""
+    from pathlib import Path
+
+    import heckespin
+
+    src = str(Path(heckespin.__file__).resolve().parents[1])
+    head = ["-c", script] if script else ["-m", "heckespin.cli"]
+    env = {key: val for key, val in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, *head, *argv], cwd=cwd, env={**env, "PYTHONPATH": src},
+                          stdout=stdout, stderr=subprocess.PIPE)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["verify", "algebra", "--n", "2", "--seed", "1"], 0),
+    (["verify", "algebra", "--n", "2", "--seed", "1", "--tolerance", "1e-20"], 1),
+    (["verify", "koornwinder", "--n", "7"], 2),
+], ids=["pass", "fail", "refuse"])
+def test_the_process_exit_keeps_the_code_stdout_and_report_of_main(tmp_path, capsys, argv, code):
+    """The process ends with os._exit once its output is flushed: its exit
+    code, stdout and --report file are byte for byte those of main(argv)."""
+    proc = _cli_process(tmp_path, argv)
+    assert proc.returncode == code, proc.stderr.decode()
+    assert run(argv) == code
+    assert proc.stdout == capsys.readouterr().out.encode()
+    proc = _cli_process(tmp_path, [*argv, "--report", "process.json"])
+    assert proc.returncode == code, proc.stderr.decode()
+    assert run([*argv, "--report", str(tmp_path / "main.json")]) == code
+    written = [tmp_path / name for name in ("process.json", "main.json")]
+    assert [path.exists() for path in written] == [code < 2] * 2
+    assert code == 2 or written[0].read_bytes() == written[1].read_bytes()
+
+
+def test_a_planted_defect_exits_three_through_the_process_exit(tmp_path):
+    proc = _cli_process(tmp_path, ["verify", "baxter", "--n", "2"], script=_PLANTED)
+    assert proc.returncode == 3
+    assert b"internal defect" in proc.stderr
+
+
+def test_a_pipe_closed_before_the_final_flush_exits_120(tmp_path):
+    """As the interpreter's own exit does when its flush fails, without a
+    traceback."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _cli_process(tmp_path, ["verify", "algebra", "--n", "2", "--seed", "1"], stdout=write)
+    finally:
+        os.close(write)
+    assert proc.returncode == 120, proc.stderr.decode()
+    assert b"Traceback" not in proc.stderr
+
+
+def test_a_report_larger_than_a_pipe_buffer_arrives_whole(tmp_path, capsys):
+    """Output past the 64 KiB a pipe holds reaches its reader whole before
+    os._exit."""
+    argv = ["emit", "tables", "--kind", "hamiltonian_spectrum", "--n", "8", "--seed", "1"]
+    proc = _cli_process(tmp_path, argv)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert len(proc.stdout) > 65536
+    assert run(argv) == 0
+    assert proc.stdout == capsys.readouterr().out.encode()
 
 
 def test_verify_suite_passes_and_writes_report(tmp_path):
@@ -590,6 +669,20 @@ def test_a_huge_boundary_kappa_fails_a_row_instead_of_crashing(tmp_path):
     assert run(["verify", "transfer", "--params", pfile, "--report", str(report)]) == 1
     checks = {c["name"]: c for c in json.loads(report.read_text())["checks"]}
     assert not checks["hamiltonian transfer vs pauli form"]["pass"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("argv", [["koornwinder", "compute", "--lambda", "1,0"],
+                                  ["verify", "koornwinder"]], ids=["compute", "verify"])
+def test_a_point_whose_translation_matrices_round_past_their_pattern_is_refused(
+        tmp_path, capsys, argv):
+    """At kappa0 = 1e-6 (1+i) and kappan = 1e6 (1+i) the rounding of the
+    products Y_i on the radius-1 ball reaches the threshold that finds their
+    triangular pattern, which then failed as an internal defect (exit 3)."""
+    pfile = _params_file(tmp_path, seed=1, n=2, kappa0={"re": 1e-6, "im": 1e-6},
+                         kappan={"re": 1e6, "im": 1e6})
+    assert run(argv + ["--params", pfile]) == 2
+    assert "refused: rounding in Y_1 reaches its triangular pattern" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n,field,value,argv,message", [

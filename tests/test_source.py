@@ -1,8 +1,12 @@
 """Static checks over the package source: every function and class is used
-by the package itself, so code that only tests call lives beside the tests."""
+by the package itself, so code that only tests call lives beside the tests;
+every file is opened in a with statement; and the console script is the
+process entry of the driver."""
 
 import ast
 from pathlib import Path
+
+import pytest
 
 import heckespin
 
@@ -51,3 +55,47 @@ def test_a_planted_uncalled_function_is_flagged(tmp_path):
     )
     (tmp_path / "main.py").write_text("from mod import used\n\nused()\n")
     assert uncalled_names(tmp_path) == ["mod.recursive", "mod.Holder", "mod.method"]
+
+
+def unmanaged_opens(src: Path = SRC) -> list:
+    """module:line of every open(...) call in src that is not the expression
+    of a with item: the process ends with os._exit, which runs no finalizer
+    that would flush and close a file left open."""
+    out = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        managed = {id(item.context_expr) for node in ast.walk(tree)
+                   if isinstance(node, (ast.With, ast.AsyncWith)) for item in node.items}
+        out += [f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "open" and id(node) not in managed]
+    return out
+
+
+def test_every_open_in_src_is_a_with_item():
+    assert unmanaged_opens() == []
+
+
+def test_a_planted_open_outside_a_with_is_flagged(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def read(path):\n    with open(path) as fh:\n        return fh.read()\n\n\n"
+        "def write(path, text):\n    fh = open(path, 'w')\n    fh.write(text)\n\n\n"
+        "def peek(path):\n    return open(path).read()\n"
+    )
+    assert unmanaged_opens(tmp_path) == ["mod:7", "mod:12"]
+
+
+def test_the_console_script_is_the_function_the_main_block_calls():
+    """The heckespin script and `python -m heckespin.cli` take one process
+    entry, so an installed script skips the same teardown."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = SRC.parents[1] / "pyproject.toml"
+    if not pyproject.exists():
+        pytest.skip("the package is not run from its source tree")
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    [block] = [node for node in tree.body if isinstance(node, ast.If)
+               and ast.unparse(node.test) == "__name__ == '__main__'"]
+    [stmt] = block.body
+    assert isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)
+    assert scripts["heckespin"] == f"heckespin.cli:{ast.unparse(stmt.value.func)}"
