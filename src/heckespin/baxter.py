@@ -36,19 +36,19 @@ import functools
 import numpy as np
 
 from .numerics import (
+    _POLE_TOL,
     InternalDefectError,
     ParamSet,
     PoleProximityError,
     RefusalError,
     Residuals,
+    nonvanishing,
     rel_residual,
     torus_point,
 )
 from .spinrep import _local_k, _local_kbar, _local_upsilon_p
 from .tensorops import factor_product, row_residual
 from .weyl import WeylElem, act_point
-
-_POLE_TOL = 1e-6
 
 
 def _horner(coeffs, x):
@@ -113,13 +113,19 @@ def _baxterize(t_hat, kj, uj=None) -> RationalMat:
 @functools.lru_cache(maxsize=16)
 def dressed_blocks(params: ParamSet):
     """(K_0, R, K_n): the 2x2 left boundary, 4x4 middle and 2x2 right
-    boundary dressed blocks, built once per ParamSet."""
+    boundary dressed blocks, built once per ParamSet.  Each must be regular
+    at x = 1, where it is the identity: a denominator that vanishes there,
+    1 - kappa^2 or (1 - kappa_j upsilon_j)(1 + kappa_j/upsilon_j), is a
+    GenericityError naming the point (numerics.nonvanishing)."""
     p = params
-    return (
+    blocks = (
         _baxterize(_local_kbar(p), p.kappa0, p.upsilon0),
         _baxterize(_local_upsilon_p(p), p.kappa),
         _baxterize(_local_k(p), p.kappan, p.upsilonn),
     )
+    for name, block in zip(("K_0", "R", "K_n"), blocks):
+        nonvanishing(block.den, p, f"the denominator of {name} at x = 1")
+    return blocks
 
 
 def baxter_j(params: ParamSet, j: int, x):

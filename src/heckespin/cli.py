@@ -5,9 +5,10 @@ Reports are plain JSON with keys sorted and checks sorted by name, so a
 fixed command line, config file, and seed always produce byte-identical
 output; wall-clock timing goes to stderr only.  Exit codes: 0 all checks
 pass, 1 at least one check failed, 2 a refusal: a precondition, cap,
-genericity or pole refusal, or an input that cannot be read (unreadable or
-malformed JSON, a mistyped, zero or non-finite parameter, a negative seed),
-3 an internal defect, which includes any ValueError that no input reaches.
+genericity or pole refusal, an input that cannot be read (unreadable or
+malformed JSON, a mistyped, zero or non-finite parameter, a negative seed)
+or an output that cannot be written, 3 an internal defect, which includes
+any ValueError that no input reaches.
 
 A suite beyond its caps (_CAPS) refuses before sampling.  "verify all" runs
 the suites within theirs and lists the others in a "skipped" report key,
@@ -146,17 +147,26 @@ def _qkz_degrees(cfg: Config) -> list:
     return [cfg.m] if cfg.m is not None else [-1, 0, 1]
 
 
-def _resolve_params(cfg: Config, suite=None, mcondition=None, degree=0) -> ParamSet:
-    """The point a command runs at, once the caps of suite have passed (none
-    is named where run_suite has checked them): cfg.params if given, else the
-    generic point of cfg.seed and cfg.n."""
-    from .numerics import sample_generic
+def _at_point(cfg: Config, work, suite=None, mcondition=None, degree=0):
+    """(p, work(p)) at the point p a command runs at, once the caps of suite
+    have passed (none is named where run_suite has checked them): cfg.params
+    if given, else the first point of cfg.seed's stream and, while a layer's
+    guard refuses the point drawn (a GenericityError naming it), the next."""
+    from . import numerics
 
     if suite is not None:
         _CAPS[suite](cfg, degree)
     if cfg.params is not None:
-        return cfg.params
-    return sample_generic(seed=cfg.seed, n=cfg.n, mcondition=mcondition)
+        return cfg.params, work(cfg.params)
+    first = numerics.sample_generic(seed=cfg.seed, n=cfg.n, mcondition=mcondition)
+    later = itertools.islice(numerics.generic_draws(cfg.seed, cfg.n, mcondition), 1, None)
+    # the stream raises GenericityError once its draws are spent
+    for p in itertools.chain([first], later):
+        try:
+            return p, work(p)
+        except numerics.GenericityError as exc:
+            if exc.point != p:
+                raise
 
 
 def _row(name, value, tolerance, context="", floor=None):
@@ -459,7 +469,7 @@ def suite_qkz(cfg: Config, p: ParamSet):
     ms = _qkz_degrees(cfg)
     sols = []
     for m in ms:
-        sol = build_polynomial_solution(_resolve_params(cfg, mcondition=m), m)
+        _point, sol = _at_point(cfg, lambda p, m=m: build_polynomial_solution(p, m), mcondition=m)
         sols.append(sol)
         res = verify_solution(sol, samples=cfg.samples, seed=cfg.seed)
         checks += _rows(
@@ -543,11 +553,15 @@ def run_suite(name: str, cfg: Config):
     if not names:
         raise RefusalError("every suite is beyond its caps: " + "; ".join(
             f"{sub}: {why}" for sub, why in skipped.items()))
-    p = _resolve_params(cfg)
-    checks = []
-    for sub in names:
-        prefix = f"{sub}: " if name == "all" else ""
-        checks += [dict(c, name=prefix + c["name"]) for c in _SUITE_FNS[sub](cfg, p)]
+
+    def run_suites(p):
+        checks = []
+        for sub in names:
+            prefix = f"{sub}: " if name == "all" else ""
+            checks += [dict(c, name=prefix + c["name"]) for c in _SUITE_FNS[sub](cfg, p)]
+        return checks
+
+    p, checks = _at_point(cfg, run_suites)
     return _report(name, cfg, p, checks, skipped), int(1000 * (time.monotonic() - t0))
 
 
@@ -593,8 +607,9 @@ def cmd_koornwinder_compute(args) -> int:
     cfg = _load_config(args)
     if cfg.lam is None:
         raise RefusalError("--lambda is required (comma-separated integers)")
-    p = _resolve_params(cfg, "koornwinder", degree=sum(abs(v) for v in cfg.lam))
-    payload = _polynomial_payload(compute_P_detail(cfg.lam, p))
+    p, det = _at_point(cfg, lambda p: compute_P_detail(cfg.lam, p), "koornwinder",
+                       degree=sum(abs(v) for v in cfg.lam))
+    payload = _polynomial_payload(det)
     payload["params_fingerprint"] = p.fingerprint()
     _write_json(payload, cfg.out)
     return 0
@@ -605,7 +620,7 @@ def cmd_qkz_build(args) -> int:
 
     cfg = _load_config(args)
     cfg.m = 1 if cfg.m is None else cfg.m
-    sol = build_polynomial_solution(_resolve_params(cfg, "qkz", mcondition=cfg.m), cfg.m)
+    _point, sol = _at_point(cfg, lambda p: build_polynomial_solution(p, cfg.m), "qkz", mcondition=cfg.m)
     _write_json(sol.to_dict(), cfg.out)
     return 0
 
@@ -627,20 +642,23 @@ def cmd_qkz_verify(args) -> int:
 def cmd_emit_tables(args) -> int:
     cfg = _load_config(args)
     bound = cfg.m if cfg.m is not None else 2
-    suite = {"koornwinder": "koornwinder", "hamiltonian_spectrum": "transfer"}[args.kind]
-    p = _resolve_params(cfg, suite, degree=bound)
     if args.kind == "hamiltonian_spectrum":
         import numpy as np
 
         from .numerics import RefusalError
         from .transfer import hamiltonian
 
-        spectra = {}
-        for form in ("transfer", "pauli", "tl"):
-            h = hamiltonian(p, form=form)
-            if not np.isfinite(h).all():
-                raise RefusalError(f"the {form} form of the Hamiltonian overflows at this point")
-            spectra[form] = sorted(np.linalg.eigvals(h), key=lambda z: (round(z.real, 9), round(z.imag, 9)))
+        def eigenvalues(p):
+            spectra = {}
+            for form in ("transfer", "pauli", "tl"):
+                h = hamiltonian(p, form=form)
+                if not np.isfinite(h).all():
+                    raise RefusalError(f"the {form} form of the Hamiltonian overflows at this point")
+                spectra[form] = sorted(np.linalg.eigvals(h),
+                                       key=lambda z: (round(z.real, 9), round(z.imag, 9)))
+            return spectra
+
+        p, spectra = _at_point(cfg, eigenvalues, "transfer")
         gap = max(abs(complex(x) - complex(y))
                   for va, vb in itertools.combinations(spectra.values(), 2) for x, y in zip(va, vb))
         forms = {form: [{"re": v.real, "im": v.imag} for v in vals] for form, vals in spectra.items()}
@@ -648,13 +666,19 @@ def cmd_emit_tables(args) -> int:
                      "agree": bool(gap < 1e-7), "params_fingerprint": p.fingerprint()}, cfg.out)
         return 0
     from .koornwinder import compute_P_detail
-    from .numerics import l1_ball
+    from .numerics import RefusalError, l1_ball
 
+    # the ball is built only once the caps, checked first by _at_point, pass
+    p, payloads = _at_point(
+        cfg, lambda p: [_polynomial_payload(compute_P_detail(lam, p)) for lam in l1_ball(cfg.n, bound)],
+        "koornwinder", degree=bound)
     out_dir = cfg.out or "tables_koornwinder"
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise RefusalError(f"cannot write {out_dir}: {exc.strerror or exc}") from exc
     entries = []
-    for lam in l1_ball(cfg.n, bound):
-        payload = _polynomial_payload(compute_P_detail(lam, p))
+    for lam, payload in zip(l1_ball(cfg.n, bound), payloads):
         fname = "lam_" + "_".join(str(v) for v in lam) + ".json"
         _write_json(payload, os.path.join(out_dir, fname))
         entries.append(fname)
@@ -666,12 +690,21 @@ def cmd_emit_tables(args) -> int:
 
 
 def _write_json(payload, out):
+    """payload as JSON, keys sorted, to the file out, else to stdout;
+    RefusalError when it cannot be written there."""
+    from .numerics import RefusalError
+
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    try:
+        if out:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        elif sys.stdout is None:
+            raise RefusalError("cannot write to stdout: it is closed")
+        else:
+            sys.stdout.write(text)
+    except OSError as exc:
+        raise RefusalError(f"cannot write {out or 'to stdout'}: {exc.strerror or exc}") from exc
 
 
 def _add_common(parser, fn):
@@ -751,7 +784,8 @@ def entry() -> None:
     atexit._run_exitfuncs()
     for stream in (sys.stdout, sys.stderr):
         try:
-            stream.flush()
+            if stream is not None:  # None: the descriptor was closed at start
+                stream.flush()
         except OSError:  # a closed pipe; the interpreter's own exit gives 120
             code = 120
     os._exit(code)

@@ -207,7 +207,8 @@ def _ball(params: ParamSet, radius: int):
         # below the pattern threshold of _joint_eigenbasis
         noise = np.finfo(float).eps * np.prod([np.abs(f).max() for f in factors])
         if noise > _TRIANGULAR_TOL * max(float(np.abs(mats[i]).max()), 1.0):
-            raise GenericityError(f"rounding in Y_{i} reaches its triangular pattern on the ball")
+            raise GenericityError(f"rounding in Y_{i} reaches its triangular pattern on the ball",
+                                  point=params)
     return basis, index, mats, gens, _joint_eigenbasis(mats)
 
 
@@ -254,10 +255,11 @@ def _monic_vectors(labels, gammas, params: ParamSet) -> _Monic:
     vectors the rows of gammas, as the columns of one matrix on the ball of
     radius r: each label's column of the joint eigenbasis on its down-set,
     entries at most 1e-13 of the column's largest dropped, the leading entry
-    pinned to 1.  GenericityError when a diagonal entry of some Y_i at a label misses
-    1/gamma_i, or a predecessor in the triangular order shares the label's
-    entry of Z, by _KERNEL_GAP of the largest such entry (at least 1), or
-    the leading entry is below 1e-12 of its column's largest."""
+    pinned to 1.  GenericityError, naming params, when a diagonal entry of
+    some Y_i at a label misses 1/gamma_i, or a predecessor in the triangular
+    order shares the label's entry of Z, by _KERNEL_GAP of the largest such
+    entry (at least 1), or the leading entry is below 1e-12 of its column's
+    largest."""
     n, radius = params.n, sum(abs(v) for v in labels[0])
     check_caps(n, radius)
     ball = _ball(params, radius)
@@ -277,7 +279,7 @@ def _monic_vectors(labels, gammas, params: ParamSet) -> _Monic:
     for l in np.flatnonzero(missed | shared | vanished)[:1]:
         why = ("no joint eigenvector" if missed[l] else "non-generic spectrum" if shared[l]
                else "leading coefficient vanished")
-        raise GenericityError(f"{why} at lambda={labels[l]}")
+        raise GenericityError(f"{why} at lambda={labels[l]}", point=params)
     lead = np.arange(len(vecs))[:, None] == cols
     vecs = np.where((np.abs(vecs) > 1e-13 * top) | lead, vecs, 0)
     vecs[lead] = 1.0  # one by construction; pinned, never left to rounding

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ParamSet
-from .spinrep import TLParams
+from .numerics import ParamSet, nonvanishing
+from .spinrep import TLParams, boundary_norm
 from .tensorops import Monomial
 
 
@@ -192,7 +192,7 @@ def matchmaker_betas(params: ParamSet):
     p = params
     k, k0, kn = p.kappa, p.kappa0, p.kappan
     ps = p.psi0 * p.psin
-    den = (k / k0 + k0 / k) * (k / kn + kn / k)
+    den = boundary_norm(p, 0) * boundary_norm(p, p.n)
     if p.n % 2 == 1:
         num = (1 + k0 / kn * ps) * (1 + kn / k0 * ps)
     else:
@@ -213,13 +213,13 @@ def m_constants(params: ParamSet) -> dict:
     k, k0, kn = p.kappa, p.kappa0, p.kappan
     ps = p.psi0 * p.psin
     if p.n % 2 == 1:
-        fn = 1 + k0 / kn * ps
+        fn = nonvanishing((1, k0 / kn * ps), p, "1 + kappa0/kappan psi0 psin")
     else:
-        fn = 1 - k0 * kn / k * ps
+        fn = nonvanishing((1, -(k0 * kn / k * ps)), p, "1 - kappa0 kappan/kappa psi0 psin")
     M = {(0, 0): 1.0 + 0j}
-    M[(0, 1)] = 1 / (p.psi0 * (k / k0 + k0 / k)) / M[(0, 0)]
+    M[(0, 1)] = 1 / (p.psi0 * boundary_norm(p, 0)) / M[(0, 0)]
     M[(p.n, 1)] = 1 / fn / M[(0, 0)]
-    M[(p.n, 0)] = 1 / (p.psin * (k / kn + kn / k)) / M[(p.n, 1)]
+    M[(p.n, 0)] = 1 / (p.psin * boundary_norm(p, p.n)) / M[(p.n, 1)]
     return M
 
 

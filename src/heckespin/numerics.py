@@ -10,7 +10,8 @@ exponent table shared by the rows of a complex coefficient matrix, one row
 per polynomial.  They are built, stored as JSON and evaluated here; the
 library never multiplies two of them or changes their variables.  The
 spectral vectors of integer weights are the rows of one array
-(gamma_vectors), and every sample clear of the poles comes from one
+(gamma_vectors).  Parameter points come from one seeded stream
+(generic_draws), and every sample clear of the poles comes from one
 batched sampler (pole_free_points).
 """
 
@@ -27,22 +28,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# attempts before sample_generic gives up on a seed
+# draws before generic_draws gives up on a seed
 _MAX_DRAWS = 64
 # draws beyond the requested count before pole_free_points gives up
 _MAX_RESAMPLE = 40
-# moduli of the sampled scalars and of the probe points
+# moduli of the sampled scalars
 _SCALAR_BAND = (0.6, 1.6)
-_PROBE_BAND = (0.7, 1.4)
-_PROBE_COUNT = 32
-_DENOM_FLOOR = 1e-3
-_GAMMA_DEGREE = 4
-_GAMMA_GAP = 1e-6
+# a denominator below this (relative) is at a pole
+_POLE_TOL = 1e-6
 _LOG_TINY, _LOG_HUGE = -708.39, 709.78  # within log of the least and largest normal double
 
 
 class GenericityError(RuntimeError):
-    """Sampling could not reach a parameter point clear of all denominators."""
+    """A denominator or a spectral gap vanishes.  ``point`` is the ParamSet
+    whose own guard fired (see nonvanishing), None when the fault lies
+    elsewhere: sample points near poles, or a seed out of draws."""
+
+    def __init__(self, message: str, point=None):
+        super().__init__(message)
+        self.point = point
 
 
 class RefusalError(RuntimeError):
@@ -271,14 +275,6 @@ def _gamma_exponents(lams, n: int):
     return lam, s
 
 
-@functools.lru_cache(maxsize=None)
-def _ball_exponents(n: int, radius: int):
-    exponents = _gamma_exponents(l1_ball(n, radius), n)
-    for a in exponents:
-        a.flags.writeable = False  # shared by every caller of the cache
-    return exponents
-
-
 def gamma_vectors(lams, params: ParamSet) -> np.ndarray:
     """Spectral vectors of integer weights, one row of a (weights, n) array
     per weight.
@@ -286,17 +282,12 @@ def gamma_vectors(lams, params: ParamSet) -> np.ndarray:
     Coordinate i is q^lam_i (kappa0 kappan)^(-eta(lam_i)) kappa^s_i, where
     s_i = sum_{j<i} eta(lam_j - lam_i) - sum_{j>i} eta(lam_i - lam_j)
     - sum_{j != i} eta(lam_i + lam_j), with eta(0) = -1 throughout.  The
-    integer exponents are found for all weights at once (_gamma_exponents).
+    integer exponents are found for all weights at once (_gamma_exponents),
+    then one product q^m (kappa0 kappan)^(-eta(m)) kappa^s of Python scalars
+    per distinct (m, s), the same powers and products as one coordinate at
+    a time (so equal to the last bit), is gathered.
     """
-    return _gamma_array(_gamma_exponents(lams, params.n), params)
-
-
-def _gamma_array(exponents, params: ParamSet) -> np.ndarray:
-    """gamma_vectors from the exponents (m, s) of every coordinate: one
-    product q^m (kappa0 kappan)^(-eta(m)) kappa^s of Python scalars per
-    distinct (m, s), the same powers and products as one coordinate at a
-    time (so equal to the last bit), then gathered."""
-    lam, s = exponents
+    lam, s = _gamma_exponents(lams, params.n)
     if lam.size == 0:
         return np.zeros(lam.shape, dtype=complex)
     q, k0n, kappa = params.q, params.kappa0 * params.kappan, params.kappa
@@ -306,30 +297,6 @@ def _gamma_array(exponents, params: ParamSet) -> np.ndarray:
         [[q**m * k0n ** (-eta(m)) * kappa**t for t in ts] for m in ms], dtype=complex
     )
     return table[lam - ms[0], s - ts[0]]
-
-
-def _gamma_distinct(params: ParamSet, radius: int = _GAMMA_DEGREE) -> bool:
-    """False iff two weights of l1-degree <= radius have spectral vectors
-    within _GAMMA_GAP of each other in every coordinate.
-
-    Sort-and-sweep on a fixed real projection Re(gamma . c): such a pair
-    differs by at most sum|c_k| * _GAMMA_GAP in projection, so only rows
-    inside twice that window are compared coordinate by coordinate.  The
-    weights and their exponents are built once per (n, radius).
-    """
-    gam = _gamma_array(_ball_exponents(params.n, radius), params)
-    c = np.exp(1j * np.sqrt(np.arange(2.0, params.n + 2)))
-    proj = (gam @ c).real
-    order = np.argsort(proj, kind="stable")
-    proj, gam = proj[order], gam[order]
-    window = 2 * np.sum(np.abs(c)) * _GAMMA_GAP
-    hi = np.searchsorted(proj, proj + window, side="right")
-    for i in np.flatnonzero(hi > np.arange(1, len(gam) + 1)):
-        # max-abs coordinate distance from row i to each candidate above it
-        dist = np.max(np.abs(gam[i + 1 : hi[i]] - gam[i]), axis=1)
-        if dist.min() <= _GAMMA_GAP:
-            return False
-    return True
 
 
 def torus_point(rng, count: int, band) -> tuple:
@@ -346,77 +313,16 @@ def torus_point(rng, count: int, band) -> tuple:
     )
 
 
-def _kbar_trace_denominator(p: ParamSet) -> complex:
-    """Tr(theta kbar(kappa^2) theta) as needed by the transfer normalization."""
-    x = p.kappa**2
-    pref = p.kappa0 / ((1 - p.kappa0 * p.upsilon0 * x) * (1 + p.kappa0 / p.upsilon0 * x))
-    a = (1 / p.kappa0 - p.kappa0) * x**2 + (1 / p.upsilon0 - p.upsilon0) * x
-    d = 1 / p.kappa0 - p.kappa0 + (1 / p.upsilon0 - p.upsilon0) * x
-    return pref * (a / p.kappa + d * p.kappa)
-
-
-def _denominator_values(p: ParamSet, rng) -> float:
-    """Smallest magnitude over every structural denominator at probe points."""
-    n = p.n
-    vals = []
-    k, k0, kn, u0, un = p.kappa, p.kappa0, p.kappan, p.upsilon0, p.upsilonn
-    # parameter-only denominators
-    for kj in (k0, k, kn):
-        vals.append(kj + 1 / kj)
-    for kj in (k0, kn):
-        vals.append(k / kj + kj / k)
-    for kj, uj in ((k0, u0), (kn, un)):
-        for w in (kj * uj, kj / uj, uj / kj, 1 / (kj * uj)):
-            vals.append(1 - w)
-            vals.append(1 + w)
-    vals.append(k**2 - 1)
-    vals.append(k**2 + 1)
-    vals.append(_kbar_trace_denominator(p))
-    if n % 2 == 1:
-        vals.append(1 + k0 / kn * p.psi0 * p.psin)
-        vals.append(1 + kn / k0 * p.psi0 * p.psin)
-    else:
-        vals.append(1 - k0 * kn / k * p.psi0 * p.psin)
-        vals.append(1 - k / (k0 * kn) * p.psi0 * p.psin)
-    q = p.q
-
-    def draw(count):
-        mod = rng.uniform(*_PROBE_BAND, size=count)
-        ph = rng.uniform(0.0, 2 * math.pi, size=count)
-        return mod * np.exp(1j * ph)
-
-    for _ in range(_PROBE_COUNT):
-        t = draw(n)
-        x = draw(1)[0]
-        vals.append(1 - q / t[0] ** 2)
-        vals.append(1 - q * t[0] ** 2)
-        for i in range(n - 1):
-            vals.append(1 - t[i] / t[i + 1])
-        vals.append(1 - t[-1] ** 2)
-        for z in (x, x**2):
-            vals.append(1 - k**2 * z)
-            vals.append(1 - z / k**2)
-        for kj, uj in ((k0, u0), (kn, un)):
-            for w in (kj * uj, kj / uj, uj / kj, 1 / (kj * uj)):
-                vals.append(1 - w * x)
-                vals.append(1 + w * x)
-            vals.append(1 - k**2 * kj * uj * x)
-            vals.append(1 + k**2 * kj / uj * x)
-    return min(abs(v) for v in vals)
-
-
-def sample_generic(seed: int, n: int, mcondition: int | None = None) -> ParamSet:
-    """Draw a deterministic generic ParamSet.
-
-    Moduli land in [0.6, 1.6] with uniform phases; draws are rejected until
-    |q| sits away from 1, the spectral vectors of all weights of l1-degree
-    <= 4 are pairwise distinct, and every structural denominator stays above
-    1e-3 in magnitude at 32 probe points.  ``mcondition=m`` solves the
-    boundary compatibility for psin before screening.  Raises
-    GenericityError after a bounded number of attempts.
-    """
+def generic_draws(seed: int, n: int, mcondition: int | None = None):
+    """The parameter points of one seed's stream, in draw order: eight
+    moduli uniform in [0.6, 1.6], then eight uniform phases, per draw, with
+    |q| at least 0.05 away from 1 and psin solved for ``mcondition``.  No
+    other screen: a random point is generic almost surely, and each layer
+    guards its own denominators (nonvanishing, baxter.RationalMat, the
+    spectral gates of koornwinder), naming the point in a GenericityError on
+    which a caller may take the next point.  GenericityError once _MAX_DRAWS
+    draws are spent."""
     rng = np.random.default_rng(seed)
-    last = "no attempt"
     for _ in range(_MAX_DRAWS):
         mod = rng.uniform(*_SCALAR_BAND, size=8)
         ph = rng.uniform(0.0, 2 * math.pi, size=8)
@@ -440,19 +346,27 @@ def sample_generic(seed: int, n: int, mcondition: int | None = None) -> ParamSet
             psin=psin,
             kappa_sqrt=cmath.sqrt(kappa),
         )
-        if abs(abs(p.q) - 1.0) < 0.05:
-            last = "q too close to the unit circle"
-            continue
-        if _denominator_values(p, rng) <= _DENOM_FLOOR:
-            last = "structural denominator below floor"
-            continue
-        if not _gamma_distinct(p):
-            last = "spectral vectors collide at low degree"
-            continue
-        return p
+        if abs(abs(p.q) - 1.0) >= 0.05:
+            yield p
     raise GenericityError(
-        f"no generic parameter point for seed={seed}, n={n}: {last}"
+        f"no generic parameter point for seed={seed}, n={n} in {_MAX_DRAWS} draws"
     )
+
+
+def sample_generic(seed: int, n: int, mcondition: int | None = None) -> ParamSet:
+    """The first point of generic_draws(seed, n, mcondition), deterministic
+    in its arguments."""
+    return next(generic_draws(seed, n, mcondition))
+
+
+def nonvanishing(terms, params: ParamSet, what: str):
+    """The sum of terms, a denominator of the parameters alone; a
+    GenericityError naming params when the sum is 0 or below 1e-6 of
+    sum |terms| (a NaN sum passes, so that the rows it reaches fail)."""
+    total = sum(terms[1:], terms[0])
+    if total == 0 or abs(total) < _POLE_TOL * sum(map(abs, terms)):
+        raise GenericityError(f"{what} vanishes at this parameter point", point=params)
+    return total
 
 
 def pole_free_points(draw, evaluate, count: int):

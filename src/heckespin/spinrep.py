@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensorops
-from .numerics import InternalDefectError, ParamSet, RefusalError, max_abs, rel_residual
+from .numerics import InternalDefectError, ParamSet, RefusalError, max_abs, nonvanishing, rel_residual
 from .weyl import WeylElem, first_descent, min_coset_reps, tau_word
 
 _DIM_CAP = 10
@@ -55,16 +55,21 @@ class TLParams:
         return self.delta
 
 
+def boundary_norm(params: ParamSet, j: int):
+    """kappa/kappa_j + kappa_j/kappa, the normalization of the boundary
+    generator j = 0 or n, rho(T_j) = kappa_j + norm rhohat(e_j); a
+    GenericityError where it vanishes (numerics.nonvanishing)."""
+    k, kj = params.kappa, params.kappa_j(j)
+    return nonvanishing((k / kj, kj / k), params, f"kappa/kappa_j + kappa_j/kappa at j={j}")
+
+
 def delta_from_kappa(params: ParamSet) -> TLParams:
     """Loop weights matched to the Hecke scalars."""
     k = params.kappa
     vals = {}
     for j, name in ((0, "delta0"), (params.n, "deltan")):
         kj = params.kappa_j(j)
-        den = k / kj + kj / k
-        if abs(den) < 1e-12:
-            raise RefusalError(f"parameter mismatch singularity at index {j}")
-        vals[name] = -(kj + 1 / kj) / den
+        vals[name] = -(kj + 1 / kj) / boundary_norm(params, j)
     return TLParams(delta0=vals["delta0"], delta=-(k + 1 / k), deltan=vals["deltan"])
 
 
@@ -76,9 +81,8 @@ def _mat(rows) -> np.ndarray:
 
 
 def _local_e0(p: ParamSet) -> np.ndarray:
-    k, k0, psi0 = p.kappa, p.kappa0, p.psi0
-    norm = k / k0 + k0 / k
-    return _mat([[-1 / k0, psi0], [1 / psi0, -k0]]) / norm
+    k0, psi0 = p.kappa0, p.psi0
+    return _mat([[-1 / k0, psi0], [1 / psi0, -k0]]) / boundary_norm(p, 0)
 
 
 def _local_e_mid(p: ParamSet) -> np.ndarray:
@@ -87,9 +91,8 @@ def _local_e_mid(p: ParamSet) -> np.ndarray:
 
 
 def _local_en(p: ParamSet) -> np.ndarray:
-    k, kn, psin = p.kappa, p.kappan, p.psin
-    norm = k / kn + kn / k
-    return _mat([[-kn, 1 / psin], [psin, -1 / kn]]) / norm
+    kn, psin = p.kappan, p.psin
+    return _mat([[-kn, 1 / psin], [psin, -1 / kn]]) / boundary_norm(p, p.n)
 
 
 def _local_kbar(p: ParamSet) -> np.ndarray:
@@ -165,10 +168,7 @@ def quotient_map_residuals(rep: SpinRep) -> dict:
     out = {}
     for j in range(p.n + 1):
         kj = p.kappa_j(j)
-        if j in (0, p.n):
-            norm = p.kappa / kj + kj / p.kappa
-        else:
-            norm = 1.0
+        norm = boundary_norm(p, j) if j in (0, p.n) else 1.0
         (t, _legs), (e, _legs) = rep.T[j], rep.e[j]
         out[f"surjection T{j}"] = rel_residual(t, kj * _eye(t) + norm * e)
     return out

@@ -36,8 +36,9 @@ from __future__ import annotations
 import numpy as np
 
 from .baxter import cocycle_factors, dressed_blocks
-from .numerics import InternalDefectError, ParamSet, Residuals, max_abs, rel_residual, torus_point
-from .spinrep import build_spin_rep
+from .numerics import (InternalDefectError, ParamSet, Residuals, max_abs, nonvanishing, rel_residual,
+                       torus_point)
+from .spinrep import boundary_norm, build_spin_rep
 from .tensorops import (
     PERMUTE_TWO,
     factor_product,
@@ -72,11 +73,19 @@ def phi_bdy(x, params: ParamSet):
     return num / den
 
 
+def _boundary_den(params: ParamSet, j: int):
+    """(1 - kappa_j upsilon_j)(1 + kappa_j/upsilon_j), the denominator of the
+    dressed boundary block K_j at x = 1, each factor guarded by
+    numerics.nonvanishing, for j = 0 or n."""
+    kj, uj = params.kappa_j(j), params.upsilon_j(j)
+    return (nonvanishing((1, -(kj * uj)), params, f"1 - kappa_j upsilon_j at j={j}")
+            * nonvanishing((1, kj / uj), params, f"1 + kappa_j/upsilon_j at j={j}"))
+
+
 def c0_constant(params: ParamSet):
     k, k0, u0 = params.kappa, params.kappa0, params.upsilon0
     num = (k**2 - k0 * u0) * (k**2 + k0 / u0)
-    den = (1 - k0 * u0) * (1 + k0 / u0)
-    return -num / (k * (1 + k**2) * den)
+    return -num / (k * nonvanishing((1, k**2), params, "1 + kappa^2") * _boundary_den(params, 0))
 
 
 def _double_row(params: ParamSet, x, t) -> list:
@@ -191,11 +200,13 @@ def transfer_T_deriv(params: ParamSet, x, t):
 
 
 def _aux_normalizer(params: ParamSet, x):
-    """Scalar Tr(theta K_0(kappa^2 x) theta) and its x-derivative."""
+    """Scalar Tr(theta K_0(kappa^2 x) theta), which the normalized transfer
+    matrix divides by (guarded by numerics.nonvanishing), and its
+    x-derivative."""
     kbar = dressed_blocks(params)[0]
     th = theta_matrix(params)
     k2 = params.kappa**2
-    g = np.trace(th @ kbar(k2 * x) @ th)
+    g = nonvanishing(list(np.diagonal(th @ kbar(k2 * x) @ th)), params, "Tr(theta K_0(kappa^2) theta)")
     gp = k2 * np.trace(th @ kbar.deriv(k2 * x) @ th)
     return g, gp
 
@@ -290,19 +301,15 @@ def tl_weight(params: ParamSet, j: int):
     if j not in (0, n):
         return 1.0 + 0j
     kj = params.kappa_j(j)
-    uj = params.upsilon_j(j)
-    dj = -kj * (k / kj + kj / k) / ((1 - kj * uj) * (1 + kj / uj))
+    dj = -kj * boundary_norm(params, j) / _boundary_den(params, j)
     return (k - 1 / k) * dj
 
 
 def _chain_constant(params: ParamSet):
     k, n = params.kappa, params.n
     total = 0.0 + 0j
-    for kj, uj in (
-        (params.kappa0, params.upsilon0),
-        (params.kappan, params.upsilonn),
-    ):
-        total += (1 + kj**2) / ((1 - kj * uj) * (1 + kj / uj))
+    for j in (0, n):
+        total += (1 + params.kappa_j(j) ** 2) / _boundary_den(params, j)
     return (k - 1 / k) / 2 * total - (n - 1) / 4 * (k + 1 / k)
 
 
@@ -341,11 +348,11 @@ def hamiltonian(params: ParamSet, form: str = "pauli") -> np.ndarray:
         left = (
             (1 + k0 * u0) * (1 - k0 / u0) * SZ
             - 4 * k0 * (psi0 * SPLUS + SMINUS / psi0)
-        ) / ((1 + k0 / u0) * (1 - k0 * u0))
+        ) / _boundary_den(params, 0)
         right = (
             (1 + kn * un) * (1 - kn / un) * SZ
             + 4 * kn * (SPLUS / psin + psin * SMINUS)
-        ) / ((1 + kn / un) * (1 - kn * un))
+        ) / _boundary_den(params, n)
         acc += (
             (k - 1 / k)
             / 2

@@ -18,6 +18,7 @@ import heckespin.transfer
 from conftest import DictPoly, explicit_rkk, letter_factor, to_table, transport_factors, ybe_per_sample
 from heckespin.baxter import baxter_j, check_ybe_re, cocycle_C, dressed_blocks
 from heckespin.numerics import (
+    GenericityError,
     PoleProximityError,
     rel_residual,
     sample_generic,
@@ -286,3 +287,25 @@ def test_the_battery_evaluates_each_block_once_per_argument(monkeypatch):
         counts.append(len(calls))
         assert (samples,) in calls
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("fields,name", [
+    ({"kappa": -1 + 0j, "kappa_sqrt": 1j}, "R"),
+    ({"kappa": 1 + 0j, "kappa_sqrt": 1 + 0j}, "R"),
+    ({"upsilon0": "1/kappa0"}, "K_0"),
+    ({"upsilon0": "-kappa0"}, "K_0"),
+    ({"upsilonn": "1/kappan"}, "K_n"),
+    ({"upsilonn": "-kappan"}, "K_n"),
+], ids=["kappa=-1", "kappa=1", "1-k0u0", "1+k0/u0", "1-knun", "1+kn/un"])
+def test_a_block_singular_at_one_is_a_genericity_error(fields, name):
+    """Each dressed block is the identity at x = 1; where its denominator
+    vanishes there (1 - kappa^2, or (1 - kappa_j upsilon_j)(1 + kappa_j /
+    upsilon_j)) dressed_blocks refuses with a GenericityError naming the
+    point, as every row that evaluates a block at x = 1 would meet it."""
+    p = sample_generic(seed=5, n=3)
+    scalars = {"1/kappa0": 1 / p.kappa0, "-kappa0": -p.kappa0, "1/kappan": 1 / p.kappan,
+               "-kappan": -p.kappan}
+    bad = p.replace(**{key: scalars.get(val, val) for key, val in fields.items()})
+    with pytest.raises(GenericityError, match=f"the denominator of {name} at x = 1 vanishes") as err:
+        dressed_blocks(bad)
+    assert err.value.point == bad

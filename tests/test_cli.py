@@ -4,6 +4,7 @@ flag precedence."""
 import cmath
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -18,8 +19,11 @@ from conftest import pole_free
 from heckespin.baxter import cocycle_C
 from heckespin.cli import main
 from heckespin.numerics import (
+    GenericityError,
     LaurentPoly,
+    ParamSet,
     PoleProximityError,
+    generic_draws,
     rel_residual,
     sample_generic,
     torus_point,
@@ -200,15 +204,20 @@ def test_polynomial_caps_refuse_before_sampling(tmp_path, monkeypatch):
     pfile.write_text(json.dumps(sample_generic(seed=8, n=4).to_dict()))
 
     def no_sampling(*args, **kw):
-        raise AssertionError("sampled before the cap check")
+        raise AssertionError("sampled or built labels before the cap check")
 
     monkeypatch.setattr(numerics, "sample_generic", no_sampling)
+    monkeypatch.setattr(numerics, "l1_ball", no_sampling)
     assert run(["verify", "koornwinder", "--n", "4"]) == 2
     # a parameter file sets the rank the cap is checked against
     assert run(["verify", "koornwinder", "--params", str(pfile)]) == 2
     assert run(["koornwinder", "compute", "--lambda", "3,2"]) == 2
     assert run(["emit", "tables", "--kind", "koornwinder", "--n", "4",
                 "--out", str(tmp_path / "t")]) == 2
+    # bounds whose ball of labels no memory holds: refused before it is built
+    for n, bound in ((1, 10**9), (30, 12)):
+        assert run(["emit", "tables", "--kind", "koornwinder", "--n", str(n), "--m", str(bound),
+                    "--out", str(tmp_path / "t")]) == 2
 
 
 def test_spin_cap_refuses_before_sampling(tmp_path, monkeypatch, capsys):
@@ -1238,9 +1247,9 @@ def _extreme_points(draw):
     ["emit", "tables", "--kind", "hamiltonian_spectrum"],
 ]))
 def test_no_extreme_finite_point_crashes_the_driver(tmp_path, doc, argv):
-    """At a well-formed point with scalars of any size, which skips the
-    sampler's genericity screen, every command passes, fails or refuses: no
-    traceback and no internal defect."""
+    """At a well-formed point with scalars of any size, which no seed's
+    stream would draw, every command passes, fails or refuses: no traceback
+    and no internal defect."""
     pfile = _write(tmp_path, doc)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -1260,11 +1269,156 @@ def test_no_extreme_finite_point_crashes_the_driver(tmp_path, doc, argv):
 def test_no_parameter_file_crashes_the_driver(tmp_path, doc, argv):
     """Whatever a --params file holds, the driver passes, fails or refuses:
     no traceback and no internal defect.  Finite scalar parts range over
-    1e-150 to 1e150, so the extreme finite points that skip the sampler's
-    genericity screen are fuzzed too."""
+    1e-150 to 1e150, so extreme finite points that no seed's stream would
+    draw are fuzzed too."""
     pfile = _write(tmp_path, doc)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv + ["--params", pfile])
     assert code in (0, 1, 2), err.getvalue()
     assert code != 2 or "refused: " in err.getvalue()
+
+
+def test_a_closed_stdout_is_a_refusal(tmp_path):
+    """With stdout closed at start the report cannot be written: exit 2 and
+    one refusal line, where writing it raised AttributeError (exit 1) and
+    the final flush would have too."""
+    from pathlib import Path
+
+    import heckespin
+
+    src = str(Path(heckespin.__file__).resolve().parents[1])
+    proc = subprocess.run(["sh", "-c", 'exec "$0" -m heckespin.cli verify algebra --n 2 >&-',
+                           sys.executable], cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True)
+    assert proc.returncode == 2, proc.stderr.decode()
+    assert proc.stderr.decode().splitlines() == ["refused: cannot write to stdout: it is closed"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "algebra", "--n", "2", "--report"],
+    ["koornwinder", "compute", "--n", "2", "--lambda", "1,0", "--out"],
+], ids=["report", "out"])
+def test_an_output_file_in_a_missing_directory_is_a_refusal(tmp_path, capsys, argv):
+    """A --report or --out file that cannot be opened is refused with exit 2
+    and one line, where open raised FileNotFoundError with a traceback."""
+    target = tmp_path / "missing" / "x.json"
+    capsys.readouterr()
+    assert run([*argv, str(target)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"refused: cannot write {target}: No such file or directory"]
+
+
+def test_a_table_directory_that_is_a_file_is_a_refusal(tmp_path, capsys):
+    """emit tables cannot make its output directory over a file: exit 2,
+    where os.makedirs raised FileExistsError with a traceback."""
+    target = tmp_path / "tables"
+    target.write_text("")
+    capsys.readouterr()
+    assert run(["emit", "tables", "--kind", "koornwinder", "--n", "2", "--m", "1",
+                "--out", str(target)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"refused: cannot write {target}: File exists"]
+
+
+def _plant_guard(monkeypatch, module, name, fires):
+    """Wrap module.name so that, like a layer's own guard, it raises a
+    GenericityError naming its parameter point where fires(point) holds;
+    the points it sees are logged in the returned list."""
+    honest, seen = getattr(module, name), []
+
+    def guarded(*args, **kw):
+        point = next(a for a in args if isinstance(a, ParamSet))
+        seen.append(point)
+        if fires(point):
+            raise GenericityError("planted guard", point=point)
+        return honest(*args, **kw)
+
+    monkeypatch.setattr(module, name, guarded)
+    return seen
+
+
+@pytest.mark.parametrize("module,name,argv,m", [
+    ("spinrep", "principal_series_basis", ["verify", "algebra", "--n", "2"], None),
+    ("koornwinder", "compute_P_detail", ["koornwinder", "compute", "--lambda", "1,0"], None),
+    ("qkz", "build_polynomial_solution", ["qkz", "build", "--n", "2", "--m", "1"], 1),
+], ids=["verify", "compute", "qkz build"])
+def test_a_guard_at_the_drawn_point_takes_the_next_draw(monkeypatch, tmp_path, capsys, module, name,
+                                                       argv, m):
+    """A guard that refuses the first point of the seed's stream makes the
+    command run at the stream's next point, with that point's output: the
+    same as the command at a parameter file holding it."""
+    import importlib
+
+    first, second = itertools.islice(generic_draws(3, 2, m), 2)
+    seen = _plant_guard(monkeypatch, importlib.import_module(f"heckespin.{module}"), name,
+                        lambda p: p == first)
+    capsys.readouterr()
+    assert run([*argv, "--seed", "3"]) == 0
+    retried = capsys.readouterr().out
+    assert seen == [first, second]
+    assert run([*argv, "--seed", "3", "--params", _write(tmp_path, second.to_dict())]) == 0
+    assert capsys.readouterr().out == retried
+
+
+def test_a_guard_at_a_qkz_point_takes_the_next_draw_of_its_degree(monkeypatch, tmp_path):
+    """Inside verify qkz the solution's point has its own stream, of its
+    degree m: a guard at its first point moves it alone to the next."""
+    import heckespin.qkz as qkz
+
+    first, second = itertools.islice(generic_draws(3, 2, -1), 2)
+    seen = _plant_guard(monkeypatch, qkz, "build_polynomial_solution", lambda p: p == first)
+    report = tmp_path / "r.json"
+    assert run(["verify", "qkz", "--n", "2", "--m", "-1", "--seed", "3", "--report", str(report)]) == 0
+    # then the unconstrained point of the refusal row, seed 3 + 101
+    assert seen == [first, second, sample_generic(seed=104, n=2)]
+
+
+def test_a_guard_at_every_draw_refuses_once_the_draws_are_spent(monkeypatch, capsys):
+    """A guard that refuses every point spends the seed's 64 draws, each in
+    the |q| band tried once, then refuses with exit 2."""
+    import heckespin.spinrep as spinrep
+
+    seen = _plant_guard(monkeypatch, spinrep, "principal_series_basis", lambda p: True)
+    assert run(["verify", "algebra", "--n", "2", "--seed", "3"]) == 2
+    assert "refused: no generic parameter point for seed=3, n=2 in 64 draws" in capsys.readouterr().err
+    draws = generic_draws(3, 2)
+    assert seen == [next(draws) for _ in seen]
+    with pytest.raises(GenericityError, match="no generic parameter point"):
+        next(draws)
+
+
+def test_a_genericity_error_of_the_sample_points_refuses_at_once(monkeypatch, capsys, tmp_path):
+    """pole_free_points running out of draws is a GenericityError that names
+    no parameter point: the command refuses without a second draw."""
+    import heckespin.baxter as baxter
+    import heckespin.numerics as numerics
+
+    def at_pole(*args, **kw):
+        raise PoleProximityError("evaluation at a pole")
+
+    honest, drawn, first = numerics.generic_draws, [], sample_generic(seed=1, n=3)
+
+    def logged(*args):
+        for p in honest(*args):
+            drawn.append(p)
+            yield p
+
+    monkeypatch.setattr(baxter, "cocycle_C", at_pole)
+    monkeypatch.setattr(numerics, "generic_draws", logged)
+    assert run(["verify", "baxter", "--n", "3", "--report", str(tmp_path / "r.json")]) == 2
+    assert "refused: could not find enough pole-free sample points" in capsys.readouterr().err
+    assert drawn == [first]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_planted_spectral_collision_is_refused(tmp_path, capsys, n):
+    """With q a root of unity of order k <= 3 the labels (1, 0, ...) and
+    (1 + k, 0, ...) share a spectral vector: koornwinder compute refuses the
+    second at such a parameter file, as the polynomial layer's guard does."""
+    for order in (1, 2, 3):
+        q_sqrt = cmath.exp(1j * cmath.pi / order)
+        pfile = _params_file(tmp_path, seed=8, n=n, q_sqrt={"re": q_sqrt.real, "im": q_sqrt.imag})
+        label = ",".join(map(str, (1 + order,) + (0,) * (n - 1)))
+        capsys.readouterr()
+        assert run(["koornwinder", "compute", "--params", pfile, "--lambda", label]) == 2
+        assert f"refused: non-generic spectrum at lambda=({1 + order}," in capsys.readouterr().err

@@ -18,7 +18,7 @@ from heckespin.matchings import (
     matchmaker_matrix,
     pty,
 )
-from heckespin.numerics import sample_generic
+from heckespin.numerics import GenericityError, sample_generic
 from heckespin.spinrep import build_spin_rep, check_tl_relations, delta_from_kappa
 from heckespin.tensorops import op_on_legs
 
@@ -142,3 +142,18 @@ def test_intertwiner_matches_the_orientation_sum(n, seed):
     assert np.array_equal(
         intertwiner_Psi(params, limit=True), _psi_by_orientations(params, limit=True)
     )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_a_vanishing_parity_factor_is_a_genericity_error(n):
+    """M_{n,1} = 1/f_n with f_n = 1 + kappa0/kappan psi0 psin (n odd) or
+    1 - kappa0 kappan/kappa psi0 psin (n even): at psin where f_n = 0 the
+    boundary weights and the intertwiner refuse with a GenericityError
+    naming the point."""
+    p = sample_generic(seed=6, n=n)
+    k, k0, kn = p.kappa, p.kappa0, p.kappan
+    bad = p.replace(psin=(-kn / k0 if n % 2 else k / (k0 * kn)) / p.psi0)
+    for refused in (m_constants, intertwiner_Psi):
+        with pytest.raises(GenericityError, match="psi0 psin vanishes") as err:
+            refused(bad)
+        assert err.value.point == bad

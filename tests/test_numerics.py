@@ -9,20 +9,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import heckespin.koornwinder as koornwinder
 from conftest import DictPoly, divided_difference, laurent_mul, pole_free, s_j, to_table
+from heckespin.koornwinder import compute_P_detail, label_residuals
 from heckespin.numerics import (
-    _GAMMA_DEGREE,
-    _GAMMA_GAP,
     GenericityError,
     InternalDefectError,
     LaurentPoly,
     ParamSet,
     PoleProximityError,
     Residuals,
-    _gamma_distinct,
     eta,
     gamma_vectors,
+    generic_draws,
     l1_ball,
+    nonvanishing,
     pole_free_points,
     rel_residual,
     sample_generic,
@@ -208,17 +209,22 @@ def _gamma_scalar(lam, params):
     return tuple(out)
 
 
-def _gamma_distinct_all_pairs(params):
-    gam = np.array([_gamma_scalar(lam, params)
-                    for lam in l1_ball(params.n, _GAMMA_DEGREE)])
+def _gamma_distinct_all_pairs(params, radius=4, gap=1e-6):
+    """False iff two weights of l1-degree <= radius have spectral vectors
+    within gap of each other in every coordinate."""
+    gam = np.array([_gamma_scalar(lam, params) for lam in l1_ball(params.n, radius)])
     dist = np.max(np.abs(gam[:, None, :] - gam[None, :, :]), axis=2)
     np.fill_diagonal(dist, np.inf)
-    return bool(dist.min() > _GAMMA_GAP)
+    return bool(dist.min() > gap)
 
 
-def _raw_draw(rng, n):
+def _raw_draw(rng, n, m=None):
+    """The next draw of the raw stream: eight moduli in [0.6, 1.6], then
+    eight phases, with psin solved for the compatibility of degree m."""
     z = rng.uniform(0.6, 1.6, size=8) * np.exp(1j * rng.uniform(0, 2 * math.pi, 8))
     q_sqrt, k0, k, kn, u0, un, p0, pn = map(complex, z)
+    if m is not None:
+        pn = (k0 * kn * k ** (n - 1)) ** eta(m) / (p0 * (q_sqrt**2) ** m)
     return ParamSet(n=n, q_sqrt=q_sqrt, kappa0=k0, kappa=k, kappan=kn,
                     upsilon0=u0, upsilonn=un, psi0=p0, psin=pn,
                     kappa_sqrt=cmath.sqrt(k))
@@ -234,17 +240,80 @@ def test_batched_spectral_vectors_equal_the_scalar_formula(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_gamma_screen_matches_the_all_pairs_oracle(n):
+def test_gamma_screen_matches_the_all_pairs_oracle(monkeypatch, n):
+    """The screen of spectral collisions is the polynomial layer's own guard
+    (koornwinder._monic_vectors).  At clean raw draws the all-pairs oracle
+    finds no collision among the weights of degree <= 4 and the guard lets
+    every label of degree <= 4 through; where the oracle finds one, the
+    guard refuses its label with a GenericityError naming the point.  The
+    rank cap is lifted to n = 4, so that the guard answers, not the cap."""
+    monkeypatch.setattr(koornwinder, "_N_CAP", 4)
+
+    def labels(r):
+        return [lam for lam in l1_ball(n, r) if sum(map(abs, lam)) == r]
+
     rng = np.random.default_rng(100 + n)
     for _ in range(6):
         p = _raw_draw(rng, n)
-        assert _gamma_distinct(p) == _gamma_distinct_all_pairs(p)
+        assert _gamma_distinct_all_pairs(p)
+        for r in range(5):
+            label_residuals(labels(r), p)
     # negative control: with q a root of unity of order k <= 3, (1, 0, ...)
-    # and (1 + k, 0, ...) share a spectral vector; both screens must see it
+    # and (1 + k, 0, ...) share a spectral vector; the oracle and the guard
+    # must both see it
     for order in (1, 2, 3):
         p = _raw_draw(rng, n).replace(q_sqrt=cmath.exp(1j * math.pi / order))
         assert not _gamma_distinct_all_pairs(p)
-        assert not _gamma_distinct(p)
+        lam = (1 + order,) + (0,) * (n - 1)
+        for refused in (lambda: compute_P_detail(lam, p), lambda: label_residuals(labels(1 + order), p)):
+            with pytest.raises(GenericityError, match="non-generic spectrum") as err:
+                refused()
+            assert err.value.point == p
+
+
+@pytest.mark.parametrize("m", [None, -1, 0, 1])
+def test_sample_generic_is_the_first_raw_draw_in_the_q_band(m):
+    """No screen beyond the |q| band: for seeds 1-200 and n = 1..6 the point
+    is the first draw of the seed's raw stream of sixteen uniforms per draw
+    with |q| at least 0.05 away from 1, with psin solved for m."""
+    for n in range(1, 7):
+        for seed in range(1, 201):
+            rng = np.random.default_rng(seed)
+            while abs(abs((p := _raw_draw(rng, n, m)).q) - 1) < 0.05:
+                pass
+            assert sample_generic(seed, n, m) == p
+
+
+def test_generic_draws_run_through_the_stream_and_give_up_after_64_draws():
+    """The draws of a seed's stream in the |q| band, first sample_generic's,
+    then the next ones; a GenericityError naming no point once the 64 draws
+    of a seed are spent."""
+    rng, draws = np.random.default_rng(3), []
+    for _ in range(64):
+        p = _raw_draw(rng, 2)
+        if abs(abs(p.q) - 1) >= 0.05:
+            draws.append(p)
+    stream = generic_draws(3, 2)
+    assert [next(stream) for _ in draws] == draws
+    assert draws[0] == sample_generic(3, 2)
+    with pytest.raises(GenericityError, match="no generic parameter point for seed=3, n=2") as err:
+        next(stream)
+    assert err.value.point is None
+
+
+def test_a_vanishing_parameter_denominator_names_its_point():
+    """nonvanishing returns the sum, and refuses a sum that is 0 or below
+    1e-6 of sum |terms| with a GenericityError naming the point; a NaN sum
+    passes, so that the rows it reaches fail."""
+    p = sample_generic(seed=1, n=2)
+    assert nonvanishing((1, 2j), p, "d") == 1 + 2j
+    assert nonvanishing((1, -(1 - 2e-6)), p, "d") == 1 - (1 - 2e-6)
+    for terms in [(1, -1), (1, -(1 - 5e-7)), (0.0, 0.0), (1e-300, -1e-300)]:
+        with pytest.raises(GenericityError, match="d vanishes at this parameter point") as err:
+            nonvanishing(terms, p, "d")
+        assert err.value.point == p
+    total = nonvanishing((float("inf"), -float("inf")), p, "d")
+    assert total != total
 
 
 def test_sample_generic_is_deterministic_and_constrained():

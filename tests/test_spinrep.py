@@ -8,7 +8,7 @@ import pytest
 
 from conftest import _kron_embed, dense_hecke_relations
 from heckespin import spinrep
-from heckespin.numerics import InternalDefectError, ParamSet, rel_residual, sample_generic
+from heckespin.numerics import GenericityError, InternalDefectError, ParamSet, rel_residual, sample_generic
 from heckespin.spinrep import (
     build_spin_rep,
     check_hecke_relations,
@@ -296,3 +296,22 @@ def test_a_nan_in_a_murphy_product_fails_the_commutator_row(monkeypatch, poison)
     monkeypatch.setattr(spinrep, "murphy_Y", poisoned)
     got = murphy_commutator_residual(rep)
     assert got != got
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("side", [0, 1])
+def test_a_vanishing_boundary_normalization_is_a_genericity_error(n, side):
+    """At kappa_j = i kappa (j = 0 or n), kappa/kappa_j + kappa_j/kappa = 0:
+    the loop weights, the projector blocks and the quotient map divide by it,
+    and each refuses with a GenericityError naming the point."""
+    from heckespin.matchings import m_constants, matchmaker_betas
+    from heckespin.transfer import tl_weight
+
+    p = sample_generic(seed=4, n=n)
+    j = side * n
+    bad = p.replace(**{"kappan" if side else "kappa0": 1j * p.kappa})
+    for refused in (delta_from_kappa, build_spin_rep, matchmaker_betas, m_constants,
+                    lambda q: tl_weight(q, j)):
+        with pytest.raises(GenericityError, match=f"kappa_j/kappa at j={j} vanishes") as err:
+            refused(bad)
+        assert err.value.point == bad

@@ -7,10 +7,12 @@ import heckespin.tensorops
 import heckespin.transfer
 from conftest import explicit_rkk, factor_loop_T, transport_factors
 from heckespin.baxter import cocycle_factors
-from heckespin.numerics import rel_residual, sample_generic, torus_point
+from heckespin.numerics import GenericityError, rel_residual, sample_generic, torus_point
 from heckespin.spinrep import build_spin_rep
 from heckespin.tensorops import PERMUTE_TWO, factor_product, op_on_legs
 from heckespin.transfer import (
+    _aux_normalizer,
+    c0_constant,
     check_transfer,
     check_transfer_vs_transport,
     hamiltonian,
@@ -424,3 +426,36 @@ def test_transfer_matrix_never_forms_the_double_space(monkeypatch):
     transfer_T_deriv(p, x, t)
     with pytest.raises(AssertionError, match="double space"):
         factor_loop_T(p, x, t)
+
+
+@pytest.mark.parametrize("field,value,why", [
+    ("upsilon0", lambda p: 1 / p.kappa0, "1 - kappa_j upsilon_j at j=0"),
+    ("upsilon0", lambda p: -p.kappa0, "1 \\+ kappa_j/upsilon_j at j=0"),
+    ("upsilonn", lambda p: 1 / p.kappan, "1 - kappa_j upsilon_j at j=3"),
+    ("upsilonn", lambda p: -p.kappan, "1 \\+ kappa_j/upsilon_j at j=3"),
+], ids=["1-k0u0", "1+k0/u0", "1-knun", "1+kn/un"])
+def test_a_vanishing_boundary_factor_is_a_genericity_error(field, value, why):
+    """The boundary weights of the Hamiltonian and its constants divide by
+    (1 - kappa_j upsilon_j)(1 + kappa_j/upsilon_j): at a point on either
+    factor each refuses with a GenericityError naming the point."""
+    p = sample_generic(seed=2, n=3)
+    bad = p.replace(**{field: value(p)})
+    j = 0 if field == "upsilon0" else 3
+    calls = [lambda q: tl_weight(q, j), lambda q: hamiltonian(q, form="pauli")]
+    for refused in calls + ([c0_constant] if j == 0 else []):
+        with pytest.raises(GenericityError, match=why) as err:
+            refused(bad)
+        assert err.value.point == bad
+
+
+def test_a_vanishing_one_plus_kappa_squared_is_a_genericity_error():
+    """At kappa = i, 1 + kappa^2 = 0: c0_constant divides by it, and the
+    normalizing trace Tr(theta K_0(kappa^2) theta), which vanishes exactly
+    where 1 + kappa^2 or a left boundary factor does, vanishes with it."""
+    p = sample_generic(seed=2, n=3)
+    bad = p.replace(kappa=1j, kappa_sqrt=np.sqrt(1j))
+    for refused, why in [(c0_constant, "1 \\+ kappa\\^2"),
+                         (lambda q: _aux_normalizer(q, 1.0), "Tr\\(theta K_0")]:
+        with pytest.raises(GenericityError, match=why) as err:
+            refused(bad)
+        assert err.value.point == bad
