@@ -47,7 +47,7 @@ from .numerics import (
     torus_point,
 )
 from .spinrep import _local_k, _local_kbar, _local_upsilon_p
-from .tensorops import factor_product, row_residual
+from .tensorops import row_residual
 from .weyl import WeylElem, act_point
 
 
@@ -233,30 +233,22 @@ def cocycle_factors(params: ParamSet, word, t) -> list:
     specialization is the same word at params.replace(q_sqrt=1), as the
     dressed blocks do not depend on q.  The coordinates of t may be arrays,
     which gives stacks of blocks, one per point.  A letter outside 0..n
-    reaches baxter_j, which raises InternalDefectError."""
+    reaches baxter_j, which raises InternalDefectError.  Their product,
+    applied to an operand by tensorops.factor_product, obeys C_{w w'}(t) =
+    C_w(t) C_{w'}(w^{-1} t) by construction, and the dressed braid and
+    unitarity identities make it depend only on the element the word spells.
+
+    >>> from heckespin.numerics import rel_residual, sample_generic
+    >>> from heckespin.tensorops import factor_product
+    >>> p, t, v = sample_generic(seed=1, n=2), (0.9 + 0.2j, 1.1 - 0.3j), np.ones((4, 2))
+    >>> bool((factor_product(cocycle_factors(p, [], t), 2, v) == v).all())
+    True
+    >>> c = [factor_product(cocycle_factors(p, w, t), 2, v) for w in ([1, 0, 2, 2, 1], [1, 0, 1])]
+    >>> rel_residual(*c) < 1e-12
+    True"""
     n, pt, factors = params.n, tuple(t), []
     for a in word:
         x = params.q_sqrt / pt[0] if a == 0 else pt[a - 1] / pt[a] if 0 < a < n else pt[-1]
         factors.append(baxter_j(params, a, x))
         pt = act_point(WeylElem.generator(a, n), pt, params)
     return factors
-
-
-def cocycle_C(params: ParamSet, word, t) -> np.ndarray:
-    """The product of cocycle_factors: C_{w w'}(t) = C_w(t) C_{w'}(w^{-1} t)
-    holds by construction, and the dressed braid and unitarity identities
-    make the product depend only on the group element the word spells.
-
-    >>> from heckespin.numerics import rel_residual, sample_generic
-    >>> from heckespin.weyl import reduced_word
-    >>> p = sample_generic(seed=1, n=2)
-    >>> t = (0.9 + 0.2j, 1.1 - 0.3j)
-    >>> bool((cocycle_C(p, [], t) == np.eye(4)).all())
-    True
-    >>> word = [1, 0, 2, 2, 1]
-    >>> reduced_word(WeylElem.from_word(word, 2))
-    [1, 0, 1]
-    >>> rel_residual(cocycle_C(p, word, t), cocycle_C(p, [1, 0, 1], t)) < 1e-12
-    True
-    """
-    return factor_product(cocycle_factors(params, word, t), params.n)

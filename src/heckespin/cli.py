@@ -191,6 +191,16 @@ def _rows(prefix, res, tol, context=""):
     return [_row(prefix + key, val, tol, context) for key, val in sorted(res.items())]
 
 
+def _block(cfg: Config, rows: int):
+    """A suite's block of vectors (tensorops.gaussian_block), from cfg.seed's
+    first child stream, so that no sampled point moves."""
+    import numpy as np
+
+    from .tensorops import gaussian_block
+
+    return gaussian_block(np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0]), rows)
+
+
 # ---------------------------------------------------------------- suites
 
 
@@ -216,7 +226,7 @@ def suite_algebra(cfg: Config, p: ParamSet):
         "the generator image decomposes through the projector family",
     )
     checks.append(_row(
-        "commuting family pairwise", murphy_commutator_residual(rep), cfg.tolerance,
+        "commuting family pairwise", murphy_commutator_residual(rep, _block(cfg, rep.dim)), cfg.tolerance,
         "the 2n-fold generator products commute with one another",
     ))
     v0 = np.eye(rep.dim, 1, dtype=complex)
@@ -296,11 +306,16 @@ def suite_matchmaker(cfg: Config, p: ParamSet):
 def suite_baxter(cfg: Config, p: ParamSet):
     import numpy as np
 
-    from .baxter import check_ybe_re, cocycle_C
+    from .baxter import check_ybe_re, cocycle_factors
     from .numerics import PoleProximityError, pole_free_points, rel_residual, torus_point
+    from .tensorops import factor_product
     from .weyl import WeylElem, reduced_word, tau_word
 
-    n = p.n
+    n, v = p.n, _block(cfg, 2**p.n)
+
+    def cocycle(word, t):  # the cocycle along word at t, on the block
+        return factor_product(cocycle_factors(p, word, t), n, v)
+
     res = check_ybe_re(p, samples=cfg.samples, seed=cfg.seed)
     ctx = "spectral-parameter identities of the dressed generators"
     control = "negative control perturbed reflection"
@@ -320,7 +335,7 @@ def suite_baxter(cfg: Config, p: ParamSet):
         for k, (word, t) in enumerate(trials):
             shortest = reduced_word(WeylElem.from_word(word, n))
             try:
-                out.append(rel_residual(cocycle_C(p, word, t), cocycle_C(p, shortest, t)))
+                out.append(rel_residual(cocycle(word, t), cocycle(shortest, t)))
             except PoleProximityError:
                 at_pole[k] = True
         if at_pole.any():
@@ -340,7 +355,7 @@ def suite_baxter(cfg: Config, p: ParamSet):
         of points."""
         t = tuple(np.array(points, dtype=complex).T)
         first, last = tau_word(1, n), tau_word(n, n)
-        return rel_residual(cocycle_C(p, first + last, t), cocycle_C(p, last + first, t))
+        return rel_residual(cocycle(first + last, t), cocycle(last + first, t))
 
     transport = pole_free_points(lambda: torus_point(rng, n, (0.7, 1.4)), transport_residual, 4)
     checks.append(_row(
@@ -369,7 +384,8 @@ def suite_transfer(cfg: Config, p: ParamSet):
         "the transfer matrix at the distinguished points acts as the"
         " q-less translation transport",
     )
-    h_tl, h_pauli, h_transfer = (hamiltonian(p, form=form) for form in ("tl", "pauli", "transfer"))
+    v = _block(cfg, 2**p.n)
+    h_tl, h_pauli, h_transfer = (hamiltonian(p, form, v) for form in ("tl", "pauli", "transfer"))
     checks.append(_row(
         "hamiltonian projector vs pauli form", rel_residual(h_tl, h_pauli),
         cfg.tolerance, "two closed forms of the spin-chain hamiltonian",
@@ -391,19 +407,19 @@ def suite_transfer(cfg: Config, p: ParamSet):
             " evaluation at one generic point",
         ))
     # kappa0 enters only the boundary term B = w_0 e_0: detune it by the d whose
-    # first-order change d * max|dB/dlog kappa0| is 10x the floor of max|H|, as
-    # a fixed d fades while max|H| grows with n (d <= 1, also at a 0 or NaN slope)
+    # first-order change d * max|dB/dlog kappa0| is 10x the floor of max|H V| /
+    # max|V|, as a fixed d fades while H grows with n (d <= 1, also at a 0 or NaN slope)
     def boundary(f):
         q = p.replace(kappa0=p.kappa0 * f)
         return tl_weight(q, 0) * build_spin_rep(q).e[0][0]
 
     slope = max_abs(boundary(1 + 1e-6) - boundary(1 - 1e-6)) / 2e-6
-    detune = min(1.0, 10 * _CONTROL_FLOOR * max_abs(h_pauli) / slope) if slope > 0 else 1.0
-    raw = rel_residual(hamiltonian(p.replace(kappa0=p.kappa0 * (1 + detune)), form="tl"), h_pauli)
+    detune = min(1.0, 10 * _CONTROL_FLOOR * max_abs(h_pauli) / max_abs(v) / slope) if slope > 0 else 1.0
+    raw = rel_residual(hamiltonian(p.replace(kappa0=p.kappa0 * (1 + detune)), "tl", v), h_pauli)
     checks.append(_control(
         "control detuned boundary", raw, cfg.tolerance,
         "detuning one boundary parameter until its first-order change of the"
-        " boundary term is 1e-2 of max|H| must separate the closed forms",
+        " boundary term is 1e-2 of max|H V| / max|V| must separate the closed forms",
     ))
     return checks
 

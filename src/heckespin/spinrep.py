@@ -17,11 +17,11 @@ A SpinRep holds each image as one (block, legs) pair; no generator is
 embedded into a dense 2^n matrix.  Every relation row is checked on the
 union of the legs it touches (at most 4), which gives the full-space
 residual because max|M (x) Id| = max|M|.  The Murphy elements Y_i are the
-generator images along tau_word, applied one local factor at a time, and
-the principal-series vector of a minimal coset representative is one
-generator image applied to the vector of a shorter representative.  The
-block builders keep the scalar type of the parameters, so exact rational
-parameters give exact object-array blocks.
+generator images along tau_word, applied one local factor at a time (their
+commutators to a block of vectors), and the principal-series vector of a
+minimal coset representative is one generator image applied to the vector
+of a shorter representative.  The block builders keep the scalar type of
+the parameters, so exact rational parameters give exact object-array blocks.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ from .numerics import InternalDefectError, ParamSet, RefusalError, max_abs, nonv
 from .weyl import WeylElem, first_descent, min_coset_reps, tau_word
 
 _DIM_CAP = 10
-# columns per block in the pairwise Murphy commutators
-_COLUMN_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -181,6 +179,15 @@ def _row(family: dict, lhs, rhs, coeff=1, residual=tensorops.row_residual) -> fl
     return residual([family[j] for j in lhs], [family[j] for j in rhs], coeff)
 
 
+def _quadratic(block, a, b) -> float:
+    """(block - a)(block - b) = 0 on the scale of its factors, as the product
+    rounds by its sums: e_j^2 against delta_j e_j set that rounding against
+    an exact 0 where delta_j = 0."""
+    eye, big = _eye(block), max_abs(block)
+    prod = (block - a * eye) @ (block - b * eye)
+    return rel_residual(prod, np.zeros_like(prod), scale=max((big + abs(a)) * (big + abs(b)), 1.0))
+
+
 def check_hecke_relations(T: dict, params: ParamSet) -> dict:
     """Normalized residuals of the defining relations for a family {T_j}.
 
@@ -190,15 +197,8 @@ def check_hecke_relations(T: dict, params: ParamSet) -> dict:
     back.
     """
     n = params.n
-    out = {}
-    for j in range(n + 1):
-        kj = params.kappa_j(j)
-        t = T[j][0]
-        eye = _eye(t)
-        prod = (t - kj * eye) @ (t + eye / kj)
-        big = max_abs(t)
-        scale = max((big + abs(kj)) * (big + 1 / abs(kj)), 1.0)
-        out[f"quadratic T{j}"] = rel_residual(prod, np.zeros_like(prod), scale=scale)
+    out = {f"quadratic T{j}": _quadratic(T[j][0], params.kappa_j(j), -1 / params.kappa_j(j))
+           for j in range(n + 1)}
     if n >= 2:
         out["braid T0 T1 fourfold"] = _row(T, [0, 1, 0, 1], [1, 0, 1, 0])
         out["braid Tn-1 Tn fourfold"] = _row(T, [n - 1, n, n - 1, n], [n, n - 1, n, n - 1])
@@ -217,7 +217,11 @@ def check_tl_relations(e: dict, tl: TLParams, n: int) -> dict:
     residual = tensorops.Monomial.row if monomial else tensorops.row_residual
     out = {}
     for j in range(n + 1):
-        out[f"idempotent e{j}"] = _row(e, [j, j], [j], tl.weight(j, n), residual)
+        # a Monomial product is a gather, with no sums to round: its row stays
+        # relative, which keeps the scaled-projector control strong at n = 1
+        w = tl.weight(j, n)
+        out[f"idempotent e{j}"] = (_row(e, [j, j], [j], w, residual) if monomial
+                                   else _quadratic(e[j][0], 0, w))
     # the hook relation pivots on a middle index but its neighbor may be a
     # boundary generator
     for i in range(1, n):
@@ -229,38 +233,21 @@ def check_tl_relations(e: dict, tl: TLParams, n: int) -> dict:
     return out
 
 
-def murphy_factors(rep: SpinRep, i: int) -> list:
-    """Y_i as local factors: the generator images along tau_word(i, n), left
-    to right, the first i - 1 inverted."""
-    return [rep.Tinv[a] if k < i - 1 else rep.T[a] for k, a in enumerate(tau_word(i, rep.n))]
-
-
 def murphy_Y(rep: SpinRep, i: int, a=None) -> np.ndarray:
     """The commuting family member Y_i applied to ``a`` (the identity by
-    default), one local factor at a time."""
-    return tensorops.factor_product(murphy_factors(rep, i), rep.n, a)
+    default): the generator images along tau_word(i, n), left to right, the
+    first i - 1 inverted, one local factor at a time."""
+    factors = [rep.Tinv[b] if k < i - 1 else rep.T[b] for k, b in enumerate(tau_word(i, rep.n))]
+    return tensorops.factor_product(factors, rep.n, a)
 
 
-def murphy_commutator_residual(rep: SpinRep) -> float:
-    """The largest rel_residual of Y_i Y_j against Y_j Y_i over i < j.
-
-    Each side is one Murphy word applied to the other element as the
-    operand.  The columns are taken in blocks of at most _COLUMN_BLOCK, so
-    no more than n such blocks are held at once; the max-abs norms of the
-    residual are maxima over the blocks, folded so that a NaN stays NaN.
-    """
-    n, dim = rep.n, rep.dim
-    words = {i: murphy_factors(rep, i) for i in range(1, n + 1)}
-    pairs = [(i, j) for i in words for j in words if i < j]
-    num, scale = np.zeros(len(pairs)), np.zeros(len(pairs))
-    for start in range(0, dim, _COLUMN_BLOCK):
-        cols = np.eye(dim, min(_COLUMN_BLOCK, dim - start), -start, dtype=complex)
-        ys = {i: murphy_Y(rep, i, cols) for i in words}
-        for k, (i, j) in enumerate(pairs):
-            a, b = murphy_Y(rep, i, ys[j]), murphy_Y(rep, j, ys[i])
-            num[k] = np.max([num[k], max_abs(a - b)])
-            scale[k] = np.max([scale[k], max_abs(a), max_abs(b)])
-    return float(np.max([rel_residual(d, 0, scale=s) for d, s in zip(num, scale)], initial=0.0))
+def murphy_commutator_residual(rep: SpinRep, v=None) -> float:
+    """The largest rel_residual of Y_i (Y_j v) against Y_j (Y_i v) over
+    i < j, on a block v of vectors (the identity by default, which gives
+    the dense products); a NaN in any product stays NaN."""
+    ys = {i: murphy_Y(rep, i, v) for i in range(1, rep.n + 1)}
+    return float(np.max([rel_residual(murphy_Y(rep, i, ys[j]), murphy_Y(rep, j, ys[i]))
+                         for i in ys for j in ys if i < j], initial=0.0))
 
 
 def principal_series_basis(params: ParamSet):

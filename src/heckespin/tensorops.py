@@ -13,14 +13,16 @@ generators, the cocycle, the transport, the Murphy elements and the
 monodromy's factor list run through it.
 An identity between two products of local factors is checked on the union
 of their legs only (row_residual): both sides are (A - B) (x) Id there, and
-max|M (x) Id| = max|M|, so the residual is the one of the full space.  A
-monomial operator (one nonzero entry per column, as the diagram generators
-in the matching basis) is an (index, weight) pair, products of them are
-gathers, and an identity between two such products is checked on the
-(index, weight) arrays (Monomial.row).  The full-space embedding is never
-formed on a product path; op_on_legs, which returns it, is the same
-primitive applied to the identity.  Any scalar type numpy can contract
-works, including object arrays of mpmath numbers or of exact fractions.
+max|M (x) Id| = max|M|, so the residual is the one of the full space.  An
+identity between operators on all m legs is checked by applying both sides
+to one block of four complex Gaussian vectors per suite (gaussian_block;
+Freivalds, IFIP 1977), so no 2^m x 2^m operator is formed; a dense
+embedding is factor_product on the identity.  A monomial operator (one
+nonzero entry per column, as the diagram generators in the matching basis)
+is an (index, weight) pair, products of them are gathers, and an identity
+between two such products is checked on the (index, weight) arrays
+(Monomial.row).  Any scalar type numpy can contract works, including object
+arrays of mpmath numbers or of exact fractions.
 
 Blocks and operands may carry a leading batch axis, one matrix per sample
 point, as the dressed blocks do when evaluated over a stack of spectral
@@ -57,9 +59,10 @@ def apply_on_legs(op: np.ndarray, legs, a: np.ndarray, m: int) -> np.ndarray:
     return out.reshape(out.shape[:-3] + a.shape[-2:])
 
 
-def op_on_legs(op: np.ndarray, legs, m: int) -> np.ndarray:
-    """The 2^m x 2^m embedding of ``op`` acting on the listed legs."""
-    return apply_on_legs(op, legs, np.eye(2**m, dtype=complex), m)
+def gaussian_block(rng, rows: int) -> np.ndarray:
+    """Four complex Gaussian vectors from rng as the columns of a rows x 4
+    block: (A - B) V = 0 for almost no V unless A = B."""
+    return rng.standard_normal((rows, 4)) + 1j * rng.standard_normal((rows, 4))
 
 
 def factor_product(factors, m: int, a=None):
@@ -156,13 +159,6 @@ class Monomial:
             np.where(same, 0, other.weight),
         ])
         return rel_residual(apart, 0, scale=max(max_abs(self.weight), max_abs(other.weight)))
-
-
-def kron_all(mats) -> np.ndarray:
-    out = np.array([[1.0 + 0j]])
-    for m in mats:
-        out = np.kron(out, m)
-    return out
 
 
 def partial_trace_first(mat: np.ndarray, m: int) -> np.ndarray:

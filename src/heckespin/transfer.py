@@ -16,19 +16,20 @@ operator on the double space.  transfer_apply runs a block V through the
 sites and gives T V (Schollwoeck, Ann. Phys. 326, 96 (2011), sec. 5); x,
 the t_j and V may carry a point axis, so a check's points take one pass.
 monodromy_U is that pass with the auxiliary leg open in V's rows: U V, for
-the double row U without the closure.  _absorb contracts the dense T, with
-dT/dx by the product rule, for the transfer-form Hamiltonian, the spectrum
-table and transfer_T_mp (mpmath x and t): on the identity, transfer_apply
-takes 0.56 against 0.30 ms at n = 6, 437 against 63 ms at n = 10 (one Xeon
-core, one BLAS thread).  The checks compare operators on random vectors
-(Freivalds, IFIP 1977), U V against _double_row's local factors run on V.
+the double row U without the closure; a pass carrying the jet [value, d/dx]
+gives [T V, dT/dx V].  _absorb contracts the dense T and dT/dx, for the
+spectrum table's Hamiltonian and transfer_T_mp (mpmath x and t): on the
+identity, transfer_apply takes 0.56 against 0.30 ms at n = 6, 437 against
+63 ms at n = 10 (one Xeon core, one BLAS thread).  The checks compare
+operators on random vectors (Freivalds, IFIP 1977), U V against
+_double_row's local factors run on V.
 
-Three equivalent presentations of the boundary XXZ Hamiltonian are exposed:
-the logarithmic derivative of the normalized transfer matrix at x = 1, the
-explicit Pauli-matrix form, and the weighted sum of the diagrammatic
-generator images.  The stationary identity linking T at x = 1/t_i and at
-x = t_i to the translation transport at q = 1 is in
-check_transfer_vs_transport.
+The boundary XXZ Hamiltonian is applied to a block V three ways: the
+logarithmic derivative of the normalized transfer matrix at x = 1 (one jet
+pass), the explicit Pauli-matrix form and the weighted sum of the
+diagrammatic generator images, both sums of local terms on V.  The
+stationary identity linking T at x = 1/t_i and at x = t_i to the
+translation transport at q = 1 is in check_transfer_vs_transport.
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ from .numerics import (InternalDefectError, ParamSet, Residuals, max_abs, nonvan
 from .spinrep import boundary_norm, build_spin_rep
 from .tensorops import (
     PERMUTE_TWO,
+    apply_on_legs,
     factor_product,
-    kron_all,
-    op_on_legs,
+    gaussian_block,
     partial_trace_first,
     partial_transpose_leg,
 )
@@ -107,7 +108,7 @@ def _leibniz(op, a, b) -> list:
     the value, and its derivative by the product rule when a carries one."""
     out = [op(a[0], b[0])]
     if len(a) > 1:
-        out.append(op(a[1], b[0]) + op(a[0], b[1]))
+        out.append(op(a[1], b[0]) + op(a[0], b[1]) if len(b) > 1 else op(a[1], b[0]))
     return out
 
 
@@ -159,32 +160,39 @@ def _transfer_mpo(params: ParamSet, x, t, deriv: bool) -> list:
     return [a[0] for a in left]
 
 
-def _apply(sites, v):
-    """The MPO of the site tensors (in bond 1 first, out bond 1 last) applied
+def _apply(sites, v) -> list:
+    """The MPO of the site jets (in bond 1 first, out bond 1 last) applied
     to the block v, held as [rows done, bond, legs to come and columns]: one
-    matmul over (bond, leg) per site leaves its row leg after the rows done."""
-    a = v.reshape(v.shape[:-2] + (1, 1, -1))
-    for w in sites:
+    matmul over (bond, leg) per site leaves its row leg after the rows done.
+    Gives [M v], or [M v, dM/dx v] by the product rule."""
+    def step(w, a):
         mat = np.moveaxis(w, (-2, -3), (-4, -3))  # [.., row, out, in, col]
         mat = mat.reshape(mat.shape[:-4] + (1, 2 * w.shape[-3], -1))
         a = mat @ a.reshape(a.shape[:-2] + (2 * a.shape[-2], -1))
-        a = a.reshape(a.shape[:-3] + (2 * a.shape[-3], w.shape[-3], -1))
-    return a.reshape(a.shape[:-3] + v.shape[-2:])
+        return a.reshape(a.shape[:-3] + (2 * a.shape[-3], w.shape[-3], -1))
+
+    a = [v.reshape(v.shape[:-2] + (1, 1, -1))]
+    for w in sites:
+        a = _leibniz(step, w, a)
+    return [b.reshape(b.shape[:-3] + v.shape[-2:]) for b in a]
 
 
-def transfer_apply(params: ParamSet, x, t, v) -> np.ndarray:
+def transfer_apply(params: ParamSet, x, t, v, deriv: bool = False):
     """T(x; t) v for a block v of 2^n rows, the closure folded into the first
-    site; x, the t_j and v may carry a leading point axis, which broadcasts."""
-    closure, sites = _mpo(params, x, t)
-    first = np.einsum("...b,...bcrs->...crs", closure[0], sites[0][0])[..., None, :, :, :]
-    return _apply([first] + [w[0] for w in sites[1:]], v)
+    site, or with deriv the jet [T v, dT/dx v]; x, the t_j and v may carry a
+    leading point axis, which broadcasts."""
+    closure, sites = _mpo(params, x, t, deriv)
+    first = _leibniz(lambda c, w: np.einsum("...b,...bcrs->...crs", c, w)[..., None, :, :, :],
+                     closure, sites[0])
+    out = _apply([first] + sites[1:], v)
+    return out if deriv else out[0]
 
 
 def monodromy_U(params: ParamSet, x, t, v) -> np.ndarray:
     """U(x; t) v for a block v of 2^(n+1) rows, auxiliary leg first: the
     auxiliary leg is one more site, whose out bond (c, d) is |c><d|."""
-    sites = [np.eye(4).reshape(1, 4, 2, 2)] + [w[0] for w in _mpo(params, x, t)[1]]
-    return _apply(sites, v)
+    sites = [[np.eye(4).reshape(1, 4, 2, 2)]] + _mpo(params, x, t)[1]
+    return _apply(sites, v)[0]
 
 
 def transfer_T(params: ParamSet, x, t) -> np.ndarray:
@@ -211,15 +219,10 @@ def _aux_normalizer(params: ParamSet, x):
     return g, gp
 
 
-def _block(rng, rows: int) -> np.ndarray:
-    """Four complex Gaussian vectors: (A - B) V = 0 for almost no V unless A = B."""
-    return rng.standard_normal((rows, 4)) + 1j * rng.standard_normal((rows, 4))
-
-
 def check_transfer(params: ParamSet, samples: int = 8, seed: int = 2) -> dict:
     """Residuals of the structural transfer-matrix identities, each at all
     samples at once: the local rows on stacks of blocks, the operator rows on
-    a block V (_block) drawn after the samples, in one MPO pass per product.
+    a Gaussian block V drawn after the samples, in one MPO pass per product.
     T_x (T_y V) - T_y (T_x V) is scaled by the norm product max|T_x V| max|T_y
     V| / max|V|, the size of its rounding: at n = 10 a product can be 1e-6
     of that, and a row scaled by the product failed on rounding alone.
@@ -231,7 +234,7 @@ def check_transfer(params: ParamSet, samples: int = 8, seed: int = 2) -> dict:
     th = theta_matrix(params)
     k = params.kappa
     x, y, *t = np.array([torus_point(rng, n + 2, (0.75, 1.35)) for _ in range(samples)]).T
-    v = _block(rng, 2 ** (n + 1))
+    v = gaussian_block(rng, 2 ** (n + 1))
     out.add("monodromy form agreement", rel_residual(
         factor_product(_double_row(params, x, t), n + 1, v), monodromy_U(params, x, t, v)))
     v = v[: 2**n]  # the chain rows
@@ -243,7 +246,7 @@ def check_transfer(params: ParamSet, samples: int = 8, seed: int = 2) -> dict:
         twice[:samples], twice[samples:], scale=nx * ny / max_abs(v)))
     rx = R(x) @ PERMUTE_TWO
     out.add("transpose flip of r", rel_residual(PERMUTE_TWO @ rx @ PERMUTE_TWO, np.swapaxes(rx, -1, -2)))
-    th2 = kron_all([th, th])
+    th2 = np.kron(th, th)
     lhs = (np.linalg.inv(th2) @ partial_transpose_leg(R(1 / (k**4 * x)) @ PERMUTE_TWO, 1, 2)
            @ th2 @ partial_transpose_leg(rx, 2, 2))
     out.add("crossing unitarity", rel_residual(lhs, phi_bulk(x, params)[:, None, None] * np.eye(4)))
@@ -259,7 +262,7 @@ def check_transfer_vs_transport(
     params: ParamSet, samples: int = 5, seed: int = 4
 ) -> dict:
     """The transfer matrix at x = 1/t_i and x = t_i against the stationary
-    transport C along the i-th translation, on a block V (_block) drawn
+    transport C along the i-th translation, on a Gaussian block V drawn
     after the samples: T(1/t_i) V against phi(1/t_i) C V, and the inverse
     direction T(t_i) = phi(t_i) C^{-1} in product form, T(t_i) C V against
     phi(t_i) V, as C reaches condition numbers of 1e12 at n = 6.  That row
@@ -273,7 +276,7 @@ def check_transfer_vs_transport(
     out = Residuals()
     stationary = params.replace(q_sqrt=1)
     t = np.array([torus_point(rng, n, (0.8, 1.3)) for _ in range(samples)]).T
-    v = _block(rng, 2**n)
+    v = gaussian_block(rng, 2**n)
     for i, ti in enumerate(t, 1):
         cv = factor_product(cocycle_factors(stationary, tau_word(i, n), t), n, v)
         vs = np.broadcast_to(v, cv.shape)
@@ -313,8 +316,9 @@ def _chain_constant(params: ParamSet):
     return (k - 1 / k) / 2 * total - (n - 1) / 4 * (k + 1 / k)
 
 
-def hamiltonian(params: ParamSet, form: str = "pauli") -> np.ndarray:
-    """The open-chain Hamiltonian on (C^2)^(x n), three ways.
+def hamiltonian(params: ParamSet, form: str = "pauli", v=None) -> np.ndarray:
+    """The open-chain Hamiltonian on (C^2)^(x n) applied to the block v (the
+    dense H if v is None), three ways.
 
     form="transfer" differentiates the normalized transfer matrix at x = 1
     near the homogeneous point; form="pauli" is the explicit two-line
@@ -324,22 +328,27 @@ def hamiltonian(params: ParamSet, form: str = "pauli") -> np.ndarray:
     k = params.kappa
     if form == "transfer":
         ones = (1.0,) * n
-        tval, tder = transfer_T_deriv(params, 1.0, ones)
+        if v is None:
+            tval, tder = transfer_T_deriv(params, 1.0, ones)
+            v = np.eye(2**n)
+        else:
+            tval, tder = transfer_apply(params, 1.0, ones, v, deriv=True)
         g, gp = _aux_normalizer(params, 1.0)
         nval = tval / g
-        if rel_residual(nval, np.eye(2**n)) > 1e-9:
+        if rel_residual(nval, v) > 1e-9:
             raise InternalDefectError("normalized transfer is not Id at x=1")
         nder = tder / g - tval * (gp / g**2)
-        return (k - 1 / k) / 2 * nder - c0_constant(params) * np.eye(2**n)
+        return (k - 1 / k) / 2 * nder - c0_constant(params) * v
+    v = np.eye(2**n, dtype=complex) if v is None else v
+    acc = np.zeros(v.shape, dtype=complex)
     if form == "pauli":
-        acc = np.zeros((2**n, 2**n), dtype=complex)
         bulk2 = (
-            kron_all([SX, SX])
-            + kron_all([SY, SY])
-            + (k + 1 / k) / 2 * kron_all([SZ, SZ])
+            np.kron(SX, SX)
+            + np.kron(SY, SY)
+            + (k + 1 / k) / 2 * np.kron(SZ, SZ)
         )
         for i in range(1, n):
-            acc += op_on_legs(bulk2, [i, i + 1], n)
+            acc += apply_on_legs(bulk2, [i, i + 1], v, n)
         # boundary field sign: the raising/lowering terms carry the sign that
         # the logarithmic-derivative definition produces (the opposite choice
         # is the same operator conjugated by sigma^Z on every site)
@@ -356,15 +365,14 @@ def hamiltonian(params: ParamSet, form: str = "pauli") -> np.ndarray:
         acc += (
             (k - 1 / k)
             / 2
-            * (op_on_legs(left, [1], n) - op_on_legs(right, [n], n))
+            * (apply_on_legs(left, [1], v, n) - apply_on_legs(right, [n], v, n))
         )
-        return acc / 2 + _chain_constant(params) * np.eye(2**n)
+        return acc / 2 + _chain_constant(params) * v
     if form == "tl":
         rep = build_spin_rep(params)
-        acc = np.zeros((2**n, 2**n), dtype=complex)
         for j in range(n + 1):
             block, legs = rep.e[j]
-            acc += op_on_legs(tl_weight(params, j) * block, legs, n)
+            acc += apply_on_legs(tl_weight(params, j) * block, legs, v, n)
         return acc
     raise InternalDefectError("form must be 'transfer', 'pauli', or 'tl'")
 

@@ -11,13 +11,14 @@ import time
 import numpy as np
 
 from conftest import (
+    _kron_embed,
     boundary_arc_counts,
     from_table,
     record_acceptance,
     scale_row,
     stabilizer_eigen_residual,
 )
-from heckespin.baxter import check_ybe_re, cocycle_C, dressed_blocks
+from heckespin.baxter import check_ybe_re, cocycle_factors, dressed_blocks
 from heckespin.cli import Config, run_suite
 from heckespin.koornwinder import (
     _ball,
@@ -39,7 +40,7 @@ from heckespin.numerics import (
     sample_generic,
 )
 from heckespin.qkz import KZSolution, build_polynomial_solution, verify_solution
-from heckespin.tensorops import PERMUTE_TWO, op_on_legs
+from heckespin.tensorops import PERMUTE_TWO, factor_product
 from heckespin.spinrep import (
     build_spin_rep,
     check_hecke_relations,
@@ -103,7 +104,7 @@ def test_criterion_3_intertwiner():
         psi = intertwiner_Psi(p)
         for j in range(n + 1):
             mm = matchmaker_matrix(j, tl, b0, b1, n)
-            worst = max(worst, rel_residual(op_on_legs(*rep.e[j], n) @ psi, psi @ mm))
+            worst = max(worst, rel_residual(_kron_embed(*rep.e[j], n) @ psi, psi @ mm))
         min_det = min(min_det, abs(np.linalg.det(psi)))
     lsum_exact = all(
         sum((-1) ** h * c for (_, h), c in boundary_arc_counts(m).items())
@@ -159,8 +160,8 @@ def test_criterion_4_spectral_identities():
             for _ in range(2)
         )
         try:
-            a = cocycle_C(p, word, t)
-            b = cocycle_C(p, reduced_word(elem), t)
+            a = factor_product(cocycle_factors(p, word, t), 2)
+            b = factor_product(cocycle_factors(p, reduced_word(elem), t), 2)
         except PoleProximityError:
             continue
         worst = max(worst, rel_residual(a, b))

@@ -15,8 +15,8 @@ import heckespin.qkz
 import heckespin.spinrep
 import heckespin.tensorops
 import heckespin.transfer
-from conftest import DictPoly, explicit_rkk, letter_factor, to_table, transport_factors, ybe_per_sample
-from heckespin.baxter import baxter_j, check_ybe_re, cocycle_C, dressed_blocks
+from conftest import DictPoly, _kron_embed, explicit_rkk, letter_factor, to_table, transport_factors, ybe_per_sample
+from heckespin.baxter import baxter_j, check_ybe_re, cocycle_factors, dressed_blocks
 from heckespin.numerics import (
     GenericityError,
     PoleProximityError,
@@ -25,7 +25,7 @@ from heckespin.numerics import (
     torus_point,
 )
 from heckespin.qkz import KZSolution, verify_solution
-from heckespin.tensorops import PERMUTE_TWO, factor_product, op_on_legs
+from heckespin.tensorops import PERMUTE_TWO, factor_product
 from heckespin.transfer import check_transfer_vs_transport
 from heckespin.weyl import WeylElem, act_point, reduced_word, tau_word
 
@@ -102,8 +102,13 @@ def _dense(p, factors):
     embedded into the full space first."""
     out = np.eye(2**p.n, dtype=complex)
     for block, legs in factors:
-        out = out @ op_on_legs(block, legs, p.n)
+        out = out @ _kron_embed(block, legs, p.n)
     return out
+
+
+def _cocycle(p, word, t):
+    """The dense cocycle along a word: its factor list on the identity."""
+    return factor_product(cocycle_factors(p, word, t), p.n)
 
 
 def _cocycle_along(p, word, t):
@@ -128,7 +133,7 @@ def test_cocycle_respects_words(params2, rng):
         t = torus_point(rng, n, (0.7, 1.3))
         try:
             along_word = _cocycle_along(params2, word, t)
-            canonical = cocycle_C(params2, reduced_word(elem), t)
+            canonical = _cocycle(params2, reduced_word(elem), t)
         except PoleProximityError:
             continue
         assert rel_residual(along_word, canonical) < 1e-9
@@ -142,9 +147,9 @@ def test_cocycle_and_transport_match_dense_products(n):
     for _ in range(3):
         t = torus_point(rng, n, (0.8, 1.25))
         word = [int(rng.integers(0, n + 1)) for _ in range(6)]
-        assert rel_residual(cocycle_C(p, word, t), _cocycle_along(p, word, t)) < 1e-12
+        assert rel_residual(_cocycle(p, word, t), _cocycle_along(p, word, t)) < 1e-12
         for i in range(1, n + 1):
-            transport = cocycle_C(p, tau_word(i, n), t)
+            transport = _cocycle(p, tau_word(i, n), t)
             assert rel_residual(transport, _dense(p, transport_factors(p, i, t))) < 1e-12
 
 
@@ -156,7 +161,7 @@ def test_transport_is_the_cocycle_of_the_lattice_word():
         t = torus_point(np.random.default_rng(n), n, (0.8, 1.25))
         for i in range(1, n + 1):
             direct = factor_product(transport_factors(p, i, t), n)
-            via_word = cocycle_C(p, reduced_word(WeylElem.from_word(tau_word(i, n), n)), t)
+            via_word = _cocycle(p, reduced_word(WeylElem.from_word(tau_word(i, n), n)), t)
             assert rel_residual(direct, via_word) < 1e-10
 
 
@@ -169,9 +174,9 @@ def test_stationary_transport_is_the_cocycle_at_q_one():
         stationary = p.replace(q_sqrt=1)
         t = torus_point(np.random.default_rng(n + 10), n, (0.8, 1.25))
         for i in range(1, n + 1):
-            got = cocycle_C(stationary, tau_word(i, n), t)
+            got = _cocycle(stationary, tau_word(i, n), t)
             assert rel_residual(got, factor_product(transport_factors(stationary, i, t), n)) < 1e-10
-            assert rel_residual(got, cocycle_C(p, tau_word(i, n), t)) > 1e-3
+            assert rel_residual(got, _cocycle(p, tau_word(i, n), t)) > 1e-3
 
 
 def test_transports_commute_after_shifting(params2):
@@ -180,8 +185,8 @@ def test_transports_commute_after_shifting(params2):
     t = (0.88 + 0.2j, 1.07 - 0.15j)
     sh1 = (t[0] / q, t[1])
     sh2 = (t[0], t[1] / q)
-    lhs = cocycle_C(p, tau_word(1, 2), t) @ cocycle_C(p, tau_word(2, 2), sh1)
-    rhs = cocycle_C(p, tau_word(2, 2), t) @ cocycle_C(p, tau_word(1, 2), sh2)
+    lhs = _cocycle(p, tau_word(1, 2), t) @ _cocycle(p, tau_word(2, 2), sh1)
+    rhs = _cocycle(p, tau_word(2, 2), t) @ _cocycle(p, tau_word(1, 2), sh2)
     assert rel_residual(lhs, rhs) < 1e-10
 
 
@@ -194,13 +199,12 @@ def test_dressed_paths_build_no_spin_rep_and_no_embedding(monkeypatch):
 
     for mod in (heckespin.spinrep, heckespin.tensorops, heckespin.baxter,
                 heckespin.transfer, heckespin.qkz, heckespin.cli):
-        for name in ("build_spin_rep", "op_on_legs"):
-            if hasattr(mod, name):
-                monkeypatch.setattr(mod, name, refuse)
+        if hasattr(mod, "build_spin_rep"):
+            monkeypatch.setattr(mod, "build_spin_rep", refuse)
     p = sample_generic(seed=4, n=4)
     t = (0.91 + 0.2j, 1.1 - 0.1j, 0.95 - 0.3j, 1.2 + 0.05j)
-    cocycle_C(p, [0, 1, 2, 3, 4, 2], t)
-    cocycle_C(p, tau_word(2, 4), t)
+    _cocycle(p, [0, 1, 2, 3, 4, 2], t)
+    _cocycle(p, tau_word(2, 4), t)
     check_ybe_re(p, samples=2, seed=1)
     check_transfer_vs_transport(p, samples=1, seed=1)
     comps = to_table([DictPoly.monomial(4, (b % 3 - 1, 0, b % 2, 0), 1 + b) for b in range(16)], 4)

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import pole_free
-from heckespin.baxter import cocycle_C
+from heckespin.baxter import cocycle_factors
 from heckespin.cli import main
 from heckespin.numerics import (
     GenericityError,
@@ -29,6 +29,7 @@ from heckespin.numerics import (
     torus_point,
 )
 from heckespin.qkz import build_polynomial_solution
+from heckespin.tensorops import factor_product
 from heckespin.weyl import WeylElem, reduced_word, tau_word
 
 
@@ -912,7 +913,7 @@ def test_exhausted_pole_retries_refuse_instead_of_passing(monkeypatch, capsys, t
     def at_pole(*args, **kw):
         raise PoleProximityError("evaluation at a pole")
 
-    monkeypatch.setattr(baxter, "cocycle_C", at_pole)
+    monkeypatch.setattr(baxter, "cocycle_factors", at_pole)
     report = tmp_path / "r.json"
     assert run(["verify", "baxter", "--n", "3", "--report", str(report)]) == 2
     assert "refused: could not find enough pole-free sample points" in capsys.readouterr().err
@@ -948,16 +949,22 @@ def test_a_pole_at_one_draw_drops_only_that_draw(monkeypatch):
         word = [int(rng.integers(0, n + 1)) for _ in range(length)]
         return word, torus_point(rng, n, (0.7, 1.4))
 
+    cfg = cli.Config(n=n, seed=seed, samples=8)
+    v = cli._block(cfg, 2**n)
+
+    def cocycle(word, t):
+        return factor_product(cocycle_factors(p, word, t), n, v)
+
     def word_residual(trial):
         word, t = trial
         shortest = reduced_word(WeylElem.from_word(word, n))
-        return rel_residual(cocycle_C(p, word, t), cocycle_C(p, shortest, t))
+        return rel_residual(cocycle(word, t), cocycle(shortest, t))
 
     words = pole_free(second_at_pole(draw_word, word_residual), 4)
     kept = pole_free(second_at_pole(lambda: torus_point(rng, n, (0.7, 1.4)), tuple), 4)
     stack = tuple(np.array(kept).T)
     first, last = tau_word(1, n), tau_word(n, n)
-    transport = rel_residual(cocycle_C(p, first + last, stack), cocycle_C(p, last + first, stack))
+    transport = rel_residual(cocycle(first + last, stack), cocycle(last + first, stack))
 
     poles = [planted[0][1][0], planted[1][0]]
 
@@ -965,11 +972,10 @@ def test_a_pole_at_one_draw_drops_only_that_draw(monkeypatch):
         at = np.isin(t[0], poles)
         if at.any():
             raise PoleProximityError("planted pole", where=at)
-        return cocycle_C(params, word, t)
+        return cocycle_factors(params, word, t)
 
-    monkeypatch.setattr(baxter, "cocycle_C", planted_pole)
-    checks = {c["name"]: c["residual"]
-              for c in cli.suite_baxter(cli.Config(n=n, seed=seed, samples=8), p)}
+    monkeypatch.setattr(baxter, "cocycle_factors", planted_pole)
+    checks = {c["name"]: c["residual"] for c in cli.suite_baxter(cfg, p)}
     assert checks["word independence"] == max(words)
     assert checks["commuting translation transports"] == transport
 
@@ -989,8 +995,8 @@ def _index_out_of_range(monkeypatch):
     import heckespin.baxter as baxter
 
     # the word trial's cocycle asks for a generator past the right boundary
-    honest = baxter.cocycle_C
-    monkeypatch.setattr(baxter, "cocycle_C",
+    honest = baxter.cocycle_factors
+    monkeypatch.setattr(baxter, "cocycle_factors",
                         lambda params, word, t: honest(params, [*word, params.n + 1], t))
     return ["verify", "baxter", "--n", "2"]
 
@@ -1008,7 +1014,7 @@ def _unknown_hamiltonian_form(monkeypatch):
     import heckespin.transfer as transfer
 
     honest = transfer.hamiltonian
-    monkeypatch.setattr(transfer, "hamiltonian", lambda params, form: honest(params, form="xxz"))
+    monkeypatch.setattr(transfer, "hamiltonian", lambda params, form, v=None: honest(params, "xxz", v))
     return ["verify", "transfer", "--n", "2"]
 
 
@@ -1403,7 +1409,7 @@ def test_a_genericity_error_of_the_sample_points_refuses_at_once(monkeypatch, ca
             drawn.append(p)
             yield p
 
-    monkeypatch.setattr(baxter, "cocycle_C", at_pole)
+    monkeypatch.setattr(baxter, "cocycle_factors", at_pole)
     monkeypatch.setattr(numerics, "generic_draws", logged)
     assert run(["verify", "baxter", "--n", "3", "--report", str(tmp_path / "r.json")]) == 2
     assert "refused: could not find enough pole-free sample points" in capsys.readouterr().err
@@ -1422,3 +1428,76 @@ def test_a_planted_spectral_collision_is_refused(tmp_path, capsys, n):
         capsys.readouterr()
         assert run(["koornwinder", "compute", "--params", pfile, "--lambda", label]) == 2
         assert f"refused: non-generic spectrum at lambda=({1 + order}," in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("key", ["kappa0", "kappan"])
+def test_a_vanishing_loop_weight_passes_the_idempotent_row(tmp_path, key, n):
+    """At kappa_j = i the loop weight delta_j vanishes and e_j^2 = 0 holds.
+    The row is on the scale of its factors, so the rounding of e_j^2 no
+    longer reads as a relative defect of 1, which failed verify all there."""
+    pfile = _params_file(tmp_path, seed=1, n=n, **{key: {"re": 0.0, "im": 1.0}})
+    report = tmp_path / "r.json"
+    assert run(["verify", "all", "--params", pfile, "--report", str(report)]) == 0
+    rows = {c["name"]: c for c in json.loads(report.read_text())["checks"]}
+    assert rows[f"algebra: diagram idempotent e{0 if key == 'kappa0' else n}"]["residual"] < 1e-15
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("mutant", ["scaled factor", "bent K_0"])
+def test_a_distorted_cocycle_factor_fails_the_block_rows(monkeypatch, n, mutant):
+    """The word and transport rows apply both sides to one block of vectors;
+    the first factor of each left-hand side scaled by 1.01, or every K_0
+    factor with its second column scaled by 1.01, fails both rows."""
+    import heckespin.baxter as baxter
+    import heckespin.cli as cli
+
+    honest, calls = baxter.cocycle_factors, []
+
+    def distorted(params, word, t):
+        factors = honest(params, word, t)
+        calls.append(word)
+        if mutant == "scaled factor":
+            if len(calls) % 2 and factors:
+                factors[0] = (1.01 * factors[0][0], factors[0][1])
+            return factors
+        return [(b @ np.diag([1, 1.01]), legs) if a == 0 else (b, legs)
+                for a, (b, legs) in zip(word, factors)]
+
+    monkeypatch.setattr(baxter, "cocycle_factors", distorted)
+    cfg = cli.Config(n=n, seed=1)
+    rows = {c["name"]: c for c in cli.suite_baxter(cfg, sample_generic(seed=1, n=n))}
+    for name in ("word independence", "commuting translation transports"):
+        assert not rows[name]["pass"] and rows[name]["residual"] > 1e-3, (name, rows[name])
+
+
+def test_the_spin_suites_hold_no_dense_operator():
+    """At n = 8 the Murphy commutator row and the baxter suite peak below one
+    dense 2^n x 2^n complex operator (1 MiB) above their start, and the
+    double-precision transfer suite below that plus the peak of its own
+    transport rows, whose MPO pass over 3 x 8 points on a block holds 3-4 MiB
+    by itself: every other operator identity runs on a block of vectors."""
+    import tracemalloc
+
+    import heckespin.cli as cli
+    from heckespin.spinrep import build_spin_rep, murphy_commutator_residual
+    from heckespin.transfer import check_transfer_vs_transport
+
+    n = 8
+    p, cfg, dense = sample_generic(seed=1, n=n), cli.Config(n=n, seed=1), 16 * 4**n
+
+    def peak(fn, *args):
+        fn(*args)  # the caches and imports of a first call
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    block = cli._block(cfg, 2**n)
+    assert peak(murphy_commutator_residual, build_spin_rep(p), block) < dense
+    assert peak(cli.suite_baxter, cfg, p) < dense
+    transport = peak(check_transfer_vs_transport, p, max(4, min(cfg.samples, 8)), cfg.seed)
+    assert peak(cli.suite_transfer, cfg, p) < transport + dense

@@ -11,7 +11,6 @@ from heckespin.tensorops import (
     Monomial,
     apply_on_legs,
     factor_product,
-    op_on_legs,
     partial_trace_first,
     partial_transpose_leg,
     row_residual,
@@ -53,7 +52,7 @@ def test_apply_on_legs_matches_the_dense_embedding(dense_embed, case):
 def test_op_on_legs_is_the_embedding(dense_embed, legs, m):
     rng = np.random.default_rng(m + 10 * len(legs))
     op = _cplx(rng, 2 ** len(legs), 2 ** len(legs))
-    assert np.allclose(op_on_legs(op, legs, m), dense_embed(op, legs, m),
+    assert np.allclose(factor_product([(op, legs)], m), dense_embed(op, legs, m),
                        rtol=0, atol=1e-12)
 
 

@@ -5,11 +5,11 @@ import pytest
 
 import heckespin.tensorops
 import heckespin.transfer
-from conftest import explicit_rkk, factor_loop_T, transport_factors
+from conftest import _kron_embed, explicit_rkk, factor_loop_T, transport_factors
 from heckespin.baxter import cocycle_factors
 from heckespin.numerics import GenericityError, rel_residual, sample_generic, torus_point
 from heckespin.spinrep import build_spin_rep
-from heckespin.tensorops import PERMUTE_TWO, factor_product, op_on_legs
+from heckespin.tensorops import PERMUTE_TWO, factor_product, gaussian_block
 from heckespin.transfer import (
     _aux_normalizer,
     c0_constant,
@@ -129,16 +129,46 @@ def test_transfer_derivative_matches_a_central_difference(n):
 
 
 def test_no_dense_embedding_on_the_transfer_path(monkeypatch):
-    def refuse(*args, **kw):
-        raise AssertionError("dense embedding on the transfer path")
+    """T, dT/dx, U and the three Hamiltonian forms on a block apply no local
+    operator to an operand of 2^n columns, a dense embedding; the dense
+    Hamiltonian, which only the spectrum table asks for, does."""
+    n = 4
+    honest = heckespin.tensorops.apply_on_legs
 
-    monkeypatch.setattr(heckespin.tensorops, "op_on_legs", refuse)
-    monkeypatch.setattr(heckespin.transfer, "op_on_legs", refuse)
-    p = sample_generic(seed=4, n=4)
-    x, t = _point(4, 4)
+    def refuse(op, legs, a, m):
+        if a.shape[-1] >= 2**m:
+            raise AssertionError("dense embedding on the transfer path")
+        return honest(op, legs, a, m)
+
+    monkeypatch.setattr(heckespin.tensorops, "apply_on_legs", refuse)
+    monkeypatch.setattr(heckespin.transfer, "apply_on_legs", refuse)
+    p = sample_generic(seed=4, n=n)
+    x, t = _point(n, 4)
     transfer_T(p, x, t)
     transfer_T_deriv(p, x, t)
     monodromy_U(p, x, t, np.eye(32))
+    v = gaussian_block(np.random.default_rng(4), 2**n)
+    for form in ("tl", "pauli", "transfer"):
+        hamiltonian(p, form, v)
+    with pytest.raises(AssertionError, match="dense embedding"):
+        hamiltonian(p, "pauli")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_the_block_forms_are_the_dense_forms_on_the_block(n):
+    """hamiltonian(p, form, V) against the dense H of the same form times V,
+    and the MPO pass's jet [T V, dT/dx V] against the dense T and dT/dx
+    times V."""
+    p = sample_generic(seed=20 + n, n=n)
+    v = gaussian_block(np.random.default_rng(n), 2**n)
+    for form in ("tl", "pauli", "transfer"):
+        assert rel_residual(hamiltonian(p, form, v), hamiltonian(p, form) @ v) < 1e-12
+    x, t = _point(n, 70 + n)
+    val, der = transfer_apply(p, x, t, v, deriv=True)
+    dense, ddense = transfer_T_deriv(p, x, t)
+    assert rel_residual(val, dense @ v) < 1e-12
+    assert rel_residual(der, ddense @ v) < 1e-12
+    assert np.array_equal(transfer_apply(p, x, t, v), val)
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -330,7 +360,7 @@ def test_hamiltonian_forms_agree(seed):
 def test_hamiltonian_is_a_projector_combination(params2):
     p = params2
     rep = build_spin_rep(p)
-    direct = sum(tl_weight(p, j) * op_on_legs(*rep.e[j], 2) for j in range(3))
+    direct = sum(tl_weight(p, j) * _kron_embed(*rep.e[j], 2) for j in range(3))
     assert rel_residual(hamiltonian(p, form="tl"), direct) < 1e-12
     assert tl_weight(p, 1) == 1.0
 
