@@ -237,7 +237,8 @@ def suite_algebra(cfg: Config, p: ParamSet):
         "the all-plus vector is a joint eigenvector with the boundary-weighted"
         " geometric eigenvalue string",
     ))
-    smin = float(np.linalg.svd(basis, compute_uv=False)[-1]) if np.isfinite(basis).all() else np.nan
+    distinct = np.bincount(basis.index).max() == 1  # then B's singular values are its |weights|
+    smin = np.abs(basis.weight).min() * distinct if np.isfinite(basis.weight).all() else np.nan
     checks.append(_row(
         "principal basis independence", smin, cfg.tolerance,
         "smallest singular value of the coset-representative basis", floor=1e-8,
@@ -371,7 +372,7 @@ def suite_transfer(cfg: Config, p: ParamSet):
     from .numerics import max_abs, rel_residual, torus_point
     from .spinrep import build_spin_rep
     from .transfer import (check_transfer, check_transfer_vs_transport, hamiltonian, tl_weight,
-                           transfer_T, transfer_T_mp)
+                           transfer_apply, transfer_T_mp)
 
     samples = max(4, min(cfg.samples, 8))
     checks = _rows(
@@ -402,9 +403,9 @@ def suite_transfer(cfg: Config, p: ParamSet):
         t = torus_point(rng, p.n, (0.8, 1.3))
         checks.append(_row(
             "extended precision transfer agreement",
-            rel_residual(transfer_T(p, x, t), transfer_T_mp(p, x, t, digits=40)), cfg.tolerance,
-            "the double-precision transfer matrix against a 40-digit"
-            " evaluation at one generic point",
+            rel_residual(transfer_apply(p, x, t, v), transfer_T_mp(p, x, t, v, digits=40)),
+            cfg.tolerance, "the double-precision transfer matrix on the suite's block against"
+            " a 40-digit evaluation at one generic point",
         ))
     # kappa0 enters only the boundary term B = w_0 e_0: detune it by the d whose
     # first-order change d * max|dB/dlog kappa0| is 10x the floor of max|H V| /

@@ -10,13 +10,13 @@ constraint between the boundary parameters and q^m holds (require_mcondition)
 and |m| n <= 4.  It reads the monic joint eigenpolynomial at (m, ..., m) off
 the triangular eigenbasis of its degree ball, and cm_alpha applies, for each
 minimal coset representative w, the Hecke element of w (w_0^J)^{-1} through
-the cached generator matrices, weighting the image by the principal-series
-vector v_w.  One principal-series basis, whose last representative is
-w_0^J, serves the spectral wiring check (against numerics.gamma_vectors at
-(m, ..., m)) and cm_alpha; the 2^n components are the rows of one table.
-verify_solution evaluates all sample points, their q-shifts and their
-reflections as one product of that table, and checks each equation once
-over the stack of points.
+the cached generator matrices and scatters the image, weighted, into the spin
+component of the principal-series vector v_w (one weighted basis vector).  One
+principal-series basis, whose last representative is w_0^J, serves the
+spectral wiring check (against numerics.gamma_vectors at (m, ..., m)) and
+cm_alpha; the 2^n components are the rows of one table.  verify_solution
+evaluates all sample points, their q-shifts and their reflections as one
+product of that table, and checks each equation once over the stack of points.
 """
 
 from __future__ import annotations
@@ -126,10 +126,10 @@ def cm_alpha(phi: LaurentPoly, params: ParamSet, series, metadata=None) -> KZSol
     For each minimal coset representative w the element u = w (w_0^J)^{-1}
     is taken to its reduced word and the cached generator matrices act on
     the coefficient vector of phi on its degree ball, rightmost letter first
-    as operators compose; the image is added into every spin component with
-    weight (v_w)_b.
+    as operators compose; v_w is one weighted basis vector, so the image
+    times its weight is scattered into that one spin component.
     """
-    basis_mat, _zeta, reps, _rep = series
+    basis, _zeta, reps, _rep = series
     w0j_inv = reps[-1].inverse_finite()
     ball, index, gens = generator_matrices(params, phi.l1_degree())
     vec0 = ball_vector(phi, index)[:, 0]
@@ -139,10 +139,11 @@ def cm_alpha(phi: LaurentPoly, params: ParamSet, series, metadata=None) -> KZSol
         for a in reversed(reduced_word(w * w0j_inv)):
             vec = gens[a] @ vec
         images.append(vec)
-    coeffs = np.stack(images, axis=1) @ basis_mat.T
+    coeffs = np.zeros((len(reps), len(ball)), dtype=complex)
+    np.add.at(coeffs, basis.index, basis.weight[:, None] * np.stack(images))
     return KZSolution(
         params=params,
-        components=LaurentPoly(ball, coeffs.T),
+        components=LaurentPoly(ball, coeffs),
         metadata=dict(metadata or {"construction": "cm_alpha"}),
     )
 

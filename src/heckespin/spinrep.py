@@ -19,9 +19,10 @@ union of the legs it touches (at most 4), which gives the full-space
 residual because max|M (x) Id| = max|M|.  The Murphy elements Y_i are the
 generator images along tau_word, applied one local factor at a time (their
 commutators to a block of vectors), and the principal-series vector of a
-minimal coset representative is one generator image applied to the vector
-of a shorter representative.  The block builders keep the scalar type of
-the parameters, so exact rational parameters give exact object-array blocks.
+minimal coset representative, one weighted tensor basis vector, is one
+generator image applied to that of a shorter representative: the basis is a
+tensorops.Monomial.  The block builders keep the scalar type of the
+parameters, so exact rational parameters give exact object-array blocks.
 """
 
 from __future__ import annotations
@@ -252,34 +253,41 @@ def murphy_commutator_residual(rep: SpinRep, v=None) -> float:
 
 def principal_series_basis(params: ParamSet):
     """Column basis v_w = rho(T_w) v_+ over the minimal coset representatives
-    of the symmetric-group parabolic, together with the highest-weight
-    eigenvalue string zeta.
+    of the symmetric-group parabolic, as a tensorops.Monomial, together with
+    the highest-weight eigenvalue string zeta.
 
     The representatives are closed under left division: with a the first
     left descent of w (the first letter of its reduced word), s_a w is an
-    earlier representative, so v_w = rho(T_a) v_{s_a w}.
+    earlier representative, so v_w = rho(T_a) v_{s_a w}, taken on the 2^k
+    entries of its leg group.  Each v_w is psin^(down spins) e_b, one tensor
+    basis vector: the words use only the letters 1..n, so T_0 never occurs,
+    K's up column is exactly psin |down>, and the |up down> column of
+    Upsilon o P is exactly |down up>.  Any other column pattern is an
+    InternalDefectError naming w.
 
-    Returns (B, zeta, reps, rep) with B[:, k] = v_{reps[k]}.
+    Returns (B, zeta, reps, rep) with column k of B the vector v_{reps[k]}.
     """
     n = params.n
     rep = build_spin_rep(params)
     reps = min_coset_reps(range(1, n), n)
-    v0 = np.zeros((rep.dim, 1), dtype=complex)
-    v0[0] = 1.0
-    cols = {}
-    for w in reps:
+    index, weight, done = np.zeros(len(reps), dtype=int), np.ones(len(reps), dtype=complex), {}
+    for k, w in enumerate(reps):
+        done[w] = k
         if w.is_identity():
-            cols[w] = v0
             continue
         a = first_descent(w)
-        suffix = WeylElem.generator(a, n) * w
-        if suffix not in cols:
+        suffix = done.get(WeylElem.generator(a, n) * w)
+        if suffix is None:
             raise InternalDefectError(f"representative {w} lacks its suffix")
         block, legs = rep.T[a]
-        cols[w] = tensorops.apply_on_legs(block, legs, cols[suffix], n)
-    B = np.concatenate(list(cols.values()), axis=1)
+        col = (index[suffix] >> (n - legs[-1])) % len(block)
+        rows = np.flatnonzero(block[:, col])
+        if len(rows) != 1:
+            raise InternalDefectError(f"v_w for w = {w} is not one tensor basis vector")
+        index[k] = index[suffix] + ((rows[0] - col) << (n - legs[-1]))
+        weight[k] = (block @ np.where(np.arange(len(block)) == col, weight[suffix], 0))[rows[0]]
     zeta = tuple(
         params.psi0 * params.psin * params.kappa ** (n - 2 * i + 1)
         for i in range(1, n + 1)
     )
-    return B, zeta, reps, rep
+    return tensorops.Monomial(index, weight), zeta, reps, rep

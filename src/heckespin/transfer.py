@@ -17,12 +17,12 @@ sites and gives T V (Schollwoeck, Ann. Phys. 326, 96 (2011), sec. 5); x,
 the t_j and V may carry a point axis, so a check's points take one pass.
 monodromy_U is that pass with the auxiliary leg open in V's rows: U V, for
 the double row U without the closure; a pass carrying the jet [value, d/dx]
-gives [T V, dT/dx V].  _absorb contracts the dense T and dT/dx, for the
-spectrum table's Hamiltonian and transfer_T_mp (mpmath x and t): on the
-identity, transfer_apply takes 0.56 against 0.30 ms at n = 6, 437 against
-63 ms at n = 10 (one Xeon core, one BLAS thread).  The checks compare
-operators on random vectors (Freivalds, IFIP 1977), U V against
-_double_row's local factors run on V.
+gives [T V, dT/dx V]; transfer_T_mp is that pass on mpmath x, t and V.
+_absorb contracts the dense T and dT/dx (transfer_T_deriv) for the spectrum
+table's Hamiltonian alone: on the identity, transfer_apply takes 0.56
+against 0.30 ms at n = 6, 437 against 63 ms at n = 10 (one Xeon core, one
+BLAS thread).  The checks compare operators on random vectors (Freivalds,
+IFIP 1977), U V against _double_row's local factors run on V.
 
 The boundary XXZ Hamiltonian is applied to a block V three ways: the
 logarithmic derivative of the normalized transfer matrix at x = 1 (one jet
@@ -151,15 +151,6 @@ def _absorb(left, w):
     return out.reshape(d, d, bond, 2, 2).transpose(2, 0, 3, 1, 4).reshape(bond, 2 * d, 2 * d)
 
 
-def _transfer_mpo(params: ParamSet, x, t, deriv: bool) -> list:
-    """[T(x; t)] or [T, dT/dx], contracted site by site from the closure."""
-    closure, sites = _mpo(params, x, t, deriv)
-    left = [c.reshape(4, 1, 1) for c in closure]
-    for w in sites:
-        left = _leibniz(_absorb, left, w)
-    return [a[0] for a in left]
-
-
 def _apply(sites, v) -> list:
     """The MPO of the site jets (in bond 1 first, out bond 1 last) applied
     to the block v, held as [rows done, bond, legs to come and columns]: one
@@ -195,16 +186,14 @@ def monodromy_U(params: ParamSet, x, t, v) -> np.ndarray:
     return _apply(sites, v)[0]
 
 
-def transfer_T(params: ParamSet, x, t) -> np.ndarray:
-    """T(x; t): the double row closed with theta K_0(kappa^2 x) theta and
-    traced over the auxiliary leg, contracted as a bond-4 MPO."""
-    return _transfer_mpo(params, x, t, deriv=False)[0]
-
-
 def transfer_T_deriv(params: ParamSet, x, t):
-    """(T(x; t), dT/dx) with the derivative taken exactly by the product
-    rule, in the same pass over the sites."""
-    return tuple(_transfer_mpo(params, x, t, deriv=True))
+    """The dense T(x; t) and dT/dx, contracted site by site from the closure
+    theta K_0(kappa^2 x) theta, the derivative exactly by the product rule."""
+    closure, sites = _mpo(params, x, t, deriv=True)
+    left = [c.reshape(4, 1, 1) for c in closure]
+    for w in sites:
+        left = _leibniz(_absorb, left, w)
+    return tuple(a[0] for a in left)
 
 
 def _aux_normalizer(params: ParamSet, x):
@@ -377,13 +366,13 @@ def hamiltonian(params: ParamSet, form: str = "pauli", v=None) -> np.ndarray:
     raise InternalDefectError("form must be 'transfer', 'pauli', or 'tl'")
 
 
-def transfer_T_mp(params: ParamSet, x, t, digits: int = 50) -> np.ndarray:
-    """Extended-precision recomputation of T(x; t) at any n: transfer_T run
-    on mpmath x and t, so that every block and product is in mpmath
-    arithmetic at ``digits``; used as a roundoff regression anchor.
+def transfer_T_mp(params: ParamSet, x, t, v, digits: int = 50) -> np.ndarray:
+    """Extended-precision recomputation of T(x; t) v at any n: transfer_apply
+    run on mpmath x, t and block v, so that every block and product is in
+    mpmath arithmetic at ``digits``; used as a roundoff regression anchor.
     """
     import mpmath
 
     with mpmath.workdps(digits):
-        pt = tuple(mpmath.mpc(v) for v in t)
-        return transfer_T(params, mpmath.mpc(x), pt).astype(complex)
+        mpc = np.frompyfunc(mpmath.mpc, 1, 1)
+        return transfer_apply(params, mpmath.mpc(x), tuple(mpc(t)), mpc(v)).astype(complex)

@@ -84,6 +84,7 @@ def test_criterion_2_principal_series():
         for i in range(1, 4):
             resid = np.abs(murphy_Y(rep, i) @ v0 - zeta[i - 1] * v0).max()
             worst = max(worst, float(resid))
+        B = np.eye(rep.dim) @ B
         gram = B.conj().T @ B
         worst_cond = max(worst_cond, float(np.linalg.cond(gram)))
     ok = worst < 1e-9 and worst_cond < 1e12

@@ -52,16 +52,17 @@ _LAYERS = ("numerics", "weyl", "tensorops", "spinrep", "matchings", "baxter", "t
     (["--help"], 0, (), ("numpy", *_LAYERS)),
     (["verify", "algebra", "--n"], 2, (), ("numpy", *_LAYERS)),
     (["verify", "algebra", "--n", "2"], 0, ("numpy", "spinrep"),
-     ("matchings", "baxter", "transfer", "koornwinder", "qkz")),
+     ("matchings", "baxter", "transfer", "koornwinder", "qkz", "numpy.ma")),
     (["verify", "transfer", "--n", "2"], 0, ("transfer",), ("koornwinder", "qkz", "matchings")),
     (["emit", "tables", "--kind", "hamiltonian_spectrum", "--n", "2"], 0, ("transfer",),
      ("koornwinder", "qkz", "matchings")),
-    (["verify", "all", "--n", "2"], 0, ("numpy", *_LAYERS), ()),
+    (["verify", "all", "--n", "2"], 0, ("numpy", *_LAYERS), ("numpy.ma",)),
 ], ids=["help", "argparse error", "algebra", "transfer", "spectrum", "all"])
 def test_a_command_imports_only_the_layers_it_runs(tmp_path, argv, code, loaded, unloaded):
     """The package and the driver import only the standard library: --help
     and an argparse error load no numpy and no layer, and a suite loads only
-    the layers it calls (numpy and the layers here by module name)."""
+    the layers it calls (numpy and the layers here by module name).  No
+    command loads numpy.ma, which np.unique imports on its first call."""
     import subprocess
     import sys
     from pathlib import Path
@@ -74,7 +75,8 @@ def test_a_command_imports_only_the_layers_it_runs(tmp_path, argv, code, loaded,
                           env={**os.environ, "PYTHONPATH": src}, capture_output=True)
     assert proc.returncode == code, proc.stderr.decode()
     modules = set(out.read_text().split("\n"))
-    name = {"numpy": "numpy", **{layer: f"heckespin.{layer}" for layer in _LAYERS}}
+    name = {"numpy": "numpy", "numpy.ma": "numpy.ma",
+            **{layer: f"heckespin.{layer}" for layer in _LAYERS}}
     assert {layer for layer in loaded if name[layer] not in modules} == set()
     assert {layer for layer in unloaded if name[layer] in modules} == set()
 
@@ -1472,11 +1474,12 @@ def test_a_distorted_cocycle_factor_fails_the_block_rows(monkeypatch, n, mutant)
 
 
 def test_the_spin_suites_hold_no_dense_operator():
-    """At n = 8 the Murphy commutator row and the baxter suite peak below one
-    dense 2^n x 2^n complex operator (1 MiB) above their start, and the
-    double-precision transfer suite below that plus the peak of its own
-    transport rows, whose MPO pass over 3 x 8 points on a block holds 3-4 MiB
-    by itself: every other operator identity runs on a block of vectors."""
+    """At n = 8 the Murphy commutator row and the algebra and baxter suites
+    peak below one dense 2^n x 2^n complex operator (1 MiB) above their
+    start, and the transfer suite, in double and in extended precision, below
+    that plus the peak of its own transport rows, whose MPO pass over 3 x 8
+    points on a block holds 3-4 MiB by itself: every other operator identity
+    runs on a block of vectors, and the principal basis is a Monomial."""
     import tracemalloc
 
     import heckespin.cli as cli
@@ -1498,6 +1501,9 @@ def test_the_spin_suites_hold_no_dense_operator():
 
     block = cli._block(cfg, 2**n)
     assert peak(murphy_commutator_residual, build_spin_rep(p), block) < dense
+    assert peak(cli.suite_algebra, cfg, p) < dense
     assert peak(cli.suite_baxter, cfg, p) < dense
     transport = peak(check_transfer_vs_transport, p, max(4, min(cfg.samples, 8)), cfg.seed)
     assert peak(cli.suite_transfer, cfg, p) < transport + dense
+    extended = cli.Config(n=n, seed=1, precision="extended")
+    assert peak(cli.suite_transfer, extended, p) < transport + dense

@@ -86,6 +86,7 @@ def test_murphy_elements_commute_and_share_eigenvector(params3):
 
 def test_principal_basis_is_invertible(params3):
     B, _zeta, reps, _rep = principal_series_basis(params3)
+    B = np.eye(8) @ B
     assert B.shape == (8, 8)
     assert len(reps) == 8
     assert np.linalg.cond(B) < 1e8
@@ -139,9 +140,42 @@ def test_principal_basis_and_murphy_match_dense_products(n):
         v0 = np.zeros(rep.dim, dtype=complex)
         v0[0] = 1.0
         dense = np.stack([_word_on_groups(rep, reduced_word(w), v0) for w in reps], axis=1)
-        assert np.array_equal(B, dense)
+        assert np.array_equal(np.eye(rep.dim) @ B, dense)
         for i in range(1, n + 1):
             assert np.array_equal(murphy_Y(rep, i), _murphy_chain(rep, i))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_each_principal_vector_is_a_power_of_psin_on_one_basis_vector(n):
+    """v_w = psin^(number of down spins) e_b, and the smallest singular value
+    of the dense B (the oracle, at n <= 8) is min|weight|."""
+    for seed in (1, 2, 3):
+        p = sample_generic(seed=seed, n=n)
+        B, _zeta, _reps, rep = principal_series_basis(p)
+        want = p.psin ** np.array([bin(b).count("1") for b in B.index])
+        assert (np.abs(B.weight - want) <= 1e-15 * np.abs(want)).all()
+        assert sorted(B.index) == list(range(rep.dim))
+        smin = np.linalg.svd(np.eye(rep.dim) @ B, compute_uv=False)[-1]
+        assert abs(np.abs(B.weight).min() - smin) <= 1e-15 * smin
+
+
+def test_a_principal_vector_off_one_basis_vector_is_an_internal_defect(monkeypatch, tmp_path):
+    """A K whose up column has two nonzero entries makes some v_w a sum of
+    two basis vectors: principal_series_basis raises, naming w, and the
+    algebra suite exits 3."""
+    from heckespin.cli import main
+
+    honest = spinrep._local_k
+
+    def planted(p):
+        k = honest(p)
+        k[0, 0] = 0.5
+        return k
+
+    monkeypatch.setattr(spinrep, "_local_k", planted)
+    with pytest.raises(InternalDefectError, match="for w = .* is not one tensor basis vector"):
+        principal_series_basis(sample_generic(seed=1, n=3))
+    assert main(["verify", "algebra", "--n", "3", "--report", str(tmp_path / "r.json")]) == 3
 
 
 def test_missing_suffix_is_an_internal_defect(monkeypatch, params3):
