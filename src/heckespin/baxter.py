@@ -35,17 +35,8 @@ import functools
 
 import numpy as np
 
-from .numerics import (
-    _POLE_TOL,
-    InternalDefectError,
-    ParamSet,
-    PoleProximityError,
-    RefusalError,
-    Residuals,
-    nonvanishing,
-    rel_residual,
-    torus_point,
-)
+from . import InternalDefectError, PoleProximityError, RefusalError
+from .numerics import _POLE_TOL, ParamSet, Residuals, nonvanishing, rel_residual, torus_point
 from .spinrep import _local_k, _local_kbar, _local_upsilon_p
 from .tensorops import row_residual
 from .weyl import WeylElem, act_point

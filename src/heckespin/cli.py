@@ -10,723 +10,21 @@ malformed JSON, a mistyped, zero or non-finite parameter, a negative seed)
 or an output that cannot be written, 3 an internal defect, which includes
 any ValueError that no input reaches.
 
-A suite beyond its caps (_CAPS) refuses before sampling.  "verify all" runs
-the suites within theirs and lists the others in a "skipped" report key,
-{suite: reason}, absent when none is skipped; a skip is not a pass, and the
-stderr line reads "PASS (k checks, s suites skipped, ...)".  With no suite
-left, "verify all" refuses before sampling and names every reason.
-
-Negative-control checks invert the usual reading: the underlying deviation
-must be LARGE for the control to count.  To keep the uniform rule
-"pass iff residual < tolerance", such checks report the shortfall
-max(0, floor - deviation) instead of the deviation itself (NaN, which
-fails, when the deviation is NaN), and say so in their context string.
-
-This module imports only the standard library; each command imports the
-layers it calls, because --help, argparse errors and single-suite jobs
-should not pay for numpy or for compiling layers they never call.
+This module imports only argparse, atexit, os and sys: it loads the command
+module (commands.py) once the arguments parse, so --help and usage errors
+load no numpy and no module of the package beyond its __init__.py.
 """
-
-from __future__ import annotations
 
 import argparse
 import atexit
-import importlib
-import itertools
-import json
-import math
-import operator
 import os
 import sys
-import time
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from .numerics import ParamSet
-
-_CONTROL_FLOOR = 1e-3
-
-# settings a config file or a flag may give, flag first
-_SETTINGS = ("n", "seed", "precision", "tolerance", "samples", "m")
-
-
-@dataclass
-class Config:
-    n: int = 2
-    seed: int = 1
-    precision: str = "double"
-    tolerance: float = 1e-9
-    samples: int = 20
-    m: int | None = None
-    lam: tuple | None = None
-    params: ParamSet | None = None
-    out: str | None = None
-    report: str | None = None
-
-
-def _typed(key: str, value):
-    """A setting or lambda entry from a file with the type of its flag: precision
-    double or extended, a real tolerance, else an integer; never a bool."""
-    if isinstance(value, bool):
-        raise TypeError(f"{key} must not be a bool")
-    if key == "precision" and value not in ("double", "extended"):
-        raise TypeError(f"precision must be double or extended, not {value!r}")
-    if key != "tolerance":
-        return value if key == "precision" else operator.index(value)
-    if not isinstance(value, (int, float)):
-        raise TypeError(f"tolerance must be a real number, not {value!r}")
-    return float(value)
-
-
-def _read_json(path):
-    """The JSON document in the file at path; RefusalError if unreadable or
-    not JSON."""
-    from .numerics import RefusalError
-
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise RefusalError(f"cannot read {path}: {exc.strerror}") from exc
-    except ValueError as exc:
-        raise RefusalError(f"malformed JSON in {path}: {exc}") from exc
-
-
-def _load_config(args) -> Config:
-    """flag > file > default; the file may be a bare parameter dictionary
-    or a config object with an optional "params" entry.  A file whose top
-    level is not an object, a missing or mistyped entry, a label whose
-    length is not the given rank, a label that is not integers, a rank
-    below 1, a negative seed, fewer than one sample and a tolerance that is
-    not finite and positive are refused."""
-    from .numerics import ParamSet, RefusalError
-
-    merged: dict = {}
-    if getattr(args, "params", None):
-        data = _read_json(args.params)
-        if not isinstance(data, dict):
-            raise RefusalError("malformed parameters: the top level is not a JSON object")
-        try:
-            if "q_sqrt" in data:
-                merged["params"] = ParamSet.from_dict(data)
-            else:
-                merged = {key: _typed(key, data[key]) for key in _SETTINGS if key in data}
-                if "lambda" in data:
-                    merged["lam"] = tuple(_typed("lambda", v) for v in data["lambda"])
-                if "params" in data:
-                    merged["params"] = ParamSet.from_dict(data["params"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise RefusalError(f"malformed parameters: {type(exc).__name__} {exc}") from exc
-    for key in _SETTINGS:
-        if getattr(args, key, None) is not None:
-            merged[key] = getattr(args, key)
-    if getattr(args, "lam", None) is not None:
-        try:
-            merged["lam"] = tuple(int(v) for v in args.lam.split(","))
-        except ValueError as exc:
-            raise RefusalError(
-                f"--lambda must be comma-separated integers, not {args.lam!r}") from exc
-    if "params" in merged:
-        merged["n"] = merged["params"].n
-    if "lam" in merged and merged.setdefault("n", len(merged["lam"])) != len(merged["lam"]):
-        raise RefusalError("label length does not match the rank")
-    cfg = Config(**merged, out=getattr(args, "out", None), report=getattr(args, "report", None))
-    if cfg.n < 1:
-        raise RefusalError("rank n must be at least 1")
-    if cfg.seed < 0:
-        raise RefusalError(f"seed must be non-negative, not {cfg.seed}")
-    if cfg.samples < 1:
-        raise RefusalError(f"samples must be at least 1, not {cfg.samples}")
-    if not (math.isfinite(cfg.tolerance) and cfg.tolerance > 0):
-        raise RefusalError(f"tolerance must be finite and positive, not {cfg.tolerance}")
-    return cfg
-
-
-def _qkz_degrees(cfg: Config) -> list:
-    return [cfg.m] if cfg.m is not None else [-1, 0, 1]
-
-
-def _at_point(cfg: Config, work, suite=None, mcondition=None, degree=0):
-    """(p, work(p)) at the point p a command runs at, once the caps of suite
-    have passed (none is named where run_suite has checked them): cfg.params
-    if given, else the first point of cfg.seed's stream and, while a layer's
-    guard refuses the point drawn (a GenericityError naming it), the next."""
-    from . import numerics
-
-    if suite is not None:
-        _CAPS[suite](cfg, degree)
-    if cfg.params is not None:
-        return cfg.params, work(cfg.params)
-    first = numerics.sample_generic(seed=cfg.seed, n=cfg.n, mcondition=mcondition)
-    later = itertools.islice(numerics.generic_draws(cfg.seed, cfg.n, mcondition), 1, None)
-    # the stream raises GenericityError once its draws are spent
-    for p in itertools.chain([first], later):
-        try:
-            return p, work(p)
-        except numerics.GenericityError as exc:
-            if exc.point != p:
-                raise
-
-
-def _row(name, value, tolerance, context="", floor=None):
-    """One report row, passed iff its residual is below the tolerance.  With
-    a floor the value must reach the floor instead, and the residual is the
-    shortfall below it; a NaN value gives a NaN shortfall, which fails."""
-    value = float(value)
-    if floor is not None:
-        context += (f"; the value must exceed {floor:g} (observed {value:.6e}); "
-                    "the reported residual is the shortfall below that floor")
-        value = 0.0 if value >= floor else floor - value
-    return {"name": name, "residual": value, "tolerance": float(tolerance),
-            "pass": bool(value < tolerance), "context": context}
-
-
-def _control(name, raw, tolerance, context):
-    return _row(name, raw, tolerance, "negative control; " + context, floor=_CONTROL_FLOOR)
-
-
-def _rows(prefix, res, tol, context=""):
-    """One row per residual in key order."""
-    return [_row(prefix + key, val, tol, context) for key, val in sorted(res.items())]
-
-
-def _block(cfg: Config, rows: int):
-    """A suite's block of vectors (tensorops.gaussian_block), from cfg.seed's
-    first child stream, so that no sampled point moves."""
-    import numpy as np
-
-    from .tensorops import gaussian_block
-
-    return gaussian_block(np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0]), rows)
-
-
-# ---------------------------------------------------------------- suites
-
-
-def suite_algebra(cfg: Config, p: ParamSet):
-    import numpy as np
-
-    from .spinrep import (check_hecke_relations, check_tl_relations, delta_from_kappa, murphy_Y,
-                          murphy_commutator_residual, principal_series_basis, quotient_map_residuals)
-
-    basis, zeta, _reps, rep = principal_series_basis(p)
-    tl = delta_from_kappa(p)
-    checks = []
-    checks += _rows(
-        "hecke ", check_hecke_relations(rep.T, p), cfg.tolerance,
-        "defining relations of the generator family in the spin representation",
-    )
-    checks += _rows(
-        "diagram ", check_tl_relations(rep.e, tl, p.n), cfg.tolerance,
-        "diagram-algebra relations for the projector family",
-    )
-    checks += _rows(
-        "quotient ", quotient_map_residuals(rep), cfg.tolerance,
-        "the generator image decomposes through the projector family",
-    )
-    checks.append(_row(
-        "commuting family pairwise", murphy_commutator_residual(rep, _block(cfg, rep.dim)), cfg.tolerance,
-        "the 2n-fold generator products commute with one another",
-    ))
-    v0 = np.eye(rep.dim, 1, dtype=complex)
-    worst = np.max([np.abs(murphy_Y(rep, i, v0) - zeta[i - 1] * v0).max()
-                    for i in range(1, p.n + 1)])
-    checks.append(_row(
-        "highest weight eigenvalues", worst, cfg.tolerance,
-        "the all-plus vector is a joint eigenvector with the boundary-weighted"
-        " geometric eigenvalue string",
-    ))
-    distinct = np.bincount(basis.index).max() == 1  # then B's singular values are its |weights|
-    smin = np.abs(basis.weight).min() * distinct if np.isfinite(basis.weight).all() else np.nan
-    checks.append(_row(
-        "principal basis independence", smin, cfg.tolerance,
-        "smallest singular value of the coset-representative basis", floor=1e-8,
-    ))
-    bad = dict(rep.T)
-    block, legs = bad[min(1, p.n)]
-    bad[min(1, p.n)] = (1.01 * block, legs)
-    raw = np.max(list(check_hecke_relations(bad, p).values()))
-    checks.append(_control(
-        "control scaled generator", raw, cfg.tolerance,
-        "scaling one generator by 1.01 must break the defining relations",
-    ))
-    return checks
-
-
-def suite_matchmaker(cfg: Config, p: ParamSet):
-    import numpy as np
-
-    from .matchings import enumerate_matchings, intertwiner_Psi, matchmaker_betas, matchmaker_matrix
-    from .numerics import rel_residual
-    from .spinrep import build_spin_rep, check_tl_relations, delta_from_kappa
-    from .tensorops import apply_on_legs
-
-    n = p.n
-    tl = delta_from_kappa(p)
-    beta0, beta1 = matchmaker_betas(p)
-    mats = {j: matchmaker_matrix(j, tl, beta0, beta1, n) for j in range(n + 1)}
-    checks = _rows(
-        "matchmaker ", check_tl_relations(mats, tl, n), cfg.tolerance,
-        "diagram-algebra relations in the matching basis",
-    )
-    rep = build_spin_rep(p)
-    psi = intertwiner_Psi(p)
-    worst = np.max([rel_residual(apply_on_legs(*rep.e[j], psi, n), psi @ mats[j])
-                    for j in range(n + 1)])
-    checks.append(_row(
-        "equivalence intertwines projectors", worst, cfg.tolerance,
-        "the matching-to-spin map commutes with every projector",
-    ))
-    smin = float(np.linalg.svd(psi, compute_uv=False)[-1]) if np.isfinite(psi).all() else np.nan
-    checks.append(_row(
-        "equivalence invertibility", smin, cfg.tolerance,
-        "smallest singular value of the matching-to-spin map", floor=1e-8,
-    ))
-    limit_map = intertwiner_Psi(p, limit=True)
-    expected = np.zeros_like(limit_map)
-    for col, match in enumerate(enumerate_matchings(n)):
-        expected[match.nu_index(), col] = 1.0
-    checks.append(_row(
-        "degenerate point sign map", rel_residual(limit_map, expected), cfg.tolerance,
-        "at the degenerate parameter point the map collapses to the"
-        " sign-string relabeling",
-    ))
-    # the gauge weights only rescale basis vectors, so detuning them cannot
-    # break any relation; the control must distort a generator itself
-    bad_mats = dict(mats)
-    bad_mats[min(1, n)] = 1.01 * mats[min(1, n)]
-    raw = np.max(list(check_tl_relations(bad_mats, tl, n).values()))
-    checks.append(_control(
-        "control scaled projector", raw, cfg.tolerance,
-        "scaling one projector by 1.01 must break the idempotent relations",
-    ))
-    return checks
-
-
-def suite_baxter(cfg: Config, p: ParamSet):
-    import numpy as np
-
-    from .baxter import check_ybe_re, cocycle_factors
-    from .numerics import PoleProximityError, pole_free_points, rel_residual, torus_point
-    from .tensorops import factor_product
-    from .weyl import WeylElem, reduced_word, tau_word
-
-    n, v = p.n, _block(cfg, 2**p.n)
-
-    def cocycle(word, t):  # the cocycle along word at t, on the block
-        return factor_product(cocycle_factors(p, word, t), n, v)
-
-    res = check_ybe_re(p, samples=cfg.samples, seed=cfg.seed)
-    ctx = "spectral-parameter identities of the dressed generators"
-    control = "negative control perturbed reflection"
-    checks = [_control(control, res.pop(control), cfg.tolerance, ctx)]
-    checks += _rows("", res, cfg.tolerance, ctx)
-    rng = np.random.default_rng(cfg.seed)
-
-    def draw_word():
-        length = int(rng.integers(1, 7))
-        word = [int(rng.integers(0, n + 1)) for _ in range(length)]
-        return word, torus_point(rng, n, (0.7, 1.4))
-
-    def word_residuals(trials):
-        """Each word's cocycle against its shortest word's at its point; a
-        PoleProximityError flags the trials whose cocycle meets a pole."""
-        out, at_pole = [], np.zeros(len(trials), dtype=bool)
-        for k, (word, t) in enumerate(trials):
-            shortest = reduced_word(WeylElem.from_word(word, n))
-            try:
-                out.append(rel_residual(cocycle(word, t), cocycle(shortest, t)))
-            except PoleProximityError:
-                at_pole[k] = True
-        if at_pole.any():
-            raise PoleProximityError("a word trial met a pole", where=at_pole)
-        return out
-
-    words = pole_free_points(draw_word, word_residuals, max(4, cfg.samples // 2))
-    checks.append(_row(
-        "word independence", np.max(words), cfg.tolerance,
-        "the ordered product over any word for a group element matches the"
-        " product over its shortest word",
-    ))
-
-    def transport_residual(points):
-        """C_{tau_1}(t) C_{tau_n}(tau_1^{-1} t) against the other order, each
-        the cocycle along the concatenated translation words, over the stack
-        of points."""
-        t = tuple(np.array(points, dtype=complex).T)
-        first, last = tau_word(1, n), tau_word(n, n)
-        return rel_residual(cocycle(first + last, t), cocycle(last + first, t))
-
-    transport = pole_free_points(lambda: torus_point(rng, n, (0.7, 1.4)), transport_residual, 4)
-    checks.append(_row(
-        "commuting translation transports", transport, cfg.tolerance,
-        "transports along distinct lattice directions compose in either order",
-    ))
-    return checks
-
-
-def suite_transfer(cfg: Config, p: ParamSet):
-    import numpy as np
-
-    from .numerics import max_abs, rel_residual, torus_point
-    from .spinrep import build_spin_rep
-    from .transfer import (check_transfer, check_transfer_vs_transport, hamiltonian, tl_weight,
-                           transfer_apply, transfer_T_mp)
-
-    samples = max(4, min(cfg.samples, 8))
-    checks = _rows(
-        "", check_transfer(p, samples=samples, seed=cfg.seed), cfg.tolerance,
-        "double-row transfer matrix identities",
-    )
-    checks += _rows(
-        "", check_transfer_vs_transport(p, samples=samples, seed=cfg.seed),
-        cfg.tolerance,
-        "the transfer matrix at the distinguished points acts as the"
-        " q-less translation transport",
-    )
-    v = _block(cfg, 2**p.n)
-    h_tl, h_pauli, h_transfer = (hamiltonian(p, form, v) for form in ("tl", "pauli", "transfer"))
-    checks.append(_row(
-        "hamiltonian projector vs pauli form", rel_residual(h_tl, h_pauli),
-        cfg.tolerance, "two closed forms of the spin-chain hamiltonian",
-    ))
-    checks.append(_row(
-        "hamiltonian transfer vs pauli form", rel_residual(h_transfer, h_pauli),
-        max(cfg.tolerance, 1e-7),
-        "the logarithmic derivative of the normalized transfer matrix"
-        " against the closed form",
-    ))
-    if cfg.precision == "extended":
-        rng = np.random.default_rng(cfg.seed)
-        x = complex(0.83 * np.exp(2j * np.pi * rng.uniform()))
-        t = torus_point(rng, p.n, (0.8, 1.3))
-        checks.append(_row(
-            "extended precision transfer agreement",
-            rel_residual(transfer_apply(p, x, t, v), transfer_T_mp(p, x, t, v, digits=40)),
-            cfg.tolerance, "the double-precision transfer matrix on the suite's block against"
-            " a 40-digit evaluation at one generic point",
-        ))
-    # kappa0 enters only the boundary term B = w_0 e_0: detune it by the d whose
-    # first-order change d * max|dB/dlog kappa0| is 10x the floor of max|H V| /
-    # max|V|, as a fixed d fades while H grows with n (d <= 1, also at a 0 or NaN slope)
-    def boundary(f):
-        q = p.replace(kappa0=p.kappa0 * f)
-        return tl_weight(q, 0) * build_spin_rep(q).e[0][0]
-
-    slope = max_abs(boundary(1 + 1e-6) - boundary(1 - 1e-6)) / 2e-6
-    detune = min(1.0, 10 * _CONTROL_FLOOR * max_abs(h_pauli) / max_abs(v) / slope) if slope > 0 else 1.0
-    raw = rel_residual(hamiltonian(p.replace(kappa0=p.kappa0 * (1 + detune)), "tl", v), h_pauli)
-    checks.append(_control(
-        "control detuned boundary", raw, cfg.tolerance,
-        "detuning one boundary parameter until its first-order change of the"
-        " boundary term is 1e-2 of max|H V| / max|V| must separate the closed forms",
-    ))
-    return checks
-
-
-def suite_koornwinder(cfg: Config, p: ParamSet):
-    """The constant label, then every label of degree at most 3, one degree
-    at a time: all labels of degree r are checked at once on the ball of
-    radius r (koornwinder.label_residuals)."""
-    import numpy as np
-
-    from .koornwinder import compute_P_detail, fixed_by_si, label_residuals
-    from .numerics import l1_ball
-
-    n = p.n
-    radius = 3
-    checks = []
-    const = compute_P_detail((0,) * n, p).poly
-    # every coefficient against those of 1: one at the zero exponent, else 0
-    diff = np.abs(const.coeffs - ~const.exps.any(axis=1)).max()
-    checks.append(_row(
-        "constant polynomial", diff, cfg.tolerance,
-        "the zero label yields the constant polynomial exactly",
-    ))
-    # per degree: the joint and monic residuals, the stabilizer residuals at
-    # fixed and at moving (i, label); folded by np.max / np.min, so a NaN fails
-    joint, monic, fixed, moving = [], [], [], []
-    for r in range(radius + 1):
-        labels = [lam for lam in l1_ball(n, r) if sum(map(abs, lam)) == r]
-        res = label_residuals(labels, p)
-        joint.append(res[0])
-        monic.append(res[1])
-        at = np.array([[fixed_by_si(i, lam) for lam in labels] for i in range(1, n + 1)])
-        fixed.append(res[2][at])
-        moving.append(res[2][~at])
-    worst_eig, worst_monic = np.max(np.concatenate(joint)), np.max(np.concatenate(monic))
-    worst_fixed = np.max(np.concatenate(fixed), initial=0.0)
-    sep = np.min(np.concatenate(moving), initial=np.inf)
-    ctx = f"all {sum(map(len, joint))} labels with degree at most {radius}"
-    checks.append(_row(
-        "joint eigenvector residual", worst_eig, max(cfg.tolerance, 1e-8), ctx,
-    ))
-    checks.append(_row("monic leading coefficient", worst_monic, cfg.tolerance, ctx))
-    checks.append(_row(
-        "stabilizer eigenvalue at symmetric labels", worst_fixed,
-        max(cfg.tolerance, 1e-8),
-        "labels fixed by a simple reflection are generator eigenvectors",
-    ))
-    checks.append(_row(
-        "stabilizer separation at moving labels", sep, cfg.tolerance,
-        "labels moved by a simple reflection must not be generator eigenvectors",
-        floor=_CONTROL_FLOOR,
-    ))
-    return checks
-
-
-def suite_qkz(cfg: Config, p: ParamSet):
-    import numpy as np
-
-    from .numerics import LaurentPoly, RefusalError, max_abs, sample_generic
-    from .qkz import build_polynomial_solution, verify_solution
-
-    checks = []
-    ms = _qkz_degrees(cfg)
-    sols = []
-    for m in ms:
-        _point, sol = _at_point(cfg, lambda p, m=m: build_polynomial_solution(p, m), mcondition=m)
-        sols.append(sol)
-        res = verify_solution(sol, samples=cfg.samples, seed=cfg.seed)
-        checks += _rows(
-            f"solution m={m}: ", res, max(cfg.tolerance, 1e-8),
-            "pointwise residuals at random generic points",
-        )
-        checks.append(_row(
-            f"solution m={m}: nontrivial", max_abs(sol.components.coeffs), cfg.tolerance,
-            "largest coefficient of the assembled solution", floor=1e-6,
-        ))
-    if cfg.params is None:
-        free = sample_generic(seed=cfg.seed + 101, n=p.n)
-        try:
-            build_polynomial_solution(free, ms[0])
-            refused = 1.0
-        except RefusalError:
-            refused = 0.0
-        checks.append(_row(
-            "refusal on unconstrained parameters", refused, cfg.tolerance,
-            "building at a generic unconstrained point must refuse",
-        ))
-        coeffs = sols[0].components.coeffs.copy()
-        coeffs[0] *= 1.01
-        bad = replace(sols[0], components=LaurentPoly(sols[0].components.exps, coeffs))
-        raw = np.max(list(verify_solution(bad, samples=4, seed=cfg.seed).values()))
-        checks.append(_control(
-            "control distorted solution", raw, cfg.tolerance,
-            "scaling one component by 1.01 must break the difference equations",
-        ))
-    return checks
-
-
-# suite name -> suite(cfg, p) -> checks, in the order verify all runs them
-_SUITE_FNS = {
-    "algebra": suite_algebra,
-    "matchmaker": suite_matchmaker,
-    "baxter": suite_baxter,
-    "transfer": suite_transfer,
-    "koornwinder": suite_koornwinder,
-    "qkz": suite_qkz,
-}
-
-
-def _layer(name: str):
-    """The package module name, imported on first use."""
-    return importlib.import_module(f"{__package__}.{name}")
-
-
-# suite -> caps(cfg, degree), which raise RefusalError beyond them; degree is
-# the label degree a polynomial command asks for.  At a parameter file's point
-# each qKZ degree must meet its existence constraint first, as its build does.
-_CAPS = {
-    "algebra": lambda cfg, degree: _layer("spinrep").check_dim_cap(cfg.n),
-    "matchmaker": lambda cfg, degree: _layer("spinrep").check_dim_cap(cfg.n),
-    "baxter": lambda cfg, degree: (_layer("spinrep").check_dim_cap(cfg.n),
-                                   _layer("baxter").check_identity_rank(cfg.n)),
-    "transfer": lambda cfg, degree: _layer("spinrep").check_dim_cap(cfg.n),
-    "koornwinder": lambda cfg, degree: _layer("koornwinder").check_caps(cfg.n, degree),
-    "qkz": lambda cfg, degree: [(cfg.params is None or _layer("qkz").require_mcondition(cfg.params, m),
-                                 _layer("qkz").check_degree_cap(cfg.n, m)) for m in _qkz_degrees(cfg)],
-}
-
-
-def run_suite(name: str, cfg: Config):
-    """Execute one named suite, or for "all" each suite within its caps, and
-    assemble the report: every cap is checked before the point is drawn,
-    once, and handed to each suite that runs."""
-    from .numerics import RefusalError
-
-    t0 = time.monotonic()
-    names = list(_SUITE_FNS) if name == "all" else [name]
-    skipped = {}
-    for sub in names:
-        try:
-            _CAPS[sub](cfg, 0)
-        except RefusalError as exc:
-            if name != "all":
-                raise
-            skipped[sub] = str(exc)
-    names = [sub for sub in names if sub not in skipped]
-    if not names:
-        raise RefusalError("every suite is beyond its caps: " + "; ".join(
-            f"{sub}: {why}" for sub, why in skipped.items()))
-
-    def run_suites(p):
-        checks = []
-        for sub in names:
-            prefix = f"{sub}: " if name == "all" else ""
-            checks += [dict(c, name=prefix + c["name"]) for c in _SUITE_FNS[sub](cfg, p)]
-        return checks
-
-    p, checks = _at_point(cfg, run_suites)
-    return _report(name, cfg, p, checks, skipped), int(1000 * (time.monotonic() - t0))
-
-
-def _report(suite: str, cfg: Config, params: ParamSet, checks, skipped=None) -> dict:
-    return {
-        "suite": suite,
-        "seed": cfg.seed,
-        "params_fingerprint": params.fingerprint(),
-        "checks": sorted(checks, key=lambda c: c["name"]),
-        **({"skipped": skipped} if skipped else {}),
-    }
-
-
-def _emit_report(report, wall_ms, cfg):
-    _write_json(report, cfg.report)
-    ok = all(c["pass"] for c in report["checks"])
-    skips = len(report.get("skipped", ()))
-    skipped = f"{skips} suite{'s' * (skips > 1)} skipped, " if skips else ""
-    print(f"suite {report['suite']}: {'PASS' if ok else 'FAIL'} "
-          f"({len(report['checks'])} checks, {skipped}wall {wall_ms} ms)", file=sys.stderr)
-    return 0 if ok else 1
-
-
-# ------------------------------------------------------------- commands
-
-
-def cmd_verify(args) -> int:
-    cfg = _load_config(args)
-    return _emit_report(*run_suite(args.suite, cfg), cfg)
-
-
-def _polynomial_payload(det) -> dict:
-    gamma = [{"re": g.real, "im": g.imag} for g in det.gamma.tolist()]
-    return {"polynomial": det.poly.to_dicts()[0],
-            "metadata": {"lambda": list(det.lam), "gamma_lambda": gamma,
-                         "eigen_residual": det.residual, "span_size": det.span_size}}
-
-
-def cmd_koornwinder_compute(args) -> int:
-    from .koornwinder import compute_P_detail
-    from .numerics import RefusalError
-
-    cfg = _load_config(args)
-    if cfg.lam is None:
-        raise RefusalError("--lambda is required (comma-separated integers)")
-    p, det = _at_point(cfg, lambda p: compute_P_detail(cfg.lam, p), "koornwinder",
-                       degree=sum(abs(v) for v in cfg.lam))
-    payload = _polynomial_payload(det)
-    payload["params_fingerprint"] = p.fingerprint()
-    _write_json(payload, cfg.out)
-    return 0
-
-
-def cmd_qkz_build(args) -> int:
-    from .qkz import build_polynomial_solution
-
-    cfg = _load_config(args)
-    cfg.m = 1 if cfg.m is None else cfg.m
-    _point, sol = _at_point(cfg, lambda p: build_polynomial_solution(p, cfg.m), "qkz", mcondition=cfg.m)
-    _write_json(sol.to_dict(), cfg.out)
-    return 0
-
-
-def cmd_qkz_verify(args) -> int:
-    from .qkz import KZSolution, verify_solution
-
-    cfg = _load_config(args)
-    sol = KZSolution.from_dict(_read_json(args.infile))
-    t0 = time.monotonic()
-    checks = _rows(
-        "", verify_solution(sol, samples=cfg.samples, seed=cfg.seed),
-        max(cfg.tolerance, 1e-8), "pointwise residuals at random generic points",
-    )
-    report = _report("qkz-verify", cfg, sol.params, checks)
-    return _emit_report(report, int(1000 * (time.monotonic() - t0)), cfg)
-
-
-def cmd_emit_tables(args) -> int:
-    cfg = _load_config(args)
-    bound = cfg.m if cfg.m is not None else 2
-    if args.kind == "hamiltonian_spectrum":
-        import numpy as np
-
-        from .numerics import RefusalError
-        from .transfer import hamiltonian
-
-        def eigenvalues(p):
-            spectra = {}
-            for form in ("transfer", "pauli", "tl"):
-                h = hamiltonian(p, form=form)
-                if not np.isfinite(h).all():
-                    raise RefusalError(f"the {form} form of the Hamiltonian overflows at this point")
-                spectra[form] = sorted(np.linalg.eigvals(h),
-                                       key=lambda z: (round(z.real, 9), round(z.imag, 9)))
-            return spectra
-
-        p, spectra = _at_point(cfg, eigenvalues, "transfer")
-        gap = max(abs(complex(x) - complex(y))
-                  for va, vb in itertools.combinations(spectra.values(), 2) for x, y in zip(va, vb))
-        forms = {form: [{"re": v.real, "im": v.imag} for v in vals] for form, vals in spectra.items()}
-        _write_json({"kind": "hamiltonian_spectrum", "n": p.n, "forms": forms, "max_pairwise_gap": gap,
-                     "agree": bool(gap < 1e-7), "params_fingerprint": p.fingerprint()}, cfg.out)
-        return 0
-    from .koornwinder import compute_P_detail
-    from .numerics import RefusalError, l1_ball
-
-    # the ball is built only once the caps, checked first by _at_point, pass
-    p, payloads = _at_point(
-        cfg, lambda p: [_polynomial_payload(compute_P_detail(lam, p)) for lam in l1_ball(cfg.n, bound)],
-        "koornwinder", degree=bound)
-    out_dir = cfg.out or "tables_koornwinder"
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        raise RefusalError(f"cannot write {out_dir}: {exc.strerror or exc}") from exc
-    entries = []
-    for lam, payload in zip(l1_ball(cfg.n, bound), payloads):
-        fname = "lam_" + "_".join(str(v) for v in lam) + ".json"
-        _write_json(payload, os.path.join(out_dir, fname))
-        entries.append(fname)
-    manifest = {"kind": "koornwinder", "n": cfg.n, "degree_bound": bound, "entries": entries,
-                "params_fingerprint": p.fingerprint()}
-    _write_json(manifest, os.path.join(out_dir, "manifest.json"))
-    print(f"wrote {len(entries)} files to {out_dir}", file=sys.stderr)
-    return 0
-
-
-def _write_json(payload, out):
-    """payload as JSON, keys sorted, to the file out, else to stdout;
-    RefusalError when it cannot be written there."""
-    from .numerics import RefusalError
-
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    try:
-        if out:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        elif sys.stdout is None:
-            raise RefusalError("cannot write to stdout: it is closed")
-        else:
-            sys.stdout.write(text)
-    except OSError as exc:
-        raise RefusalError(f"cannot write {out or 'to stdout'}: {exc.strerror or exc}") from exc
 
 
 def _add_common(parser, fn):
     """The flags every command takes, each None unless given so that a file
-    value shows through, and the command function fn(args) it runs."""
+    value shows through, and fn, which picks the command out of the command
+    module for main to run."""
     parser.set_defaults(fn=fn)
     parser.add_argument("--n", type=int, help="chain length / rank")
     parser.add_argument("--seed", type=int, help="deterministic sampling seed")
@@ -743,6 +41,8 @@ def _add_common(parser, fn):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from . import SUITES
+
     parser = argparse.ArgumentParser(
         prog="heckespin",
         description="verification suites and artifacts for the two-boundary spin chain",
@@ -750,40 +50,42 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", choices=(*_SUITE_FNS, "all"))
-    _add_common(p_verify, cmd_verify)
+    p_verify.add_argument("suite", choices=(*SUITES, "all"))
+    _add_common(p_verify, lambda c: c.cmd_verify)
 
     koorn_sub = sub.add_parser("koornwinder", help="polynomial computations").add_subparsers(
         dest="subcommand", required=True)
     _add_common(koorn_sub.add_parser("compute", help="compute one labeled polynomial"),
-                cmd_koornwinder_compute)
+                lambda c: c.cmd_koornwinder_compute)
 
     qkz_sub = sub.add_parser("qkz", help="difference-equation solutions").add_subparsers(
         dest="subcommand", required=True)
-    _add_common(qkz_sub.add_parser("build", help="build a polynomial solution"), cmd_qkz_build)
+    _add_common(qkz_sub.add_parser("build", help="build a polynomial solution"), lambda c: c.cmd_qkz_build)
     p_qv = qkz_sub.add_parser("verify", help="verify a stored solution")
     p_qv.add_argument("--in", dest="infile", required=True, help="solution JSON file")
-    _add_common(p_qv, cmd_qkz_verify)
+    _add_common(p_qv, lambda c: c.cmd_qkz_verify)
 
     emit_sub = sub.add_parser("emit", help="emit JSON artifacts").add_subparsers(
         dest="subcommand", required=True)
     p_tables = emit_sub.add_parser("tables", help="write polynomial or spectrum tables")
     p_tables.add_argument("--kind", choices=("koornwinder", "hamiltonian_spectrum"), required=True)
-    _add_common(p_tables, cmd_emit_tables)
+    _add_common(p_tables, lambda c: c.cmd_emit_tables)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    from .numerics import GenericityError, InternalDefectError, PoleProximityError, RefusalError
+    from . import GenericityError, InternalDefectError, PoleProximityError, RefusalError, commands
 
     try:
-        return args.fn(args)
+        return args.fn(commands)(args)
     except (RefusalError, GenericityError, PoleProximityError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         cond = getattr(exc, "report", None)
         if cond is not None:
+            import json
+
             print(json.dumps({"refusal": cond.to_dict()}, sort_keys=True, indent=2), file=sys.stderr)
         return 2
     except (InternalDefectError, ValueError) as exc:

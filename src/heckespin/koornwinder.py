@@ -33,15 +33,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import (
-    GenericityError,
-    InternalDefectError,
-    LaurentPoly,
-    ParamSet,
-    RefusalError,
-    gamma_vectors,
-    l1_ball,
-)
+from . import GenericityError, InternalDefectError, RefusalError
+from .numerics import LaurentPoly, ParamSet, gamma_vectors, l1_ball
 from .weyl import tau_word
 
 _N_CAP = 3

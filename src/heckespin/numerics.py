@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import GenericityError, InternalDefectError, PoleProximityError, RefusalError
+
 # draws before generic_draws gives up on a seed
 _MAX_DRAWS = 64
 # draws beyond the requested count before pole_free_points gives up
@@ -37,35 +39,6 @@ _SCALAR_BAND = (0.6, 1.6)
 # a denominator below this (relative) is at a pole
 _POLE_TOL = 1e-6
 _LOG_TINY, _LOG_HUGE = -708.39, 709.78  # within log of the least and largest normal double
-
-
-class GenericityError(RuntimeError):
-    """A denominator or a spectral gap vanishes.  ``point`` is the ParamSet
-    whose own guard fired (see nonvanishing), None when the fault lies
-    elsewhere: sample points near poles, or a seed out of draws."""
-
-    def __init__(self, message: str, point=None):
-        super().__init__(message)
-        self.point = point
-
-
-class RefusalError(RuntimeError):
-    """A precondition of the requested construction does not hold."""
-
-
-class InternalDefectError(RuntimeError):
-    """An internal exactness invariant failed; this is a bug, not bad input."""
-
-
-class PoleProximityError(RuntimeError):
-    """A spectral-parameter evaluation landed too close to a pole.  An
-    evaluation over a stack of points flags the points at a pole in
-    ``where``, a boolean per point; one boolean, True by default, stands for
-    every point."""
-
-    def __init__(self, message: str, where=True):
-        super().__init__(message)
-        self.where = where
 
 
 def eta(x) -> int:

@@ -25,13 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import InternalDefectError, RefusalError
 from .baxter import cocycle_factors
 from .koornwinder import ball_vector, check_caps, compute_P_detail, generator_matrices
 from .numerics import (
-    InternalDefectError,
     LaurentPoly,
     ParamSet,
-    RefusalError,
     Residuals,
     eta,
     gamma_vectors,

@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensorops
-from .numerics import InternalDefectError, ParamSet, RefusalError, max_abs, nonvanishing, rel_residual
+from . import InternalDefectError, RefusalError, tensorops
+from .numerics import ParamSet, max_abs, nonvanishing, rel_residual
 from .weyl import WeylElem, first_descent, min_coset_reps, tau_word
 
 _DIM_CAP = 10

@@ -35,7 +35,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import InternalDefectError, max_abs, rel_residual
+from . import InternalDefectError
+from .numerics import max_abs, rel_residual
 
 
 def apply_on_legs(op: np.ndarray, legs, a: np.ndarray, m: int) -> np.ndarray:

@@ -36,9 +36,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import InternalDefectError
 from .baxter import cocycle_factors, dressed_blocks
-from .numerics import (InternalDefectError, ParamSet, Residuals, max_abs, nonvanishing, rel_residual,
-                       torus_point)
+from .numerics import ParamSet, Residuals, max_abs, nonvanishing, rel_residual, torus_point
 from .spinrep import boundary_norm, build_spin_rep
 from .tensorops import (
     PERMUTE_TWO,

@@ -30,7 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .numerics import InternalDefectError, ParamSet
+from . import InternalDefectError
+from .numerics import ParamSet
 
 
 def _compose_signed(pu, su, pv, sv):

@@ -19,7 +19,7 @@ from conftest import (
     stabilizer_eigen_residual,
 )
 from heckespin.baxter import check_ybe_re, cocycle_factors, dressed_blocks
-from heckespin.cli import Config, run_suite
+from heckespin.commands import Config, run_suite
 from heckespin.koornwinder import (
     _ball,
     compute_P_detail,

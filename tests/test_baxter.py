@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import heckespin.baxter
-import heckespin.cli
+import heckespin.commands
 import heckespin.qkz
 import heckespin.spinrep
 import heckespin.tensorops
@@ -198,7 +198,7 @@ def test_dressed_paths_build_no_spin_rep_and_no_embedding(monkeypatch):
         raise AssertionError("dense spin representation or embedding")
 
     for mod in (heckespin.spinrep, heckespin.tensorops, heckespin.baxter,
-                heckespin.transfer, heckespin.qkz, heckespin.cli):
+                heckespin.transfer, heckespin.qkz, heckespin.commands):
         if hasattr(mod, "build_spin_rep"):
             monkeypatch.setattr(mod, "build_spin_rep", refuse)
     p = sample_generic(seed=4, n=4)

@@ -450,7 +450,7 @@ def test_label_batches_match_the_per_label_oracle(n):
     compute_P_detail per label: each label's vector exactly, its joint,
     monic and stabilizer residuals within 1e-13, the separation within
     1e-12 relative, and the suite's report built from the batches."""
-    from heckespin.cli import Config, suite_koornwinder
+    from heckespin.commands import Config, suite_koornwinder
 
     for seed in (1, 2, 3):
         p = sample_generic(seed=seed, n=n)

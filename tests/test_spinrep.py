@@ -317,7 +317,7 @@ def test_the_block_murphy_row_catches_the_bent_generator(n):
     """The suite's block row reads at least 1e-3 on the bent T_2 at seeds
     1-5 (the weakest reading is 1.16e-2, at n = 10), and stays at rounding
     level on the honest family."""
-    from heckespin.cli import Config, _block
+    from heckespin.commands import Config, _block
 
     for seed in range(1, 6):
         rep = build_spin_rep(sample_generic(seed=seed, n=n))

@@ -392,7 +392,7 @@ def test_the_detuned_boundary_control_holds_as_the_chain_grows(n, seed):
     6)."""
     import re
 
-    from heckespin.cli import Config, suite_transfer
+    from heckespin.commands import Config, suite_transfer
 
     rows = {c["name"]: c for c in suite_transfer(Config(n=n, seed=seed), sample_generic(seed=seed, n=n))}
     control = rows["control detuned boundary"]
