@@ -8,15 +8,19 @@ polynomial eigenfunctions, and polynomial solutions of the associated
 q-difference equations.  The ``heckespin`` console script drives the
 verification suites over randomly sampled generic parameters.
 
-The four error classes and the suite names live here, where no numpy is
-loaded, so that the driver can parse its arguments and refuse a flag before
-it imports a layer.
+The four error classes, the suite names and the caps live here, where no
+numpy is loaded, so that the command line (cli.py) can parse its arguments
+and refuse a flag or a cap before it imports a layer.
 """
 
 __version__ = "0.1.0"
 
 # the suites "verify" offers, in the order "verify all" runs them
 SUITES = ("algebra", "matchmaker", "baxter", "transfer", "koornwinder", "qkz")
+
+_DIM_CAP = 10
+_N_CAP = 3
+_DEGREE_CAP = 4
 
 
 class GenericityError(RuntimeError):
@@ -46,3 +50,33 @@ class PoleProximityError(RuntimeError):
     def __init__(self, message: str, where=True):
         super().__init__(message)
         self.where = where
+
+
+def check_dim_cap(n: int) -> None:
+    """Refuse a chain longer than the spin representation's cap (n <= 10,
+    dimension 2^10)."""
+    if n > _DIM_CAP:
+        raise RefusalError(f"spin representation capped at n = {_DIM_CAP}")
+
+
+def check_identity_rank(n: int) -> None:
+    """Refuse a chain too short for the identity suite: the reflection rows
+    need a middle generator (n >= 2)."""
+    if n < 2:
+        raise RefusalError("the identity suite needs n >= 2")
+
+
+def check_caps(n: int, degree: int = 0) -> None:
+    """Refuse a rank or label degree beyond the measured polynomial caps."""
+    if n > _N_CAP or degree > _DEGREE_CAP:
+        raise RefusalError(
+            f"polynomial caps exceeded (n <= {_N_CAP}, sum|lambda| <= {_DEGREE_CAP})"
+        )
+
+
+def check_degree_cap(n: int, m: int) -> None:
+    """Refuse a solution degree beyond the polynomial caps (|m| n <= 4), and
+    a rank beyond the polynomial rank cap, which m = 0 would otherwise pass."""
+    if abs(m) * n > 4:
+        raise RefusalError("degree cap exceeded (|m| * n <= 4)")
+    check_caps(n)

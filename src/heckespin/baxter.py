@@ -35,7 +35,7 @@ import functools
 
 import numpy as np
 
-from . import InternalDefectError, PoleProximityError, RefusalError
+from . import InternalDefectError, PoleProximityError, check_identity_rank
 from .numerics import _POLE_TOL, ParamSet, Residuals, nonvanishing, rel_residual, torus_point
 from .spinrep import _local_k, _local_kbar, _local_upsilon_p
 from .tensorops import row_residual
@@ -132,13 +132,6 @@ def baxter_j(params: ParamSet, j: int, x):
     if 0 < j < n:
         return r(x), [j, j + 1]
     raise InternalDefectError(f"generator index {j} out of range for n={n}")
-
-
-def check_identity_rank(n: int) -> None:
-    """Refuse a chain too short for the identity suite: the reflection rows
-    need a middle generator (n >= 2)."""
-    if n < 2:
-        raise RefusalError("the identity suite needs n >= 2")
 
 
 def check_ybe_re(params: ParamSet, samples: int = 20, seed: int = 1) -> dict:

@@ -2,11 +2,13 @@
 the verification suites and their caps, the reports, and the polynomial,
 solution and table artifacts.
 
-A suite beyond its caps (_CAPS) refuses before sampling.  "verify all" runs
-the suites within theirs and lists the others in a "skipped" report key,
-{suite: reason}, absent when none is skipped; a skip is not a pass, and the
-stderr line reads "PASS (k checks, s suites skipped, ...)".  With no suite
-left, "verify all" refuses before sampling and names every reason.
+A suite beyond its caps (_CAPS, the package's own checks) refuses before
+sampling, and without a parameter file before it imports numpy or a layer.
+"verify all" runs the suites within theirs and lists the others in a
+"skipped" report key, {suite: reason}, absent when none is skipped; a skip
+is not a pass, and the stderr line reads "PASS (k checks, s suites skipped,
+...)".  With no suite left, "verify all" refuses before sampling and names
+every reason.
 
 Negative-control checks invert the usual reading: the underlying deviation
 must be LARGE for the control to count.  To keep the uniform rule
@@ -21,7 +23,6 @@ compiling layers they never call.
 
 from __future__ import annotations
 
-import importlib
 import itertools
 import json
 import math
@@ -32,7 +33,8 @@ import time
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
-from . import SUITES, RefusalError
+from . import (SUITES, RefusalError, check_caps, check_degree_cap, check_dim_cap,
+               check_identity_rank)
 
 if TYPE_CHECKING:
     from .numerics import ParamSet
@@ -137,15 +139,13 @@ def _qkz_degrees(cfg: Config) -> list:
     return [cfg.m] if cfg.m is not None else [-1, 0, 1]
 
 
-def _at_point(cfg: Config, work, suite=None, mcondition=None, degree=0):
-    """(p, work(p)) at the point p a command runs at, once the caps of suite
-    have passed (none is named where run_suite has checked them): cfg.params
-    if given, else the first point of cfg.seed's stream and, while a layer's
-    guard refuses the point drawn (a GenericityError naming it), the next."""
+def _at_point(cfg: Config, work, mcondition=None):
+    """(p, work(p)) at the point p a command runs at, once the caller has
+    checked its caps (_CAPS): cfg.params if given, else the first point of
+    cfg.seed's stream and, while a layer's guard refuses the point drawn (a
+    GenericityError naming it), the next."""
     from . import numerics
 
-    if suite is not None:
-        _CAPS[suite](cfg, degree)
     if cfg.params is not None:
         return cfg.params, work(cfg.params)
     first = numerics.sample_generic(seed=cfg.seed, n=cfg.n, mcondition=mcondition)
@@ -250,9 +250,9 @@ def suite_matchmaker(cfg: Config, p: ParamSet):
     from .matchings import enumerate_matchings, intertwiner_Psi, matchmaker_betas, matchmaker_matrix
     from .numerics import rel_residual
     from .spinrep import build_spin_rep, check_tl_relations, delta_from_kappa
-    from .tensorops import apply_on_legs
+    from .tensorops import Monomial, apply_on_legs
 
-    n = p.n
+    n, v = p.n, _block(cfg, 2**p.n)
     tl = delta_from_kappa(p)
     beta0, beta1 = matchmaker_betas(p)
     mats = {j: matchmaker_matrix(j, tl, beta0, beta1, n) for j in range(n + 1)}
@@ -262,7 +262,8 @@ def suite_matchmaker(cfg: Config, p: ParamSet):
     )
     rep = build_spin_rep(p)
     psi = intertwiner_Psi(p)
-    worst = np.max([rel_residual(apply_on_legs(*rep.e[j], psi, n), psi @ mats[j])
+    psi_v = psi @ v
+    worst = np.max([rel_residual(apply_on_legs(*rep.e[j], psi_v, n), psi @ (mats[j] @ v))
                     for j in range(n + 1)])
     checks.append(_row(
         "equivalence intertwines projectors", worst, cfg.tolerance,
@@ -273,12 +274,10 @@ def suite_matchmaker(cfg: Config, p: ParamSet):
         "equivalence invertibility", smin, cfg.tolerance,
         "smallest singular value of the matching-to-spin map", floor=1e-8,
     ))
-    limit_map = intertwiner_Psi(p, limit=True)
-    expected = np.zeros_like(limit_map)
-    for col, match in enumerate(enumerate_matchings(n)):
-        expected[match.nu_index(), col] = 1.0
+    relabel = Monomial([match.nu_index() for match in enumerate_matchings(n)], np.ones(2**n))
     checks.append(_row(
-        "degenerate point sign map", rel_residual(limit_map, expected), cfg.tolerance,
+        "degenerate point sign map", rel_residual(intertwiner_Psi(p, limit=True) @ v, relabel @ v),
+        cfg.tolerance,
         "at the degenerate parameter point the map collapses to the"
         " sign-string relabeling",
     ))
@@ -514,23 +513,26 @@ _SUITE_FNS = dict(zip(SUITES, (suite_algebra, suite_matchmaker, suite_baxter, su
                                suite_koornwinder, suite_qkz), strict=True))
 
 
-def _layer(name: str):
-    """The package module name, imported on first use."""
-    return importlib.import_module(f"{__package__}.{name}")
+def _qkz_caps(cfg: Config, degree):
+    """Each qKZ degree's cap; at a parameter file's point each degree must
+    meet its existence constraint first, as its build does."""
+    for m in _qkz_degrees(cfg):
+        if cfg.params is not None:
+            from .qkz import require_mcondition
+
+            require_mcondition(cfg.params, m)
+        check_degree_cap(cfg.n, m)
 
 
 # suite -> caps(cfg, degree), which raise RefusalError beyond them; degree is
-# the label degree a polynomial command asks for.  At a parameter file's point
-# each qKZ degree must meet its existence constraint first, as its build does.
+# the label degree a polynomial command asks for
 _CAPS = {
-    "algebra": lambda cfg, degree: _layer("spinrep").check_dim_cap(cfg.n),
-    "matchmaker": lambda cfg, degree: _layer("spinrep").check_dim_cap(cfg.n),
-    "baxter": lambda cfg, degree: (_layer("spinrep").check_dim_cap(cfg.n),
-                                   _layer("baxter").check_identity_rank(cfg.n)),
-    "transfer": lambda cfg, degree: _layer("spinrep").check_dim_cap(cfg.n),
-    "koornwinder": lambda cfg, degree: _layer("koornwinder").check_caps(cfg.n, degree),
-    "qkz": lambda cfg, degree: [(cfg.params is None or _layer("qkz").require_mcondition(cfg.params, m),
-                                 _layer("qkz").check_degree_cap(cfg.n, m)) for m in _qkz_degrees(cfg)],
+    "algebra": lambda cfg, degree: check_dim_cap(cfg.n),
+    "matchmaker": lambda cfg, degree: check_dim_cap(cfg.n),
+    "baxter": lambda cfg, degree: (check_dim_cap(cfg.n), check_identity_rank(cfg.n)),
+    "transfer": lambda cfg, degree: check_dim_cap(cfg.n),
+    "koornwinder": lambda cfg, degree: check_caps(cfg.n, degree),
+    "qkz": _qkz_caps,
 }
 
 
@@ -603,10 +605,10 @@ def cmd_koornwinder_compute(args) -> int:
     cfg = _load_config(args)
     if cfg.lam is None:
         raise RefusalError("--lambda is required (comma-separated integers)")
+    _CAPS["koornwinder"](cfg, sum(abs(v) for v in cfg.lam))
     from .koornwinder import compute_P_detail
 
-    p, det = _at_point(cfg, lambda p: compute_P_detail(cfg.lam, p), "koornwinder",
-                       degree=sum(abs(v) for v in cfg.lam))
+    p, det = _at_point(cfg, lambda p: compute_P_detail(cfg.lam, p))
     payload = _polynomial_payload(det)
     payload["params_fingerprint"] = p.fingerprint()
     _write_json(payload, cfg.out)
@@ -615,10 +617,11 @@ def cmd_koornwinder_compute(args) -> int:
 
 def cmd_qkz_build(args) -> int:
     cfg = _load_config(args)
+    cfg.m = 1 if cfg.m is None else cfg.m
+    _CAPS["qkz"](cfg, 0)
     from .qkz import build_polynomial_solution
 
-    cfg.m = 1 if cfg.m is None else cfg.m
-    _point, sol = _at_point(cfg, lambda p: build_polynomial_solution(p, cfg.m), "qkz", mcondition=cfg.m)
+    _point, sol = _at_point(cfg, lambda p: build_polynomial_solution(p, cfg.m), mcondition=cfg.m)
     _write_json(sol.to_dict(), cfg.out)
     return 0
 
@@ -642,6 +645,7 @@ def cmd_emit_tables(args) -> int:
     cfg = _load_config(args)
     bound = cfg.m if cfg.m is not None else 2
     if args.kind == "hamiltonian_spectrum":
+        _CAPS["transfer"](cfg, 0)
         import numpy as np
 
         from .transfer import hamiltonian
@@ -656,20 +660,19 @@ def cmd_emit_tables(args) -> int:
                                        key=lambda z: (round(z.real, 9), round(z.imag, 9)))
             return spectra
 
-        p, spectra = _at_point(cfg, eigenvalues, "transfer")
+        p, spectra = _at_point(cfg, eigenvalues)
         gap = max(abs(complex(x) - complex(y))
                   for va, vb in itertools.combinations(spectra.values(), 2) for x, y in zip(va, vb))
         forms = {form: [{"re": v.real, "im": v.imag} for v in vals] for form, vals in spectra.items()}
         _write_json({"kind": "hamiltonian_spectrum", "n": p.n, "forms": forms, "max_pairwise_gap": gap,
                      "agree": bool(gap < 1e-7), "params_fingerprint": p.fingerprint()}, cfg.out)
         return 0
+    _CAPS["koornwinder"](cfg, bound)
     from .koornwinder import compute_P_detail
     from .numerics import l1_ball
 
-    # the ball is built only once the caps, checked first by _at_point, pass
     p, payloads = _at_point(
-        cfg, lambda p: [_polynomial_payload(compute_P_detail(lam, p)) for lam in l1_ball(cfg.n, bound)],
-        "koornwinder", degree=bound)
+        cfg, lambda p: [_polynomial_payload(compute_P_detail(lam, p)) for lam in l1_ball(cfg.n, bound)])
     out_dir = cfg.out or "tables_koornwinder"
     try:
         os.makedirs(out_dir, exist_ok=True)

@@ -33,12 +33,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import GenericityError, InternalDefectError, RefusalError
+from . import GenericityError, InternalDefectError, check_caps
 from .numerics import LaurentPoly, ParamSet, gamma_vectors, l1_ball
 from .weyl import tau_word
 
-_N_CAP = 3
-_DEGREE_CAP = 4
 _TRIANGULAR_TOL = 1e-10
 _KERNEL_GAP = 1e-6
 
@@ -217,14 +215,6 @@ def _eigen_residuals(mats, vals, vecs) -> np.ndarray:
     product per M_k for all columns."""
     scale = np.maximum(np.abs(vecs).max(axis=0), 1.0)
     return np.array([np.abs(m @ vecs - c * vecs).max(axis=0) for m, c in zip(mats, vals)]) / scale
-
-
-def check_caps(n: int, degree: int = 0) -> None:
-    """Refuse a rank or label degree beyond the measured polynomial caps."""
-    if n > _N_CAP or degree > _DEGREE_CAP:
-        raise RefusalError(
-            f"polynomial caps exceeded (n <= {_N_CAP}, sum|lambda| <= {_DEGREE_CAP})"
-        )
 
 
 @dataclass

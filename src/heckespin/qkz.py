@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import InternalDefectError, RefusalError
+from . import InternalDefectError, RefusalError, check_degree_cap
 from .baxter import cocycle_factors
-from .koornwinder import ball_vector, check_caps, compute_P_detail, generator_matrices
+from .koornwinder import ball_vector, compute_P_detail, generator_matrices
 from .numerics import (
     LaurentPoly,
     ParamSet,
@@ -82,14 +82,6 @@ def require_mcondition(params: ParamSet, m: int) -> None:
         raise err
 
 
-def check_degree_cap(n: int, m: int) -> None:
-    """Refuse a solution degree beyond the polynomial caps (|m| n <= 4), and
-    a rank beyond koornwinder's cap, which m = 0 would otherwise pass."""
-    if abs(m) * n > 4:
-        raise RefusalError("degree cap exceeded (|m| * n <= 4)")
-    check_caps(n)
-
-
 @dataclass
 class KZSolution:
     params: ParamSet
@@ -138,11 +130,9 @@ def cm_alpha(phi: LaurentPoly, params: ParamSet, series, metadata=None) -> KZSol
         for a in reversed(reduced_word(w * w0j_inv)):
             vec = gens[a] @ vec
         images.append(vec)
-    coeffs = np.zeros((len(reps), len(ball)), dtype=complex)
-    np.add.at(coeffs, basis.index, basis.weight[:, None] * np.stack(images))
     return KZSolution(
         params=params,
-        components=LaurentPoly(ball, coeffs),
+        components=LaurentPoly(ball, basis @ np.stack(images)),
         metadata=dict(metadata or {"construction": "cm_alpha"}),
     )
 

@@ -31,11 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import InternalDefectError, RefusalError, tensorops
+from . import InternalDefectError, check_dim_cap, tensorops
 from .numerics import ParamSet, max_abs, nonvanishing, rel_residual
 from .weyl import WeylElem, first_descent, min_coset_reps, tau_word
-
-_DIM_CAP = 10
 
 
 @dataclass(frozen=True)
@@ -129,13 +127,6 @@ class SpinRep:
     @property
     def dim(self) -> int:
         return 2**self.params.n
-
-
-def check_dim_cap(n: int) -> None:
-    """Refuse a chain longer than the spin representation's cap (n <= 10,
-    dimension 2^10)."""
-    if n > _DIM_CAP:
-        raise RefusalError(f"spin representation capped at n = {_DIM_CAP}")
 
 
 def _eye(block: np.ndarray) -> np.ndarray:

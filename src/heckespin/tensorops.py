@@ -19,10 +19,11 @@ to one block of four complex Gaussian vectors per suite (gaussian_block;
 Freivalds, IFIP 1977), so no 2^m x 2^m operator is formed; a dense
 embedding is factor_product on the identity.  A monomial operator (one
 nonzero entry per column, as the diagram generators in the matching basis)
-is an (index, weight) pair, products of them are gathers, and an identity
-between two such products is checked on the (index, weight) arrays
-(Monomial.row).  Any scalar type numpy can contract works, including object
-arrays of mpmath numbers or of exact fractions.
+is an (index, weight) pair, products of them are gathers, one applied to a
+block is a scatter of its weighted rows (its dense form is that scatter on
+the identity), and an identity between two such products is checked on the
+(index, weight) arrays (Monomial.row).  Any scalar type numpy can contract
+works, including object arrays of mpmath numbers or of exact fractions.
 
 Blocks and operands may carry a leading batch axis, one matrix per sample
 point, as the dressed blocks do when evaluated over a stack of spectral
@@ -112,29 +113,31 @@ def row_residual(lhs, rhs, coeff=1) -> float:
 
 class Monomial:
     """The matrix with the single nonzero entry weight[c] in row index[c] of
-    each column c.  Products with each other are gathers, a dense matrix on
-    the left takes a column gather (a @ M), and a scalar scales the weights.
+    each column c.  Products with each other are gathers, one applied to a
+    block of rows (M @ V) scatters row c of V, times weight[c], into row
+    index[c], and a scalar scales the weights.
 
     >>> m = Monomial(np.array([1, 1]), np.array([2.0, 3.0]))
-    >>> dense = np.eye(2) @ m
+    >>> dense = m @ np.eye(2)
     >>> dense
     array([[0., 0.],
            [2., 3.]])
-    >>> bool((np.eye(2) @ (m @ m) == dense @ dense).all())
+    >>> bool(((m @ m) @ np.eye(2) == dense @ dense).all())
     True
     """
 
-    __array_ufunc__ = None  # a dense a @ M defers to __rmatmul__
+    __array_ufunc__ = None  # a dense a @ M is a TypeError, not an object array
 
     def __init__(self, index, weight):
         self.index = np.asarray(index)
         self.weight = np.asarray(weight)
 
-    def __matmul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(self.index[other.index], self.weight[other.index] * other.weight)
-
-    def __rmatmul__(self, a: np.ndarray) -> np.ndarray:
-        return a[:, self.index] * self.weight
+    def __matmul__(self, other):
+        if isinstance(other, Monomial):
+            return Monomial(self.index[other.index], self.weight[other.index] * other.weight)
+        out = np.zeros((len(self.index),) + other.shape[1:], dtype=np.result_type(self.weight, other))
+        np.add.at(out, self.index, self.weight[:, None] * other)
+        return out
 
     def __rmul__(self, c) -> "Monomial":
         return Monomial(self.index, c * self.weight)

@@ -18,11 +18,10 @@ the t_j and V may carry a point axis, so a check's points take one pass.
 monodromy_U is that pass with the auxiliary leg open in V's rows: U V, for
 the double row U without the closure; a pass carrying the jet [value, d/dx]
 gives [T V, dT/dx V]; transfer_T_mp is that pass on mpmath x, t and V.
-_absorb contracts the dense T and dT/dx (transfer_T_deriv) for the spectrum
-table's Hamiltonian alone: on the identity, transfer_apply takes 0.56
-against 0.30 ms at n = 6, 437 against 63 ms at n = 10 (one Xeon core, one
-BLAS thread).  The checks compare operators on random vectors (Freivalds,
-IFIP 1977), U V against _double_row's local factors run on V.
+The dense T and dT/dx, which only the spectrum table's Hamiltonian asks
+for, are the same pass on the identity.  The checks compare operators on
+random vectors (Freivalds, IFIP 1977), U V against _double_row's local
+factors run on V.
 
 The boundary XXZ Hamiltonian is applied to a block V three ways: the
 logarithmic derivative of the normalized transfer matrix at x = 1 (one jet
@@ -143,29 +142,28 @@ def _mpo(params: ParamSet, x, t, deriv=False):
     return closure, sites
 
 
-def _absorb(left, w):
-    """The environment left [bond, row, col] on the first sites times the
-    next site tensor w: the environment on one more site."""
-    bond, d = w.shape[1], left.shape[1]
-    out = left.reshape(len(left), d * d).T @ w.reshape(len(w), 4 * bond)
-    return out.reshape(d, d, bond, 2, 2).transpose(2, 0, 3, 1, 4).reshape(bond, 2 * d, 2 * d)
-
-
 def _apply(sites, v) -> list:
     """The MPO of the site jets (in bond 1 first, out bond 1 last) applied
     to the block v, held as [rows done, bond, legs to come and columns]: one
     matmul over (bond, leg) per site leaves its row leg after the rows done.
-    Gives [M v], or [M v, dM/dx v] by the product rule."""
+    Gives [M v], or [M v, dM/dx v] by the product rule.  A block wider than
+    64 columns, as the identity for a dense T, runs 64 columns at a time: at
+    n = 10 the jet on the identity then takes 0.74 against 1.0 s, and the
+    spectrum table's process peaks at 147 against 436 MB (one BLAS thread)."""
     def step(w, a):
         mat = np.moveaxis(w, (-2, -3), (-4, -3))  # [.., row, out, in, col]
         mat = mat.reshape(mat.shape[:-4] + (1, 2 * w.shape[-3], -1))
         a = mat @ a.reshape(a.shape[:-2] + (2 * a.shape[-2], -1))
         return a.reshape(a.shape[:-3] + (2 * a.shape[-3], w.shape[-3], -1))
 
-    a = [v.reshape(v.shape[:-2] + (1, 1, -1))]
-    for w in sites:
-        a = _leibniz(step, w, a)
-    return [b.reshape(b.shape[:-3] + v.shape[-2:]) for b in a]
+    def run(cols):
+        a = [cols.reshape(cols.shape[:-2] + (1, 1, -1))]
+        for w in sites:
+            a = _leibniz(step, w, a)
+        return [b.reshape(b.shape[:-3] + cols.shape[-2:]) for b in a]
+
+    parts = [run(v[..., c:c + 64]) for c in range(0, v.shape[-1], 64)]
+    return [np.concatenate(jet, axis=-1) for jet in zip(*parts)]
 
 
 def transfer_apply(params: ParamSet, x, t, v, deriv: bool = False):
@@ -184,16 +182,6 @@ def monodromy_U(params: ParamSet, x, t, v) -> np.ndarray:
     auxiliary leg is one more site, whose out bond (c, d) is |c><d|."""
     sites = [[np.eye(4).reshape(1, 4, 2, 2)]] + _mpo(params, x, t)[1]
     return _apply(sites, v)[0]
-
-
-def transfer_T_deriv(params: ParamSet, x, t):
-    """The dense T(x; t) and dT/dx, contracted site by site from the closure
-    theta K_0(kappa^2 x) theta, the derivative exactly by the product rule."""
-    closure, sites = _mpo(params, x, t, deriv=True)
-    left = [c.reshape(4, 1, 1) for c in closure]
-    for w in sites:
-        left = _leibniz(_absorb, left, w)
-    return tuple(a[0] for a in left)
 
 
 def _aux_normalizer(params: ParamSet, x):
@@ -306,29 +294,25 @@ def _chain_constant(params: ParamSet):
 
 
 def hamiltonian(params: ParamSet, form: str = "pauli", v=None) -> np.ndarray:
-    """The open-chain Hamiltonian on (C^2)^(x n) applied to the block v (the
-    dense H if v is None), three ways.
+    """The open-chain Hamiltonian on (C^2)^(x n) applied to the block v,
+    three ways; v is the identity if None, which gives the dense H.
 
     form="transfer" differentiates the normalized transfer matrix at x = 1
-    near the homogeneous point; form="pauli" is the explicit two-line
-    expression; form="tl" weights the diagrammatic generator images.
+    near the homogeneous point, from one jet pass of transfer_apply;
+    form="pauli" is the explicit two-line expression; form="tl" weights the
+    diagrammatic generator images.
     """
     n = params.n
     k = params.kappa
+    v = np.eye(2**n, dtype=complex) if v is None else v
     if form == "transfer":
-        ones = (1.0,) * n
-        if v is None:
-            tval, tder = transfer_T_deriv(params, 1.0, ones)
-            v = np.eye(2**n)
-        else:
-            tval, tder = transfer_apply(params, 1.0, ones, v, deriv=True)
+        tval, tder = transfer_apply(params, 1.0, (1.0,) * n, v, deriv=True)
         g, gp = _aux_normalizer(params, 1.0)
         nval = tval / g
         if rel_residual(nval, v) > 1e-9:
             raise InternalDefectError("normalized transfer is not Id at x=1")
         nder = tder / g - tval * (gp / g**2)
         return (k - 1 / k) / 2 * nder - c0_constant(params) * v
-    v = np.eye(2**n, dtype=complex) if v is None else v
     acc = np.zeros(v.shape, dtype=complex)
     if form == "pauli":
         bulk2 = (

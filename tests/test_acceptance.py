@@ -84,7 +84,7 @@ def test_criterion_2_principal_series():
         for i in range(1, 4):
             resid = np.abs(murphy_Y(rep, i) @ v0 - zeta[i - 1] * v0).max()
             worst = max(worst, float(resid))
-        B = np.eye(rep.dim) @ B
+        B = B @ np.eye(rep.dim)
         gram = B.conj().T @ B
         worst_cond = max(worst_cond, float(np.linalg.cond(gram)))
     ok = worst < 1e-9 and worst_cond < 1e12
@@ -105,7 +105,7 @@ def test_criterion_3_intertwiner():
         psi = intertwiner_Psi(p)
         for j in range(n + 1):
             mm = matchmaker_matrix(j, tl, b0, b1, n)
-            worst = max(worst, rel_residual(_kron_embed(*rep.e[j], n) @ psi, psi @ mm))
+            worst = max(worst, rel_residual(_kron_embed(*rep.e[j], n) @ psi, psi @ (mm @ np.eye(2**n))))
         min_det = min(min_det, abs(np.linalg.det(psi)))
     lsum_exact = all(
         sum((-1) ** h * c for (_, h), c in boundary_arc_counts(m).items())

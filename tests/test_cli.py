@@ -59,6 +59,12 @@ _UNPARSED = ("numpy", *_LAYERS, "commands", "json", "dataclasses", "inspect")
     (["koornwinder", "compute", "--lambda", "x"], 2, ("commands",), ("numpy", *_LAYERS)),
     (["verify", "algebra", "--params", "missing.json"], 2, ("commands",), ("numpy", *_LAYERS)),
     (["qkz", "verify", "--in", "missing.json"], 2, ("commands",), ("numpy", *_LAYERS)),
+    (["verify", "algebra", "--n", "11"], 2, ("commands",), ("numpy", *_LAYERS)),
+    (["verify", "koornwinder", "--n", "4"], 2, ("commands",), ("numpy", *_LAYERS)),
+    (["koornwinder", "compute", "--lambda", "5"], 2, ("commands",), ("numpy", *_LAYERS)),
+    (["qkz", "build", "--n", "5"], 2, ("commands",), ("numpy", *_LAYERS)),
+    (["emit", "tables", "--kind", "hamiltonian_spectrum", "--n", "11"], 2, ("commands",),
+     ("numpy", *_LAYERS)),
     (["verify", "algebra", "--n", "2"], 0, ("numpy", "spinrep"),
      ("matchings", "baxter", "transfer", "koornwinder", "qkz", "numpy.ma")),
     (["verify", "transfer", "--n", "2"], 0, ("transfer",), ("koornwinder", "qkz", "matchings")),
@@ -66,12 +72,13 @@ _UNPARSED = ("numpy", *_LAYERS, "commands", "json", "dataclasses", "inspect")
      ("koornwinder", "qkz", "matchings")),
     (["verify", "all", "--n", "2"], 0, ("numpy", *_LAYERS), ("numpy.ma",)),
 ], ids=["help", "argparse error", "seed", "samples", "tolerance", "lambda", "params", "in",
-        "algebra", "transfer", "spectrum", "all"])
+        "dim cap", "polynomial cap", "label cap", "qkz cap", "spectrum cap", "algebra", "transfer",
+        "spectrum", "all"])
 def test_a_command_imports_only_the_layers_it_runs(tmp_path, argv, code, loaded, unloaded):
     """The package and the driver import only the standard library: --help
     and an argparse error load no numpy, no layer, no command module and
-    none of json, dataclasses and inspect; a flag or file refusal loads no
-    numpy and no layer; and a suite loads only the layers it calls (numpy
+    none of json, dataclasses and inspect; a flag, file or cap refusal loads
+    no numpy and no layer; and a suite loads only the layers it calls (numpy
     and the layers here by module name).  No command loads numpy.ma, which
     np.unique imports on its first call."""
     import subprocess
@@ -1524,6 +1531,31 @@ def test_a_distorted_cocycle_factor_fails_the_block_rows(monkeypatch, n, mutant)
     rows = {c["name"]: c for c in commands.suite_baxter(cfg, sample_generic(seed=1, n=n))}
     for name in ("word independence", "commuting translation transports"):
         assert not rows[name]["pass"] and rows[name]["residual"] > 1e-3, (name, rows[name])
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("mutant", ["scaled generator", "swapped limit columns"])
+def test_a_distorted_matchmaker_operator_fails_its_block_row(monkeypatch, n, mutant):
+    """The intertwining and degenerate-point rows apply both sides to the
+    suite's block of vectors: the matchmaker generator e_1 scaled by 1.01
+    fails the first, and the limit map with its first two columns swapped
+    fails the second, while the other row still passes."""
+    import heckespin.commands as commands
+    import heckespin.matchings as matchings
+
+    honest_e, honest_psi = matchings.matchmaker_matrix, matchings.intertwiner_Psi
+    if mutant == "scaled generator":
+        failing, passing = "equivalence intertwines projectors", "degenerate point sign map"
+        monkeypatch.setattr(matchings, "matchmaker_matrix",
+                            lambda j, *args: (1.01 if j == 1 else 1) * honest_e(j, *args))
+    else:
+        failing, passing = "degenerate point sign map", "equivalence intertwines projectors"
+        monkeypatch.setattr(matchings, "intertwiner_Psi", lambda params, limit=False: (
+            honest_psi(params, limit)[:, [1, 0, *range(2, 2**n)]] if limit else honest_psi(params)))
+    cfg = commands.Config(n=n, seed=1)
+    rows = {c["name"]: c for c in commands.suite_matchmaker(cfg, sample_generic(seed=1, n=n))}
+    assert not rows[failing]["pass"] and rows[failing]["residual"] > 1e-3, rows[failing]
+    assert rows[passing]["pass"], rows[passing]
 
 
 def test_the_spin_suites_hold_no_dense_operator():

@@ -70,7 +70,7 @@ def test_intertwiner_commutes_and_is_invertible(n):
     psi = intertwiner_Psi(params)
     for j in range(n + 1):
         lhs = _kron_embed(*rep.e[j], n) @ psi
-        rhs = psi @ matchmaker_matrix(j, tl, b0, b1, n)
+        rhs = psi @ (matchmaker_matrix(j, tl, b0, b1, n) @ np.eye(2**n))
         scale = max(np.abs(lhs).max(), 1.0)
         assert np.abs(lhs - rhs).max() / scale < 1e-10
     assert abs(np.linalg.det(psi)) > 1e-8

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import heckespin.koornwinder as koornwinder
+import heckespin
 from conftest import DictPoly, divided_difference, laurent_mul, pole_free, s_j, to_table
 from heckespin.koornwinder import compute_P_detail, label_residuals
 from heckespin.numerics import (
@@ -247,7 +247,7 @@ def test_gamma_screen_matches_the_all_pairs_oracle(monkeypatch, n):
     every label of degree <= 4 through; where the oracle finds one, the
     guard refuses its label with a GenericityError naming the point.  The
     rank cap is lifted to n = 4, so that the guard answers, not the cap."""
-    monkeypatch.setattr(koornwinder, "_N_CAP", 4)
+    monkeypatch.setattr(heckespin, "_N_CAP", 4)
 
     def labels(r):
         return [lam for lam in l1_ball(n, r) if sum(map(abs, lam)) == r]

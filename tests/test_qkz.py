@@ -133,7 +133,7 @@ def test_two_paths_through_the_hecke_action_agree():
     vec0 = np.zeros(len(basis), dtype=complex)
     vec0[index[(1, 0)]] = 1.0
     B, _zeta, reps, _rep = principal_series_basis(p)
-    B = np.eye(2**n) @ B
+    B = B @ np.eye(2**n)
     w0j_inv = reps[-1].inverse_finite()
     matrix_components = [np.zeros(len(basis), dtype=complex) for _ in range(2**n)]
     for col, w in enumerate(reps):

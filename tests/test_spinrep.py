@@ -86,7 +86,7 @@ def test_murphy_elements_commute_and_share_eigenvector(params3):
 
 def test_principal_basis_is_invertible(params3):
     B, _zeta, reps, _rep = principal_series_basis(params3)
-    B = np.eye(8) @ B
+    B = B @ np.eye(8)
     assert B.shape == (8, 8)
     assert len(reps) == 8
     assert np.linalg.cond(B) < 1e8
@@ -140,7 +140,7 @@ def test_principal_basis_and_murphy_match_dense_products(n):
         v0 = np.zeros(rep.dim, dtype=complex)
         v0[0] = 1.0
         dense = np.stack([_word_on_groups(rep, reduced_word(w), v0) for w in reps], axis=1)
-        assert np.array_equal(np.eye(rep.dim) @ B, dense)
+        assert np.array_equal(B @ np.eye(rep.dim), dense)
         for i in range(1, n + 1):
             assert np.array_equal(murphy_Y(rep, i), _murphy_chain(rep, i))
 
@@ -155,7 +155,7 @@ def test_each_principal_vector_is_a_power_of_psin_on_one_basis_vector(n):
         want = p.psin ** np.array([bin(b).count("1") for b in B.index])
         assert (np.abs(B.weight - want) <= 1e-15 * np.abs(want)).all()
         assert sorted(B.index) == list(range(rep.dim))
-        smin = np.linalg.svd(np.eye(rep.dim) @ B, compute_uv=False)[-1]
+        smin = np.linalg.svd(B @ np.eye(rep.dim), compute_uv=False)[-1]
         assert abs(np.abs(B.weight).min() - smin) <= 1e-15 * smin
 
 

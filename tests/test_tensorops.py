@@ -121,17 +121,20 @@ def test_monomial_products_and_residual_match_dense(m, seed):
 
     a, b = draw(), draw()
     eye = np.eye(dim)
-    dense_a, dense_b = eye @ a, eye @ b
-    assert np.allclose(eye @ (a @ b), dense_a @ dense_b, rtol=0, atol=1e-12)
-    x = _cplx(rng, 3, dim)
-    assert np.allclose(x @ a, x @ dense_a, rtol=0, atol=1e-12)
-    assert np.array_equal(eye @ (1.5 * a), 1.5 * dense_a)
+    dense_a, dense_b = a @ eye, b @ eye
+    explicit = np.zeros((dim, dim), dtype=complex)
+    explicit[a.index, np.arange(dim)] = a.weight
+    assert np.array_equal(dense_a, explicit)
+    assert np.allclose((a @ b) @ eye, dense_a @ dense_b, rtol=0, atol=1e-12)
+    x = _cplx(rng, dim, 3)
+    assert np.allclose(a @ x, dense_a @ x, rtol=0, atol=1e-12)
+    assert np.array_equal((1.5 * a) @ eye, 1.5 * dense_a)
     # columns that agree in row, and columns that do not
     c = Monomial(np.where(rng.uniform(size=dim) < 0.5, a.index, b.index), _cplx(rng, dim))
     for other in (b, c, a):
-        want = rel_residual(dense_a, eye @ other)
+        want = rel_residual(dense_a, other @ eye)
         assert a.residual(other) == pytest.approx(want, rel=1e-15, abs=0)
-    want = rel_residual(dense_a @ dense_b, 0.5 * (eye @ c))
+    want = rel_residual(dense_a @ dense_b, 0.5 * (c @ eye))
     assert Monomial.row([a, b], [c], 0.5) == pytest.approx(want, rel=1e-12, abs=0)
 
 

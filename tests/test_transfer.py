@@ -21,7 +21,6 @@ from heckespin.transfer import (
     theta_matrix,
     tl_weight,
     transfer_apply,
-    transfer_T_deriv,
     transfer_T_mp,
 )
 
@@ -87,8 +86,8 @@ def test_transfer_and_monodromy_match_the_dense_oracle(n, dense_embed):
         want, _ = _dense_product(_dense_row(p, x, t, dense_embed, form))
         assert rel_residual(got, want) < 1e-12
     want, dwant = _dense_product(_dense_row(p, x, t, dense_embed, "closed"))
-    assert rel_residual(transfer_T_deriv(p, x, t)[0], _trace_aux(want)) < 1e-12
-    val, der = transfer_T_deriv(p, x, t)
+    assert rel_residual(transfer_apply(p, x, t, np.eye(2**n)), _trace_aux(want)) < 1e-12
+    val, der = transfer_apply(p, x, t, np.eye(2**n), deriv=True)
     assert rel_residual(val, _trace_aux(want)) < 1e-12
     assert rel_residual(der, _trace_aux(dwant)) < 1e-12
 
@@ -99,15 +98,15 @@ def _gaussian(rng, *shape):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_block_contraction_matches_the_dense_operators(n):
-    """transfer_apply against the dense T of transfer_T_deriv times the block, and
-    monodromy_U against the factor list of _double_row run through the
-    block, at one point and at a stack of three: one block per point for T,
-    one block shared by the points for U."""
+    """transfer_apply against the dense T of the factor-loop oracle times the
+    block, and monodromy_U against the factor list of _double_row run
+    through the block, at one point and at a stack of three: one block per
+    point for T, one block shared by the points for U."""
     p = sample_generic(seed=20 + n, n=n)
     rng = np.random.default_rng(n)
     x, *t = np.array([torus_point(rng, n + 1, (0.8, 1.25)) for _ in range(3)]).T
     v, w = _gaussian(rng, 3, 2**n, 4), _gaussian(rng, 2 ** (n + 1), 4)
-    want = np.stack([transfer_T_deriv(p, x[s], [tj[s] for tj in t])[0] @ v[s] for s in range(3)])
+    want = np.stack([factor_loop_T(p, x[s], [tj[s] for tj in t]) @ v[s] for s in range(3)])
     assert rel_residual(transfer_apply(p, x, t, v), want) < 1e-13
     assert rel_residual(transfer_apply(p, x[0], [tj[0] for tj in t], v[0]), want[0]) < 1e-13
     want = factor_product(heckespin.transfer._double_row(p, x, t), n + 1, w)
@@ -120,8 +119,9 @@ def test_transfer_derivative_matches_a_central_difference(n):
     p = sample_generic(seed=30 + n, n=n)
     x, t = _point(n, 40 + n)
     h = 1e-5 * abs(x)
-    fd = (transfer_T_deriv(p, x + h, t)[0] - transfer_T_deriv(p, x - h, t)[0]) / (2 * h)
-    _val, der = transfer_T_deriv(p, x, t)
+    eye = np.eye(2**n)
+    fd = (transfer_apply(p, x + h, t, eye) - transfer_apply(p, x - h, t, eye)) / (2 * h)
+    _val, der = transfer_apply(p, x, t, eye, deriv=True)
     assert rel_residual(der, fd) < 1e-6
     # a derivative that drops one factor's term is far outside that margin
     assert rel_residual(der, 1.01 * fd) > 1e-3
@@ -143,7 +143,7 @@ def test_no_dense_embedding_on_the_transfer_path(monkeypatch):
     monkeypatch.setattr(heckespin.transfer, "apply_on_legs", refuse)
     p = sample_generic(seed=4, n=n)
     x, t = _point(n, 4)
-    transfer_T_deriv(p, x, t)
+    transfer_apply(p, x, t, np.eye(2**n), deriv=True)
     monodromy_U(p, x, t, np.eye(32))
     v = gaussian_block(np.random.default_rng(4), 2**n)
     for form in ("tl", "pauli", "transfer"):
@@ -163,7 +163,7 @@ def test_the_block_forms_are_the_dense_forms_on_the_block(n):
         assert rel_residual(hamiltonian(p, form, v), hamiltonian(p, form) @ v) < 1e-12
     x, t = _point(n, 70 + n)
     val, der = transfer_apply(p, x, t, v, deriv=True)
-    dense, ddense = transfer_T_deriv(p, x, t)
+    dense, ddense = transfer_apply(p, x, t, np.eye(2**n), deriv=True)
     assert rel_residual(val, dense @ v) < 1e-12
     assert rel_residual(der, ddense @ v) < 1e-12
     assert np.array_equal(transfer_apply(p, x, t, v), val)
@@ -175,7 +175,7 @@ def test_high_precision_agreement_beyond_two_sites(n):
     x, t = _point(n, 6)
     hi = transfer_T_mp(p, x, t, np.eye(2**n), digits=40)
     assert hi.dtype == complex
-    assert rel_residual(transfer_T_deriv(p, x, t)[0], hi) < 1e-12
+    assert rel_residual(transfer_apply(p, x, t, np.eye(2**n)), hi) < 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -190,7 +190,7 @@ def test_generic_path_converges_with_precision(n):
 
     def full(digits):
         with mpmath.workdps(digits):
-            return transfer_T_deriv(p, mpmath.mpc(x), tuple(mpmath.mpc(v) for v in t))[0]
+            return transfer_apply(p, mpmath.mpc(x), tuple(mpmath.mpc(v) for v in t), np.eye(2**n))
 
     lo, hi = full(30), full(50)
     assert isinstance(hi[0, 0], mpmath.mpc)
@@ -245,8 +245,8 @@ def test_commuting_transfer_matrices(params3, rng):
     )
     x = complex(0.85 * np.exp(0.3j))
     y = complex(1.15 * np.exp(-0.7j))
-    a = transfer_T_deriv(params3, x, t)[0]
-    b = transfer_T_deriv(params3, y, t)[0]
+    a = transfer_apply(params3, x, t, np.eye(8))
+    b = transfer_apply(params3, y, t, np.eye(8))
     assert rel_residual(a @ b, b @ a) < 1e-10
 
 
@@ -318,7 +318,7 @@ def test_inverse_transport_residual_falls_with_precision(seed):
     for _ in range(8):
         t = torus_point(rng, n, (0.8, 1.3))
         for i in range(1, n + 1):
-            tt = transfer_T_deriv(p, t[i - 1], t)[0]
+            tt = transfer_apply(p, t[i - 1], t, np.eye(2**n))
             trans = factor_product(transport_factors(stationary, i, t), n)
             ci = phi_bdy(t[i - 1], p) * np.linalg.inv(trans)
             k = int(np.abs(tt - ci).max(axis=0).argmax())
@@ -372,7 +372,7 @@ def test_theta_is_diagonal_in_kappa(params2):
 def test_high_precision_agreement(params2, rng):
     x = complex(0.83 * np.exp(0.9j))
     t = (0.94 + 0.21j, 1.08 - 0.17j)
-    lo = transfer_T_deriv(params2, x, t)[0]
+    lo = transfer_apply(params2, x, t, np.eye(4))
     hi = transfer_T_mp(params2, x, t, np.eye(4), digits=40)
     assert rel_residual(lo, np.array(hi, dtype=complex)) < 1e-12
 
@@ -408,8 +408,21 @@ def test_mpo_matches_the_factor_loop(n):
     p = sample_generic(seed=10 + n, n=n)
     x, t = _point(n, 50 + n)
     want, dwant = factor_loop_T(p, x, t, deriv=True)
-    val, der = transfer_T_deriv(p, x, t)
-    assert rel_residual(transfer_T_deriv(p, x, t)[0], want) < 1e-13
+    val, der = transfer_apply(p, x, t, np.eye(2**n), deriv=True)
+    assert rel_residual(transfer_apply(p, x, t, np.eye(2**n)), want) < 1e-13
+    assert rel_residual(val, want) < 1e-13
+    assert rel_residual(der, dwant) < 1e-13
+
+
+@pytest.mark.parametrize("n,width", [(7, 128), (8, 100)])
+def test_a_block_wider_than_a_chunk_matches_the_factor_loop(n, width):
+    """transfer_apply runs a wide block 64 columns at a time: the jet on
+    two whole chunks (the identity at n = 7) and on a whole and a partial
+    chunk (100 columns of the identity at n = 8) against the factor loop."""
+    p = sample_generic(seed=10 + n, n=n)
+    x, t = _point(n, 50 + n)
+    want, dwant = factor_loop_T(p, x, t, deriv=True, cols=range(width))
+    val, der = transfer_apply(p, x, t, np.eye(2**n)[:, :width], deriv=True)
     assert rel_residual(val, want) < 1e-13
     assert rel_residual(der, dwant) < 1e-13
 
@@ -424,10 +437,11 @@ def test_mpo_matches_the_factor_loop_in_mpmath(n):
     with mpmath.workdps(30):
         xm, tm = mpmath.mpc(x), tuple(mpmath.mpc(v) for v in t)
         want, dwant = factor_loop_T(p, xm, tm, deriv=True, cols=cols)
-        val, der = transfer_T_deriv(p, xm, tm)
-        got = transfer_T_deriv(p, xm, tm)[0]
+        # the columns cols of T and dT/dx: the MPO on those columns of the identity
+        val, der = transfer_apply(p, xm, tm, np.eye(2**n)[:, cols], deriv=True)
+        got = transfer_apply(p, xm, tm, np.eye(2**n)[:, cols])
         assert isinstance(got[0, 0], mpmath.mpc) and isinstance(der[0, 0], mpmath.mpc)
-        for a, b in ((got[:, cols], want), (val[:, cols], want), (der[:, cols], dwant)):
+        for a, b in ((got, want), (val, want), (der, dwant)):
             diff = max(abs(u - v) for u, v in zip(a.ravel(), b.ravel()))
             assert diff < 1e-25 * max(abs(v) for v in b.ravel())
 
@@ -450,7 +464,7 @@ def test_transfer_matrix_never_forms_the_double_space(monkeypatch):
                 monkeypatch.setattr(mod, name, guard(getattr(mod, name)))
     p = sample_generic(seed=4, n=n)
     x, t = _point(n, 4)
-    transfer_T_deriv(p, x, t)
+    transfer_apply(p, x, t, np.eye(2**n), deriv=True)
     with pytest.raises(AssertionError, match="double space"):
         factor_loop_T(p, x, t)
 
