@@ -8,15 +8,35 @@ polynomial eigenfunctions, and polynomial solutions of the associated
 q-difference equations.  The ``heckespin`` console script drives the
 verification suites over randomly sampled generic parameters.
 
-The four error classes, the suite names and the caps live here, where no
-numpy is loaded, so that the command line (cli.py) can parse its arguments
-and refuse a flag or a cap before it imports a layer.
+The four error classes, the suite names, the settings and the caps live
+here, where no numpy is loaded, so that the command line (cli.py) can parse
+its arguments and refuse a flag or a cap before it imports a layer.
 """
 
 __version__ = "0.1.0"
 
 # the suites "verify" offers, in the order "verify all" runs them
 SUITES = ("algebra", "matchmaker", "baxter", "transfer", "koornwinder", "qkz")
+
+# the commands that check and write a report, and those that write an artifact
+_CHECKS, _WRITES = ("verify", "qkz verify"), ("koornwinder compute", "qkz build", "emit tables")
+# name -> (the argparse keywords of its flag --name, the commands that read
+# it), in --help order; a --params file may give each with a type or choices
+SETTINGS = {
+    "n": ({"type": int, "help": "chain length / rank"}, ("verify", *_WRITES)),
+    "seed": ({"type": int, "help": "deterministic sampling seed"}, (*_CHECKS, *_WRITES)),
+    "precision": ({"choices": ("double", "extended"),
+                   "help": "extended adds high-precision cross-checks where supported"}, ("verify",)),
+    "tolerance": ({"type": float, "help": "pass threshold"}, _CHECKS),
+    "samples": ({"type": int, "help": "random sample count"}, _CHECKS),
+    "params": ({"help": "JSON config or parameter file"}, (*_CHECKS, *_WRITES)),
+    "m": ({"type": int, "help": "translation degree; degree bound for emitted polynomial tables"},
+          ("verify", "qkz build", "emit tables")),
+    "lambda": ({"dest": "lam", "help": "polynomial label, comma-separated integers"},
+               ("koornwinder compute",)),
+    "out": ({"help": "output file (or directory for tables)"}, _WRITES),
+    "report": ({"help": "write the check report here"}, _CHECKS),
+}
 
 _DIM_CAP = 10
 _N_CAP = 3

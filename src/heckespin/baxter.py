@@ -36,7 +36,7 @@ import functools
 import numpy as np
 
 from . import InternalDefectError, PoleProximityError, check_identity_rank
-from .numerics import _POLE_TOL, ParamSet, Residuals, nonvanishing, rel_residual, torus_point
+from .numerics import _POLE_TOL, ParamSet, nonvanishing, rel_residual, torus_point
 from .spinrep import _local_k, _local_kbar, _local_upsilon_p
 from .tensorops import row_residual
 from .weyl import WeylElem, act_point
@@ -150,7 +150,7 @@ def check_ybe_re(params: ParamSet, samples: int = 20, seed: int = 1) -> dict:
     n = params.n
     check_identity_rank(n)
     rng = np.random.default_rng(seed)
-    out = Residuals()
+    out = {}
     bad = params.replace(upsilon0=params.upsilon0 * 1.01)
     names = [(0, "K0"), (n, "Kn")] + [(i, f"R{i}") for i in range(1, n)]
     blocks, memo = dressed_blocks(params), {}
@@ -168,7 +168,7 @@ def check_ybe_re(params: ParamSet, samples: int = 20, seed: int = 1) -> dict:
 
     def same(key, lhs, rhs):
         if samples > 0:  # an empty stack has no residual, and no row
-            out.add(key, row_residual(lhs, rhs))
+            out[key] = row_residual(lhs, rhs)
 
     K0x, K0y, Knx, Kny = B(0, "x"), B(0, "y"), B(n, "x"), B(n, "y")
     left = [B(1, "y/x"), K0y, B(1, "xy"), K0x]
@@ -200,11 +200,9 @@ def check_ybe_re(params: ParamSet, samples: int = 20, seed: int = 1) -> dict:
     t_hat = [_local_kbar(params)] + [_local_upsilon_p(params)] * (n - 1) + [_local_k(params)]
     for j, name in names:
         kj, eye = params.kappa_j(j), np.eye(len(t_hat[j]))
-        out.add(f"regularity at x=1 {name}", rel_residual(baxter_j(params, j, 1.0)[0], eye))
-        out.add(
-            f"degeneration at x=0 {name}",
-            rel_residual(baxter_j(params, j, 0.0)[0], kj * (t_hat[j] - (kj - 1 / kj) * eye)),
-        )
+        out[f"regularity at x=1 {name}"] = rel_residual(baxter_j(params, j, 1.0)[0], eye)
+        out[f"degeneration at x=0 {name}"] = rel_residual(
+            baxter_j(params, j, 0.0)[0], kj * (t_hat[j] - (kj - 1 / kj) * eye))
     return out
 
 

@@ -4,11 +4,12 @@ solution build/verify, and table emission.
 Reports are plain JSON with keys sorted and checks sorted by name, so a
 fixed command line, config file, and seed always produce byte-identical
 output; wall-clock timing goes to stderr only.  Exit codes: 0 all checks
-pass, 1 at least one check failed, 2 a refusal: a precondition, cap,
-genericity or pole refusal, an input that cannot be read (unreadable or
-malformed JSON, a mistyped, zero or non-finite parameter, a negative seed)
-or an output that cannot be written, 3 an internal defect, which includes
-any ValueError that no input reaches.
+pass, 1 at least one check failed, 2 a usage error, a flag that the command
+does not read among them (the package's SETTINGS), or a refusal: a
+precondition, cap, genericity or pole refusal, an input that cannot be read
+(unreadable or malformed JSON, a mistyped, zero or non-finite parameter, a
+negative seed) or an output that cannot be written, 3 an internal defect,
+which includes any ValueError that no input reaches.
 
 This module imports only argparse, atexit, os and sys: it loads the command
 module (commands.py) once the arguments parse, so --help and usage errors
@@ -21,23 +22,17 @@ import os
 import sys
 
 
-def _add_common(parser, fn):
-    """The flags every command takes, each None unless given so that a file
-    value shows through, and fn, which picks the command out of the command
-    module for main to run."""
+def _add_settings(parser, fn):
+    """A flag for each setting the parser's command reads (SETTINGS), None
+    unless given so that a file value shows through, and fn, which picks the
+    command out of the command module for main to run."""
+    from . import SETTINGS
+
     parser.set_defaults(fn=fn)
-    parser.add_argument("--n", type=int, help="chain length / rank")
-    parser.add_argument("--seed", type=int, help="deterministic sampling seed")
-    parser.add_argument("--precision", choices=("double", "extended"),
-                        help="extended adds high-precision cross-checks where supported")
-    parser.add_argument("--tolerance", type=float, help="pass threshold")
-    parser.add_argument("--samples", type=int, help="random sample count")
-    parser.add_argument("--params", help="JSON config or parameter file")
-    parser.add_argument("--m", type=int,
-                        help="translation degree; degree bound for emitted polynomial tables")
-    parser.add_argument("--lambda", dest="lam", help="polynomial label, comma-separated integers")
-    parser.add_argument("--out", help="output file (or directory for tables)")
-    parser.add_argument("--report", help="write the check report here")
+    command = parser.prog.split(" ", 1)[1]  # prog "heckespin qkz build": "qkz build"
+    for name, (flag, readers) in SETTINGS.items():
+        if command in readers:
+            parser.add_argument(f"--{name}", **flag)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,25 +46,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=(*SUITES, "all"))
-    _add_common(p_verify, lambda c: c.cmd_verify)
+    _add_settings(p_verify, lambda c: c.cmd_verify)
 
     koorn_sub = sub.add_parser("koornwinder", help="polynomial computations").add_subparsers(
         dest="subcommand", required=True)
-    _add_common(koorn_sub.add_parser("compute", help="compute one labeled polynomial"),
-                lambda c: c.cmd_koornwinder_compute)
+    _add_settings(koorn_sub.add_parser("compute", help="compute one labeled polynomial"),
+                  lambda c: c.cmd_koornwinder_compute)
 
     qkz_sub = sub.add_parser("qkz", help="difference-equation solutions").add_subparsers(
         dest="subcommand", required=True)
-    _add_common(qkz_sub.add_parser("build", help="build a polynomial solution"), lambda c: c.cmd_qkz_build)
+    _add_settings(qkz_sub.add_parser("build", help="build a polynomial solution"),
+                  lambda c: c.cmd_qkz_build)
     p_qv = qkz_sub.add_parser("verify", help="verify a stored solution")
     p_qv.add_argument("--in", dest="infile", required=True, help="solution JSON file")
-    _add_common(p_qv, lambda c: c.cmd_qkz_verify)
+    _add_settings(p_qv, lambda c: c.cmd_qkz_verify)
 
     emit_sub = sub.add_parser("emit", help="emit JSON artifacts").add_subparsers(
         dest="subcommand", required=True)
     p_tables = emit_sub.add_parser("tables", help="write polynomial or spectrum tables")
     p_tables.add_argument("--kind", choices=("koornwinder", "hamiltonian_spectrum"), required=True)
-    _add_common(p_tables, lambda c: c.cmd_emit_tables)
+    _add_settings(p_tables, lambda c: c.cmd_emit_tables)
 
     return parser
 

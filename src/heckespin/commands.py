@@ -33,16 +33,13 @@ import time
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
-from . import (SUITES, RefusalError, check_caps, check_degree_cap, check_dim_cap,
+from . import (SETTINGS, SUITES, RefusalError, check_caps, check_degree_cap, check_dim_cap,
                check_identity_rank)
 
 if TYPE_CHECKING:
     from .numerics import ParamSet
 
 _CONTROL_FLOOR = 1e-3
-
-# settings a config file or a flag may give, flag first
-_SETTINGS = ("n", "seed", "precision", "tolerance", "samples", "m")
 
 
 @dataclass
@@ -60,17 +57,18 @@ class Config:
 
 
 def _typed(key: str, value):
-    """A setting or lambda entry from a file with the type of its flag: precision
-    double or extended, a real tolerance, else an integer; never a bool."""
+    """A setting or lambda entry from a file with the type of its flag: one
+    of its choices, a real number for a float, else an integer; never a bool."""
+    flag = SETTINGS[key][0]
     if isinstance(value, bool):
         raise TypeError(f"{key} must not be a bool")
-    if key == "precision" and value not in ("double", "extended"):
-        raise TypeError(f"precision must be double or extended, not {value!r}")
-    if key != "tolerance":
-        return value if key == "precision" else operator.index(value)
-    if not isinstance(value, (int, float)):
-        raise TypeError(f"tolerance must be a real number, not {value!r}")
-    return float(value)
+    if "choices" in flag and value not in flag["choices"]:
+        raise TypeError(f"{key} must be {' or '.join(flag['choices'])}, not {value!r}")
+    if flag.get("type") is float and not isinstance(value, (int, float)):
+        raise TypeError(f"{key} must be a real number, not {value!r}")
+    if "choices" in flag:
+        return value
+    return float(value) if flag.get("type") is float else operator.index(value)
 
 
 def _read_json(path):
@@ -93,7 +91,9 @@ def _load_config(args) -> Config:
     below 1, a negative seed, fewer than one sample and a tolerance that is
     not finite and positive are refused."""
     merged: dict = {}
-    if getattr(args, "params", None):
+    # the settings a file gives as scalars, typed as their flags type them
+    typed = [key for key, (flag, _readers) in SETTINGS.items() if {"type", "choices"} & flag.keys()]
+    if args.params:
         data = _read_json(args.params)
         if not isinstance(data, dict):
             raise RefusalError("malformed parameters: the top level is not a JSON object")
@@ -103,22 +103,19 @@ def _load_config(args) -> Config:
             if "q_sqrt" in data:
                 merged["params"] = ParamSet.from_dict(data)
             else:
-                merged = {key: _typed(key, data[key]) for key in _SETTINGS if key in data}
+                merged = {key: _typed(key, data[key]) for key in typed if key in data}
                 if "lambda" in data:
                     merged["lam"] = tuple(_typed("lambda", v) for v in data["lambda"])
                 if "params" in data:
                     merged["params"] = ParamSet.from_dict(data["params"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise RefusalError(f"malformed parameters: {type(exc).__name__} {exc}") from exc
-    for key in _SETTINGS:
-        if getattr(args, key, None) is not None:
-            merged[key] = getattr(args, key)
+    merged.update({key: val for key, val in vars(args).items() if key in typed and val is not None})
     if getattr(args, "lam", None) is not None:
         try:
             merged["lam"] = tuple(int(v) for v in args.lam.split(","))
         except ValueError as exc:
-            raise RefusalError(
-                f"--lambda must be comma-separated integers, not {args.lam!r}") from exc
+            raise RefusalError(f"--lambda must be comma-separated integers, not {args.lam!r}") from exc
     if "params" in merged:
         merged["n"] = merged["params"].n
     if "lam" in merged and merged.setdefault("n", len(merged["lam"])) != len(merged["lam"]):
@@ -513,7 +510,7 @@ _SUITE_FNS = dict(zip(SUITES, (suite_algebra, suite_matchmaker, suite_baxter, su
                                suite_koornwinder, suite_qkz), strict=True))
 
 
-def _qkz_caps(cfg: Config, degree):
+def _qkz_caps(cfg: Config):
     """Each qKZ degree's cap; at a parameter file's point each degree must
     meet its existence constraint first, as its build does."""
     for m in _qkz_degrees(cfg):
@@ -524,14 +521,13 @@ def _qkz_caps(cfg: Config, degree):
         check_degree_cap(cfg.n, m)
 
 
-# suite -> caps(cfg, degree), which raise RefusalError beyond them; degree is
-# the label degree a polynomial command asks for
+# suite -> caps(cfg), which raise RefusalError beyond them
 _CAPS = {
-    "algebra": lambda cfg, degree: check_dim_cap(cfg.n),
-    "matchmaker": lambda cfg, degree: check_dim_cap(cfg.n),
-    "baxter": lambda cfg, degree: (check_dim_cap(cfg.n), check_identity_rank(cfg.n)),
-    "transfer": lambda cfg, degree: check_dim_cap(cfg.n),
-    "koornwinder": lambda cfg, degree: check_caps(cfg.n, degree),
+    "algebra": lambda cfg: check_dim_cap(cfg.n),
+    "matchmaker": lambda cfg: check_dim_cap(cfg.n),
+    "baxter": lambda cfg: (check_dim_cap(cfg.n), check_identity_rank(cfg.n)),
+    "transfer": lambda cfg: check_dim_cap(cfg.n),
+    "koornwinder": lambda cfg: check_caps(cfg.n),
     "qkz": _qkz_caps,
 }
 
@@ -545,7 +541,7 @@ def run_suite(name: str, cfg: Config):
     skipped = {}
     for sub in names:
         try:
-            _CAPS[sub](cfg, 0)
+            _CAPS[sub](cfg)
         except RefusalError as exc:
             if name != "all":
                 raise
@@ -605,7 +601,7 @@ def cmd_koornwinder_compute(args) -> int:
     cfg = _load_config(args)
     if cfg.lam is None:
         raise RefusalError("--lambda is required (comma-separated integers)")
-    _CAPS["koornwinder"](cfg, sum(abs(v) for v in cfg.lam))
+    check_caps(cfg.n, sum(abs(v) for v in cfg.lam))
     from .koornwinder import compute_P_detail
 
     p, det = _at_point(cfg, lambda p: compute_P_detail(cfg.lam, p))
@@ -618,7 +614,7 @@ def cmd_koornwinder_compute(args) -> int:
 def cmd_qkz_build(args) -> int:
     cfg = _load_config(args)
     cfg.m = 1 if cfg.m is None else cfg.m
-    _CAPS["qkz"](cfg, 0)
+    _CAPS["qkz"](cfg)
     from .qkz import build_polynomial_solution
 
     _point, sol = _at_point(cfg, lambda p: build_polynomial_solution(p, cfg.m), mcondition=cfg.m)
@@ -645,7 +641,7 @@ def cmd_emit_tables(args) -> int:
     cfg = _load_config(args)
     bound = cfg.m if cfg.m is not None else 2
     if args.kind == "hamiltonian_spectrum":
-        _CAPS["transfer"](cfg, 0)
+        _CAPS["transfer"](cfg)
         import numpy as np
 
         from .transfer import hamiltonian
@@ -667,7 +663,7 @@ def cmd_emit_tables(args) -> int:
         _write_json({"kind": "hamiltonian_spectrum", "n": p.n, "forms": forms, "max_pairwise_gap": gap,
                      "agree": bool(gap < 1e-7), "params_fingerprint": p.fingerprint()}, cfg.out)
         return 0
-    _CAPS["koornwinder"](cfg, bound)
+    check_caps(cfg.n, bound)
     from .koornwinder import compute_P_detail
     from .numerics import l1_ball
 

@@ -11,8 +11,10 @@ per polynomial.  They are built, stored as JSON and evaluated here; the
 library never multiplies two of them or changes their variables.  The
 spectral vectors of integer weights are the rows of one array
 (gamma_vectors).  Parameter points come from one seeded stream
-(generic_draws), and every sample clear of the poles comes from one
-batched sampler (pole_free_points).
+(generic_draws), spectral points from torus_point.  At a pole the baxter
+suite's word and translation rows and qkz.verify_solution redraw the point
+(pole_free_points); check_ybe_re, check_transfer, check_transfer_vs_transport
+and the transfer suite's extended-precision row refuse the job (exit 2).
 """
 
 from __future__ import annotations
@@ -367,15 +369,6 @@ def pole_free_points(draw, evaluate, count: int):
             if not bad.any():
                 raise InternalDefectError("a pole error flagged none of the points") from err
             dropped.update(k for k, flag in zip(kept, bad) if flag)
-
-
-class Residuals(dict):
-    """Check name -> the largest residual recorded under that name; a NaN,
-    once recorded, stays, so that its check fails."""
-
-    def add(self, key: str, value: float) -> None:
-        old = self.get(key, 0.0)
-        self[key] = value if value > old or value != value else old
 
 
 def max_abs(a) -> float:

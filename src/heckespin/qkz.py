@@ -31,7 +31,6 @@ from .koornwinder import ball_vector, compute_P_detail, generator_matrices
 from .numerics import (
     LaurentPoly,
     ParamSet,
-    Residuals,
     eta,
     gamma_vectors,
     max_abs,
@@ -206,7 +205,4 @@ def verify_solution(sol: KZSolution, samples: int = 20, seed: int = 8) -> dict:
         return {key: residual(cocycle_factors(params, word, t), col)
                 for col, (key, word) in enumerate(keys, 1)}
 
-    def draw():
-        return torus_point(rng, n, (0.75, 1.35))
-
-    return Residuals(pole_free_points(draw, rows, samples))
+    return pole_free_points(lambda: torus_point(rng, n, (0.75, 1.35)), rows, samples)

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import InternalDefectError
 from .baxter import cocycle_factors, dressed_blocks
-from .numerics import ParamSet, Residuals, max_abs, nonvanishing, rel_residual, torus_point
+from .numerics import ParamSet, max_abs, nonvanishing, rel_residual, torus_point
 from .spinrep import boundary_norm, build_spin_rep
 from .tensorops import (
     PERMUTE_TWO,
@@ -206,32 +206,32 @@ def check_transfer(params: ParamSet, samples: int = 8, seed: int = 2) -> dict:
     """
     n = params.n
     rng = np.random.default_rng(seed)
-    out = Residuals()
+    out = {}
     kbar, R, _k = dressed_blocks(params)
     th = theta_matrix(params)
     k = params.kappa
     x, y, *t = np.array([torus_point(rng, n + 2, (0.75, 1.35)) for _ in range(samples)]).T
     v = gaussian_block(rng, 2 ** (n + 1))
-    out.add("monodromy form agreement", rel_residual(
-        factor_product(_double_row(params, x, t), n + 1, v), monodromy_U(params, x, t, v)))
+    out["monodromy form agreement"] = rel_residual(
+        factor_product(_double_row(params, x, t), n + 1, v), monodromy_U(params, x, t, v))
     v = v[: 2**n]  # the chain rows
     xy, txy = np.concatenate([x, y]), [np.concatenate([tj, tj]) for tj in t]
     once = transfer_apply(params, xy, txy, v)  # [T_x V, T_y V]
     twice = transfer_apply(params, xy, txy, np.roll(once, samples, axis=0))
     nx, ny = np.abs(once).max(axis=(1, 2)).reshape(2, samples)
-    out.add("commuting transfer matrices", rel_residual(
-        twice[:samples], twice[samples:], scale=nx * ny / max_abs(v)))
+    out["commuting transfer matrices"] = rel_residual(
+        twice[:samples], twice[samples:], scale=nx * ny / max_abs(v))
     rx = R(x) @ PERMUTE_TWO
-    out.add("transpose flip of r", rel_residual(PERMUTE_TWO @ rx @ PERMUTE_TWO, np.swapaxes(rx, -1, -2)))
+    out["transpose flip of r"] = rel_residual(PERMUTE_TWO @ rx @ PERMUTE_TWO, np.swapaxes(rx, -1, -2))
     th2 = np.kron(th, th)
     lhs = (np.linalg.inv(th2) @ partial_transpose_leg(R(1 / (k**4 * x)) @ PERMUTE_TWO, 1, 2)
            @ th2 @ partial_transpose_leg(rx, 2, 2))
-    out.add("crossing unitarity", rel_residual(lhs, phi_bulk(x, params)[:, None, None] * np.eye(4)))
+    out["crossing unitarity"] = rel_residual(lhs, phi_bulk(x, params)[:, None, None] * np.eye(4))
     closure = [(th @ kbar(k**2 * x) @ th, [1]), (R(x**2), [1, 2])]
-    out.add("boundary crossing", rel_residual(
-        partial_trace_first(factor_product(closure, 2), 2), phi_bdy(x, params)[:, None, None] * kbar(x)))
+    out["boundary crossing"] = rel_residual(
+        partial_trace_first(factor_product(closure, 2), 2), phi_bdy(x, params)[:, None, None] * kbar(x))
     g1, _ = _aux_normalizer(params, 1.0)
-    out.add("normalized transfer at x=1", rel_residual(transfer_apply(params, 1.0, (1.0,) * n, v) / g1, v))
+    out["normalized transfer at x=1"] = rel_residual(transfer_apply(params, 1.0, (1.0,) * n, v) / g1, v)
     return out
 
 
@@ -250,7 +250,7 @@ def check_transfer_vs_transport(
     """
     n = params.n
     rng = np.random.default_rng(seed)
-    out = Residuals()
+    out = {}
     stationary = params.replace(q_sqrt=1)
     t = np.array([torus_point(rng, n, (0.8, 1.3)) for _ in range(samples)]).T
     v = gaussian_block(rng, 2**n)
@@ -260,11 +260,11 @@ def check_transfer_vs_transport(
         at_inv, at_t_cv, at_t = np.split(transfer_apply(
             params, np.concatenate([1 / ti, ti, ti]), [np.tile(tj, 3) for tj in t],
             np.concatenate([vs, cv, vs])), 3)
-        out.add(f"stationary transport at x=1/t_{i}", rel_residual(
-            at_inv, phi_bdy(1 / ti, params)[:, None, None] * cv))
+        out[f"stationary transport at x=1/t_{i}"] = rel_residual(
+            at_inv, phi_bdy(1 / ti, params)[:, None, None] * cv)
         scale = np.abs(at_t).max(axis=(1, 2)) * np.abs(cv).max(axis=(1, 2)) / max_abs(v)
-        out.add(f"stationary inverse transport at x=t_{i}", rel_residual(
-            at_t_cv, phi_bdy(ti, params)[:, None, None] * v, scale=scale))
+        out[f"stationary inverse transport at x=t_{i}"] = rel_residual(
+            at_t_cv, phi_bdy(ti, params)[:, None, None] * v, scale=scale)
     return out
 
 

@@ -15,7 +15,6 @@ from heckespin.numerics import (
     InternalDefectError,
     LaurentPoly,
     PoleProximityError,
-    Residuals,
     l1_ball,
     rel_residual,
     sample_generic,
@@ -385,6 +384,16 @@ def factor_loop_T(params, x, t, deriv=False, cols=None):
 
     val = traced(None)
     return (val, sum(traced(k) for k in range(len(row)))) if deriv else val
+
+
+class Residuals(dict):
+    """Check name -> the largest residual recorded under that name; a NaN,
+    once recorded, stays, so that its check fails.  The per-sample oracles
+    fold their samples' rows with it."""
+
+    def add(self, key: str, value: float) -> None:
+        old = self.get(key, 0.0)
+        self[key] = value if value > old or value != value else old
 
 
 def ybe_per_sample(params, samples=20, seed=1):

@@ -71,13 +71,20 @@ _UNPARSED = ("numpy", *_LAYERS, "commands", "json", "dataclasses", "inspect")
     (["emit", "tables", "--kind", "hamiltonian_spectrum", "--n", "2"], 0, ("transfer",),
      ("koornwinder", "qkz", "matchings")),
     (["verify", "all", "--n", "2"], 0, ("numpy", *_LAYERS), ("numpy.ma",)),
+    (["verify", "algebra", "--out", "x"], 2, (), _UNPARSED),
+    (["koornwinder", "compute", "--lambda", "1,0", "--samples", "3"], 2, (), _UNPARSED),
+    (["qkz", "build", "--report", "r"], 2, (), _UNPARSED),
+    (["qkz", "verify", "--in", "x", "--n", "2"], 2, (), _UNPARSED),
+    (["emit", "tables", "--kind", "koornwinder", "--tolerance", "1e-3"], 2, (), _UNPARSED),
 ], ids=["help", "argparse error", "seed", "samples", "tolerance", "lambda", "params", "in",
         "dim cap", "polynomial cap", "label cap", "qkz cap", "spectrum cap", "algebra", "transfer",
-        "spectrum", "all"])
+        "spectrum", "all", "verify --out", "compute --samples", "build --report", "qkz verify --n",
+        "tables --tolerance"])
 def test_a_command_imports_only_the_layers_it_runs(tmp_path, argv, code, loaded, unloaded):
     """The package and the driver import only the standard library: --help
-    and an argparse error load no numpy, no layer, no command module and
-    none of json, dataclasses and inspect; a flag, file or cap refusal loads
+    and an argparse error, a flag that the command does not read among them,
+    load no numpy, no layer, no command module and none of json, dataclasses
+    and inspect; a flag, file or cap refusal loads
     no numpy and no layer; and a suite loads only the layers it calls (numpy
     and the layers here by module name).  No command loads numpy.ma, which
     np.unique imports on its first call."""
@@ -118,6 +125,67 @@ def test_the_entry_imports_four_modules_and_names_the_suites():
     assert all(isinstance(node, ast.Import) for node in imports)
     assert [alias.name for node in imports for alias in node.names] == ["argparse", "atexit", "os", "sys"]
     assert heckespin.SUITES == tuple(commands._SUITE_FNS)
+
+
+def _command_parsers(parser=None, path=()):
+    """Each command of build_parser, as "qkz build", with its parser."""
+    import argparse
+
+    from heckespin.cli import build_parser
+
+    parser = parser or build_parser()
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {" ".join(path): parser}
+    return {name: sub for key, child in subs[0].choices.items()
+            for name, sub in _command_parsers(child, (*path, key)).items()}
+
+
+def test_each_command_offers_exactly_the_settings_it_reads(monkeypatch, tmp_path):
+    """A command's flags set exactly the Config fields it reads: with the
+    Config that _load_config returns recording every field read, the union
+    over verify all, koornwinder compute, qkz build and verify, and both
+    table kinds is each command's flags.  --params names the file that
+    _load_config reads, which every command takes, not the field
+    cfg.params."""
+    from dataclasses import fields
+
+    import heckespin.commands as commands
+
+    read = {}
+    honest = commands._load_config
+
+    class Recording:
+        def __init__(self, cfg, seen):
+            object.__setattr__(self, "_cfg", cfg)
+            object.__setattr__(self, "_seen", seen)
+
+        def __getattr__(self, name):
+            self._seen.add(name)
+            return getattr(self._cfg, name)
+
+        def __setattr__(self, name, value):
+            setattr(self._cfg, name, value)
+
+    parsers = _command_parsers()
+    monkeypatch.chdir(tmp_path)
+    sol = str(tmp_path / "sol.json")
+    for command, argv in [
+        ("verify", ["verify", "all", "--n", "2"]),
+        ("koornwinder compute", ["koornwinder", "compute", "--lambda", "1,0", "--out", "p.json"]),
+        ("qkz build", ["qkz", "build", "--out", sol]),
+        ("qkz verify", ["qkz", "verify", "--in", sol, "--samples", "2", "--report", "r.json"]),
+        ("emit tables", ["emit", "tables", "--kind", "koornwinder", "--n", "1", "--m", "1"]),
+        ("emit tables", ["emit", "tables", "--kind", "hamiltonian_spectrum", "--out", "s.json"]),
+    ]:
+        seen = read.setdefault(command, set())
+        monkeypatch.setattr(commands, "_load_config", lambda args, seen=seen: Recording(honest(args), seen))
+        assert run(argv) in (0, 1)
+    settings = {f.name for f in fields(commands.Config)} - {"params"}
+    offered = {command: {a.dest for a in parser._actions} & settings
+               for command, parser in parsers.items()}
+    assert {command: seen & settings for command, seen in read.items()} == offered
+    assert all("--params" in parser._option_string_actions for parser in parsers.values())
 
 
 # runs `python -m heckespin.cli ARGV...` with the translation word past the
@@ -1074,8 +1142,9 @@ def test_bad_argument_from_a_caller_is_an_internal_defect(monkeypatch, capsys, t
     """A generator index, translation index, Hamiltonian form or label
     length that no input can produce is a defect of the calling code: exit
     3, never a refusal."""
-    argv = corrupt(monkeypatch) + ["--seed", "1", "--out", str(tmp_path / "o.json")]
-    assert run(argv) == 3
+    argv = corrupt(monkeypatch)
+    written = "--report" if argv[0] == "verify" else "--out"
+    assert run([*argv, "--seed", "1", written, str(tmp_path / "o.json")]) == 3
     assert "internal defect" in capsys.readouterr().err
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heckespin
-from conftest import DictPoly, divided_difference, laurent_mul, pole_free, s_j, to_table
+from conftest import DictPoly, Residuals, divided_difference, laurent_mul, pole_free, s_j, to_table
 from heckespin.koornwinder import compute_P_detail, label_residuals
 from heckespin.numerics import (
     GenericityError,
@@ -18,7 +18,6 @@ from heckespin.numerics import (
     LaurentPoly,
     ParamSet,
     PoleProximityError,
-    Residuals,
     eta,
     gamma_vectors,
     generic_draws,
@@ -443,6 +442,7 @@ def test_pole_free_points_keeps_the_first_clear_draws_with_pole_frees_budget():
 
 
 def test_residuals_keep_the_largest_value_and_any_nan():
+    """The fold of the per-sample oracles (conftest.Residuals)."""
     nan = float("nan")
     res = Residuals()
     for key, values in {"plain": [1e-16, 3e-15, 2e-15], "nan first": [nan, 1.0],
