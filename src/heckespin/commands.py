@@ -88,8 +88,9 @@ def _load_config(args) -> Config:
     or a config object with an optional "params" entry.  A file whose top
     level is not an object, a missing or mistyped entry, a label whose
     length is not the given rank, a label that is not integers, a rank
-    below 1, a negative seed, fewer than one sample and a tolerance that is
-    not finite and positive are refused."""
+    below 1 and a negative seed are refused, and for a command that reads
+    them, fewer than one sample and a tolerance that is not finite and
+    positive."""
     merged: dict = {}
     # the settings a file gives as scalars, typed as their flags type them
     typed = [key for key, (flag, _readers) in SETTINGS.items() if {"type", "choices"} & flag.keys()]
@@ -125,9 +126,10 @@ def _load_config(args) -> Config:
         raise RefusalError("rank n must be at least 1")
     if cfg.seed < 0:
         raise RefusalError(f"seed must be non-negative, not {cfg.seed}")
-    if cfg.samples < 1:
+    # the parser gives args exactly the settings the command reads
+    if "samples" in vars(args) and cfg.samples < 1:
         raise RefusalError(f"samples must be at least 1, not {cfg.samples}")
-    if not (math.isfinite(cfg.tolerance) and cfg.tolerance > 0):
+    if "tolerance" in vars(args) and not (math.isfinite(cfg.tolerance) and cfg.tolerance > 0):
         raise RefusalError(f"tolerance must be finite and positive, not {cfg.tolerance}")
     return cfg
 
@@ -412,39 +414,34 @@ def suite_transfer(cfg: Config, p: ParamSet):
 
 
 def suite_koornwinder(cfg: Config, p: ParamSet):
-    """The constant label, then every label of degree at most 3, one degree
-    at a time: all labels of degree r are checked at once on the ball of
-    radius r (koornwinder.label_residuals)."""
+    """Every label of degree at most 3 from one koornwinder.label_polynomials
+    call, which checks all labels of degree r at once on the ball of radius
+    r, one degree at a time; the constant polynomial is its zero label."""
     import numpy as np
 
-    from .koornwinder import compute_P_detail, fixed_by_si, label_residuals
+    from .koornwinder import fixed_by_si, label_polynomials
     from .numerics import l1_ball
 
     n = p.n
     radius = 3
-    checks = []
-    const = compute_P_detail((0,) * n, p).poly
+    labels = l1_ball(n, radius)
+    dets = label_polynomials(labels, p)
+    const = dets[labels.index((0,) * n)].poly
     # every coefficient against those of 1: one at the zero exponent, else 0
     diff = np.abs(const.coeffs - ~const.exps.any(axis=1)).max()
-    checks.append(_row(
+    checks = [_row(
         "constant polynomial", diff, cfg.tolerance,
         "the zero label yields the constant polynomial exactly",
-    ))
-    # per degree: the joint and monic residuals, the stabilizer residuals at
-    # fixed and at moving (i, label); folded by np.max / np.min, so a NaN fails
-    joint, monic, fixed, moving = [], [], [], []
-    for r in range(radius + 1):
-        labels = [lam for lam in l1_ball(n, r) if sum(map(abs, lam)) == r]
-        res = label_residuals(labels, p)
-        joint.append(res[0])
-        monic.append(res[1])
-        at = np.array([[fixed_by_si(i, lam) for lam in labels] for i in range(1, n + 1)])
-        fixed.append(res[2][at])
-        moving.append(res[2][~at])
-    worst_eig, worst_monic = np.max(np.concatenate(joint)), np.max(np.concatenate(monic))
-    worst_fixed = np.max(np.concatenate(fixed), initial=0.0)
-    sep = np.min(np.concatenate(moving), initial=np.inf)
-    ctx = f"all {sum(map(len, joint))} labels with degree at most {radius}"
+    )]
+    # the joint and monic residuals, the stabilizer residuals at fixed and at
+    # moving (label, i); folded by np.max / np.min, so a NaN fails
+    stab = np.array([det.stab for det in dets])
+    at = np.array([[fixed_by_si(i, lam) for i in range(1, n + 1)] for lam in labels])
+    worst_eig = np.max([det.residual for det in dets])
+    worst_monic = np.max([det.monic for det in dets])
+    worst_fixed = np.max(stab[at], initial=0.0)
+    sep = np.min(stab[~at], initial=np.inf)
+    ctx = f"all {len(dets)} labels with degree at most {radius}"
     checks.append(_row(
         "joint eigenvector residual", worst_eig, max(cfg.tolerance, 1e-8), ctx,
     ))
@@ -664,20 +661,20 @@ def cmd_emit_tables(args) -> int:
                      "agree": bool(gap < 1e-7), "params_fingerprint": p.fingerprint()}, cfg.out)
         return 0
     check_caps(cfg.n, bound)
-    from .koornwinder import compute_P_detail
+    from .koornwinder import label_polynomials
     from .numerics import l1_ball
 
-    p, payloads = _at_point(
-        cfg, lambda p: [_polynomial_payload(compute_P_detail(lam, p)) for lam in l1_ball(cfg.n, bound)])
+    labels = l1_ball(cfg.n, bound)
+    p, dets = _at_point(cfg, lambda p: label_polynomials(labels, p))
     out_dir = cfg.out or "tables_koornwinder"
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise RefusalError(f"cannot write {out_dir}: {exc.strerror or exc}") from exc
     entries = []
-    for lam, payload in zip(l1_ball(cfg.n, bound), payloads):
+    for lam, det in zip(labels, dets):
         fname = "lam_" + "_".join(str(v) for v in lam) + ".json"
-        _write_json(payload, os.path.join(out_dir, fname))
+        _write_json(_polynomial_payload(det), os.path.join(out_dir, fname))
         entries.append(fname)
     manifest = {"kind": "koornwinder", "n": cfg.n, "degree_bound": bound, "entries": entries,
                 "params_fingerprint": p.fingerprint()}

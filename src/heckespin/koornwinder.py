@@ -15,14 +15,17 @@ act with eigenvalues 1/gamma_i (numerics.gamma_vectors) on the monic
 polynomial with leading monomial t^lambda.
 
 That action is applied only as the n+1 generator matrices on an l1 ball
-(which every T_j keeps), filled in closed form once per parameter set and
-radius: the divided difference of a monomial is a finite geometric sum,
-checked against its denominator.  Y_i is the product of the T_j along
-tau_word.  The Y_i are jointly triangular on monomials (Cherednik, IMRN
-1995; Sahi, Ann. Math. 150, 1999), so in a checked topological order one
-back-substitution gives the eigenvector of every monomial of the ball;
-compute_P_detail reads its label's column, and label_residuals checks all
-labels of one degree at once on their ball.
+(which every T_j keeps), filled in closed form: the divided difference of a
+monomial is a finite geometric sum, checked against its denominator.  Y_i
+is the product of the T_j along tau_word.  The Y_i are jointly triangular
+on monomials (Cherednik, IMRN 1995; Sahi, Ann. Math. 150, 1999), so in a
+checked topological order one back-substitution gives the eigenvector of
+every monomial of the ball.
+
+One ball is held at a time: label_polynomials, the one label entry, reads
+all labels of one degree from their ball in one pass, a degree at a time,
+so each ball is built once per parameter set and degree and dropped when
+the next is built; compute_P_detail is its batch of one.
 """
 
 from __future__ import annotations
@@ -175,12 +178,13 @@ def _joint_eigenbasis(mats: dict) -> _Eigenbasis:
     return _Eigenbasis(out, down, rank, np.array([y.diagonal() for y in ys]), zd[rank])
 
 
-@functools.lru_cache(maxsize=9)
+@functools.lru_cache(maxsize=1)
 def _ball(params: ParamSet, radius: int):
-    """(basis, index, {i: Y_i}, {j: T_j}, joint eigenbasis) on the l1 ball,
-    cached per (frozen parameter set, radius).  Y_i multiplies the T_j along
-    tau_word(i, n), inverting the first i - 1 letters by the quadratic
-    relation, T_j^{-1} = T_j + (kappa_j - 1/kappa_j)."""
+    """(basis, index, {i: Y_i}, {j: T_j}, joint eigenbasis) on the l1 ball.
+    The cache holds one entry, the (frozen parameter set, radius) being
+    read; every caller reads a ball in one pass, so none is built twice.
+    Y_i multiplies the T_j along tau_word(i, n), inverting the first i - 1
+    letters by the quadratic relation, T_j^{-1} = T_j + (kappa_j - 1/kappa_j)."""
     n = params.n
     basis = l1_ball(n, radius)
     index = {mu: a for a, mu in enumerate(basis)}
@@ -222,31 +226,26 @@ class PolynomialResult:
     poly: LaurentPoly
     lam: tuple
     gamma: np.ndarray  # the spectral vector of lam (numerics.gamma_vectors)
-    residual: float
+    residual: float  # the relative residual of Y_i P = P / gamma_i on the full ball
     span_size: int
+    monic: float  # |leading coefficient - 1|
+    stab: np.ndarray  # stab[i - 1]: the relative residual of T_i P = kappa_i^{-1} P
 
 
-class _Monic(NamedTuple):
-    ball: tuple  # the _ball entry of the labels' degree
-    inv_gamma: np.ndarray  # inv_gamma[i - 1, l] = 1 / gamma_i of label l
-    vecs: np.ndarray  # column l: the monic eigenvector of label l on the ball
-    span: np.ndarray  # span[l]: the size of label l's down-set
-
-
-def _monic_vectors(labels, gammas, params: ParamSet) -> _Monic:
-    """The monic joint eigenvectors of labels of one degree r, with spectral
-    vectors the rows of gammas, as the columns of one matrix on the ball of
-    radius r: each label's column of the joint eigenbasis on its down-set,
-    entries at most 1e-13 of the column's largest dropped, the leading entry
-    pinned to 1.  GenericityError, naming params, when a diagonal entry of
-    some Y_i at a label misses 1/gamma_i, or a predecessor in the triangular
-    order shares the label's entry of Z, by _KERNEL_GAP of the largest such
-    entry (at least 1), or the leading entry is below 1e-12 of its column's
-    largest."""
+def _degree_polynomials(labels, params: ParamSet) -> list:
+    """The PolynomialResult of each of labels of one degree r, all at once
+    on the ball of radius r: the label's column of the joint eigenbasis on
+    its down-set (of size span_size), entries at most 1e-13 of the column's
+    largest dropped, the leading entry pinned to 1, and its residuals on the
+    full ball, one product per Y_i or T_i for all labels.  GenericityError,
+    naming params, when a diagonal entry of some Y_i at a label misses
+    1/gamma_i, or a predecessor in the triangular order shares the label's
+    entry of Z, by _KERNEL_GAP of the largest such entry (at least 1), or
+    the leading entry is below 1e-12 of its column's largest."""
     n, radius = params.n, sum(abs(v) for v in labels[0])
+    gammas = gamma_vectors(labels, params)
     check_caps(n, radius)
-    ball = _ball(params, radius)
-    _basis, index, _mats, _gens, eig = ball
+    basis, index, mats, gens, eig = _ball(params, radius)
     cols = np.array([index[lam] for lam in labels], dtype=np.int64)
     inv = 1 / gammas.T
     yscale = max(float(np.abs(eig.ydiag).max()), 1.0)
@@ -266,41 +265,33 @@ def _monic_vectors(labels, gammas, params: ParamSet) -> _Monic:
     lead = np.arange(len(vecs))[:, None] == cols
     vecs = np.where((np.abs(vecs) > 1e-13 * top) | lead, vecs, 0)
     vecs[lead] = 1.0  # one by construction; pinned, never left to rounding
-    return _Monic(ball, inv, vecs, down.sum(axis=0))
+    joint = _eigen_residuals([mats[i] for i in range(1, n + 1)], inv, vecs)
+    stab = _eigen_residuals([gens[i] for i in range(1, n + 1)],
+                            [1 / params.kappa_j(i) for i in range(1, n + 1)], vecs)
+    span = down.sum(axis=0)
+    return [PolynomialResult(LaurentPoly(basis, vecs[:, l]), lam, gammas[l], float(joint[:, l].max()),
+                             int(span[l]), abs(vecs[cols[l], l] - 1.0), stab[:, l])
+            for l, lam in enumerate(labels)]
+
+
+def label_polynomials(labels, params: ParamSet) -> list:
+    """The PolynomialResult of each label, in the order given: the labels of
+    each degree r, lowest first, all at once on the ball of radius r
+    (_degree_polynomials), so that each ball is built once."""
+    labels = [tuple(int(v) for v in lam) for lam in labels]
+    if any(len(lam) != params.n for lam in labels):
+        raise InternalDefectError("lambda length must match n")
+    out = {}
+    for r in sorted({sum(map(abs, lam)) for lam in labels}):
+        batch = [lam for lam in labels if sum(map(abs, lam)) == r]
+        out.update(zip(batch, _degree_polynomials(batch, params)))
+    return [out[lam] for lam in labels]
 
 
 def compute_P_detail(lam, params: ParamSet) -> PolynomialResult:
-    """Monic joint eigenpolynomial with leading monomial t^lambda: the
-    one-label case of _monic_vectors, read off on lambda's down-set (of size
-    span_size).  The residual is taken on the full degree ball."""
-    lam = tuple(int(v) for v in lam)
-    n = params.n
-    if n != len(lam):
-        raise InternalDefectError("lambda length must match n")
-    gammas = gamma_vectors([lam], params)
-    mon = _monic_vectors([lam], gammas, params)
-    basis, _index, mats, _gens, _eig = mon.ball
-    poly = LaurentPoly(basis, mon.vecs[:, 0])
-    ys = [mats[i] for i in range(1, n + 1)]
-    residual = float(_eigen_residuals(ys, mon.inv_gamma, mon.vecs).max())
-    return PolynomialResult(poly, lam, gammas[0], residual, int(mon.span[0]))
-
-
-def label_residuals(labels, params: ParamSet):
-    """For labels of one degree r, all at once on the ball of radius r, what
-    compute_P_detail gives label by label: the joint residual of each
-    label's monic eigenpolynomial, |leading coefficient - 1|, and stab[i - 1,
-    l], the relative residual of T_i P = kappa_i^{-1} P on the ball, i =
-    1..n.  The spectral vectors are one gamma_vectors call, and each
-    residual one product per Y_i or per T_i."""
-    n = params.n
-    mon = _monic_vectors(labels, gamma_vectors(labels, params), params)
-    _basis, index, mats, gens, _eig = mon.ball
-    joint = _eigen_residuals([mats[i] for i in range(1, n + 1)], mon.inv_gamma, mon.vecs)
-    lead = mon.vecs[[index[lam] for lam in labels], np.arange(len(labels))]
-    stab = _eigen_residuals([gens[i] for i in range(1, n + 1)],
-                            [1 / params.kappa_j(i) for i in range(1, n + 1)], mon.vecs)
-    return joint.max(axis=0), np.abs(lead - 1.0), stab
+    """The monic joint eigenpolynomial with leading monomial t^lambda: the
+    label_polynomials batch of the one label lam."""
+    return label_polynomials([lam], params)[0]
 
 
 def fixed_by_si(i: int, lam) -> bool:

@@ -543,17 +543,24 @@ def qkz_per_sample(sol, samples=20, seed=8):
     return out
 
 
+def by_degree(labels):
+    """labels by l1 degree, lowest first, in their given order within a
+    degree: the order in which the one-entry ball cache of koornwinder
+    builds each degree's ball once."""
+    return sorted(labels, key=lambda lam: sum(map(abs, lam)))
+
+
 def koornwinder_per_label(params, radius=3):
     """Oracle: the label loop of the polynomial suite, one compute_P_detail
-    per label of degree at most radius, with each residual recomputed from
-    the polynomial's ball vector by one matrix-vector product per Y_i and
-    per T_i.  Returns the per-label (joint, |lead - 1|, [stabilizer_i]) and
-    the four suite values: the worst joint residual, the worst monic
-    deviation, the worst stabilizer residual at fixed labels and the least
-    at moving ones."""
+    per label of degree at most radius, a degree at a time, with each
+    residual recomputed from the polynomial's ball vector by one
+    matrix-vector product per Y_i and per T_i.  Returns the per-label
+    (joint, |lead - 1|, [stabilizer_i]) and the four suite values: the worst
+    joint residual, the worst monic deviation, the worst stabilizer residual
+    at fixed labels and the least at moving ones."""
     n = params.n
     labels, worst = {}, {"joint": 0.0, "monic": 0.0, "fixed": 0.0, "separation": float("inf")}
-    for lam in l1_ball(n, radius):
+    for lam in by_degree(l1_ball(n, radius)):
         det = compute_P_detail(lam, params)
         _basis, index, mats, gens, _eig = _ball(params, sum(abs(v) for v in lam))
         vec = ball_vector(det.poly, index)

@@ -627,7 +627,8 @@ def test_settings_that_switch_checks_off_are_refused(tmp_path, monkeypatch, caps
                                                      setting, value, source):
     """Fewer than one sample drops the sampled rows, and a tolerance that is
     not finite and positive passes or fails every row whatever its
-    residual; either is refused, from a flag or a file, before sampling."""
+    residual; either is refused, from a flag or a file, before sampling.
+    A command that reads neither takes a file that sets them."""
     import heckespin.numerics as numerics
 
     def no_sampling(*args, **kw):
@@ -643,6 +644,12 @@ def test_settings_that_switch_checks_off_are_refused(tmp_path, monkeypatch, caps
         argv += ["--params", str(pfile)]
     assert run(argv) == 2
     assert f"refused: {setting} must be" in capsys.readouterr().err
+    if source == "file":
+        monkeypatch.undo()
+        for unread in (["koornwinder", "compute", "--lambda", "1,0"],
+                       ["emit", "tables", "--kind", "hamiltonian_spectrum", "--n", "2"]):
+            assert run(unread + ["--params", str(pfile)]) == 0, unread
+        capsys.readouterr()
 
 
 @pytest.mark.parametrize("argv", [
@@ -1305,15 +1312,15 @@ def test_a_nan_label_fails_every_label_check(monkeypatch):
 
     def wrapper(honest):
         def nan_label(labels, params):
-            joint, monic, stab = honest(labels, params)
-            if (1, 0) in labels:
-                at = labels.index((1, 0))
-                joint[at], monic[at], stab[:, at] = np.nan, np.nan, np.nan
-            return joint, monic, stab
+            dets = honest(labels, params)
+            for det in dets:
+                if det.lam == (1, 0):
+                    det.residual, det.monic, det.stab = np.nan, np.nan, np.full_like(det.stab, np.nan)
+            return dets
 
         return nan_label
 
-    checks = _checks(monkeypatch, koornwinder, "label_residuals", wrapper, "koornwinder", 2)
+    checks = _checks(monkeypatch, koornwinder, "label_polynomials", wrapper, "koornwinder", 2)
     assert checks["constant polynomial"]["pass"]
     for name in ("joint eigenvector residual", "monic leading coefficient",
                  "stabilizer eigenvalue at symmetric labels",

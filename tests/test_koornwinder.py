@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import heckespin.koornwinder as koornwinder
 from conftest import (
     DictPoly,
+    by_degree,
     dense_hecke_relations,
     from_table,
     joint_residual,
@@ -18,14 +19,13 @@ from conftest import (
     stabilizer_eigen_residual,
     to_table,
 )
-import heckespin.numerics as numerics
 from heckespin.koornwinder import (
     _ball,
     ball_vector,
     compute_P_detail,
     fixed_by_si,
     generator_matrices,
-    label_residuals,
+    label_polynomials,
 )
 from heckespin.numerics import (
     GenericityError,
@@ -102,7 +102,7 @@ def test_spectrum_branch_values(lam, params2):
 
 def test_eigen_residuals_small_over_a_ball(params2):
     worst = 0.0
-    for lam in l1_ball(2, 2):
+    for lam in by_degree(l1_ball(2, 2)):
         det = compute_P_detail(tuple(lam), params2)
         worst = max(worst, det.residual)
         assert from_table(det.poly)[0].terms.get(tuple(lam)) == 1.0
@@ -259,7 +259,7 @@ def test_cold_paths_take_no_divided_difference_and_no_factorization(monkeypatch,
     def results():
         det = compute_P_detail((1, 1), p)
         sol = cm_alpha(det.poly, p, principal_series_basis(p))
-        dets = [compute_P_detail(tuple(lam), p3) for lam in l1_ball(3, 2)]
+        dets = [compute_P_detail(tuple(lam), p3) for lam in by_degree(l1_ball(3, 2))]
         return (
             det.poly.to_dicts(), det.residual, stabilizer_eigen_residual(1, det.poly, p),
             sol.components.to_dicts(),
@@ -358,7 +358,7 @@ def test_every_label_up_to_the_cap_at_a_large_coefficient_draw():
     re-multiplication bound, so the residual is taken on the ball."""
     p = sample_generic(seed=7, n=3)
     worst = 0.0
-    for lam in l1_ball(3, 4):
+    for lam in by_degree(l1_ball(3, 4)):
         det = compute_P_detail(tuple(lam), p)
         assert from_table(det.poly)[0].terms[tuple(lam)] == 1.0
         worst = max(worst, det.residual)
@@ -410,7 +410,7 @@ def test_triangular_eigenvectors_match_the_svd_kernel(seed):
     """Every label of degree <= 4 at n = 3: the back-substituted column is
     the kernel line of the stacked Y_i - 1/gamma_i on the full ball."""
     p = sample_generic(seed=seed, n=3)
-    for lam in l1_ball(3, 4):
+    for lam in by_degree(l1_ball(3, 4)):
         lam = tuple(lam)
         det = compute_P_detail(lam, p)
         _basis, index, mats = _ball(p, sum(abs(v) for v in lam))[:3]
@@ -425,6 +425,30 @@ def test_triangular_eigenvectors_match_the_svd_kernel(seed):
         vec = vec / vec[index[lam]]
         ref = ball_vector(det.poly, index)[:, 0]
         assert np.abs(vec - ref).max() < 1e-9 * np.abs(ref).max(), lam
+
+
+@pytest.mark.parametrize("argv,builds", [
+    (["verify", "koornwinder", "--n", "3"], 4),
+    (["qkz", "build", "--n", "3", "--m", "1"], 1),
+    (["emit", "tables", "--kind", "koornwinder", "--n", "3", "--m", "4"], 5),
+    (["verify", "all", "--n", "3"], 7),
+], ids=["verify koornwinder", "qkz build", "emit tables", "verify all"])
+def test_a_job_holds_one_ball_and_builds_each_once(tmp_path, monkeypatch, capsys, cold_ball, argv,
+                                                   builds):
+    """A command builds each ball it reads once, one per (point, degree),
+    and ends holding at most one: the polynomial suite's degrees 0..3, the
+    ball that qkz build and its cm_alpha share, a table's degrees 0..4 (a
+    label loop in lexicographic order would rebuild a ball per label), and
+    verify all's polynomial suite and one ball per qKZ degree, each at its
+    own point."""
+    from heckespin.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    capsys.readouterr()
+    info = _ball.cache_info()
+    assert info.misses == builds
+    assert info.currsize <= 1
 
 
 def test_missing_joint_eigenvector_is_a_genericity_error(monkeypatch, params2):
@@ -445,31 +469,37 @@ def test_missing_joint_eigenvector_is_a_genericity_error(monkeypatch, params2):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_label_batches_match_the_per_label_oracle(n):
+def test_label_batches_match_the_per_label_oracle(n, tmp_path, capsys):
     """Every label of degree at most 3, one degree at a time, against one
     compute_P_detail per label: each label's vector exactly, its joint,
     monic and stabilizer residuals within 1e-13, the separation within
-    1e-12 relative, and the suite's report built from the batches."""
-    from heckespin.commands import Config, suite_koornwinder
+    1e-12 relative, and the suite's report built from the batches; and the
+    files of emit tables, which batch every label of degree at most 3 at
+    once: coefficients, spectral vector and span exactly, the residual
+    within 1e-13."""
+    import json
+
+    from heckespin.cli import main
+    from heckespin.commands import Config, _polynomial_payload, suite_koornwinder
 
     for seed in (1, 2, 3):
         p = sample_generic(seed=seed, n=n)
         per_label, worst = koornwinder_per_label(p)
-        sep = float("inf")
+        sep, alone = float("inf"), {}
         for r in range(4):
             labels = [lam for lam in l1_ball(n, r) if sum(map(abs, lam)) == r]
-            joint, monic, stab = label_residuals(labels, p)
-            batch = koornwinder._monic_vectors(labels, numerics.gamma_vectors(labels, p), p)
-            index = batch.ball[1]
-            for col, lam in enumerate(labels):
+            batch = label_polynomials(labels, p)
+            index = _ball(p, r)[1]
+            for lam, det in zip(labels, batch):
                 # the same chopped, pinned column as the label on its own
-                alone = ball_vector(compute_P_detail(lam, p).poly, index)[:, 0]
-                assert np.array_equal(batch.vecs[:, col], alone), lam
+                alone[lam] = compute_P_detail(lam, p)
+                assert np.array_equal(ball_vector(det.poly, index),
+                                      ball_vector(alone[lam].poly, index)), lam
                 want_joint, want_monic, want_stab = per_label.pop(lam)
-                assert abs(joint[col] - want_joint) < 1e-13, lam
-                assert monic[col] == want_monic == 0
-                assert np.abs(stab[:, col] - want_stab).max() < 1e-13, lam
-                sep = min([sep] + [stab[i - 1, col] for i in range(1, n + 1)
+                assert abs(det.residual - want_joint) < 1e-13, lam
+                assert det.monic == want_monic == 0
+                assert np.abs(det.stab - want_stab).max() < 1e-13, lam
+                sep = min([sep] + [det.stab[i - 1] for i in range(1, n + 1)
                                    if not fixed_by_si(i, lam)])
         assert not per_label
         assert abs(sep - worst["separation"]) <= 1e-12 * worst["separation"]
@@ -478,3 +508,13 @@ def test_label_batches_match_the_per_label_oracle(n):
         assert checks["monic leading coefficient"] == worst["monic"]
         assert abs(checks["stabilizer eigenvalue at symmetric labels"] - worst["fixed"]) < 1e-13
         assert checks["stabilizer separation at moving labels"] == max(0.0, 1e-3 - sep)
+        out = tmp_path / f"seed{seed}"
+        assert main(["emit", "tables", "--kind", "koornwinder", "--n", str(n), "--m", "3",
+                     "--seed", str(seed), "--out", str(out)]) == 0
+        for lam, det in alone.items():
+            got = json.loads((out / ("lam_" + "_".join(map(str, lam)) + ".json")).read_text())
+            want = _polynomial_payload(det)
+            residual = got["metadata"].pop("eigen_residual")
+            assert abs(residual - want["metadata"].pop("eigen_residual")) < 1e-13, lam
+            assert got == want, lam
+    capsys.readouterr()

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import heckespin
 from conftest import DictPoly, Residuals, divided_difference, laurent_mul, pole_free, s_j, to_table
-from heckespin.koornwinder import compute_P_detail, label_residuals
+from heckespin.koornwinder import compute_P_detail, label_polynomials
 from heckespin.numerics import (
     GenericityError,
     InternalDefectError,
@@ -241,7 +241,7 @@ def test_batched_spectral_vectors_equal_the_scalar_formula(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_gamma_screen_matches_the_all_pairs_oracle(monkeypatch, n):
     """The screen of spectral collisions is the polynomial layer's own guard
-    (koornwinder._monic_vectors).  At clean raw draws the all-pairs oracle
+    (koornwinder._degree_polynomials).  At clean raw draws the all-pairs oracle
     finds no collision among the weights of degree <= 4 and the guard lets
     every label of degree <= 4 through; where the oracle finds one, the
     guard refuses its label with a GenericityError naming the point.  The
@@ -256,7 +256,7 @@ def test_gamma_screen_matches_the_all_pairs_oracle(monkeypatch, n):
         p = _raw_draw(rng, n)
         assert _gamma_distinct_all_pairs(p)
         for r in range(5):
-            label_residuals(labels(r), p)
+            label_polynomials(labels(r), p)
     # negative control: with q a root of unity of order k <= 3, (1, 0, ...)
     # and (1 + k, 0, ...) share a spectral vector; the oracle and the guard
     # must both see it
@@ -264,7 +264,7 @@ def test_gamma_screen_matches_the_all_pairs_oracle(monkeypatch, n):
         p = _raw_draw(rng, n).replace(q_sqrt=cmath.exp(1j * math.pi / order))
         assert not _gamma_distinct_all_pairs(p)
         lam = (1 + order,) + (0,) * (n - 1)
-        for refused in (lambda: compute_P_detail(lam, p), lambda: label_residuals(labels(1 + order), p)):
+        for refused in (lambda: compute_P_detail(lam, p), lambda: label_polynomials(labels(1 + order), p)):
             with pytest.raises(GenericityError, match="non-generic spectrum") as err:
                 refused()
             assert err.value.point == p
