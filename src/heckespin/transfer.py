@@ -14,7 +14,7 @@ closure theta K_0(kappa^2 x) theta starts it and K_n is folded into the
 last site.  One generator (_mpo) feeds both contractions; neither forms an
 operator on the double space.  transfer_apply runs a block V through the
 sites and gives T V (Schollwoeck, Ann. Phys. 326, 96 (2011), sec. 5); x,
-the t_j and V may carry a point axis, so a check's points take one pass.
+the t_j and V may carry a point axis, run in passes of at most _PASS entries.
 monodromy_U is that pass with the auxiliary leg open in V's rows: U V, for
 the double row U without the closure; a pass carrying the jet [value, d/dx]
 gives [T V, dT/dx V]; transfer_T_mp is that pass on mpmath x, t and V.
@@ -54,6 +54,7 @@ SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 SPLUS = np.array([[0, 1], [0, 0]], dtype=complex)
 SMINUS = np.array([[0, 0], [1, 0]], dtype=complex)
+_PASS = 2**14  # entries of a block per MPO pass, rows x points x columns
 
 
 def theta_matrix(params: ParamSet) -> np.ndarray:
@@ -125,12 +126,12 @@ def _site(fwd, bwd):
 
 def _mpo(params: ParamSet, x, t, deriv=False):
     """The closure [bond] and the site tensors of T(x; t), each a jet [value]
-    or [value, d/dx]; arrays of points x and t_j (values only) give stacks."""
+    or [value, d/dx]; arrays of points x and t_j give stacks."""
     kbar, R, k = dressed_blocks(params)
     th, k2 = theta_matrix(params), params.kappa**2
 
     def jet(f, arg, slope):
-        return [f(arg)] + ([slope * f.deriv(arg)] if deriv else [])
+        return [f(arg)] + ([np.expand_dims(slope, (-2, -1)) * f.deriv(arg)] if deriv else [])
 
     # the trace pairs the closure's column with the backward row: bond (c, d)
     # starts at A[d, c]; the right boundary closes it with K_n[c, d]
@@ -146,24 +147,32 @@ def _apply(sites, v) -> list:
     """The MPO of the site jets (in bond 1 first, out bond 1 last) applied
     to the block v, held as [rows done, bond, legs to come and columns]: one
     matmul over (bond, leg) per site leaves its row leg after the rows done.
-    Gives [M v], or [M v, dM/dx v] by the product rule.  A block wider than
-    64 columns, as the identity for a dense T, runs 64 columns at a time: at
-    n = 10 the jet on the identity then takes 0.74 against 1.0 s, and the
-    spectrum table's process peaks at 147 against 436 MB (one BLAS thread)."""
+    Gives [M v], or [M v, dM/dx v] by the product rule.  A pass takes at
+    most _PASS entries of v, rows x points x columns, from the point axis
+    the sites and v share, each point's products the same in any pass: a
+    4-column block takes 64 points at n = 6, 4 at n = 10 and 1 at n = 12,
+    where `verify transfer` peaks at 42 and 52 MB (57 and 114 MB unchunked),
+    and the identity 16 columns at n = 10 (spectrum table: 6.7 s, 148 MB)."""
     def step(w, a):
         mat = np.moveaxis(w, (-2, -3), (-4, -3))  # [.., row, out, in, col]
         mat = mat.reshape(mat.shape[:-4] + (1, 2 * w.shape[-3], -1))
         a = mat @ a.reshape(a.shape[:-2] + (2 * a.shape[-2], -1))
         return a.reshape(a.shape[:-3] + (2 * a.shape[-3], w.shape[-3], -1))
 
-    def run(cols):
-        a = [cols.reshape(cols.shape[:-2] + (1, 1, -1))]
-        for w in sites:
-            a = _leibniz(step, w, a)
-        return [b.reshape(b.shape[:-3] + cols.shape[-2:]) for b in a]
-
-    parts = [run(v[..., c:c + 64]) for c in range(0, v.shape[-1], 64)]
-    return [np.concatenate(jet, axis=-1) for jet in zip(*parts)]
+    lead = np.broadcast_shapes(v.shape[:-2], *(w.shape[:-4] for jet in sites for w in jet))
+    rows, cols = v.shape[-2:]
+    width = min(cols, max(1, _PASS // rows))
+    points = max(1, _PASS // (rows * width))
+    out = [np.empty(lead + (rows, cols), np.result_type(v, sites[-1][0])) for _ in sites[-1]]
+    for p in range(0, lead[0] if lead else 1, points):
+        for c in range(0, cols, width):
+            block = (v[p:p + points] if v.ndim > 2 else v)[..., c:c + width]
+            a = [block.reshape(block.shape[:-2] + (1, 1, -1))]
+            for jet in sites:
+                a = _leibniz(step, [w[p:p + points] if w.ndim > 4 else w for w in jet], a)
+            for j, o in enumerate(out):  # by index: no name holds a result into the next chunk
+                o.reshape(-1, rows, 1, cols)[p:p + points, ..., c:c + width] = a[j]
+    return out
 
 
 def transfer_apply(params: ParamSet, x, t, v, deriv: bool = False):
@@ -199,11 +208,11 @@ def _aux_normalizer(params: ParamSet, x):
 def check_transfer(params: ParamSet, samples: int = 8, seed: int = 2) -> dict:
     """Residuals of the structural transfer-matrix identities, each at all
     samples at once: the local rows on stacks of blocks, the operator rows on
-    a Gaussian block V drawn after the samples, in one MPO pass per product.
+    a Gaussian block V drawn after the samples, one MPO call per product.
     T_x (T_y V) - T_y (T_x V) is scaled by the norm product max|T_x V| max|T_y
     V| / max|V|, the size of its rounding: at n = 10 a product can be 1e-6
-    of that, and a row scaled by the product failed on rounding alone.
-    """
+    of that, and a row scaled by the product failed on rounding alone.  The
+    crossing row inverts the diagonal theta (x) theta by its reciprocals."""
     n = params.n
     rng = np.random.default_rng(seed)
     out = {}
@@ -224,7 +233,7 @@ def check_transfer(params: ParamSet, samples: int = 8, seed: int = 2) -> dict:
     rx = R(x) @ PERMUTE_TWO
     out["transpose flip of r"] = rel_residual(PERMUTE_TWO @ rx @ PERMUTE_TWO, np.swapaxes(rx, -1, -2))
     th2 = np.kron(th, th)
-    lhs = (np.linalg.inv(th2) @ partial_transpose_leg(R(1 / (k**4 * x)) @ PERMUTE_TWO, 1, 2)
+    lhs = (np.diag(1 / th2.diagonal()) @ partial_transpose_leg(R(1 / (k**4 * x)) @ PERMUTE_TWO, 1, 2)
            @ th2 @ partial_transpose_leg(rx, 2, 2))
     out["crossing unitarity"] = rel_residual(lhs, phi_bulk(x, params)[:, None, None] * np.eye(4))
     closure = [(th @ kbar(k**2 * x) @ th, [1]), (R(x**2), [1, 2])]
@@ -246,8 +255,8 @@ def check_transfer_vs_transport(
     is scaled by the norm product max|T(t_i) V| max|C V| / max|V|, the size
     of its rounding (by max|phi V| it read 1.2e-9 at n = 6).  C V is the
     cocycle along weyl.tau_word(i, n) at params.replace(q_sqrt=1) run
-    through V; T never sees q.  Each i takes one MPO pass over its samples.
-    """
+    through V; T never sees q.  Each i takes two MPO calls, T at 1/t_i and
+    t_i on V, then T(t_i) on C V, and copies no block to its points."""
     n = params.n
     rng = np.random.default_rng(seed)
     out = {}
@@ -256,15 +265,14 @@ def check_transfer_vs_transport(
     v = gaussian_block(rng, 2**n)
     for i, ti in enumerate(t, 1):
         cv = factor_product(cocycle_factors(stationary, tau_word(i, n), t), n, v)
-        vs = np.broadcast_to(v, cv.shape)
-        at_inv, at_t_cv, at_t = np.split(transfer_apply(
-            params, np.concatenate([1 / ti, ti, ti]), [np.tile(tj, 3) for tj in t],
-            np.concatenate([vs, cv, vs])), 3)
+        at_inv, at_t = np.split(transfer_apply(
+            params, np.concatenate([1 / ti, ti]), [np.tile(tj, 2) for tj in t], v), 2)
         out[f"stationary transport at x=1/t_{i}"] = rel_residual(
             at_inv, phi_bdy(1 / ti, params)[:, None, None] * cv)
         scale = np.abs(at_t).max(axis=(1, 2)) * np.abs(cv).max(axis=(1, 2)) / max_abs(v)
+        del at_inv, at_t  # so that the next call holds only its own points
         out[f"stationary inverse transport at x=t_{i}"] = rel_residual(
-            at_t_cv, phi_bdy(ti, params)[:, None, None] * v, scale=scale)
+            transfer_apply(params, ti, t, cv), phi_bdy(ti, params)[:, None, None] * v, scale=scale)
     return out
 
 
@@ -352,11 +360,12 @@ def hamiltonian(params: ParamSet, form: str = "pauli", v=None) -> np.ndarray:
 
 def transfer_T_mp(params: ParamSet, x, t, v, digits: int = 50) -> np.ndarray:
     """Extended-precision recomputation of T(x; t) v at any n: transfer_apply
-    run on mpmath x, t and block v, so that every block and product is in
-    mpmath arithmetic at ``digits``; used as a roundoff regression anchor.
-    """
+    run on mpmath x, t and v, one column of v per pass (an entry takes about
+    30 complex numbers' bytes), so that every block and product is in mpmath
+    arithmetic at ``digits``; used as a roundoff regression anchor."""
     import mpmath
 
     with mpmath.workdps(digits):
         mpc = np.frompyfunc(mpmath.mpc, 1, 1)
-        return transfer_apply(params, mpmath.mpc(x), tuple(mpc(t)), mpc(v)).astype(complex)
+        return np.hstack([transfer_apply(params, mpmath.mpc(x), tuple(mpc(t)), mpc(v[:, [c]]))
+                          for c in range(v.shape[1])]).astype(complex)

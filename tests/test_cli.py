@@ -1634,21 +1634,58 @@ def test_a_distorted_matchmaker_operator_fails_its_block_row(monkeypatch, n, mut
     assert rows[passing]["pass"], rows[passing]
 
 
+# runs the transfer suite at n = 8, seed 1, in double precision (imports,
+# caches and the double peak), then in extended precision, holding one
+# dense operator if ARGV[1] is "control"; prints the rise of the peak RSS
+# in bytes.  The peak is the process's VmHWM: ru_maxrss would carry over
+# the parent's RSS, which the child's address space had before its exec.
+_EXTENDED_RISE = """
+import sys
+import mpmath
+import numpy as np
+import heckespin.commands as commands
+from heckespin.numerics import sample_generic
+
+def peak():
+    with open("/proc/self/status") as status:
+        return 1024 * next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+n = 8
+p = sample_generic(seed=1, n=n)
+commands.suite_transfer(commands.Config(n=n, seed=1), p)
+start = peak()
+held = np.ones((2**n, 2**n), complex) if sys.argv[1] == "control" else None
+commands.suite_transfer(commands.Config(n=n, seed=1, precision="extended"), p)
+print(peak() - start)
+"""
+
+
 def test_the_spin_suites_hold_no_dense_operator():
     """At n = 8 the Murphy commutator row and the algebra and baxter suites
     peak below one dense 2^n x 2^n complex operator (1 MiB) above their
-    start, and the transfer suite, in double and in extended precision, below
-    that plus the peak of its own transport rows, whose MPO pass over 3 x 8
-    points on a block holds 3-4 MiB by itself: every other operator identity
-    runs on a block of vectors, and the principal basis is a Monomial."""
+    start, and the transfer suite below that plus the peak of one full MPO
+    pass (transfer._PASS block entries, 16 points on the block), which no
+    sample count raises: every other operator identity runs on a block of
+    vectors, and the principal basis is a Monomial.  The extended suite's
+    40-digit row is measured by peak RSS in a child process, as tracing
+    its mpmath objects takes seconds: it raises the peak over the double
+    suite's by less than half a dense operator, where a control child that
+    holds one dense operator through the same suite raises it by more."""
     import tracemalloc
+    from pathlib import Path
 
+    import heckespin
     import heckespin.commands as commands
     from heckespin.spinrep import build_spin_rep, murphy_commutator_residual
-    from heckespin.transfer import check_transfer_vs_transport
+    from heckespin.transfer import _PASS, transfer_apply
 
+    src = str(Path(heckespin.__file__).resolve().parents[1])
     n = 8
     p, cfg, dense = sample_generic(seed=1, n=n), commands.Config(n=n, seed=1), 16 * 4**n
+
+    def child(mode):
+        return subprocess.Popen([sys.executable, "-c", _EXTENDED_RISE, mode], stdout=subprocess.PIPE,
+                                env={**os.environ, "PYTHONPATH": src}, text=True)
 
     def peak(fn, *args):
         fn(*args)  # the caches and imports of a first call
@@ -1660,11 +1697,14 @@ def test_the_spin_suites_hold_no_dense_operator():
         finally:
             tracemalloc.stop()
 
-    block = commands._block(cfg, 2**n)
-    assert peak(murphy_commutator_residual, build_spin_rep(p), block) < dense
-    assert peak(commands.suite_algebra, cfg, p) < dense
-    assert peak(commands.suite_baxter, cfg, p) < dense
-    transport = peak(check_transfer_vs_transport, p, max(4, min(cfg.samples, 8)), cfg.seed)
-    assert peak(commands.suite_transfer, cfg, p) < transport + dense
-    extended = commands.Config(n=n, seed=1, precision="extended")
-    assert peak(commands.suite_transfer, extended, p) < transport + dense
+    with child("extended") as extended, child("control") as control:
+        block = commands._block(cfg, 2**n)
+        assert peak(murphy_commutator_residual, build_spin_rep(p), block) < dense
+        assert peak(commands.suite_algebra, cfg, p) < dense
+        assert peak(commands.suite_baxter, cfg, p) < dense
+        rng = np.random.default_rng(1)
+        x, *t = np.array([torus_point(rng, n + 1, (0.8, 1.3)) for _ in range(_PASS // block.size)]).T
+        one_pass = peak(transfer_apply, p, x, t, block)
+        assert peak(commands.suite_transfer, cfg, p) < one_pass + dense
+        rise = {"extended": int(extended.communicate()[0]), "control": int(control.communicate()[0])}
+    assert rise["extended"] < dense / 2 < rise["control"], rise

@@ -414,17 +414,60 @@ def test_mpo_matches_the_factor_loop(n):
     assert rel_residual(der, dwant) < 1e-13
 
 
-@pytest.mark.parametrize("n,width", [(7, 128), (8, 100)])
+@pytest.mark.parametrize("n,width", [(7, 128), (8, 100), (9, 96)])
 def test_a_block_wider_than_a_chunk_matches_the_factor_loop(n, width):
-    """transfer_apply runs a wide block 64 columns at a time: the jet on
-    two whole chunks (the identity at n = 7) and on a whole and a partial
-    chunk (100 columns of the identity at n = 8) against the factor loop."""
+    """transfer_apply runs a wide block transfer._PASS // 2^n columns at a
+    time: the jet on one whole pass (the identity at n = 7), on a whole and
+    a partial chunk (100 columns of the identity at n = 8, 64 + 36) and on
+    three whole chunks (96 columns at n = 9) against the factor loop."""
     p = sample_generic(seed=10 + n, n=n)
     x, t = _point(n, 50 + n)
     want, dwant = factor_loop_T(p, x, t, deriv=True, cols=range(width))
     val, der = transfer_apply(p, x, t, np.eye(2**n)[:, :width], deriv=True)
     assert rel_residual(val, want) < 1e-13
     assert rel_residual(der, dwant) < 1e-13
+
+
+def test_a_chunked_pass_equals_one_pass_per_point():
+    """At n = 8 a pass takes 16 points of a 4-column block and U's pass 8
+    (transfer._PASS), so 24 points take 2 and 3 passes: T V, the jet [T V,
+    dT/dx V] and U V on the stack equal, bit for bit, the same calls on each
+    point alone (a stack of one, so that its blocks take the same array
+    arithmetic)."""
+    n, m = 8, 24
+    p = sample_generic(seed=1, n=n)
+    rng = np.random.default_rng(3)
+    x, *t = np.array([torus_point(rng, n + 1, (0.75, 1.35)) for _ in range(m)]).T
+    v = gaussian_block(rng, 2 ** (n + 1))
+    assert m * v.size > heckespin.transfer._PASS
+    alone = [(x[i : i + 1], [tj[i : i + 1] for tj in t]) for i in range(m)]
+    assert np.array_equal(monodromy_U(p, x, t, v), np.concatenate([monodromy_U(p, *a, v) for a in alone]))
+    v = v[: 2**n]
+    assert np.array_equal(transfer_apply(p, x, t, v), np.concatenate([transfer_apply(p, *a, v) for a in alone]))
+    each = zip(*(transfer_apply(p, *a, v, deriv=True) for a in alone))
+    for got, want in zip(transfer_apply(p, x, t, v, deriv=True), each, strict=True):
+        assert np.array_equal(got, np.concatenate(want))
+
+
+def test_the_transport_rows_memory_does_not_grow_with_their_samples():
+    """At n = 8 the transport rows' passes run 16 points at a time, so their
+    tracemalloc peak with 16 samples stays within 1.25x of their peak with 8
+    (one pass over all 3 x samples points doubled it)."""
+    import tracemalloc
+
+    p = sample_generic(seed=1, n=8)
+
+    def peak(samples):
+        check_transfer_vs_transport(p, samples)  # the caches of a first call
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            check_transfer_vs_transport(p, samples)
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    assert peak(16) < 1.25 * peak(8)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
