@@ -36,7 +36,7 @@ import functools
 import numpy as np
 
 from . import InternalDefectError, PoleProximityError, check_identity_rank
-from .numerics import _POLE_TOL, ParamSet, nonvanishing, rel_residual, torus_point
+from .numerics import _POLE_TOL, ParamSet, nonvanishing, rel_residual, stream, torus_point
 from .spinrep import _local_k, _local_kbar, _local_upsilon_p
 from .tensorops import row_residual
 from .weyl import WeylElem, act_point
@@ -149,7 +149,7 @@ def check_ybe_re(params: ParamSet, samples: int = 20, seed: int = 1) -> dict:
     """
     n = params.n
     check_identity_rank(n)
-    rng = np.random.default_rng(seed)
+    rng = stream(seed)
     out = {}
     bad = params.replace(upsilon0=params.upsilon0 * 1.01)
     names = [(0, "K0"), (n, "Kn")] + [(i, f"R{i}") for i in range(1, n)]

@@ -181,13 +181,12 @@ def _rows(prefix, res, tol, context=""):
 
 
 def _block(cfg: Config, rows: int):
-    """A suite's block of vectors (tensorops.gaussian_block), from cfg.seed's
-    first child stream, so that no sampled point moves."""
-    import numpy as np
-
+    """A suite's block of vectors (tensorops.gaussian_block), from the block's
+    own stream numerics.stream(cfg.seed, block=True), so no sampled point moves."""
+    from .numerics import stream
     from .tensorops import gaussian_block
 
-    return gaussian_block(np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0]), rows)
+    return gaussian_block(stream(cfg.seed, block=True), rows)
 
 
 # ---------------------------------------------------------------- suites
@@ -296,7 +295,7 @@ def suite_baxter(cfg: Config, p: ParamSet):
     import numpy as np
 
     from .baxter import check_ybe_re, cocycle_factors
-    from .numerics import PoleProximityError, pole_free_points, rel_residual, torus_point
+    from .numerics import PoleProximityError, pole_free_points, rel_residual, stream, torus_point
     from .tensorops import factor_product
     from .weyl import WeylElem, reduced_word, tau_word
 
@@ -310,11 +309,10 @@ def suite_baxter(cfg: Config, p: ParamSet):
     control = "negative control perturbed reflection"
     checks = [_control(control, res.pop(control), cfg.tolerance, ctx)]
     checks += _rows("", res, cfg.tolerance, ctx)
-    rng = np.random.default_rng(cfg.seed)
+    rng = stream(cfg.seed)
 
     def draw_word():
-        length = int(rng.integers(1, 7))
-        word = [int(rng.integers(0, n + 1)) for _ in range(length)]
+        word = [rng.randrange(0, n + 1) for _ in range(rng.randrange(1, 7))]
         return word, torus_point(rng, n, (0.7, 1.4))
 
     def word_residuals(trials):
@@ -357,7 +355,7 @@ def suite_baxter(cfg: Config, p: ParamSet):
 def suite_transfer(cfg: Config, p: ParamSet):
     import numpy as np
 
-    from .numerics import max_abs, rel_residual, torus_point
+    from .numerics import max_abs, rel_residual, stream, torus_point
     from .spinrep import build_spin_rep
     from .transfer import (check_transfer, check_transfer_vs_transport, hamiltonian, tl_weight,
                            transfer_apply, transfer_T_mp)
@@ -386,8 +384,8 @@ def suite_transfer(cfg: Config, p: ParamSet):
         " against the closed form",
     ))
     if cfg.precision == "extended":
-        rng = np.random.default_rng(cfg.seed)
-        x = complex(0.83 * np.exp(2j * np.pi * rng.uniform()))
+        rng = stream(cfg.seed)
+        x = complex(0.83 * np.exp(2j * np.pi * rng.random()))
         t = torus_point(rng, p.n, (0.8, 1.3))
         checks.append(_row(
             "extended precision transfer agreement",

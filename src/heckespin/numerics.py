@@ -10,8 +10,8 @@ exponent table shared by the rows of a complex coefficient matrix, one row
 per polynomial.  They are built, stored as JSON and evaluated here; the
 library never multiplies two of them or changes their variables.  The
 spectral vectors of integer weights are the rows of one array
-(gamma_vectors).  Parameter points come from one seeded stream
-(generic_draws), spectral points from torus_point.  At a pole the baxter
+(gamma_vectors).  Every draw comes from a stream(seed): parameter points
+from generic_draws, spectral points from torus_point.  At a pole the baxter
 suite's word and translation rows and qkz.verify_solution redraw the point
 (pole_free_points); check_ybe_re, check_transfer, check_transfer_vs_transport
 and the transfer suite's extended-precision row refuse the job (exit 2).
@@ -22,11 +22,19 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import functools
-import hashlib
 import json
 import math
 import operator
+import random
 from dataclasses import dataclass
+
+try:  # the interpreter's own SHA-256, as random.py takes its SHA-512: hashlib maps OpenSSL
+    from _sha2 import sha256  # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 import numpy as np
 
@@ -147,7 +155,7 @@ class ParamSet:
 
     def fingerprint(self) -> str:
         text = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(text.encode()).hexdigest()
+        return sha256(text.encode()).hexdigest()
 
 
 class LaurentPoly:
@@ -274,37 +282,38 @@ def gamma_vectors(lams, params: ParamSet) -> np.ndarray:
     return table[lam - ms[0], s - ts[0]]
 
 
-def torus_point(rng, count: int, band) -> tuple:
-    """count complex scalars, each a modulus uniform in band followed by a
-    uniform phase, drawn in that order from rng.
+def stream(seed: int, block: bool = False) -> random.Random:
+    """The stream every draw comes from: the standard library's MT19937, whose
+    random() Python keeps across releases, seeded with seed, or with the text
+    f"block {seed}" for a suite's block of vectors, so drawing it moves no point."""
+    return random.Random(f"block {seed}" if block else seed)
 
-    >>> torus_point(np.random.default_rng(7), 1, (0.7, 1.4))
-    ((0.908465037512749-0.6846528760260115j),)
+
+def torus_point(rng, count: int, band) -> tuple:
+    """count complex scalars, each a modulus rng.uniform(*band) followed by a
+    phase 2 pi rng.random(), drawn in that order from the stream rng.
+
+    >>> torus_point(stream(7), 1, (0.7, 1.4))
+    ((0.5406827797536333+0.7525977640202854j),)
     """
     lo, hi = band
-    return tuple(
-        complex(rng.uniform(lo, hi) * np.exp(2j * np.pi * rng.uniform()))
-        for _ in range(count)
-    )
+    return tuple(cmath.rect(rng.uniform(lo, hi), 2 * math.pi * rng.random()) for _ in range(count))
 
 
 def generic_draws(seed: int, n: int, mcondition: int | None = None):
-    """The parameter points of one seed's stream, in draw order: eight
-    moduli uniform in [0.6, 1.6], then eight uniform phases, per draw, with
+    """The parameter points of stream(seed), in draw order: eight moduli
+    uniform in [0.6, 1.6], then eight phases in [0, 2 pi), per draw, with
     |q| at least 0.05 away from 1 and psin solved for ``mcondition``.  No
     other screen: a random point is generic almost surely, and each layer
     guards its own denominators (nonvanishing, baxter.RationalMat, the
     spectral gates of koornwinder), naming the point in a GenericityError on
     which a caller may take the next point.  GenericityError once _MAX_DRAWS
     draws are spent."""
-    rng = np.random.default_rng(seed)
+    rng = stream(seed)
     for _ in range(_MAX_DRAWS):
-        mod = rng.uniform(*_SCALAR_BAND, size=8)
-        ph = rng.uniform(0.0, 2 * math.pi, size=8)
-        z = mod * np.exp(1j * ph)
-        q_sqrt, kappa0, kappa, kappan, upsilon0, upsilonn, psi0, psin = map(
-            complex, z
-        )
+        mod = [rng.uniform(*_SCALAR_BAND) for _ in range(8)]
+        ph = [rng.uniform(0.0, 2 * math.pi) for _ in range(8)]
+        q_sqrt, kappa0, kappa, kappan, upsilon0, upsilonn, psi0, psin = map(cmath.rect, mod, ph)
         if mcondition is not None:
             m = int(mcondition)
             rhs = (kappa0 * kappan * kappa ** (n - 1)) ** eta(m)

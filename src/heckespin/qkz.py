@@ -35,6 +35,7 @@ from .numerics import (
     gamma_vectors,
     max_abs,
     pole_free_points,
+    stream,
     torus_point,
 )
 from .spinrep import principal_series_basis
@@ -180,7 +181,7 @@ def verify_solution(sol: KZSolution, samples: int = 20, seed: int = 8) -> dict:
     residuals."""
     params = sol.params
     n = params.n
-    rng = np.random.default_rng(seed)
+    rng = stream(seed)
     q = params.q
 
     def rows(points) -> dict:

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import InternalDefectError
 from .baxter import cocycle_factors, dressed_blocks
-from .numerics import ParamSet, max_abs, nonvanishing, rel_residual, torus_point
+from .numerics import ParamSet, max_abs, nonvanishing, rel_residual, stream, torus_point
 from .spinrep import boundary_norm, build_spin_rep
 from .tensorops import (
     PERMUTE_TWO,
@@ -214,7 +214,7 @@ def check_transfer(params: ParamSet, samples: int = 8, seed: int = 2) -> dict:
     of that, and a row scaled by the product failed on rounding alone.  The
     crossing row inverts the diagonal theta (x) theta by its reciprocals."""
     n = params.n
-    rng = np.random.default_rng(seed)
+    rng = stream(seed)
     out = {}
     kbar, R, _k = dressed_blocks(params)
     th = theta_matrix(params)
@@ -258,7 +258,7 @@ def check_transfer_vs_transport(
     through V; T never sees q.  Each i takes two MPO calls, T at 1/t_i and
     t_i on V, then T(t_i) on C V, and copies no block to its points."""
     n = params.n
-    rng = np.random.default_rng(seed)
+    rng = stream(seed)
     out = {}
     stationary = params.replace(q_sqrt=1)
     t = np.array([torus_point(rng, n, (0.8, 1.3)) for _ in range(samples)]).T

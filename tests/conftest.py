@@ -18,6 +18,7 @@ from heckespin.numerics import (
     l1_ball,
     rel_residual,
     sample_generic,
+    stream,
     torus_point,
 )
 from heckespin.spinrep import _local_k, _local_kbar, _local_upsilon_p
@@ -402,7 +403,7 @@ def ybe_per_sample(params, samples=20, seed=1):
     once within a sample; every row keeps its largest residual over the
     samples."""
     n = params.n
-    rng = np.random.default_rng(seed)
+    rng = stream(seed)
     out = Residuals()
     bad = params.replace(upsilon0=params.upsilon0 * 1.01)
     names = [(0, "K0"), (n, "Kn")] + [(i, f"R{i}") for i in range(1, n)]
@@ -515,7 +516,7 @@ def qkz_per_sample(sol, samples=20, seed=8):
     params = sol.params
     n = params.n
     table = sol.components
-    rng = np.random.default_rng(seed)
+    rng = stream(seed)
     q = params.q
 
     def sample():
@@ -631,4 +632,4 @@ def params3():
 
 @pytest.fixture
 def rng():
-    return np.random.default_rng(7)
+    return stream(7)

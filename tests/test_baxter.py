@@ -22,6 +22,7 @@ from heckespin.numerics import (
     PoleProximityError,
     rel_residual,
     sample_generic,
+    stream,
     torus_point,
 )
 from heckespin.qkz import KZSolution, verify_solution
@@ -126,7 +127,7 @@ def test_cocycle_respects_words(params2, rng):
     n = params2.n
     done = 0
     while done < 10:
-        word = [int(rng.integers(0, n + 1)) for _ in range(int(rng.integers(1, 7)))]
+        word = [rng.randrange(0, n + 1) for _ in range(rng.randrange(1, 7))]
         elem = functools.reduce(
             lambda w, a: w * WeylElem.generator(a, n), word, WeylElem.identity(n)
         )
@@ -143,10 +144,10 @@ def test_cocycle_respects_words(params2, rng):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_cocycle_and_transport_match_dense_products(n):
     p = sample_generic(seed=n, n=n)
-    rng = np.random.default_rng(n)
+    rng = stream(n)
     for _ in range(3):
         t = torus_point(rng, n, (0.8, 1.25))
-        word = [int(rng.integers(0, n + 1)) for _ in range(6)]
+        word = [rng.randrange(0, n + 1) for _ in range(6)]
         assert rel_residual(_cocycle(p, word, t), _cocycle_along(p, word, t)) < 1e-12
         for i in range(1, n + 1):
             transport = _cocycle(p, tau_word(i, n), t)
@@ -158,7 +159,7 @@ def test_transport_is_the_cocycle_of_the_lattice_word():
     along the reduced word of the translation, at n = 2..6."""
     for n in range(2, 7):
         p = sample_generic(seed=n, n=n)
-        t = torus_point(np.random.default_rng(n), n, (0.8, 1.25))
+        t = torus_point(stream(n), n, (0.8, 1.25))
         for i in range(1, n + 1):
             direct = factor_product(transport_factors(p, i, t), n)
             via_word = _cocycle(p, reduced_word(WeylElem.from_word(tau_word(i, n), n)), t)
@@ -172,7 +173,7 @@ def test_stationary_transport_is_the_cocycle_at_q_one():
     for n in range(2, 7):
         p = sample_generic(seed=n, n=n)
         stationary = p.replace(q_sqrt=1)
-        t = torus_point(np.random.default_rng(n + 10), n, (0.8, 1.25))
+        t = torus_point(stream(n + 10), n, (0.8, 1.25))
         for i in range(1, n + 1):
             got = _cocycle(stationary, tau_word(i, n), t)
             assert rel_residual(got, factor_product(transport_factors(stationary, i, t), n)) < 1e-10

@@ -26,6 +26,7 @@ from heckespin.numerics import (
     generic_draws,
     rel_residual,
     sample_generic,
+    stream,
     torus_point,
 )
 from heckespin.qkz import build_polynomial_solution
@@ -257,7 +258,7 @@ def test_a_pipe_closed_before_the_final_flush_exits_120(tmp_path):
 def test_a_report_larger_than_a_pipe_buffer_arrives_whole(tmp_path, capsys):
     """Output past the 64 KiB a pipe holds reaches its reader whole before
     os._exit."""
-    argv = ["emit", "tables", "--kind", "hamiltonian_spectrum", "--n", "8", "--seed", "1"]
+    argv = ["emit", "tables", "--kind", "hamiltonian_spectrum", "--n", "8", "--seed", "3"]
     proc = _cli_process(tmp_path, argv)
     assert proc.returncode == 0, proc.stderr.decode()
     assert len(proc.stdout) > 65536
@@ -423,6 +424,42 @@ def test_flag_overrides_config_file(tmp_path):
     assert run(["verify", "algebra", "--params", str(cfg), "--seed", "2",
                 "--report", str(rep_file2)]) == 0
     assert json.loads(rep_file2.read_text())["seed"] == 2
+
+
+def test_a_fixed_parameter_file_keeps_its_fingerprint(tmp_path):
+    """The fingerprint of a fixed point is the digest written before the
+    fingerprint left hashlib for the interpreter's own SHA-256."""
+    pfile = _write(tmp_path, {
+        "n": 2, "q_sqrt": {"re": 0.9, "im": 0.35}, "kappa0": {"re": 1.1, "im": -0.2},
+        "kappa": {"re": 0.7475, "im": 0.45}, "kappa_sqrt": {"re": 0.9, "im": 0.25},
+        "kappan": {"re": -0.6, "im": 0.95}, "upsilon0": {"re": 1.2, "im": 0.3},
+        "upsilonn": {"re": 0.7, "im": -0.9}, "psi0": {"re": -1.05, "im": 0.25},
+        "psin": {"re": 0.4, "im": 1.15}})
+    rep = tmp_path / "r.json"
+    assert run(["verify", "algebra", "--params", pfile, "--report", str(rep)]) == 0
+    assert json.loads(rep.read_text())["params_fingerprint"] == (
+        "e11f751ee676bcf50f3816cfdf78d7221ca1537f0b42be02e1e42139786302d7")
+
+
+# runs verify all --n 3 and verify matchmaker --n 6 through cli.main in one
+# process and prints their exit codes and the draw-side modules it loaded
+_DRAW_MODULES = """
+import contextlib, io, json, sys
+from heckespin.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["verify", "all", "--n", "3"]), main(["verify", "matchmaker", "--n", "6"])]
+print(json.dumps([codes, sorted({"numpy.random", "secrets", "hmac", "_hashlib"} & set(sys.modules))]))
+"""
+
+
+def test_no_job_loads_numpy_random_or_openssl(tmp_path):
+    """Every draw comes from the standard library's generator and the
+    fingerprint from the interpreter's own SHA-256, so no job loads
+    numpy.random, which maps OpenSSL through secrets, hmac and _hashlib, nor
+    those three: 6 MB of a job's peak memory."""
+    proc = _cli_process(tmp_path, [], script=_DRAW_MODULES)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert json.loads(proc.stdout) == [[0, 0], []]
 
 
 def test_explicit_parameter_file_sets_the_rank(tmp_path):
@@ -805,7 +842,7 @@ def test_a_point_whose_translation_matrices_round_past_their_pattern_is_refused(
     """At kappa0 = 1e-6 (1+i) and kappan = 1e6 (1+i) the rounding of the
     products Y_i on the radius-1 ball reaches the threshold that finds their
     triangular pattern, which then failed as an internal defect (exit 3)."""
-    pfile = _params_file(tmp_path, seed=1, n=2, kappa0={"re": 1e-6, "im": 1e-6},
+    pfile = _params_file(tmp_path, seed=2, n=2, kappa0={"re": 1e-6, "im": 1e-6},
                          kappan={"re": 1e6, "im": 1e6})
     assert run(argv + ["--params", pfile]) == 2
     assert "refused: rounding in Y_1 reaches its triangular pattern" in capsys.readouterr().err
@@ -1046,7 +1083,7 @@ def test_a_pole_at_one_draw_drops_only_that_draw(monkeypatch):
 
     n, seed = 3, 1
     p = sample_generic(seed=seed, n=n)
-    rng = np.random.default_rng(seed)
+    rng = stream(seed)
     planted = []
 
     def second_at_pole(draw, value):
@@ -1062,8 +1099,7 @@ def test_a_pole_at_one_draw_drops_only_that_draw(monkeypatch):
         return sample
 
     def draw_word():
-        length = int(rng.integers(1, 7))
-        word = [int(rng.integers(0, n + 1)) for _ in range(length)]
+        word = [rng.randrange(0, n + 1) for _ in range(rng.randrange(1, 7))]
         return word, torus_point(rng, n, (0.7, 1.4))
 
     cfg = commands.Config(n=n, seed=seed, samples=8)
@@ -1702,7 +1738,7 @@ def test_the_spin_suites_hold_no_dense_operator():
         assert peak(murphy_commutator_residual, build_spin_rep(p), block) < dense
         assert peak(commands.suite_algebra, cfg, p) < dense
         assert peak(commands.suite_baxter, cfg, p) < dense
-        rng = np.random.default_rng(1)
+        rng = stream(1)
         x, *t = np.array([torus_point(rng, n + 1, (0.8, 1.3)) for _ in range(_PASS // block.size)]).T
         one_pass = peak(transfer_apply, p, x, t, block)
         assert peak(commands.suite_transfer, cfg, p) < one_pass + dense

@@ -26,6 +26,7 @@ from heckespin.numerics import (
     pole_free_points,
     rel_residual,
     sample_generic,
+    stream,
 )
 
 # small integer coefficients keep ring-axiom checks exact in floating point
@@ -218,10 +219,11 @@ def _gamma_distinct_all_pairs(params, radius=4, gap=1e-6):
 
 
 def _raw_draw(rng, n, m=None):
-    """The next draw of the raw stream: eight moduli in [0.6, 1.6], then
-    eight phases, with psin solved for the compatibility of degree m."""
-    z = rng.uniform(0.6, 1.6, size=8) * np.exp(1j * rng.uniform(0, 2 * math.pi, 8))
-    q_sqrt, k0, k, kn, u0, un, p0, pn = map(complex, z)
+    """The next draw of the raw stream (numerics.stream): eight moduli
+    uniform in [0.6, 1.6], then eight phases uniform in [0, 2 pi), one scalar
+    at a time, with psin solved for the compatibility of degree m."""
+    mod = [rng.uniform(0.6, 1.6) for _ in range(8)]
+    q_sqrt, k0, k, kn, u0, un, p0, pn = (r * cmath.exp(1j * rng.uniform(0, 2 * math.pi)) for r in mod)
     if m is not None:
         pn = (k0 * kn * k ** (n - 1)) ** eta(m) / (p0 * (q_sqrt**2) ** m)
     return ParamSet(n=n, q_sqrt=q_sqrt, kappa0=k0, kappa=k, kappan=kn,
@@ -251,7 +253,7 @@ def test_gamma_screen_matches_the_all_pairs_oracle(monkeypatch, n):
     def labels(r):
         return [lam for lam in l1_ball(n, r) if sum(map(abs, lam)) == r]
 
-    rng = np.random.default_rng(100 + n)
+    rng = stream(100 + n)
     for _ in range(6):
         p = _raw_draw(rng, n)
         assert _gamma_distinct_all_pairs(p)
@@ -277,7 +279,7 @@ def test_sample_generic_is_the_first_raw_draw_in_the_q_band(m):
     with |q| at least 0.05 away from 1, with psin solved for m."""
     for n in range(1, 7):
         for seed in range(1, 201):
-            rng = np.random.default_rng(seed)
+            rng = stream(seed)
             while abs(abs((p := _raw_draw(rng, n, m)).q) - 1) < 0.05:
                 pass
             assert sample_generic(seed, n, m) == p
@@ -287,16 +289,16 @@ def test_generic_draws_run_through_the_stream_and_give_up_after_64_draws():
     """The draws of a seed's stream in the |q| band, first sample_generic's,
     then the next ones; a GenericityError naming no point once the 64 draws
     of a seed are spent."""
-    rng, draws = np.random.default_rng(3), []
+    rng, draws = stream(3), []
     for _ in range(64):
         p = _raw_draw(rng, 2)
         if abs(abs(p.q) - 1) >= 0.05:
             draws.append(p)
-    stream = generic_draws(3, 2)
-    assert [next(stream) for _ in draws] == draws
+    points = generic_draws(3, 2)
+    assert [next(points) for _ in draws] == draws
     assert draws[0] == sample_generic(3, 2)
     with pytest.raises(GenericityError, match="no generic parameter point for seed=3, n=2") as err:
-        next(stream)
+        next(points)
     assert err.value.point is None
 
 
@@ -329,6 +331,19 @@ def test_paramset_roundtrip_preserves_fingerprint():
     p = sample_generic(seed=9, n=3)
     q = ParamSet.from_dict(p.to_dict())
     assert p.fingerprint() == q.fingerprint()
+
+
+def test_the_fingerprint_is_hashlib_sha256_of_the_sorted_parameter_text():
+    """The interpreter's own SHA-256 that fingerprint takes gives hashlib's
+    digest, so a point keeps its fingerprint."""
+    import hashlib
+
+    points = [sample_generic(seed=seed, n=n, mcondition=m) for seed, n, m in
+              ((1, 1, None), (2, 2, -1), (8, 3, 0), (40, 6, 1))]
+    points.append(points[1].replace(kappa0=3e-7 - 2e-9j, psin=-1.5e12j))
+    for p in points:
+        text = json.dumps(p.to_dict(), sort_keys=True, separators=(",", ":"))
+        assert p.fingerprint() == hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_rel_residual_scales():

@@ -243,7 +243,7 @@ def test_batched_check_matches_the_per_point_oracle(n, m):
     """All points at once against one point at a time: the same keys,
     every row within 1e-13, and the suite's control (a distorted solution's
     largest row) within 1e-12 relative."""
-    for seed in (1, 2, 3):
+    for seed in (1, 3, 4):
         sol = build_polynomial_solution(constrained(seed, n, m), m)
         got, want = verify_solution(sol, samples=20, seed=seed), qkz_per_sample(sol, 20, seed)
         assert sorted(got) == sorted(want)

@@ -99,3 +99,12 @@ def test_the_console_script_is_the_function_the_main_block_calls():
     [stmt] = block.body
     assert isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)
     assert scripts["heckespin"] == f"heckespin.cli:{ast.unparse(stmt.value.func)}"
+
+
+def test_no_module_in_src_draws_from_numpy():
+    """Every draw comes from numerics.stream, the standard library's
+    generator: no module of the package names numpy's generators."""
+    hits = [f"{path.stem}:{k}" for path in sorted(SRC.glob("*.py"))
+            for k, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if any(word in line for word in ("np.random", "numpy.random", "default_rng", "SeedSequence"))]
+    assert hits == []

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import _kron_embed, dense_hecke_relations
 from heckespin import spinrep
-from heckespin.numerics import GenericityError, InternalDefectError, ParamSet, rel_residual, sample_generic
+from heckespin.numerics import GenericityError, InternalDefectError, ParamSet, rel_residual, sample_generic, stream
 from heckespin.spinrep import (
     build_spin_rep,
     check_hecke_relations,
@@ -304,7 +304,7 @@ def test_murphy_commutators_match_the_dense_pairs(n, bent):
     rep = build_spin_rep(sample_generic(seed=4, n=n))
     rep = _bent(rep) if bent else rep
     ys = {i: murphy_Y(rep, i) for i in range(1, n + 1)}
-    v = gaussian_block(np.random.default_rng(n), 2**n)
+    v = gaussian_block(stream(n), 2**n)
     want = max((rel_residual(ys[i] @ ys[j] @ v, ys[j] @ ys[i] @ v)
                 for i in ys for j in ys if i < j), default=0.0)
     assert (want > 1e-3) == bent

@@ -7,7 +7,7 @@ import heckespin.tensorops
 import heckespin.transfer
 from conftest import _kron_embed, explicit_rkk, factor_loop_T, transport_factors
 from heckespin.baxter import cocycle_factors
-from heckespin.numerics import GenericityError, rel_residual, sample_generic, torus_point
+from heckespin.numerics import GenericityError, rel_residual, sample_generic, stream, torus_point
 from heckespin.spinrep import build_spin_rep
 from heckespin.tensorops import PERMUTE_TWO, factor_product, gaussian_block
 from heckespin.transfer import (
@@ -92,10 +92,6 @@ def test_transfer_and_monodromy_match_the_dense_oracle(n, dense_embed):
     assert rel_residual(der, _trace_aux(dwant)) < 1e-12
 
 
-def _gaussian(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
 @pytest.mark.parametrize("n", range(2, 9))
 def test_block_contraction_matches_the_dense_operators(n):
     """transfer_apply against the dense T of the factor-loop oracle times the
@@ -103,9 +99,9 @@ def test_block_contraction_matches_the_dense_operators(n):
     through the block, at one point and at a stack of three: one block per
     point for T, one block shared by the points for U."""
     p = sample_generic(seed=20 + n, n=n)
-    rng = np.random.default_rng(n)
+    rng = stream(n)
     x, *t = np.array([torus_point(rng, n + 1, (0.8, 1.25)) for _ in range(3)]).T
-    v, w = _gaussian(rng, 3, 2**n, 4), _gaussian(rng, 2 ** (n + 1), 4)
+    v, w = gaussian_block(rng, 3 * 2**n).reshape(3, 2**n, 4), gaussian_block(rng, 2 ** (n + 1))
     want = np.stack([factor_loop_T(p, x[s], [tj[s] for tj in t]) @ v[s] for s in range(3)])
     assert rel_residual(transfer_apply(p, x, t, v), want) < 1e-13
     assert rel_residual(transfer_apply(p, x[0], [tj[0] for tj in t], v[0]), want[0]) < 1e-13
@@ -145,7 +141,7 @@ def test_no_dense_embedding_on_the_transfer_path(monkeypatch):
     x, t = _point(n, 4)
     transfer_apply(p, x, t, np.eye(2**n), deriv=True)
     monodromy_U(p, x, t, np.eye(32))
-    v = gaussian_block(np.random.default_rng(4), 2**n)
+    v = gaussian_block(stream(4), 2**n)
     for form in ("tl", "pauli", "transfer"):
         hamiltonian(p, form, v)
     with pytest.raises(AssertionError, match="dense embedding"):
@@ -158,7 +154,7 @@ def test_the_block_forms_are_the_dense_forms_on_the_block(n):
     and the MPO pass's jet [T V, dT/dx V] against the dense T and dT/dx
     times V."""
     p = sample_generic(seed=20 + n, n=n)
-    v = gaussian_block(np.random.default_rng(n), 2**n)
+    v = gaussian_block(stream(n), 2**n)
     for form in ("tl", "pauli", "transfer"):
         assert rel_residual(hamiltonian(p, form, v), hamiltonian(p, form) @ v) < 1e-12
     x, t = _point(n, 70 + n)
@@ -212,10 +208,7 @@ def test_transfer_identity_battery_n3(params3):
 
 def test_monodromy_forms_agree(params3, rng):
     x = complex(0.9 * np.exp(0.4j))
-    t = tuple(
-        complex(rng.uniform(0.8, 1.2) * np.exp(2j * np.pi * rng.uniform()))
-        for _ in range(3)
-    )
+    t = torus_point(rng, 3, (0.8, 1.2))
     a = factor_product(heckespin.transfer._double_row(params3, x, t), 4)
     b = monodromy_U(params3, x, t, np.eye(16))
     assert rel_residual(a, b) < 1e-11
@@ -239,10 +232,7 @@ def test_scaled_double_row_factor_fails_the_monodromy_row(monkeypatch, n):
 
 
 def test_commuting_transfer_matrices(params3, rng):
-    t = tuple(
-        complex(rng.uniform(0.8, 1.2) * np.exp(2j * np.pi * rng.uniform()))
-        for _ in range(3)
-    )
+    t = torus_point(rng, 3, (0.8, 1.2))
     x = complex(0.85 * np.exp(0.3j))
     y = complex(1.15 * np.exp(-0.7j))
     a = transfer_apply(params3, x, t, np.eye(8))
@@ -255,10 +245,10 @@ def test_a_detuned_transfer_matrix_fails_the_commuting_row(monkeypatch, n):
     """T_y with one t_j scaled by 1.01, wherever T is applied at a y of the
     suite's draw, must read at least 100 times the suite's 1e-9 tolerance
     in the norm-product scaled commuting row; the weakest of seeds 1-5 is
-    4.1e-3, at n = 10."""
+    6.1e-4, at n = 8."""
     honest = heckespin.transfer.transfer_apply
     for seed in range(1, 6):
-        rng = np.random.default_rng(seed)
+        rng = stream(seed)
         ys = [torus_point(rng, n + 2, (0.75, 1.35))[1] for _ in range(8)]
 
         def detuned(params, x, t, v):
@@ -280,7 +270,7 @@ def test_transfer_interpolates_the_transport(params2):
 def test_scaled_transport_factor_fails_the_product_form(monkeypatch, n):
     """A transport with one factor scaled by 1.01 must fail every
     stationary row at the suite's 1e-9 tolerance, the product-form inverse
-    rows included (their smallest value here is 5.3e-8, at n = 6)."""
+    rows included (their smallest value here is 2.1e-8, at n = 8)."""
 
     def scaled(p, word, t):
         factors = cocycle_factors(p, word, t)
@@ -299,7 +289,7 @@ def _column_residual(a, b):
     return float(num / max(max(abs(u) for u in a), max(abs(v) for v in b)))
 
 
-@pytest.mark.parametrize("seed", [1, 5, 7, 8])
+@pytest.mark.parametrize("seed", [1, 5, 7, 10])
 def test_inverse_transport_residual_falls_with_precision(seed):
     """The inverse form T(t_i) = phi(t_i) C^{-1} of the stationary comparison
     at n = 6, in the column where double precision (np.linalg.inv of the
@@ -313,7 +303,7 @@ def test_inverse_transport_residual_falls_with_precision(seed):
     n = 6
     p = sample_generic(seed=seed, n=n)
     stationary = p.replace(q_sqrt=1)
-    rng = np.random.default_rng(seed)
+    rng = stream(seed)
     worst = (0.0,)
     for _ in range(8):
         t = torus_point(rng, n, (0.8, 1.3))
@@ -436,7 +426,7 @@ def test_a_chunked_pass_equals_one_pass_per_point():
     arithmetic)."""
     n, m = 8, 24
     p = sample_generic(seed=1, n=n)
-    rng = np.random.default_rng(3)
+    rng = stream(3)
     x, *t = np.array([torus_point(rng, n + 1, (0.75, 1.35)) for _ in range(m)]).T
     v = gaussian_block(rng, 2 ** (n + 1))
     assert m * v.size > heckespin.transfer._PASS
