@@ -114,20 +114,22 @@ def cm_alpha(phi: LaurentPoly, params: ParamSet, series, metadata=None) -> KZSol
     """Pair the Hecke action on phi with the principal-series basis
     ``series``, the result of spinrep.principal_series_basis(params).
 
-    For each minimal coset representative w the element u = w (w_0^J)^{-1}
-    is taken to its reduced word and the cached generator matrices act on
-    the coefficient vector of phi on its degree ball, rightmost letter first
-    as operators compose; v_w is one weighted basis vector, so the image
-    times its weight is scattered into that one spin component.
+    For each minimal coset representative w, built from its word, the
+    element u = w (w_0^J)^{-1} is taken to its reduced word and the cached
+    generator matrices act on the coefficient vector of phi on its degree
+    ball, rightmost letter first as operators compose; v_w is one weighted
+    basis vector, so the image times its weight is scattered into that one
+    spin component.
     """
     basis, _zeta, reps, _rep = series
-    w0j_inv = reps[-1].inverse_finite()
+    n = params.n
+    w0j_inv = WeylElem.from_word(reps[-1], n).inverse_finite()
     ball, index, gens = generator_matrices(params, phi.l1_degree())
     vec0 = ball_vector(phi, index)[:, 0]
     images = []
-    for w in reps:
+    for word in reps:
         vec = vec0
-        for a in reversed(reduced_word(w * w0j_inv)):
+        for a in reversed(reduced_word(WeylElem.from_word(word, n) * w0j_inv)):
             vec = gens[a] @ vec
         images.append(vec)
     return KZSolution(
@@ -149,7 +151,7 @@ def build_polynomial_solution(params: ParamSet, m: int) -> KZSolution:
     check_degree_cap(n, m)
     series = principal_series_basis(params)
     _basis, zeta, reps, _rep = series
-    mapped = act_point(reps[-1], zeta, params)
+    mapped = act_point(WeylElem.from_word(reps[-1], n), zeta, params)
     lam = (m,) * n
     target = gamma_vectors([lam], params)[0]
     gap = max_abs(np.array(mapped) - target) / max(max_abs(target), 1.0)

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import InternalDefectError, check_dim_cap, tensorops
 from .numerics import ParamSet, max_abs, nonvanishing, rel_residual
-from .weyl import WeylElem, first_descent, min_coset_reps, tau_word
+from .weyl import min_coset_reps, tau_word
 
 
 @dataclass(frozen=True)
@@ -247,34 +247,35 @@ def principal_series_basis(params: ParamSet):
     of the symmetric-group parabolic, as a tensorops.Monomial, together with
     the highest-weight eigenvalue string zeta.
 
-    The representatives are closed under left division: with a the first
-    left descent of w (the first letter of its reduced word), s_a w is an
+    The representatives come as reduced words, closed under left division:
+    with a the first letter of the word of w, the rest spells s_a w, an
     earlier representative, so v_w = rho(T_a) v_{s_a w}, taken on the 2^k
     entries of its leg group.  Each v_w is psin^(down spins) e_b, one tensor
     basis vector: the words use only the letters 1..n, so T_0 never occurs,
     K's up column is exactly psin |down>, and the |up down> column of
     Upsilon o P is exactly |down up>.  Any other column pattern is an
-    InternalDefectError naming w.
+    InternalDefectError naming the word of w.
 
-    Returns (B, zeta, reps, rep) with column k of B the vector v_{reps[k]}.
+    Returns (B, zeta, reps, rep) with reps[k] the reduced word of the w whose
+    vector v_w is column k of B.
     """
     n = params.n
     rep = build_spin_rep(params)
-    reps = min_coset_reps(range(1, n), n)
+    reps = min_coset_reps(n)
     index, weight, done = np.zeros(len(reps), dtype=int), np.ones(len(reps), dtype=complex), {}
-    for k, w in enumerate(reps):
-        done[w] = k
-        if w.is_identity():
+    for k, word in enumerate(reps):
+        done[word] = k
+        if not word:
             continue
-        a = first_descent(w)
-        suffix = done.get(WeylElem.generator(a, n) * w)
+        a = word[0]
+        suffix = done.get(word[1:])
         if suffix is None:
-            raise InternalDefectError(f"representative {w} lacks its suffix")
+            raise InternalDefectError(f"representative {word} lacks its suffix")
         block, legs = rep.T[a]
         col = (index[suffix] >> (n - legs[-1])) % len(block)
         rows = np.flatnonzero(block[:, col])
         if len(rows) != 1:
-            raise InternalDefectError(f"v_w for w = {w} is not one tensor basis vector")
+            raise InternalDefectError(f"v_w for w = {word} is not one tensor basis vector")
         index[k] = index[suffix] + ((rows[0] - col) << (n - legs[-1]))
         weight[k] = (block @ np.where(np.arange(len(block)) == col, weight[suffix], 0))[rows[0]]
     zeta = tuple(

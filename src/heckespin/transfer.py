@@ -358,14 +358,14 @@ def hamiltonian(params: ParamSet, form: str = "pauli", v=None) -> np.ndarray:
     raise InternalDefectError("form must be 'transfer', 'pauli', or 'tl'")
 
 
-def transfer_T_mp(params: ParamSet, x, t, v, digits: int = 50) -> np.ndarray:
+def transfer_T_mp(params: ParamSet, x, t, v) -> np.ndarray:
     """Extended-precision recomputation of T(x; t) v at any n: transfer_apply
     run on mpmath x, t and v, one column of v per pass (an entry takes about
     30 complex numbers' bytes), so that every block and product is in mpmath
-    arithmetic at ``digits``; used as a roundoff regression anchor."""
+    arithmetic at 40 digits; used as a roundoff regression anchor."""
     import mpmath
 
-    with mpmath.workdps(digits):
+    with mpmath.workdps(40):
         mpc = np.frompyfunc(mpmath.mpc, 1, 1)
         return np.hstack([transfer_apply(params, mpmath.mpc(x), tuple(mpc(t)), mpc(v[:, [c]]))
                           for c in range(v.shape[1])]).astype(complex)

@@ -14,7 +14,8 @@ where s_0 sends t_1 to q/t_1 and tau(mu) multiplies by q^mu.
 Reduced words come from a greedy descent walk against a generic point of the
 fundamental alcove {1/2 > x_1 > ... > x_n > 0}; ties always take the
 smallest generator index, which makes every emitted word the lexicographically
-smallest reduced word of its element.
+smallest reduced word of its element.  min_coset_reps gives those words for
+the minimal representatives of W_0 / S_n, read off their sign vectors.
 
 >>> s0 = WeylElem.generator(0, 2)
 >>> s1 = WeylElem.generator(1, 2)
@@ -27,6 +28,7 @@ True
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -178,67 +180,30 @@ def reduced_word(w: WeylElem):
     return letters
 
 
-def _parabolic_indices(I, n: int):
-    """I as a sorted list, refused unless it is a subset of 1..n."""
-    I = sorted(set(I))
-    if any(not 1 <= i <= n for i in I):
-        raise ValueError("parabolic index out of range")
-    return I
+def min_coset_reps(n: int):
+    """Reduced words of the minimal-length representatives of W_0 / S_n.
 
+    Sorted by (length, word); the last is w_0^J = w_0 w_{0,J} with
+    J = {1, ..., n-1}, the unique longest one (Bjorner & Brenti, section 2.4
+    and chapter 8).  The coset w S_n is the sign vector eps = w(1, ..., 1),
+    and its representative has length the sum of n + 1 - j over eps_j = -1.
+    For w != 1 its smallest left descent a is the first a < n with eps_a =
+    -1 < eps_{a+1}, or else n, and s_a w represents s_a eps, so the word of w is
+    (a,) followed by the word of s_a eps: the word reduced_word(w) gives.
 
-def _bfs_levels(I, n: int, key):
-    """Breadth-first closure of the identity under left multiplication by the
-    generators s_i, i in I.
-
-    Level k lists, in discovery order, the first element reached of each new
-    class under ``key`` at distance k.  Keyed by (perm, signs) the classes are
-    the elements of the generated subgroup, and level k holds those of length
-    k.  Keyed by the image of a point fixed exactly by W_{0,I}, the classes are
-    the cosets w W_{0,I}, each first reached at its minimal representative.
+    >>> min_coset_reps(2)
+    [(), (2,), (1, 2), (2, 1, 2)]
     """
-    gens = [WeylElem.generator(i, n) for i in _parabolic_indices(I, n)]
-    start = WeylElem.identity(n)
-    seen = {key(start)}
-    levels = [[start]]
-    while True:
-        nxt = []
-        for w in levels[-1]:
-            for g in gens:
-                v = g * w
-                k = key(v)
-                if k not in seen:
-                    seen.add(k)
-                    nxt.append(v)
-        if not nxt:
-            return levels
-        levels.append(nxt)
+    def length(eps):
+        return sum(n + 1 - j for j, e in enumerate(eps, 1) if e < 0)
 
-
-def min_coset_reps(I, n: int):
-    """Minimal-length representatives of W_0 / W_{0,I}.
-
-    Sorted by (length, reduced word); w qualifies iff every i in I lengthens
-    it on the right.  The cosets are found as the W_0-orbit of the point
-    x_j = #{k >= j : k not in I}, which lies in the closed chamber
-    x_1 >= ... >= x_n >= 0 on exactly the walls in I, so that its stabiliser
-    is W_{0,I}.  The representatives are closed under left division, so the
-    reduced word of w is (a,) + the word of s_a w, an earlier
-    representative, with a = first_descent(w).  The last entry is w_0^I =
-    w_0 w_{0,I}, the unique longest one (Bjorner & Brenti, section 2.4).
-
-    >>> [reduced_word(w) for w in min_coset_reps([1], 2)]
-    [[], [2], [1, 2], [2, 1, 2]]
-    """
-    walls = set(_parabolic_indices(I, n))
-    outside = [k not in walls for k in range(1, n + 1)]
-    x = tuple(sum(outside[j:]) for j in range(n))
-    levels = _bfs_levels(range(1, n + 1), n, key=lambda w: w.linear_apply(x))
-    words = {levels[0][0]: ()}
-    for level in levels[1:]:
-        for w in level:
-            a = first_descent(w)
-            words[w] = (a,) + words[WeylElem.generator(a, n) * w]
-    return sorted(words, key=lambda w: (len(words[w]), words[w]))
+    cosets = sorted(itertools.product((1, -1), repeat=n), key=length)
+    words = {cosets[0]: ()}
+    for eps in cosets[1:]:
+        a = next((a for a in range(1, n) if eps[a - 1] < eps[a]), n)
+        shorter = eps[:a - 1] + (1, -1) + eps[a + 1:] if a < n else eps[:-1] + (1,)
+        words[eps] = (a,) + words[shorter]
+    return sorted(words.values(), key=lambda word: (len(word), word))
 
 
 def tau_word(i: int, n: int):

@@ -24,7 +24,7 @@ from heckespin.numerics import (
 from heckespin.spinrep import _local_k, _local_kbar, _local_upsilon_p
 from heckespin.tensorops import factor_product, row_residual
 from heckespin.transfer import theta_matrix
-from heckespin.weyl import WeylElem, _bfs_levels, act_point, tau_word
+from heckespin.weyl import WeylElem, act_point, tau_word
 
 _ACCEPTANCE: list = []
 
@@ -269,9 +269,37 @@ def noumi_Y_apply(i, f, params):
     return out
 
 
+def bfs_levels(n, key):
+    """Breadth-first closure of the identity under left multiplication by the
+    generators s_1, ..., s_n of W_0 (a small-n oracle).
+
+    Level k lists, in discovery order, the first element reached of each new
+    class under ``key`` at distance k.  Keyed by (perm, signs) the classes are
+    the elements of W_0, and level k holds those of length k.  Keyed by the
+    image of (1, ..., 1), fixed exactly by S_n, the classes are the cosets
+    w S_n, each first reached at its minimal representative.
+    """
+    gens = [WeylElem.generator(i, n) for i in range(1, n + 1)]
+    start = WeylElem.identity(n)
+    seen = {key(start)}
+    levels = [[start]]
+    while True:
+        nxt = []
+        for w in levels[-1]:
+            for g in gens:
+                v = g * w
+                k = key(v)
+                if k not in seen:
+                    seen.add(k)
+                    nxt.append(v)
+        if not nxt:
+            return levels
+        levels.append(nxt)
+
+
 def finite_group(n):
     """All 2^n n! elements of W_0 as WeylElems, by length (a small-n oracle)."""
-    levels = _bfs_levels(range(1, n + 1), n, key=lambda w: (w.perm, w.signs))
+    levels = bfs_levels(n, key=lambda w: (w.perm, w.signs))
     return [w for level in levels for w in level]
 
 

@@ -21,7 +21,7 @@ from heckespin.qkz import (
     verify_solution,
 )
 from heckespin.spinrep import principal_series_basis
-from heckespin.weyl import reduced_word
+from heckespin.weyl import WeylElem, reduced_word
 
 
 def constrained(seed, n, m):
@@ -134,11 +134,11 @@ def test_two_paths_through_the_hecke_action_agree():
     vec0[index[(1, 0)]] = 1.0
     B, _zeta, reps, _rep = principal_series_basis(p)
     B = B @ np.eye(2**n)
-    w0j_inv = reps[-1].inverse_finite()
+    w0j_inv = WeylElem.from_word(reps[-1], n).inverse_finite()
     matrix_components = [np.zeros(len(basis), dtype=complex) for _ in range(2**n)]
-    for col, w in enumerate(reps):
+    for col, word in enumerate(reps):
         vec = vec0
-        for a in reversed(reduced_word(w * w0j_inv)):
+        for a in reversed(reduced_word(WeylElem.from_word(word, n) * w0j_inv)):
             vec = mats[a] @ vec
         for bidx in range(2**n):
             matrix_components[bidx] = matrix_components[bidx] + B[bidx, col] * vec

@@ -20,7 +20,6 @@ from heckespin.spinrep import (
     quotient_map_residuals,
 )
 from heckespin.tensorops import gaussian_block
-from heckespin.weyl import reduced_word
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -139,7 +138,7 @@ def test_principal_basis_and_murphy_match_dense_products(n):
         B, _zeta, reps, rep = principal_series_basis(sample_generic(seed=seed, n=n))
         v0 = np.zeros(rep.dim, dtype=complex)
         v0[0] = 1.0
-        dense = np.stack([_word_on_groups(rep, reduced_word(w), v0) for w in reps], axis=1)
+        dense = np.stack([_word_on_groups(rep, word, v0) for word in reps], axis=1)
         assert np.array_equal(B @ np.eye(rep.dim), dense)
         for i in range(1, n + 1):
             assert np.array_equal(murphy_Y(rep, i), _murphy_chain(rep, i))
@@ -180,7 +179,7 @@ def test_a_principal_vector_off_one_basis_vector_is_an_internal_defect(monkeypat
 
 def test_missing_suffix_is_an_internal_defect(monkeypatch, params3):
     honest = spinrep.min_coset_reps
-    monkeypatch.setattr(spinrep, "min_coset_reps", lambda I, n: honest(I, n)[1:])
+    monkeypatch.setattr(spinrep, "min_coset_reps", lambda n: honest(n)[1:])
     with pytest.raises(InternalDefectError, match="lacks its suffix"):
         principal_series_basis(params3)
 

@@ -169,7 +169,7 @@ def test_the_block_forms_are_the_dense_forms_on_the_block(n):
 def test_high_precision_agreement_beyond_two_sites(n):
     p = sample_generic(seed=5, n=n)
     x, t = _point(n, 6)
-    hi = transfer_T_mp(p, x, t, np.eye(2**n), digits=40)
+    hi = transfer_T_mp(p, x, t, np.eye(2**n))
     assert hi.dtype == complex
     assert rel_residual(transfer_apply(p, x, t, np.eye(2**n)), hi) < 1e-12
 
@@ -363,7 +363,7 @@ def test_high_precision_agreement(params2, rng):
     x = complex(0.83 * np.exp(0.9j))
     t = (0.94 + 0.21j, 1.08 - 0.17j)
     lo = transfer_apply(params2, x, t, np.eye(4))
-    hi = transfer_T_mp(params2, x, t, np.eye(4), digits=40)
+    hi = transfer_T_mp(params2, x, t, np.eye(4))
     assert rel_residual(lo, np.array(hi, dtype=complex)) < 1e-12
 
 

@@ -2,14 +2,13 @@
 coset representatives, and the point action."""
 
 import functools
-import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import finite_group
+from conftest import bfs_levels, finite_group
 from heckespin.numerics import sample_generic
 from heckespin.weyl import (
     WeylElem,
@@ -74,7 +73,7 @@ def test_longest_element_is_central():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_min_coset_reps_count_and_minimality(n):
-    reps = min_coset_reps(range(1, n), n)
+    reps = [WeylElem.from_word(word, n) for word in min_coset_reps(n)]
     assert len(reps) == 2**n
     lengths = [len(reduced_word(w)) for w in reps]
     assert lengths == sorted(lengths)
@@ -92,8 +91,8 @@ def _words(n):
     return {(w.perm, w.signs): (w, reduced_word(w)) for w in finite_group(n)}
 
 
-def _brute_coset_reps(I, n):
-    """Filter all of W_0: every s_i, i in I, must lengthen w on the right."""
+def _brute_coset_reps(n):
+    """Filter all of W_0: every s_i, 1 <= i < n, must lengthen w on the right."""
     words = _words(n)
 
     def lengthens(w, i):
@@ -101,54 +100,57 @@ def _brute_coset_reps(I, n):
         return len(words[(v.perm, v.signs)][1]) > len(words[(w.perm, w.signs)][1])
 
     reps = [(len(word), word, w) for w, word in words.values()
-            if all(lengthens(w, i) for i in I)]
+            if all(lengthens(w, i) for i in range(1, n))]
     return [w for _, _, w in sorted(reps, key=lambda r: r[:2])]
-
-
-def _subsets(n):
-    for r in range(n + 1):
-        yield from itertools.combinations(range(1, n + 1), r)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_coset_constructions_match_the_whole_group_oracle(n):
     w0 = max(_words(n).values(), key=lambda p: len(p[1]))[0]
-    for I in _subsets(n):
-        reps = min_coset_reps(I, n)
-        assert reps == _brute_coset_reps(I, n)
-        # the parabolic subgroup is the set of elements spelled in I alone;
-        # the last representative times its longest element is w_0
-        parabolic = [(len(word), w) for w, word in _words(n).values()
-                     if set(word) <= set(I)]
-        assert reps[-1] * max(parabolic, key=lambda p: p[0])[1] == w0
+    reps = [WeylElem.from_word(word, n) for word in min_coset_reps(n)]
+    assert reps == _brute_coset_reps(n)
+    # S_n is the set of elements spelled in 1..n-1 alone; the last
+    # representative times its longest element is w_0
+    parabolic = [(len(word), w) for w, word in _words(n).values() if n not in word]
+    assert reps[-1] * max(parabolic, key=lambda p: p[0])[1] == w0
 
 
-@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("n", range(1, 10))
+def test_min_coset_reps_match_the_orbit_search(n):
+    """The closed form against the breadth-first search for the W_0-orbit of
+    (1, ..., 1): the same elements in the same order, each word the
+    reduced_word of its element."""
+    levels = bfs_levels(n, key=lambda w: w.linear_apply((1,) * n))
+    oracle = sorted(((tuple(reduced_word(w)), w) for level in levels for w in level),
+                    key=lambda p: (len(p[0]), p[0]))
+    words = min_coset_reps(n)
+    assert words == [word for word, _ in oracle]
+    assert [WeylElem.from_word(word, n) for word in words] == [w for _, w in oracle]
+
+
+@pytest.mark.parametrize("n", [7, 8, 10, 12])
 def test_min_coset_reps_reach_ranks_past_the_group_enumeration(n):
-    reps = min_coset_reps(range(1, n), n)
+    reps = min_coset_reps(n)
     assert len(reps) == 2**n
-    assert len({(w.perm, w.signs) for w in reps}) == 2**n
-    assert len(reduced_word(reps[-1])) == n * (n + 1) // 2
-
-
-def test_min_coset_reps_refuses_indices_outside_the_finite_group():
-    with pytest.raises(ValueError):
-        min_coset_reps([0], 3)
-    with pytest.raises(ValueError):
-        min_coset_reps([4], 3)
+    # each word is its first letter times an earlier word
+    elems = {(): WeylElem.identity(n)}
+    for word in reps[1:]:
+        elems[word] = WeylElem.generator(word[0], n) * elems[word[1:]]
+    # w(1, ..., 1) = w.signs: every coset w S_n appears once
+    assert len({w.signs for w in elems.values()}) == 2**n
+    assert len(reduced_word(elems[reps[-1]])) == n * (n + 1) // 2
 
 
 def test_w0_coset_element_is_the_longest_representative():
     n = 3
-    jset = range(1, n)
-    reps = min_coset_reps(jset, n)
-    cand = reps[-1]
-    lengths = [len(reduced_word(w)) for w in reps]
+    words = min_coset_reps(n)
+    cand = WeylElem.from_word(words[-1], n)
+    lengths = [len(word) for word in words]
     assert lengths[-1] == max(lengths) and lengths.count(max(lengths)) == 1
     # composing with the parabolic longest element gives the full longest one
     grp = finite_group(n)
     w0 = max(grp, key=lambda w: len(reduced_word(w)))
-    parabolic = [w for w in grp if set(reduced_word(w)) <= set(jset)]
+    parabolic = [w for w in grp if set(reduced_word(w)) <= set(range(1, n))]
     w0j_small = max(parabolic, key=lambda w: len(reduced_word(w)))
     assert cand * w0j_small == w0
 
