@@ -54,25 +54,10 @@ class Matching:
         return m
 
     def validate(self):
-        n = self.n
-        seen_inner = {}
-        for a, b in self.pairs:
-            if not (0 <= a < b <= n + 1):
-                raise ValueError(f"bad pair ({a},{b})")
-            if (a, b) == (0, n + 1):
-                raise ValueError("the two boundaries may not be paired")
-            for s in (a, b):
-                if 1 <= s <= n:
-                    seen_inner[s] = seen_inner.get(s, 0) + 1
-        if any(c != 1 for c in seen_inner.values()) or len(seen_inner) != n:
-            raise ValueError("every inner site must be matched exactly once")
-        ps = self.pairs
-        for x in range(len(ps)):
-            a, b = ps[x]
-            for y in range(x + 1, len(ps)):
-                c, d = ps[y]
-                if a < c < b < d or c < a < d < b:
-                    raise ValueError(f"arcs ({a},{b}) and ({c},{d}) cross")
+        """ValueError unless the pairs are those of a matching: the ones
+        from_signs builds from their sign string nu."""
+        if Matching.from_signs(self.n, self.nu()) != self:
+            raise ValueError(f"{self.pairs} is not a two-boundary non-crossing matching")
 
     def partner(self, i: int) -> int:
         if not 1 <= i <= self.n:
@@ -97,7 +82,9 @@ class Matching:
 
     @classmethod
     def from_signs(cls, n: int, alpha) -> "Matching":
-        """The unique matching with the given sign string (stack pairing)."""
+        """The unique matching with the given sign string: each '-' closes
+        the nearest open '+', or else goes to site 0, and every '+' left
+        open goes to site n+1.  The result is valid by construction."""
         alpha = tuple(alpha)
         if len(alpha) != n:
             raise ValueError("sign string length must be n")
@@ -110,7 +97,7 @@ class Matching:
             else:
                 pairs.append((0, i))
         pairs.extend((j, n + 1) for j in stack)
-        return cls.make(n, pairs)
+        return cls(n, tuple(sorted(pairs)))
 
     def drop_sites(self, *sites):
         """Pairs surviving after removing every pair touching the sites."""

@@ -64,19 +64,6 @@ def _d2c(d: dict) -> complex:
     return complex(d["re"], d["im"])
 
 
-_SCALAR_FIELDS = (
-    "q_sqrt",
-    "kappa0",
-    "kappa",
-    "kappan",
-    "upsilon0",
-    "upsilonn",
-    "psi0",
-    "psin",
-    "kappa_sqrt",
-)
-
-
 @dataclass(frozen=True)
 class ParamSet:
     """The full scalar bundle at a fixed rank n.
@@ -105,7 +92,7 @@ class ParamSet:
         # each scalar, and its highest power in the layers, must be a normal
         # double: complex ** raises OverflowError or ZeroDivisionError outside
         k = max(4, self.n - 1)
-        for name, z, power in [(name, getattr(self, name), 1) for name in _SCALAR_FIELDS] + [
+        for name, z, power in [(f.name, getattr(self, f.name), 1) for f in dataclasses.fields(self)[1:]] + [
                 ("q = q_sqrt**2", self.q_sqrt, 2), ("q**4", self.q_sqrt, 8), (f"kappa**{k}", self.kappa, k),
                 ("kappa0**2", self.kappa0, 2), ("kappan**2", self.kappan, 2)]:
             if z == 0 or power * cmath.log(z).real < _LOG_TINY:
@@ -140,7 +127,7 @@ class ParamSet:
         return dataclasses.replace(self, **kw)
 
     def to_dict(self) -> dict:
-        return {"n": self.n, **{name: _c2d(getattr(self, name)) for name in _SCALAR_FIELDS}}
+        return {"n": self.n, **{f.name: _c2d(getattr(self, f.name)) for f in dataclasses.fields(self)[1:]}}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ParamSet":
@@ -148,10 +135,8 @@ class ParamSet:
         or one of the wrong type, n included: it must be an integer."""
         if isinstance(d["n"], bool):
             raise TypeError("n must be an integer, not a bool")
-        kw = {"n": operator.index(d["n"])}
-        for name in _SCALAR_FIELDS:
-            kw[name] = _d2c(d[name])
-        return cls(**kw)
+        n = operator.index(d["n"])
+        return cls(n, **{f.name: _d2c(d[f.name]) for f in dataclasses.fields(cls)[1:]})
 
     def fingerprint(self) -> str:
         text = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

@@ -11,11 +11,12 @@ is generated by s_0, ..., s_n acting on R^n by
 and on the torus (C*)^n by the q-deformed counterpart (act_point below),
 where s_0 sends t_1 to q/t_1 and tau(mu) multiplies by q^mu.
 
-Reduced words come from a greedy descent walk against a generic point of the
-fundamental alcove {1/2 > x_1 > ... > x_n > 0}; ties always take the
-smallest generator index, which makes every emitted word the lexicographically
-smallest reduced word of its element.  min_coset_reps gives those words for
-the minimal representatives of W_0 / S_n, read off their sign vectors.
+Reduced words come from a greedy descent walk of the point
+X = (n, n - 1, ..., 1) / (2n + 2) of the fundamental alcove
+{1/2 > x_1 > ... > x_n > 0}, in integers; the walk always takes the smallest
+descent, which makes every emitted word the lexicographically smallest
+reduced word of its element.  min_coset_reps gives those words for the
+minimal representatives of W_0 / S_n, read off their sign vectors.
 
 >>> s0 = WeylElem.generator(0, 2)
 >>> s1 = WeylElem.generator(1, 2)
@@ -29,7 +30,6 @@ True
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 from . import InternalDefectError
@@ -79,20 +79,12 @@ class WeylElem:
             return cls(tuple(perm), (1,) * n, (0,) * n)
         raise ValueError(f"generator index {i} out of range for n={n}")
 
-    def is_identity(self) -> bool:
-        return self == WeylElem.identity(self.n)
-
     def linear_apply(self, x):
         """The finite part acting linearly (translation ignored)."""
         out = [0] * self.n
         for j in range(self.n):
             out[self.perm[j]] = self.signs[self.perm[j]] * x[j]
         return tuple(out)
-
-    def affine_apply(self, x):
-        """The full affine-linear action u(x + trans) on R^n."""
-        shifted = tuple(a + b for a, b in zip(x, self.trans))
-        return self.linear_apply(shifted)
 
     def __mul__(self, other: "WeylElem") -> "WeylElem":
         if self.n != other.n:
@@ -142,39 +134,35 @@ def act_point(w: WeylElem, point, params: ParamSet):
     return tuple(out)
 
 
-def _alcove_point(n: int):
-    c = 0.4 / (n + 1) + 1e-4 * math.pi
-    return tuple((n + 1 - i) * c for i in range(1, n + 1))
-
-
-def first_descent(w: WeylElem) -> int:
-    """The smallest left descent of a non-identity w, read off the image of a
-    generic alcove point: the first letter of reduced_word(w)."""
-    x = w.affine_apply(_alcove_point(w.n))
-    if x[0] > 0.5:
-        return 0
-    for i in range(1, w.n):
-        if x[i - 1] < x[i]:
-            return i
-    if x[-1] < 0.0:
-        return w.n
-    raise InternalDefectError("non-identity element with empty descent set")
-
-
 def reduced_word(w: WeylElem):
     """Lexicographically smallest reduced word of w as a list of indices.
+
+    The affine group acts simply transitively on alcoves, so the word is the
+    walk from w(X) back to X, each step across the wall of the smallest
+    descent: s_0 if x_1 > 1/2, else the first s_a with x_a < x_{a+1}, else
+    s_n if x_n < 0.  Coordinates are kept as integers, scaled by d = 2n + 2.
 
     >>> reduced_word(WeylElem.from_word([1, 0, 1], 1))
     [1, 0, 1]
     >>> reduced_word(WeylElem.from_word([0, 1, 1, 2], 2))
     [0, 2]
     """
+    n, d = w.n, 2 * w.n + 2
+    home = list(range(n, 0, -1))
+    x = list(w.linear_apply([h + d * t for h, t in zip(home, w.trans)]))
     letters = []
-    cur = w
-    while not cur.is_identity():
-        a = first_descent(cur)
+    while x != home:
+        if 2 * x[0] > d:
+            a, x[0] = 0, d - x[0]
+        else:
+            a = next((a for a in range(1, n) if x[a - 1] < x[a]), n)
+            if a < n:
+                x[a - 1], x[a] = x[a], x[a - 1]
+            elif x[-1] < 0:
+                x[-1] = -x[-1]
+            else:
+                raise InternalDefectError("non-identity element with empty descent set")
         letters.append(a)
-        cur = WeylElem.generator(a, cur.n) * cur
         if len(letters) > 10_000:
             raise InternalDefectError("descent walk failed to terminate")
     return letters

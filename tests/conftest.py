@@ -303,6 +303,31 @@ def finite_group(n):
     return [w for level in levels for w in level]
 
 
+def validate_by_rules(p):
+    """Reference: the matching rules written out one by one.  ValueError
+    unless every pair (a, b) has 0 <= a < b <= n+1 and is not (0, n+1),
+    every inner site 1..n is matched exactly once and no two arcs cross."""
+    n = p.n
+    seen_inner = {}
+    for a, b in p.pairs:
+        if not (0 <= a < b <= n + 1):
+            raise ValueError(f"bad pair ({a},{b})")
+        if (a, b) == (0, n + 1):
+            raise ValueError("the two boundaries may not be paired")
+        for s in (a, b):
+            if 1 <= s <= n:
+                seen_inner[s] = seen_inner.get(s, 0) + 1
+    if any(c != 1 for c in seen_inner.values()) or len(seen_inner) != n:
+        raise ValueError("every inner site must be matched exactly once")
+    ps = p.pairs
+    for x in range(len(ps)):
+        a, b = ps[x]
+        for y in range(x + 1, len(ps)):
+            c, d = ps[y]
+            if a < c < b < d or c < a < d < b:
+                raise ValueError(f"arcs ({a},{b}) and ({c},{d}) cross")
+
+
 def boundary_arc_counts(p):
     """The per-parity counters of arcs into each boundary of a matching."""
     L = {(0, 0): 0, (0, 1): 0, (p.n, 0): 0, (p.n, 1): 0}

@@ -6,7 +6,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import heckespin.baxter
@@ -16,7 +16,7 @@ import heckespin.spinrep
 import heckespin.tensorops
 import heckespin.transfer
 from conftest import DictPoly, _kron_embed, explicit_rkk, letter_factor, to_table, transport_factors, ybe_per_sample
-from heckespin.baxter import baxter_j, check_ybe_re, cocycle_factors, dressed_blocks
+from heckespin.baxter import _horner, baxter_j, check_ybe_re, cocycle_factors, dressed_blocks
 from heckespin.numerics import (
     GenericityError,
     PoleProximityError,
@@ -230,19 +230,35 @@ def _poles(block):
     return np.roots(block.den[::-1])
 
 
+def _deriv_cancellation(block, z):
+    """How much block.deriv(z) = (N'D - N D') / D^2 can amplify rounding:
+    the two products with every polynomial summed over the absolute values
+    of its terms at |z|, over |N'D - N D'| (both in the max norm), plus twice
+    the same ratio for D.  Rounding moves the derivative by a small multiple
+    of u times this."""
+    dnum, den, num, dden = (abs(_horner([np.abs(c) for c in cs], abs(z)))
+                            for cs in (block.dnum, block.den, block.num, block.dden))
+    diff = _horner(block.dnum, z) * _horner(block.den, z) - _horner(block.num, z) * _horner(block.dden, z)
+    return float((dnum * den + num * dden).max() / np.abs(diff).max()) + 2 * den / abs(_horner(block.den, z))
+
+
 @given(st.integers(1, 5), st.integers(0, 2), st.integers(0, 2**32 - 1), st.integers(1, 6))
+@example(seed=4, kind=0, draw=224542978, points=5)
 @settings(max_examples=60, deadline=None)
 def test_a_stack_of_parameters_evaluates_point_by_point(seed, kind, draw, points):
     """Values and derivatives over a stack of generic points equal the
-    per-point calls to rounding."""
+    per-point calls to rounding: values within 1e-13, derivatives within
+    8 u times their cancellation factor, which the quotient rule can make
+    large (about 6,800 at the pinned example's second point)."""
     block = dressed_blocks(sample_generic(seed=seed, n=3))[kind]
     rng = np.random.default_rng(draw)
     x = rng.uniform(0.5, 2.0, points) * np.exp(2j * np.pi * rng.uniform(size=points))
     assume(all(np.abs(x[:, None] / _poles(block) - 1).min(axis=1) > 1e-3))
-    for got, f in ((block(x), block), (block.deriv(x), block.deriv)):
-        assert got.shape == (points,) + block.num[0].shape
-        for s in range(points):
-            assert rel_residual(got[s], f(complex(x[s]))) < 1e-13
+    vals, ders, u = block(x), block.deriv(x), np.finfo(float).eps / 2
+    assert vals.shape == ders.shape == (points,) + block.num[0].shape
+    for s, z in enumerate(x.tolist()):
+        assert rel_residual(vals[s], block(z)) < 1e-13
+        assert rel_residual(ders[s], block.deriv(z)) < 8 * u * _deriv_cancellation(block, z)
 
 
 @given(st.integers(1, 5), st.integers(0, 2),

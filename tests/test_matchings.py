@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _kron_embed, boundary_arc_counts
+from conftest import _kron_embed, boundary_arc_counts, validate_by_rules
 from heckespin.matchings import (
     Matching,
+    _generator_table,
     enumerate_matchings,
     intertwiner_Psi,
     m_constants,
@@ -40,7 +41,72 @@ def test_sign_string_roundtrip(alpha):
 
 def test_noncrossing_validation_rejects_crossings():
     with pytest.raises(ValueError):
-        Matching.make(2, [(1, 3), (2, 4)]).validate()
+        Matching.make(3, [(1, 3), (2, 4)]).validate()
+
+
+def accepts(check, p):
+    try:
+        check(p)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def pair_sets(draw):
+    """n <= 6 and a set of pairs on sites 0..n+1: a matching's pairs, or
+    none, with up to four pairs toggled."""
+    n = draw(st.integers(1, 6))
+    base = set()
+    if draw(st.booleans()):
+        alpha = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+        base = set(Matching.from_signs(n, alpha).pairs)
+    every = [(a, b) for a in range(n + 2) for b in range(a + 1, n + 2)]
+    return n, base ^ draw(st.sets(st.sampled_from(every), max_size=4))
+
+
+@given(pair_sets())
+@settings(max_examples=200, deadline=None)
+def test_the_round_trip_accepts_what_the_rules_accept(case):
+    n, pairs = case
+    p = Matching(n, tuple(sorted(pairs)))
+    assert accepts(Matching.validate, p) == accepts(validate_by_rules, p)
+
+
+@pytest.mark.parametrize("n,pairs,valid", [
+    (3, [(0, 1), (0, 2), (3, 4)], True),
+    (3, [(1, 3), (2, 4)], False),            # a crossing
+    (3, [(0, 1), (1, 2), (3, 4)], False),    # site 1 matched twice
+    (3, [(1, 2)], False),                    # site 3 unmatched
+    (2, [(0, 3), (1, 2)], False),            # the pair (0, n+1)
+    (2, [(0, 1), (2, 4)], False),            # site 4 out of range
+    (2, [(-1, 1), (2, 3)], False),           # site -1 out of range
+])
+def test_explicit_matchings_meet_both_validators(n, pairs, valid):
+    p = Matching(n, tuple(sorted(pairs)))
+    assert accepts(Matching.validate, p) is valid
+    assert accepts(validate_by_rules, p) is valid
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_every_generator_image_passes_the_rules(n, monkeypatch):
+    made = []
+    make = Matching.make.__func__
+
+    def recording_make(cls, n, pairs):
+        m = make(cls, n, pairs)
+        made.append(m)
+        return m
+
+    monkeypatch.setattr(Matching, "make", classmethod(recording_make))
+    _generator_table.cache_clear()
+    try:
+        _generator_table(n)
+    finally:
+        _generator_table.cache_clear()
+    assert made
+    for m in made:
+        validate_by_rules(m)
 
 
 @given(signs)

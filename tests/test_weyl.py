@@ -42,6 +42,26 @@ def test_reduced_word_reproduces_the_element(word):
     assert len(reduced_word(w)) <= len(word)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_reduced_word_is_the_first_word_of_a_lexicographic_search(n):
+    # oracle: level k + 1 extends each word of level k by the letters 0..n
+    # in order, so an element is first reached along its lexicographically
+    # smallest reduced word; levels 0..8 are checked
+    level = {WeylElem.identity(n): []}
+    seen = set(level)
+    for _ in range(9):
+        for w, word in level.items():
+            assert reduced_word(w) == word
+        nxt = {}
+        for w, word in level.items():
+            for a in range(n + 1):
+                v = w * WeylElem.generator(a, n)
+                if v not in seen:
+                    seen.add(v)
+                    nxt[v] = word + [a]
+        level = nxt
+
+
 @given(words, words)
 @settings(max_examples=40, deadline=None)
 def test_point_action_is_a_left_action(u, v):
