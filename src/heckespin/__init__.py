@@ -46,7 +46,7 @@ _DEGREE_CAP = 4
 class GenericityError(RuntimeError):
     """A denominator or a spectral gap vanishes.  ``point`` is the ParamSet
     whose own guard fired (see nonvanishing), None when the fault lies
-    elsewhere: sample points near poles, or a seed out of draws."""
+    elsewhere: a seed out of draws."""
 
     def __init__(self, message: str, point=None):
         super().__init__(message)
@@ -62,14 +62,8 @@ class InternalDefectError(RuntimeError):
 
 
 class PoleProximityError(RuntimeError):
-    """A spectral-parameter evaluation landed too close to a pole.  An
-    evaluation over a stack of points flags the points at a pole in
-    ``where``, a boolean per point; one boolean, True by default, stands for
-    every point."""
-
-    def __init__(self, message: str, where=True):
-        super().__init__(message)
-        self.where = where
+    """A spectral-parameter evaluation landed too close to a pole.  No row
+    redraws the point: the job is refused (exit 2)."""
 
 
 def check_dim_cap(n: int) -> None:

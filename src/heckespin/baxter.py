@@ -60,7 +60,7 @@ class RationalMat:
     without the leading axis.  A complex x gives complex arrays, an mpmath x
     an object array of mpc entries at the working precision.  A denominator
     below 1e-6 max(1, |x|)^degree at any point raises PoleProximityError,
-    whose ``where`` flags those points.
+    which names the first such point.
     """
 
     def __init__(self, num_coeffs, den_coeffs):
@@ -78,7 +78,7 @@ class RationalMat:
         near = (ad < _POLE_TOL) | (ad < _POLE_TOL * abs(x) ** self.degree)
         if near is not False and np.any(near):
             first = np.asarray(x)[near].ravel()[0]
-            raise PoleProximityError(f"spectral-parameter pole near x={first}", where=near)
+            raise PoleProximityError(f"spectral-parameter pole near x={first}")
         if isinstance(x, np.ndarray):  # one matrix per point
             x, d = x[..., None, None], d[..., None, None]
         return _horner(self.num, x) / d

@@ -70,9 +70,15 @@ class Matching:
         raise ValueError(f"site {i} unmatched")
 
     def nu(self) -> tuple:
-        return tuple(
-            -1 if self.partner(i) < i else 1 for i in range(1, self.n + 1)
-        )
+        """The sign string: -1 at a site whose partner (as partner finds it)
+        lies to its left, else 1; ValueError at an unmatched site."""
+        signs = {}
+        for a, b in reversed(self.pairs):  # the first pair naming a site is written last
+            signs[b], signs[a] = (-1 if a < b else 1), (-1 if b < a else 1)
+        try:
+            return tuple(signs[i] for i in range(1, self.n + 1))
+        except KeyError as err:
+            raise ValueError(f"site {err.args[0]} unmatched") from None
 
     def nu_index(self) -> int:
         idx = 0

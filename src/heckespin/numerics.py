@@ -11,10 +11,9 @@ per polynomial.  They are built, stored as JSON and evaluated here; the
 library never multiplies two of them or changes their variables.  The
 spectral vectors of integer weights are the rows of one array
 (gamma_vectors).  Every draw comes from a stream(seed): parameter points
-from generic_draws, spectral points from torus_point.  At a pole the baxter
-suite's word and translation rows and qkz.verify_solution redraw the point
-(pole_free_points); check_ybe_re, check_transfer, check_transfer_vs_transport
-and the transfer suite's extended-precision row refuse the job (exit 2).
+from generic_draws, spectral points from torus_point.  A spectral point at a
+pole (baxter.RationalMat) is not redrawn: its PoleProximityError refuses the
+job (exit 2), in every row that evaluates the dressed blocks.
 """
 
 from __future__ import annotations
@@ -38,12 +37,10 @@ except ImportError:
 
 import numpy as np
 
-from . import GenericityError, InternalDefectError, PoleProximityError, RefusalError
+from . import GenericityError, InternalDefectError, RefusalError
 
 # draws before generic_draws gives up on a seed
 _MAX_DRAWS = 64
-# draws beyond the requested count before pole_free_points gives up
-_MAX_RESAMPLE = 40
 # moduli of the sampled scalars
 _SCALAR_BAND = (0.6, 1.6)
 # a denominator below this (relative) is at a pole
@@ -213,15 +210,17 @@ class LaurentPoly:
 def l1_ball(n: int, radius: int) -> tuple:
     """All integer vectors mu in Z^n with sum |mu_i| <= radius, sorted.
 
-    Built coordinate by coordinate, so the output comes out in lexicographic
-    order without a sort; each (n, radius) is built once.
+    Built coordinate by coordinate from the last, every radius up to radius
+    at once, so the output comes out in lexicographic order without a sort;
+    each (n, radius) is built once.
     """
     if radius < 0:
         return ()
-    if n == 0:
-        return ((),)
-    return tuple((e,) + rest for e in range(-radius, radius + 1)
-                 for rest in l1_ball(n - 1, radius - abs(e)))
+    balls = [((),)] * (radius + 1)  # balls[r]: the trailing coordinates within r
+    for _ in range(n):
+        balls = [tuple((e,) + rest for e in range(-r, r + 1) for rest in balls[r - abs(e)])
+                 for r in range(radius + 1)]
+    return balls[radius]
 
 
 def _gamma_exponents(lams, n: int):
@@ -336,33 +335,6 @@ def nonvanishing(terms, params: ParamSet, what: str):
     if total == 0 or abs(total) < _POLE_TOL * sum(map(abs, terms)):
         raise GenericityError(f"{what} vanishes at this parameter point", point=params)
     return total
-
-
-def pole_free_points(draw, evaluate, count: int):
-    """evaluate(points) at the first count results of draw() that lie clear
-    of every pole, in draw order, with no draw after count of them are in
-    hand.  evaluate takes the list of points and evaluates them all at once;
-    the points a PoleProximityError from it flags in its ``where`` are
-    dropped, and new ones drawn in their place.  Raises
-    GenericityError once count + 40 draws have not been enough, and
-    InternalDefectError when such an error flags none of the points.
-    """
-    points, dropped = [], set()
-    while True:
-        kept = [k for k in range(len(points)) if k not in dropped]
-        short = min(count - len(kept), count + _MAX_RESAMPLE - len(points))
-        if short > 0:
-            points += [draw() for _ in range(short)]
-            continue
-        if len(kept) < count:
-            raise GenericityError("could not find enough pole-free sample points")
-        try:
-            return evaluate([points[k] for k in kept])
-        except PoleProximityError as err:
-            bad = np.broadcast_to(err.where, len(kept))
-            if not bad.any():
-                raise InternalDefectError("a pole error flagged none of the points") from err
-            dropped.update(k for k, flag in zip(kept, bad) if flag)
 
 
 def max_abs(a) -> float:

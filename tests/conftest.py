@@ -10,11 +10,8 @@ from heckespin.baxter import RationalMat, baxter_j, dressed_blocks
 from heckespin.koornwinder import _ball, ball_vector, compute_P_detail, fixed_by_si
 from heckespin.matchings import pty
 from heckespin.numerics import (
-    _MAX_RESAMPLE,
-    GenericityError,
     InternalDefectError,
     LaurentPoly,
-    PoleProximityError,
     l1_ball,
     rel_residual,
     sample_generic,
@@ -542,30 +539,10 @@ def transport_factors(params, i, t):
     )
 
 
-def pole_free(sample, count: int) -> list:
-    """Oracle of numerics.pole_free_points, one point at a time: the values
-    of the first count calls of sample() that do not raise
-    PoleProximityError, in call order; an attempt that raises is dropped.
-    Raises GenericityError once count + 40 attempts have not been enough.
-    """
-    out = []
-    for _ in range(count + _MAX_RESAMPLE):
-        if len(out) == count:
-            break
-        try:
-            out.append(sample())
-        except PoleProximityError:
-            pass
-    if len(out) < count:
-        raise GenericityError("could not find enough pole-free sample points")
-    return out
-
-
 def qkz_per_sample(sol, samples=20, seed=8):
     """Oracle: qkz.verify_solution one point at a time, at scalar
     coordinates, with the closed-form transports and letter factors in place
-    of the cocycle; a point near a pole is dropped whole and another drawn
-    (pole_free)."""
+    of the cocycle, at the first ``samples`` draws of stream(seed)."""
     params = sol.params
     n = params.n
     table = sol.components
@@ -591,8 +568,8 @@ def qkz_per_sample(sol, samples=20, seed=8):
         return rows
 
     out = Residuals()
-    for rows in pole_free(sample, samples):
-        for key, value in rows.items():
+    for _ in range(samples):
+        for key, value in sample().items():
             out.add(key, value)
     return out
 

@@ -19,6 +19,7 @@ from conftest import (
     scale_row,
     stabilizer_eigen_residual,
 )
+from heckespin import PoleProximityError
 from heckespin.baxter import check_ybe_re, cocycle_factors, dressed_blocks
 from heckespin.commands import Config, run_suite
 from heckespin.koornwinder import (
@@ -34,7 +35,6 @@ from heckespin.matchings import (
     pty,
 )
 from heckespin.numerics import (
-    PoleProximityError,
     RefusalError,
     l1_ball,
     rel_residual,

@@ -15,23 +15,20 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import pole_free
-from heckespin.baxter import cocycle_factors
+from heckespin import PoleProximityError
+from heckespin.baxter import RationalMat, cocycle_factors
 from heckespin.cli import main
 from heckespin.numerics import (
     GenericityError,
     LaurentPoly,
     ParamSet,
-    PoleProximityError,
     generic_draws,
-    rel_residual,
     sample_generic,
     stream,
     torus_point,
 )
 from heckespin.qkz import build_polynomial_solution
-from heckespin.tensorops import factor_product
-from heckespin.weyl import WeylElem, reduced_word, tau_word
+from heckespin.weyl import WeylElem
 
 
 def run(argv):
@@ -395,12 +392,21 @@ def test_table_emission_counts(tmp_path):
         assert payload["metadata"]["eigen_residual"] < 1e-8
 
 
-def test_empty_table_request_yields_empty_manifest(tmp_path):
-    out = tmp_path / "tables"
-    assert run(["emit", "tables", "--kind", "koornwinder", "--n", "1",
-                "--m", "-1", "--seed", "2", "--out", str(out)]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["entries"] == []
+def test_a_negative_table_bound_is_refused_before_sampling(tmp_path, monkeypatch, capsys):
+    """A degree bound below 0 asks for no label: the command refuses (exit 2)
+    before it draws a point, and makes no output directory."""
+    import heckespin.numerics as numerics
+
+    def no_sampling(*args, **kw):
+        raise AssertionError("sampled before the bound check")
+
+    monkeypatch.setattr(numerics, "sample_generic", no_sampling)
+    for args in (["--out", str(tmp_path / "tables")], []):
+        monkeypatch.chdir(tmp_path)
+        assert run(["emit", "tables", "--kind", "koornwinder", "--n", "1", "--m", "-1",
+                    "--seed", "2", *args]) == 2
+        assert "refused: the degree bound --m must be at least 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_spectrum_table_reports_agreement(tmp_path):
@@ -1062,6 +1068,8 @@ def test_the_cap_table_names_the_suites():
 
 
 def test_exhausted_pole_retries_refuse_instead_of_passing(monkeypatch, capsys, tmp_path):
+    """A pole at every cocycle refuses the job at the first word trial: no
+    point is redrawn, and no report is written."""
     import heckespin.baxter as baxter
 
     def at_pole(*args, **kw):
@@ -1070,67 +1078,107 @@ def test_exhausted_pole_retries_refuse_instead_of_passing(monkeypatch, capsys, t
     monkeypatch.setattr(baxter, "cocycle_factors", at_pole)
     report = tmp_path / "r.json"
     assert run(["verify", "baxter", "--n", "3", "--report", str(report)]) == 2
-    assert "refused: could not find enough pole-free sample points" in capsys.readouterr().err
+    assert "refused: evaluation at a pole" in capsys.readouterr().err
     assert not report.exists()
 
 
-def test_a_pole_at_one_draw_drops_only_that_draw(monkeypatch):
-    """A pole at the second word trial and at the second transport point of
-    verify baxter drops only that draw: both rows equal the rows of the
-    one-at-a-time pole_free oracle on the same draws."""
+def test_a_pole_at_one_draw_drops_only_that_draw(monkeypatch, capsys, tmp_path):
+    """A pole at the second word trial of verify baxter refuses the job:
+    every trial is drawn before the first is evaluated, the first trial's
+    two cocycles are evaluated, then the second trial's point raises, and no
+    point is drawn in its place."""
     import heckespin.baxter as baxter
-    import heckespin.commands as commands
 
     n, seed = 3, 1
-    p = sample_generic(seed=seed, n=n)
     rng = stream(seed)
-    planted = []
-
-    def second_at_pole(draw, value):
-        drawn = []
-
-        def sample():
-            drawn.append(draw())
-            if len(drawn) == 2:
-                planted.append(drawn[-1])
-                raise PoleProximityError("planted pole")
-            return value(drawn[-1])
-
-        return sample
 
     def draw_word():
         word = [rng.randrange(0, n + 1) for _ in range(rng.randrange(1, 7))]
         return word, torus_point(rng, n, (0.7, 1.4))
 
-    cfg = commands.Config(n=n, seed=seed, samples=8)
-    v = commands._block(cfg, 2**n)
-
-    def cocycle(word, t):
-        return factor_product(cocycle_factors(p, word, t), n, v)
-
-    def word_residual(trial):
-        word, t = trial
-        shortest = reduced_word(WeylElem.from_word(word, n))
-        return rel_residual(cocycle(word, t), cocycle(shortest, t))
-
-    words = pole_free(second_at_pole(draw_word, word_residual), 4)
-    kept = pole_free(second_at_pole(lambda: torus_point(rng, n, (0.7, 1.4)), tuple), 4)
-    stack = tuple(np.array(kept).T)
-    first, last = tau_word(1, n), tau_word(n, n)
-    transport = rel_residual(cocycle(first + last, stack), cocycle(last + first, stack))
-
-    poles = [planted[0][1][0], planted[1][0]]
+    trials = [draw_word() for _ in range(4)]
+    seen = []
 
     def planted_pole(params, word, t):
-        at = np.isin(t[0], poles)
-        if at.any():
-            raise PoleProximityError("planted pole", where=at)
+        seen.append(t)
+        if t == trials[1][1]:
+            _pole_at(t[0])
         return cocycle_factors(params, word, t)
 
     monkeypatch.setattr(baxter, "cocycle_factors", planted_pole)
-    checks = {c["name"]: c["residual"] for c in commands.suite_baxter(cfg, p)}
-    assert checks["word independence"] == max(words)
-    assert checks["commuting translation transports"] == transport
+    report = tmp_path / "r.json"
+    assert run(["verify", "baxter", "--n", str(n), "--seed", str(seed), "--samples", "8",
+                "--report", str(report)]) == 2
+    assert f"refused: spectral-parameter pole near x={trials[1][1][0]}" in capsys.readouterr().err
+    assert seen == [trials[0][1]] * 2 + [trials[1][1]]
+    assert not report.exists()
+
+
+def _pole_at(x):
+    """Evaluate at x a block whose denominator vanishes: the
+    PoleProximityError of a real pole, raised by RationalMat's own rule."""
+    RationalMat([np.eye(2)], [0.0])(x)
+
+
+def _planted(module, name, when):
+    """A stand-in for module.name that meets a pole at its spectral argument
+    x (the coordinate t[0] for a cocycle) wherever when(x) holds."""
+    honest = getattr(module, name)
+
+    def planted(params, *args, **kw):
+        x = args[1][0] if name == "cocycle_factors" else args[0]
+        if when(x):
+            _pole_at(x)
+        return honest(params, *args, **kw)
+
+    return planted
+
+
+def _is_stack(x):
+    return np.ndim(x) > 0
+
+
+def _is_mpmath(x):
+    return type(x).__module__.startswith("mpmath")
+
+
+@pytest.mark.parametrize("suite, module, name, when, extra", [
+    ("baxter", "baxter", "dressed_blocks", None, []),  # check_ybe_re
+    ("baxter", "baxter", "cocycle_factors", lambda x: not _is_stack(x), []),  # word independence
+    ("baxter", "baxter", "cocycle_factors", _is_stack, []),  # commuting translation transports
+    ("transfer", "transfer", "transfer_apply", lambda x: True, []),  # check_transfer
+    ("transfer", "transfer", "cocycle_factors", lambda x: True, []),  # check_transfer_vs_transport
+    ("transfer", "transfer", "transfer_apply", _is_mpmath, ["--precision", "extended"]),
+], ids=["check_ybe_re", "word independence", "commuting translation transports",
+        "check_transfer", "check_transfer_vs_transport", "extended precision"])
+def test_a_planted_pole_in_any_spectral_row_refuses_the_job(
+        monkeypatch, capsys, tmp_path, suite, module, name, when, extra):
+    """One policy at a pole: each family of spectral rows meets a pole (a
+    block whose denominator vanishes) where no row before it looks, and the
+    job exits 2 with no report; no row redraws the point."""
+    import importlib
+
+    mod = importlib.import_module(f"heckespin.{module}")
+    if name == "dressed_blocks":  # every dressed block at a pole at every argument
+        honest = mod.dressed_blocks
+        monkeypatch.setattr(mod, name, lambda p: tuple(RationalMat(b.num, [0.0]) for b in honest(p)))
+    else:
+        monkeypatch.setattr(mod, name, _planted(mod, name, when))
+    report = tmp_path / "r.json"
+    assert run(["verify", suite, "--n", "3", *extra, "--report", str(report)]) == 2
+    assert "refused: spectral-parameter pole near x=" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_a_pole_in_qkz_verify_refuses_the_job(monkeypatch, capsys, tmp_path):
+    import heckespin.qkz as qkz
+
+    sol, report = tmp_path / "sol.json", tmp_path / "r.json"
+    assert run(["qkz", "build", "--n", "2", "--m", "1", "--out", str(sol)]) == 0
+    monkeypatch.setattr(qkz, "cocycle_factors", _planted(qkz, "cocycle_factors", _is_stack))
+    assert run(["qkz", "verify", "--in", str(sol), "--report", str(report)]) == 2
+    assert "refused: spectral-parameter pole near x=" in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_identity_suite_refuses_one_site_before_sampling(monkeypatch, capsys):
@@ -1568,8 +1616,8 @@ def test_a_guard_at_every_draw_refuses_once_the_draws_are_spent(monkeypatch, cap
 
 
 def test_a_genericity_error_of_the_sample_points_refuses_at_once(monkeypatch, capsys, tmp_path):
-    """pole_free_points running out of draws is a GenericityError that names
-    no parameter point: the command refuses without a second draw."""
+    """A pole at the sample points is no GenericityError naming the
+    parameter point: the command refuses without a second parameter draw."""
     import heckespin.baxter as baxter
     import heckespin.numerics as numerics
 
@@ -1586,7 +1634,7 @@ def test_a_genericity_error_of_the_sample_points_refuses_at_once(monkeypatch, ca
     monkeypatch.setattr(baxter, "cocycle_factors", at_pole)
     monkeypatch.setattr(numerics, "generic_draws", logged)
     assert run(["verify", "baxter", "--n", "3", "--report", str(tmp_path / "r.json")]) == 2
-    assert "refused: could not find enough pole-free sample points" in capsys.readouterr().err
+    assert "refused: evaluation at a pole" in capsys.readouterr().err
     assert drawn == [first]
 
 

@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -10,20 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heckespin
-from conftest import DictPoly, Residuals, divided_difference, laurent_mul, pole_free, s_j, to_table
+from conftest import DictPoly, Residuals, divided_difference, laurent_mul, s_j, to_table
 from heckespin.koornwinder import compute_P_detail, label_polynomials
 from heckespin.numerics import (
     GenericityError,
     InternalDefectError,
     LaurentPoly,
     ParamSet,
-    PoleProximityError,
     eta,
     gamma_vectors,
     generic_draws,
     l1_ball,
     nonvanishing,
-    pole_free_points,
     rel_residual,
     sample_generic,
     stream,
@@ -188,6 +187,20 @@ def test_l1_ball_is_sorted_complete_and_counted(n, radius):
     expect = sum(2**k * math.comb(n, k) * math.comb(radius, k)
                  for k in range(n + 1)) if radius >= 0 else 0
     assert len(ball) == expect
+
+
+def test_l1_ball_is_the_sorted_filtered_cube_built_in_one_call():
+    """The vectors of the cube [-r, r]^n within the l1 radius, sorted, for
+    n <= 4 and r <= 4, a negative r and n = 0; one call makes one cache
+    entry, so a traced run counts it once."""
+    for n in range(5):
+        for r in range(-2, 5):
+            want = sorted(v for v in product(range(-r, r + 1), repeat=n) if sum(map(abs, v)) <= r)
+            assert list(l1_ball(n, r)) == want
+    l1_ball.cache_clear()
+    l1_ball(3, 4)
+    info = l1_ball.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 0, 1)
 
 
 def _gamma_scalar(lam, params):
@@ -366,94 +379,6 @@ def test_a_nan_point_keeps_a_stacked_residual_nan():
 def test_genericity_error_is_raisable():
     with pytest.raises(GenericityError):
         raise GenericityError("synthetic")
-
-
-def _scripted(outcomes, log):
-    """A sample() that returns or raises the next outcome, logging each call."""
-    it = iter(outcomes)
-
-    def sample():
-        value = next(it)
-        log.append(value)
-        if value is None:
-            raise PoleProximityError("evaluation at a pole")
-        return value
-
-    return sample
-
-
-def test_pole_free_drops_attempts_at_poles_and_gives_up_after_count_plus_40():
-    log = []
-    assert pole_free(_scripted([1, None, 2, None, None, 3, 4, 5], log), 4) == [1, 2, 3, 4]
-    assert log == [1, None, 2, None, None, 3, 4]  # no attempt after the count is met
-    log = []
-    assert pole_free(_scripted([None] * 40 + [7], log), 1) == [7]
-    assert len(log) == 41
-    log = []
-    with pytest.raises(GenericityError, match="pole-free"):
-        pole_free(_scripted([None] * 41 + [7], log), 1)
-    assert len(log) == 41
-    assert pole_free(_scripted([], []), 0) == []
-
-
-def _drawn(values, log):
-    """A draw() returning the next of values, logging each draw."""
-    it = iter(values)
-
-    def draw():
-        log.append(next(it))
-        return log[-1]
-
-    return draw
-
-
-def _flag_none(points):
-    """Evaluate a list of points at once; None marks a point at a pole."""
-    bad = np.array([p is None for p in points])
-    if bad.any():
-        raise PoleProximityError("evaluation at a pole", where=bad)
-    return list(points)
-
-
-def test_pole_free_points_keeps_the_first_clear_draws_with_pole_frees_budget():
-    """The same points and draws as pole_free's one-at-a-time loop: the first
-    count draws clear of every pole, in draw order, no draw after the count
-    is met, and GenericityError after count + 40 draws."""
-    log = []
-    got = pole_free_points(_drawn([1, None, 2, None, None, 3, 4, 5], log), _flag_none, 4)
-    assert got == [1, 2, 3, 4]
-    assert log == [1, None, 2, None, None, 3, 4]
-    log = []
-    assert pole_free_points(_drawn([None] * 40 + [7], log), _flag_none, 1) == [7]
-    assert len(log) == 41
-    log = []
-    with pytest.raises(GenericityError, match="pole-free"):
-        pole_free_points(_drawn([None] * 41 + [7], log), _flag_none, 1)
-    assert len(log) == 41
-    assert pole_free_points(_drawn([], []), _flag_none, 0) == []
-
-    def unflagged(points):  # an error left at its default where flags every point
-        if len(points) > 1:
-            raise PoleProximityError("evaluation at a pole")
-        return points
-
-    log = []
-    assert pole_free_points(_drawn([1, 2, 3, 4], log), unflagged, 1) == [1]
-    assert log == [1]
-    with pytest.raises(GenericityError):
-        pole_free_points(_drawn(range(100), []), unflagged, 2)
-
-    calls = []
-
-    def flags_none(points):  # an error whose where flags no point
-        calls.append(points)
-        if len(calls) > 50:
-            raise AssertionError("the same points evaluated again and again")
-        raise PoleProximityError("evaluation at a pole", where=np.zeros(len(points), dtype=bool))
-
-    with pytest.raises(InternalDefectError, match="flagged none of the points"):
-        pole_free_points(_drawn(range(100), []), flags_none, 2)
-    assert calls == [[0, 1]]
 
 
 def test_residuals_keep_the_largest_value_and_any_nan():

@@ -85,6 +85,42 @@ def test_a_planted_open_outside_a_with_is_flagged(tmp_path):
     assert unmanaged_opens(tmp_path) == ["mod:7", "mod:12"]
 
 
+def pole_handlers(src: Path = SRC) -> list:
+    """module:line of every except clause in src that names
+    PoleProximityError, outside cli.main, which maps it to a refusal: a
+    spectral point at a pole refuses the job, and no row may catch the error
+    to redraw the point or drop it."""
+    out = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        entry = {id(node) for fn in tree.body if path.stem == "cli" and isinstance(fn, ast.FunctionDef)
+                 and fn.name == "main" for node in ast.walk(fn)}
+        out += [f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
+                if isinstance(node, ast.ExceptHandler) and node.type is not None
+                and id(node) not in entry and "PoleProximityError" in _references(node.type)]
+    return out
+
+
+def test_no_module_in_src_catches_a_pole_but_the_entry():
+    assert pole_handlers() == []
+
+
+def test_a_planted_pole_handler_is_flagged(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from heckespin import PoleProximityError\nimport heckespin\n\n\n"
+        "def redraw(f):\n    try:\n        return f()\n    except PoleProximityError:\n        return None\n\n\n"
+        "def drop(f):\n    try:\n        return f()\n"
+        "    except (ValueError, heckespin.PoleProximityError) as err:\n        return err\n\n\n"
+        "def other(f):\n    try:\n        return f()\n    except ValueError:\n        return None\n"
+    )
+    (tmp_path / "cli.py").write_text(
+        "from heckespin import PoleProximityError\n\n\n"
+        "def main(f):\n    try:\n        return f()\n    except PoleProximityError:\n        return 2\n\n\n"
+        "def helper(f):\n    try:\n        return f()\n    except PoleProximityError:\n        return 2\n"
+    )
+    assert pole_handlers(tmp_path) == ["cli:14", "mod:8", "mod:15"]
+
+
 def test_the_console_script_is_the_function_the_main_block_calls():
     """The heckespin script and `python -m heckespin.cli` take one process
     entry, so an installed script skips the same teardown."""
