@@ -26,7 +26,8 @@ SETTINGS = {
     "n": ({"type": int, "help": "chain length / rank"}, ("verify", *_WRITES)),
     "seed": ({"type": int, "help": "deterministic sampling seed"}, (*_CHECKS, *_WRITES)),
     "precision": ({"choices": ("double", "extended"),
-                   "help": "extended adds high-precision cross-checks where supported"}, ("verify",)),
+                   "help": "extended adds the transfer suite's row 'extended precision transfer"
+                           " agreement'; the other suites ignore it"}, ("verify",)),
     "tolerance": ({"type": float, "help": "pass threshold"}, _CHECKS),
     "samples": ({"type": int, "help": "random sample count"}, _CHECKS),
     "params": ({"help": "JSON config or parameter file"}, (*_CHECKS, *_WRITES)),

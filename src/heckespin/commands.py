@@ -245,10 +245,10 @@ def suite_algebra(cfg: Config, p: ParamSet):
 def suite_matchmaker(cfg: Config, p: ParamSet):
     import numpy as np
 
-    from .matchings import enumerate_matchings, intertwiner_Psi, matchmaker_betas, matchmaker_matrix
+    from .matchings import intertwiner_Psi, matchmaker_betas, matchmaker_matrix
     from .numerics import rel_residual
     from .spinrep import build_spin_rep, check_tl_relations, delta_from_kappa
-    from .tensorops import Monomial, apply_on_legs
+    from .tensorops import apply_on_legs
 
     n, v = p.n, _block(cfg, 2**p.n)
     tl = delta_from_kappa(p)
@@ -272,9 +272,9 @@ def suite_matchmaker(cfg: Config, p: ParamSet):
         "equivalence invertibility", smin, cfg.tolerance,
         "smallest singular value of the matching-to-spin map", floor=1e-8,
     ))
-    relabel = Monomial([match.nu_index() for match in enumerate_matchings(n)], np.ones(2**n))
+    # Psi's column k is the matching of sign index k: the relabeling is the identity
     checks.append(_row(
-        "degenerate point sign map", rel_residual(intertwiner_Psi(p, limit=True) @ v, relabel @ v),
+        "degenerate point sign map", rel_residual(intertwiner_Psi(p, limit=True) @ v, v),
         cfg.tolerance,
         "at the degenerate parameter point the map collapses to the"
         " sign-string relabeling",

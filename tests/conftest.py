@@ -1,6 +1,8 @@
 """Shared fixtures and the acceptance summary hook."""
 
 import functools
+import itertools
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 
 from heckespin.baxter import RationalMat, baxter_j, dressed_blocks
 from heckespin.koornwinder import _ball, ball_vector, compute_P_detail, fixed_by_si
-from heckespin.matchings import pty
+from heckespin.matchings import m_constants, pty
 from heckespin.numerics import (
     InternalDefectError,
     LaurentPoly,
@@ -298,6 +300,167 @@ def finite_group(n):
     """All 2^n n! elements of W_0 as WeylElems, by length (a small-n oracle)."""
     levels = bfs_levels(n, key=lambda w: (w.perm, w.signs))
     return [w for level in levels for w in level]
+
+
+@dataclass(frozen=True)
+class Matching:
+    """Oracle: a matching as its sorted tuple of pairs (a, b), a < b, on the
+    sites 0..n+1, for checking the partner array of heckespin.matchings."""
+
+    n: int
+    pairs: tuple
+
+    @classmethod
+    def make(cls, n: int, pairs) -> "Matching":
+        norm = tuple(sorted(tuple(sorted(p)) for p in pairs))
+        m = cls(n, norm)
+        m.validate()
+        return m
+
+    def validate(self):
+        """ValueError unless the pairs are those of a matching: the ones
+        from_signs builds from their sign string nu."""
+        if Matching.from_signs(self.n, self.nu()) != self:
+            raise ValueError(f"{self.pairs} is not a two-boundary non-crossing matching")
+
+    def partner(self, i: int) -> int:
+        if not 1 <= i <= self.n:
+            raise ValueError("partner is defined for inner sites only")
+        for a, b in self.pairs:
+            if a == i:
+                return b
+            if b == i:
+                return a
+        raise ValueError(f"site {i} unmatched")
+
+    def nu(self) -> tuple:
+        """The sign string: -1 at a site whose partner (as partner finds it)
+        lies to its left, else 1; ValueError at an unmatched site."""
+        signs = {}
+        for a, b in reversed(self.pairs):  # the first pair naming a site is written last
+            signs[b], signs[a] = (-1 if a < b else 1), (-1 if b < a else 1)
+        try:
+            return tuple(signs[i] for i in range(1, self.n + 1))
+        except KeyError as err:
+            raise ValueError(f"site {err.args[0]} unmatched") from None
+
+    def nu_index(self) -> int:
+        idx = 0
+        for a in self.nu():
+            idx = 2 * idx + (0 if a > 0 else 1)
+        return idx
+
+    @classmethod
+    def from_signs(cls, n: int, alpha) -> "Matching":
+        """The unique matching with the given sign string: each '-' closes
+        the nearest open '+', or else goes to site 0, and every '+' left
+        open goes to site n+1.  The result is valid by construction."""
+        alpha = tuple(alpha)
+        if len(alpha) != n:
+            raise ValueError("sign string length must be n")
+        stack, pairs = [], []
+        for i in range(1, n + 1):
+            if alpha[i - 1] > 0:
+                stack.append(i)
+            elif stack:
+                pairs.append((stack.pop(), i))
+            else:
+                pairs.append((0, i))
+        pairs.extend((j, n + 1) for j in stack)
+        return cls(n, tuple(sorted(pairs)))
+
+    def drop_sites(self, *sites):
+        """Pairs surviving after removing every pair touching the sites."""
+        sites = set(sites)
+        return tuple(p for p in self.pairs if not (p[0] in sites or p[1] in sites))
+
+
+@functools.lru_cache(maxsize=None)
+def enumerate_matchings(n: int) -> tuple:
+    """Oracle: all 2^n matchings, ordered by their sign strings (+ before -)."""
+    return tuple(
+        Matching.from_signs(n, alpha)
+        for alpha in itertools.product((1, -1), repeat=n)
+    )
+
+
+def _apply_generator(j: int, p: Matching, n: int):
+    """Oracle: e_j on the matching p, by re-pairing its pairs: (image
+    matching, name of its weight)."""
+    if j == 0:
+        m1 = p.partner(1)
+        if m1 == 0:
+            return p, "delta0"
+        if m1 == n + 1:
+            return Matching.make(n, p.drop_sites(1) + ((0, 1),)), "beta0"
+        return Matching.make(n, p.drop_sites(1) + ((0, 1), (0, m1))), "one"
+    if j == n:
+        mn = p.partner(n)
+        if mn == n + 1:
+            return p, "deltan"
+        if mn == 0:
+            w = "beta1" if pty(n) else "beta0"
+            return Matching.make(n, p.drop_sites(n) + ((n, n + 1),)), w
+        return Matching.make(n, p.drop_sites(n) + ((n, n + 1), (mn, n + 1))), "one"
+    if not 1 <= j < n:
+        raise ValueError("generator index out of range")
+    mi, mi1 = p.partner(j), p.partner(j + 1)
+    if mi == j + 1:
+        return p, "delta"
+    base = p.drop_sites(j, j + 1) + ((j, j + 1),)
+    if mi == 0 and mi1 == 0:
+        return Matching.make(n, base), "delta0" if pty(j - 1) else "one"
+    if mi == n + 1 and mi1 == n + 1:
+        return Matching.make(n, base), "deltan" if pty(n + 1 - j) else "one"
+    if mi == 0 and mi1 == n + 1:
+        return Matching.make(n, base), "beta1" if pty(j) else "beta0"
+    return Matching.make(n, base + (tuple(sorted((mi, mi1))),)), "one"
+
+
+def generator_table_by_rules(n: int) -> dict:
+    """Oracle: j -> (row index of each column's image under e_j, weight
+    names), one _apply_generator call per matching."""
+    table = {}
+    for j in range(n + 1):
+        moves = [_apply_generator(j, p, n) for p in enumerate_matchings(n)]
+        table[j] = (np.array([m.nu_index() for m, _w in moves]), tuple(w for _m, w in moves))
+    return table
+
+
+def psi_by_columns(params, limit: bool = False):
+    """Oracle: the intertwiner Psi column by column over the oracle's
+    matchings, each column the tensor product of its arcs' vectors in
+    sorted-pair order (see heckespin.matchings.intertwiner_Psi)."""
+    n = params.n
+    k = params.kappa
+    M = None if limit else m_constants(params)
+    psi = {0: params.psi0, n: params.psin}
+
+    def turned(j: int, h: int) -> complex:
+        if limit:
+            return 0j
+        return psi[j] * (-params.kappa_j(j)) ** (1 - 2 * h) * (-k) ** (h - 1)
+
+    def weight(j: int, h: int) -> complex:
+        return 1.0 + 0j if limit else M[(j, h)]
+
+    inner = np.array([[0, 1], [0 if limit else 1 / -k, 0]], dtype=complex)
+    mat = np.zeros((2**n, 2**n), dtype=complex)
+    for col, p in enumerate(enumerate_matchings(n)):
+        vec, legs = np.ones((), dtype=complex), []
+        for a, b in p.pairs:
+            if a == 0:
+                arc = weight(0, pty(b)) * np.array([turned(0, pty(b)), 1])
+                legs.append(b)
+            elif b == n + 1:
+                arc = weight(n, pty(a)) * np.array([1, turned(n, pty(n + 1 - a))])
+                legs.append(a)
+            else:
+                arc = inner
+                legs += [a, b]
+            vec = np.multiply.outer(vec, arc)
+        mat[:, col] = vec.transpose(np.argsort(legs)).reshape(-1)
+    return mat
 
 
 def validate_by_rules(p):

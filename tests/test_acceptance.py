@@ -14,6 +14,7 @@ from conftest import (
     _kron_embed,
     boundary_arc_counts,
     by_degree,
+    enumerate_matchings,
     from_table,
     record_acceptance,
     scale_row,
@@ -28,7 +29,6 @@ from heckespin.koornwinder import (
     fixed_by_si,
 )
 from heckespin.matchings import (
-    enumerate_matchings,
     intertwiner_Psi,
     matchmaker_betas,
     matchmaker_matrix,

@@ -265,7 +265,7 @@ def test_a_stack_of_parameters_evaluates_point_by_point(seed, kind, draw, points
 @given(st.integers(1, 5), st.integers(0, 2),
        st.lists(st.tuples(st.floats(-9, -3), st.floats(0, 1)), min_size=1, max_size=6))
 @settings(max_examples=80, deadline=None)
-def test_the_pole_rule_flags_the_points_the_scalar_rule_flags(seed, kind, offsets):
+def test_the_stack_raises_exactly_where_the_scalar_rule_raises(seed, kind, offsets):
     """Points at relative distances 1e-9..1e-3 from a pole, so that some
     fall inside the 1e-6 rule and some outside: the stack raises exactly
     when a scalar call raises at one of its points, naming the first such

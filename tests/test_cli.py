@@ -1067,7 +1067,7 @@ def test_the_cap_table_names_the_suites():
     assert list(suite.choices) == [*commands._SUITE_FNS, "all"]
 
 
-def test_exhausted_pole_retries_refuse_instead_of_passing(monkeypatch, capsys, tmp_path):
+def test_a_pole_at_every_cocycle_refuses_at_the_first_trial(monkeypatch, capsys, tmp_path):
     """A pole at every cocycle refuses the job at the first word trial: no
     point is redrawn, and no report is written."""
     import heckespin.baxter as baxter
@@ -1082,7 +1082,7 @@ def test_exhausted_pole_retries_refuse_instead_of_passing(monkeypatch, capsys, t
     assert not report.exists()
 
 
-def test_a_pole_at_one_draw_drops_only_that_draw(monkeypatch, capsys, tmp_path):
+def test_a_pole_at_the_second_trial_refuses_without_a_redraw(monkeypatch, capsys, tmp_path):
     """A pole at the second word trial of verify baxter refuses the job:
     every trial is drawn before the first is evaluated, the first trial's
     two cocycles are evaluated, then the second trial's point raises, and no
@@ -1615,7 +1615,7 @@ def test_a_guard_at_every_draw_refuses_once_the_draws_are_spent(monkeypatch, cap
         next(draws)
 
 
-def test_a_genericity_error_of_the_sample_points_refuses_at_once(monkeypatch, capsys, tmp_path):
+def test_a_pole_at_the_sample_points_refuses_without_a_parameter_redraw(monkeypatch, capsys, tmp_path):
     """A pole at the sample points is no GenericityError naming the
     parameter point: the command refuses without a second parameter draw."""
     import heckespin.baxter as baxter

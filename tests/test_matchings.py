@@ -8,19 +8,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _kron_embed, boundary_arc_counts, validate_by_rules
-from heckespin.matchings import (
+from conftest import (
     Matching,
-    _generator_table,
+    _apply_generator,
+    _kron_embed,
+    boundary_arc_counts,
     enumerate_matchings,
+    generator_table_by_rules,
+    psi_by_columns,
+    validate_by_rules,
+)
+from heckespin.matchings import (
     intertwiner_Psi,
     m_constants,
     matchmaker_betas,
     matchmaker_matrix,
+    partners,
     pty,
 )
 from heckespin.numerics import GenericityError, sample_generic
-from heckespin.spinrep import build_spin_rep, check_tl_relations, delta_from_kappa
+from heckespin.spinrep import TLParams, build_spin_rep, check_tl_relations, delta_from_kappa
 
 signs = st.lists(st.sampled_from([1, -1]), min_size=1, max_size=7)
 
@@ -28,7 +35,18 @@ signs = st.lists(st.sampled_from([1, -1]), min_size=1, max_size=7)
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_enumeration_count(n):
     # matchings biject with sign strings
-    assert len(enumerate_matchings(n)) == 2**n
+    assert len(enumerate_matchings(n)) == 2**n == len(partners(n))
+
+
+@given(st.lists(st.sampled_from([1, -1]), min_size=1, max_size=10))
+@settings(max_examples=100, deadline=None)
+def test_the_partner_array_matches_the_oracle(alpha):
+    """Row k of partners(n), k the sign string with - as 1 read as a binary
+    number, holds the oracle matching's partner of every inner site."""
+    n = len(alpha)
+    k = int("".join("1" if a < 0 else "0" for a in alpha), 2)
+    oracle = Matching.from_signs(n, alpha)
+    assert partners(n)[k, 1:].tolist() == [oracle.partner(i) for i in range(1, n + 1)]
 
 
 @given(signs)
@@ -89,24 +107,22 @@ def test_explicit_matchings_meet_both_validators(n, pairs, valid):
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_every_generator_image_passes_the_rules(n, monkeypatch):
-    made = []
-    make = Matching.make.__func__
+def test_every_generator_image_passes_the_rules(n):
+    for j in range(n + 1):
+        for p in enumerate_matchings(n):
+            validate_by_rules(_apply_generator(j, p, n)[0])
 
-    def recording_make(cls, n, pairs):
-        m = make(cls, n, pairs)
-        made.append(m)
-        return m
 
-    monkeypatch.setattr(Matching, "make", classmethod(recording_make))
-    _generator_table.cache_clear()
-    try:
-        _generator_table(n)
-    finally:
-        _generator_table.cache_clear()
-    assert made
-    for m in made:
-        validate_by_rules(m)
+@pytest.mark.parametrize("n", range(1, 9))
+def test_the_generator_table_matches_the_oracle(n):
+    """Each e_j from the partner array moves every column to the oracle's
+    image and weighs it by the oracle's weight, told apart by distinct
+    values."""
+    value = {"one": 1, "delta0": 2, "delta": 3, "deltan": 5, "beta0": 7, "beta1": 11}
+    for j, (index, names) in generator_table_by_rules(n).items():
+        e = matchmaker_matrix(j, TLParams(delta0=2, delta=3, deltan=5), 7, 11, n)
+        assert np.array_equal(e.index, index)
+        assert np.array_equal(e.weight, [value[w] for w in names])
 
 
 @given(signs)
@@ -151,11 +167,12 @@ def test_degenerate_limit_is_the_sign_relabeling(params3):
     assert np.array_equal(limit_map, expected)
 
 
-def test_drop_sites_removes_touching_pairs():
-    p = Matching.from_signs(3, [1, -1, 1])
-    surviving = p.drop_sites(2)
-    assert all(2 not in pair for pair in surviving)
-    assert len(surviving) < len(p.pairs)
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_intertwiner_is_bitwise_the_column_loop(n, seed):
+    params = sample_generic(seed=seed, n=n)
+    for limit in (False, True):
+        assert np.array_equal(intertwiner_Psi(params, limit), psi_by_columns(params, limit))
 
 
 def _psi_by_orientations(params, limit=False):

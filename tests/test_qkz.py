@@ -204,7 +204,7 @@ def test_degree_cap_is_a_refusal():
         build_polynomial_solution(constrained(11, 3, 2), 2)
 
 
-def test_a_sample_dropped_at_a_pole_leaves_no_rows(monkeypatch):
+def test_a_pole_at_the_first_sample_raises_with_no_rows(monkeypatch):
     """A reflection (a one-letter word) at a pole at the first point drawn
     raises PoleProximityError out of verify_solution: no rows come back, and
     no point is drawn beyond the samples requested."""
