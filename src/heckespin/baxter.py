@@ -39,7 +39,7 @@ from . import InternalDefectError, PoleProximityError, check_identity_rank
 from .numerics import _POLE_TOL, ParamSet, nonvanishing, rel_residual, stream, torus_point
 from .spinrep import _local_k, _local_kbar, _local_upsilon_p
 from .tensorops import row_residual
-from .weyl import WeylElem, act_point
+from .weyl import act_letter
 
 
 def _horner(coeffs, x):
@@ -209,16 +209,17 @@ def check_ybe_re(params: ParamSet, samples: int = 20, seed: int = 1) -> dict:
 def cocycle_factors(params: ParamSet, word, t) -> list:
     """C along a word (any sequence of letters 0..n) as (block, legs)
     factors, left to right: the k-th letter a is the dressed generator of a
-    at the point moved by the first k-1 letters, taken at sqrt(q)/t_1 for
-    a = 0, t_n for a = n and t_a/t_{a+1} otherwise.  The transport along the
-    i-th translation is the word weyl.tau_word(i, n); its stationary
-    specialization is the same word at params.replace(q_sqrt=1), as the
-    dressed blocks do not depend on q.  The coordinates of t may be arrays,
-    which gives stacks of blocks, one per point.  A letter outside 0..n
-    reaches baxter_j, which raises InternalDefectError.  Their product,
-    applied to an operand by tensorops.factor_product, obeys C_{w w'}(t) =
-    C_w(t) C_{w'}(w^{-1} t) by construction, and the dressed braid and
-    unitarity identities make it depend only on the element the word spells.
+    at the point moved by the first k-1 letters, one weyl.act_letter step
+    each, taken at sqrt(q)/t_1 for a = 0, t_n for a = n and t_a/t_{a+1}
+    otherwise.  The transport along the i-th translation is the word
+    weyl.tau_word(i, n); its stationary specialization is the same word at
+    params.replace(q_sqrt=1), as the dressed blocks do not depend on q.  The
+    coordinates of t may be arrays, which gives stacks of blocks, one per
+    point.  A letter outside 0..n reaches baxter_j, which raises
+    InternalDefectError.  Their product, applied to an operand by
+    tensorops.factor_product, obeys C_{w w'}(t) = C_w(t) C_{w'}(w^{-1} t) by
+    construction, and the dressed braid and unitarity identities make it
+    depend only on the element the word spells.
 
     >>> from heckespin.numerics import rel_residual, sample_generic
     >>> from heckespin.tensorops import factor_product
@@ -232,5 +233,5 @@ def cocycle_factors(params: ParamSet, word, t) -> list:
     for a in word:
         x = params.q_sqrt / pt[0] if a == 0 else pt[a - 1] / pt[a] if 0 < a < n else pt[-1]
         factors.append(baxter_j(params, a, x))
-        pt = act_point(WeylElem.generator(a, n), pt, params)
+        pt = act_letter(a, pt, params)
     return factors

@@ -297,7 +297,7 @@ def suite_baxter(cfg: Config, p: ParamSet):
     from .baxter import check_ybe_re, cocycle_factors
     from .numerics import rel_residual, stream, torus_point
     from .tensorops import factor_product
-    from .weyl import WeylElem, reduced_word, tau_word
+    from .weyl import reduced_word, tau_word
 
     n, v = p.n, _block(cfg, 2**p.n)
 
@@ -317,7 +317,7 @@ def suite_baxter(cfg: Config, p: ParamSet):
 
     # each word's cocycle against its shortest word's at its point
     trials = [draw_word() for _ in range(max(4, cfg.samples // 2))]
-    words = [rel_residual(cocycle(word, t), cocycle(reduced_word(WeylElem.from_word(word, n)), t))
+    words = [rel_residual(cocycle(word, t), cocycle(reduced_word(word, n), t))
              for word, t in trials]
     checks.append(_row(
         "word independence", np.max(words), cfg.tolerance,

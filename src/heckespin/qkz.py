@@ -39,7 +39,7 @@ from .numerics import (
 )
 from .spinrep import principal_series_basis
 from .tensorops import factor_product
-from .weyl import WeylElem, act_point, reduced_word, tau_word
+from .weyl import act_letter, act_word, reduced_word, tau_word
 
 _MCOND_TOL = 1e-9
 
@@ -113,22 +113,22 @@ def cm_alpha(phi: LaurentPoly, params: ParamSet, series, metadata=None) -> KZSol
     """Pair the Hecke action on phi with the principal-series basis
     ``series``, the result of spinrep.principal_series_basis(params).
 
-    For each minimal coset representative w, built from its word, the
-    element u = w (w_0^J)^{-1} is taken to its reduced word and the cached
-    generator matrices act on the coefficient vector of phi on its degree
-    ball, rightmost letter first as operators compose; v_w is one weighted
-    basis vector, so the image times its weight is scattered into that one
-    spin component.
+    For each minimal coset representative w, the word of w followed by the
+    reversed word of w_0^J spells u = w (w_0^J)^{-1}; weyl.reduced_word
+    takes it to its reduced word and the cached generator matrices act on
+    the coefficient vector of phi on its degree ball, rightmost letter first
+    as operators compose; v_w is one weighted basis vector, so the image
+    times its weight is scattered into that one spin component.
     """
     basis, _zeta, reps, _rep = series
     n = params.n
-    w0j_inv = WeylElem.from_word(reps[-1], n).inverse_finite()
+    w0j_inv = reps[-1][::-1]
     ball, index, gens = generator_matrices(params, phi.l1_degree())
     vec0 = ball_vector(phi, index)[:, 0]
     images = []
     for word in reps:
         vec = vec0
-        for a in reversed(reduced_word(WeylElem.from_word(word, n) * w0j_inv)):
+        for a in reversed(reduced_word(word + w0j_inv, n)):
             vec = gens[a] @ vec
         images.append(vec)
     return KZSolution(
@@ -150,7 +150,7 @@ def build_polynomial_solution(params: ParamSet, m: int) -> KZSolution:
     check_degree_cap(n, m)
     series = principal_series_basis(params)
     _basis, zeta, reps, _rep = series
-    mapped = act_point(WeylElem.from_word(reps[-1], n), zeta, params)
+    mapped = act_word(reps[-1], zeta, params)
     lam = (m,) * n
     target = gamma_vectors([lam], params)[0]
     gap = max_abs(np.array(mapped) - target) / max(max_abs(target), 1.0)
@@ -190,7 +190,7 @@ def verify_solution(sol: KZSolution, samples: int = 20, seed: int = 8) -> dict:
         return {}
     t = tuple(np.array(points, dtype=complex).T)
     shifted = [t[:i] + (t[i] / q,) + t[i + 1 :] for i in range(n)]
-    reflected = [act_point(WeylElem.generator(j, n), t, params) for j in range(n + 1)]
+    reflected = [act_letter(j, t, params) for j in range(n + 1)]
     # vals[c, s]: the components at the c-th of these points of sample s
     groups = [np.stack(u, axis=-1) for u in (t, *shifted, *reflected)]
     vals = sol.components([point for group in groups for point in group])

@@ -23,7 +23,7 @@ from heckespin.numerics import (
 from heckespin.spinrep import _local_k, _local_kbar, _local_upsilon_p
 from heckespin.tensorops import factor_product, row_residual
 from heckespin.transfer import theta_matrix
-from heckespin.weyl import WeylElem, act_point, tau_word
+from heckespin.weyl import tau_word
 
 _ACCEPTANCE: list = []
 
@@ -268,38 +268,131 @@ def noumi_Y_apply(i, f, params):
     return out
 
 
+def _compose_signed(pu, su, pv, sv):
+    """Signed permutation composition (u o v) in image convention.
+
+    u maps e_j to su[pu[j]] e_{pu[j]}; signs are indexed by the target slot,
+    so u o v carries the sign su[pu[i]] sv[i] into slot pu[i].
+    """
+    signs = [1] * len(pu)
+    for i, k in enumerate(pu):
+        signs[k] = su[k] * sv[i]
+    return tuple(pu[j] for j in pv), tuple(signs)
+
+
+@dataclass(frozen=True)
+class WeylElem:
+    """Oracle: one element u o tau(trans) of the affine Weyl group, for
+    checking the words and integer points of heckespin.weyl; perm[j] is the
+    0-based image of slot j, signs are indexed by the target slot, trans is
+    the translation part."""
+
+    perm: tuple
+    signs: tuple
+    trans: tuple
+
+    @property
+    def n(self) -> int:
+        return len(self.perm)
+
+    @classmethod
+    def identity(cls, n: int) -> "WeylElem":
+        return cls(tuple(range(n)), (1,) * n, (0,) * n)
+
+    @classmethod
+    def generator(cls, i: int, n: int) -> "WeylElem":
+        """The simple reflection s_i, 0 <= i <= n."""
+        if i == 0:
+            signs = (-1,) + (1,) * (n - 1)
+            return cls(tuple(range(n)), signs, (-1,) + (0,) * (n - 1))
+        if i == n:
+            return cls(tuple(range(n)), (1,) * (n - 1) + (-1,), (0,) * n)
+        if 0 < i < n:
+            perm = list(range(n))
+            perm[i - 1], perm[i] = perm[i], perm[i - 1]
+            return cls(tuple(perm), (1,) * n, (0,) * n)
+        raise ValueError(f"generator index {i} out of range for n={n}")
+
+    def linear_apply(self, x):
+        """The finite part acting linearly (translation ignored)."""
+        out = [0] * self.n
+        for j in range(self.n):
+            out[self.perm[j]] = self.signs[self.perm[j]] * x[j]
+        return tuple(out)
+
+    def __mul__(self, other: "WeylElem") -> "WeylElem":
+        if self.n != other.n:
+            raise ValueError("rank mismatch")
+        # (u, a)(v, b) = (uv, v^{-1}(a) + b)
+        perm, signs = _compose_signed(self.perm, self.signs, other.perm, other.signs)
+        a = other.inverse_finite().linear_apply(self.trans)
+        trans = tuple(x + y for x, y in zip(a, other.trans))
+        return WeylElem(perm, signs, trans)
+
+    def inverse_finite(self) -> "WeylElem":
+        inv_perm = [0] * self.n
+        for j in range(self.n):
+            inv_perm[self.perm[j]] = j
+        # signs of the inverse live on the source slots of the original
+        inv_signs = tuple(self.signs[self.perm[i]] for i in range(self.n))
+        return WeylElem(tuple(inv_perm), inv_signs, (0,) * self.n)
+
+    @classmethod
+    def from_word(cls, letters, n: int) -> "WeylElem":
+        out = cls.identity(n)
+        for a in letters:
+            out = out * cls.generator(a, n)
+        return out
+
+
+def act_point(w: WeylElem, point, params):
+    """Oracle: the q-deformed action of an element on (C*)^n.
+
+    tau(mu) multiplies by q^mu, the finite part permutes coordinates and
+    inverts those with negative sign.
+    """
+    q = params.q
+    shifted = [q**m * t for m, t in zip(w.trans, point)]
+    out = [0j] * w.n
+    for j in range(w.n):
+        i = w.perm[j]
+        out[i] = shifted[j] if w.signs[i] == 1 else 1 / shifted[j]
+    return tuple(out)
+
+
 def bfs_levels(n, key):
     """Breadth-first closure of the identity under left multiplication by the
     generators s_1, ..., s_n of W_0 (a small-n oracle).
 
     Level k lists, in discovery order, the first element reached of each new
-    class under ``key`` at distance k.  Keyed by (perm, signs) the classes are
-    the elements of W_0, and level k holds those of length k.  Keyed by the
+    class under ``key`` at distance k, as (element, word) with the word, k
+    letters long, that spells it.  Keyed by (perm, signs) the classes are the
+    elements of W_0, and level k holds those of length k.  Keyed by the
     image of (1, ..., 1), fixed exactly by S_n, the classes are the cosets
     w S_n, each first reached at its minimal representative.
     """
-    gens = [WeylElem.generator(i, n) for i in range(1, n + 1)]
     start = WeylElem.identity(n)
     seen = {key(start)}
-    levels = [[start]]
+    levels = [[(start, ())]]
     while True:
         nxt = []
-        for w in levels[-1]:
-            for g in gens:
-                v = g * w
+        for w, word in levels[-1]:
+            for i in range(1, n + 1):
+                v = WeylElem.generator(i, n) * w
                 k = key(v)
                 if k not in seen:
                     seen.add(k)
-                    nxt.append(v)
+                    nxt.append((v, (i,) + word))
         if not nxt:
             return levels
         levels.append(nxt)
 
 
 def finite_group(n):
-    """All 2^n n! elements of W_0 as WeylElems, by length (a small-n oracle)."""
+    """All 2^n n! elements of W_0 as (WeylElem, word) by length, each word
+    a reduced word of its element (a small-n oracle)."""
     levels = bfs_levels(n, key=lambda w: (w.perm, w.signs))
-    return [w for level in levels for w in level]
+    return [pair for level in levels for pair in level]
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,7 @@ from heckespin.spinrep import (
     principal_series_basis,
 )
 from heckespin.transfer import check_transfer, check_transfer_vs_transport, hamiltonian
-from heckespin.weyl import WeylElem, reduced_word
+from heckespin.weyl import reduced_word
 
 
 def test_criterion_1_algebra_relations():
@@ -133,9 +133,9 @@ def _random_reduced_words(n, count, max_len, seed):
     while len(out) < count:
         length = int(rng.integers(1, max_len + 1))
         word = [int(rng.integers(0, n + 1)) for _ in range(length)]
-        elem = WeylElem.from_word(word, n)
-        if len(reduced_word(elem)) == len(word):
-            out.append((word, elem))
+        reduced = reduced_word(word, n)
+        if len(reduced) == len(word):
+            out.append((word, reduced))
     return out
 
 
@@ -156,14 +156,14 @@ def test_criterion_4_spectral_identities():
     p = sample_generic(seed=1, n=2)
     rng = np.random.default_rng(5)
     checked = 0
-    for word, elem in _random_reduced_words(2, 50, 8, seed=5):
+    for word, reduced in _random_reduced_words(2, 50, 8, seed=5):
         t = tuple(
             complex(rng.uniform(0.75, 1.3) * np.exp(2j * np.pi * rng.uniform()))
             for _ in range(2)
         )
         try:
             a = factor_product(cocycle_factors(p, word, t), 2)
-            b = factor_product(cocycle_factors(p, reduced_word(elem), t), 2)
+            b = factor_product(cocycle_factors(p, reduced, t), 2)
         except PoleProximityError:
             continue
         worst = max(worst, rel_residual(a, b))

@@ -28,7 +28,6 @@ from heckespin.numerics import (
     torus_point,
 )
 from heckespin.qkz import build_polynomial_solution
-from heckespin.weyl import WeylElem
 
 
 def run(argv):
@@ -1244,7 +1243,8 @@ def test_an_internal_value_error_is_an_internal_defect(monkeypatch, capsys):
     right boundary, exits 3, not 2."""
     import heckespin.weyl as weyl
 
-    monkeypatch.setattr(weyl, "reduced_word", lambda w: WeylElem.generator(w.n + 1, w.n))
+    honest = weyl.reduced_word
+    monkeypatch.setattr(weyl, "reduced_word", lambda word, n: honest([*word, n + 1], n))
     assert run(["verify", "baxter", "--n", "2", "--seed", "1"]) == 3
     assert "internal defect: generator index 3 out of range for n=2" in capsys.readouterr().err
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import DictPoly, from_table, noumi_T_apply, qkz_per_sample, scale_row, to_table
+from conftest import DictPoly, WeylElem, from_table, noumi_T_apply, qkz_per_sample, scale_row, to_table
 from heckespin import PoleProximityError
 from heckespin.koornwinder import compute_P_detail
 from heckespin.numerics import (
@@ -21,7 +21,7 @@ from heckespin.qkz import (
     verify_solution,
 )
 from heckespin.spinrep import principal_series_basis
-from heckespin.weyl import WeylElem, reduced_word
+from heckespin.weyl import reduced_word
 
 
 def constrained(seed, n, m):
@@ -135,10 +135,13 @@ def test_two_paths_through_the_hecke_action_agree():
     B, _zeta, reps, _rep = principal_series_basis(p)
     B = B @ np.eye(2**n)
     w0j_inv = WeylElem.from_word(reps[-1], n).inverse_finite()
+    assert w0j_inv == WeylElem.from_word(reps[-1][::-1], n)
     matrix_components = [np.zeros(len(basis), dtype=complex) for _ in range(2**n)]
     for col, word in enumerate(reps):
         vec = vec0
-        for a in reversed(reduced_word(WeylElem.from_word(word, n) * w0j_inv)):
+        u = reduced_word(word + reps[-1][::-1], n)
+        assert WeylElem.from_word(u, n) == WeylElem.from_word(word, n) * w0j_inv
+        for a in reversed(u):
             vec = mats[a] @ vec
         for bidx in range(2**n):
             matrix_components[bidx] = matrix_components[bidx] + B[bidx, col] * vec
