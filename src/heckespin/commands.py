@@ -10,11 +10,8 @@ is not a pass, and the stderr line reads "PASS (k checks, s suites skipped,
 ...)".  With no suite left, "verify all" refuses before sampling and names
 every reason.
 
-Negative-control checks invert the usual reading: the underlying deviation
-must be LARGE for the control to count.  To keep the uniform rule
-"pass iff residual < tolerance", such checks report the shortfall
-max(0, floor - deviation) instead of the deviation itself (NaN, which
-fails, when the deviation is NaN), and say so in their context string.
+A suite returns its checks as Check records and never reads the
+tolerance; run_suite and cmd_qkz_verify turn each into its report row.
 
 This module imports only the standard library; each command imports the
 layers it calls, because single-suite jobs should not pay for numpy or for
@@ -31,7 +28,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import (SETTINGS, SUITES, RefusalError, check_caps, check_degree_cap, check_dim_cap,
                check_identity_rank)
@@ -85,12 +82,13 @@ def _read_json(path):
 
 def _load_config(args) -> Config:
     """flag > file > default; the file may be a bare parameter dictionary
-    or a config object with an optional "params" entry.  A file whose top
-    level is not an object, a missing or mistyped entry, a label whose
-    length is not the given rank, a label that is not integers, a rank
-    below 1 and a negative seed are refused, and for a command that reads
-    them, fewer than one sample and a tolerance that is not finite and
-    positive."""
+    or a config object with an optional "params" entry, whose rank sets
+    the rank.  A file whose top level is not an object, a missing or
+    mistyped entry, a rank (flag or file) that is not the parameter set's,
+    a label whose length is not the rank, a label that is not integers, a
+    rank below 1 and a negative seed are refused, and for a command that
+    reads them, fewer than one sample and a tolerance that is not finite
+    and positive."""
     merged: dict = {}
     # the settings a file gives as scalars, typed as their flags type them
     typed = [key for key, (flag, _readers) in SETTINGS.items() if {"type", "choices"} & flag.keys()]
@@ -117,8 +115,9 @@ def _load_config(args) -> Config:
             merged["lam"] = tuple(int(v) for v in args.lam.split(","))
         except ValueError as exc:
             raise RefusalError(f"--lambda must be comma-separated integers, not {args.lam!r}") from exc
-    if "params" in merged:
-        merged["n"] = merged["params"].n
+    if "params" in merged and merged.setdefault("n", merged["params"].n) != merged["params"].n:
+        raise RefusalError(f"rank n={merged['n']} does not match the rank {merged['params'].n}"
+                           " of the parameter set")
     if "lam" in merged and merged.setdefault("n", len(merged["lam"])) != len(merged["lam"]):
         raise RefusalError("label length does not match the rank")
     cfg = Config(**merged, out=getattr(args, "out", None), report=getattr(args, "report", None))
@@ -158,26 +157,38 @@ def _at_point(cfg: Config, work, mcondition=None):
                 raise
 
 
-def _row(name, value, tolerance, context="", floor=None):
-    """One report row, passed iff its residual is below the tolerance.  With
-    a floor the value must reach the floor instead, and the residual is the
-    shortfall below it; a NaN value gives a NaN shortfall, which fails."""
-    value = float(value)
-    if floor is not None:
-        context += (f"; the value must exceed {floor:g} (observed {value:.6e}); "
-                    "the reported residual is the shortfall below that floor")
-        value = 0.0 if value >= floor else floor - value
-    return {"name": name, "residual": value, "tolerance": float(tolerance),
-            "pass": bool(value < tolerance), "context": context}
+class Check(NamedTuple):
+    """One check of a suite before it meets a tolerance: the value it
+    measured and what that value means.  least is the check's own least
+    tolerance, for a value that carries more rounding than the others.
+
+    With a floor the value must reach the floor instead, and the residual
+    is the shortfall max(0, floor - value), NaN (which fails) when the value
+    is NaN.  Negative controls (_control) are such checks, as they invert
+    the usual reading: the deviation of a deliberately broken identity must
+    be LARGE for the control to count, and reporting the shortfall keeps
+    the uniform rule "pass iff residual < tolerance"."""
+
+    name: str
+    value: float
+    context: str = ""
+    floor: float | None = None
+    least: float = 0.0
+
+    def row(self, tolerance: float) -> dict:
+        """The report row, passed iff its residual is below max(tolerance,
+        least); with a floor its context names the floor and the value."""
+        tolerance, value, context = float(max(tolerance, self.least)), float(self.value), self.context
+        if self.floor is not None:
+            context += (f"; the value must exceed {self.floor:g} (observed {value:.6e}); "
+                        "the reported residual is the shortfall below that floor")
+            value = 0.0 if value >= self.floor else self.floor - value
+        return {"name": self.name, "residual": value, "tolerance": tolerance,
+                "pass": bool(value < tolerance), "context": context}
 
 
-def _control(name, raw, tolerance, context):
-    return _row(name, raw, tolerance, "negative control; " + context, floor=_CONTROL_FLOOR)
-
-
-def _rows(prefix, res, tol, context=""):
-    """One row per residual in key order."""
-    return [_row(prefix + key, val, tol, context) for key, val in sorted(res.items())]
+def _control(name, raw, context):
+    return Check(name, raw, "negative control; " + context, _CONTROL_FLOOR)
 
 
 def _block(cfg: Config, rows: int):
@@ -200,46 +211,35 @@ def suite_algebra(cfg: Config, p: ParamSet):
 
     basis, zeta, _reps, rep = principal_series_basis(p)
     tl = delta_from_kappa(p)
-    checks = []
-    checks += _rows(
-        "hecke ", check_hecke_relations(rep.T, p), cfg.tolerance,
-        "defining relations of the generator family in the spin representation",
-    )
-    checks += _rows(
-        "diagram ", check_tl_relations(rep.e, tl, p.n), cfg.tolerance,
-        "diagram-algebra relations for the projector family",
-    )
-    checks += _rows(
-        "quotient ", quotient_map_residuals(rep), cfg.tolerance,
-        "the generator image decomposes through the projector family",
-    )
-    checks.append(_row(
-        "commuting family pairwise", murphy_commutator_residual(rep, _block(cfg, rep.dim)), cfg.tolerance,
+    checks = [Check(prefix + key, val, ctx) for prefix, res, ctx in (
+        ("hecke ", check_hecke_relations(rep.T, p),
+         "defining relations of the generator family in the spin representation"),
+        ("diagram ", check_tl_relations(rep.e, tl, p.n),
+         "diagram-algebra relations for the projector family"),
+        ("quotient ", quotient_map_residuals(rep),
+         "the generator image decomposes through the projector family"),
+    ) for key, val in res.items()]
+    checks.append(Check(
+        "commuting family pairwise", murphy_commutator_residual(rep, _block(cfg, rep.dim)),
         "the 2n-fold generator products commute with one another",
     ))
     v0 = np.eye(rep.dim, 1, dtype=complex)
     worst = np.max([np.abs(murphy_Y(rep, i, v0) - zeta[i - 1] * v0).max()
                     for i in range(1, p.n + 1)])
-    checks.append(_row(
-        "highest weight eigenvalues", worst, cfg.tolerance,
-        "the all-plus vector is a joint eigenvector with the boundary-weighted"
-        " geometric eigenvalue string",
-    ))
     distinct = np.bincount(basis.index).max() == 1  # then B's singular values are its |weights|
     smin = np.abs(basis.weight).min() * distinct if np.isfinite(basis.weight).all() else np.nan
-    checks.append(_row(
-        "principal basis independence", smin, cfg.tolerance,
-        "smallest singular value of the coset-representative basis", floor=1e-8,
-    ))
     bad = dict(rep.T)
     block, legs = bad[min(1, p.n)]
     bad[min(1, p.n)] = (1.01 * block, legs)
-    raw = np.max(list(check_hecke_relations(bad, p).values()))
-    checks.append(_control(
-        "control scaled generator", raw, cfg.tolerance,
-        "scaling one generator by 1.01 must break the defining relations",
-    ))
-    return checks
+    return checks + [
+        Check("highest weight eigenvalues", worst,
+              "the all-plus vector is a joint eigenvector with the boundary-weighted"
+              " geometric eigenvalue string"),
+        Check("principal basis independence", smin,
+              "smallest singular value of the coset-representative basis", floor=1e-8),
+        _control("control scaled generator", np.max(list(check_hecke_relations(bad, p).values())),
+                 "scaling one generator by 1.01 must break the defining relations"),
+    ]
 
 
 def suite_matchmaker(cfg: Config, p: ParamSet):
@@ -254,41 +254,30 @@ def suite_matchmaker(cfg: Config, p: ParamSet):
     tl = delta_from_kappa(p)
     beta0, beta1 = matchmaker_betas(p)
     mats = {j: matchmaker_matrix(j, tl, beta0, beta1, n) for j in range(n + 1)}
-    checks = _rows(
-        "matchmaker ", check_tl_relations(mats, tl, n), cfg.tolerance,
-        "diagram-algebra relations in the matching basis",
-    )
+    checks = [Check("matchmaker " + key, val, "diagram-algebra relations in the matching basis")
+              for key, val in check_tl_relations(mats, tl, n).items()]
     rep = build_spin_rep(p)
     psi = intertwiner_Psi(p)
     psi_v = psi @ v
     worst = np.max([rel_residual(apply_on_legs(*rep.e[j], psi_v, n), psi @ (mats[j] @ v))
                     for j in range(n + 1)])
-    checks.append(_row(
-        "equivalence intertwines projectors", worst, cfg.tolerance,
-        "the matching-to-spin map commutes with every projector",
-    ))
     smin = float(np.linalg.svd(psi, compute_uv=False)[-1]) if np.isfinite(psi).all() else np.nan
-    checks.append(_row(
-        "equivalence invertibility", smin, cfg.tolerance,
-        "smallest singular value of the matching-to-spin map", floor=1e-8,
-    ))
-    # Psi's column k is the matching of sign index k: the relabeling is the identity
-    checks.append(_row(
-        "degenerate point sign map", rel_residual(intertwiner_Psi(p, limit=True) @ v, v),
-        cfg.tolerance,
-        "at the degenerate parameter point the map collapses to the"
-        " sign-string relabeling",
-    ))
     # the gauge weights only rescale basis vectors, so detuning them cannot
     # break any relation; the control must distort a generator itself
     bad_mats = dict(mats)
     bad_mats[min(1, n)] = 1.01 * mats[min(1, n)]
-    raw = np.max(list(check_tl_relations(bad_mats, tl, n).values()))
-    checks.append(_control(
-        "control scaled projector", raw, cfg.tolerance,
-        "scaling one projector by 1.01 must break the idempotent relations",
-    ))
-    return checks
+    return checks + [
+        Check("equivalence intertwines projectors", worst,
+              "the matching-to-spin map commutes with every projector"),
+        Check("equivalence invertibility", smin,
+              "smallest singular value of the matching-to-spin map", floor=1e-8),
+        # Psi's column k is the matching of sign index k: the relabeling is the identity
+        Check("degenerate point sign map", rel_residual(intertwiner_Psi(p, limit=True) @ v, v),
+              "at the degenerate parameter point the map collapses to the"
+              " sign-string relabeling"),
+        _control("control scaled projector", np.max(list(check_tl_relations(bad_mats, tl, n).values())),
+                 "scaling one projector by 1.01 must break the idempotent relations"),
+    ]
 
 
 def suite_baxter(cfg: Config, p: ParamSet):
@@ -307,8 +296,7 @@ def suite_baxter(cfg: Config, p: ParamSet):
     res = check_ybe_re(p, samples=cfg.samples, seed=cfg.seed)
     ctx = "spectral-parameter identities of the dressed generators"
     control = "negative control perturbed reflection"
-    checks = [_control(control, res.pop(control), cfg.tolerance, ctx)]
-    checks += _rows("", res, cfg.tolerance, ctx)
+    checks = [_control(control, res.pop(control), ctx)] + [Check(key, val, ctx) for key, val in res.items()]
     rng = stream(cfg.seed)
 
     def draw_word():
@@ -319,22 +307,19 @@ def suite_baxter(cfg: Config, p: ParamSet):
     trials = [draw_word() for _ in range(max(4, cfg.samples // 2))]
     words = [rel_residual(cocycle(word, t), cocycle(reduced_word(word, n), t))
              for word, t in trials]
-    checks.append(_row(
-        "word independence", np.max(words), cfg.tolerance,
-        "the ordered product over any word for a group element matches the"
-        " product over its shortest word",
-    ))
 
     # C_{tau_1}(t) C_{tau_n}(tau_1^{-1} t) against the other order, each the
     # cocycle along the concatenated translation words, over the stack of points
     t = tuple(np.array([torus_point(rng, n, (0.7, 1.4)) for _ in range(4)], dtype=complex).T)
     first, last = tau_word(1, n), tau_word(n, n)
     transport = rel_residual(cocycle(first + last, t), cocycle(last + first, t))
-    checks.append(_row(
-        "commuting translation transports", transport, cfg.tolerance,
-        "transports along distinct lattice directions compose in either order",
-    ))
-    return checks
+    return checks + [
+        Check("word independence", np.max(words),
+              "the ordered product over any word for a group element matches the"
+              " product over its shortest word"),
+        Check("commuting translation transports", transport,
+              "transports along distinct lattice directions compose in either order"),
+    ]
 
 
 def suite_transfer(cfg: Config, p: ParamSet):
@@ -346,36 +331,28 @@ def suite_transfer(cfg: Config, p: ParamSet):
                            transfer_apply, transfer_T_mp)
 
     samples = max(4, min(cfg.samples, 8))
-    checks = _rows(
-        "", check_transfer(p, samples=samples, seed=cfg.seed), cfg.tolerance,
-        "double-row transfer matrix identities",
-    )
-    checks += _rows(
-        "", check_transfer_vs_transport(p, samples=samples, seed=cfg.seed),
-        cfg.tolerance,
-        "the transfer matrix at the distinguished points acts as the"
-        " q-less translation transport",
-    )
+    checks = [Check(key, val, ctx) for res, ctx in (
+        (check_transfer(p, samples=samples, seed=cfg.seed), "double-row transfer matrix identities"),
+        (check_transfer_vs_transport(p, samples=samples, seed=cfg.seed),
+         "the transfer matrix at the distinguished points acts as the q-less translation transport"),
+    ) for key, val in res.items()]
     v = _block(cfg, 2**p.n)
     h_tl, h_pauli, h_transfer = (hamiltonian(p, form, v) for form in ("tl", "pauli", "transfer"))
-    checks.append(_row(
-        "hamiltonian projector vs pauli form", rel_residual(h_tl, h_pauli),
-        cfg.tolerance, "two closed forms of the spin-chain hamiltonian",
-    ))
-    checks.append(_row(
-        "hamiltonian transfer vs pauli form", rel_residual(h_transfer, h_pauli),
-        max(cfg.tolerance, 1e-7),
-        "the logarithmic derivative of the normalized transfer matrix"
-        " against the closed form",
-    ))
+    checks += [
+        Check("hamiltonian projector vs pauli form", rel_residual(h_tl, h_pauli),
+              "two closed forms of the spin-chain hamiltonian"),
+        Check("hamiltonian transfer vs pauli form", rel_residual(h_transfer, h_pauli),
+              "the logarithmic derivative of the normalized transfer matrix against the closed form",
+              least=1e-7),
+    ]
     if cfg.precision == "extended":
         rng = stream(cfg.seed)
         x = complex(0.83 * np.exp(2j * np.pi * rng.random()))
         t = torus_point(rng, p.n, (0.8, 1.3))
-        checks.append(_row(
+        checks.append(Check(
             "extended precision transfer agreement",
             rel_residual(transfer_apply(p, x, t, v), transfer_T_mp(p, x, t, v)),
-            cfg.tolerance, "the double-precision transfer matrix on the suite's block against"
+            "the double-precision transfer matrix on the suite's block against"
             " a 40-digit evaluation at one generic point",
         ))
     # kappa0 enters only the boundary term B = w_0 e_0: detune it by the d whose
@@ -388,12 +365,11 @@ def suite_transfer(cfg: Config, p: ParamSet):
     slope = max_abs(boundary(1 + 1e-6) - boundary(1 - 1e-6)) / 2e-6
     detune = min(1.0, 10 * _CONTROL_FLOOR * max_abs(h_pauli) / max_abs(v) / slope) if slope > 0 else 1.0
     raw = rel_residual(hamiltonian(p.replace(kappa0=p.kappa0 * (1 + detune)), "tl", v), h_pauli)
-    checks.append(_control(
-        "control detuned boundary", raw, cfg.tolerance,
+    return checks + [_control(
+        "control detuned boundary", raw,
         "detuning one boundary parameter until its first-order change of the"
         " boundary term is 1e-2 of max|H V| / max|V| must separate the closed forms",
-    ))
-    return checks
+    )]
 
 
 def suite_koornwinder(cfg: Config, p: ParamSet):
@@ -410,36 +386,23 @@ def suite_koornwinder(cfg: Config, p: ParamSet):
     labels = l1_ball(n, radius)
     dets = label_polynomials(labels, p)
     const = dets[labels.index((0,) * n)].poly
-    # every coefficient against those of 1: one at the zero exponent, else 0
-    diff = np.abs(const.coeffs - ~const.exps.any(axis=1)).max()
-    checks = [_row(
-        "constant polynomial", diff, cfg.tolerance,
-        "the zero label yields the constant polynomial exactly",
-    )]
     # the joint and monic residuals, the stabilizer residuals at fixed and at
     # moving (label, i); folded by np.max / np.min, so a NaN fails
     stab = np.array([det.stab for det in dets])
     at = np.array([[fixed_by_si(i, lam) for i in range(1, n + 1)] for lam in labels])
-    worst_eig = np.max([det.residual for det in dets])
-    worst_monic = np.max([det.monic for det in dets])
-    worst_fixed = np.max(stab[at], initial=0.0)
-    sep = np.min(stab[~at], initial=np.inf)
     ctx = f"all {len(dets)} labels with degree at most {radius}"
-    checks.append(_row(
-        "joint eigenvector residual", worst_eig, max(cfg.tolerance, 1e-8), ctx,
-    ))
-    checks.append(_row("monic leading coefficient", worst_monic, cfg.tolerance, ctx))
-    checks.append(_row(
-        "stabilizer eigenvalue at symmetric labels", worst_fixed,
-        max(cfg.tolerance, 1e-8),
-        "labels fixed by a simple reflection are generator eigenvectors",
-    ))
-    checks.append(_row(
-        "stabilizer separation at moving labels", sep, cfg.tolerance,
-        "labels moved by a simple reflection must not be generator eigenvectors",
-        floor=_CONTROL_FLOOR,
-    ))
-    return checks
+    return [
+        # every coefficient against those of 1: one at the zero exponent, else 0
+        Check("constant polynomial", np.abs(const.coeffs - ~const.exps.any(axis=1)).max(),
+              "the zero label yields the constant polynomial exactly"),
+        Check("joint eigenvector residual", np.max([det.residual for det in dets]), ctx, least=1e-8),
+        Check("monic leading coefficient", np.max([det.monic for det in dets]), ctx),
+        Check("stabilizer eigenvalue at symmetric labels", np.max(stab[at], initial=0.0),
+              "labels fixed by a simple reflection are generator eigenvectors", least=1e-8),
+        Check("stabilizer separation at moving labels", np.min(stab[~at], initial=np.inf),
+              "labels moved by a simple reflection must not be generator eigenvectors",
+              floor=_CONTROL_FLOOR),
+    ]
 
 
 def suite_qkz(cfg: Config, p: ParamSet):
@@ -448,21 +411,16 @@ def suite_qkz(cfg: Config, p: ParamSet):
     from .numerics import LaurentPoly, max_abs, sample_generic
     from .qkz import build_polynomial_solution, verify_solution
 
-    checks = []
+    checks, sols = [], []
     ms = _qkz_degrees(cfg)
-    sols = []
     for m in ms:
         _point, sol = _at_point(cfg, lambda p, m=m: build_polynomial_solution(p, m), mcondition=m)
         sols.append(sol)
         res = verify_solution(sol, samples=cfg.samples, seed=cfg.seed)
-        checks += _rows(
-            f"solution m={m}: ", res, max(cfg.tolerance, 1e-8),
-            "pointwise residuals at random generic points",
-        )
-        checks.append(_row(
-            f"solution m={m}: nontrivial", max_abs(sol.components.coeffs), cfg.tolerance,
-            "largest coefficient of the assembled solution", floor=1e-6,
-        ))
+        checks += [Check(f"solution m={m}: {key}", val, "pointwise residuals at random generic points",
+                         least=1e-8) for key, val in res.items()]
+        checks.append(Check(f"solution m={m}: nontrivial", max_abs(sol.components.coeffs),
+                            "largest coefficient of the assembled solution", floor=1e-6))
     if cfg.params is None:
         free = sample_generic(seed=cfg.seed + 101, n=p.n)
         try:
@@ -470,18 +428,16 @@ def suite_qkz(cfg: Config, p: ParamSet):
             refused = 1.0
         except RefusalError:
             refused = 0.0
-        checks.append(_row(
-            "refusal on unconstrained parameters", refused, cfg.tolerance,
-            "building at a generic unconstrained point must refuse",
-        ))
         coeffs = sols[0].components.coeffs.copy()
         coeffs[0] *= 1.01
         bad = replace(sols[0], components=LaurentPoly(sols[0].components.exps, coeffs))
         raw = np.max(list(verify_solution(bad, samples=4, seed=cfg.seed).values()))
-        checks.append(_control(
-            "control distorted solution", raw, cfg.tolerance,
-            "scaling one component by 1.01 must break the difference equations",
-        ))
+        checks += [
+            Check("refusal on unconstrained parameters", refused,
+                  "building at a generic unconstrained point must refuse"),
+            _control("control distorted solution", raw,
+                     "scaling one component by 1.01 must break the difference equations"),
+        ]
     return checks
 
 
@@ -532,11 +488,8 @@ def run_suite(name: str, cfg: Config):
             f"{sub}: {why}" for sub, why in skipped.items()))
 
     def run_suites(p):
-        checks = []
-        for sub in names:
-            prefix = f"{sub}: " if name == "all" else ""
-            checks += [dict(c, name=prefix + c["name"]) for c in _SUITE_FNS[sub](cfg, p)]
-        return checks
+        return [c._replace(name=f"{sub}: {c.name}" if name == "all" else c.name).row(cfg.tolerance)
+                for sub in names for c in _SUITE_FNS[sub](cfg, p)]
 
     p, checks = _at_point(cfg, run_suites)
     return _report(name, cfg, p, checks, skipped), int(1000 * (time.monotonic() - t0))
@@ -609,10 +562,9 @@ def cmd_qkz_verify(args) -> int:
 
     sol = KZSolution.from_dict(data)
     t0 = time.monotonic()
-    checks = _rows(
-        "", verify_solution(sol, samples=cfg.samples, seed=cfg.seed),
-        max(cfg.tolerance, 1e-8), "pointwise residuals at random generic points",
-    )
+    res = verify_solution(sol, samples=cfg.samples, seed=cfg.seed)
+    checks = [Check(key, val, "pointwise residuals at random generic points", least=1e-8).row(cfg.tolerance)
+              for key, val in res.items()]
     report = _report("qkz-verify", cfg, sol.params, checks)
     return _emit_report(report, int(1000 * (time.monotonic() - t0)), cfg)
 

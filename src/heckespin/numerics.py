@@ -168,13 +168,12 @@ class LaurentPoly:
     def l1_degree(self) -> int:
         return int(np.abs(self.exps).sum(axis=1).max(initial=0))
 
-    def __call__(self, points, dtype=complex) -> np.ndarray:
-        """Values at the points, shape (rows, len(points)); dtype=object
-        evaluates mpmath points in mpmath arithmetic."""
+    def __call__(self, points) -> np.ndarray:
+        """Complex values at the points, shape (rows, len(points))."""
         n = self.exps.shape[1]
         if any(len(t) != n for t in points):
             raise InternalDefectError("point arity mismatch")
-        pts = np.array(points, dtype=dtype).reshape(len(points), 1, n)
+        pts = np.array(points, dtype=complex).reshape(len(points), 1, n)
         return self.coeffs @ np.prod(pts**self.exps, axis=2).T
 
     def to_dicts(self) -> list:

@@ -164,7 +164,7 @@ def quotient_map_residuals(rep: SpinRep) -> dict:
     return out
 
 
-def _row(family: dict, lhs, rhs, coeff=1, residual=tensorops.row_residual) -> float:
+def _relation(family: dict, lhs, rhs, coeff=1, residual=tensorops.row_residual) -> float:
     """The relation prod(lhs) = coeff * prod(rhs) between two words over a
     generator family, as a residual on the union of the words' legs (or,
     with residual=Monomial.row, on the words' (index, weight) arrays)."""
@@ -192,13 +192,13 @@ def check_hecke_relations(T: dict, params: ParamSet) -> dict:
     out = {f"quadratic T{j}": _quadratic(T[j][0], params.kappa_j(j), -1 / params.kappa_j(j))
            for j in range(n + 1)}
     if n >= 2:
-        out["braid T0 T1 fourfold"] = _row(T, [0, 1, 0, 1], [1, 0, 1, 0])
-        out["braid Tn-1 Tn fourfold"] = _row(T, [n - 1, n, n - 1, n], [n, n - 1, n, n - 1])
+        out["braid T0 T1 fourfold"] = _relation(T, [0, 1, 0, 1], [1, 0, 1, 0])
+        out["braid Tn-1 Tn fourfold"] = _relation(T, [n - 1, n, n - 1, n], [n, n - 1, n, n - 1])
     for i in range(1, n - 1):
-        out[f"braid T{i} T{i + 1} threefold"] = _row(T, [i, i + 1, i], [i + 1, i, i + 1])
+        out[f"braid T{i} T{i + 1} threefold"] = _relation(T, [i, i + 1, i], [i + 1, i, i + 1])
     for i in range(n + 1):
         for j in range(i + 2, n + 1):
-            out[f"commute T{i} T{j}"] = _row(T, [i, j], [j, i])
+            out[f"commute T{i} T{j}"] = _relation(T, [i, j], [j, i])
     return out
 
 
@@ -212,16 +212,16 @@ def check_tl_relations(e: dict, tl: TLParams, n: int) -> dict:
         # a Monomial product is a gather, with no sums to round: its row stays
         # relative, which keeps the scaled-projector control strong at n = 1
         w = tl.weight(j, n)
-        out[f"idempotent e{j}"] = (_row(e, [j, j], [j], w, residual) if monomial
+        out[f"idempotent e{j}"] = (_relation(e, [j, j], [j], w, residual) if monomial
                                    else _quadratic(e[j][0], 0, w))
     # the hook relation pivots on a middle index but its neighbor may be a
     # boundary generator
     for i in range(1, n):
         for k in (i - 1, i + 1):
-            out[f"hook e{i} e{k}"] = _row(e, [i, k, i], [i], 1, residual)
+            out[f"hook e{i} e{k}"] = _relation(e, [i, k, i], [i], 1, residual)
     for i in range(n + 1):
         for j in range(i + 2, n + 1):
-            out[f"commute e{i} e{j}"] = _row(e, [i, j], [j, i], 1, residual)
+            out[f"commute e{i} e{j}"] = _relation(e, [i, j], [j, i], 1, residual)
     return out
 
 

@@ -478,6 +478,22 @@ def test_explicit_parameter_file_sets_the_rank(tmp_path):
     assert data["params_fingerprint"] == p.fingerprint()
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("where", ["flag", "config file"])
+def test_a_rank_other_than_the_parameter_sets_is_refused(tmp_path, capsys, where, n):
+    """A parameter set fixes the rank: an --n or a config file's "n" beside
+    its "params" that agrees with it runs, and one that contradicts it is
+    refused with both ranks named, not dropped for the set's rank."""
+    p = sample_generic(seed=8, n=2).to_dict()
+    if where == "flag":
+        argv = ["verify", "algebra", "--n", str(n), "--params", _write(tmp_path, p)]
+    else:
+        argv = ["verify", "algebra", "--params", _write(tmp_path, {"n": n, "params": p})]
+    assert run(argv) == (0 if n == 2 else 2)
+    refusal = "refused: rank n=3 does not match the rank 2 of the parameter set"
+    assert (refusal in capsys.readouterr().err) == (n == 3)
+
+
 @pytest.mark.parametrize(
     "corrupt", ["leg out of range", "block on too many legs", "non-adjacent legs"]
 )
@@ -1330,9 +1346,40 @@ def test_the_tracer_wraps_the_module_holding_the_suites():
 def test_a_nan_floor_value_fails_its_check():
     import heckespin.commands as commands
 
-    assert not commands._row("c", float("nan"), 1e-9, "", floor=1e-3)["pass"]
-    assert not commands._row("c", 5e-4, 1e-9, "", floor=1e-3)["pass"]
-    assert commands._row("c", 2e-3, 1e-9, "", floor=1e-3)["pass"]
+    assert not commands.Check("c", float("nan"), "", floor=1e-3).row(1e-9)["pass"]
+    assert not commands.Check("c", 5e-4, "", floor=1e-3).row(1e-9)["pass"]
+    assert commands.Check("c", 2e-3, "", floor=1e-3).row(1e-9)["pass"]
+
+
+# rows with a least tolerance of their own; so is every qKZ equation row
+_LEAST = {"transfer: hamiltonian transfer vs pauli form": 1e-7,
+          "koornwinder: joint eigenvector residual": 1e-8,
+          "koornwinder: stabilizer eigenvalue at symmetric labels": 1e-8}
+
+
+def test_the_tolerance_meets_the_rows_in_one_place(tmp_path, capsys):
+    """verify all and qkz verify at tolerance 1e-12 and 1e-3 report the same
+    names, residuals and contexts; each row's tolerance is the given one or
+    its own least tolerance where that is larger (1e-8 for every qKZ
+    equation row, in either command), and it passes iff its residual is
+    below that."""
+    sol, _data = _stored_solution(tmp_path)
+    argvs = {"all": ["verify", "all", "--n", "3", "--seed", "1"],
+             "qkz verify": ["qkz", "verify", "--in", str(sol)]}
+    seen = {}
+    for tol in (1e-12, 1e-3):
+        for command, argv in argvs.items():
+            report = tmp_path / "r.json"
+            run([*argv, "--tolerance", str(tol), "--report", str(report)])
+            for c in json.loads(report.read_text())["checks"]:
+                equation = command == "qkz verify" or (c["name"].startswith("qkz: solution m=")
+                                                       and not c["name"].endswith(": nontrivial"))
+                assert c["tolerance"] == max(tol, 1e-8 if equation else _LEAST.get(c["name"], 0.0)), c
+                assert c["pass"] == (c["residual"] < c["tolerance"]), c
+                seen.setdefault(tol, {})[command, c["name"]] = (c["residual"], c["context"])
+    assert seen[1e-12] == seen[1e-3]
+    assert {name for command, name in seen[1e-3] if command == "all"} >= set(_LEAST)
+    capsys.readouterr()
 
 
 def _checks(monkeypatch, module, name, wrapper, suite, n):
@@ -1688,7 +1735,7 @@ def test_a_distorted_cocycle_factor_fails_the_block_rows(monkeypatch, n, mutant)
 
     monkeypatch.setattr(baxter, "cocycle_factors", distorted)
     cfg = commands.Config(n=n, seed=1)
-    rows = {c["name"]: c for c in commands.suite_baxter(cfg, sample_generic(seed=1, n=n))}
+    rows = {c.name: c.row(cfg.tolerance) for c in commands.suite_baxter(cfg, sample_generic(seed=1, n=n))}
     for name in ("word independence", "commuting translation transports"):
         assert not rows[name]["pass"] and rows[name]["residual"] > 1e-3, (name, rows[name])
 
@@ -1713,7 +1760,7 @@ def test_a_distorted_matchmaker_operator_fails_its_block_row(monkeypatch, n, mut
         monkeypatch.setattr(matchings, "intertwiner_Psi", lambda params, limit=False: (
             honest_psi(params, limit)[:, [1, 0, *range(2, 2**n)]] if limit else honest_psi(params)))
     cfg = commands.Config(n=n, seed=1)
-    rows = {c["name"]: c for c in commands.suite_matchmaker(cfg, sample_generic(seed=1, n=n))}
+    rows = {c.name: c.row(cfg.tolerance) for c in commands.suite_matchmaker(cfg, sample_generic(seed=1, n=n))}
     assert not rows[failing]["pass"] and rows[failing]["residual"] > 1e-3, rows[failing]
     assert rows[passing]["pass"], rows[passing]
 

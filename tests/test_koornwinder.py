@@ -503,7 +503,8 @@ def test_label_batches_match_the_per_label_oracle(n, tmp_path, capsys):
                                    if not fixed_by_si(i, lam)])
         assert not per_label
         assert abs(sep - worst["separation"]) <= 1e-12 * worst["separation"]
-        checks = {c["name"]: c["residual"] for c in suite_koornwinder(Config(n=n), p)}
+        cfg = Config(n=n)
+        checks = {c.name: c.row(cfg.tolerance)["residual"] for c in suite_koornwinder(cfg, p)}
         assert abs(checks["joint eigenvector residual"] - worst["joint"]) < 1e-13
         assert checks["monic leading coefficient"] == worst["monic"]
         assert abs(checks["stabilizer eigenvalue at symmetric labels"] - worst["fixed"]) < 1e-13

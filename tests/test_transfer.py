@@ -384,7 +384,8 @@ def test_the_detuned_boundary_control_holds_as_the_chain_grows(n, seed):
 
     from heckespin.commands import Config, suite_transfer
 
-    rows = {c["name"]: c for c in suite_transfer(Config(n=n, seed=seed), sample_generic(seed=seed, n=n))}
+    cfg = Config(n=n, seed=seed)
+    rows = {c.name: c.row(cfg.tolerance) for c in suite_transfer(cfg, sample_generic(seed=seed, n=n))}
     control = rows["control detuned boundary"]
     assert control["pass"] and control["residual"] == 0.0
     observed = float(re.search(r"\(observed ([^)]+)\)", control["context"]).group(1))
