@@ -78,11 +78,11 @@ def main(argv=None) -> int:
         return args.fn(commands)(args)
     except (RefusalError, GenericityError, PoleProximityError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
-        cond = getattr(exc, "report", None)
-        if cond is not None:
+        payload = getattr(exc, "report", None)
+        if payload is not None:
             import json
 
-            print(json.dumps({"refusal": cond.to_dict()}, sort_keys=True, indent=2), file=sys.stderr)
+            print(json.dumps({"refusal": payload}, sort_keys=True, indent=2), file=sys.stderr)
         return 2
     except (InternalDefectError, ValueError) as exc:
         print(f"internal defect: {exc}", file=sys.stderr)

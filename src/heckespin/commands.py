@@ -146,10 +146,8 @@ def _at_point(cfg: Config, work, mcondition=None):
 
     if cfg.params is not None:
         return cfg.params, work(cfg.params)
-    first = numerics.sample_generic(seed=cfg.seed, n=cfg.n, mcondition=mcondition)
-    later = itertools.islice(numerics.generic_draws(cfg.seed, cfg.n, mcondition), 1, None)
     # the stream raises GenericityError once its draws are spent
-    for p in itertools.chain([first], later):
+    for p in numerics.generic_draws(cfg.seed, cfg.n, mcondition):
         try:
             return p, work(p)
         except numerics.GenericityError as exc:
@@ -524,9 +522,10 @@ def cmd_verify(args) -> int:
 
 
 def _polynomial_payload(det) -> dict:
-    gamma = [{"re": g.real, "im": g.imag} for g in det.gamma.tolist()]
+    from .numerics import _c2d
+
     return {"polynomial": det.poly.to_dicts()[0],
-            "metadata": {"lambda": list(det.lam), "gamma_lambda": gamma,
+            "metadata": {"lambda": list(det.lam), "gamma_lambda": list(map(_c2d, det.gamma.tolist())),
                          "eigen_residual": det.residual, "span_size": det.span_size}}
 
 
@@ -576,6 +575,7 @@ def cmd_emit_tables(args) -> int:
         _CAPS["transfer"](cfg)
         import numpy as np
 
+        from .numerics import _c2d
         from .transfer import hamiltonian
 
         def eigenvalues(p):
@@ -591,7 +591,7 @@ def cmd_emit_tables(args) -> int:
         p, spectra = _at_point(cfg, eigenvalues)
         gap = max(abs(complex(x) - complex(y))
                   for va, vb in itertools.combinations(spectra.values(), 2) for x, y in zip(va, vb))
-        forms = {form: [{"re": v.real, "im": v.imag} for v in vals] for form, vals in spectra.items()}
+        forms = {form: list(map(_c2d, vals)) for form, vals in spectra.items()}
         _write_json({"kind": "hamiltonian_spectrum", "n": p.n, "forms": forms, "max_pairwise_gap": gap,
                      "agree": bool(gap < 1e-7), "params_fingerprint": p.fingerprint()}, cfg.out)
         return 0

@@ -117,19 +117,22 @@ def matchmaker_matrix(j: int, tl: TLParams, beta0, beta1, n: int) -> Monomial:
     return Monomial(index, values[weight])
 
 
+def _parity_terms(p: ParamSet):
+    """(x, y, name): beta_1's numerator is (1 + x)(1 + y); f_n = 1 + x, named name."""
+    k, k0, kn, ps = p.kappa, p.kappa0, p.kappan, p.psi0 * p.psin
+    if p.n % 2 == 1:
+        return k0 / kn * ps, kn / k0 * ps, "1 + kappa0/kappan psi0 psin"
+    return -(k0 * kn / k * ps), -(k * ps / (k0 * kn)), "1 - kappa0 kappan/kappa psi0 psin"
+
+
 def matchmaker_betas(params: ParamSet):
     """The (beta_0, beta_1) split used throughout: beta_0 = 1, so beta_1 is
     the constraint value of beta_0 * beta_1 for equivalence with the spin
-    module; its numerator alternates with the parity of n."""
+    module; its numerator alternates with the parity of n (_parity_terms)."""
     p = params
-    k, k0, kn = p.kappa, p.kappa0, p.kappan
-    ps = p.psi0 * p.psin
+    x, y, _ = _parity_terms(p)
     den = boundary_norm(p, 0) * boundary_norm(p, p.n)
-    if p.n % 2 == 1:
-        num = (1 + k0 / kn * ps) * (1 + kn / k0 * ps)
-    else:
-        num = (1 - k0 * kn / k * ps) * (1 - k * ps / (k0 * kn))
-    return 1.0 + 0j, num / (ps * den)
+    return 1.0 + 0j, (1 + x) * (1 + y) / (p.psi0 * p.psin * den)
 
 
 def m_constants(params: ParamSet) -> dict:
@@ -142,12 +145,8 @@ def m_constants(params: ParamSet) -> dict:
     matchmaker_betas.
     """
     p = params
-    k, k0, kn = p.kappa, p.kappa0, p.kappan
-    ps = p.psi0 * p.psin
-    if p.n % 2 == 1:
-        fn = nonvanishing((1, k0 / kn * ps), p, "1 + kappa0/kappan psi0 psin")
-    else:
-        fn = nonvanishing((1, -(k0 * kn / k * ps)), p, "1 - kappa0 kappan/kappa psi0 psin")
+    x, _, name = _parity_terms(p)
+    fn = nonvanishing((1, x), p, name)
     M = {(0, 0): 1.0 + 0j}
     M[(0, 1)] = 1 / (p.psi0 * boundary_norm(p, 0)) / M[(0, 0)]
     M[(p.n, 1)] = 1 / fn / M[(0, 0)]

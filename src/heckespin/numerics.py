@@ -183,8 +183,7 @@ class LaurentPoly:
         order = sorted(range(len(exps)), key=exps.__getitem__)
         return [
             {"n_vars": self.exps.shape[1],
-             "terms": [{"exp": exps[k], "im": row[k].imag, "re": row[k].real}
-                       for k in order if row[k] != 0]}
+             "terms": [{"exp": exps[k], **_c2d(row[k])} for k in order if row[k] != 0]}
             for row in self.coeffs.tolist()
         ]
 
@@ -196,8 +195,7 @@ class LaurentPoly:
         on a missing key or a value of the wrong type."""
         n, col, table = operator.index(rows[0]["n_vars"]), {}, []
         for row in rows:
-            terms = {tuple(map(operator.index, t["exp"])): complex(t["re"], t["im"])
-                     for t in row["terms"]}
+            terms = {tuple(map(operator.index, t["exp"])): _d2c(t) for t in row["terms"]}
             if operator.index(row["n_vars"]) != n or any(len(e) != n for e in terms):
                 raise RefusalError("exponent arity does not match n_vars")
             table.append({col.setdefault(e, len(col)): c for e, c in terms.items()})
@@ -283,15 +281,22 @@ def torus_point(rng, count: int, band) -> tuple:
     return tuple(cmath.rect(rng.uniform(lo, hi), 2 * math.pi * rng.random()) for _ in range(count))
 
 
+def constraint_rhs(n: int, kappa0: complex, kappa: complex, kappan: complex, m: int) -> complex:
+    """(kappa0 kappan kappa^(n-1))^eta(m), the right-hand side of the
+    existence constraint psi0 psin q^m = (kappa0 kappan kappa^(n-1))^eta(m)
+    of the polynomial solutions of degree m (qkz.require_mcondition)."""
+    return (kappa0 * kappan * kappa ** (n - 1)) ** eta(m)
+
+
 def generic_draws(seed: int, n: int, mcondition: int | None = None):
     """The parameter points of stream(seed), in draw order: eight moduli
     uniform in [0.6, 1.6], then eight phases in [0, 2 pi), per draw, with
-    |q| at least 0.05 away from 1 and psin solved for ``mcondition``.  No
-    other screen: a random point is generic almost surely, and each layer
-    guards its own denominators (nonvanishing, baxter.RationalMat, the
-    spectral gates of koornwinder), naming the point in a GenericityError on
-    which a caller may take the next point.  GenericityError once _MAX_DRAWS
-    draws are spent."""
+    |q| at least 0.05 away from 1 and psin solved from constraint_rhs at
+    degree ``mcondition``.  No other screen: a random point is generic
+    almost surely, and each layer guards its own denominators (nonvanishing,
+    baxter.RationalMat, the spectral gates of koornwinder), naming the point
+    in a GenericityError on which a caller may take the next point.
+    GenericityError once _MAX_DRAWS draws are spent."""
     rng = stream(seed)
     for _ in range(_MAX_DRAWS):
         mod = [rng.uniform(*_SCALAR_BAND) for _ in range(8)]
@@ -299,8 +304,7 @@ def generic_draws(seed: int, n: int, mcondition: int | None = None):
         q_sqrt, kappa0, kappa, kappan, upsilon0, upsilonn, psi0, psin = map(cmath.rect, mod, ph)
         if mcondition is not None:
             m = int(mcondition)
-            rhs = (kappa0 * kappan * kappa ** (n - 1)) ** eta(m)
-            psin = rhs / (psi0 * (q_sqrt**2) ** m)
+            psin = constraint_rhs(n, kappa0, kappa, kappan, m) / (psi0 * (q_sqrt**2) ** m)
         p = ParamSet(
             n=n,
             q_sqrt=q_sqrt,

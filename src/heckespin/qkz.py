@@ -6,17 +6,19 @@ system when C_{tau_i}(t) f(q^{-eps_i} t) = f(t) and f is invariant under the
 dressed reflections C_{s_j}; each C_w is the cocycle along a word for w
 (baxter.cocycle_factors), weyl.tau_word(i, n) for tau_i.
 build_polynomial_solution refuses (RefusalError) unless the scalar existence
-constraint between the boundary parameters and q^m holds (require_mcondition)
-and |m| n <= 4.  It reads the monic joint eigenpolynomial at (m, ..., m) off
-the triangular eigenbasis of its degree ball, and cm_alpha applies, for each
-minimal coset representative w, the Hecke element of w (w_0^J)^{-1} through
-the cached generator matrices and scatters the image, weighted, into the spin
-component of the principal-series vector v_w (one weighted basis vector).  One
-principal-series basis, whose last representative is w_0^J, serves the
-spectral wiring check (against numerics.gamma_vectors at (m, ..., m)) and
-cm_alpha; the 2^n components are the rows of one table.  verify_solution
-evaluates all sample points, their q-shifts and their reflections as one
-product of that table, and checks each equation once over the stack of points.
+constraint between the boundary parameters and q^m holds and |m| n <= 4;
+require_mcondition is the one routine that checks that constraint, and its
+refusal carries the payload the driver prints.  The builder reads the monic
+joint eigenpolynomial at (m, ..., m) off the triangular eigenbasis of its
+degree ball, and cm_alpha applies, for each minimal coset representative w, the
+Hecke element of w (w_0^J)^{-1} through the cached generator matrices and
+scatters the image, weighted, into the spin component of the principal-series
+vector v_w (one weighted basis vector).  One principal-series basis, whose last
+representative is w_0^J, serves the spectral wiring check (against
+numerics.gamma_vectors at (m, ..., m)) and cm_alpha; the 2^n components are the
+rows of one table.  verify_solution evaluates all sample points, their q-shifts
+and their reflections as one product of that table, and checks each equation
+once over the stack of points.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from .koornwinder import ball_vector, compute_P_detail, generator_matrices
 from .numerics import (
     LaurentPoly,
     ParamSet,
-    eta,
+    _c2d,
+    constraint_rhs,
     gamma_vectors,
     max_abs,
     stream,
@@ -44,40 +47,16 @@ from .weyl import act_letter, act_word, reduced_word, tau_word
 _MCOND_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    m: int
-    lhs: complex
-    rhs: complex
-    satisfied: bool
-
-    def to_dict(self):
-        return {
-            "m": self.m,
-            "lhs": {"re": self.lhs.real, "im": self.lhs.imag},
-            "rhs": {"re": self.rhs.real, "im": self.rhs.imag},
-            "satisfied": self.satisfied,
-        }
-
-
-def check_mcondition(params: ParamSet, m: int) -> ConditionReport:
-    """Both sides of the existence constraint psi0 psin q^m = (k0 kn
-    kappa^{n-1})^{eta(m)}, with eta(m) = 1 for m > 0 and -1 for m <= 0."""
-    lhs = params.psi0 * params.psin * params.q**m
-    rhs = (params.kappa0 * params.kappan * params.kappa ** (params.n - 1)) ** eta(m)
-    ok = abs(lhs - rhs) < _MCOND_TOL * max(abs(lhs), abs(rhs))
-    return ConditionReport(m=int(m), lhs=lhs, rhs=rhs, satisfied=ok)
-
-
 def require_mcondition(params: ParamSet, m: int) -> None:
-    """Refuse unless check_mcondition holds; the error carries its report."""
-    report = check_mcondition(params, m)
-    if not report.satisfied:
-        err = RefusalError(
-            "existence constraint unsatisfied: "
-            f"lhs={report.lhs:.6g}, rhs={report.rhs:.6g} (m={m})"
-        )
-        err.report = report
+    """Refuse unless the existence constraint psi0 psin q^m = (k0 kn
+    kappa^{n-1})^{eta(m)} holds, with eta(m) = 1 for m > 0 and -1 for m <= 0
+    (numerics.constraint_rhs); the error's report is the payload {m, lhs,
+    rhs, satisfied} that the driver prints."""
+    lhs = params.psi0 * params.psin * params.q**m
+    rhs = constraint_rhs(params.n, params.kappa0, params.kappa, params.kappan, m)
+    if not abs(lhs - rhs) < _MCOND_TOL * max(abs(lhs), abs(rhs)):
+        err = RefusalError(f"existence constraint unsatisfied: lhs={lhs:.6g}, rhs={rhs:.6g} (m={m})")
+        err.report = {"m": int(m), "lhs": _c2d(lhs), "rhs": _c2d(rhs), "satisfied": False}
         raise err
 
 

@@ -313,7 +313,7 @@ def test_polynomial_caps_refuse_before_sampling(tmp_path, monkeypatch):
     def no_sampling(*args, **kw):
         raise AssertionError("sampled or built labels before the cap check")
 
-    monkeypatch.setattr(numerics, "sample_generic", no_sampling)
+    monkeypatch.setattr(numerics, "generic_draws", no_sampling)
     monkeypatch.setattr(numerics, "l1_ball", no_sampling)
     assert run(["verify", "koornwinder", "--n", "4"]) == 2
     # a parameter file sets the rank the cap is checked against
@@ -336,7 +336,7 @@ def test_spin_cap_refuses_before_sampling(tmp_path, monkeypatch, capsys):
     def no_sampling(*args, **kw):
         raise AssertionError("sampled before the cap check")
 
-    monkeypatch.setattr(numerics, "sample_generic", no_sampling)
+    monkeypatch.setattr(numerics, "generic_draws", no_sampling)
     for suite in ("algebra", "matchmaker", "baxter", "transfer"):
         assert run(["verify", suite, "--n", "11"]) == 2
         assert "refused: spin representation capped at n = 10" in capsys.readouterr().err
@@ -399,7 +399,7 @@ def test_a_negative_table_bound_is_refused_before_sampling(tmp_path, monkeypatch
     def no_sampling(*args, **kw):
         raise AssertionError("sampled before the bound check")
 
-    monkeypatch.setattr(numerics, "sample_generic", no_sampling)
+    monkeypatch.setattr(numerics, "generic_draws", no_sampling)
     for args in (["--out", str(tmp_path / "tables")], []):
         monkeypatch.chdir(tmp_path)
         assert run(["emit", "tables", "--kind", "koornwinder", "--n", "1", "--m", "-1",
@@ -539,7 +539,7 @@ def test_qkz_degree_cap_refuses_before_sampling(tmp_path, monkeypatch, capsys):
     def no_sampling(*args, **kw):
         raise AssertionError("sampled before the cap check")
 
-    monkeypatch.setattr(numerics, "sample_generic", no_sampling)
+    monkeypatch.setattr(numerics, "generic_draws", no_sampling)
     assert run(["qkz", "build", "--n", "5", "--m", "1",
                 "--out", str(tmp_path / "s.json")]) == 2
     assert run(["qkz", "build", "--n", "3", "--m", "2"]) == 2
@@ -556,7 +556,7 @@ def test_qkz_rank_cap_refuses_m0_before_sampling(tmp_path, monkeypatch, capsys):
     def no_sampling(*args, **kw):
         raise AssertionError("sampled before the cap check")
 
-    monkeypatch.setattr(numerics, "sample_generic", no_sampling)
+    monkeypatch.setattr(numerics, "generic_draws", no_sampling)
     assert run(["qkz", "build", "--n", "5", "--m", "0",
                 "--out", str(tmp_path / "s.json")]) == 2
     assert run(["verify", "qkz", "--n", "11", "--m", "0"]) == 2
@@ -692,7 +692,7 @@ def test_settings_that_switch_checks_off_are_refused(tmp_path, monkeypatch, caps
     def no_sampling(*args, **kw):
         raise AssertionError("sampled before the settings were checked")
 
-    monkeypatch.setattr(numerics, "sample_generic", no_sampling)
+    monkeypatch.setattr(numerics, "generic_draws", no_sampling)
     argv = ["verify", "baxter", "--n", "3"]
     if source == "flag":
         argv += [f"--{setting}", str(value)]
@@ -813,7 +813,7 @@ def test_a_negative_table_bound_still_meets_the_rank_cap(tmp_path, monkeypatch, 
     def no_sampling(*args, **kw):
         raise AssertionError("sampled before the cap check")
 
-    monkeypatch.setattr(numerics, "sample_generic", no_sampling)
+    monkeypatch.setattr(numerics, "generic_draws", no_sampling)
     out = tmp_path / "t"
     assert run(["emit", "tables", "--kind", "koornwinder", "--n", "4", "--m", "-1",
                 "--out", str(out)]) == 2
@@ -947,13 +947,14 @@ def test_evaluator_arity_mismatch_is_an_internal_defect(tmp_path, monkeypatch, c
 def test_verify_all_draws_each_parameter_set_once(monkeypatch, tmp_path):
     import heckespin.numerics as numerics
 
-    calls = []
+    calls, honest = [], numerics.generic_draws
 
     def counting(seed, n, mcondition=None):
         calls.append((seed, n, mcondition))
-        return sample_generic(seed=seed, n=n, mcondition=mcondition)
+        return honest(seed, n, mcondition)
 
-    monkeypatch.setattr(numerics, "sample_generic", counting)
+    # sample_generic walks generic_draws too, so every stream opened is counted
+    monkeypatch.setattr(numerics, "generic_draws", counting)
     assert run(["verify", "all", "--n", "2", "--seed", "3",
                 "--report", str(tmp_path / "r.json")]) == 0
     assert sorted(calls, key=str) == sorted(
@@ -982,13 +983,13 @@ def test_verify_all_skips_a_qkz_degree_beyond_its_cap(monkeypatch, tmp_path, cap
     the one point drawn, and no point is drawn for the capped degree."""
     import heckespin.numerics as numerics
 
-    conditions = []
+    conditions, honest = [], numerics.generic_draws
 
     def counting(seed, n, mcondition=None):
         conditions.append(mcondition)
-        return sample_generic(seed=seed, n=n, mcondition=mcondition)
+        return honest(seed, n, mcondition)
 
-    monkeypatch.setattr(numerics, "sample_generic", counting)
+    monkeypatch.setattr(numerics, "generic_draws", counting)
     report = tmp_path / "r.json"
     for argv in (["--n", "3", "--m", "2"], ["--n", "2", "--m", "3"]):
         assert run(["verify", "all", *argv, "--report", str(report)]) == 0
@@ -1060,7 +1061,7 @@ def test_verify_all_refuses_when_every_suite_is_capped(tmp_path, monkeypatch, ca
     def no_sampling(*args, **kw):
         raise AssertionError("sampled before the cap check")
 
-    monkeypatch.setattr(numerics, "sample_generic", no_sampling)
+    monkeypatch.setattr(numerics, "generic_draws", no_sampling)
     report = tmp_path / "r.json"
     assert run(["verify", "all", "--n", "11", "--report", str(report)]) == 2
     err = capsys.readouterr().err
@@ -1202,7 +1203,7 @@ def test_identity_suite_refuses_one_site_before_sampling(monkeypatch, capsys):
     def no_sampling(*args, **kw):
         raise AssertionError("sampled before the rank check")
 
-    monkeypatch.setattr(numerics, "sample_generic", no_sampling)
+    monkeypatch.setattr(numerics, "generic_draws", no_sampling)
     assert run(["verify", "baxter", "--n", "1"]) == 2
     assert "refused: the identity suite needs n >= 2" in capsys.readouterr().err
 

@@ -1,5 +1,7 @@
 """Polynomial solutions of the reflection difference system."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from heckespin.koornwinder import compute_P_detail
 from heckespin.numerics import (
     LaurentPoly,
     RefusalError,
+    generic_draws,
     l1_ball,
     max_abs,
     sample_generic,
@@ -16,8 +19,8 @@ from heckespin.numerics import (
 from heckespin.qkz import (
     KZSolution,
     build_polynomial_solution,
-    check_mcondition,
     cm_alpha,
+    require_mcondition,
     verify_solution,
 )
 from heckespin.spinrep import principal_series_basis
@@ -29,14 +32,29 @@ def constrained(seed, n, m):
 
 
 def test_mcondition_report_fields():
-    p = constrained(3, 2, 1)
-    rep = check_mcondition(p, 1)
-    assert rep.satisfied and rep.m == 1
-    assert abs(rep.lhs - rep.rhs) < 1e-9 * abs(rep.lhs)
-    d = rep.to_dict()
-    assert set(d) == {"m", "lhs", "rhs", "satisfied"}
+    """A constrained point passes quietly; an unconstrained one is refused
+    with the payload of both sides of the constraint."""
+    assert require_mcondition(constrained(3, 2, 1), 1) is None
     free = sample_generic(seed=3, n=2)
-    assert not check_mcondition(free, 1).satisfied
+    with pytest.raises(RefusalError) as exc:
+        require_mcondition(free, 1)
+    d = exc.value.report
+    assert set(d) == {"m", "lhs", "rhs", "satisfied"}
+    assert d["satisfied"] is False and d["m"] == 1
+    lhs, rhs = (complex(d[side]["re"], d[side]["im"]) for side in ("lhs", "rhs"))
+    assert lhs == free.psi0 * free.psin * free.q
+    assert rhs == free.kappa0 * free.kappan * free.kappa
+    assert abs(lhs - rhs) > 1e-9 * abs(lhs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_constrained_draws_meet_the_existence_constraint(n):
+    """Every point generic_draws solves for degree m passes the one check of
+    the constraint, at m = -1, 0, 1 over three seeds."""
+    for seed in (1, 2, 3):
+        for m in (-1, 0, 1):
+            for p in itertools.islice(generic_draws(seed, n, m), 3):
+                require_mcondition(p, m)
 
 
 @pytest.mark.parametrize(
@@ -62,7 +80,7 @@ def test_unconstrained_parameters_are_refused():
     free = sample_generic(seed=21, n=2)
     with pytest.raises(RefusalError) as exc:
         build_polynomial_solution(free, 1)
-    assert exc.value.report.satisfied is False
+    assert exc.value.report["satisfied"] is False
 
 
 def test_distorted_solution_fails_verification():

@@ -1,7 +1,7 @@
 """Static checks over the package source: every function and class is used
 by the package itself, so code that only tests call lives beside the tests;
-every file is opened in a with statement; and the console script is the
-process entry of the driver."""
+every file is opened in a with statement; one module spells a complex
+number as JSON; and the console script is the process entry of the driver."""
 
 import ast
 from pathlib import Path
@@ -119,6 +119,34 @@ def test_a_planted_pole_handler_is_flagged(tmp_path):
         "def helper(f):\n    try:\n        return f()\n    except PoleProximityError:\n        return 2\n"
     )
     assert pole_handlers(tmp_path) == ["cli:14", "mod:8", "mod:15"]
+
+
+def complex_keys(src: Path = SRC) -> list:
+    """module:line of every string "re" or "im" in src outside numerics.py,
+    whose _c2d and _d2c are the one codec of a complex number as JSON."""
+    out = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        out += [f"{path.stem}:{node.lineno}" for node in ast.walk(tree) if path.name != "numerics.py"
+                and isinstance(node, ast.Constant) and node.value in ("re", "im")]
+    return out
+
+
+def test_only_numerics_spells_a_complex_number_as_json():
+    assert complex_keys() == []
+
+
+def test_a_planted_complex_key_is_flagged(tmp_path):
+    (tmp_path / "numerics.py").write_text(
+        "def _c2d(z):\n    return {'im': z.imag, 're': z.real}\n"
+    )
+    (tmp_path / "mod.py").write_text(
+        "import re\n\n\n"
+        "def encode(z):\n    return {'re': z.real, 'im': z.imag}\n\n\n"
+        "def decode(d):\n    return complex(d['re'], d[\"im\"])\n\n\n"
+        "def word(text):\n    return re.sub('rem', 'imp', text)\n"
+    )
+    assert complex_keys(tmp_path) == ["mod:5", "mod:5", "mod:9", "mod:9"]
 
 
 def test_the_console_script_is_the_function_the_main_block_calls():
