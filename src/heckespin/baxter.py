@@ -138,10 +138,10 @@ def check_ybe_re(params: ParamSet, samples: int = 20, seed: int = 1) -> dict:
     """Residuals of the dressed-operator identities on the spin representation.
 
     All sample pairs (x, y) are drawn first, and every identity is checked
-    over all of them at once: each dressed block is evaluated once per
-    argument as a stack over the samples, and both sides of every identity
-    are factor lists evaluated on the union of their legs
-    (tensorops.row_residual), which gives the full-space residual, the
+    over all of them at once: each dressed generator (baxter_j) is evaluated
+    once per (index, argument) pair as a stack over the samples, and both
+    sides of every identity are factor lists evaluated on the union of their
+    legs (tensorops.row_residual), which gives the full-space residual, the
     largest over the samples.  The one-factor rows (regularity,
     degeneration) compare blocks.  Keys beginning with "negative control"
     must come out LARGE; everything else should sit at rounding level for
@@ -153,50 +153,30 @@ def check_ybe_re(params: ParamSet, samples: int = 20, seed: int = 1) -> dict:
     out = {}
     bad = params.replace(upsilon0=params.upsilon0 * 1.01)
     names = [(0, "K0"), (n, "Kn")] + [(i, f"R{i}") for i in range(1, n)]
-    blocks, memo = dressed_blocks(params), {}
-    x, y = np.array([torus_point(rng, 2, (0.7, 1.4)) for _ in range(samples)],
-                    dtype=complex).reshape(samples, 2).T
+    x, y = np.array([torus_point(rng, 2, (0.7, 1.4)) for _ in range(samples)], dtype=complex).T
     args = {"x": x, "y": y, "xy": x * y, "y/x": y / x, "x/y": x / y, "1/x": 1 / x}
-
-    def B(j, arg):
-        """baxter_j(params, j, args[arg]) over all samples, each (block,
-        argument) evaluated once."""
-        kind = 0 if j == 0 else 2 if j == n else 1
-        if (kind, arg) not in memo:
-            memo[kind, arg] = blocks[kind](args[arg])
-        return memo[kind, arg], [1] if kind == 0 else [n] if kind == 2 else [j, j + 1]
-
-    def same(key, lhs, rhs):
-        if samples > 0:  # an empty stack has no residual, and no row
-            out[key] = row_residual(lhs, rhs)
-
+    B = functools.cache(lambda j, arg: baxter_j(params, j, args[arg]))
     K0x, K0y, Knx, Kny = B(0, "x"), B(0, "y"), B(n, "x"), B(n, "y")
     left = [B(1, "y/x"), K0y, B(1, "xy"), K0x]
-    same("reflection at the left boundary", [K0x, B(1, "xy"), K0y, B(1, "y/x")], left)
-    same(
-        "reflection at the right boundary",
-        [Kny, B(n - 1, "xy"), Knx, B(n - 1, "x/y")],
-        [B(n - 1, "x/y"), Knx, B(n - 1, "xy"), Kny],
-    )
+    out["reflection at the left boundary"] = row_residual([K0x, B(1, "xy"), K0y, B(1, "y/x")], left)
+    out["reflection at the right boundary"] = row_residual(
+        [Kny, B(n - 1, "xy"), Knx, B(n - 1, "x/y")], [B(n - 1, "x/y"), Knx, B(n - 1, "xy"), Kny])
     for i in range(1, n - 1):
-        same(
-            f"yang-baxter braid R{i} R{i + 1}",
-            [B(i, "x"), B(i + 1, "xy"), B(i, "y")],
-            [B(i + 1, "y"), B(i, "xy"), B(i + 1, "x")],
-        )
+        out[f"yang-baxter braid R{i} R{i + 1}"] = row_residual(
+            [B(i, "x"), B(i + 1, "xy"), B(i, "y")], [B(i + 1, "y"), B(i, "xy"), B(i + 1, "x")])
     for j, name in names:
-        same(f"unitarity {name}", [B(j, "x"), B(j, "1/x")], [])
+        out[f"unitarity {name}"] = row_residual([B(j, "x"), B(j, "1/x")], [])
     for i in range(2, n):
-        same(f"far commutation K0 R{i}", [K0x, B(i, "y")], [B(i, "y"), K0x])
+        out[f"far commutation K0 R{i}"] = row_residual([K0x, B(i, "y")], [B(i, "y"), K0x])
     for i in range(1, n - 2):
-        same(f"far commutation Kn R{i}", [Knx, B(i, "y")], [B(i, "y"), Knx])
+        out[f"far commutation Kn R{i}"] = row_residual([Knx, B(i, "y")], [B(i, "y"), Knx])
     for i in range(1, n):
         for j in range(i + 2, n):
-            same(f"far commutation R{i} R{j}", [B(i, "x"), B(j, "y")], [B(j, "y"), B(i, "x")])
-    same("far commutation K0 Kn", [K0x, Knx], [Knx, K0x])
+            out[f"far commutation R{i} R{j}"] = row_residual([B(i, "x"), B(j, "y")], [B(j, "y"), B(i, "x")])
+    out["far commutation K0 Kn"] = row_residual([K0x, Knx], [Knx, K0x])
     # negative control: left reflection with upsilon0 nudged on one side
-    bad_lhs = [baxter_j(bad, 0, x), B(1, "xy"), K0y, B(1, "y/x")]
-    same("negative control perturbed reflection", bad_lhs, left)
+    out["negative control perturbed reflection"] = row_residual(
+        [baxter_j(bad, 0, x), B(1, "xy"), K0y, B(1, "y/x")], left)
     t_hat = [_local_kbar(params)] + [_local_upsilon_p(params)] * (n - 1) + [_local_k(params)]
     for j, name in names:
         kj, eye = params.kappa_j(j), np.eye(len(t_hat[j]))
@@ -221,9 +201,9 @@ def cocycle_factors(params: ParamSet, word, t) -> list:
     construction, and the dressed braid and unitarity identities make it
     depend only on the element the word spells.
 
-    >>> from heckespin.numerics import rel_residual, sample_generic
+    >>> from heckespin.numerics import generic_draws, rel_residual
     >>> from heckespin.tensorops import factor_product
-    >>> p, t, v = sample_generic(seed=1, n=2), (0.9 + 0.2j, 1.1 - 0.3j), np.ones((4, 2))
+    >>> p, t, v = next(generic_draws(1, 2)), (0.9 + 0.2j, 1.1 - 0.3j), np.ones((4, 2))
     >>> bool((factor_product(cocycle_factors(p, [], t), 2, v) == v).all())
     True
     >>> c = [factor_product(cocycle_factors(p, w, t), 2, v) for w in ([1, 0, 2, 2, 1], [1, 0, 1])]

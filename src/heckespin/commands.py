@@ -403,10 +403,19 @@ def suite_koornwinder(cfg: Config, p: ParamSet):
     ]
 
 
+def _solution_checks(cfg: Config, sol, prefix: str = "") -> list:
+    """The rows of qkz.verify_solution on sol, at cfg's samples and seed,
+    each named prefix + its key: verify qkz and qkz verify report these."""
+    from .qkz import verify_solution
+
+    return [Check(prefix + key, val, "pointwise residuals at random generic points", least=1e-8)
+            for key, val in verify_solution(sol, samples=cfg.samples, seed=cfg.seed).items()]
+
+
 def suite_qkz(cfg: Config, p: ParamSet):
     import numpy as np
 
-    from .numerics import LaurentPoly, max_abs, sample_generic
+    from .numerics import LaurentPoly, max_abs
     from .qkz import build_polynomial_solution, verify_solution
 
     checks, sols = [], []
@@ -414,15 +423,13 @@ def suite_qkz(cfg: Config, p: ParamSet):
     for m in ms:
         _point, sol = _at_point(cfg, lambda p, m=m: build_polynomial_solution(p, m), mcondition=m)
         sols.append(sol)
-        res = verify_solution(sol, samples=cfg.samples, seed=cfg.seed)
-        checks += [Check(f"solution m={m}: {key}", val, "pointwise residuals at random generic points",
-                         least=1e-8) for key, val in res.items()]
+        checks += _solution_checks(cfg, sol, f"solution m={m}: ")
         checks.append(Check(f"solution m={m}: nontrivial", max_abs(sol.components.coeffs),
                             "largest coefficient of the assembled solution", floor=1e-6))
     if cfg.params is None:
-        free = sample_generic(seed=cfg.seed + 101, n=p.n)
+        # p, the point the report fingerprints, was drawn with no constraint
         try:
-            build_polynomial_solution(free, ms[0])
+            build_polynomial_solution(p, ms[0])
             refused = 1.0
         except RefusalError:
             refused = 0.0
@@ -557,13 +564,11 @@ def cmd_qkz_build(args) -> int:
 def cmd_qkz_verify(args) -> int:
     cfg = _load_config(args)
     data = _read_json(args.infile)
-    from .qkz import KZSolution, verify_solution
+    from .qkz import KZSolution
 
     sol = KZSolution.from_dict(data)
     t0 = time.monotonic()
-    res = verify_solution(sol, samples=cfg.samples, seed=cfg.seed)
-    checks = [Check(key, val, "pointwise residuals at random generic points", least=1e-8).row(cfg.tolerance)
-              for key, val in res.items()]
+    checks = [c.row(cfg.tolerance) for c in _solution_checks(cfg, sol)]
     report = _report("qkz-verify", cfg, sol.params, checks)
     return _emit_report(report, int(1000 * (time.monotonic() - t0)), cfg)
 

@@ -169,8 +169,8 @@ def intertwiner_Psi(params: ParamSet, limit: bool = False):
     drops), where only the drawn orientation of each matching survives, so
     the map is the identity.
 
-    >>> from heckespin.numerics import sample_generic
-    >>> p = sample_generic(seed=1, n=2)
+    >>> from heckespin.numerics import generic_draws
+    >>> p = next(generic_draws(1, 2))
     >>> bool(np.allclose(intertwiner_Psi(p)[:, 1], [0, 1, -1 / p.kappa, 0]))
     True
     >>> bool(np.array_equal(intertwiner_Psi(p, limit=True), np.eye(4)))

@@ -11,9 +11,10 @@ per polynomial.  They are built, stored as JSON and evaluated here; the
 library never multiplies two of them or changes their variables.  The
 spectral vectors of integer weights are the rows of one array
 (gamma_vectors).  Every draw comes from a stream(seed): parameter points
-from generic_draws, spectral points from torus_point.  A spectral point at a
-pole (baxter.RationalMat) is not redrawn: its PoleProximityError refuses the
-job (exit 2), in every row that evaluates the dressed blocks.
+only from generic_draws, which commands._at_point alone walks, and spectral
+points from torus_point.  A spectral point at a pole (baxter.RationalMat) is
+not redrawn: its PoleProximityError refuses the job (exit 2), in every row
+that evaluates the dressed blocks.
 """
 
 from __future__ import annotations
@@ -322,12 +323,6 @@ def generic_draws(seed: int, n: int, mcondition: int | None = None):
     raise GenericityError(
         f"no generic parameter point for seed={seed}, n={n} in {_MAX_DRAWS} draws"
     )
-
-
-def sample_generic(seed: int, n: int, mcondition: int | None = None) -> ParamSet:
-    """The first point of generic_draws(seed, n, mcondition), deterministic
-    in its arguments."""
-    return next(generic_draws(seed, n, mcondition))
 
 
 def nonvanishing(terms, params: ParamSet, what: str):

@@ -34,9 +34,11 @@ from .numerics import (
     LaurentPoly,
     ParamSet,
     _c2d,
+    _point_max,
     constraint_rhs,
     gamma_vectors,
     max_abs,
+    rel_residual,
     stream,
     torus_point,
 )
@@ -165,21 +167,17 @@ def verify_solution(sol: KZSolution, samples: int = 20, seed: int = 8) -> dict:
     rng = stream(seed)
     q = params.q
     points = [torus_point(rng, n, (0.75, 1.35)) for _ in range(samples)]
-    if not points:
-        return {}
     t = tuple(np.array(points, dtype=complex).T)
     shifted = [t[:i] + (t[i] / q,) + t[i + 1 :] for i in range(n)]
     reflected = [act_letter(j, t, params) for j in range(n + 1)]
-    # vals[c, s]: the components at the c-th of these points of sample s
+    # vals[c, s]: the components at the c-th of these points of sample s, a column
     groups = [np.stack(u, axis=-1) for u in (t, *shifted, *reflected)]
     vals = sol.components([point for group in groups for point in group])
-    vals = np.moveaxis(vals.reshape(-1, len(groups), len(points)), 0, -1)
-    ft = vals[0]
-    scale = np.maximum(np.abs(ft).max(axis=1), 1e-300)
+    vals = np.moveaxis(vals.reshape(-1, len(groups), len(points)), 0, -1)[..., None]
+    ft, scale = vals[0], _point_max(vals[0])
 
     def residual(factors, col):
-        lhs = factor_product(factors, n, vals[col][..., None])[..., 0]
-        return float((np.abs(lhs - ft).max(axis=1) / scale).max())
+        return rel_residual(factor_product(factors, n, vals[col]), ft, scale=scale)
 
     keys = [(f"transport equation i={i}", tau_word(i, n)) for i in range(1, n + 1)]
     keys += [(f"invariance under s_{j}", [j]) for j in range(n + 1)]

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import InternalDefectError
 from .baxter import cocycle_factors, dressed_blocks
-from .numerics import ParamSet, max_abs, nonvanishing, rel_residual, stream, torus_point
+from .numerics import ParamSet, _point_max, max_abs, nonvanishing, rel_residual, stream, torus_point
 from .spinrep import boundary_norm, build_spin_rep
 from .tensorops import (
     PERMUTE_TWO,
@@ -227,7 +227,7 @@ def check_transfer(params: ParamSet, samples: int = 8, seed: int = 2) -> dict:
     xy, txy = np.concatenate([x, y]), [np.concatenate([tj, tj]) for tj in t]
     once = transfer_apply(params, xy, txy, v)  # [T_x V, T_y V]
     twice = transfer_apply(params, xy, txy, np.roll(once, samples, axis=0))
-    nx, ny = np.abs(once).max(axis=(1, 2)).reshape(2, samples)
+    nx, ny = _point_max(once).reshape(2, samples)
     out["commuting transfer matrices"] = rel_residual(
         twice[:samples], twice[samples:], scale=nx * ny / max_abs(v))
     rx = R(x) @ PERMUTE_TWO
@@ -269,7 +269,7 @@ def check_transfer_vs_transport(
             params, np.concatenate([1 / ti, ti]), [np.tile(tj, 2) for tj in t], v), 2)
         out[f"stationary transport at x=1/t_{i}"] = rel_residual(
             at_inv, phi_bdy(1 / ti, params)[:, None, None] * cv)
-        scale = np.abs(at_t).max(axis=(1, 2)) * np.abs(cv).max(axis=(1, 2)) / max_abs(v)
+        scale = _point_max(at_t) * _point_max(cv) / max_abs(v)
         del at_inv, at_t  # so that the next call holds only its own points
         out[f"stationary inverse transport at x=t_{i}"] = rel_residual(
             transfer_apply(params, ti, t, cv), phi_bdy(ti, params)[:, None, None] * v, scale=scale)

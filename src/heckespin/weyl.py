@@ -65,8 +65,8 @@ def act_letter(a: int, point, params: ParamSet):
     """s_a on (C*)^n: s_0 sends t_1 to q/t_1, s_i swaps t_i and t_{i+1} and
     s_n inverts t_n.  The coordinates may be scalars or arrays of points.
 
-    >>> from .numerics import sample_generic
-    >>> p, t = sample_generic(1, 2), (0.3 + 0.1j, 1.2 - 0.4j)
+    >>> from .numerics import generic_draws
+    >>> p, t = next(generic_draws(1, 2)), (0.3 + 0.1j, 1.2 - 0.4j)
     >>> s0t = act_letter(0, t, p)
     >>> abs(s0t[0] - p.q / t[0]) < 1e-14 and s0t[1] == t[1]
     True

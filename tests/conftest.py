@@ -14,9 +14,10 @@ from heckespin.matchings import m_constants, pty
 from heckespin.numerics import (
     InternalDefectError,
     LaurentPoly,
+    ParamSet,
+    generic_draws,
     l1_ball,
     rel_residual,
-    sample_generic,
     stream,
     torus_point,
 )
@@ -26,6 +27,13 @@ from heckespin.transfer import theta_matrix
 from heckespin.weyl import tau_word
 
 _ACCEPTANCE: list = []
+
+
+def sample_generic(seed: int, n: int, mcondition: int | None = None) -> ParamSet:
+    """The first point of generic_draws(seed, n, mcondition), deterministic
+    in its arguments: the package draws its points in commands._at_point
+    alone, and tests take theirs here."""
+    return next(generic_draws(seed, n, mcondition))
 
 
 def record_acceptance(label: str, passed: bool):

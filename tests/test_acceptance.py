@@ -17,6 +17,7 @@ from conftest import (
     enumerate_matchings,
     from_table,
     record_acceptance,
+    sample_generic,
     scale_row,
     stabilizer_eigen_residual,
 )
@@ -38,7 +39,6 @@ from heckespin.numerics import (
     RefusalError,
     l1_ball,
     rel_residual,
-    sample_generic,
 )
 from heckespin.qkz import KZSolution, build_polynomial_solution, verify_solution
 from heckespin.tensorops import PERMUTE_TWO, factor_product

@@ -22,6 +22,7 @@ from conftest import (
     act_point,
     explicit_rkk,
     letter_factor,
+    sample_generic,
     to_table,
     transport_factors,
     ybe_per_sample,
@@ -31,7 +32,6 @@ from heckespin.baxter import _horner, baxter_j, check_ybe_re, cocycle_factors, d
 from heckespin.numerics import (
     GenericityError,
     rel_residual,
-    sample_generic,
     stream,
     torus_point,
 )
@@ -46,6 +46,18 @@ def test_identity_battery(params2):
     control = res.pop("negative control perturbed reflection")
     assert max(res.values()) < 1e-10
     assert control > 1e-3
+
+
+@pytest.mark.xfail(strict=True, reason="check_ybe_re's Kn loop stops at R{n-3}; the fix adds a row "
+                   "to the report names that perfbench/expected_checks.json gates")
+def test_kn_far_commutes_with_every_r_off_its_leg():
+    """K_n on leg n commutes with R_i on legs (i, i+1) for every i <= n - 2,
+    so at n = 5 the report has the rows Kn R1, R2 and R3.  Expected to fail
+    while the loop stops one short; strict, so that the marker goes with
+    the fix."""
+    res = check_ybe_re(sample_generic(seed=5, n=5), samples=2, seed=1)
+    assert sorted(key for key in res if key.startswith("far commutation Kn ")) == [
+        "far commutation Kn R1", "far commutation Kn R2", "far commutation Kn R3"]
 
 
 def test_pole_guard_raises(params2):

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import sample_generic
 from heckespin import PoleProximityError
 from heckespin.baxter import RationalMat, cocycle_factors
 from heckespin.cli import main
@@ -23,7 +24,6 @@ from heckespin.numerics import (
     LaurentPoly,
     ParamSet,
     generic_draws,
-    sample_generic,
     stream,
     torus_point,
 )
@@ -52,6 +52,9 @@ _UNPARSED = ("numpy", *_LAYERS, "commands", "json", "dataclasses", "inspect")
     (["verify", "algebra", "--n"], 2, (), _UNPARSED),
     (["verify", "all", "--n", "2", "--seed", "-1"], 2, ("commands",), ("numpy", *_LAYERS)),
     (["verify", "algebra", "--n", "2", "--samples", "0"], 2, ("commands",), ("numpy", *_LAYERS)),
+    (["verify", "baxter", "--n", "2", "--samples", "0"], 2, ("commands",), ("numpy", *_LAYERS)),
+    (["verify", "qkz", "--n", "2", "--samples", "0"], 2, ("commands",), ("numpy", *_LAYERS)),
+    (["qkz", "verify", "--in", "sol.json", "--samples", "0"], 2, ("commands",), ("numpy", *_LAYERS)),
     (["verify", "algebra", "--n", "2", "--tolerance", "0"], 2, ("commands",), ("numpy", *_LAYERS)),
     (["koornwinder", "compute", "--lambda", "x"], 2, ("commands",), ("numpy", *_LAYERS)),
     (["verify", "algebra", "--params", "missing.json"], 2, ("commands",), ("numpy", *_LAYERS)),
@@ -73,7 +76,8 @@ _UNPARSED = ("numpy", *_LAYERS, "commands", "json", "dataclasses", "inspect")
     (["qkz", "build", "--report", "r"], 2, (), _UNPARSED),
     (["qkz", "verify", "--in", "x", "--n", "2"], 2, (), _UNPARSED),
     (["emit", "tables", "--kind", "koornwinder", "--tolerance", "1e-3"], 2, (), _UNPARSED),
-], ids=["help", "argparse error", "seed", "samples", "tolerance", "lambda", "params", "in",
+], ids=["help", "argparse error", "seed", "samples", "baxter samples", "qkz samples",
+        "qkz verify samples", "tolerance", "lambda", "params", "in",
         "dim cap", "polynomial cap", "label cap", "qkz cap", "spectrum cap", "algebra", "transfer",
         "spectrum", "all", "verify --out", "compute --samples", "build --report", "qkz verify --n",
         "tables --tolerance"])
@@ -84,7 +88,9 @@ def test_a_command_imports_only_the_layers_it_runs(tmp_path, argv, code, loaded,
     and inspect; a flag, file or cap refusal loads
     no numpy and no layer; and a suite loads only the layers it calls (numpy
     and the layers here by module name).  No command loads numpy.ma, which
-    np.unique imports on its first call."""
+    np.unique imports on its first call.  The working directory holds a
+    sol.json of {}, so that qkz verify refuses --samples 0 before it loads
+    the qkz layer to read that file."""
     import subprocess
     import sys
     from pathlib import Path
@@ -92,6 +98,7 @@ def test_a_command_imports_only_the_layers_it_runs(tmp_path, argv, code, loaded,
     import heckespin
 
     src = str(Path(heckespin.__file__).resolve().parents[1])
+    (tmp_path / "sol.json").write_text("{}")
     out = tmp_path / "modules.txt"
     proc = subprocess.run([sys.executable, "-c", _PROBE, str(out), *argv], cwd=tmp_path,
                           env={**os.environ, "PYTHONPATH": src}, capture_output=True)
@@ -953,13 +960,10 @@ def test_verify_all_draws_each_parameter_set_once(monkeypatch, tmp_path):
         calls.append((seed, n, mcondition))
         return honest(seed, n, mcondition)
 
-    # sample_generic walks generic_draws too, so every stream opened is counted
     monkeypatch.setattr(numerics, "generic_draws", counting)
     assert run(["verify", "all", "--n", "2", "--seed", "3",
                 "--report", str(tmp_path / "r.json")]) == 0
-    assert sorted(calls, key=str) == sorted(
-        [(3, 2, None), (3, 2, -1), (3, 2, 0), (3, 2, 1), (104, 2, None)], key=str
-    )
+    assert sorted(calls, key=str) == sorted([(3, 2, None), (3, 2, -1), (3, 2, 0), (3, 2, 1)], key=str)
 
 
 def test_qkz_control_reuses_the_built_solution(monkeypatch, tmp_path):
@@ -1645,8 +1649,8 @@ def test_a_guard_at_a_qkz_point_takes_the_next_draw_of_its_degree(monkeypatch, t
     seen = _plant_guard(monkeypatch, qkz, "build_polynomial_solution", lambda p: p == first)
     report = tmp_path / "r.json"
     assert run(["verify", "qkz", "--n", "2", "--m", "-1", "--seed", "3", "--report", str(report)]) == 0
-    # then the unconstrained point of the refusal row, seed 3 + 101
-    assert seen == [first, second, sample_generic(seed=104, n=2)]
+    # then the refusal row at the suite's own unconstrained point
+    assert seen == [first, second, next(generic_draws(3, 2))]
 
 
 def test_a_guard_at_every_draw_refuses_once_the_draws_are_spent(monkeypatch, capsys):
@@ -1776,14 +1780,14 @@ import sys
 import mpmath
 import numpy as np
 import heckespin.commands as commands
-from heckespin.numerics import sample_generic
+from heckespin.numerics import generic_draws
 
 def peak():
     with open("/proc/self/status") as status:
         return 1024 * next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
 
 n = 8
-p = sample_generic(seed=1, n=n)
+p = next(generic_draws(1, n))
 commands.suite_transfer(commands.Config(n=n, seed=1), p)
 start = peak()
 held = np.ones((2**n, 2**n), complex) if sys.argv[1] == "control" else None

@@ -16,6 +16,7 @@ from conftest import (
     noumi_T_apply,
     noumi_T_inv_apply,
     noumi_Y_apply,
+    sample_generic,
     stabilizer_eigen_residual,
     to_table,
 )
@@ -34,7 +35,6 @@ from heckespin.numerics import (
     eta,
     gamma_vectors,
     l1_ball,
-    sample_generic,
 )
 from heckespin.qkz import build_polynomial_solution, cm_alpha
 from heckespin.spinrep import principal_series_basis

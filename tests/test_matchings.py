@@ -16,6 +16,7 @@ from conftest import (
     enumerate_matchings,
     generator_table_by_rules,
     psi_by_columns,
+    sample_generic,
     validate_by_rules,
 )
 from heckespin.matchings import (
@@ -26,7 +27,7 @@ from heckespin.matchings import (
     partners,
     pty,
 )
-from heckespin.numerics import GenericityError, sample_generic
+from heckespin.numerics import GenericityError
 from heckespin.spinrep import TLParams, build_spin_rep, check_tl_relations, delta_from_kappa
 
 signs = st.lists(st.sampled_from([1, -1]), min_size=1, max_size=7)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heckespin
-from conftest import DictPoly, Residuals, divided_difference, laurent_mul, s_j, to_table
+from conftest import DictPoly, Residuals, divided_difference, laurent_mul, s_j, sample_generic, to_table
 from heckespin.koornwinder import compute_P_detail, label_polynomials
 from heckespin.numerics import (
     GenericityError,
@@ -24,7 +24,6 @@ from heckespin.numerics import (
     l1_ball,
     nonvanishing,
     rel_residual,
-    sample_generic,
     stream,
 )
 
@@ -285,21 +284,21 @@ def test_gamma_screen_matches_the_all_pairs_oracle(monkeypatch, n):
 
 @pytest.mark.parametrize("m", [None, -1, 0, 1])
 def test_sample_generic_is_the_first_raw_draw_in_the_q_band(m):
-    """No screen beyond the |q| band: for seeds 1-200 and n = 1..6 the point
-    is the first draw of the seed's raw stream of sixteen uniforms per draw
-    with |q| at least 0.05 away from 1, with psin solved for m."""
+    """No screen beyond the |q| band: for seeds 1-200 and n = 1..6 the first
+    point of generic_draws (the tests' sample_generic) is the first draw of
+    the seed's raw stream of sixteen uniforms per draw with |q| at least
+    0.05 away from 1, with psin solved for m."""
     for n in range(1, 7):
         for seed in range(1, 201):
             rng = stream(seed)
             while abs(abs((p := _raw_draw(rng, n, m)).q) - 1) < 0.05:
                 pass
-            assert sample_generic(seed, n, m) == p
+            assert next(generic_draws(seed, n, m)) == p
 
 
 def test_generic_draws_run_through_the_stream_and_give_up_after_64_draws():
-    """The draws of a seed's stream in the |q| band, first sample_generic's,
-    then the next ones; a GenericityError naming no point once the 64 draws
-    of a seed are spent."""
+    """The draws of a seed's stream in the |q| band, in draw order; a
+    GenericityError naming no point once the 64 draws of a seed are spent."""
     rng, draws = stream(3), []
     for _ in range(64):
         p = _raw_draw(rng, 2)
@@ -307,7 +306,6 @@ def test_generic_draws_run_through_the_stream_and_give_up_after_64_draws():
             draws.append(p)
     points = generic_draws(3, 2)
     assert [next(points) for _ in draws] == draws
-    assert draws[0] == sample_generic(3, 2)
     with pytest.raises(GenericityError, match="no generic parameter point for seed=3, n=2") as err:
         next(points)
     assert err.value.point is None
@@ -329,10 +327,11 @@ def test_a_vanishing_parameter_denominator_names_its_point():
 
 
 def test_sample_generic_is_deterministic_and_constrained():
-    a = sample_generic(seed=5, n=2)
-    b = sample_generic(seed=5, n=2)
+    """The first point of generic_draws (the tests' sample_generic)."""
+    a = next(generic_draws(5, 2))
+    b = next(generic_draws(5, 2))
     assert a.fingerprint() == b.fingerprint()
-    c = sample_generic(seed=5, n=2, mcondition=1)
+    c = next(generic_draws(5, 2, 1))
     lhs = c.psi0 * c.psin * c.q
     rhs = c.kappa0 * c.kappan * c.kappa
     assert abs(lhs - rhs) < 1e-12

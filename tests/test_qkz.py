@@ -5,7 +5,16 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import DictPoly, WeylElem, from_table, noumi_T_apply, qkz_per_sample, scale_row, to_table
+from conftest import (
+    DictPoly,
+    WeylElem,
+    from_table,
+    noumi_T_apply,
+    qkz_per_sample,
+    sample_generic,
+    scale_row,
+    to_table,
+)
 from heckespin import PoleProximityError
 from heckespin.koornwinder import compute_P_detail
 from heckespin.numerics import (
@@ -14,7 +23,6 @@ from heckespin.numerics import (
     generic_draws,
     l1_ball,
     max_abs,
-    sample_generic,
 )
 from heckespin.qkz import (
     KZSolution,

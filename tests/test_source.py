@@ -1,7 +1,8 @@
 """Static checks over the package source: every function and class is used
 by the package itself, so code that only tests call lives beside the tests;
 every file is opened in a with statement; one module spells a complex
-number as JSON; and the console script is the process entry of the driver."""
+number as JSON; one function draws parameter points; and the console
+script is the process entry of the driver."""
 
 import ast
 from pathlib import Path
@@ -147,6 +148,46 @@ def test_a_planted_complex_key_is_flagged(tmp_path):
         "def word(text):\n    return re.sub('rem', 'imp', text)\n"
     )
     assert complex_keys(tmp_path) == ["mod:5", "mod:5", "mod:9", "mod:9"]
+
+
+def _enclosed_references(node, where: str, name: str, out: list) -> list:
+    """where, extended by the name of each enclosing function or class, of
+    every Name or Attribute under node that refers to name."""
+    for child in ast.iter_child_nodes(node):
+        if (isinstance(child, ast.Name) and child.id == name
+                or isinstance(child, ast.Attribute) and child.attr == name):
+            out.append(where)
+        inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        _enclosed_references(child, f"{where}.{child.name}" if inner else where, name, out)
+    return out
+
+
+def draw_sites(src: Path = SRC) -> list:
+    """module.function of every reference to numerics.generic_draws in src,
+    in source order per module: the package draws its parameter points in
+    commands._at_point alone, so a report's fingerprint names the point that
+    each of its rows ran at."""
+    return [site for path in sorted(src.glob("*.py")) for site in _enclosed_references(
+        ast.parse(path.read_text(encoding="utf-8")), path.stem, "generic_draws", [])]
+
+
+def test_only_at_point_draws_a_parameter_point():
+    assert draw_sites() == ["commands._at_point"]
+
+
+def test_a_planted_parameter_draw_is_flagged(tmp_path):
+    (tmp_path / "commands.py").write_text(
+        "from . import numerics\n\n\n"
+        "def _at_point(cfg):\n    return next(numerics.generic_draws(cfg.seed, cfg.n))\n\n\n"
+        "def suite(cfg):\n    free = lambda: numerics.generic_draws(cfg.seed + 101, cfg.n)\n"
+        "    return free\n"
+    )
+    (tmp_path / "mod.py").write_text(
+        "from .numerics import generic_draws\n\nPOINT = next(generic_draws(1, 2))\n\n\n"
+        "class Holder:\n    def point(self):\n        return next(generic_draws(1, 2))\n\n\n"
+        "def doc():\n    \"\"\">>> next(generic_draws(1, 2))\"\"\"\n"
+    )
+    assert draw_sites(tmp_path) == ["commands._at_point", "commands.suite", "mod", "mod.Holder.point"]
 
 
 def test_the_console_script_is_the_function_the_main_block_calls():

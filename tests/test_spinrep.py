@@ -6,9 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import _kron_embed, dense_hecke_relations
+from conftest import _kron_embed, dense_hecke_relations, sample_generic
 from heckespin import spinrep
-from heckespin.numerics import GenericityError, InternalDefectError, ParamSet, rel_residual, sample_generic, stream
+from heckespin.numerics import GenericityError, InternalDefectError, ParamSet, rel_residual, stream
 from heckespin.spinrep import (
     build_spin_rep,
     check_hecke_relations,

@@ -5,9 +5,9 @@ import pytest
 
 import heckespin.tensorops
 import heckespin.transfer
-from conftest import _kron_embed, explicit_rkk, factor_loop_T, transport_factors
+from conftest import _kron_embed, explicit_rkk, factor_loop_T, sample_generic, transport_factors
 from heckespin.baxter import cocycle_factors
-from heckespin.numerics import GenericityError, rel_residual, sample_generic, stream, torus_point
+from heckespin.numerics import GenericityError, rel_residual, stream, torus_point
 from heckespin.spinrep import build_spin_rep
 from heckespin.tensorops import PERMUTE_TWO, factor_product, gaussian_block
 from heckespin.transfer import (

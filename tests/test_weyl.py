@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import WeylElem, act_point, bfs_levels, finite_group
+from conftest import WeylElem, act_point, bfs_levels, finite_group, sample_generic
 from heckespin import weyl
-from heckespin.numerics import sample_generic, stream, torus_point
+from heckespin.numerics import stream, torus_point
 from heckespin.weyl import (
     act_letter,
     act_word,

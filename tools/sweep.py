@@ -24,7 +24,7 @@ exits 0 whatever differs.
 All commands of a tree share one interpreter, as a long-lived caller's
 would: module caches stay warm and a Python warning shows once per
 process, so stderr can differ from separate `heckespin` processes.  The
-default grid (617 commands) takes about a minute per tree, two trees at
+default grid (623 commands) takes about a minute per tree, two trees at
 once on a 2-core host.
 """
 
@@ -52,8 +52,10 @@ def default_grid() -> list:
     """The parity grid: every spin suite at n = 2..10 and the full and qKZ
     suites at seeds 1-20, the known failing baxter seed, extended
     precision, each writing command, a stored solution as the --params
-    config file of an agreeing and of a contradicting rank and of an unmet
-    existence constraint, and two more refusals."""
+    config file of an agreeing and of a contradicting rank, of an unmet
+    existence constraint and of the qKZ suite (which skips its refusal row
+    there), the one-site qKZ suite, and four more refusals (two of them
+    --samples 0)."""
     seeds = range(1, 21)
     grid = [f"verify {suite} --n {n} --seed {s}" for suite in ("algebra", "matchmaker", "baxter", "transfer")
             for n in (2, 3, 4, 6, 8, 10) for s in seeds]
@@ -74,6 +76,10 @@ def default_grid() -> list:
         "emit tables --kind hamiltonian_spectrum --n 2 --seed 1",
         "verify baxter --n 1 --seed 1",
         "verify all --n 11 --seed 1",
+        "qkz build --n 2 --m 1 --seed 1 --out sol.json; verify qkz --m 1 --params sol.json",
+        "verify qkz --n 1 --seed 1",
+        "verify baxter --n 3 --samples 0",
+        "qkz build --n 2 --m 1 --seed 1 --out sol.json; qkz verify --in sol.json --samples 0",
     ]
     return grid
 
