@@ -38,7 +38,7 @@ import numpy as np
 from . import InternalDefectError, PoleProximityError, check_identity_rank
 from .numerics import _POLE_TOL, ParamSet, nonvanishing, rel_residual, stream, torus_point
 from .spinrep import _local_k, _local_kbar, _local_upsilon_p
-from .tensorops import row_residual
+from .tensorops import Product
 from .weyl import act_letter
 
 
@@ -135,17 +135,17 @@ def baxter_j(params: ParamSet, j: int, x):
 
 
 def check_ybe_re(params: ParamSet, samples: int = 20, seed: int = 1) -> dict:
-    """Residuals of the dressed-operator identities on the spin representation.
+    """The dressed-operator identities on the spin representation.
 
     All sample pairs (x, y) are drawn first, and every identity is checked
     over all of them at once: each dressed generator (baxter_j) is evaluated
-    once per (index, argument) pair as a stack over the samples, and both
-    sides of every identity are factor lists evaluated on the union of their
-    legs (tensorops.row_residual), which gives the full-space residual, the
-    largest over the samples.  The one-factor rows (regularity,
-    degeneration) compare blocks.  Keys beginning with "negative control"
-    must come out LARGE; everything else should sit at rounding level for
-    generic parameters.
+    once per (index, argument) pair as a stack over the samples, and every
+    identity of two products is handed back as a tensorops.Product of its
+    two factor lists, which tensorops.evaluate multiplies out on the union
+    of their legs: the full-space residual, the largest over the samples.
+    The one-factor rows (regularity, degeneration) are residuals of blocks.
+    Keys beginning with "negative control" must come out LARGE; everything
+    else should sit at rounding level for generic parameters.
     """
     n = params.n
     check_identity_rank(n)
@@ -158,24 +158,24 @@ def check_ybe_re(params: ParamSet, samples: int = 20, seed: int = 1) -> dict:
     B = functools.cache(lambda j, arg: baxter_j(params, j, args[arg]))
     K0x, K0y, Knx, Kny = B(0, "x"), B(0, "y"), B(n, "x"), B(n, "y")
     left = [B(1, "y/x"), K0y, B(1, "xy"), K0x]
-    out["reflection at the left boundary"] = row_residual([K0x, B(1, "xy"), K0y, B(1, "y/x")], left)
-    out["reflection at the right boundary"] = row_residual(
+    out["reflection at the left boundary"] = Product([K0x, B(1, "xy"), K0y, B(1, "y/x")], left)
+    out["reflection at the right boundary"] = Product(
         [Kny, B(n - 1, "xy"), Knx, B(n - 1, "x/y")], [B(n - 1, "x/y"), Knx, B(n - 1, "xy"), Kny])
     for i in range(1, n - 1):
-        out[f"yang-baxter braid R{i} R{i + 1}"] = row_residual(
+        out[f"yang-baxter braid R{i} R{i + 1}"] = Product(
             [B(i, "x"), B(i + 1, "xy"), B(i, "y")], [B(i + 1, "y"), B(i, "xy"), B(i + 1, "x")])
     for j, name in names:
-        out[f"unitarity {name}"] = row_residual([B(j, "x"), B(j, "1/x")], [])
+        out[f"unitarity {name}"] = Product([B(j, "x"), B(j, "1/x")], [])
     for i in range(2, n):
-        out[f"far commutation K0 R{i}"] = row_residual([K0x, B(i, "y")], [B(i, "y"), K0x])
+        out[f"far commutation K0 R{i}"] = Product([K0x, B(i, "y")], [B(i, "y"), K0x])
     for i in range(1, n - 2):
-        out[f"far commutation Kn R{i}"] = row_residual([Knx, B(i, "y")], [B(i, "y"), Knx])
+        out[f"far commutation Kn R{i}"] = Product([Knx, B(i, "y")], [B(i, "y"), Knx])
     for i in range(1, n):
         for j in range(i + 2, n):
-            out[f"far commutation R{i} R{j}"] = row_residual([B(i, "x"), B(j, "y")], [B(j, "y"), B(i, "x")])
-    out["far commutation K0 Kn"] = row_residual([K0x, Knx], [Knx, K0x])
+            out[f"far commutation R{i} R{j}"] = Product([B(i, "x"), B(j, "y")], [B(j, "y"), B(i, "x")])
+    out["far commutation K0 Kn"] = Product([K0x, Knx], [Knx, K0x])
     # negative control: left reflection with upsilon0 nudged on one side
-    out["negative control perturbed reflection"] = row_residual(
+    out["negative control perturbed reflection"] = Product(
         [baxter_j(bad, 0, x), B(1, "xy"), K0y, B(1, "y/x")], left)
     t_hat = [_local_kbar(params)] + [_local_upsilon_p(params)] * (n - 1) + [_local_k(params)]
     for j, name in names:
@@ -201,13 +201,13 @@ def cocycle_factors(params: ParamSet, word, t) -> list:
     construction, and the dressed braid and unitarity identities make it
     depend only on the element the word spells.
 
-    >>> from heckespin.numerics import generic_draws, rel_residual
-    >>> from heckespin.tensorops import factor_product
+    >>> from heckespin.numerics import generic_draws
+    >>> from heckespin.tensorops import Product, evaluate, factor_product
     >>> p, t, v = next(generic_draws(1, 2)), (0.9 + 0.2j, 1.1 - 0.3j), np.ones((4, 2))
     >>> bool((factor_product(cocycle_factors(p, [], t), 2, v) == v).all())
     True
-    >>> c = [factor_product(cocycle_factors(p, w, t), 2, v) for w in ([1, 0, 2, 2, 1], [1, 0, 1])]
-    >>> rel_residual(*c) < 1e-12
+    >>> c = [cocycle_factors(p, w, t) for w in ([1, 0, 2, 2, 1], [1, 0, 1])]
+    >>> evaluate(Product(*c, a=v, b=v)) < 1e-12
     True"""
     n, pt, factors = params.n, tuple(t), []
     for a in word:

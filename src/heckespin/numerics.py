@@ -241,8 +241,8 @@ def _gamma_exponents(lams, n: int):
 
 
 def gamma_vectors(lams, params: ParamSet) -> np.ndarray:
-    """Spectral vectors of integer weights, one row of a (weights, n) array
-    per weight.
+    """Spectral vectors of one or more integer weights, one row of a
+    (weights, n) array per weight.
 
     Coordinate i is q^lam_i (kappa0 kappan)^(-eta(lam_i)) kappa^s_i, where
     s_i = sum_{j<i} eta(lam_j - lam_i) - sum_{j>i} eta(lam_i - lam_j)
@@ -253,8 +253,6 @@ def gamma_vectors(lams, params: ParamSet) -> np.ndarray:
     a time (so equal to the last bit), is gathered.
     """
     lam, s = _gamma_exponents(lams, params.n)
-    if lam.size == 0:
-        return np.zeros(lam.shape, dtype=complex)
     q, k0n, kappa = params.q, params.kappa0 * params.kappan, params.kappa
     ms = range(int(lam.min()), int(lam.max()) + 1)
     ts = range(int(s.min()), int(s.max()) + 1)
@@ -336,10 +334,8 @@ def nonvanishing(terms, params: ParamSet, what: str):
 
 
 def max_abs(a) -> float:
-    a = np.asarray(a)
-    if a.size == 0:
-        return 0.0
-    return float(np.abs(a).max())
+    """max|a|: 0.0 for an empty a, NaN where a holds a NaN."""
+    return float(np.abs(a).max(initial=0.0))
 
 
 def _point_max(a: np.ndarray):

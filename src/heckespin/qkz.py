@@ -17,8 +17,8 @@ vector v_w (one weighted basis vector).  One principal-series basis, whose last
 representative is w_0^J, serves the spectral wiring check (against
 numerics.gamma_vectors at (m, ..., m)) and cm_alpha; the 2^n components are the
 rows of one table.  verify_solution evaluates all sample points, their q-shifts
-and their reflections as one product of that table, and checks each equation
-once over the stack of points.
+and their reflections as one product of that table, and hands back each
+equation as one tensorops.Product over the stack of points.
 """
 
 from __future__ import annotations
@@ -38,12 +38,11 @@ from .numerics import (
     constraint_rhs,
     gamma_vectors,
     max_abs,
-    rel_residual,
     stream,
     torus_point,
 )
 from .spinrep import principal_series_basis
-from .tensorops import factor_product
+from .tensorops import Product
 from .weyl import act_letter, act_word, reduced_word, tau_word
 
 _MCOND_TOL = 1e-9
@@ -153,15 +152,15 @@ def build_polynomial_solution(params: ParamSet, m: int) -> KZSolution:
 
 
 def verify_solution(sol: KZSolution, samples: int = 20, seed: int = 8) -> dict:
-    """Pointwise residuals of the n transport equations and the n+1
-    invariance equations at random generic points, all points at once: the
-    first ``samples`` draws of stream(seed), all drawn before any is
-    evaluated.  A factor near a pole at any of them raises
-    PoleProximityError (baxter.RationalMat); the point is not redrawn.
-    Every point, its n shifts and its n+1 reflections are one product of the
-    component table, and each equation is one cocycle factor list
-    (baxter.cocycle_factors) applied over the stack of points, reporting the
-    largest of the points' residuals."""
+    """The n transport equations and the n+1 invariance equations at random
+    generic points, all points at once: the first ``samples`` draws of
+    stream(seed), all drawn before any is evaluated.  A factor near a pole
+    at any of them raises PoleProximityError (baxter.RationalMat); the point
+    is not redrawn.  Every point, its n shifts and its n+1 reflections are
+    one product of the component table, and each equation is a
+    tensorops.Product of one cocycle factor list (baxter.cocycle_factors) on
+    the stack of points against the table's values there, each point on its
+    own scale; tensorops.evaluate reads the largest of the points' residuals."""
     params = sol.params
     n = params.n
     rng = stream(seed)
@@ -175,11 +174,7 @@ def verify_solution(sol: KZSolution, samples: int = 20, seed: int = 8) -> dict:
     vals = sol.components([point for group in groups for point in group])
     vals = np.moveaxis(vals.reshape(-1, len(groups), len(points)), 0, -1)[..., None]
     ft, scale = vals[0], _point_max(vals[0])
-
-    def residual(factors, col):
-        return rel_residual(factor_product(factors, n, vals[col]), ft, scale=scale)
-
-    keys = [(f"transport equation i={i}", tau_word(i, n)) for i in range(1, n + 1)]
-    keys += [(f"invariance under s_{j}", [j]) for j in range(n + 1)]
-    return {key: residual(cocycle_factors(params, word, t), col)
+    keys = ([(f"transport equation i={i}", tau_word(i, n)) for i in range(1, n + 1)]
+            + [(f"invariance under s_{j}", [j]) for j in range(n + 1)])
+    return {key: Product(cocycle_factors(params, word, t), [], a=vals[col], b=ft, scale=scale)
             for col, (key, word) in enumerate(keys, 1)}

@@ -14,14 +14,14 @@ The inverse images come from the quadratic relation, never from a numeric
 matrix inverse.
 
 A SpinRep holds each image as one (block, legs) pair; no generator is
-embedded into a dense 2^n matrix.  Every relation row is checked on the
-union of the legs it touches (at most 4), which gives the full-space
-residual because max|M (x) Id| = max|M|.  The Murphy elements Y_i are the
-generator images along tau_word, applied one local factor at a time (their
-commutators to a block of vectors), and the principal-series vector of a
-minimal coset representative, one weighted tensor basis vector, is one
-generator image applied to that of a shorter representative: the basis is a
-tensorops.Monomial.  The block builders keep the scalar type of the
+embedded into a dense 2^n matrix.  Every relation row of two words is a
+tensorops.Product, evaluated on the union of the legs it touches (at most
+4), which gives the full-space residual because max|M (x) Id| = max|M|.
+The Murphy elements Y_i are the generator images along tau_word, applied
+one local factor at a time (their commutators to a block of vectors), and
+the principal-series vector of a minimal coset representative, one weighted
+tensor basis vector, is one generator image applied to that of a shorter
+representative: the basis is a tensorops.Monomial.  The block builders keep the scalar type of the
 parameters, so exact rational parameters give exact object-array blocks.
 """
 
@@ -164,11 +164,10 @@ def quotient_map_residuals(rep: SpinRep) -> dict:
     return out
 
 
-def _relation(family: dict, lhs, rhs, coeff=1, residual=tensorops.row_residual) -> float:
+def _words(family: dict, lhs, rhs, coeff=1) -> tensorops.Product:
     """The relation prod(lhs) = coeff * prod(rhs) between two words over a
-    generator family, as a residual on the union of the words' legs (or,
-    with residual=Monomial.row, on the words' (index, weight) arrays)."""
-    return residual([family[j] for j in lhs], [family[j] for j in rhs], coeff)
+    generator family, as the Product of the words' generators."""
+    return tensorops.Product([family[j] for j in lhs], [family[j] for j in rhs], coeff)
 
 
 def _quadratic(block, a, b) -> float:
@@ -181,65 +180,66 @@ def _quadratic(block, a, b) -> float:
 
 
 def check_hecke_relations(T: dict, params: ParamSet) -> dict:
-    """Normalized residuals of the defining relations for a family {T_j}.
-
-    ``T`` maps 0..n to local (block, legs) factors; every row is evaluated
-    on the legs it touches.  Callers probing a negative control pass a
-    family with one block deliberately perturbed and expect large residuals
-    back.
-    """
+    """The defining relations for a family {T_j} of local (block, legs)
+    factors: the braid and commutation rows as tensorops.Product records,
+    the quadratic rows as residuals of their blocks.  Callers probing a
+    negative control pass a family with one block deliberately perturbed
+    and expect large residuals back."""
     n = params.n
     out = {f"quadratic T{j}": _quadratic(T[j][0], params.kappa_j(j), -1 / params.kappa_j(j))
            for j in range(n + 1)}
     if n >= 2:
-        out["braid T0 T1 fourfold"] = _relation(T, [0, 1, 0, 1], [1, 0, 1, 0])
-        out["braid Tn-1 Tn fourfold"] = _relation(T, [n - 1, n, n - 1, n], [n, n - 1, n, n - 1])
+        out["braid T0 T1 fourfold"] = _words(T, [0, 1, 0, 1], [1, 0, 1, 0])
+        out["braid Tn-1 Tn fourfold"] = _words(T, [n - 1, n, n - 1, n], [n, n - 1, n, n - 1])
     for i in range(1, n - 1):
-        out[f"braid T{i} T{i + 1} threefold"] = _relation(T, [i, i + 1, i], [i + 1, i, i + 1])
+        out[f"braid T{i} T{i + 1} threefold"] = _words(T, [i, i + 1, i], [i + 1, i, i + 1])
     for i in range(n + 1):
         for j in range(i + 2, n + 1):
-            out[f"commute T{i} T{j}"] = _relation(T, [i, j], [j, i])
+            out[f"commute T{i} T{j}"] = _words(T, [i, j], [j, i])
     return out
 
 
 def check_tl_relations(e: dict, tl: TLParams, n: int) -> dict:
-    """Normalized residuals of the diagram-algebra relations for {e_j}, a
-    family of local (block, legs) factors or of Monomial operators."""
+    """The diagram-algebra relations for {e_j}, a family of local (block,
+    legs) factors or of Monomial operators, as tensorops.Product records; a
+    local idempotent row is a residual of its block."""
     monomial = isinstance(e[0], tensorops.Monomial)
-    residual = tensorops.Monomial.row if monomial else tensorops.row_residual
     out = {}
     for j in range(n + 1):
         # a Monomial product is a gather, with no sums to round: its row stays
         # relative, which keeps the scaled-projector control strong at n = 1
         w = tl.weight(j, n)
-        out[f"idempotent e{j}"] = (_relation(e, [j, j], [j], w, residual) if monomial
-                                   else _quadratic(e[j][0], 0, w))
+        out[f"idempotent e{j}"] = _words(e, [j, j], [j], w) if monomial else _quadratic(e[j][0], 0, w)
     # the hook relation pivots on a middle index but its neighbor may be a
     # boundary generator
     for i in range(1, n):
         for k in (i - 1, i + 1):
-            out[f"hook e{i} e{k}"] = _relation(e, [i, k, i], [i], 1, residual)
+            out[f"hook e{i} e{k}"] = _words(e, [i, k, i], [i])
     for i in range(n + 1):
         for j in range(i + 2, n + 1):
-            out[f"commute e{i} e{j}"] = _relation(e, [i, j], [j, i], 1, residual)
+            out[f"commute e{i} e{j}"] = _words(e, [i, j], [j, i])
     return out
 
 
+def _murphy_factors(rep: SpinRep, i: int) -> list:
+    """Y_i as local factors: the generator images along tau_word(i, n), left
+    to right, the first i - 1 inverted."""
+    return [rep.Tinv[b] if k < i - 1 else rep.T[b] for k, b in enumerate(tau_word(i, rep.n))]
+
+
 def murphy_Y(rep: SpinRep, i: int, a=None) -> np.ndarray:
-    """The commuting family member Y_i applied to ``a`` (the identity by
-    default): the generator images along tau_word(i, n), left to right, the
-    first i - 1 inverted, one local factor at a time."""
-    factors = [rep.Tinv[b] if k < i - 1 else rep.T[b] for k, b in enumerate(tau_word(i, rep.n))]
-    return tensorops.factor_product(factors, rep.n, a)
+    """Y_i applied to ``a`` (the identity by default), one factor at a time."""
+    return tensorops.factor_product(_murphy_factors(rep, i), rep.n, a)
 
 
-def murphy_commutator_residual(rep: SpinRep, v=None) -> float:
-    """The largest rel_residual of Y_i (Y_j v) against Y_j (Y_i v) over
-    i < j, on a block v of vectors (the identity by default, which gives
-    the dense products); a NaN in any product stays NaN."""
+def murphy_commutator_residual(rep: SpinRep, v=None) -> tuple:
+    """Y_i (Y_j v) against Y_j (Y_i v), one tensorops.Product per pair i < j,
+    on a block v of vectors (the identity by default, which gives the dense
+    products); each Y_i v is applied once, here.  Their largest residual
+    (tensorops.evaluate) is 0.0 at n = 1, and NaN if any product is NaN."""
     ys = {i: murphy_Y(rep, i, v) for i in range(1, rep.n + 1)}
-    return float(np.max([rel_residual(murphy_Y(rep, i, ys[j]), murphy_Y(rep, j, ys[i]))
-                         for i in ys for j in ys if i < j], initial=0.0))
+    return tuple(tensorops.Product(_murphy_factors(rep, i), _murphy_factors(rep, j), a=ys[j], b=ys[i])
+                 for i in ys for j in ys if i < j)
 
 
 def principal_series_basis(params: ParamSet):

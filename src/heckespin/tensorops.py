@@ -11,28 +11,32 @@ rows viewed as (legs before, the k legs, legs after).  A product of local
 factors is one loop over apply_on_legs (factor_product); the dressed
 generators, the cocycle, the transport, the Murphy elements and the
 monodromy's factor list run through it.
-An identity between two products of local factors is checked on the union
-of their legs only (row_residual): both sides are (A - B) (x) Id there, and
-max|M (x) Id| = max|M|, so the residual is the one of the full space.  An
-identity between operators on all m legs is checked by applying both sides
-to one block of four complex Gaussian vectors per suite (gaussian_block;
-Freivalds, IFIP 1977), so no 2^m x 2^m operator is formed; a dense
-embedding is factor_product on the identity.  A monomial operator (one
-nonzero entry per column, as the diagram generators in the matching basis)
-is an (index, weight) pair, products of them are gathers, one applied to a
-block is a scatter of its weighted rows (its dense form is that scatter on
-the identity), and an identity between two such products is checked on the
-(index, weight) arrays (Monomial.row).  Any scalar type numpy can contract
-works, including object arrays of mpmath numbers or of exact fractions.
+A check of an identity between two such products hands back a Product, the
+factor lists of both sides, and its report row multiplies them out (evaluate).
+Without operands they run on the union of their legs only: both sides are
+(A - B) (x) Id there, and max|M (x) Id| = max|M|, so the residual is the one
+of the full space.  An identity between operators on all m legs applies
+both sides to one block of four complex Gaussian vectors per suite
+(gaussian_block; Freivalds, IFIP 1977), so no 2^m x 2^m operator is formed;
+a dense embedding is factor_product on the identity.  A monomial operator
+(one nonzero entry per column, as the diagram generators in the matching
+basis) is an (index, weight) pair, products of them are gathers, one applied
+to a block is a scatter of its weighted rows (its dense form is that scatter
+on the identity), and a Product of them is compared on the (index, weight)
+arrays.  Any scalar type numpy can contract works, including object arrays
+of mpmath numbers or of exact fractions.
 
 Blocks and operands may carry a leading batch axis, one matrix per sample
 point, as the dressed blocks do when evaluated over a stack of spectral
 parameters: apply_on_legs and factor_product then act point by point (the
-batch axes broadcast), and row_residual is the largest of the points' own
-residuals.  An unbatched call is the same code without that axis.
+batch axes broadcast), and a Product's residual is the largest of the
+points' own residuals.  An unbatched call is the same code without that axis.
 """
 
 from __future__ import annotations
+
+import functools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,35 +86,56 @@ def factor_product(factors, m: int, a=None):
     array([2., 3., 2., 3.])
     """
     if a is None:
-        exact = any(block.dtype == object for block, _legs in factors)
-        a = np.eye(2**m, dtype=object if exact else complex)
+        a = np.eye(2**m, dtype=object if any(block.dtype == object for block, _legs in factors) else complex)
     for block, legs in reversed(factors):
         a = apply_on_legs(block, legs, a, m)
     return a
 
 
-def row_residual(lhs, rhs, coeff=1) -> float:
-    """rel_residual of prod(lhs) against coeff * prod(rhs), two products of
-    local (block, legs) factors listed left to right, evaluated on the union
-    of the legs of both sides renumbered 1..k (max|M (x) Id| = max|M|, so
-    this is the residual on the full space).  With blocks stacked over
-    points it is the largest of the points' residuals, each point with its
-    own scale.
+class Product(NamedTuple):
+    """The identity prod(lhs) a = coeff prod(rhs) b, each side's factors
+    listed left to right: (block, legs) pairs on the m legs of the operands'
+    2^m rows or, with no operands, on the union of the legs of both sides;
+    or Monomials, with no operands.  scale, if given, is the residual's
+    denominator (numerics.rel_residual)."""
+
+    lhs: list
+    rhs: list
+    coeff: complex = 1
+    a: np.ndarray | None = None
+    b: np.ndarray | None = None
+    scale: np.ndarray | float | None = None
+
+
+def evaluate(value) -> float:
+    """The residual a check reads off its value: a number as it stands, the
+    rel_residual of a Product's two sides (the largest of the points' own
+    over stacked blocks), or the largest over a tuple of values, NaN if any
+    is NaN and 0.0 for none.  Two Monomial products are compared as dense
+    matrices on their (index, weight) arrays: where a column's entries sit
+    in different rows, the difference holds both.
 
     >>> x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    >>> row_residual([(x, [3]), (x, [5])], [(x, [5]), (x, [3])])
-    0.0
-    >>> row_residual([(x, [2]), (x, [2])], [], coeff=2)
+    >>> evaluate((Product([(x, [3]), (x, [5])], [(x, [5]), (x, [3])]), 0.25))
+    0.25
+    >>> evaluate(Product([(x, [2]), (x, [2])], [], coeff=2))
     0.5
     """
-    legs = sorted({leg for _block, ls in lhs + rhs for leg in ls})
-    local = {leg: k for k, leg in enumerate(legs, 1)}
-
-    def prod(side):
-        return factor_product([(b, [local[l] for l in ls]) for b, ls in side], len(legs))
-
-    right = prod(rhs)
-    return rel_residual(prod(lhs), right if coeff == 1 else coeff * right)
+    if not isinstance(value, Product):
+        return float(np.max([evaluate(v) for v in value], initial=0.0) if isinstance(value, tuple) else value)
+    lhs, rhs, coeff, a, b, scale = value
+    if isinstance(lhs[0], Monomial):
+        left, right = (functools.reduce(Monomial.__matmul__, side) for side in (lhs, rhs))
+        same, weight = left.index == right.index, coeff * right.weight
+        apart = np.concatenate([np.where(same, left.weight - weight, 0),
+                                np.where(same, 0, left.weight), np.where(same, 0, weight)])
+        return rel_residual(apart, 0, scale=max(max_abs(left.weight), max_abs(weight)))
+    if a is None:  # the legs of both sides, renumbered 1..m
+        local = {leg: k for k, leg in enumerate(sorted({l for _b, ls in [*lhs, *rhs] for l in ls}), 1)}
+        lhs, rhs = ([(block, [local[l] for l in ls]) for block, ls in side] for side in (lhs, rhs))
+    m = len(local) if a is None else a.shape[-2].bit_length() - 1
+    left, right = factor_product(lhs, m, a), factor_product(rhs, m, b)
+    return rel_residual(left, right if coeff == 1 else coeff * right, scale=scale)
 
 
 class Monomial:
@@ -143,28 +168,6 @@ class Monomial:
 
     def __rmul__(self, c) -> "Monomial":
         return Monomial(self.index, c * self.weight)
-
-    @staticmethod
-    def row(lhs, rhs, coeff=1) -> float:
-        """rel_residual of prod(lhs) against coeff * prod(rhs), two
-        products of Monomial operators listed left to right."""
-        a, b = lhs[0], rhs[0]
-        for f in lhs[1:]:
-            a = a @ f
-        for f in rhs[1:]:
-            b = b @ f
-        return a.residual(coeff * b)
-
-    def residual(self, other: "Monomial") -> float:
-        """rel_residual of the two dense matrices: where a column's entries
-        sit in different rows, the difference holds both of them."""
-        same = self.index == other.index
-        apart = np.concatenate([
-            np.where(same, self.weight - other.weight, 0),
-            np.where(same, 0, self.weight),
-            np.where(same, 0, other.weight),
-        ])
-        return rel_residual(apart, 0, scale=max(max_abs(self.weight), max_abs(other.weight)))
 
 
 def partial_trace_first(mat: np.ndarray, m: int) -> np.ndarray:

@@ -41,6 +41,7 @@ from .numerics import ParamSet, _point_max, max_abs, nonvanishing, rel_residual,
 from .spinrep import boundary_norm, build_spin_rep
 from .tensorops import (
     PERMUTE_TWO,
+    Product,
     apply_on_legs,
     factor_product,
     gaussian_block,
@@ -206,9 +207,10 @@ def _aux_normalizer(params: ParamSet, x):
 
 
 def check_transfer(params: ParamSet, samples: int = 8, seed: int = 2) -> dict:
-    """Residuals of the structural transfer-matrix identities, each at all
-    samples at once: the local rows on stacks of blocks, the operator rows on
-    a Gaussian block V drawn after the samples, one MPO call per product.
+    """The structural transfer-matrix identities, each at all samples at
+    once: the local rows on stacks of blocks, the operator rows on a Gaussian
+    block V drawn after the samples, one MPO call per product; the monodromy
+    row is a tensorops.Product of _double_row's factors on V against U V.
     T_x (T_y V) - T_y (T_x V) is scaled by the norm product max|T_x V| max|T_y
     V| / max|V|, the size of its rounding: at n = 10 a product can be 1e-6
     of that, and a row scaled by the product failed on rounding alone.  The
@@ -221,8 +223,8 @@ def check_transfer(params: ParamSet, samples: int = 8, seed: int = 2) -> dict:
     k = params.kappa
     x, y, *t = np.array([torus_point(rng, n + 2, (0.75, 1.35)) for _ in range(samples)]).T
     v = gaussian_block(rng, 2 ** (n + 1))
-    out["monodromy form agreement"] = rel_residual(
-        factor_product(_double_row(params, x, t), n + 1, v), monodromy_U(params, x, t, v))
+    out["monodromy form agreement"] = Product(
+        _double_row(params, x, t), [], a=v, b=monodromy_U(params, x, t, v))
     v = v[: 2**n]  # the chain rows
     xy, txy = np.concatenate([x, y]), [np.concatenate([tj, tj]) for tj in t]
     once = transfer_apply(params, xy, txy, v)  # [T_x V, T_y V]

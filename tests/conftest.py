@@ -22,7 +22,7 @@ from heckespin.numerics import (
     torus_point,
 )
 from heckespin.spinrep import _local_k, _local_kbar, _local_upsilon_p
-from heckespin.tensorops import factor_product, row_residual
+from heckespin.tensorops import Product, evaluate, factor_product
 from heckespin.transfer import theta_matrix
 from heckespin.weyl import tau_word
 
@@ -701,6 +701,12 @@ def factor_loop_T(params, x, t, deriv=False, cols=None):
     return (val, sum(traced(k) for k in range(len(row)))) if deriv else val
 
 
+def residuals(rows: dict) -> dict:
+    """Check name -> residual, for a battery whose rows are numbers or
+    tensorops.Product records: each row as the report reads it."""
+    return {key: evaluate(value) for key, value in rows.items()}
+
+
 class Residuals(dict):
     """Check name -> the largest residual recorded under that name; a NaN,
     once recorded, stays, so that its check fails.  The per-sample oracles
@@ -730,7 +736,7 @@ def ybe_per_sample(params, samples=20, seed=1):
         return memo[kind, arg], [1] if kind == 0 else [n] if kind == 2 else [j, j + 1]
 
     def same(key, lhs, rhs):
-        out.add(key, row_residual(lhs, rhs))
+        out.add(key, evaluate(Product(lhs, rhs)))
 
     for _ in range(samples):
         x, y = torus_point(rng, 2, (0.7, 1.4))

@@ -17,6 +17,7 @@ from conftest import (
     enumerate_matchings,
     from_table,
     record_acceptance,
+    residuals,
     sample_generic,
     scale_row,
     stabilizer_eigen_residual,
@@ -61,11 +62,11 @@ def test_criterion_1_algebra_relations():
         p = sample_generic(seed=1, n=n)
         rep = build_spin_rep(p)
         tl = delta_from_kappa(p)
-        worst = max(worst, max(check_hecke_relations(rep.T, p).values()))
-        worst = max(worst, max(check_tl_relations(rep.e, tl, n).values()))
+        worst = max(worst, max(residuals(check_hecke_relations(rep.T, p)).values()))
+        worst = max(worst, max(residuals(check_tl_relations(rep.e, tl, n)).values()))
         b0, b1 = matchmaker_betas(p)
         mats = {j: matchmaker_matrix(j, tl, b0, b1, n) for j in range(n + 1)}
-        worst = max(worst, max(check_tl_relations(mats, tl, n).values()))
+        worst = max(worst, max(residuals(check_tl_relations(mats, tl, n)).values()))
     elapsed = time.monotonic() - t0
     ok = worst < 1e-9 and elapsed < 30.0
     record_acceptance(
@@ -144,7 +145,7 @@ def test_criterion_4_spectral_identities():
     control_ok = True
     for n in (2, 3):
         p = sample_generic(seed=1, n=n)
-        res = check_ybe_re(p, samples=20, seed=1)
+        res = residuals(check_ybe_re(p, samples=20, seed=1))
         control_ok = control_ok and res.pop("negative control perturbed reflection") > 1e-3
         worst = max(worst, max(res.values()))
         kbar, r, k = dressed_blocks(p)
@@ -181,7 +182,7 @@ def test_criterion_5_transfer_matrix():
     worst_interp = 0.0
     for n in (2, 3, 4):
         p = sample_generic(seed=1, n=n)
-        res = check_transfer(p, samples=10, seed=2)
+        res = residuals(check_transfer(p, samples=10, seed=2))
         worst_commute = max(worst_commute, res["commuting transfer matrices"])
         worst_crossing = max(
             worst_crossing,
@@ -267,7 +268,7 @@ def test_criterion_8_difference_equation_solutions():
         for m in (-1, 0, 1):
             p = sample_generic(seed=11, n=n, mcondition=m)
             sol = build_polynomial_solution(p, m)
-            res = verify_solution(sol, samples=20, seed=2)
+            res = residuals(verify_solution(sol, samples=20, seed=2))
             worst = max(worst, max(res.values()))
         free = sample_generic(seed=23 + n, n=n)
         try:
@@ -282,7 +283,7 @@ def test_criterion_8_difference_equation_solutions():
         components=scale_row(sol.components, 1, 1.01),
         metadata=dict(sol.metadata),
     )
-    distortion_ok = max(verify_solution(bad, samples=5, seed=2).values()) > 1e-3
+    distortion_ok = max(residuals(verify_solution(bad, samples=5, seed=2)).values()) > 1e-3
     ok = worst < 1e-8 and refusals_ok and distortion_ok
     record_acceptance(
         f"8. difference-equation solutions n=2,3 m=-1,0,1: verified at 20 "

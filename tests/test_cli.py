@@ -1440,6 +1440,32 @@ def test_a_nan_row_fails_the_distorted_solution_control(monkeypatch):
     assert checks["solution m=1: invariance under s_0"]["pass"]
 
 
+def test_a_build_that_does_not_refuse_fails_the_refusal_row(monkeypatch, tmp_path):
+    """A qKZ build that returns at the suite's unconstrained point, where it
+    must refuse, makes the refusal row read 1.0 and fail, and only that row:
+    the report fails and verify qkz exits 1."""
+    import heckespin.qkz as qkz
+    from heckespin import RefusalError
+
+    honest, refused = qkz.build_polynomial_solution, []
+
+    def lenient(params, m):
+        try:
+            return honest(params, m)
+        except RefusalError as exc:
+            refused.append(exc)
+            return None
+
+    monkeypatch.setattr(qkz, "build_polynomial_solution", lenient)
+    report = tmp_path / "r.json"
+    assert run(["verify", "qkz", "--n", "2", "--report", str(report)]) == 1
+    assert len(refused) == 1
+    checks = {c["name"]: c for c in json.loads(report.read_text())["checks"]}
+    row = checks.pop("refusal on unconstrained parameters")
+    assert row["residual"] == 1.0 and not row["pass"]
+    assert all(c["pass"] for c in checks.values())
+
+
 def test_a_nan_label_fails_every_label_check(monkeypatch):
     """A NaN in every residual of the label (1, 0), which s_2 fixes and s_1
     moves, fails the four label checks of its degree's fold; the other
@@ -1813,6 +1839,7 @@ def test_the_spin_suites_hold_no_dense_operator():
     import heckespin
     import heckespin.commands as commands
     from heckespin.spinrep import build_spin_rep, murphy_commutator_residual
+    from heckespin.tensorops import evaluate
     from heckespin.transfer import _PASS, transfer_apply
 
     src = str(Path(heckespin.__file__).resolve().parents[1])
@@ -1822,6 +1849,9 @@ def test_the_spin_suites_hold_no_dense_operator():
     def child(mode):
         return subprocess.Popen([sys.executable, "-c", _EXTENDED_RISE, mode], stdout=subprocess.PIPE,
                                 env={**os.environ, "PYTHONPATH": src}, text=True)
+
+    def rows(suite):  # the suite's report rows: every product evaluated
+        return [c.row(cfg.tolerance) for c in suite(cfg, p)]
 
     def peak(fn, *args):
         fn(*args)  # the caches and imports of a first call
@@ -1834,13 +1864,13 @@ def test_the_spin_suites_hold_no_dense_operator():
             tracemalloc.stop()
 
     with child("extended") as extended, child("control") as control:
-        block = commands._block(cfg, 2**n)
-        assert peak(murphy_commutator_residual, build_spin_rep(p), block) < dense
-        assert peak(commands.suite_algebra, cfg, p) < dense
-        assert peak(commands.suite_baxter, cfg, p) < dense
+        block, rep = commands._block(cfg, 2**n), build_spin_rep(p)
+        assert peak(lambda: evaluate(murphy_commutator_residual(rep, block))) < dense
+        assert peak(rows, commands.suite_algebra) < dense
+        assert peak(rows, commands.suite_baxter) < dense
         rng = stream(1)
         x, *t = np.array([torus_point(rng, n + 1, (0.8, 1.3)) for _ in range(_PASS // block.size)]).T
         one_pass = peak(transfer_apply, p, x, t, block)
-        assert peak(commands.suite_transfer, cfg, p) < one_pass + dense
+        assert peak(rows, commands.suite_transfer) < one_pass + dense
         rise = {"extended": int(extended.communicate()[0]), "control": int(control.communicate()[0])}
     assert rise["extended"] < dense / 2 < rise["control"], rise

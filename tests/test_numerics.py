@@ -22,6 +22,7 @@ from heckespin.numerics import (
     gamma_vectors,
     generic_draws,
     l1_ball,
+    max_abs,
     nonvanishing,
     rel_residual,
     stream,
@@ -360,6 +361,16 @@ def test_rel_residual_scales():
     a = np.eye(3) * 1e6
     assert rel_residual(a, a) == 0.0
     assert rel_residual(a, a * (1 + 1e-10)) < 1e-9
+
+
+def test_max_abs_reads_0_when_empty_and_nan_through_a_nan():
+    """max|a| from 0.0: an empty array reads 0.0, and a NaN anywhere, even
+    beside an inf, reads NaN."""
+    assert max_abs(np.zeros((0, 3), dtype=complex)) == 0.0
+    assert max_abs([]) == 0.0
+    assert max_abs([-2.0, 1j]) == 2.0
+    for a in ([np.nan], [1.0, np.nan, 3.0], [np.inf, complex(np.nan, 0.0)]):
+        assert np.isnan(max_abs(np.array(a)))
 
 
 def test_a_nan_point_keeps_a_stacked_residual_nan():

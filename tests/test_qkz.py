@@ -11,6 +11,7 @@ from conftest import (
     from_table,
     noumi_T_apply,
     qkz_per_sample,
+    residuals,
     sample_generic,
     scale_row,
     to_table,
@@ -79,7 +80,7 @@ def test_constrained_draws_meet_the_existence_constraint(n):
 def test_built_solution_satisfies_all_equations(n, m):
     p = constrained(11, n, m)
     sol = build_polynomial_solution(p, m)
-    res = verify_solution(sol, samples=8, seed=2)
+    res = residuals(verify_solution(sol, samples=8, seed=2))
     assert len(res) == n + (n + 1)  # transport + invariance families
     assert max(res.values()) < 1e-9, res
 
@@ -99,7 +100,7 @@ def test_distorted_solution_fails_verification():
         components=scale_row(sol.components, 2, 1.01),
         metadata=dict(sol.metadata),
     )
-    assert max(verify_solution(bad, samples=5, seed=2).values()) > 1e-3
+    assert max(residuals(verify_solution(bad, samples=5, seed=2)).values()) > 1e-3
 
 
 def test_component_replaced_after_verification_still_fails():
@@ -108,12 +109,12 @@ def test_component_replaced_after_verification_still_fails():
     replacement."""
     p = constrained(11, 2, 1)
     sol = build_polynomial_solution(p, 1)
-    assert max(verify_solution(sol, samples=3, seed=2).values()) < 1e-9
+    assert max(residuals(verify_solution(sol, samples=3, seed=2)).values()) < 1e-9
     t = (0.9 + 0.2j, 1.1 - 0.3j)
     before = sol.components([t])[:, 0]
     sol.components = scale_row(sol.components, 1, 1.01)
     assert abs(sol.components([t])[1, 0] - 1.01 * before[1]) < 1e-12 * abs(before[1])
-    assert max(verify_solution(sol, samples=3, seed=2).values()) > 1e-3
+    assert max(residuals(verify_solution(sol, samples=3, seed=2)).values()) > 1e-3
 
 
 def test_cm_alpha_is_linear():
@@ -268,11 +269,11 @@ def test_batched_check_matches_the_per_point_oracle(n, m):
     row) within 1e-12 relative."""
     for seed in (1, 2, 3):
         sol = build_polynomial_solution(constrained(seed, n, m), m)
-        got, want = verify_solution(sol, samples=20, seed=seed), qkz_per_sample(sol, 20, seed)
+        got, want = residuals(verify_solution(sol, samples=20, seed=seed)), qkz_per_sample(sol, 20, seed)
         assert sorted(got) == sorted(want)
         assert all(abs(got[k] - want[k]) <= 0.9 * max(got[k], want[k]) for k in want)
         bad = KZSolution(params=sol.params, components=scale_row(sol.components, 0, 1.01))
-        got, want = verify_solution(bad, samples=4, seed=seed), qkz_per_sample(bad, 4, seed)
+        got, want = residuals(verify_solution(bad, samples=4, seed=seed)), qkz_per_sample(bad, 4, seed)
         assert sorted(got) == sorted(want)
         control = max(want.values())
         assert control > 1e-3

@@ -1,8 +1,9 @@
 """Static checks over the package source: every function and class is used
 by the package itself, so code that only tests call lives beside the tests;
 every file is opened in a with statement; one module spells a complex
-number as JSON; one function draws parameter points; and the console
-script is the process entry of the driver."""
+number as JSON; one function draws parameter points; one function
+multiplies out the two sides of a product identity; and the console script
+is the process entry of cli.py."""
 
 import ast
 from pathlib import Path
@@ -188,6 +189,80 @@ def test_a_planted_parameter_draw_is_flagged(tmp_path):
         "def doc():\n    \"\"\">>> next(generic_draws(1, 2))\"\"\"\n"
     )
     assert draw_sites(tmp_path) == ["commands._at_point", "commands.suite", "mod", "mod.Holder.point"]
+
+
+def _name(node):
+    """The name a Name or Attribute node spells, else None."""
+    return node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+
+
+def _calls(node, names) -> bool:
+    """Whether node calls one of names, itself or as an operand of arithmetic."""
+    if isinstance(node, ast.BinOp):
+        return _calls(node.left, names) or _calls(node.right, names)
+    return isinstance(node, ast.Call) and _name(node.func) in names
+
+
+def _own_returns(fn):
+    """The return statements of fn itself, not of the functions inside it."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Return):
+            yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def product_residuals(src: Path = SRC) -> list:
+    """module:line of every product identity src evaluates outside
+    tensorops.evaluate, the one evaluator of tensorops.Product records: each
+    rel_residual call with an argument that is a factor_product result
+    (directly, through a function that returns one, or in arithmetic), and
+    each reference to the retired paths _relation, row_residual and
+    Monomial.row."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(src.glob("*.py"))}
+    functions = [fn for tree in trees.values() for fn in ast.walk(tree)
+                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    producers, grown = {"factor_product"}, True
+    while grown:
+        found = {fn.name for fn in functions if any(_calls(r.value, producers) for r in _own_returns(fn))}
+        grown, producers = not found <= producers, producers | found
+    out = []
+    for module, tree in trees.items():
+        evaluator = {id(node) for fn in functions if module == "tensorops" and fn.name == "evaluate"
+                     and fn in tree.body for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            retired = (_name(node) in ("_relation", "row_residual")
+                       or isinstance(node, ast.Attribute) and node.attr == "row"
+                       and _name(node.value) == "Monomial")
+            rolled = (isinstance(node, ast.Call) and _name(node.func) == "rel_residual"
+                      and any(_calls(arg, producers) for arg in [*node.args, *(k.value for k in node.keywords)]))
+            if (retired or rolled) and id(node) not in evaluator:
+                out.append(f"{module}:{node.lineno}")
+    return out
+
+
+def test_only_the_evaluator_multiplies_out_a_product_row():
+    assert product_residuals() == []
+
+
+def test_a_planted_product_residual_is_flagged(tmp_path):
+    (tmp_path / "tensorops.py").write_text(
+        "def factor_product(factors, m, a=None):\n    return a\n\n\n"
+        "def evaluate(p):\n    return rel_residual(factor_product(p.lhs, 2), factor_product(p.rhs, 2))\n"
+    )
+    (tmp_path / "mod.py").write_text(
+        "from .tensorops import Monomial, factor_product, row_residual\n\n\n"
+        "def murphy(a):\n    return factor_product([], 2, a)\n\n\n"
+        "def rows(a, b):\n"
+        "    def cocycle(v):\n        return murphy(v)\n\n"
+        "    out = [rel_residual(cocycle(a), b), rel_residual(a, b=2 * factor_product([], 2, b))]\n"
+        "    out.append(rel_residual(trace(factor_product([], 2, a)), b))\n"
+        "    out += [row_residual([a], [b]), _relation({}, [0], [0]), Monomial.row([a], [b])]\n"
+        "    return out\n"
+    )
+    assert product_residuals(tmp_path) == ["mod:12", "mod:12", "mod:14", "mod:14", "mod:14"]
 
 
 def test_the_console_script_is_the_function_the_main_block_calls():

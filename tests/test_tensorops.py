@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from heckespin.numerics import InternalDefectError, rel_residual
 from heckespin.tensorops import (
     Monomial,
+    Product,
     apply_on_legs,
+    evaluate,
     factor_product,
     partial_trace_first,
     partial_transpose_leg,
-    row_residual,
 )
 
 
@@ -133,9 +134,9 @@ def test_monomial_products_and_residual_match_dense(m, seed):
     c = Monomial(np.where(rng.uniform(size=dim) < 0.5, a.index, b.index), _cplx(rng, dim))
     for other in (b, c, a):
         want = rel_residual(dense_a, other @ eye)
-        assert a.residual(other) == pytest.approx(want, rel=1e-15, abs=0)
+        assert evaluate(Product([a], [other])) == pytest.approx(want, rel=1e-15, abs=0)
     want = rel_residual(dense_a @ dense_b, 0.5 * (c @ eye))
-    assert Monomial.row([a, b], [c], 0.5) == pytest.approx(want, rel=1e-12, abs=0)
+    assert evaluate(Product([a, b], [c], 0.5)) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
@@ -157,7 +158,7 @@ def test_row_residual_is_the_full_space_residual(dense_embed, m, seed):
         return out
 
     want = rel_residual(full(lhs), 0.5 * full(rhs))
-    assert row_residual(lhs, rhs, 0.5) == pytest.approx(want, rel=1e-12)
+    assert evaluate(Product(lhs, rhs, 0.5)) == pytest.approx(want, rel=1e-12)
 
 
 @given(placements(), st.integers(1, 4), st.booleans())
@@ -176,8 +177,8 @@ def test_a_batch_axis_applies_point_by_point(case, points, shared_operand):
 @settings(max_examples=60, deadline=None)
 def test_stacked_factors_give_the_stack_of_products_and_residuals(m, points, seed):
     """Factors of which some are stacked over points: factor_product is the
-    stack of the points' products, and row_residual the largest of the
-    points' own residuals."""
+    stack of the points' products, and a Product's residual the largest of
+    the points' own residuals."""
     rng = np.random.default_rng(seed)
 
     def factor():
@@ -195,6 +196,39 @@ def test_stacked_factors_give_the_stack_of_products_and_residuals(m, points, see
     want = np.stack([factor_product(at(lhs, s), m) for s in range(points)])
     got = factor_product(lhs, m)  # unstacked when no lhs factor is stacked
     assert np.array_equal(np.broadcast_to(got, want.shape), want)
-    per_point = [row_residual(at(lhs, s), at(rhs, s), 0.5) for s in range(points)]
-    assert row_residual(lhs, rhs, 0.5) == max(per_point)
+    per_point = [evaluate(Product(at(lhs, s), at(rhs, s), 0.5)) for s in range(points)]
+    assert evaluate(Product(lhs, rhs, 0.5)) == max(per_point)
     assert rel_residual(want, 0.5 * want) == 1 / 2
+
+
+@given(st.integers(2, 5), st.integers(1, 4), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_a_product_on_operands_is_the_residual_of_its_applied_sides(m, points, seed):
+    """With operands, each side runs on all m legs of its own operand, m
+    read off the operand's rows, and the scale, if given, is the
+    denominator: the residual of the two sides applied by factor_product."""
+    rng = np.random.default_rng(seed)
+
+    def factor():
+        k = int(rng.integers(1, 3))
+        start = int(rng.integers(1, m - k + 2))
+        return _cplx(rng, points, 2**k, 2**k), list(range(start, start + k))
+
+    lhs, rhs = [factor() for _ in range(3)], [factor() for _ in range(2)]
+    a, b = _cplx(rng, 2**m, 3), _cplx(rng, points, 2**m, 3)
+    left, right = factor_product(lhs, m, a), factor_product(rhs, m, b)
+    assert evaluate(Product(lhs, rhs, 2.0, a, b)) == rel_residual(left, 2.0 * right)
+    scale = rng.uniform(1, 2, points)
+    assert evaluate(Product(lhs, [], a=a, b=b, scale=scale)) == rel_residual(left, b, scale=scale)
+
+
+def test_a_tuple_of_values_reads_its_largest_and_keeps_a_nan():
+    """evaluate folds a tuple of Products and numbers as np.max does, from
+    0.0: the largest value, NaN when any value is NaN, and 0.0 for none."""
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    half = Product([(x, [1]), (x, [1])], [], coeff=2)
+    assert evaluate(half) == 0.5
+    assert evaluate((half, 0.25, (0.75,))) == 0.75
+    assert np.isnan(evaluate((half, float("nan"), 1.0)))
+    assert evaluate(()) == 0.0
+    assert evaluate(3) == 3.0

@@ -5,7 +5,14 @@ import pytest
 
 import heckespin.tensorops
 import heckespin.transfer
-from conftest import _kron_embed, explicit_rkk, factor_loop_T, sample_generic, transport_factors
+from conftest import (
+    _kron_embed,
+    explicit_rkk,
+    factor_loop_T,
+    residuals,
+    sample_generic,
+    transport_factors,
+)
 from heckespin.baxter import cocycle_factors
 from heckespin.numerics import GenericityError, rel_residual, stream, torus_point
 from heckespin.spinrep import build_spin_rep
@@ -197,12 +204,12 @@ def test_generic_path_converges_with_precision(n):
 
 
 def test_transfer_identity_battery(params2):
-    res = check_transfer(params2, samples=6, seed=2)
+    res = residuals(check_transfer(params2, samples=6, seed=2))
     assert max(res.values()) < 1e-9, res
 
 
 def test_transfer_identity_battery_n3(params3):
-    res = check_transfer(params3, samples=4, seed=2)
+    res = residuals(check_transfer(params3, samples=4, seed=2))
     assert max(res.values()) < 1e-9, res
 
 
@@ -227,7 +234,7 @@ def test_scaled_double_row_factor_fails_the_monodromy_row(monkeypatch, n):
         return factors
 
     monkeypatch.setattr(heckespin.transfer, "_double_row", scaled)
-    res = check_transfer(sample_generic(seed=1, n=n), samples=2, seed=2)
+    res = residuals(check_transfer(sample_generic(seed=1, n=n), samples=2, seed=2))
     assert res["monodromy form agreement"] > 1e-3, res
 
 

@@ -24,7 +24,7 @@ exits 0 whatever differs.
 All commands of a tree share one interpreter, as a long-lived caller's
 would: module caches stay warm and a Python warning shows once per
 process, so stderr can differ from separate `heckespin` processes.  The
-default grid (623 commands) takes about a minute per tree, two trees at
+default grid (624 commands) takes about a minute per tree, two trees at
 once on a 2-core host.
 """
 
@@ -50,7 +50,7 @@ WALL = re.compile(rb"wall \d+ ms")
 
 def default_grid() -> list:
     """The parity grid: every spin suite at n = 2..10 and the full and qKZ
-    suites at seeds 1-20, the known failing baxter seed, extended
+    suites at seeds 1-20, the known failing baxter seeds, extended
     precision, each writing command, a stored solution as the --params
     config file of an agreeing and of a contradicting rank, of an unmet
     existence constraint and of the qKZ suite (which skips its refusal row
@@ -63,6 +63,7 @@ def default_grid() -> list:
     grid += [f"verify qkz --n {n} --seed {s}" for n in (2, 3) for s in seeds]
     grid += [
         "verify baxter --n 10 --seed 42",
+        "verify baxter --n 10 --seed 444",
         "verify transfer --n 3 --precision extended --seed 1",
         "verify baxter --n 2 --seed 1 --report report.json",
         "emit tables --kind koornwinder --n 2 --m 2 --seed 1 --out tables",
