@@ -36,7 +36,7 @@ import functools
 import numpy as np
 
 from . import InternalDefectError, PoleProximityError, check_identity_rank
-from .numerics import _POLE_TOL, ParamSet, nonvanishing, rel_residual, stream, torus_point
+from .numerics import _POLE_TOL, ParamSet, nonvanishing, rel_residual, torus_point
 from .spinrep import _local_k, _local_kbar, _local_upsilon_p
 from .tensorops import Product
 from .weyl import act_letter
@@ -134,22 +134,21 @@ def baxter_j(params: ParamSet, j: int, x):
     raise InternalDefectError(f"generator index {j} out of range for n={n}")
 
 
-def check_ybe_re(params: ParamSet, samples: int = 20, seed: int = 1) -> dict:
+def check_ybe_re(params: ParamSet, samples: int, rng) -> dict:
     """The dressed-operator identities on the spin representation.
 
-    All sample pairs (x, y) are drawn first, and every identity is checked
-    over all of them at once: each dressed generator (baxter_j) is evaluated
-    once per (index, argument) pair as a stack over the samples, and every
-    identity of two products is handed back as a tensorops.Product of its
-    two factor lists, which tensorops.evaluate multiplies out on the union
-    of their legs: the full-space residual, the largest over the samples.
-    The one-factor rows (regularity, degeneration) are residuals of blocks.
+    All sample pairs (x, y) are drawn from rng first, and every identity is
+    checked over all of them at once: each dressed generator (baxter_j) is
+    evaluated once per (index, argument) pair as a stack over the samples, and
+    every identity of two products is handed back as a tensorops.Product of
+    its two factor lists, which tensorops.evaluate multiplies out on the union
+    of their legs: the full-space residual, the largest over the samples.  The
+    one-factor rows (regularity, degeneration) are residuals of blocks.
     Keys beginning with "negative control" must come out LARGE; everything
     else should sit at rounding level for generic parameters.
     """
     n = params.n
     check_identity_rank(n)
-    rng = stream(seed)
     out = {}
     bad = params.replace(upsilon0=params.upsilon0 * 1.01)
     names = [(0, "K0"), (n, "Kn")] + [(i, f"R{i}") for i in range(1, n)]

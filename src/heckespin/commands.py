@@ -1,17 +1,18 @@
 """The commands of the driver (cli.py), loaded once its arguments parse:
-the verification suites and their caps, the reports, and the polynomial,
-solution and table artifacts.
+the verification suites, their caps and their streams, the reports, and
+the polynomial, solution and table artifacts.
 
-A suite beyond its caps (_CAPS, the package's own checks) refuses before
-sampling, and without a parameter file before it imports numpy or a layer.
-"verify all" runs the suites within theirs and lists the others in a
-"skipped" report key, {suite: reason}, absent when none is skipped; a skip
-is not a pass, and the stderr line reads "PASS (k checks, s suites skipped,
-...)".  With no suite left, "verify all" refuses before sampling and names
-every reason.
+A suite beyond its caps (_CAPS, the package's own checks, which no layer
+repeats) refuses before sampling, and without a parameter file before it
+imports numpy or a layer.  "verify all" runs the suites within theirs and
+lists the others in a "skipped" report key, {suite: reason}, absent when
+none is skipped; a skip is not a pass, and the stderr line reads "PASS (k
+checks, s suites skipped, ...)".  With no suite left, "verify all" refuses
+before sampling and names every reason.
 
-A suite returns its checks as Check records and never reads the
-tolerance; run_suite and cmd_qkz_verify turn each into its report row.
+A suite returns its checks as Check records and never reads the tolerance;
+run_suite and cmd_qkz_verify turn each into its report row.  Each row
+battery draws from a fresh numerics.stream(cfg.seed) its suite hands it.
 
 This module imports only the standard library; each command imports the
 layers it calls, because single-suite jobs should not pay for numpy or for
@@ -37,6 +38,7 @@ if TYPE_CHECKING:
     from .numerics import ParamSet
 
 _CONTROL_FLOOR = 1e-3
+_KOORNWINDER_DEGREE = 3  # suite_koornwinder checks every label up to this degree
 
 
 @dataclass
@@ -298,7 +300,7 @@ def suite_baxter(cfg: Config, p: ParamSet):
     def cocycles(word, other, t):  # the cocycles along two words at t, on the block
         return Product(cocycle_factors(p, word, t), cocycle_factors(p, other, t), a=v, b=v)
 
-    res = check_ybe_re(p, samples=cfg.samples, seed=cfg.seed)
+    res = check_ybe_re(p, cfg.samples, stream(cfg.seed))
     ctx = "spectral-parameter identities of the dressed generators"
     control = "negative control perturbed reflection"
     checks = [_control(control, res.pop(control), ctx)] + [Check(key, val, ctx) for key, val in res.items()]
@@ -335,8 +337,8 @@ def suite_transfer(cfg: Config, p: ParamSet):
 
     samples = max(4, min(cfg.samples, 8))
     checks = [Check(key, val, ctx) for res, ctx in (
-        (check_transfer(p, samples=samples, seed=cfg.seed), "double-row transfer matrix identities"),
-        (check_transfer_vs_transport(p, samples=samples, seed=cfg.seed),
+        (check_transfer(p, samples, stream(cfg.seed)), "double-row transfer matrix identities"),
+        (check_transfer_vs_transport(p, samples, stream(cfg.seed)),
          "the transfer matrix at the distinguished points acts as the q-less translation transport"),
     ) for key, val in res.items()]
     v = _block(cfg, 2**p.n)
@@ -376,24 +378,23 @@ def suite_transfer(cfg: Config, p: ParamSet):
 
 
 def suite_koornwinder(cfg: Config, p: ParamSet):
-    """Every label of degree at most 3 from one koornwinder.label_polynomials
-    call, which checks all labels of degree r at once on the ball of radius
-    r, one degree at a time; the constant polynomial is its zero label."""
+    """Every label of degree at most _KOORNWINDER_DEGREE from one
+    label_polynomials call, checking all labels of degree r at once on the
+    ball of radius r, a degree at a time; its zero label is the constant."""
     import numpy as np
 
     from .koornwinder import fixed_by_si, label_polynomials
     from .numerics import l1_ball
 
     n = p.n
-    radius = 3
-    labels = l1_ball(n, radius)
+    labels = l1_ball(n, _KOORNWINDER_DEGREE)
     dets = label_polynomials(labels, p)
     const = dets[labels.index((0,) * n)].poly
     # the joint and monic residuals, the stabilizer residuals at fixed and at
     # moving (label, i); folded by np.max / np.min, so a NaN fails
     stab = np.array([det.stab for det in dets])
     at = np.array([[fixed_by_si(i, lam) for i in range(1, n + 1)] for lam in labels])
-    ctx = f"all {len(dets)} labels with degree at most {radius}"
+    ctx = f"all {len(dets)} labels with degree at most {_KOORNWINDER_DEGREE}"
     return [
         # every coefficient against those of 1: one at the zero exponent, else 0
         Check("constant polynomial", np.abs(const.coeffs - ~const.exps.any(axis=1)).max(),
@@ -411,14 +412,15 @@ def suite_koornwinder(cfg: Config, p: ParamSet):
 def _solution_checks(cfg: Config, sol, prefix: str = "") -> list:
     """The rows of qkz.verify_solution on sol, at cfg's samples and seed,
     each named prefix + its key: verify qkz and qkz verify report these."""
+    from .numerics import stream
     from .qkz import verify_solution
 
     return [Check(prefix + key, val, "pointwise residuals at random generic points", least=1e-8)
-            for key, val in verify_solution(sol, samples=cfg.samples, seed=cfg.seed).items()]
+            for key, val in verify_solution(sol, cfg.samples, stream(cfg.seed)).items()]
 
 
 def suite_qkz(cfg: Config, p: ParamSet):
-    from .numerics import LaurentPoly, max_abs
+    from .numerics import LaurentPoly, max_abs, stream
     from .qkz import build_polynomial_solution, verify_solution
 
     checks, sols = [], []
@@ -439,7 +441,7 @@ def suite_qkz(cfg: Config, p: ParamSet):
         coeffs = sols[0].components.coeffs.copy()
         coeffs[0] *= 1.01
         bad = replace(sols[0], components=LaurentPoly(sols[0].components.exps, coeffs))
-        raw = tuple(verify_solution(bad, samples=4, seed=cfg.seed).values())
+        raw = tuple(verify_solution(bad, 4, stream(cfg.seed)).values())
         checks += [
             Check("refusal on unconstrained parameters", refused,
                   "building at a generic unconstrained point must refuse"),
@@ -471,7 +473,7 @@ _CAPS = {
     "matchmaker": lambda cfg: check_dim_cap(cfg.n),
     "baxter": lambda cfg: (check_dim_cap(cfg.n), check_identity_rank(cfg.n)),
     "transfer": lambda cfg: check_dim_cap(cfg.n),
-    "koornwinder": lambda cfg: check_caps(cfg.n),
+    "koornwinder": lambda cfg: check_caps(cfg.n, _KOORNWINDER_DEGREE),
     "qkz": _qkz_caps,
 }
 

@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import GenericityError, InternalDefectError, check_caps
+from . import GenericityError, InternalDefectError
 from .numerics import LaurentPoly, ParamSet, gamma_vectors, l1_ball
 from .weyl import tau_word
 
@@ -244,7 +244,6 @@ def _degree_polynomials(labels, params: ParamSet) -> list:
     the leading entry is below 1e-12 of its column's largest."""
     n, radius = params.n, sum(abs(v) for v in labels[0])
     gammas = gamma_vectors(labels, params)
-    check_caps(n, radius)
     basis, index, mats, gens, eig = _ball(params, radius)
     cols = np.array([index[lam] for lam in labels], dtype=np.int64)
     inv = 1 / gammas.T

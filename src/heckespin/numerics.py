@@ -12,9 +12,9 @@ library never multiplies two of them or changes their variables.  The
 spectral vectors of integer weights are the rows of one array
 (gamma_vectors).  Every draw comes from a stream(seed): parameter points
 only from generic_draws, which commands._at_point alone walks, and spectral
-points from torus_point.  A spectral point at a pole (baxter.RationalMat) is
-not redrawn: its PoleProximityError refuses the job (exit 2), in every row
-that evaluates the dressed blocks.
+points from torus_point, on the stream commands hands the row.  A spectral
+point at a pole (baxter.RationalMat) is not redrawn: its PoleProximityError
+refuses the job (exit 2), in every row that evaluates the dressed blocks.
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ system when C_{tau_i}(t) f(q^{-eps_i} t) = f(t) and f is invariant under the
 dressed reflections C_{s_j}; each C_w is the cocycle along a word for w
 (baxter.cocycle_factors), weyl.tau_word(i, n) for tau_i.
 build_polynomial_solution refuses (RefusalError) unless the scalar existence
-constraint between the boundary parameters and q^m holds and |m| n <= 4;
-require_mcondition is the one routine that checks that constraint, and its
+constraint between the boundary parameters and q^m holds (commands checks
+|m| n <= 4); require_mcondition alone checks that constraint, and its
 refusal carries the payload the driver prints.  The builder reads the monic
 joint eigenpolynomial at (m, ..., m) off the triangular eigenbasis of its
 degree ball, and cm_alpha applies, for each minimal coset representative w, the
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import InternalDefectError, RefusalError, check_degree_cap
+from . import InternalDefectError, RefusalError
 from .baxter import cocycle_factors
 from .koornwinder import ball_vector, compute_P_detail, generator_matrices
 from .numerics import (
@@ -38,7 +38,6 @@ from .numerics import (
     constraint_rhs,
     gamma_vectors,
     max_abs,
-    stream,
     torus_point,
 )
 from .spinrep import principal_series_basis
@@ -125,13 +124,11 @@ def build_polynomial_solution(params: ParamSet, m: int) -> KZSolution:
     wiring (the w_0^J-image of the principal-series point must be the
     translation spectrum of (m, ..., m)) before assembling.
     """
-    n = params.n
     require_mcondition(params, m)
-    check_degree_cap(n, m)
     series = principal_series_basis(params)
     _basis, zeta, reps, _rep = series
     mapped = act_word(reps[-1], zeta, params)
-    lam = (m,) * n
+    lam = (m,) * params.n
     target = gamma_vectors([lam], params)[0]
     gap = max_abs(np.array(mapped) - target) / max(max_abs(target), 1.0)
     if gap > 1e-9:
@@ -151,10 +148,10 @@ def build_polynomial_solution(params: ParamSet, m: int) -> KZSolution:
     return sol
 
 
-def verify_solution(sol: KZSolution, samples: int = 20, seed: int = 8) -> dict:
+def verify_solution(sol: KZSolution, samples: int, rng) -> dict:
     """The n transport equations and the n+1 invariance equations at random
     generic points, all points at once: the first ``samples`` draws of
-    stream(seed), all drawn before any is evaluated.  A factor near a pole
+    the stream rng, all drawn before any is evaluated.  A factor near a pole
     at any of them raises PoleProximityError (baxter.RationalMat); the point
     is not redrawn.  Every point, its n shifts and its n+1 reflections are
     one product of the component table, and each equation is a
@@ -163,7 +160,6 @@ def verify_solution(sol: KZSolution, samples: int = 20, seed: int = 8) -> dict:
     own scale; tensorops.evaluate reads the largest of the points' residuals."""
     params = sol.params
     n = params.n
-    rng = stream(seed)
     q = params.q
     points = [torus_point(rng, n, (0.75, 1.35)) for _ in range(samples)]
     t = tuple(np.array(points, dtype=complex).T)

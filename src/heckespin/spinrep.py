@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import InternalDefectError, check_dim_cap, tensorops
+from . import InternalDefectError, tensorops
 from .numerics import ParamSet, max_abs, nonvanishing, rel_residual
 from .weyl import min_coset_reps, tau_word
 
@@ -135,7 +135,6 @@ def _eye(block: np.ndarray) -> np.ndarray:
 
 def build_spin_rep(params: ParamSet) -> SpinRep:
     n = params.n
-    check_dim_cap(n)
     rep = SpinRep(params=params)
     middle = _local_upsilon_p(params), _local_e_mid(params)
     for j in range(n + 1):

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import InternalDefectError
 from .baxter import cocycle_factors, dressed_blocks
-from .numerics import ParamSet, _point_max, max_abs, nonvanishing, rel_residual, stream, torus_point
+from .numerics import ParamSet, _point_max, max_abs, nonvanishing, rel_residual, torus_point
 from .spinrep import boundary_norm, build_spin_rep
 from .tensorops import (
     PERMUTE_TWO,
@@ -206,8 +206,8 @@ def _aux_normalizer(params: ParamSet, x):
     return g, gp
 
 
-def check_transfer(params: ParamSet, samples: int = 8, seed: int = 2) -> dict:
-    """The structural transfer-matrix identities, each at all samples at
+def check_transfer(params: ParamSet, samples: int, rng) -> dict:
+    """The structural transfer-matrix identities at the samples of rng, all at
     once: the local rows on stacks of blocks, the operator rows on a Gaussian
     block V drawn after the samples, one MPO call per product; the monodromy
     row is a tensorops.Product of _double_row's factors on V against U V.
@@ -216,7 +216,6 @@ def check_transfer(params: ParamSet, samples: int = 8, seed: int = 2) -> dict:
     of that, and a row scaled by the product failed on rounding alone.  The
     crossing row inverts the diagonal theta (x) theta by its reciprocals."""
     n = params.n
-    rng = stream(seed)
     out = {}
     kbar, R, _k = dressed_blocks(params)
     th = theta_matrix(params)
@@ -246,21 +245,18 @@ def check_transfer(params: ParamSet, samples: int = 8, seed: int = 2) -> dict:
     return out
 
 
-def check_transfer_vs_transport(
-    params: ParamSet, samples: int = 5, seed: int = 4
-) -> dict:
+def check_transfer_vs_transport(params: ParamSet, samples: int, rng) -> dict:
     """The transfer matrix at x = 1/t_i and x = t_i against the stationary
     transport C along the i-th translation, on a Gaussian block V drawn
-    after the samples: T(1/t_i) V against phi(1/t_i) C V, and the inverse
-    direction T(t_i) = phi(t_i) C^{-1} in product form, T(t_i) C V against
-    phi(t_i) V, as C reaches condition numbers of 1e12 at n = 6.  That row
-    is scaled by the norm product max|T(t_i) V| max|C V| / max|V|, the size
-    of its rounding (by max|phi V| it read 1.2e-9 at n = 6).  C V is the
-    cocycle along weyl.tau_word(i, n) at params.replace(q_sqrt=1) run
-    through V; T never sees q.  Each i takes two MPO calls, T at 1/t_i and
-    t_i on V, then T(t_i) on C V, and copies no block to its points."""
+    from rng after the samples: T(1/t_i) V against phi(1/t_i) C V, and the
+    inverse direction T(t_i) = phi(t_i) C^{-1} in product form, T(t_i) C V
+    against phi(t_i) V, as C reaches condition numbers of 1e12 at n = 6.
+    That row is scaled by the norm product max|T(t_i) V| max|C V| / max|V|,
+    the size of its rounding (by max|phi V| it read 1.2e-9 at n = 6).  C V
+    is the cocycle along weyl.tau_word(i, n) at params.replace(q_sqrt=1)
+    run through V; T never sees q.  Each i takes two MPO calls, T at 1/t_i
+    and t_i on V, then T(t_i) on C V, and copies no block to its points."""
     n = params.n
-    rng = stream(seed)
     out = {}
     stationary = params.replace(q_sqrt=1)
     t = np.array([torus_point(rng, n, (0.8, 1.3)) for _ in range(samples)]).T

@@ -40,6 +40,7 @@ from heckespin.numerics import (
     RefusalError,
     l1_ball,
     rel_residual,
+    stream,
 )
 from heckespin.qkz import KZSolution, build_polynomial_solution, verify_solution
 from heckespin.tensorops import PERMUTE_TWO, factor_product
@@ -145,7 +146,7 @@ def test_criterion_4_spectral_identities():
     control_ok = True
     for n in (2, 3):
         p = sample_generic(seed=1, n=n)
-        res = residuals(check_ybe_re(p, samples=20, seed=1))
+        res = residuals(check_ybe_re(p, 20, stream(1)))
         control_ok = control_ok and res.pop("negative control perturbed reflection") > 1e-3
         worst = max(worst, max(res.values()))
         kbar, r, k = dressed_blocks(p)
@@ -182,7 +183,7 @@ def test_criterion_5_transfer_matrix():
     worst_interp = 0.0
     for n in (2, 3, 4):
         p = sample_generic(seed=1, n=n)
-        res = residuals(check_transfer(p, samples=10, seed=2))
+        res = residuals(check_transfer(p, 10, stream(2)))
         worst_commute = max(worst_commute, res["commuting transfer matrices"])
         worst_crossing = max(
             worst_crossing,
@@ -191,7 +192,7 @@ def test_criterion_5_transfer_matrix():
         )
     for n in (2, 3):
         p = sample_generic(seed=1, n=n)
-        res = check_transfer_vs_transport(p, samples=10, seed=3)
+        res = check_transfer_vs_transport(p, 10, stream(3))
         worst_interp = max(worst_interp, max(res.values()))
     ok = worst_commute < 1e-8 and worst_crossing < 1e-9 and worst_interp < 1e-8
     record_acceptance(
@@ -268,7 +269,7 @@ def test_criterion_8_difference_equation_solutions():
         for m in (-1, 0, 1):
             p = sample_generic(seed=11, n=n, mcondition=m)
             sol = build_polynomial_solution(p, m)
-            res = residuals(verify_solution(sol, samples=20, seed=2))
+            res = residuals(verify_solution(sol, 20, stream(2)))
             worst = max(worst, max(res.values()))
         free = sample_generic(seed=23 + n, n=n)
         try:
@@ -283,7 +284,7 @@ def test_criterion_8_difference_equation_solutions():
         components=scale_row(sol.components, 1, 1.01),
         metadata=dict(sol.metadata),
     )
-    distortion_ok = max(residuals(verify_solution(bad, samples=5, seed=2)).values()) > 1e-3
+    distortion_ok = max(residuals(verify_solution(bad, 5, stream(2))).values()) > 1e-3
     ok = worst < 1e-8 and refusals_ok and distortion_ok
     record_acceptance(
         f"8. difference-equation solutions n=2,3 m=-1,0,1: verified at 20 "

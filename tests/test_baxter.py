@@ -43,7 +43,7 @@ from heckespin.weyl import reduced_word, tau_word
 
 
 def test_identity_battery(params2):
-    res = residuals(check_ybe_re(params2, samples=10, seed=1))
+    res = residuals(check_ybe_re(params2, 10, stream(1)))
     control = res.pop("negative control perturbed reflection")
     assert max(res.values()) < 1e-10
     assert control > 1e-3
@@ -56,7 +56,7 @@ def test_kn_far_commutes_with_every_r_off_its_leg():
     so at n = 5 the report has the rows Kn R1, R2 and R3.  Expected to fail
     while the loop stops one short; strict, so that the marker goes with
     the fix."""
-    res = check_ybe_re(sample_generic(seed=5, n=5), samples=2, seed=1)
+    res = check_ybe_re(sample_generic(seed=5, n=5), 2, stream(1))
     assert sorted(key for key in res if key.startswith("far commutation Kn ")) == [
         "far commutation Kn R1", "far commutation Kn R2", "far commutation Kn R3"]
 
@@ -226,10 +226,10 @@ def test_dressed_paths_build_no_spin_rep_and_no_embedding(monkeypatch):
     t = (0.91 + 0.2j, 1.1 - 0.1j, 0.95 - 0.3j, 1.2 + 0.05j)
     _cocycle(p, [0, 1, 2, 3, 4, 2], t)
     _cocycle(p, tau_word(2, 4), t)
-    residuals(check_ybe_re(p, samples=2, seed=1))
-    check_transfer_vs_transport(p, samples=1, seed=1)
+    residuals(check_ybe_re(p, 2, stream(1)))
+    check_transfer_vs_transport(p, 1, stream(1))
     comps = to_table([DictPoly.monomial(4, (b % 3 - 1, 0, b % 2, 0), 1 + b) for b in range(16)], 4)
-    res = residuals(verify_solution(KZSolution(params=p, components=comps), samples=2, seed=1))
+    res = residuals(verify_solution(KZSolution(params=p, components=comps), 2, stream(1)))
     assert len(res) == 2 * 4 + 1
 
 
@@ -239,7 +239,7 @@ def test_batched_battery_matches_the_per_sample_oracle(n):
     every row within 1e-13 and the control within 1e-12 relative."""
     for seed in (1, 2, 3):
         p = sample_generic(seed=seed, n=n)
-        got, want = residuals(check_ybe_re(p, samples=20, seed=seed)), ybe_per_sample(p, 20, seed)
+        got, want = residuals(check_ybe_re(p, 20, stream(seed))), ybe_per_sample(p, 20, seed)
         assert sorted(got) == sorted(want)
         key = "negative control perturbed reflection"
         assert abs(got.pop(key) - want[key]) <= 1e-12 * want.pop(key)
@@ -323,7 +323,7 @@ def test_the_battery_evaluates_each_block_once_per_argument(monkeypatch):
     counts = []
     for samples in (5, 20):
         calls.clear()
-        check_ybe_re(p, samples=samples, seed=1)
+        check_ybe_re(p, samples, stream(1))
         counts.append(len(calls))
         assert (samples,) in calls
     assert counts[0] == counts[1]

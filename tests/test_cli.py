@@ -580,6 +580,19 @@ def test_extended_precision_transfer_runs_past_two_sites(tmp_path):
     assert checks["extended precision transfer agreement"]["pass"]
 
 
+def test_a_config_file_sets_a_choice_setting_that_a_flag_overrides(tmp_path):
+    """A --params config file may give a choice setting: "precision":
+    "extended" adds the extended row to verify transfer, and --precision
+    double takes it out again, as a flag overrides the file."""
+    config, report = _write(tmp_path, {"precision": "extended"}), tmp_path / "r.json"
+    names = []
+    for flag in ([], ["--precision", "double"]):
+        assert run(["verify", "transfer", "--n", "2", "--params", config, *flag, "--report", str(report)]) == 0
+        names.append({c["name"] for c in json.loads(report.read_text())["checks"]})
+    assert names[0] - names[1] == {"extended precision transfer agreement"}
+    assert names[1] <= names[0]
+
+
 def _stored_solution(tmp_path):
     path = tmp_path / "sol.json"
     assert run(["qkz", "build", "--n", "2", "--m", "1", "--seed", "5",
@@ -597,6 +610,7 @@ _MALFORMED = {
     "fractional exponent": "refused: malformed solution: TypeError",
     "NaN psi0": "refused: malformed solution: ValueError psi0 must be finite",
     "infinite psi0": "refused: malformed solution: ValueError psi0 must be finite",
+    "exponent arity": "refused: exponent arity does not match n_vars",
 }
 
 
@@ -618,6 +632,8 @@ def test_malformed_stored_solution_is_refused(tmp_path, capsys, corrupt):
         del data["params"]["psin"]
     elif corrupt.endswith("psi0"):
         data["params"]["psi0"]["im"] = float("nan" if corrupt == "NaN psi0" else "-inf")
+    elif corrupt == "exponent arity":  # one exponent longer than its row's n_vars
+        comp["terms"][0]["exp"] = comp["terms"][0]["exp"] + [0]
     else:
         comp["terms"][0]["exp"] = [0.5, 1]
     path.write_text(json.dumps(data))
@@ -896,6 +912,12 @@ def test_a_parameter_file_whose_powers_leave_the_double_range_is_refused(
     pfile = _params_file(tmp_path, seed=1, n=n, **fields)
     assert run([*argv, "--params", pfile]) == 2
     assert f"refused: malformed parameters: ValueError {message}" in capsys.readouterr().err
+
+
+def test_a_parameter_file_of_rank_zero_is_refused(tmp_path, capsys):
+    pfile = _write(tmp_path, dict(sample_generic(seed=8, n=2).to_dict(), n=0))
+    assert run(["verify", "algebra", "--params", pfile]) == 2
+    assert "refused: malformed parameters: ValueError rank n must be at least 1" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -1270,6 +1292,99 @@ def test_an_internal_value_error_is_an_internal_defect(monkeypatch, capsys):
     assert "internal defect: generator index 3 out of range for n=2" in capsys.readouterr().err
 
 
+_QKZ_BUILD = ["qkz", "build", "--n", "2", "--m", "1"]
+
+
+def _doubled_normalizer(monkeypatch):
+    import heckespin.transfer as transfer
+
+    # the trace the normalized transfer matrix divides by, and its slope, doubled
+    honest = transfer._aux_normalizer
+    monkeypatch.setattr(transfer, "_aux_normalizer", lambda params, x: tuple(2 * g for g in honest(params, x)))
+    return ["emit", "tables", "--kind", "hamiltonian_spectrum", "--n", "2"], \
+        "internal defect: normalized transfer is not Id at x=1"
+
+
+def _detuned_spectral_point(monkeypatch):
+    import heckespin.qkz as qkz
+
+    # the w_0^J-image of the principal-series point, off by 1e-3
+    honest = qkz.act_word
+    monkeypatch.setattr(qkz, "act_word", lambda *args: tuple(1.001 * z for z in honest(*args)))
+    return _QKZ_BUILD, "internal defect: spectral wiring mismatch ("
+
+
+def _zero_solution(monkeypatch):
+    import dataclasses
+
+    import heckespin.qkz as qkz
+
+    honest = qkz.cm_alpha
+
+    def zeroed(*args, **kw):
+        sol = honest(*args, **kw)
+        return dataclasses.replace(sol, components=LaurentPoly(sol.components.exps, 0 * sol.components.coeffs))
+
+    monkeypatch.setattr(qkz, "cm_alpha", zeroed)
+    return _QKZ_BUILD, "internal defect: assembled solution is numerically zero"
+
+
+def _short_degree(monkeypatch):
+    # the ball cm_alpha builds for the eigenpolynomial is one degree too small
+    honest = LaurentPoly.l1_degree
+    monkeypatch.setattr(LaurentPoly, "l1_degree", lambda self: honest(self) - 1)
+    return _QKZ_BUILD, "internal defect: polynomial term left the degree ball"
+
+
+def _off_orbit_point(monkeypatch):
+    import heckespin.weyl as weyl
+
+    # every word spells the point (n + 1, n - 1, ..., 1), which no element
+    # of the group reaches from home, so the descent walk never gets there
+    monkeypatch.setattr(weyl.WeylElem, "from_word",
+                        classmethod(lambda cls, word, n: cls((n + 1, *range(n - 1, 0, -1)))))
+    return ["verify", "baxter", "--n", "2"], "internal defect: descent walk of "
+
+
+@pytest.mark.parametrize("plant", [_doubled_normalizer, _detuned_spectral_point, _zero_solution,
+                                   _short_degree, _off_orbit_point])
+def test_a_planted_fault_reaches_its_internal_guard(monkeypatch, capsys, plant):
+    """Each internal guard that no input reaches fires on the fault it is
+    there for, planted in a layer: the command exits 3, and its last stderr
+    line names the guard."""
+    argv, line = plant(monkeypatch)
+    capsys.readouterr()
+    assert run([*argv, "--seed", "1"]) == 3
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith(line)
+    assert plant is not _off_orbit_point or last.endswith("failed to terminate")
+
+
+def test_a_genericity_error_naming_another_point_refuses_without_a_redraw(monkeypatch, capsys):
+    """_at_point takes the next draw only when a guard names the point it
+    drew: a GenericityError that names another point is re-raised, and the
+    command refuses (exit 2) after its one draw."""
+    import heckespin.commands as commands
+    import heckespin.numerics as numerics
+
+    honest, drawn, other = numerics.generic_draws, [], sample_generic(seed=2, n=2)
+
+    def logged(*args):
+        for p in honest(*args):
+            drawn.append(p)
+            yield p
+
+    def suite(cfg, p):
+        raise GenericityError("planted guard at another point", point=other)
+
+    monkeypatch.setattr(numerics, "generic_draws", logged)
+    monkeypatch.setitem(commands._SUITE_FNS, "algebra", suite)
+    capsys.readouterr()
+    assert run(["verify", "algebra", "--n", "2", "--seed", "1"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "refused: planted guard at another point"
+    assert drawn == [sample_generic(seed=1, n=2)] != [other]
+
+
 def test_benchmark_gated_commands_keep_their_check_names():
     """The six commands the benchmark gates, at seed 1, report exactly the
     check names the benchmark expects (perfbench/expected_checks.json, only
@@ -1427,8 +1542,8 @@ def test_a_nan_row_fails_the_distorted_solution_control(monkeypatch):
     import heckespin.qkz as qkz
 
     def wrapper(honest):
-        def nan_in_control(sol, samples=20, seed=8):
-            res = honest(sol, samples=samples, seed=seed)
+        def nan_in_control(sol, samples, rng):
+            res = honest(sol, samples, rng)
             if samples == 4:  # the control's call
                 res["invariance under s_0"] = float("nan")
             return res

@@ -31,7 +31,6 @@ from heckespin.koornwinder import (
 from heckespin.numerics import (
     GenericityError,
     InternalDefectError,
-    RefusalError,
     eta,
     gamma_vectors,
     l1_ball,
@@ -155,11 +154,6 @@ def test_last_coordinate_zero_is_fixed_by_the_sign_flip(params2):
     assert fixed_by_si(2, (1, 0))
     det = compute_P_detail((1, 0), params2)
     assert stabilizer_eigen_residual(2, det.poly, params2) < 1e-9
-
-
-def test_degree_cap_is_enforced(params2):
-    with pytest.raises(RefusalError, match="polynomial caps exceeded"):
-        compute_P_detail((3, 2), params2)
 
 
 def test_degenerate_spectrum_is_a_genericity_error():

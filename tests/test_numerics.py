@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import heckespin
 from conftest import DictPoly, Residuals, divided_difference, laurent_mul, s_j, sample_generic, to_table
 from heckespin.koornwinder import compute_P_detail, label_polynomials
 from heckespin.numerics import (
@@ -252,14 +251,14 @@ def test_batched_spectral_vectors_equal_the_scalar_formula(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_gamma_screen_matches_the_all_pairs_oracle(monkeypatch, n):
+def test_gamma_screen_matches_the_all_pairs_oracle(n):
     """The screen of spectral collisions is the polynomial layer's own guard
     (koornwinder._degree_polynomials).  At clean raw draws the all-pairs oracle
     finds no collision among the weights of degree <= 4 and the guard lets
     every label of degree <= 4 through; where the oracle finds one, the
     guard refuses its label with a GenericityError naming the point.  The
-    rank cap is lifted to n = 4, so that the guard answers, not the cap."""
-    monkeypatch.setattr(heckespin, "_N_CAP", 4)
+    layer checks no rank cap (the commands do), so at n = 4 the guard
+    answers."""
 
     def labels(r):
         return [lam for lam in l1_ball(n, r) if sum(map(abs, lam)) == r]

@@ -1,9 +1,10 @@
 """Static checks over the package source: every function and class is used
 by the package itself, so code that only tests call lives beside the tests;
 every file is opened in a with statement; one module spells a complex
-number as JSON; one function draws parameter points; one function
-multiplies out the two sides of a product identity; and the console script
-is the process entry of cli.py."""
+number as JSON; one function draws parameter points; one module opens
+the random streams and checks the run caps; one function multiplies out the
+two sides of a product identity; and the console script is the process
+entry of cli.py."""
 
 import ast
 from pathlib import Path
@@ -151,16 +152,21 @@ def test_a_planted_complex_key_is_flagged(tmp_path):
     assert complex_keys(tmp_path) == ["mod:5", "mod:5", "mod:9", "mod:9"]
 
 
-def _enclosed_references(node, where: str, name: str, out: list) -> list:
+def _enclosed_sites(node, where: str, hit, out: list) -> list:
     """where, extended by the name of each enclosing function or class, of
-    every Name or Attribute under node that refers to name."""
+    every node under node for which hit(node) holds, in source order."""
     for child in ast.iter_child_nodes(node):
-        if (isinstance(child, ast.Name) and child.id == name
-                or isinstance(child, ast.Attribute) and child.attr == name):
+        if hit(child):
             out.append(where)
         inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        _enclosed_references(child, f"{where}.{child.name}" if inner else where, name, out)
+        _enclosed_sites(child, f"{where}.{child.name}" if inner else where, hit, out)
     return out
+
+
+def _sites(src: Path, hit) -> list:
+    """module.function of every node of src for which hit(node) holds."""
+    return [site for path in sorted(src.glob("*.py"))
+            for site in _enclosed_sites(ast.parse(path.read_text(encoding="utf-8")), path.stem, hit, [])]
 
 
 def draw_sites(src: Path = SRC) -> list:
@@ -168,8 +174,7 @@ def draw_sites(src: Path = SRC) -> list:
     in source order per module: the package draws its parameter points in
     commands._at_point alone, so a report's fingerprint names the point that
     each of its rows ran at."""
-    return [site for path in sorted(src.glob("*.py")) for site in _enclosed_references(
-        ast.parse(path.read_text(encoding="utf-8")), path.stem, "generic_draws", [])]
+    return _sites(src, lambda node: _name(node) == "generic_draws")
 
 
 def test_only_at_point_draws_a_parameter_point():
@@ -189,6 +194,72 @@ def test_a_planted_parameter_draw_is_flagged(tmp_path):
         "def doc():\n    \"\"\">>> next(generic_draws(1, 2))\"\"\"\n"
     )
     assert draw_sites(tmp_path) == ["commands._at_point", "commands.suite", "mod", "mod.Holder.point"]
+
+
+def _called(names):
+    """A hit for _sites: a call of one of names, bare or as an attribute."""
+    return lambda node: isinstance(node, ast.Call) and _name(node.func) in names
+
+
+def stray_streams(src: Path = SRC) -> list:
+    """module.function of every call of numerics.stream in src outside
+    numerics.generic_draws and commands: commands opens every stream a row
+    draws from and hands it in, so one module decides which stream each row
+    reads."""
+    return [site for site in _sites(src, _called({"stream"}))
+            if site != "numerics.generic_draws" and site.split(".")[0] != "commands"]
+
+
+def test_only_commands_opens_a_stream():
+    assert stray_streams() == []
+
+
+def test_a_planted_stream_is_flagged(tmp_path):
+    (tmp_path / "numerics.py").write_text(
+        "import random\n\n\n"
+        "def stream(seed):\n    return random.Random(seed)\n\n\n"
+        "def generic_draws(seed):\n    return stream(seed)\n\n\n"
+        "def spectral(seed):\n    return stream(seed)\n"
+    )
+    (tmp_path / "commands.py").write_text(
+        "from . import numerics\n\n\n"
+        "def suite(cfg):\n    return numerics.stream(cfg.seed)\n"
+    )
+    (tmp_path / "layer.py").write_text(
+        "import sys\n\nfrom . import numerics\nfrom .numerics import stream\n\nRNG = stream(1)\n\n\n"
+        "def battery(params, samples, seed=1):\n    return numerics.stream(seed)\n\n\n"
+        "def flush():\n    for stream in (sys.stdout, sys.stderr):\n        stream.flush()\n"
+    )
+    assert stray_streams(tmp_path) == ["layer", "layer.battery", "numerics.spectral"]
+
+
+def stray_caps(src: Path = SRC) -> list:
+    """module.function of every call of a run cap (check_dim_cap, check_caps,
+    check_degree_cap) in src outside the package's __init__, which defines
+    them, and commands, which checks each once before sampling: no layer
+    refuses a rank or degree on a suite's behalf."""
+    caps = _called({"check_dim_cap", "check_caps", "check_degree_cap"})
+    return [site for site in _sites(src, caps) if site.split(".")[0] not in ("__init__", "commands")]
+
+
+def test_only_commands_checks_a_run_cap():
+    assert stray_caps() == []
+
+
+def test_a_planted_cap_check_is_flagged(tmp_path):
+    (tmp_path / "__init__.py").write_text(
+        "def check_caps(n, degree=0):\n    return n\n\n\n"
+        "def check_degree_cap(n, m):\n    check_caps(n)\n"
+    )
+    (tmp_path / "commands.py").write_text(
+        "from . import check_caps\n\n_CAPS = {'koornwinder': lambda cfg: check_caps(cfg.n)}\n"
+    )
+    (tmp_path / "layer.py").write_text(
+        "import heckespin\nfrom . import check_dim_cap, check_identity_rank\n\n\n"
+        "def build(n):\n    check_dim_cap(n)\n    check_identity_rank(n)\n\n\n"
+        "class Solver:\n    def solve(self, n, m):\n        heckespin.check_degree_cap(n, m)\n"
+    )
+    assert stray_caps(tmp_path) == ["layer.build", "layer.Solver.solve"]
 
 
 def _name(node):

@@ -255,7 +255,7 @@ def test_relation_rows_stay_on_at_most_four_legs(monkeypatch):
     residuals(check_hecke_relations(rep.T, p))
     residuals(check_tl_relations(rep.e, delta_from_kappa(p), 6))
     quotient_map_residuals(rep)
-    residuals(check_ybe_re(p, samples=2, seed=1))
+    residuals(check_ybe_re(p, 2, stream(1)))
     assert rows and max(rows) <= 2**4
 
 

@@ -204,12 +204,12 @@ def test_generic_path_converges_with_precision(n):
 
 
 def test_transfer_identity_battery(params2):
-    res = residuals(check_transfer(params2, samples=6, seed=2))
+    res = residuals(check_transfer(params2, 6, stream(2)))
     assert max(res.values()) < 1e-9, res
 
 
 def test_transfer_identity_battery_n3(params3):
-    res = residuals(check_transfer(params3, samples=4, seed=2))
+    res = residuals(check_transfer(params3, 4, stream(2)))
     assert max(res.values()) < 1e-9, res
 
 
@@ -234,7 +234,7 @@ def test_scaled_double_row_factor_fails_the_monodromy_row(monkeypatch, n):
         return factors
 
     monkeypatch.setattr(heckespin.transfer, "_double_row", scaled)
-    res = residuals(check_transfer(sample_generic(seed=1, n=n), samples=2, seed=2))
+    res = residuals(check_transfer(sample_generic(seed=1, n=n), 2, stream(2)))
     assert res["monodromy form agreement"] > 1e-3, res
 
 
@@ -264,12 +264,12 @@ def test_a_detuned_transfer_matrix_fails_the_commuting_row(monkeypatch, n):
             return honest(params, x, t, v)
 
         monkeypatch.setattr(heckespin.transfer, "transfer_apply", detuned)
-        res = check_transfer(sample_generic(seed=seed, n=n), samples=8, seed=seed)
+        res = check_transfer(sample_generic(seed=seed, n=n), 8, stream(seed))
         assert res["commuting transfer matrices"] >= 100 * 1e-9, (seed, res)
 
 
 def test_transfer_interpolates_the_transport(params2):
-    res = check_transfer_vs_transport(params2, samples=5, seed=3)
+    res = check_transfer_vs_transport(params2, 5, stream(3))
     assert max(res.values()) < 1e-9, res
 
 
@@ -286,7 +286,7 @@ def test_scaled_transport_factor_fails_the_product_form(monkeypatch, n):
         return factors
 
     monkeypatch.setattr(heckespin.transfer, "cocycle_factors", scaled)
-    res = check_transfer_vs_transport(sample_generic(seed=1, n=n), samples=2, seed=1)
+    res = check_transfer_vs_transport(sample_generic(seed=1, n=n), 2, stream(1))
     assert len(res) == 2 * n
     assert min(res.values()) > 1e-9, res
 
@@ -456,11 +456,11 @@ def test_the_transport_rows_memory_does_not_grow_with_their_samples():
     p = sample_generic(seed=1, n=8)
 
     def peak(samples):
-        check_transfer_vs_transport(p, samples)  # the caches of a first call
+        check_transfer_vs_transport(p, samples, stream(4))  # the caches of a first call
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            check_transfer_vs_transport(p, samples)
+            check_transfer_vs_transport(p, samples, stream(4))
             return tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
