@@ -9,10 +9,11 @@ Laurent polynomials in t_1..t_n are ``LaurentPoly`` tables: one integer
 exponent table shared by the rows of a complex coefficient matrix, one row
 per polynomial.  They are built, stored as JSON and evaluated here; the
 library never multiplies two of them or changes their variables.  The
-spectral vectors of integer weights are the rows of one array
-(gamma_vectors).  Every draw comes from a stream(seed): parameter points
-only from generic_draws, which commands._at_point alone walks, and spectral
-points from torus_point, on the stream commands hands the row.  A spectral
+integer weights of an l1 ball (l1_ball) and their spectral vectors
+(gamma_vectors) are their formulas, a weight and a coordinate at a time.
+Every draw comes from a stream(seed): parameter points only from
+generic_draws, which commands._at_point alone walks, and spectral points
+from torus_point, on the stream commands hands the row.  A spectral
 point at a pole (baxter.RationalMat) is not redrawn: its PoleProximityError
 refuses the job (exit 2), in every row that evaluates the dressed blocks.
 """
@@ -22,6 +23,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import operator
@@ -206,38 +208,11 @@ class LaurentPoly:
 
 @functools.lru_cache(maxsize=None)
 def l1_ball(n: int, radius: int) -> tuple:
-    """All integer vectors mu in Z^n with sum |mu_i| <= radius, sorted.
-
-    Built coordinate by coordinate from the last, every radius up to radius
-    at once, so the output comes out in lexicographic order without a sort;
-    each (n, radius) is built once.
-    """
-    if radius < 0:
-        return ()
-    balls = [((),)] * (radius + 1)  # balls[r]: the trailing coordinates within r
-    for _ in range(n):
-        balls = [tuple((e,) + rest for e in range(-r, r + 1) for rest in balls[r - abs(e)])
-                 for r in range(radius + 1)]
-    return balls[radius]
-
-
-def _gamma_exponents(lams, n: int):
-    """The integer exponents (lam_i, s_i) of every coordinate of the
-    spectral vectors of the weights, as two (weights, n) arrays."""
-    lam = np.array(lams, dtype=np.int64).reshape(-1, n)
-
-    def etas(x):
-        return np.where(x > 0, 1, -1)
-
-    diff = lam[:, None, :] - lam[:, :, None]  # [w, i, j] = lam_j - lam_i
-    total = lam[:, :, None] + lam[:, None, :]
-    j_below_i = np.tri(n, k=-1, dtype=bool)
-    s = (
-        np.where(j_below_i, etas(diff), 0).sum(axis=2)
-        - np.where(j_below_i.T, etas(-diff), 0).sum(axis=2)
-        - np.where(np.eye(n, dtype=bool), 0, etas(total)).sum(axis=2)
-    )
-    return lam, s
+    """All integer vectors mu in Z^n with sum |mu_i| <= radius, in
+    lexicographic order: the cube [-radius, radius]^n, filtered.  Each
+    (n, radius) is built once."""
+    return tuple(mu for mu in itertools.product(range(-radius, radius + 1), repeat=n)
+                 if sum(map(abs, mu)) <= radius)
 
 
 def gamma_vectors(lams, params: ParamSet) -> np.ndarray:
@@ -246,20 +221,17 @@ def gamma_vectors(lams, params: ParamSet) -> np.ndarray:
 
     Coordinate i is q^lam_i (kappa0 kappan)^(-eta(lam_i)) kappa^s_i, where
     s_i = sum_{j<i} eta(lam_j - lam_i) - sum_{j>i} eta(lam_i - lam_j)
-    - sum_{j != i} eta(lam_i + lam_j), with eta(0) = -1 throughout.  The
-    integer exponents are found for all weights at once (_gamma_exponents),
-    then one product q^m (kappa0 kappan)^(-eta(m)) kappa^s of Python scalars
-    per distinct (m, s), the same powers and products as one coordinate at
-    a time (so equal to the last bit), is gathered.
+    - sum_{j != i} eta(lam_i + lam_j), with eta(0) = -1 throughout.
     """
-    lam, s = _gamma_exponents(lams, params.n)
-    q, k0n, kappa = params.q, params.kappa0 * params.kappan, params.kappa
-    ms = range(int(lam.min()), int(lam.max()) + 1)
-    ts = range(int(s.min()), int(s.max()) + 1)
-    table = np.array(
-        [[q**m * k0n ** (-eta(m)) * kappa**t for t in ts] for m in ms], dtype=complex
-    )
-    return table[lam - ms[0], s - ts[0]]
+    n, q, k0n, kappa = params.n, params.q, params.kappa0 * params.kappan, params.kappa
+
+    def coordinate(lam, i):
+        s = (sum(eta(lam[j] - lam[i]) for j in range(i))
+             - sum(eta(lam[i] - lam[j]) for j in range(i + 1, n))
+             - sum(eta(lam[i] + lam[j]) for j in range(n) if j != i))
+        return q ** lam[i] * k0n ** (-eta(lam[i])) * kappa**s
+
+    return np.array([[coordinate(lam, i) for i in range(n)] for lam in lams], dtype=complex)
 
 
 def stream(seed: int, block: bool = False) -> random.Random:

@@ -14,11 +14,12 @@ degree ball, and cm_alpha applies, for each minimal coset representative w, the
 Hecke element of w (w_0^J)^{-1} through the cached generator matrices and
 scatters the image, weighted, into the spin component of the principal-series
 vector v_w (one weighted basis vector).  One principal-series basis, whose last
-representative is w_0^J, serves the spectral wiring check (against
-numerics.gamma_vectors at (m, ..., m)) and cm_alpha; the 2^n components are the
-rows of one table.  verify_solution evaluates all sample points, their q-shifts
-and their reflections as one product of that table, and hands back each
-equation as one tensorops.Product over the stack of points.
+representative is w_0^J, serves the spectral wiring check (against the
+spectral vector of the eigenpolynomial at (m, ..., m)) and cm_alpha; the 2^n
+components are the rows of one table.  verify_solution evaluates all sample
+points, their q-shifts and their reflections as one product of that table,
+and hands back each equation as one tensorops.Product over the stack of
+points.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .numerics import (
     _c2d,
     _point_max,
     constraint_rhs,
-    gamma_vectors,
     max_abs,
     torus_point,
 )
@@ -88,7 +88,7 @@ class KZSolution:
             raise RefusalError(f"malformed solution: {type(exc).__name__} {exc}") from exc
 
 
-def cm_alpha(phi: LaurentPoly, params: ParamSet, series, metadata=None) -> KZSolution:
+def cm_alpha(phi: LaurentPoly, params: ParamSet, series, metadata: dict) -> KZSolution:
     """Pair the Hecke action on phi with the principal-series basis
     ``series``, the result of spinrep.principal_series_basis(params).
 
@@ -113,7 +113,7 @@ def cm_alpha(phi: LaurentPoly, params: ParamSet, series, metadata=None) -> KZSol
     return KZSolution(
         params=params,
         components=LaurentPoly(ball, basis @ np.stack(images)),
-        metadata=dict(metadata or {"construction": "cm_alpha"}),
+        metadata=dict(metadata),
     )
 
 
@@ -129,12 +129,12 @@ def build_polynomial_solution(params: ParamSet, m: int) -> KZSolution:
     _basis, zeta, reps, _rep = series
     mapped = act_word(reps[-1], zeta, params)
     lam = (m,) * params.n
-    target = gamma_vectors([lam], params)[0]
-    gap = max_abs(np.array(mapped) - target) / max(max_abs(target), 1.0)
+    det = compute_P_detail(lam, params)
+    gap = max_abs(np.array(mapped) - det.gamma) / max(max_abs(det.gamma), 1.0)
     if gap > 1e-9:
         raise InternalDefectError(f"spectral wiring mismatch ({gap:.2e})")
     sol = cm_alpha(
-        compute_P_detail(lam, params).poly,
+        det.poly,
         params,
         series,
         metadata={

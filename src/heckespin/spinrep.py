@@ -63,11 +63,9 @@ def boundary_norm(params: ParamSet, j: int):
 def delta_from_kappa(params: ParamSet) -> TLParams:
     """Loop weights matched to the Hecke scalars."""
     k = params.kappa
-    vals = {}
-    for j, name in ((0, "delta0"), (params.n, "deltan")):
-        kj = params.kappa_j(j)
-        vals[name] = -(kj + 1 / kj) / boundary_norm(params, j)
-    return TLParams(delta0=vals["delta0"], delta=-(k + 1 / k), deltan=vals["deltan"])
+    delta0, deltan = (-(kj + 1 / kj) / boundary_norm(params, j)
+                      for j, kj in ((0, params.kappa0), (params.n, params.kappan)))
+    return TLParams(delta0=delta0, delta=-(k + 1 / k), deltan=deltan)
 
 
 def _mat(rows) -> np.ndarray:
@@ -226,14 +224,14 @@ def _murphy_factors(rep: SpinRep, i: int) -> list:
     return [rep.Tinv[b] if k < i - 1 else rep.T[b] for k, b in enumerate(tau_word(i, rep.n))]
 
 
-def murphy_Y(rep: SpinRep, i: int, a=None) -> np.ndarray:
-    """Y_i applied to ``a`` (the identity by default), one factor at a time."""
+def murphy_Y(rep: SpinRep, i: int, a) -> np.ndarray:
+    """Y_i applied to ``a`` (the identity if None), one factor at a time."""
     return tensorops.factor_product(_murphy_factors(rep, i), rep.n, a)
 
 
-def murphy_commutator_residual(rep: SpinRep, v=None) -> tuple:
+def murphy_commutator_residual(rep: SpinRep, v) -> tuple:
     """Y_i (Y_j v) against Y_j (Y_i v), one tensorops.Product per pair i < j,
-    on a block v of vectors (the identity by default, which gives the dense
+    on a block v of vectors (the identity if None, which gives the dense
     products); each Y_i v is applied once, here.  Their largest residual
     (tensorops.evaluate) is 0.0 at n = 1, and NaN if any product is NaN."""
     ys = {i: murphy_Y(rep, i, v) for i in range(1, rep.n + 1)}

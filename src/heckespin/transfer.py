@@ -299,7 +299,7 @@ def _chain_constant(params: ParamSet):
     return (k - 1 / k) / 2 * total - (n - 1) / 4 * (k + 1 / k)
 
 
-def hamiltonian(params: ParamSet, form: str = "pauli", v=None) -> np.ndarray:
+def hamiltonian(params: ParamSet, form: str, v=None) -> np.ndarray:
     """The open-chain Hamiltonian on (C^2)^(x n) applied to the block v,
     three ways; v is the identity if None, which gives the dense H.
 

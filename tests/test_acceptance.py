@@ -85,7 +85,7 @@ def test_criterion_2_principal_series():
         v0 = np.zeros(rep.dim, dtype=complex)
         v0[0] = 1.0
         for i in range(1, 4):
-            resid = np.abs(murphy_Y(rep, i) @ v0 - zeta[i - 1] * v0).max()
+            resid = np.abs(murphy_Y(rep, i, None) @ v0 - zeta[i - 1] * v0).max()
             worst = max(worst, float(resid))
         B = B @ np.eye(rep.dim)
         gram = B.conj().T @ B

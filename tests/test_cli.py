@@ -1346,8 +1346,24 @@ def _off_orbit_point(monkeypatch):
     return ["verify", "baxter", "--n", "2"], "internal defect: descent walk of "
 
 
-@pytest.mark.parametrize("plant", [_doubled_normalizer, _detuned_spectral_point, _zero_solution,
-                                   _short_degree, _off_orbit_point])
+def _boundary_index(j, line):
+    def plant(monkeypatch):
+        import heckespin.transfer as transfer
+
+        # the boundary denominator asked for at index j of n = 3, which is
+        # no boundary: past the chain at j = 4, in its bulk at j = 1
+        honest = transfer._boundary_den
+        monkeypatch.setattr(transfer, "_boundary_den", lambda params, _j: honest(params, j))
+        return ["verify", "transfer", "--n", "3"], line
+
+    plant.__name__ = f"_boundary_index_{j}"
+    return plant
+
+
+@pytest.mark.parametrize("plant", [
+    _doubled_normalizer, _detuned_spectral_point, _zero_solution, _short_degree, _off_orbit_point,
+    _boundary_index(4, "internal defect: generator index 4 out of range for n=3"),
+    _boundary_index(1, "internal defect: no upsilon attached to index 1")])
 def test_a_planted_fault_reaches_its_internal_guard(monkeypatch, capsys, plant):
     """Each internal guard that no input reaches fires on the fault it is
     there for, planted in a layer: the command exits 3, and its last stderr

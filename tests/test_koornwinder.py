@@ -252,7 +252,7 @@ def test_cold_paths_take_no_divided_difference_and_no_factorization(monkeypatch,
 
     def results():
         det = compute_P_detail((1, 1), p)
-        sol = cm_alpha(det.poly, p, principal_series_basis(p))
+        sol = cm_alpha(det.poly, p, principal_series_basis(p), metadata={"construction": "cm_alpha"})
         dets = [compute_P_detail(tuple(lam), p3) for lam in by_degree(l1_ball(3, 2))]
         return (
             det.poly.to_dicts(), det.residual, stabilizer_eigen_residual(1, det.poly, p),

@@ -123,10 +123,10 @@ def test_cm_alpha_is_linear():
     phi1 = DictPoly.monomial(2, (1, 0))
     phi2 = DictPoly.monomial(2, (0, -1))
     a, b = 0.7 - 0.2j, 1.3 + 0.5j
-    series = principal_series_basis(p)
-    s1 = cm_alpha(to_table([phi1], 2), p, series)
-    s2 = cm_alpha(to_table([phi2], 2), p, series)
-    s12 = cm_alpha(to_table([phi1.scale(a) + phi2.scale(b)], 2), p, series)
+    series, meta = principal_series_basis(p), {"construction": "cm_alpha"}
+    s1 = cm_alpha(to_table([phi1], 2), p, series, metadata=meta)
+    s2 = cm_alpha(to_table([phi2], 2), p, series, metadata=meta)
+    s12 = cm_alpha(to_table([phi1.scale(a) + phi2.scale(b)], 2), p, series, metadata=meta)
     rng = np.random.default_rng(0)
     for _ in range(4):
         t = tuple(
@@ -173,7 +173,7 @@ def test_two_paths_through_the_hecke_action_agree():
             vec = mats[a] @ vec
         for bidx in range(2**n):
             matrix_components[bidx] = matrix_components[bidx] + B[bidx, col] * vec
-    sol = cm_alpha(phi, p, principal_series_basis(p))
+    sol = cm_alpha(phi, p, principal_series_basis(p), metadata={"construction": "cm_alpha"})
     for bidx, component in enumerate(from_table(sol.components)):
         direct = np.zeros(len(basis), dtype=complex)
         for exp, c in component.terms.items():

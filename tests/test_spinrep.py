@@ -71,7 +71,7 @@ def test_delta_weights_match_boundary_formula(params2):
 def test_murphy_elements_commute_and_share_eigenvector(params3):
     p = params3
     rep = build_spin_rep(p)
-    ys = [murphy_Y(rep, i) for i in range(1, p.n + 1)]
+    ys = [murphy_Y(rep, i, None) for i in range(1, p.n + 1)]
     for a in range(len(ys)):
         for b in range(a + 1, len(ys)):
             comm = ys[a] @ ys[b] - ys[b] @ ys[a]
@@ -141,7 +141,7 @@ def test_principal_basis_and_murphy_match_dense_products(n):
         dense = np.stack([_word_on_groups(rep, word, v0) for word in reps], axis=1)
         assert np.array_equal(B @ np.eye(rep.dim), dense)
         for i in range(1, n + 1):
-            assert np.array_equal(murphy_Y(rep, i), _murphy_chain(rep, i))
+            assert np.array_equal(murphy_Y(rep, i, None), _murphy_chain(rep, i))
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -282,7 +282,7 @@ def test_murphy_elements_apply_local_factors_only(monkeypatch):
     monkeypatch.setattr(tensorops, "apply_on_legs", watched)
     for i in range(1, n + 1):
         blocks.clear()
-        murphy_Y(rep, i)
+        murphy_Y(rep, i, None)
         assert len(blocks) == len(tau_word(i, n)) and max(blocks) <= 4
 
 
@@ -302,7 +302,7 @@ def test_murphy_commutators_match_the_dense_pairs(n, bent):
     to the same block."""
     rep = build_spin_rep(sample_generic(seed=4, n=n))
     rep = _bent(rep) if bent else rep
-    ys = {i: murphy_Y(rep, i) for i in range(1, n + 1)}
+    ys = {i: murphy_Y(rep, i, None) for i in range(1, n + 1)}
     v = gaussian_block(stream(n), 2**n)
     want = max((rel_residual(ys[i] @ ys[j] @ v, ys[j] @ ys[i] @ v)
                 for i in ys for j in ys if i < j), default=0.0)
@@ -347,7 +347,7 @@ def test_a_nan_in_a_murphy_product_fails_the_commutator_row(monkeypatch, poison)
         return out
 
     monkeypatch.setattr(tensorops, "factor_product", poisoned)
-    got = evaluate(murphy_commutator_residual(rep))
+    got = evaluate(murphy_commutator_residual(rep, None))
     assert got != got
 
 

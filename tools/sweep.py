@@ -24,7 +24,7 @@ exits 0 whatever differs.
 All commands of a tree share one interpreter, as a long-lived caller's
 would: module caches stay warm and a Python warning shows once per
 process, so stderr can differ from separate `heckespin` processes.  The
-default grid (624 commands) takes about a minute per tree, two trees at
+default grid (625 commands) takes about a minute per tree, two trees at
 once on a 2-core host.
 """
 
@@ -51,7 +51,8 @@ WALL = re.compile(rb"wall \d+ ms")
 def default_grid() -> list:
     """The parity grid: every spin suite at n = 2..10 and the full and qKZ
     suites at seeds 1-20, the known failing baxter seeds, extended
-    precision, each writing command, a stored solution as the --params
+    precision, each writing command, the koornwinder tables at the
+    polynomial caps (n = 3, m = 4), a stored solution as the --params
     config file of an agreeing and of a contradicting rank, of an unmet
     existence constraint and of the qKZ suite (which skips its refusal row
     there), the one-site qKZ suite, and four more refusals (two of them
@@ -67,6 +68,7 @@ def default_grid() -> list:
         "verify transfer --n 3 --precision extended --seed 1",
         "verify baxter --n 2 --seed 1 --report report.json",
         "emit tables --kind koornwinder --n 2 --m 2 --seed 1 --out tables",
+        "emit tables --kind koornwinder --n 3 --m 4 --seed 1 --out tables",
         "emit tables --kind hamiltonian_spectrum --n 4 --seed 1 --out spectrum.json",
         "koornwinder compute --n 2 --lambda 1,0 --seed 1 --out polynomial.json",
         "qkz build --n 2 --m 1 --seed 1 --out sol.json; qkz verify --in sol.json --seed 1",
