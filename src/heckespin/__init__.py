@@ -8,9 +8,9 @@ polynomial eigenfunctions, and polynomial solutions of the associated
 q-difference equations.  The ``heckespin`` console script drives the
 verification suites over randomly sampled generic parameters.
 
-The four error classes, the suite names, the settings and the caps live
-here, where no numpy is loaded, so that the command line (cli.py) can parse
-its arguments and refuse a flag or a cap before it imports a layer.
+The three error classes, the suite names, the settings and the caps live
+here, where no numpy is loaded, so that cli.py can refuse a flag and
+commands.py a cap before either imports numpy or a layer.
 """
 
 __version__ = "0.1.0"
@@ -46,8 +46,8 @@ _DEGREE_CAP = 4
 
 class GenericityError(RuntimeError):
     """A denominator or a spectral gap vanishes.  ``point`` is the ParamSet
-    whose own guard fired (see nonvanishing), None when the fault lies
-    elsewhere: a seed out of draws."""
+    whose own guard fired (see nonvanishing), which a command redraws; None
+    refuses the job: a seed out of draws, or a spectral pole (baxter.RationalMat)."""
 
     def __init__(self, message: str, point=None):
         super().__init__(message)
@@ -60,11 +60,6 @@ class RefusalError(RuntimeError):
 
 class InternalDefectError(RuntimeError):
     """An internal exactness invariant failed; this is a bug, not bad input."""
-
-
-class PoleProximityError(RuntimeError):
-    """A spectral-parameter evaluation landed too close to a pole.  No row
-    redraws the point: the job is refused (exit 2)."""
 
 
 def check_dim_cap(n: int) -> None:
@@ -90,8 +85,8 @@ def check_caps(n: int, degree: int = 0) -> None:
 
 
 def check_degree_cap(n: int, m: int) -> None:
-    """Refuse a solution degree beyond the polynomial caps (|m| n <= 4), and
-    a rank beyond the polynomial rank cap, which m = 0 would otherwise pass."""
-    if abs(m) * n > 4:
-        raise RefusalError("degree cap exceeded (|m| * n <= 4)")
+    """Refuse a solution whose label (m, ..., m) has degree |m| n beyond the
+    degree cap, and a rank beyond the rank cap, which m = 0 would pass."""
+    if abs(m) * n > _DEGREE_CAP:
+        raise RefusalError(f"degree cap exceeded (|m| * n <= {_DEGREE_CAP})")
     check_caps(n)

@@ -35,7 +35,7 @@ import functools
 
 import numpy as np
 
-from . import InternalDefectError, PoleProximityError, check_identity_rank
+from . import GenericityError, InternalDefectError, check_identity_rank
 from .numerics import _POLE_TOL, ParamSet, nonvanishing, rel_residual, torus_point
 from .spinrep import _local_k, _local_kbar, _local_upsilon_p
 from .tensorops import Product
@@ -59,8 +59,8 @@ class RationalMat:
     which gives a (len(x), r, r) stack; an unbatched call is the same code
     without the leading axis.  A complex x gives complex arrays, an mpmath x
     an object array of mpc entries at the working precision.  A denominator
-    below 1e-6 max(1, |x|)^degree at any point raises PoleProximityError,
-    which names the first such point.
+    below 1e-6 max(1, |x|)^degree at any point raises a GenericityError
+    naming the first such x and no parameter point, which no command redraws.
     """
 
     def __init__(self, num_coeffs, den_coeffs):
@@ -78,7 +78,7 @@ class RationalMat:
         near = (ad < _POLE_TOL) | (ad < _POLE_TOL * abs(x) ** self.degree)
         if near is not False and np.any(near):
             first = np.asarray(x)[near].ravel()[0]
-            raise PoleProximityError(f"spectral-parameter pole near x={first}")
+            raise GenericityError(f"spectral-parameter pole near x={first}")
         if isinstance(x, np.ndarray):  # one matrix per point
             x, d = x[..., None, None], d[..., None, None]
         return _horner(self.num, x) / d

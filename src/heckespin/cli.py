@@ -72,11 +72,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    from . import GenericityError, InternalDefectError, PoleProximityError, RefusalError, commands
+    from . import GenericityError, InternalDefectError, RefusalError, commands
 
     try:
         return args.fn(commands)(args)
-    except (RefusalError, GenericityError, PoleProximityError) as exc:
+    except (RefusalError, GenericityError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         payload = getattr(exc, "report", None)
         if payload is not None:

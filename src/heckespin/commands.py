@@ -85,15 +85,17 @@ def _read_json(path):
 def _load_config(args) -> Config:
     """flag > file > default; the file may be a bare parameter dictionary
     or a config object with an optional "params" entry, whose rank sets
-    the rank.  A file whose top level is not an object, a missing or
-    mistyped entry, a rank (flag or file) that is not the parameter set's,
-    a label whose length is not the rank, a label that is not integers, a
-    rank below 1 and a negative seed are refused, and for a command that
-    reads them, fewer than one sample and a tolerance that is not finite
-    and positive."""
+    the rank; a config object sets only the settings the command has flags
+    for.  A file whose top level is not an object, a missing or mistyped
+    entry, a rank (flag or file) that is not the parameter set's, a label
+    whose length is not the rank, a label that is not integers, a rank
+    below 1, a negative seed, fewer than one sample and a tolerance that is
+    not finite and positive are refused."""
     merged: dict = {}
-    # the settings a file gives as scalars, typed as their flags type them
-    typed = [key for key, (flag, _readers) in SETTINGS.items() if {"type", "choices"} & flag.keys()]
+    # the settings a file gives as scalars, typed as their flags type them:
+    # those the command reads, as the parser gives args exactly those
+    typed = [key for key, (flag, _readers) in SETTINGS.items()
+             if key in vars(args) and {"type", "choices"} & flag.keys()]
     if args.params:
         data = _read_json(args.params)
         if not isinstance(data, dict):
@@ -105,7 +107,7 @@ def _load_config(args) -> Config:
                 merged["params"] = ParamSet.from_dict(data)
             else:
                 merged = {key: _typed(key, data[key]) for key in typed if key in data}
-                if "lambda" in data:
+                if "lambda" in data and "lam" in vars(args):
                     merged["lam"] = tuple(_typed("lambda", v) for v in data["lambda"])
                 if "params" in data:
                     merged["params"] = ParamSet.from_dict(data["params"])
@@ -127,10 +129,9 @@ def _load_config(args) -> Config:
         raise RefusalError("rank n must be at least 1")
     if cfg.seed < 0:
         raise RefusalError(f"seed must be non-negative, not {cfg.seed}")
-    # the parser gives args exactly the settings the command reads
-    if "samples" in vars(args) and cfg.samples < 1:
+    if cfg.samples < 1:
         raise RefusalError(f"samples must be at least 1, not {cfg.samples}")
-    if "tolerance" in vars(args) and not (math.isfinite(cfg.tolerance) and cfg.tolerance > 0):
+    if not (math.isfinite(cfg.tolerance) and cfg.tolerance > 0):
         raise RefusalError(f"tolerance must be finite and positive, not {cfg.tolerance}")
     return cfg
 
@@ -572,6 +573,8 @@ def cmd_qkz_verify(args) -> int:
     from .qkz import KZSolution
 
     sol = KZSolution.from_dict(data)
+    if cfg.params not in (None, sol.params):
+        raise RefusalError(f"the parameter set in {args.params} is not the solution's")
     t0 = time.monotonic()
     checks = [c.row(cfg.tolerance) for c in _solution_checks(cfg, sol)]
     report = _report("qkz-verify", cfg, sol.params, checks)

@@ -14,8 +14,8 @@ integer weights of an l1 ball (l1_ball) and their spectral vectors
 Every draw comes from a stream(seed): parameter points only from
 generic_draws, which commands._at_point alone walks, and spectral points
 from torus_point, on the stream commands hands the row.  A spectral
-point at a pole (baxter.RationalMat) is not redrawn: its PoleProximityError
-refuses the job (exit 2), in every row that evaluates the dressed blocks.
+point at a pole (baxter.RationalMat) is a GenericityError naming no point,
+never redrawn: it refuses the job (exit 2) in every row of the dressed blocks.
 """
 
 from __future__ import annotations

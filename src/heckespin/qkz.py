@@ -152,8 +152,8 @@ def verify_solution(sol: KZSolution, samples: int, rng) -> dict:
     """The n transport equations and the n+1 invariance equations at random
     generic points, all points at once: the first ``samples`` draws of
     the stream rng, all drawn before any is evaluated.  A factor near a pole
-    at any of them raises PoleProximityError (baxter.RationalMat); the point
-    is not redrawn.  Every point, its n shifts and its n+1 reflections are
+    at any of them raises GenericityError with point None (baxter.RationalMat);
+    nothing is redrawn.  Every point, its n shifts and its n+1 reflections are
     one product of the component table, and each equation is a
     tensorops.Product of one cocycle factor list (baxter.cocycle_factors) on
     the stack of points against the table's values there, each point on its

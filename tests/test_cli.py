@@ -16,7 +16,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import sample_generic
-from heckespin import PoleProximityError
 from heckespin.baxter import RationalMat, cocycle_factors
 from heckespin.cli import main
 from heckespin.numerics import (
@@ -501,6 +500,31 @@ def test_a_rank_other_than_the_parameter_sets_is_refused(tmp_path, capsys, where
     assert (refusal in capsys.readouterr().err) == (n == 3)
 
 
+@pytest.mark.parametrize("config,n", [
+    ({"lambda": [1, 0, 0]}, 2), ({"lambda": [1, 0], "n": 3}, 3), ({"lambda": "1,0", "n": 3}, 3),
+], ids=["label of rank 3", "label of rank 2 at n=3", "mistyped label at n=3"])
+def test_verify_takes_from_a_file_only_the_settings_it_has_flags_for(tmp_path, capsys, config, n):
+    """verify has no --lambda, so a file's "lambda" neither sets its rank
+    nor meets the file's "n", and is not read at all: the report is the one
+    at the rank that "n" or the default gives, 19 rows at n = 2 and 29 at
+    n = 3."""
+    assert run(["verify", "algebra", "--params", _write(tmp_path, config)]) == 0
+    report = capsys.readouterr().out
+    assert len(json.loads(report)["checks"]) == {2: 19, 3: 29}[n]
+    assert run(["verify", "algebra", "--n", str(n)]) == 0
+    assert capsys.readouterr().out == report
+
+
+def test_koornwinder_compute_takes_its_label_from_a_file(tmp_path, capsys):
+    """koornwinder compute has a --lambda flag, so a file's "lambda" sets
+    its label and its rank, as the flag does."""
+    assert run(["koornwinder", "compute", "--params", _write(tmp_path, {"lambda": [1, 0, -1]})]) == 0
+    payload = capsys.readouterr().out
+    assert json.loads(payload)["metadata"]["lambda"] == [1, 0, -1]
+    assert run(["koornwinder", "compute", "--lambda", "1,0,-1"]) == 0
+    assert capsys.readouterr().out == payload
+
+
 @pytest.mark.parametrize(
     "corrupt", ["leg out of range", "block on too many legs", "non-adjacent legs"]
 )
@@ -652,6 +676,44 @@ def test_stored_solution_with_a_rank_that_is_not_an_integer_is_refused(tmp_path,
     capsys.readouterr()
     assert run(["qkz", "verify", "--in", str(path), "--samples", "2"]) == 2
     assert "refused: malformed solution: TypeError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", ["no parameter set", "its own", "another solution's"])
+def test_qkz_verify_refuses_a_parameter_set_that_is_not_the_solutions(tmp_path, capsys, config):
+    """A stored solution is verified at its own parameter set: a --params
+    file that holds another solution's set is refused, and a config object
+    with no set, or with the solution's own, gives the report of a run
+    without the file."""
+    path, data = _stored_solution(tmp_path)
+    if config == "another solution's":
+        pfile = str(tmp_path / "other.json")
+        assert run(["qkz", "build", "--n", "3", "--m", "1", "--seed", "2", "--out", pfile]) == 0
+    else:
+        pfile = _write(tmp_path, {"samples": 2} if config == "no parameter set" else data)
+    argv = ["qkz", "verify", "--in", str(path), "--samples", "2"]
+    assert run(argv) == 0
+    plain = capsys.readouterr().out
+    code = run([*argv, "--params", pfile])
+    out, err = capsys.readouterr()
+    if config == "another solution's":
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"refused: the parameter set in {pfile} is not the solution's"]
+    else:
+        assert (code, out) == (0, plain)
+
+
+def test_the_qkz_degree_cap_is_the_package_degree_cap(monkeypatch, capsys):
+    """The solution of degree m is built from the label (m, ..., m), so a
+    lower _DEGREE_CAP refuses qkz build at |m| n above it, as it refuses
+    koornwinder compute on the same label."""
+    import heckespin
+
+    monkeypatch.setattr(heckespin, "_DEGREE_CAP", 3)
+    capsys.readouterr()
+    assert run(["qkz", "build", "--n", "2", "--m", "2"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["refused: degree cap exceeded (|m| * n <= 3)"]
+    assert run(["koornwinder", "compute", "--lambda", "2,2"]) == 2
+    assert "refused: polynomial caps exceeded" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n", [2.5, True])
@@ -1115,7 +1177,7 @@ def test_a_pole_at_every_cocycle_refuses_at_the_first_trial(monkeypatch, capsys,
     import heckespin.baxter as baxter
 
     def at_pole(*args, **kw):
-        raise PoleProximityError("evaluation at a pole")
+        raise GenericityError("evaluation at a pole")
 
     monkeypatch.setattr(baxter, "cocycle_factors", at_pole)
     report = tmp_path / "r.json"
@@ -1158,7 +1220,7 @@ def test_a_pole_at_the_second_trial_refuses_without_a_redraw(monkeypatch, capsys
 
 def _pole_at(x):
     """Evaluate at x a block whose denominator vanishes: the
-    PoleProximityError of a real pole, raised by RationalMat's own rule."""
+    GenericityError of a real pole, raised by RationalMat's own rule."""
     RationalMat([np.eye(2)], [0.0])(x)
 
 
@@ -1831,7 +1893,7 @@ def test_a_pole_at_the_sample_points_refuses_without_a_parameter_redraw(monkeypa
     import heckespin.numerics as numerics
 
     def at_pole(*args, **kw):
-        raise PoleProximityError("evaluation at a pole")
+        raise GenericityError("evaluation at a pole")
 
     honest, drawn, first = numerics.generic_draws, [], sample_generic(seed=1, n=3)
 

@@ -16,9 +16,9 @@ from conftest import (
     scale_row,
     to_table,
 )
-from heckespin import PoleProximityError
 from heckespin.koornwinder import compute_P_detail
 from heckespin.numerics import (
+    GenericityError,
     LaurentPoly,
     RefusalError,
     generic_draws,
@@ -232,8 +232,9 @@ def test_one_principal_series_basis_per_build(monkeypatch):
 
 def test_a_pole_at_the_first_sample_raises_with_no_rows(monkeypatch):
     """A reflection (a one-letter word) at a pole at the first point drawn
-    raises PoleProximityError out of verify_solution: no rows come back, and
-    no point is drawn beyond the samples requested."""
+    raises a GenericityError naming no parameter point out of
+    verify_solution: no rows come back, and no point is drawn beyond the
+    samples requested."""
     import heckespin.qkz as qkz
 
     sol = build_polynomial_solution(constrained(11, 2, 1), 1)
@@ -246,13 +247,14 @@ def test_a_pole_at_the_first_sample_raises_with_no_rows(monkeypatch):
 
     def factors(params, word, t):
         if len(word) == 1 and (t[0] == points[0][0]).any():
-            raise PoleProximityError("evaluation at a pole")
+            raise GenericityError("evaluation at a pole")
         return honest_factors(params, word, t)
 
     monkeypatch.setattr(qkz, "torus_point", point)
     monkeypatch.setattr(qkz, "cocycle_factors", factors)
-    with pytest.raises(PoleProximityError, match="evaluation at a pole"):
+    with pytest.raises(GenericityError, match="evaluation at a pole") as err:
         verify_solution(sol, 3, stream(5))
+    assert err.value.point is None
     assert len(points) == 3
 
 

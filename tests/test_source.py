@@ -1,10 +1,10 @@
 """Static checks over the package source: every function and class is used
 by the package itself, so code that only tests call lives beside the tests;
-every file is opened in a with statement; one module spells a complex
-number as JSON; one function draws parameter points; one module opens
-the random streams and checks the run caps; one function multiplies out the
-two sides of a product identity; and the console script is the process
-entry of cli.py."""
+every file is opened in a with statement; four functions catch a refusal;
+one module spells a complex number as JSON; one function draws parameter
+points; one module opens the random streams and checks the run caps; one
+function multiplies out the two sides of a product identity; and the
+console script is the process entry of cli.py."""
 
 import ast
 from pathlib import Path
@@ -88,40 +88,58 @@ def test_a_planted_open_outside_a_with_is_flagged(tmp_path):
     assert unmanaged_opens(tmp_path) == ["mod:7", "mod:12"]
 
 
-def pole_handlers(src: Path = SRC) -> list:
-    """module:line of every except clause in src that names
-    PoleProximityError, outside cli.main, which maps it to a refusal: a
-    spectral point at a pole refuses the job, and no row may catch the error
-    to redraw the point or drop it."""
-    out = []
-    for path in sorted(src.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        entry = {id(node) for fn in tree.body if path.stem == "cli" and isinstance(fn, ast.FunctionDef)
-                 and fn.name == "main" for node in ast.walk(fn)}
-        out += [f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
-                if isinstance(node, ast.ExceptHandler) and node.type is not None
-                and id(node) not in entry and "PoleProximityError" in _references(node.type)]
-    return out
+# the classes of a refusal and their bases: an except that names one of
+# these, or a bare except, catches a refusal
+_REFUSALS = {"GenericityError", "RefusalError", "RuntimeError", "Exception", "BaseException"}
+# the handlers of a refusal: the entry maps it to exit 2, _at_point redraws
+# the point a guard names, run_suite skips a capped suite in verify all, and
+# the qKZ suite's refusal row expects its build to refuse
+_REFUSAL_SITES = ("cli.main", "commands._at_point", "commands.run_suite", "commands.suite_qkz")
 
 
-def test_no_module_in_src_catches_a_pole_but_the_entry():
-    assert pole_handlers() == []
+def _catches_a_refusal(node) -> bool:
+    return isinstance(node, ast.ExceptHandler) and (
+        node.type is None or bool(_REFUSALS & set(_references(node.type))))
 
 
-def test_a_planted_pole_handler_is_flagged(tmp_path):
-    (tmp_path / "mod.py").write_text(
-        "from heckespin import PoleProximityError\nimport heckespin\n\n\n"
-        "def redraw(f):\n    try:\n        return f()\n    except PoleProximityError:\n        return None\n\n\n"
+def refusal_handlers(src: Path = SRC) -> list:
+    """module.function of every except clause in src that catches a refusal
+    (_REFUSALS), outside the four functions that handle one
+    (_REFUSAL_SITES): no other code may catch a refusal to redraw a point,
+    drop a row or pass a job, so a spectral pole, a GenericityError that
+    names no point, refuses the job."""
+    return [site for site in _sites(src, _catches_a_refusal) if site not in _REFUSAL_SITES]
+
+
+def test_only_the_entry_the_redraw_the_skip_and_the_refusal_row_catch_a_refusal():
+    assert refusal_handlers() == []
+
+
+def test_a_planted_refusal_handler_is_flagged(tmp_path):
+    (tmp_path / "layer.py").write_text(
+        "import heckespin\nfrom heckespin import GenericityError, RefusalError\n\n\n"
+        "def redraw(f):\n    try:\n        return f()\n    except GenericityError:\n        return None\n\n\n"
         "def drop(f):\n    try:\n        return f()\n"
-        "    except (ValueError, heckespin.PoleProximityError) as err:\n        return err\n\n\n"
-        "def other(f):\n    try:\n        return f()\n    except ValueError:\n        return None\n"
+        "    except (ValueError, heckespin.RefusalError) as err:\n        return err\n\n\n"
+        "def broad(f):\n    try:\n        return f()\n    except Exception:\n        return None\n\n\n"
+        "def bare(f):\n    try:\n        return f()\n    except:\n        return None\n\n\n"
+        "def other(f):\n    try:\n        return f()\n"
+        "    except (ValueError, heckespin.InternalDefectError):\n        return None\n"
     )
     (tmp_path / "cli.py").write_text(
-        "from heckespin import PoleProximityError\n\n\n"
-        "def main(f):\n    try:\n        return f()\n    except PoleProximityError:\n        return 2\n\n\n"
-        "def helper(f):\n    try:\n        return f()\n    except PoleProximityError:\n        return 2\n"
+        "from heckespin import GenericityError, RefusalError\n\n\n"
+        "def main(f):\n    try:\n        return f()\n    except (RefusalError, GenericityError):\n"
+        "        return 2\n\n\n"
+        "def helper(f):\n    try:\n        return f()\n    except RefusalError:\n        return 2\n"
     )
-    assert pole_handlers(tmp_path) == ["cli:14", "mod:8", "mod:15"]
+    (tmp_path / "commands.py").write_text(
+        "from . import numerics\n\n\n"
+        "def _at_point(f, p):\n    try:\n        return f(p)\n"
+        "    except numerics.GenericityError as exc:\n        return exc\n\n\n"
+        "def suite_algebra(f):\n    try:\n        return f()\n    except RuntimeError:\n        return []\n"
+    )
+    assert refusal_handlers(tmp_path) == [
+        "cli.helper", "commands.suite_algebra", "layer.redraw", "layer.drop", "layer.broad", "layer.bare"]
 
 
 def complex_keys(src: Path = SRC) -> list:

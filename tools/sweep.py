@@ -24,7 +24,7 @@ exits 0 whatever differs.
 All commands of a tree share one interpreter, as a long-lived caller's
 would: module caches stay warm and a Python warning shows once per
 process, so stderr can differ from separate `heckespin` processes.  The
-default grid (625 commands) takes about a minute per tree, two trees at
+default grid (628 commands) takes about a minute per tree, two trees at
 once on a 2-core host.
 """
 
@@ -54,9 +54,9 @@ def default_grid() -> list:
     precision, each writing command, the koornwinder tables at the
     polynomial caps (n = 3, m = 4), a stored solution as the --params
     config file of an agreeing and of a contradicting rank, of an unmet
-    existence constraint and of the qKZ suite (which skips its refusal row
-    there), the one-site qKZ suite, and four more refusals (two of them
-    --samples 0)."""
+    existence constraint, of the qKZ suite (which skips its refusal row
+    there) and of qkz verify on another solution, the one-site qKZ suite,
+    and four more refusals (two of them --samples 0)."""
     seeds = range(1, 21)
     grid = [f"verify {suite} --n {n} --seed {s}" for suite in ("algebra", "matchmaker", "baxter", "transfer")
             for n in (2, 3, 4, 6, 8, 10) for s in seeds]
@@ -75,6 +75,8 @@ def default_grid() -> list:
         "qkz build --n 2 --m 1 --seed 1 --out sol.json; verify algebra --params sol.json;"
         " verify algebra --n 3 --params sol.json",
         "qkz build --n 2 --m 1 --seed 1 --out sol.json; qkz build --m -1 --params sol.json",
+        "qkz build --n 2 --m 1 --seed 1 --out a.json; qkz build --n 2 --m 1 --seed 2 --out b.json;"
+        " qkz verify --in a.json --params b.json",
         "koornwinder compute --n 3 --lambda 1,0,-1 --seed 1",
         "emit tables --kind hamiltonian_spectrum --n 2 --seed 1",
         "verify baxter --n 1 --seed 1",
