@@ -214,15 +214,15 @@ def _block(cfg: Config, rows: int):
 def suite_algebra(cfg: Config, p: ParamSet):
     import numpy as np
 
-    from .spinrep import (check_hecke_relations, check_tl_relations, delta_from_kappa, murphy_Y,
+    from .spinrep import (check_hecke_relations, check_tl_relations, loop_weights, murphy_Y,
                           murphy_commutator_residual, principal_series_basis, quotient_map_residuals)
 
     basis, zeta, _reps, rep = principal_series_basis(p)
-    tl = delta_from_kappa(p)
+    weights = loop_weights(p)
     checks = [Check(prefix + key, val, ctx) for prefix, res, ctx in (
         ("hecke ", check_hecke_relations(rep.T, p),
          "defining relations of the generator family in the spin representation"),
-        ("diagram ", check_tl_relations(rep.e, tl, p.n),
+        ("diagram ", check_tl_relations(rep.e, weights),
          "diagram-algebra relations for the projector family"),
         ("quotient ", quotient_map_residuals(rep),
          "the generator image decomposes through the projector family"),
@@ -255,15 +255,15 @@ def suite_matchmaker(cfg: Config, p: ParamSet):
 
     from .matchings import intertwiner_Psi, matchmaker_betas, matchmaker_matrix
     from .numerics import rel_residual
-    from .spinrep import build_spin_rep, check_tl_relations, delta_from_kappa
+    from .spinrep import build_spin_rep, check_tl_relations, loop_weights
     from .tensorops import apply_on_legs
 
     n, v = p.n, _block(cfg, 2**p.n)
-    tl = delta_from_kappa(p)
+    weights = loop_weights(p)
     beta0, beta1 = matchmaker_betas(p)
-    mats = {j: matchmaker_matrix(j, tl, beta0, beta1, n) for j in range(n + 1)}
+    mats = {j: matchmaker_matrix(j, weights, beta0, beta1) for j in range(n + 1)}
     checks = [Check("matchmaker " + key, val, "diagram-algebra relations in the matching basis")
-              for key, val in check_tl_relations(mats, tl, n).items()]
+              for key, val in check_tl_relations(mats, weights).items()]
     rep = build_spin_rep(p)
     psi = intertwiner_Psi(p)
     psi_v = psi @ v
@@ -283,7 +283,7 @@ def suite_matchmaker(cfg: Config, p: ParamSet):
         Check("degenerate point sign map", rel_residual(intertwiner_Psi(p, limit=True) @ v, v),
               "at the degenerate parameter point the map collapses to the"
               " sign-string relabeling"),
-        _control("control scaled projector", tuple(check_tl_relations(bad_mats, tl, n).values()),
+        _control("control scaled projector", tuple(check_tl_relations(bad_mats, weights).values()),
                  "scaling one projector by 1.01 must break the idempotent relations"),
     ]
 

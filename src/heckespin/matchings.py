@@ -16,14 +16,14 @@ bit 0), and everything else is read off one integer array, partners(n), whose
 row k holds the partner of each site of the matching of index k.
 
 The matchmaker operators e_j re-pair sites (j with j+1, or a boundary with
-its neighbour) with multiplicative weights delta_j for closed loops and
-beta_0/beta_1 for arcs swallowed between the two boundaries.  Each matching
-goes to exactly one matching, so e_j is a monomial (index, weight) operator;
-the indices come from the partner array once per n, for all 2^n matchings at
-once, and only the weights depend on the parameters.  The intertwiner Psi
-into the spin module sums over the orientations of each matching; their
-weights factor over the arcs, so each column is a tensor product of one
-vector per arc.
+its neighbour) with multiplicative weights: delta_j for closed loops, from
+the family {j: delta_j} of spinrep.loop_weights, and beta_0/beta_1 for arcs
+swallowed between the two boundaries.  Each matching goes to exactly one
+matching, so e_j is a monomial (index, weight) operator; the indices come
+from the partner array once per n, for all 2^n matchings at once, and only
+the weights depend on the parameters.  The intertwiner Psi into the spin
+module sums over the orientations of each matching; their weights factor
+over the arcs, so each column is a tensor product of one vector per arc.
 
 >>> partners(2)[:, 1:].tolist()  # the partners of sites 1 and 2 in ++, +-, -+, --
 [[3, 3], [2, 1], [0, 3], [0, 0]]
@@ -36,7 +36,7 @@ import functools
 import numpy as np
 
 from .numerics import ParamSet, nonvanishing
-from .spinrep import TLParams, boundary_norm
+from .spinrep import boundary_norm
 from .tensorops import Monomial
 
 
@@ -109,11 +109,14 @@ def _generator_table(n: int) -> dict:
     return table
 
 
-def matchmaker_matrix(j: int, tl: TLParams, beta0, beta1, n: int) -> Monomial:
+def matchmaker_matrix(j: int, weights: dict, beta0, beta1) -> Monomial:
     """omega(e_j) in the sign-string basis order, as a monomial operator:
-    each matching goes to one matching times one weight."""
+    each matching goes to one matching times one weight.  The rank n is the
+    largest key of the loop weights {j: delta_j}; at n = 1 the DELTA slot
+    holds delta_n, which no weight code of _generator_table(1) reads."""
+    n = max(weights)
     index, weight = _generator_table(n)[j]
-    values = np.array([1.0, tl.delta0, tl.delta, tl.deltan, beta0, beta1], dtype=complex)
+    values = np.array([1.0, weights[0], weights[1], weights[n], beta0, beta1], dtype=complex)
     return Monomial(index, values[weight])
 
 

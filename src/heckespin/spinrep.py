@@ -9,9 +9,9 @@ images are local:
     rho(T_n)   = K on leg n,      K = [[0, 1/psin], [psin, kn - 1/kn]]
 
 and every rho(T_j) equals kappa_j + (normalization) * rhohat(e_j), where the
-rhohat(e_j) are the local idempotent-like generators with e_j^2 = delta_j e_j.
-The inverse images come from the quadratic relation, never from a numeric
-matrix inverse.
+rhohat(e_j) are the local idempotent-like generators with e_j^2 = delta_j e_j
+(loop_weights: the family {j: delta_j}, keyed like e_j).  The inverse images
+come from the quadratic relation, never from a numeric matrix inverse.
 
 A SpinRep holds each image as one (block, legs) pair; no generator is
 embedded into a dense 2^n matrix.  Every relation row of two words is a
@@ -36,22 +36,6 @@ from .numerics import ParamSet, max_abs, nonvanishing, rel_residual
 from .weyl import min_coset_reps, tau_word
 
 
-@dataclass(frozen=True)
-class TLParams:
-    """Loop weights of the diagram algebra; made only via delta_from_kappa."""
-
-    delta0: complex
-    delta: complex
-    deltan: complex
-
-    def weight(self, j: int, n: int) -> complex:
-        if j == 0:
-            return self.delta0
-        if j == n:
-            return self.deltan
-        return self.delta
-
-
 def boundary_norm(params: ParamSet, j: int):
     """kappa/kappa_j + kappa_j/kappa, the normalization of the boundary
     generator j = 0 or n, rho(T_j) = kappa_j + norm rhohat(e_j); a
@@ -60,12 +44,12 @@ def boundary_norm(params: ParamSet, j: int):
     return nonvanishing((k / kj, kj / k), params, f"kappa/kappa_j + kappa_j/kappa at j={j}")
 
 
-def delta_from_kappa(params: ParamSet) -> TLParams:
-    """Loop weights matched to the Hecke scalars."""
-    k = params.kappa
-    delta0, deltan = (-(kj + 1 / kj) / boundary_norm(params, j)
-                      for j, kj in ((0, params.kappa0), (params.n, params.kappan)))
-    return TLParams(delta0=delta0, delta=-(k + 1 / k), deltan=deltan)
+def loop_weights(params: ParamSet) -> dict:
+    """The loop weights {j: delta_j} matched to the Hecke scalars, keyed like
+    the generators: -(kappa_j + 1/kappa_j), over boundary_norm at j = 0, n."""
+    kappas = {j: params.kappa_j(j) for j in range(params.n + 1)}
+    return {j: -(kj + 1 / kj) / boundary_norm(params, j) if j in (0, params.n) else -(kj + 1 / kj)
+            for j, kj in kappas.items()}
 
 
 def _mat(rows) -> np.ndarray:
@@ -196,16 +180,18 @@ def check_hecke_relations(T: dict, params: ParamSet) -> dict:
     return out
 
 
-def check_tl_relations(e: dict, tl: TLParams, n: int) -> dict:
+def check_tl_relations(e: dict, weights: dict) -> dict:
     """The diagram-algebra relations for {e_j}, a family of local (block,
-    legs) factors or of Monomial operators, as tensorops.Product records; a
-    local idempotent row is a residual of its block."""
-    monomial = isinstance(e[0], tensorops.Monomial)
+    legs) factors or of Monomial operators, with the loop weights
+    {j: delta_j} of loop_weights, as tensorops.Product records; a local
+    idempotent row is a residual of its block.  The rank n is the family's
+    largest key."""
+    monomial, n = isinstance(e[0], tensorops.Monomial), max(e)
     out = {}
     for j in range(n + 1):
         # a Monomial product is a gather, with no sums to round: its row stays
         # relative, which keeps the scaled-projector control strong at n = 1
-        w = tl.weight(j, n)
+        w = weights[j]
         out[f"idempotent e{j}"] = _words(e, [j, j], [j], w) if monomial else _quadratic(e[j][0], 0, w)
     # the hook relation pivots on a middle index but its neighbor may be a
     # boundary generator

@@ -48,7 +48,7 @@ from heckespin.spinrep import (
     build_spin_rep,
     check_hecke_relations,
     check_tl_relations,
-    delta_from_kappa,
+    loop_weights,
     murphy_Y,
     principal_series_basis,
 )
@@ -62,12 +62,12 @@ def test_criterion_1_algebra_relations():
     for n in (2, 3, 4, 5):
         p = sample_generic(seed=1, n=n)
         rep = build_spin_rep(p)
-        tl = delta_from_kappa(p)
+        weights = loop_weights(p)
         worst = max(worst, max(residuals(check_hecke_relations(rep.T, p)).values()))
-        worst = max(worst, max(residuals(check_tl_relations(rep.e, tl, n)).values()))
+        worst = max(worst, max(residuals(check_tl_relations(rep.e, weights)).values()))
         b0, b1 = matchmaker_betas(p)
-        mats = {j: matchmaker_matrix(j, tl, b0, b1, n) for j in range(n + 1)}
-        worst = max(worst, max(residuals(check_tl_relations(mats, tl, n)).values()))
+        mats = {j: matchmaker_matrix(j, weights, b0, b1) for j in range(n + 1)}
+        worst = max(worst, max(residuals(check_tl_relations(mats, weights)).values()))
     elapsed = time.monotonic() - t0
     ok = worst < 1e-9 and elapsed < 30.0
     record_acceptance(
@@ -102,12 +102,12 @@ def test_criterion_3_intertwiner():
     min_det = float("inf")
     for n in (2, 3, 4):
         p = sample_generic(seed=1, n=n)
-        tl = delta_from_kappa(p)
+        weights = loop_weights(p)
         b0, b1 = matchmaker_betas(p)
         rep = build_spin_rep(p)
         psi = intertwiner_Psi(p)
         for j in range(n + 1):
-            mm = matchmaker_matrix(j, tl, b0, b1, n)
+            mm = matchmaker_matrix(j, weights, b0, b1)
             worst = max(worst, rel_residual(_kron_embed(*rep.e[j], n) @ psi, psi @ (mm @ np.eye(2**n))))
         min_det = min(min_det, abs(np.linalg.det(psi)))
     lsum_exact = all(

@@ -21,6 +21,8 @@ from conftest import (
     validate_by_rules,
 )
 from heckespin.matchings import (
+    DELTA,
+    _generator_table,
     intertwiner_Psi,
     m_constants,
     matchmaker_betas,
@@ -29,7 +31,7 @@ from heckespin.matchings import (
     pty,
 )
 from heckespin.numerics import GenericityError
-from heckespin.spinrep import TLParams, build_spin_rep, check_tl_relations, delta_from_kappa
+from heckespin.spinrep import build_spin_rep, check_tl_relations, loop_weights
 
 signs = st.lists(st.sampled_from([1, -1]), min_size=1, max_size=7)
 
@@ -122,9 +124,18 @@ def test_the_generator_table_matches_the_oracle(n):
     values."""
     value = {"one": 1, "delta0": 2, "delta": 3, "deltan": 5, "beta0": 7, "beta1": 11}
     for j, (index, names) in generator_table_by_rules(n).items():
-        e = matchmaker_matrix(j, TLParams(delta0=2, delta=3, deltan=5), 7, 11, n)
+        e = matchmaker_matrix(j, {0: 2, **dict.fromkeys(range(1, n), 3), n: 5}, 7, 11)
         assert np.array_equal(e.index, index)
         assert np.array_equal(e.weight, [value[w] for w in names])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_only_a_middle_generator_reads_the_middle_weight(n):
+    """The DELTA code occurs in _generator_table(n) if and only if n >= 2, so
+    the delta_n that fills matchmaker_matrix's middle slot at n = 1 never
+    reaches a weight."""
+    codes = np.concatenate([weight for _index, weight in _generator_table(n).values()])
+    assert (DELTA in codes) == (n >= 2)
 
 
 @given(signs)
@@ -139,22 +150,22 @@ def test_arc_count_alternating_sum(alpha):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_matchmaker_relations(n):
     params = sample_generic(seed=1, n=n)
-    tl = delta_from_kappa(params)
+    weights = loop_weights(params)
     b0, b1 = matchmaker_betas(params)
-    mats = {j: matchmaker_matrix(j, tl, b0, b1, n) for j in range(n + 1)}
-    assert max(residuals(check_tl_relations(mats, tl, n)).values()) < 1e-10
+    mats = {j: matchmaker_matrix(j, weights, b0, b1) for j in range(n + 1)}
+    assert max(residuals(check_tl_relations(mats, weights)).values()) < 1e-10
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_intertwiner_commutes_and_is_invertible(n):
     params = sample_generic(seed=1, n=n)
-    tl = delta_from_kappa(params)
+    weights = loop_weights(params)
     b0, b1 = matchmaker_betas(params)
     rep = build_spin_rep(params)
     psi = intertwiner_Psi(params)
     for j in range(n + 1):
         lhs = _kron_embed(*rep.e[j], n) @ psi
-        rhs = psi @ (matchmaker_matrix(j, tl, b0, b1, n) @ np.eye(2**n))
+        rhs = psi @ (matchmaker_matrix(j, weights, b0, b1) @ np.eye(2**n))
         scale = max(np.abs(lhs).max(), 1.0)
         assert np.abs(lhs - rhs).max() / scale < 1e-10
     assert abs(np.linalg.det(psi)) > 1e-8

@@ -13,7 +13,7 @@ from heckespin.spinrep import (
     build_spin_rep,
     check_hecke_relations,
     check_tl_relations,
-    delta_from_kappa,
+    loop_weights,
     murphy_commutator_residual,
     murphy_Y,
     principal_series_basis,
@@ -27,8 +27,7 @@ def test_generator_relations(n):
     p = sample_generic(seed=1, n=n)
     rep = build_spin_rep(p)
     assert max(residuals(check_hecke_relations(rep.T, p)).values()) < 1e-10
-    tl = delta_from_kappa(p)
-    assert max(residuals(check_tl_relations(rep.e, tl, n)).values()) < 1e-10
+    assert max(residuals(check_tl_relations(rep.e, loop_weights(p))).values()) < 1e-10
     assert max(quotient_map_residuals(rep).values()) < 1e-10
 
 
@@ -57,15 +56,20 @@ def test_perturbed_generator_breaks_relations(params2):
     assert max(residuals(check_hecke_relations(bad, params2)).values()) > 1e-3
 
 
-def test_delta_weights_match_boundary_formula(params2):
-    p = params2
-    tl = delta_from_kappa(p)
-    for j in (0, p.n):
-        kj = p.kappa0 if j == 0 else p.kappan
-        expected = -(kj + 1 / kj) / (p.kappa / kj + kj / p.kappa)
-        assert abs(tl.weight(j, p.n) - expected) < 1e-14
-    expected_mid = -(p.kappa + 1 / p.kappa)
-    assert abs(tl.weight(1, p.n) - expected_mid) < 1e-14
+def test_delta_weights_match_boundary_formula():
+    """Every generator's loop weight, keyed j = 0..n at n = 2 and 4:
+    -(kappa + 1/kappa) in the middle and the closed boundary form at j = 0
+    and n."""
+    for n in (2, 4):
+        p = sample_generic(seed=1, n=n)
+        weights = loop_weights(p)
+        assert sorted(weights) == list(range(n + 1))
+        for j in range(n + 1):
+            kj = p.kappa0 if j == 0 else p.kappan if j == n else p.kappa
+            expected = -(kj + 1 / kj)
+            if j in (0, n):
+                expected /= p.kappa / kj + kj / p.kappa
+            assert abs(weights[j] - expected) < 1e-14, (n, j)
 
 
 def test_murphy_elements_commute_and_share_eigenvector(params3):
@@ -219,12 +223,12 @@ def test_relation_rows_are_exactly_zero_in_rational_arithmetic(n):
     assert all(b.dtype == object for family in (rep.T, rep.Tinv, rep.e)
                for b, _legs in family.values())
     assert all(isinstance(z, (Fraction, int)) for z in rep.T[min(1, n)][0].ravel())
-    tl = delta_from_kappa(p)
-    rows = residuals({**check_hecke_relations(rep.T, p), **check_tl_relations(rep.e, tl, n),
+    weights = loop_weights(p)
+    rows = residuals({**check_hecke_relations(rep.T, p), **check_tl_relations(rep.e, weights),
                       **quotient_map_residuals(rep)})
     assert rows and all(v == 0.0 for v in rows.values()), rows
     for family, battery in ((rep.T, lambda f: check_hecke_relations(f, p)),
-                            (rep.e, lambda f: check_tl_relations(f, tl, n))):
+                            (rep.e, lambda f: check_tl_relations(f, weights))):
         bad = dict(family)
         block, legs = bad[min(1, n)]
         bad[min(1, n)] = (Fraction(101, 100) * block, legs)
@@ -253,7 +257,7 @@ def test_relation_rows_stay_on_at_most_four_legs(monkeypatch):
     p = sample_generic(seed=2, n=6)
     rep = build_spin_rep(p)
     residuals(check_hecke_relations(rep.T, p))
-    residuals(check_tl_relations(rep.e, delta_from_kappa(p), 6))
+    residuals(check_tl_relations(rep.e, loop_weights(p)))
     quotient_map_residuals(rep)
     residuals(check_ybe_re(p, 2, stream(1)))
     assert rows and max(rows) <= 2**4
@@ -363,7 +367,7 @@ def test_a_vanishing_boundary_normalization_is_a_genericity_error(n, side):
     p = sample_generic(seed=4, n=n)
     j = side * n
     bad = p.replace(**{"kappan" if side else "kappa0": 1j * p.kappa})
-    for refused in (delta_from_kappa, build_spin_rep, matchmaker_betas, m_constants,
+    for refused in (loop_weights, build_spin_rep, matchmaker_betas, m_constants,
                     lambda q: tl_weight(q, j)):
         with pytest.raises(GenericityError, match=f"kappa_j/kappa at j={j} vanishes") as err:
             refused(bad)
