@@ -333,8 +333,8 @@ def suite_transfer(cfg: Config, p: ParamSet):
 
     from .numerics import max_abs, rel_residual, stream, torus_point
     from .spinrep import build_spin_rep
-    from .transfer import (check_transfer, check_transfer_vs_transport, hamiltonian, tl_weight,
-                           transfer_apply, transfer_T_mp)
+    from .tensorops import apply_mpo
+    from .transfer import check_transfer, check_transfer_vs_transport, hamiltonian, tl_weight, transfer_mpo
 
     samples = max(4, min(cfg.samples, 8))
     checks = [Check(key, val, ctx) for res, ctx in (
@@ -352,12 +352,18 @@ def suite_transfer(cfg: Config, p: ParamSet):
               least=1e-7),
     ]
     if cfg.precision == "extended":
+        import mpmath
+
         rng = stream(cfg.seed)
         x = complex(0.83 * np.exp(2j * np.pi * rng.random()))
         t = torus_point(rng, p.n, (0.8, 1.3))
+        with mpmath.workdps(40):  # one column per pass: an entry takes about 30 complex numbers' bytes
+            mpc = np.frompyfunc(mpmath.mpc, 1, 1)
+            sites = transfer_mpo(p, mpmath.mpc(x), mpc(t))
+            wide = np.hstack([apply_mpo(sites, mpc(col[:, None]))[0] for col in v.T]).astype(complex)
         checks.append(Check(
             "extended precision transfer agreement",
-            rel_residual(transfer_apply(p, x, t, v), transfer_T_mp(p, x, t, v)),
+            rel_residual(apply_mpo(transfer_mpo(p, x, t), v)[0], wide),
             "the double-precision transfer matrix on the suite's block against"
             " a 40-digit evaluation at one generic point",
         ))

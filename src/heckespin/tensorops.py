@@ -7,16 +7,18 @@ matching the order produced by iterated numpy.kron.
 
 A 2^k x 2^k block acting on k adjacent legs of the m, in increasing order,
 is applied to an operand directly (apply_on_legs): one batched matmul on the
-rows viewed as (legs before, the k legs, legs after).  A product of local
-factors is one loop over apply_on_legs (factor_product); the dressed
-generators, the cocycle, the transport, the Murphy elements and the
-monodromy's factor list run through it.
+rows viewed as (legs before, the k legs, legs after).  A matrix product
+operator (MPO) on all m legs, a list of site jets, is applied site by site
+(apply_mpo), at most _PASS block entries a pass.  A product of factors, local
+(block, legs) or MPO (sites, None), is one loop over the two (factor_product);
+the dressed generators, the cocycle, the transport, the Murphy elements, the
+monodromy's two sides and the commuting transfer matrices run through it.
 A check of an identity between two such products hands back a Product, the
 factor lists of both sides, and its report row multiplies them out (evaluate).
-Without operands they run on the union of their legs only: both sides are
-(A - B) (x) Id there, and max|M (x) Id| = max|M|, so the residual is the one
-of the full space.  An identity between operators on all m legs applies
-both sides to one block of four complex Gaussian vectors per suite
+Without operands local factors run on the union of their legs only: both
+sides are (A - B) (x) Id there, and max|M (x) Id| = max|M|, so the residual
+is the one of the full space.  An identity between operators on all m legs
+applies both sides to one block of four complex Gaussian vectors per suite
 (gaussian_block; Freivalds, IFIP 1977), so no 2^m x 2^m operator is formed;
 a dense embedding is factor_product on the identity.  A monomial operator
 (one nonzero entry per column, as the diagram generators in the matching
@@ -28,9 +30,9 @@ of mpmath numbers or of exact fractions.
 
 Blocks and operands may carry a leading batch axis, one matrix per sample
 point, as the dressed blocks do when evaluated over a stack of spectral
-parameters: apply_on_legs and factor_product then act point by point (the
-batch axes broadcast), and a Product's residual is the largest of the
-points' own residuals.  An unbatched call is the same code without that axis.
+parameters: apply_on_legs, apply_mpo and factor_product then act point by
+point (the batch axes broadcast), and a Product's residual is the largest of
+the points' own residuals.  An unbatched call is the same code without that axis.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ import numpy as np
 
 from . import InternalDefectError
 from .numerics import max_abs, rel_residual
+
+_PASS = 2**14  # entries of a block per MPO pass, rows x points x columns
 
 
 def apply_on_legs(op: np.ndarray, legs, a: np.ndarray, m: int) -> np.ndarray:
@@ -73,10 +77,54 @@ def gaussian_block(rng, rows: int) -> np.ndarray:
     return np.sqrt(-2 * np.log1p(-u[..., 0])) * np.exp(2j * np.pi * u[..., 1])
 
 
+def _leibniz(op, a, b) -> list:
+    """op of two jets, [value] or [value, x-derivative], for a bilinear op:
+    the value, and its derivative by the product rule when a carries one."""
+    out = [op(a[0], b[0])]
+    if len(a) > 1:
+        out.append(op(a[1], b[0]) + op(a[0], b[1]) if len(b) > 1 else op(a[1], b[0]))
+    return out
+
+
+def apply_mpo(sites, v) -> list:
+    """The MPO of the site jets (in bond 1 first, out bond 1 last) applied
+    to the block v, held as [rows done, bond, legs to come and columns]: one
+    matmul over (bond, leg) per site leaves its row leg after the rows done.
+    A site is [in bond, out bond, row, col], or a stack of them over points.
+    Gives [M v], or [M v, dM/dx v] by the product rule.  A pass takes at
+    most _PASS entries of v, rows x points x columns, from the point axis
+    the sites and v share, each point's products the same in any pass: a
+    4-column block takes 64 points at n = 6, 4 at n = 10 and 1 at n = 12,
+    where `verify transfer` peaks at 42 and 52 MB (57 and 114 MB unchunked),
+    and the identity 16 columns at n = 10 (spectrum table: 6.7 s, 148 MB)."""
+    def step(w, a):
+        mat = np.moveaxis(w, (-2, -3), (-4, -3))  # [.., row, out, in, col]
+        mat = mat.reshape(mat.shape[:-4] + (1, 2 * w.shape[-3], -1))
+        a = mat @ a.reshape(a.shape[:-2] + (2 * a.shape[-2], -1))
+        return a.reshape(a.shape[:-3] + (2 * a.shape[-3], w.shape[-3], -1))
+
+    lead = np.broadcast_shapes(v.shape[:-2], *(w.shape[:-4] for jet in sites for w in jet))
+    rows, cols = v.shape[-2:]
+    width = min(cols, max(1, _PASS // rows))
+    points = max(1, _PASS // (rows * width))
+    out = [np.empty(lead + (rows, cols), np.result_type(v, sites[-1][0])) for _ in sites[-1]]
+    for p in range(0, lead[0] if lead else 1, points):
+        for c in range(0, cols, width):
+            block = (v[p:p + points] if v.ndim > 2 else v)[..., c:c + width]
+            a = [block.reshape(block.shape[:-2] + (1, 1, -1))]
+            for jet in sites:
+                a = _leibniz(step, [w[p:p + points] if w.ndim > 4 else w for w in jet], a)
+            for j, o in enumerate(out):  # by index: no name holds a result into the next chunk
+                o.reshape(-1, rows, 1, cols)[p:p + points, ..., c:c + width] = a[j]
+    return out
+
+
 def factor_product(factors, m: int, a=None):
-    """F_1 F_2 ... F_k a for the local factors (block, legs) listed left to
-    right, on m legs; ``a`` is the identity by default.  Blocks stacked over
-    points give the stack of the points' products.
+    """F_1 F_2 ... F_k a for the factors listed left to right, on m legs:
+    local factors (block, legs) and MPO factors (sites, None), the site
+    values of apply_mpo on all m legs; ``a`` is the identity by default,
+    for local factors only.  Blocks stacked over points give the stack of
+    the points' products.
 
     >>> x = np.diag([2.0, 3.0])
     >>> y = np.array([[0.0, 1.0], [5.0, 0.0]])
@@ -88,15 +136,16 @@ def factor_product(factors, m: int, a=None):
     if a is None:
         a = np.eye(2**m, dtype=object if any(block.dtype == object for block, _legs in factors) else complex)
     for block, legs in reversed(factors):
-        a = apply_on_legs(block, legs, a, m)
+        a = apply_mpo(block, a)[0] if legs is None else apply_on_legs(block, legs, a, m)
     return a
 
 
 class Product(NamedTuple):
     """The identity prod(lhs) a = coeff prod(rhs) b, each side's factors
-    listed left to right: (block, legs) pairs on the m legs of the operands'
-    2^m rows or, with no operands, on the union of the legs of both sides;
-    or Monomials, with no operands.  scale, if given, is the residual's
+    listed left to right: (block, legs) pairs and (sites, None) MPO factors
+    on the m legs of the operands' 2^m rows or, with no operands and no MPO
+    factor, (block, legs) pairs on the union of the legs of both sides; or
+    Monomials, with no operands.  scale, if given, is the residual's
     denominator (numerics.rel_residual)."""
 
     lhs: list

@@ -11,17 +11,17 @@ T is a matrix product operator of bond dimension 4 (Sklyanin, J. Phys. A
 (2012)): chain site j carries its forward block R(x/t_j) and its backward
 block R(x t_j), the auxiliary leg's in and out indices form the bond, the
 closure theta K_0(kappa^2 x) theta starts it and K_n is folded into the
-last site.  One generator (_mpo) feeds both contractions; neither forms an
-operator on the double space.  transfer_apply runs a block V through the
-sites and gives T V (Schollwoeck, Ann. Phys. 326, 96 (2011), sec. 5); x,
-the t_j and V may carry a point axis, run in passes of at most _PASS entries.
-monodromy_U is that pass with the auxiliary leg open in V's rows: U V, for
-the double row U without the closure; a pass carrying the jet [value, d/dx]
-gives [T V, dT/dx V]; transfer_T_mp is that pass on mpmath x, t and V.
-The dense T and dT/dx, which only the spectrum table's Hamiltonian asks
-for, are the same pass on the identity.  The checks compare operators on
-random vectors (Freivalds, IFIP 1977), U V against _double_row's local
-factors run on V.
+last site.  One generator (_mpo) gives the sites of both operators; neither
+forms an operator on the double space.  transfer_mpo folds the closure into
+the first site, and tensorops.apply_mpo runs a block V through the sites and
+gives T V (Schollwoeck, Ann. Phys. 326, 96 (2011), sec. 5); x, the t_j and
+V may carry a point axis.  The monodromy U, the double row without the
+closure, is the same sites after one auxiliary site that leaves the
+auxiliary leg open in V's rows; jets [value, d/dx] give [T V, dT/dx V], and
+mpmath x and t give mpmath sites.  The dense T and dT/dx, which only the
+spectrum table's Hamiltonian asks for, are the same pass on the identity.
+The checks compare operators on random vectors (Freivalds, IFIP 1977): the
+monodromy and commuting rows are tensorops.Product records with MPO factors.
 
 The boundary XXZ Hamiltonian is applied to a block V three ways: the
 logarithmic derivative of the normalized transfer matrix at x = 1 (one jet
@@ -42,6 +42,8 @@ from .spinrep import boundary_norm, build_spin_rep
 from .tensorops import (
     PERMUTE_TWO,
     Product,
+    _leibniz,
+    apply_mpo,
     apply_on_legs,
     factor_product,
     gaussian_block,
@@ -55,7 +57,6 @@ SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 SPLUS = np.array([[0, 1], [0, 0]], dtype=complex)
 SMINUS = np.array([[0, 0], [1, 0]], dtype=complex)
-_PASS = 2**14  # entries of a block per MPO pass, rows x points x columns
 
 
 def theta_matrix(params: ParamSet) -> np.ndarray:
@@ -104,15 +105,6 @@ def _double_row(params: ParamSet, x, t) -> list:
     return out + [(R(x * t[j - 1]), [j, j + 1]) for j in range(n, 0, -1)]
 
 
-def _leibniz(op, a, b) -> list:
-    """op of two jets, [value] or [value, x-derivative], for a bilinear op:
-    the value, and its derivative by the product rule when a carries one."""
-    out = [op(a[0], b[0])]
-    if len(a) > 1:
-        out.append(op(a[1], b[0]) + op(a[0], b[1]) if len(b) > 1 else op(a[1], b[0]))
-    return out
-
-
 def _site(fwd, bwd):
     """The site tensor [in bond, out bond, row, col] of one chain site: the
     forward r = R P on (aux, site) followed by the backward r on (site,
@@ -144,54 +136,14 @@ def _mpo(params: ParamSet, x, t, deriv=False):
     return closure, sites
 
 
-def _apply(sites, v) -> list:
-    """The MPO of the site jets (in bond 1 first, out bond 1 last) applied
-    to the block v, held as [rows done, bond, legs to come and columns]: one
-    matmul over (bond, leg) per site leaves its row leg after the rows done.
-    Gives [M v], or [M v, dM/dx v] by the product rule.  A pass takes at
-    most _PASS entries of v, rows x points x columns, from the point axis
-    the sites and v share, each point's products the same in any pass: a
-    4-column block takes 64 points at n = 6, 4 at n = 10 and 1 at n = 12,
-    where `verify transfer` peaks at 42 and 52 MB (57 and 114 MB unchunked),
-    and the identity 16 columns at n = 10 (spectrum table: 6.7 s, 148 MB)."""
-    def step(w, a):
-        mat = np.moveaxis(w, (-2, -3), (-4, -3))  # [.., row, out, in, col]
-        mat = mat.reshape(mat.shape[:-4] + (1, 2 * w.shape[-3], -1))
-        a = mat @ a.reshape(a.shape[:-2] + (2 * a.shape[-2], -1))
-        return a.reshape(a.shape[:-3] + (2 * a.shape[-3], w.shape[-3], -1))
-
-    lead = np.broadcast_shapes(v.shape[:-2], *(w.shape[:-4] for jet in sites for w in jet))
-    rows, cols = v.shape[-2:]
-    width = min(cols, max(1, _PASS // rows))
-    points = max(1, _PASS // (rows * width))
-    out = [np.empty(lead + (rows, cols), np.result_type(v, sites[-1][0])) for _ in sites[-1]]
-    for p in range(0, lead[0] if lead else 1, points):
-        for c in range(0, cols, width):
-            block = (v[p:p + points] if v.ndim > 2 else v)[..., c:c + width]
-            a = [block.reshape(block.shape[:-2] + (1, 1, -1))]
-            for jet in sites:
-                a = _leibniz(step, [w[p:p + points] if w.ndim > 4 else w for w in jet], a)
-            for j, o in enumerate(out):  # by index: no name holds a result into the next chunk
-                o.reshape(-1, rows, 1, cols)[p:p + points, ..., c:c + width] = a[j]
-    return out
-
-
-def transfer_apply(params: ParamSet, x, t, v, deriv: bool = False):
-    """T(x; t) v for a block v of 2^n rows, the closure folded into the first
-    site, or with deriv the jet [T v, dT/dx v]; x, the t_j and v may carry a
-    leading point axis, which broadcasts."""
+def transfer_mpo(params: ParamSet, x, t, deriv: bool = False) -> list:
+    """The site jets of T(x; t) on the 2^n chain rows, the closure folded into
+    the first site, for tensorops.apply_mpo: [T v], or with deriv [T v, dT/dx
+    v]; x and the t_j may carry a leading point axis."""
     closure, sites = _mpo(params, x, t, deriv)
     first = _leibniz(lambda c, w: np.einsum("...b,...bcrs->...crs", c, w)[..., None, :, :, :],
                      closure, sites[0])
-    out = _apply([first] + sites[1:], v)
-    return out if deriv else out[0]
-
-
-def monodromy_U(params: ParamSet, x, t, v) -> np.ndarray:
-    """U(x; t) v for a block v of 2^(n+1) rows, auxiliary leg first: the
-    auxiliary leg is one more site, whose out bond (c, d) is |c><d|."""
-    sites = [[np.eye(4).reshape(1, 4, 2, 2)]] + _mpo(params, x, t)[1]
-    return _apply(sites, v)[0]
+    return [first] + sites[1:]
 
 
 def _aux_normalizer(params: ParamSet, x):
@@ -209,12 +161,15 @@ def _aux_normalizer(params: ParamSet, x):
 def check_transfer(params: ParamSet, samples: int, rng) -> dict:
     """The structural transfer-matrix identities at the samples of rng, all at
     once: the local rows on stacks of blocks, the operator rows on a Gaussian
-    block V drawn after the samples, one MPO call per product; the monodromy
-    row is a tensorops.Product of _double_row's factors on V against U V.
-    T_x (T_y V) - T_y (T_x V) is scaled by the norm product max|T_x V| max|T_y
-    V| / max|V|, the size of its rounding: at n = 10 a product can be 1e-6
-    of that, and a row scaled by the product failed on rounding alone.  The
-    crossing row inverts the diagonal theta (x) theta by its reciprocals."""
+    block V drawn after the samples.  Two rows are tensorops.Product records
+    on V: _double_row's factors against the MPO factor U, the double row with
+    the auxiliary leg open in V's rows, and T_x T_y against T_y T_x, the MPO
+    factors sliced from one stacked [x, y] pass that also gives max|T_x V|
+    and max|T_y V|.  The commuting row is scaled by the norm product max|T_x
+    V| max|T_y V| / max|V|, the size of its rounding: at n = 10 a product can
+    be 1e-6 of that, and a row scaled by the product failed on rounding
+    alone.  The crossing row inverts the diagonal theta (x) theta by its
+    reciprocals."""
     n = params.n
     out = {}
     kbar, R, _k = dressed_blocks(params)
@@ -222,15 +177,15 @@ def check_transfer(params: ParamSet, samples: int, rng) -> dict:
     k = params.kappa
     x, y, *t = np.array([torus_point(rng, n + 2, (0.75, 1.35)) for _ in range(samples)]).T
     v = gaussian_block(rng, 2 ** (n + 1))
-    out["monodromy form agreement"] = Product(
-        _double_row(params, x, t), [], a=v, b=monodromy_U(params, x, t, v))
+    # the auxiliary leg as one more site, whose out bond (c, d) is |c><d|
+    u = [[np.eye(4).reshape(1, 4, 2, 2)]] + _mpo(params, x, t)[1]
+    out["monodromy form agreement"] = Product(_double_row(params, x, t), [(u, None)], a=v, b=v)
     v = v[: 2**n]  # the chain rows
-    xy, txy = np.concatenate([x, y]), [np.concatenate([tj, tj]) for tj in t]
-    once = transfer_apply(params, xy, txy, v)  # [T_x V, T_y V]
-    twice = transfer_apply(params, xy, txy, np.roll(once, samples, axis=0))
-    nx, ny = _point_max(once).reshape(2, samples)
-    out["commuting transfer matrices"] = rel_residual(
-        twice[:samples], twice[samples:], scale=nx * ny / max_abs(v))
+    xy = transfer_mpo(params, np.concatenate([x, y]), [np.concatenate([tj, tj]) for tj in t])
+    nx, ny = _point_max(apply_mpo(xy, v)[0]).reshape(2, samples)
+    tx, ty = (([[w[part] for w in jet] for jet in xy], None)
+              for part in (slice(samples), slice(samples, None)))
+    out["commuting transfer matrices"] = Product([tx, ty], [ty, tx], a=v, b=v, scale=nx * ny / max_abs(v))
     rx = R(x) @ PERMUTE_TWO
     out["transpose flip of r"] = rel_residual(PERMUTE_TWO @ rx @ PERMUTE_TWO, np.swapaxes(rx, -1, -2))
     th2 = np.kron(th, th)
@@ -241,7 +196,8 @@ def check_transfer(params: ParamSet, samples: int, rng) -> dict:
     out["boundary crossing"] = rel_residual(
         partial_trace_first(factor_product(closure, 2), 2), phi_bdy(x, params)[:, None, None] * kbar(x))
     g1, _ = _aux_normalizer(params, 1.0)
-    out["normalized transfer at x=1"] = rel_residual(transfer_apply(params, 1.0, (1.0,) * n, v) / g1, v)
+    out["normalized transfer at x=1"] = rel_residual(
+        apply_mpo(transfer_mpo(params, 1.0, (1.0,) * n), v)[0] / g1, v)
     return out
 
 
@@ -263,14 +219,14 @@ def check_transfer_vs_transport(params: ParamSet, samples: int, rng) -> dict:
     v = gaussian_block(rng, 2**n)
     for i, ti in enumerate(t, 1):
         cv = factor_product(cocycle_factors(stationary, tau_word(i, n), t), n, v)
-        at_inv, at_t = np.split(transfer_apply(
-            params, np.concatenate([1 / ti, ti]), [np.tile(tj, 2) for tj in t], v), 2)
+        at_inv, at_t = np.split(apply_mpo(transfer_mpo(
+            params, np.concatenate([1 / ti, ti]), [np.tile(tj, 2) for tj in t]), v)[0], 2)
         out[f"stationary transport at x=1/t_{i}"] = rel_residual(
             at_inv, phi_bdy(1 / ti, params)[:, None, None] * cv)
         scale = _point_max(at_t) * _point_max(cv) / max_abs(v)
         del at_inv, at_t  # so that the next call holds only its own points
-        out[f"stationary inverse transport at x=t_{i}"] = rel_residual(
-            transfer_apply(params, ti, t, cv), phi_bdy(ti, params)[:, None, None] * v, scale=scale)
+        out[f"stationary inverse transport at x=t_{i}"] = rel_residual(apply_mpo(
+            transfer_mpo(params, ti, t), cv)[0], phi_bdy(ti, params)[:, None, None] * v, scale=scale)
     return out
 
 
@@ -304,7 +260,7 @@ def hamiltonian(params: ParamSet, form: str, v=None) -> np.ndarray:
     three ways; v is the identity if None, which gives the dense H.
 
     form="transfer" differentiates the normalized transfer matrix at x = 1
-    near the homogeneous point, from one jet pass of transfer_apply;
+    near the homogeneous point, from one jet pass of tensorops.apply_mpo;
     form="pauli" is the explicit two-line expression; form="tl" weights the
     diagrammatic generator images.
     """
@@ -312,7 +268,7 @@ def hamiltonian(params: ParamSet, form: str, v=None) -> np.ndarray:
     k = params.kappa
     v = np.eye(2**n, dtype=complex) if v is None else v
     if form == "transfer":
-        tval, tder = transfer_apply(params, 1.0, (1.0,) * n, v, deriv=True)
+        tval, tder = apply_mpo(transfer_mpo(params, 1.0, (1.0,) * n, deriv=True), v)
         g, gp = _aux_normalizer(params, 1.0)
         nval = tval / g
         if rel_residual(nval, v) > 1e-9:
@@ -354,16 +310,3 @@ def hamiltonian(params: ParamSet, form: str, v=None) -> np.ndarray:
             acc += apply_on_legs(tl_weight(params, j) * block, legs, v, n)
         return acc
     raise InternalDefectError("form must be 'transfer', 'pauli', or 'tl'")
-
-
-def transfer_T_mp(params: ParamSet, x, t, v) -> np.ndarray:
-    """Extended-precision recomputation of T(x; t) v at any n: transfer_apply
-    run on mpmath x, t and v, one column of v per pass (an entry takes about
-    30 complex numbers' bytes), so that every block and product is in mpmath
-    arithmetic at 40 digits; used as a roundoff regression anchor."""
-    import mpmath
-
-    with mpmath.workdps(40):
-        mpc = np.frompyfunc(mpmath.mpc, 1, 1)
-        return np.hstack([transfer_apply(params, mpmath.mpc(x), tuple(mpc(t)), mpc(v[:, [c]]))
-                          for c in range(v.shape[1])]).astype(complex)

@@ -1250,9 +1250,9 @@ def _is_mpmath(x):
     ("baxter", "baxter", "dressed_blocks", None, []),  # check_ybe_re
     ("baxter", "baxter", "cocycle_factors", lambda x: not _is_stack(x), []),  # word independence
     ("baxter", "baxter", "cocycle_factors", _is_stack, []),  # commuting translation transports
-    ("transfer", "transfer", "transfer_apply", lambda x: True, []),  # check_transfer
+    ("transfer", "transfer", "transfer_mpo", lambda x: True, []),  # check_transfer
     ("transfer", "transfer", "cocycle_factors", lambda x: True, []),  # check_transfer_vs_transport
-    ("transfer", "transfer", "transfer_apply", _is_mpmath, ["--precision", "extended"]),
+    ("transfer", "transfer", "transfer_mpo", _is_mpmath, ["--precision", "extended"]),
 ], ids=["check_ybe_re", "word independence", "commuting translation transports",
         "check_transfer", "check_transfer_vs_transport", "extended precision"])
 def test_a_planted_pole_in_any_spectral_row_refuses_the_job(
@@ -2019,7 +2019,7 @@ def test_the_spin_suites_hold_no_dense_operator():
     """At n = 8 the Murphy commutator row and the algebra and baxter suites
     peak below one dense 2^n x 2^n complex operator (1 MiB) above their
     start, and the transfer suite below that plus the peak of one full MPO
-    pass (transfer._PASS block entries, 16 points on the block), which no
+    pass (tensorops._PASS block entries, 16 points on the block), which no
     sample count raises: every other operator identity runs on a block of
     vectors, and the principal basis is a Monomial.  The extended suite's
     40-digit row is measured by peak RSS in a child process, as tracing
@@ -2032,8 +2032,8 @@ def test_the_spin_suites_hold_no_dense_operator():
     import heckespin
     import heckespin.commands as commands
     from heckespin.spinrep import build_spin_rep, murphy_commutator_residual
-    from heckespin.tensorops import evaluate
-    from heckespin.transfer import _PASS, transfer_apply
+    from heckespin.tensorops import _PASS, apply_mpo, evaluate
+    from heckespin.transfer import transfer_mpo
 
     src = str(Path(heckespin.__file__).resolve().parents[1])
     n = 8
@@ -2063,7 +2063,7 @@ def test_the_spin_suites_hold_no_dense_operator():
         assert peak(rows, commands.suite_baxter) < dense
         rng = stream(1)
         x, *t = np.array([torus_point(rng, n + 1, (0.8, 1.3)) for _ in range(_PASS // block.size)]).T
-        one_pass = peak(transfer_apply, p, x, t, block)
+        one_pass = peak(lambda: apply_mpo(transfer_mpo(p, x, t), block))
         assert peak(rows, commands.suite_transfer) < one_pass + dense
         rise = {"extended": int(extended.communicate()[0]), "control": int(control.communicate()[0])}
     assert rise["extended"] < dense / 2 < rise["control"], rise

@@ -3,7 +3,8 @@ by the package itself, so code that only tests call lives beside the tests;
 every file is opened in a with statement; four functions catch a refusal;
 one module spells a complex number as JSON; one function draws parameter
 points; one module opens the random streams and checks the run caps; one
-function multiplies out the two sides of a product identity; and the
+function multiplies out the two sides of a product identity; one module
+defines the MPO pass, and the retired transfer wrappers are gone; and the
 console script is the process entry of cli.py."""
 
 import ast
@@ -352,6 +353,45 @@ def test_a_planted_product_residual_is_flagged(tmp_path):
         "    return out\n"
     )
     assert product_residuals(tmp_path) == ["mod:12", "mod:12", "mod:14", "mod:14", "mod:14"]
+
+
+def mpo_passes(src: Path = SRC) -> list:
+    """module.name of every definition, a function, class or assignment at
+    any depth, of the retired transfer wrappers (transfer_apply,
+    monodromy_U, transfer_T_mp and transfer._apply), and of the MPO pass
+    (apply_mpo and its _PASS) outside tensorops, whose factor loop is the
+    one way through an MPO."""
+    out = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([node.name] if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                     else [_name(t) for t in node.targets] if isinstance(node, ast.Assign)
+                     else [_name(node.target)] if isinstance(node, ast.AnnAssign) else [])
+            out += [f"{path.stem}.{name}" for name in names
+                    if name in ("transfer_apply", "monodromy_U", "transfer_T_mp")
+                    or name == "_apply" and path.stem == "transfer"
+                    or name in ("apply_mpo", "_PASS") and path.stem != "tensorops"]
+    return out
+
+
+def test_only_tensorops_runs_an_mpo_pass():
+    assert mpo_passes() == []
+
+
+def test_a_planted_mpo_pass_is_flagged(tmp_path):
+    (tmp_path / "tensorops.py").write_text(
+        "_PASS = 2**14\n\n\ndef apply_mpo(sites, v):\n    return [v]\n"
+    )
+    (tmp_path / "transfer.py").write_text(
+        "_PASS: int = 2**10\n\n\ndef _apply(sites, v):\n    return v\n\n\n"
+        "def transfer_apply(params, x, t, v):\n    return _apply([], v)\n"
+    )
+    (tmp_path / "commands.py").write_text(
+        "def _apply(row):\n    return row\n\n\n"
+        "class monodromy_U:\n    def transfer_T_mp(self, v):\n        apply_mpo = None\n        return v\n"
+    )
+    assert mpo_passes(tmp_path) == ["commands.monodromy_U", "commands.transfer_T_mp", "commands.apply_mpo",
+                                    "transfer._PASS", "transfer._apply", "transfer.transfer_apply"]
 
 
 def test_the_console_script_is_the_function_the_main_block_calls():

@@ -16,20 +16,36 @@ from conftest import (
 from heckespin.baxter import cocycle_factors
 from heckespin.numerics import GenericityError, rel_residual, stream, torus_point
 from heckespin.spinrep import build_spin_rep
-from heckespin.tensorops import PERMUTE_TWO, factor_product, gaussian_block
+from heckespin.tensorops import PERMUTE_TWO, apply_mpo, evaluate, factor_product, gaussian_block
 from heckespin.transfer import (
     _aux_normalizer,
     c0_constant,
     check_transfer,
     check_transfer_vs_transport,
     hamiltonian,
-    monodromy_U,
     phi_bdy,
     theta_matrix,
     tl_weight,
-    transfer_apply,
-    transfer_T_mp,
+    transfer_mpo,
 )
+
+
+def _monodromy(params, x, t):
+    """The MPO sites of U(x; t) on the auxiliary leg and the chain, as
+    check_transfer builds its monodromy row: the auxiliary leg is one more
+    site, whose out bond (c, d) is |c><d|."""
+    return [[np.eye(4).reshape(1, 4, 2, 2)]] + heckespin.transfer._mpo(params, x, t)[1]
+
+
+def _transfer_mp(params, x, t, v):
+    """T(x; t) v at 40 digits, as the extended row computes it: the MPO at
+    mpmath x and t, one column of v per pass, rounded to double."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        mpc = np.frompyfunc(mpmath.mpc, 1, 1)
+        sites = transfer_mpo(params, mpmath.mpc(x), mpc(t))
+        return np.hstack([apply_mpo(sites, mpc(col[:, None]))[0] for col in v.T]).astype(complex)
 
 
 def _dense_row(params, x, t, embed, form):
@@ -88,21 +104,21 @@ def _point(n, seed):
 def test_transfer_and_monodromy_match_the_dense_oracle(n, dense_embed):
     p = sample_generic(seed=20 + n, n=n)
     x, t = _point(n, n)
-    got = monodromy_U(p, x, t, np.eye(2 ** (n + 1)))
+    got = apply_mpo(_monodromy(p, x, t), np.eye(2 ** (n + 1)))[0]
     for form in ("rcheck", "r"):
         want, _ = _dense_product(_dense_row(p, x, t, dense_embed, form))
         assert rel_residual(got, want) < 1e-12
     want, dwant = _dense_product(_dense_row(p, x, t, dense_embed, "closed"))
-    assert rel_residual(transfer_apply(p, x, t, np.eye(2**n)), _trace_aux(want)) < 1e-12
-    val, der = transfer_apply(p, x, t, np.eye(2**n), deriv=True)
+    assert rel_residual(apply_mpo(transfer_mpo(p, x, t), np.eye(2**n))[0], _trace_aux(want)) < 1e-12
+    val, der = apply_mpo(transfer_mpo(p, x, t, deriv=True), np.eye(2**n))
     assert rel_residual(val, _trace_aux(want)) < 1e-12
     assert rel_residual(der, _trace_aux(dwant)) < 1e-12
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_block_contraction_matches_the_dense_operators(n):
-    """transfer_apply against the dense T of the factor-loop oracle times the
-    block, and monodromy_U against the factor list of _double_row run
+    """The MPO pass of T against the dense T of the factor-loop oracle times
+    the block, and the pass of U against the factor list of _double_row run
     through the block, at one point and at a stack of three: one block per
     point for T, one block shared by the points for U."""
     p = sample_generic(seed=20 + n, n=n)
@@ -110,11 +126,11 @@ def test_block_contraction_matches_the_dense_operators(n):
     x, *t = np.array([torus_point(rng, n + 1, (0.8, 1.25)) for _ in range(3)]).T
     v, w = gaussian_block(rng, 3 * 2**n).reshape(3, 2**n, 4), gaussian_block(rng, 2 ** (n + 1))
     want = np.stack([factor_loop_T(p, x[s], [tj[s] for tj in t]) @ v[s] for s in range(3)])
-    assert rel_residual(transfer_apply(p, x, t, v), want) < 1e-13
-    assert rel_residual(transfer_apply(p, x[0], [tj[0] for tj in t], v[0]), want[0]) < 1e-13
+    assert rel_residual(apply_mpo(transfer_mpo(p, x, t), v)[0], want) < 1e-13
+    assert rel_residual(apply_mpo(transfer_mpo(p, x[0], [tj[0] for tj in t]), v[0])[0], want[0]) < 1e-13
     want = factor_product(heckespin.transfer._double_row(p, x, t), n + 1, w)
-    assert rel_residual(monodromy_U(p, x, t, w), want) < 1e-13
-    assert rel_residual(monodromy_U(p, x[0], [tj[0] for tj in t], w), want[0]) < 1e-13
+    assert rel_residual(apply_mpo(_monodromy(p, x, t), w)[0], want) < 1e-13
+    assert rel_residual(apply_mpo(_monodromy(p, x[0], [tj[0] for tj in t]), w)[0], want[0]) < 1e-13
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -123,8 +139,9 @@ def test_transfer_derivative_matches_a_central_difference(n):
     x, t = _point(n, 40 + n)
     h = 1e-5 * abs(x)
     eye = np.eye(2**n)
-    fd = (transfer_apply(p, x + h, t, eye) - transfer_apply(p, x - h, t, eye)) / (2 * h)
-    _val, der = transfer_apply(p, x, t, eye, deriv=True)
+    plus, minus = (apply_mpo(transfer_mpo(p, x + d, t), eye)[0] for d in (h, -h))
+    fd = (plus - minus) / (2 * h)
+    _val, der = apply_mpo(transfer_mpo(p, x, t, deriv=True), eye)
     assert rel_residual(der, fd) < 1e-6
     # a derivative that drops one factor's term is far outside that margin
     assert rel_residual(der, 1.01 * fd) > 1e-3
@@ -146,8 +163,8 @@ def test_no_dense_embedding_on_the_transfer_path(monkeypatch):
     monkeypatch.setattr(heckespin.transfer, "apply_on_legs", refuse)
     p = sample_generic(seed=4, n=n)
     x, t = _point(n, 4)
-    transfer_apply(p, x, t, np.eye(2**n), deriv=True)
-    monodromy_U(p, x, t, np.eye(32))
+    apply_mpo(transfer_mpo(p, x, t, deriv=True), np.eye(2**n))
+    apply_mpo(_monodromy(p, x, t), np.eye(32))
     v = gaussian_block(stream(4), 2**n)
     for form in ("tl", "pauli", "transfer"):
         hamiltonian(p, form, v)
@@ -165,20 +182,20 @@ def test_the_block_forms_are_the_dense_forms_on_the_block(n):
     for form in ("tl", "pauli", "transfer"):
         assert rel_residual(hamiltonian(p, form, v), hamiltonian(p, form) @ v) < 1e-12
     x, t = _point(n, 70 + n)
-    val, der = transfer_apply(p, x, t, v, deriv=True)
-    dense, ddense = transfer_apply(p, x, t, np.eye(2**n), deriv=True)
+    val, der = apply_mpo(transfer_mpo(p, x, t, deriv=True), v)
+    dense, ddense = apply_mpo(transfer_mpo(p, x, t, deriv=True), np.eye(2**n))
     assert rel_residual(val, dense @ v) < 1e-12
     assert rel_residual(der, ddense @ v) < 1e-12
-    assert np.array_equal(transfer_apply(p, x, t, v), val)
+    assert np.array_equal(apply_mpo(transfer_mpo(p, x, t), v)[0], val)
 
 
 @pytest.mark.parametrize("n", [1, 3])
 def test_high_precision_agreement_beyond_two_sites(n):
     p = sample_generic(seed=5, n=n)
     x, t = _point(n, 6)
-    hi = transfer_T_mp(p, x, t, np.eye(2**n))
+    hi = _transfer_mp(p, x, t, np.eye(2**n))
     assert hi.dtype == complex
-    assert rel_residual(transfer_apply(p, x, t, np.eye(2**n)), hi) < 1e-12
+    assert rel_residual(apply_mpo(transfer_mpo(p, x, t), np.eye(2**n))[0], hi) < 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -193,7 +210,7 @@ def test_generic_path_converges_with_precision(n):
 
     def full(digits):
         with mpmath.workdps(digits):
-            return transfer_apply(p, mpmath.mpc(x), tuple(mpmath.mpc(v) for v in t), np.eye(2**n))
+            return apply_mpo(transfer_mpo(p, mpmath.mpc(x), tuple(mpmath.mpc(v) for v in t)), np.eye(2**n))[0]
 
     lo, hi = full(30), full(50)
     assert isinstance(hi[0, 0], mpmath.mpc)
@@ -217,8 +234,42 @@ def test_monodromy_forms_agree(params3, rng):
     x = complex(0.9 * np.exp(0.4j))
     t = torus_point(rng, 3, (0.8, 1.2))
     a = factor_product(heckespin.transfer._double_row(params3, x, t), 4)
-    b = monodromy_U(params3, x, t, np.eye(16))
+    b = apply_mpo(_monodromy(params3, x, t), np.eye(16))[0]
     assert rel_residual(a, b) < 1e-11
+
+
+def _widened(record, dtype, site=None):
+    """A Product with every block, site jet and operand cast to dtype; with
+    site, that site's value in its first MPO factor scaled by 1.001."""
+    def cast(factors):
+        return [([[np.asarray(w, dtype) for w in jet] for jet in block], None) if legs is None
+                else (np.asarray(block, dtype), legs) for block, legs in factors]
+
+    lhs, rhs = cast(record.lhs), cast(record.rhs)
+    if site is not None:
+        sites = next(block for block, legs in lhs + rhs if legs is None)
+        sites[site][0] = 1.001 * sites[site][0]
+    return record._replace(lhs=lhs, rhs=rhs, a=np.asarray(record.a, dtype), b=np.asarray(record.b, dtype))
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_the_transfer_records_replay_in_a_wider_type_with_no_transfer_code(n):
+    """The monodromy and commuting records of check_transfer, cast to
+    np.clongdouble factor by factor, evaluate through tensorops.evaluate
+    unchanged, in that type; one MPO site scaled by 1.001 moves both above
+    1e-4 in double and in the wide type."""
+    wide = np.clongdouble
+    if np.finfo(np.longdouble).eps == np.finfo(float).eps:
+        pytest.skip("np.longdouble is double precision on this platform")
+    res = check_transfer(sample_generic(seed=1, n=n), 8, stream(1))
+    for name in ("monodromy form agreement", "commuting transfer matrices"):
+        record = res[name]
+        assert evaluate(_widened(record, complex)) == evaluate(record) < 1e-12
+        replay = _widened(record, wide)
+        assert apply_mpo(replay.rhs[0][0], replay.b)[0].dtype == wide
+        assert evaluate(replay) < 1e-12, name
+        for dtype in (complex, wide):
+            assert evaluate(_widened(record, dtype, site=1)) > 1e-4, (name, dtype)
 
 
 @pytest.mark.parametrize("n", [2, 3, 6])
@@ -242,8 +293,8 @@ def test_commuting_transfer_matrices(params3, rng):
     t = torus_point(rng, 3, (0.8, 1.2))
     x = complex(0.85 * np.exp(0.3j))
     y = complex(1.15 * np.exp(-0.7j))
-    a = transfer_apply(params3, x, t, np.eye(8))
-    b = transfer_apply(params3, y, t, np.eye(8))
+    a = apply_mpo(transfer_mpo(params3, x, t), np.eye(8))[0]
+    b = apply_mpo(transfer_mpo(params3, y, t), np.eye(8))[0]
     assert rel_residual(a @ b, b @ a) < 1e-10
 
 
@@ -253,19 +304,19 @@ def test_a_detuned_transfer_matrix_fails_the_commuting_row(monkeypatch, n):
     suite's draw, must read at least 100 times the suite's 1e-9 tolerance
     in the norm-product scaled commuting row; the weakest of seeds 1-5 is
     6.1e-4, at n = 8."""
-    honest = heckespin.transfer.transfer_apply
+    honest = heckespin.transfer.transfer_mpo
     for seed in range(1, 6):
         rng = stream(seed)
         ys = [torus_point(rng, n + 2, (0.75, 1.35))[1] for _ in range(8)]
 
-        def detuned(params, x, t, v):
+        def detuned(params, x, t, deriv=False):
             t = list(t)
             t[n // 2] = np.where(np.isin(x, ys), 1.01 * t[n // 2], t[n // 2])
-            return honest(params, x, t, v)
+            return honest(params, x, t, deriv)
 
-        monkeypatch.setattr(heckespin.transfer, "transfer_apply", detuned)
+        monkeypatch.setattr(heckespin.transfer, "transfer_mpo", detuned)
         res = check_transfer(sample_generic(seed=seed, n=n), 8, stream(seed))
-        assert res["commuting transfer matrices"] >= 100 * 1e-9, (seed, res)
+        assert evaluate(res["commuting transfer matrices"]) >= 100 * 1e-9, (seed, res)
 
 
 def test_transfer_interpolates_the_transport(params2):
@@ -315,7 +366,7 @@ def test_inverse_transport_residual_falls_with_precision(seed):
     for _ in range(8):
         t = torus_point(rng, n, (0.8, 1.3))
         for i in range(1, n + 1):
-            tt = transfer_apply(p, t[i - 1], t, np.eye(2**n))
+            tt = apply_mpo(transfer_mpo(p, t[i - 1], t), np.eye(2**n))[0]
             trans = factor_product(transport_factors(stationary, i, t), n)
             ci = phi_bdy(t[i - 1], p) * np.linalg.inv(trans)
             k = int(np.abs(tt - ci).max(axis=0).argmax())
@@ -369,8 +420,8 @@ def test_theta_is_diagonal_in_kappa(params2):
 def test_high_precision_agreement(params2, rng):
     x = complex(0.83 * np.exp(0.9j))
     t = (0.94 + 0.21j, 1.08 - 0.17j)
-    lo = transfer_apply(params2, x, t, np.eye(4))
-    hi = transfer_T_mp(params2, x, t, np.eye(4))
+    lo = apply_mpo(transfer_mpo(params2, x, t), np.eye(4))[0]
+    hi = _transfer_mp(params2, x, t, np.eye(4))
     assert rel_residual(lo, np.array(hi, dtype=complex)) < 1e-12
 
 
@@ -406,29 +457,29 @@ def test_mpo_matches_the_factor_loop(n):
     p = sample_generic(seed=10 + n, n=n)
     x, t = _point(n, 50 + n)
     want, dwant = factor_loop_T(p, x, t, deriv=True)
-    val, der = transfer_apply(p, x, t, np.eye(2**n), deriv=True)
-    assert rel_residual(transfer_apply(p, x, t, np.eye(2**n)), want) < 1e-13
+    val, der = apply_mpo(transfer_mpo(p, x, t, deriv=True), np.eye(2**n))
+    assert rel_residual(apply_mpo(transfer_mpo(p, x, t), np.eye(2**n))[0], want) < 1e-13
     assert rel_residual(val, want) < 1e-13
     assert rel_residual(der, dwant) < 1e-13
 
 
 @pytest.mark.parametrize("n,width", [(7, 128), (8, 100), (9, 96)])
 def test_a_block_wider_than_a_chunk_matches_the_factor_loop(n, width):
-    """transfer_apply runs a wide block transfer._PASS // 2^n columns at a
+    """apply_mpo runs a wide block tensorops._PASS // 2^n columns at a
     time: the jet on one whole pass (the identity at n = 7), on a whole and
     a partial chunk (100 columns of the identity at n = 8, 64 + 36) and on
     three whole chunks (96 columns at n = 9) against the factor loop."""
     p = sample_generic(seed=10 + n, n=n)
     x, t = _point(n, 50 + n)
     want, dwant = factor_loop_T(p, x, t, deriv=True, cols=range(width))
-    val, der = transfer_apply(p, x, t, np.eye(2**n)[:, :width], deriv=True)
+    val, der = apply_mpo(transfer_mpo(p, x, t, deriv=True), np.eye(2**n)[:, :width])
     assert rel_residual(val, want) < 1e-13
     assert rel_residual(der, dwant) < 1e-13
 
 
 def test_a_chunked_pass_equals_one_pass_per_point():
     """At n = 8 a pass takes 16 points of a 4-column block and U's pass 8
-    (transfer._PASS), so 24 points take 2 and 3 passes: T V, the jet [T V,
+    (tensorops._PASS), so 24 points take 2 and 3 passes: T V, the jet [T V,
     dT/dx V] and U V on the stack equal, bit for bit, the same calls on each
     point alone (a stack of one, so that its blocks take the same array
     arithmetic)."""
@@ -437,13 +488,15 @@ def test_a_chunked_pass_equals_one_pass_per_point():
     rng = stream(3)
     x, *t = np.array([torus_point(rng, n + 1, (0.75, 1.35)) for _ in range(m)]).T
     v = gaussian_block(rng, 2 ** (n + 1))
-    assert m * v.size > heckespin.transfer._PASS
+    assert m * v.size > heckespin.tensorops._PASS
     alone = [(x[i : i + 1], [tj[i : i + 1] for tj in t]) for i in range(m)]
-    assert np.array_equal(monodromy_U(p, x, t, v), np.concatenate([monodromy_U(p, *a, v) for a in alone]))
+    each = np.concatenate([apply_mpo(_monodromy(p, *a), v)[0] for a in alone])
+    assert np.array_equal(apply_mpo(_monodromy(p, x, t), v)[0], each)
     v = v[: 2**n]
-    assert np.array_equal(transfer_apply(p, x, t, v), np.concatenate([transfer_apply(p, *a, v) for a in alone]))
-    each = zip(*(transfer_apply(p, *a, v, deriv=True) for a in alone))
-    for got, want in zip(transfer_apply(p, x, t, v, deriv=True), each, strict=True):
+    each = np.concatenate([apply_mpo(transfer_mpo(p, *a), v)[0] for a in alone])
+    assert np.array_equal(apply_mpo(transfer_mpo(p, x, t), v)[0], each)
+    each = zip(*(apply_mpo(transfer_mpo(p, *a, deriv=True), v) for a in alone))
+    for got, want in zip(apply_mpo(transfer_mpo(p, x, t, deriv=True), v), each, strict=True):
         assert np.array_equal(got, np.concatenate(want))
 
 
@@ -479,8 +532,8 @@ def test_mpo_matches_the_factor_loop_in_mpmath(n):
         xm, tm = mpmath.mpc(x), tuple(mpmath.mpc(v) for v in t)
         want, dwant = factor_loop_T(p, xm, tm, deriv=True, cols=cols)
         # the columns cols of T and dT/dx: the MPO on those columns of the identity
-        val, der = transfer_apply(p, xm, tm, np.eye(2**n)[:, cols], deriv=True)
-        got = transfer_apply(p, xm, tm, np.eye(2**n)[:, cols])
+        val, der = apply_mpo(transfer_mpo(p, xm, tm, deriv=True), np.eye(2**n)[:, cols])
+        got = apply_mpo(transfer_mpo(p, xm, tm), np.eye(2**n)[:, cols])[0]
         assert isinstance(got[0, 0], mpmath.mpc) and isinstance(der[0, 0], mpmath.mpc)
         for a, b in ((got, want), (val, want), (der, dwant)):
             diff = max(abs(u - v) for u, v in zip(a.ravel(), b.ravel()))
@@ -505,7 +558,7 @@ def test_transfer_matrix_never_forms_the_double_space(monkeypatch):
                 monkeypatch.setattr(mod, name, guard(getattr(mod, name)))
     p = sample_generic(seed=4, n=n)
     x, t = _point(n, 4)
-    transfer_apply(p, x, t, np.eye(2**n), deriv=True)
+    apply_mpo(transfer_mpo(p, x, t, deriv=True), np.eye(2**n))
     with pytest.raises(AssertionError, match="double space"):
         factor_loop_T(p, x, t)
 

@@ -24,7 +24,7 @@ exits 0 whatever differs.
 All commands of a tree share one interpreter, as a long-lived caller's
 would: module caches stay warm and a Python warning shows once per
 process, so stderr can differ from separate `heckespin` processes.  The
-default grid (630 commands) takes about a minute per tree, two trees at
+default grid (632 commands) takes about a minute per tree, two trees at
 once on a 2-core host.
 """
 
@@ -51,12 +51,13 @@ WALL = re.compile(rb"wall \d+ ms")
 def default_grid() -> list:
     """The parity grid: every spin suite at n = 2..10 and the full and qKZ
     suites at seeds 1-20, the known failing baxter seeds, extended
-    precision, each writing command, the koornwinder tables at the
-    polynomial caps (n = 3, m = 4), a stored solution as the --params
-    config file of an agreeing and of a contradicting rank, of an unmet
-    existence constraint, of the matchmaker suite, of the qKZ suite (which
-    skips its refusal row there) and of qkz verify on another solution, the
-    one-site qKZ suite, and four more refusals (two of them --samples 0)."""
+    precision at n = 3 and 10, each writing command, the koornwinder
+    tables at the polynomial caps (n = 3, m = 4), a stored solution as the
+    --params config file of an agreeing and of a contradicting rank, of an
+    unmet existence constraint, of the matchmaker suite, of the qKZ suite
+    (which skips its refusal row there) and of qkz verify on another
+    solution, the one-site qKZ suite, the spectrum table at n = 6, and four
+    more refusals (two of them --samples 0)."""
     seeds = range(1, 21)
     grid = [f"verify {suite} --n {n} --seed {s}" for suite in ("algebra", "matchmaker", "baxter", "transfer")
             for n in (2, 3, 4, 6, 8, 10) for s in seeds]
@@ -66,6 +67,7 @@ def default_grid() -> list:
         "verify baxter --n 10 --seed 42",
         "verify baxter --n 10 --seed 444",
         "verify transfer --n 3 --precision extended --seed 1",
+        "verify transfer --n 10 --precision extended --seed 1",
         "verify baxter --n 2 --seed 1 --report report.json",
         "emit tables --kind koornwinder --n 2 --m 2 --seed 1 --out tables",
         "emit tables --kind koornwinder --n 3 --m 4 --seed 1 --out tables",
@@ -79,6 +81,7 @@ def default_grid() -> list:
         " qkz verify --in a.json --params b.json",
         "koornwinder compute --n 3 --lambda 1,0,-1 --seed 1",
         "emit tables --kind hamiltonian_spectrum --n 2 --seed 1",
+        "emit tables --kind hamiltonian_spectrum --n 6 --seed 1",
         "verify baxter --n 1 --seed 1",
         "verify all --n 11 --seed 1",
         "qkz build --n 2 --m 1 --seed 1 --out sol.json; verify matchmaker --params sol.json",
