@@ -15,9 +15,9 @@ with u_j = upsilon_j.  They satisfy the reflection and Yang-Baxter
 identities, are unitary in the sense K(x) K(1/x) = Id, equal the identity at
 x = 1, and degenerate to kappa_j T_j^{-1} at x = 0.  The blocks are
 matrix-polynomial quotients (RationalMat), so derivatives in x are exact, and
-they evaluate at complex or mpmath x alike, or at a whole array of x at once
-(one block per point); the double-row transfer matrix uses the same three
-blocks.
+they keep the scalar type of the parameters and of x (complex, mpmath or
+fractions alike), or take a whole array of x at once (one block per point);
+the double-row transfer matrix uses the same three blocks.
 
 A product of dressed generators is a list of (block, legs) factors run
 through tensorops.factor_product; no factor is embedded into a dense 2^n
@@ -37,7 +37,7 @@ import numpy as np
 
 from . import GenericityError, InternalDefectError, check_identity_rank
 from .numerics import _POLE_TOL, ParamSet, nonvanishing, rel_residual, torus_point
-from .spinrep import _local_k, _local_kbar, _local_upsilon_p
+from .spinrep import _eye, _local_k, _local_kbar, _local_upsilon_p
 from .tensorops import Product
 from .weyl import act_letter
 
@@ -46,7 +46,7 @@ def _horner(coeffs, x):
     """sum_k coeffs[k] x^k by Horner's rule, for array or scalar coefficients
     and an x of any type that broadcasts against them; an mpmath x gives
     mpmath values (object arrays for array coefficients)."""
-    out = 0j
+    out = 0
     for c in reversed(coeffs):
         out = out * x + c
     return out
@@ -57,17 +57,19 @@ class RationalMat:
 
     x is one spectral parameter of any scalar type, or a 1-D array of them,
     which gives a (len(x), r, r) stack; an unbatched call is the same code
-    without the leading axis.  A complex x gives complex arrays, an mpmath x
-    an object array of mpc entries at the working precision.  A denominator
+    without the leading axis.  The values keep the scalar type of the
+    coefficients and of x: complex arrays for complex ones, object arrays of
+    mpc entries at the working precision for an mpmath x, of fractions for
+    rational coefficients and a rational x.  A denominator
     below 1e-6 max(1, |x|)^degree at any point raises a GenericityError
     naming the first such x and no parameter point, which no command redraws.
     """
 
     def __init__(self, num_coeffs, den_coeffs):
-        self.num = [np.array(c, dtype=complex) for c in num_coeffs]
-        self.den = [complex(c) for c in den_coeffs]
-        self.dnum = [k * c for k, c in enumerate(self.num)][1:] or [0j]
-        self.dden = [k * c for k, c in enumerate(self.den)][1:] or [0j]
+        self.num = [np.asarray(c) for c in num_coeffs]
+        self.den = list(den_coeffs)
+        self.dnum = [k * c for k, c in enumerate(self.num)][1:] or [0]
+        self.dden = [k * c for k, c in enumerate(self.den)][1:] or [0]
         self.degree = len(self.den) - 1
 
     def __call__(self, x):
@@ -93,12 +95,12 @@ class RationalMat:
 def _baxterize(t_hat, kj, uj=None) -> RationalMat:
     """The dressed block of the local generator image t_hat with scalar kj:
     the boundary family when uj is given, the middle family otherwise."""
-    eye = np.eye(len(t_hat), dtype=complex)
+    eye = _eye(t_hat)
     t_inv = t_hat - (kj - 1 / kj) * eye
     if uj is None:
-        return RationalMat([kj * t_inv, -kj * t_hat], [1.0, -(kj**2)])
+        return RationalMat([kj * t_inv, -kj * t_hat], [1, -(kj**2)])
     c = kj * (1 / uj - uj)
-    return RationalMat([kj * t_inv, c * eye, -kj * t_hat], [1.0, c, -(kj**2)])
+    return RationalMat([kj * t_inv, c * eye, -kj * t_hat], [1, c, -(kj**2)])
 
 
 @functools.lru_cache(maxsize=16)
@@ -152,7 +154,7 @@ def check_ybe_re(params: ParamSet, samples: int, rng) -> dict:
     out = {}
     bad = params.replace(upsilon0=params.upsilon0 * 1.01)
     names = [(0, "K0"), (n, "Kn")] + [(i, f"R{i}") for i in range(1, n)]
-    x, y = np.array([torus_point(rng, 2, (0.7, 1.4)) for _ in range(samples)], dtype=complex).T
+    x, y = np.array([torus_point(rng, 2, (0.7, 1.4)) for _ in range(samples)]).T
     args = {"x": x, "y": y, "xy": x * y, "y/x": y / x, "x/y": x / y, "1/x": 1 / x}
     B = functools.cache(lambda j, arg: baxter_j(params, j, args[arg]))
     K0x, K0y, Knx, Kny = B(0, "x"), B(0, "y"), B(n, "x"), B(n, "y")
@@ -178,10 +180,10 @@ def check_ybe_re(params: ParamSet, samples: int, rng) -> dict:
         [baxter_j(bad, 0, x), B(1, "xy"), K0y, B(1, "y/x")], left)
     t_hat = [_local_kbar(params)] + [_local_upsilon_p(params)] * (n - 1) + [_local_k(params)]
     for j, name in names:
-        kj, eye = params.kappa_j(j), np.eye(len(t_hat[j]))
-        out[f"regularity at x=1 {name}"] = rel_residual(baxter_j(params, j, 1.0)[0], eye)
+        kj, eye = params.kappa_j(j), _eye(t_hat[j])
+        out[f"regularity at x=1 {name}"] = rel_residual(baxter_j(params, j, 1)[0], eye)
         out[f"degeneration at x=0 {name}"] = rel_residual(
-            baxter_j(params, j, 0.0)[0], kj * (t_hat[j] - (kj - 1 / kj) * eye))
+            baxter_j(params, j, 0)[0], kj * (t_hat[j] - (kj - 1 / kj) * eye))
     return out
 
 

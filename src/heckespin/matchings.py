@@ -116,7 +116,7 @@ def matchmaker_matrix(j: int, weights: dict, beta0, beta1) -> Monomial:
     holds delta_n, which no weight code of _generator_table(1) reads."""
     n = max(weights)
     index, weight = _generator_table(n)[j]
-    values = np.array([1.0, weights[0], weights[1], weights[n], beta0, beta1], dtype=complex)
+    values = np.array([1, weights[0], weights[1], weights[n], beta0, beta1])
     return Monomial(index, values[weight])
 
 
@@ -135,7 +135,7 @@ def matchmaker_betas(params: ParamSet):
     p = params
     x, y, _ = _parity_terms(p)
     den = boundary_norm(p, 0) * boundary_norm(p, p.n)
-    return 1.0 + 0j, (1 + x) * (1 + y) / (p.psi0 * p.psin * den)
+    return 1, (1 + x) * (1 + y) / (p.psi0 * p.psin * den)
 
 
 def m_constants(params: ParamSet) -> dict:
@@ -150,7 +150,7 @@ def m_constants(params: ParamSet) -> dict:
     p = params
     x, _, name = _parity_terms(p)
     fn = nonvanishing((1, x), p, name)
-    M = {(0, 0): 1.0 + 0j}
+    M = {(0, 0): 1}
     M[(0, 1)] = 1 / (p.psi0 * boundary_norm(p, 0)) / M[(0, 0)]
     M[(p.n, 1)] = 1 / fn / M[(0, 0)]
     M[(p.n, 0)] = 1 / (p.psin * boundary_norm(p, p.n)) / M[(p.n, 1)]
@@ -184,18 +184,18 @@ def intertwiner_Psi(params: ParamSet, limit: bool = False):
     M = None if limit else m_constants(params)
     psi = {0: params.psi0, n: params.psin}
 
-    def turned(j: int, h: int) -> complex:
+    def turned(j: int, h: int):
         if limit:
-            return 0j
+            return 0
         return psi[j] * (-params.kappa_j(j)) ** (1 - 2 * h) * (-k) ** (h - 1)
 
-    def weight(j: int, h: int) -> complex:
-        return 1.0 + 0j if limit else M[(j, h)]
+    def weight(j: int, h: int):
+        return 1 if limit else M[(j, h)]
 
-    inner = np.array([[0, 1], [0 if limit else 1 / -k, 0]], dtype=complex)
-    mat = np.zeros((2**n, 2**n), dtype=complex)
+    inner = np.array([[0, 1], [0 if limit else 1 / -k, 0]])
+    mat = np.zeros((2**n, 2**n), dtype=np.asarray(k).dtype)  # the parameters' scalar type
     for col, row in enumerate(partners(n).tolist()):
-        vec, legs = np.ones((), dtype=complex), []
+        vec, legs = np.ones((), dtype=int), []
         # the arcs in sorted-pair order, which fixes the product's rounding
         for a, b in sorted({(min(i, m), max(i, m)) for i, m in enumerate(row[1:], 1)}):
             if a == 0:

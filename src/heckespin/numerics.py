@@ -106,6 +106,11 @@ class ParamSet:
     def q(self) -> complex:
         return self.q_sqrt**2
 
+    @property
+    def one(self):
+        """1 in the parameters' scalar type: exact for exact parameters."""
+        return self.kappa**0
+
     def kappa_j(self, j: int) -> complex:
         """The deformation scalar attached to generator index j in 0..n."""
         if j == 0:

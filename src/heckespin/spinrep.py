@@ -52,43 +52,36 @@ def loop_weights(params: ParamSet) -> dict:
             for j, kj in kappas.items()}
 
 
-def _mat(rows) -> np.ndarray:
-    """A local block in the scalar type of its entries: complex for numeric
-    parameters, an object array for exact ones (fractions, mpmath)."""
-    a = np.array(rows)
-    return a if a.dtype == object else a.astype(complex)
-
-
 def _local_e0(p: ParamSet) -> np.ndarray:
     k0, psi0 = p.kappa0, p.psi0
-    return _mat([[-1 / k0, psi0], [1 / psi0, -k0]]) / boundary_norm(p, 0)
+    return np.array([[-1 / k0, psi0], [1 / psi0, -k0]]) / boundary_norm(p, 0)
 
 
 def _local_e_mid(p: ParamSet) -> np.ndarray:
     k = p.kappa
-    return _mat([[0, 0, 0, 0], [0, -k, 1, 0], [0, 1, -1 / k, 0], [0, 0, 0, 0]])
+    return np.array([[0, 0, 0, 0], [0, -k, 1, 0], [0, 1, -1 / k, 0], [0, 0, 0, 0]])
 
 
 def _local_en(p: ParamSet) -> np.ndarray:
     kn, psin = p.kappan, p.psin
-    return _mat([[-kn, 1 / psin], [psin, -1 / kn]]) / boundary_norm(p, p.n)
+    return np.array([[-kn, 1 / psin], [psin, -1 / kn]]) / boundary_norm(p, p.n)
 
 
 def _local_kbar(p: ParamSet) -> np.ndarray:
     k0, psi0 = p.kappa0, p.psi0
-    return _mat([[k0 - 1 / k0, psi0], [1 / psi0, 0]])
+    return np.array([[k0 - 1 / k0, psi0], [1 / psi0, 0]])
 
 
 def _local_upsilon_p(p: ParamSet) -> np.ndarray:
     """Upsilon o P: the permutation P swaps the middle two columns."""
     k = p.kappa
-    ups = _mat([[k, 0, 0, 0], [0, 1, 0, 0], [0, k - 1 / k, 1, 0], [0, 0, 0, k]])
+    ups = np.array([[k, 0, 0, 0], [0, 1, 0, 0], [0, k - 1 / k, 1, 0], [0, 0, 0, k]])
     return ups[:, [0, 2, 1, 3]]
 
 
 def _local_k(p: ParamSet) -> np.ndarray:
     kn, psin = p.kappan, p.psin
-    return _mat([[0, 1 / psin], [psin, kn - 1 / kn]])
+    return np.array([[0, 1 / psin], [psin, kn - 1 / kn]])
 
 
 @dataclass
@@ -245,7 +238,7 @@ def principal_series_basis(params: ParamSet):
     n = params.n
     rep = build_spin_rep(params)
     reps = min_coset_reps(n)
-    index, weight, done = np.zeros(len(reps), dtype=int), np.ones(len(reps), dtype=complex), {}
+    index, weight, done = np.zeros(len(reps), dtype=int), [1] * len(reps), {}
     for k, word in enumerate(reps):
         done[word] = k
         if not word:

@@ -122,9 +122,10 @@ def apply_mpo(sites, v) -> list:
 def factor_product(factors, m: int, a=None):
     """F_1 F_2 ... F_k a for the factors listed left to right, on m legs:
     local factors (block, legs) and MPO factors (sites, None), the site
-    values of apply_mpo on all m legs; ``a`` is the identity by default,
-    for local factors only.  Blocks stacked over points give the stack of
-    the points' products.
+    values of apply_mpo on all m legs; ``a`` is the integer identity by
+    default, for local factors only, so that the product takes the blocks'
+    scalar type.  Blocks stacked over points give the stack of the points'
+    products.
 
     >>> x = np.diag([2.0, 3.0])
     >>> y = np.array([[0.0, 1.0], [5.0, 0.0]])
@@ -134,7 +135,7 @@ def factor_product(factors, m: int, a=None):
     array([2., 3., 2., 3.])
     """
     if a is None:
-        a = np.eye(2**m, dtype=object if any(block.dtype == object for block, _legs in factors) else complex)
+        a = np.eye(2**m, dtype=int)
     for block, legs in reversed(factors):
         a = apply_mpo(block, a)[0] if legs is None else apply_on_legs(block, legs, a, m)
     return a
@@ -232,12 +233,4 @@ def partial_transpose_leg(mat: np.ndarray, leg: int, m: int) -> np.ndarray:
     return t.reshape(mat.shape)
 
 
-PERMUTE_TWO = np.array(
-    [
-        [1, 0, 0, 0],
-        [0, 0, 1, 0],
-        [0, 1, 0, 0],
-        [0, 0, 0, 1],
-    ],
-    dtype=complex,
-)
+PERMUTE_TWO = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])

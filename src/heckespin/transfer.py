@@ -52,16 +52,14 @@ from .tensorops import (
 )
 from .weyl import tau_word
 
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-SPLUS = np.array([[0, 1], [0, 0]], dtype=complex)
-SMINUS = np.array([[0, 0], [1, 0]], dtype=complex)
+SZ = np.array([[1, 0], [0, -1]])
+SPLUS = np.array([[0, 1], [0, 0]])
+SMINUS = np.array([[0, 0], [1, 0]])
 
 
 def theta_matrix(params: ParamSet) -> np.ndarray:
     ks = params.kappa_sqrt
-    return np.array([[1 / ks, 0], [0, ks]], dtype=complex)
+    return np.array([[1 / ks, 0], [0, ks]])
 
 
 def phi_bulk(x, params: ParamSet):
@@ -178,7 +176,7 @@ def check_transfer(params: ParamSet, samples: int, rng) -> dict:
     x, y, *t = np.array([torus_point(rng, n + 2, (0.75, 1.35)) for _ in range(samples)]).T
     v = gaussian_block(rng, 2 ** (n + 1))
     # the auxiliary leg as one more site, whose out bond (c, d) is |c><d|
-    u = [[np.eye(4).reshape(1, 4, 2, 2)]] + _mpo(params, x, t)[1]
+    u = [[np.eye(4, dtype=int).reshape(1, 4, 2, 2)]] + _mpo(params, x, t)[1]
     out["monodromy form agreement"] = Product(_double_row(params, x, t), [(u, None)], a=v, b=v)
     v = v[: 2**n]  # the chain rows
     xy = transfer_mpo(params, np.concatenate([x, y]), [np.concatenate([tj, tj]) for tj in t])
@@ -191,13 +189,13 @@ def check_transfer(params: ParamSet, samples: int, rng) -> dict:
     th2 = np.kron(th, th)
     lhs = (np.diag(1 / th2.diagonal()) @ partial_transpose_leg(R(1 / (k**4 * x)) @ PERMUTE_TWO, 1, 2)
            @ th2 @ partial_transpose_leg(rx, 2, 2))
-    out["crossing unitarity"] = rel_residual(lhs, phi_bulk(x, params)[:, None, None] * np.eye(4))
+    out["crossing unitarity"] = rel_residual(lhs, phi_bulk(x, params)[:, None, None] * np.eye(4, dtype=int))
     closure = [(th @ kbar(k**2 * x) @ th, [1]), (R(x**2), [1, 2])]
     out["boundary crossing"] = rel_residual(
         partial_trace_first(factor_product(closure, 2), 2), phi_bdy(x, params)[:, None, None] * kbar(x))
-    g1, _ = _aux_normalizer(params, 1.0)
+    g1, _ = _aux_normalizer(params, params.one)
     out["normalized transfer at x=1"] = rel_residual(
-        apply_mpo(transfer_mpo(params, 1.0, (1.0,) * n), v)[0] / g1, v)
+        apply_mpo(transfer_mpo(params, params.one, (params.one,) * n), v)[0] / g1, v)
     return out
 
 
@@ -214,7 +212,7 @@ def check_transfer_vs_transport(params: ParamSet, samples: int, rng) -> dict:
     and t_i on V, then T(t_i) on C V, and copies no block to its points."""
     n = params.n
     out = {}
-    stationary = params.replace(q_sqrt=1)
+    stationary = params.replace(q_sqrt=params.one)
     t = np.array([torus_point(rng, n, (0.8, 1.3)) for _ in range(samples)]).T
     v = gaussian_block(rng, 2**n)
     for i, ti in enumerate(t, 1):
@@ -241,7 +239,7 @@ def tl_weight(params: ParamSet, j: int):
     """
     n, k = params.n, params.kappa
     if j not in (0, n):
-        return 1.0 + 0j
+        return 1
     kj = params.kappa_j(j)
     dj = -kj * boundary_norm(params, j) / _boundary_den(params, j)
     return (k - 1 / k) * dj
@@ -249,10 +247,8 @@ def tl_weight(params: ParamSet, j: int):
 
 def _chain_constant(params: ParamSet):
     k, n = params.kappa, params.n
-    total = 0.0 + 0j
-    for j in (0, n):
-        total += (1 + params.kappa_j(j) ** 2) / _boundary_den(params, j)
-    return (k - 1 / k) / 2 * total - (n - 1) / 4 * (k + 1 / k)
+    total = sum((1 + params.kappa_j(j) ** 2) / _boundary_den(params, j) for j in (0, n))
+    return (k - 1 / k) / 2 * total - (n - 1) * (k + 1 / k) / 4
 
 
 def hamiltonian(params: ParamSet, form: str, v=None) -> np.ndarray:
@@ -265,25 +261,20 @@ def hamiltonian(params: ParamSet, form: str, v=None) -> np.ndarray:
     diagrammatic generator images.
     """
     n = params.n
-    k = params.kappa
-    v = np.eye(2**n, dtype=complex) if v is None else v
+    k, one = params.kappa, params.one
+    v = np.eye(2**n, dtype=int) if v is None else v
     if form == "transfer":
-        tval, tder = apply_mpo(transfer_mpo(params, 1.0, (1.0,) * n, deriv=True), v)
-        g, gp = _aux_normalizer(params, 1.0)
+        tval, tder = apply_mpo(transfer_mpo(params, one, (one,) * n, deriv=True), v)
+        g, gp = _aux_normalizer(params, one)
         nval = tval / g
         if rel_residual(nval, v) > 1e-9:
             raise InternalDefectError("normalized transfer is not Id at x=1")
         nder = tder / g - tval * (gp / g**2)
         return (k - 1 / k) / 2 * nder - c0_constant(params) * v
-    acc = np.zeros(v.shape, dtype=complex)
     if form == "pauli":
-        bulk2 = (
-            np.kron(SX, SX)
-            + np.kron(SY, SY)
-            + (k + 1 / k) / 2 * np.kron(SZ, SZ)
-        )
-        for i in range(1, n):
-            acc += apply_on_legs(bulk2, [i, i + 1], v, n)
+        # XX + YY = 2 (S+ S- + S- S+)
+        bulk2 = 2 * (np.kron(SPLUS, SMINUS) + np.kron(SMINUS, SPLUS)) + (k + 1 / k) / 2 * np.kron(SZ, SZ)
+        acc = sum(apply_on_legs(bulk2, [i, i + 1], v, n) for i in range(1, n))
         # boundary field sign: the raising/lowering terms carry the sign that
         # the logarithmic-derivative definition produces (the opposite choice
         # is the same operator conjugated by sigma^Z on every site)
@@ -297,16 +288,9 @@ def hamiltonian(params: ParamSet, form: str, v=None) -> np.ndarray:
             (1 + kn * un) * (1 - kn / un) * SZ
             + 4 * kn * (SPLUS / psin + psin * SMINUS)
         ) / _boundary_den(params, n)
-        acc += (
-            (k - 1 / k)
-            / 2
-            * (apply_on_legs(left, [1], v, n) - apply_on_legs(right, [n], v, n))
-        )
+        acc += (k - 1 / k) / 2 * (apply_on_legs(left, [1], v, n) - apply_on_legs(right, [n], v, n))
         return acc / 2 + _chain_constant(params) * v
     if form == "tl":
         rep = build_spin_rep(params)
-        for j in range(n + 1):
-            block, legs = rep.e[j]
-            acc += apply_on_legs(tl_weight(params, j) * block, legs, v, n)
-        return acc
+        return sum(apply_on_legs(tl_weight(params, j) * block, legs, v, n) for j, (block, legs) in rep.e.items())
     raise InternalDefectError("form must be 'transfer', 'pauli', or 'tl'")

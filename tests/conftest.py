@@ -3,6 +3,7 @@
 import functools
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -34,6 +35,18 @@ def sample_generic(seed: int, n: int, mcondition: int | None = None) -> ParamSet
     in its arguments: the package draws its points in commands._at_point
     alone, and tests take theirs here."""
     return next(generic_draws(seed, n, mcondition))
+
+
+def _rational_params(n):
+    """A rational point off the poles, with kappa = (3/2)^2 a square: the
+    exact tier's setting, at which every spin-layer row keeps exact
+    fractions."""
+    F = Fraction
+    return ParamSet(
+        n=n, q_sqrt=F(7, 5), kappa0=F(5, 3), kappa=F(9, 4), kappan=F(2, 7),
+        upsilon0=F(3, 11), upsilonn=F(13, 6), psi0=F(-4, 5), psin=F(8, 3),
+        kappa_sqrt=F(3, 2),
+    )
 
 
 def record_acceptance(label: str, passed: bool):

@@ -4,8 +4,9 @@ every file is opened in a with statement; four functions catch a refusal;
 one module spells a complex number as JSON; one function draws parameter
 points; one module opens the random streams and checks the run caps; one
 function multiplies out the two sides of a product identity; one module
-defines the MPO pass, and the retired transfer wrappers are gone; and the
-console script is the process entry of cli.py."""
+defines the MPO pass, and the retired transfer wrappers are gone; no spin
+layer casts to complex; and the console script is the process entry of
+cli.py."""
 
 import ast
 from pathlib import Path
@@ -392,6 +393,59 @@ def test_a_planted_mpo_pass_is_flagged(tmp_path):
     )
     assert mpo_passes(tmp_path) == ["commands.monodromy_U", "commands.transfer_T_mp", "commands.apply_mpo",
                                     "transfer._PASS", "transfer._apply", "transfer.transfer_apply"]
+
+
+# the spin layers, which evaluate in the scalar type of their inputs
+_SPIN_LAYERS = ("baxter", "matchings", "spinrep", "tensorops", "transfer")
+# module.function of the numeric-input defaults there that may cast to
+# complex: none is left, as torus_point's draws are complex already and
+# hamiltonian's default operand is the integer identity
+_COMPLEX_DEFAULTS: tuple = ()
+_COMPLEX = {"complex", "complex64", "complex128", "cdouble", "csingle", "clongdouble"}
+
+
+def _casts_to_complex(node) -> bool:
+    """A call of complex or of a numpy complex type, a complex type handed
+    to a call (astype(complex), np.zeros(shape, complex)) or named in its
+    dtype keyword, or the literal 0j."""
+    if isinstance(node, ast.Call):
+        return _name(node.func) in _COMPLEX or _name(node.func) not in ("isinstance", "issubclass") and any(
+            _name(arg) in _COMPLEX for arg in node.args)
+    if isinstance(node, ast.keyword):
+        return node.arg == "dtype" and bool(_COMPLEX & set(_references(node.value)))
+    return isinstance(node, ast.Constant) and type(node.value) is complex and node.value == 0
+
+
+def complex_casts(src: Path = SRC, allowed: tuple = _COMPLEX_DEFAULTS) -> list:
+    """module.function of every cast to complex in the spin layers
+    (_SPIN_LAYERS) outside the allowed sites: a block, an identity, a seed
+    or a constant there takes the scalar type of the parameters and the
+    operands, so that exact inputs give exact rows (tests/test_exact.py)."""
+    return [site for site in _sites(src, _casts_to_complex)
+            if site.split(".")[0] in _SPIN_LAYERS and site not in allowed]
+
+
+def test_no_spin_layer_casts_to_complex():
+    assert complex_casts() == []
+
+
+def test_a_planted_complex_cast_is_flagged(tmp_path):
+    (tmp_path / "baxter.py").write_text(
+        "import numpy as np\n\nEYE = np.eye(2, dtype=complex)\n\n\n"
+        "def horner(coeffs, x) -> complex:\n    out = 0j\n    for c in coeffs:\n"
+        "        out = out * x + complex(c)\n    return out\n\n\n"
+        "def block(rows):\n    return np.array(rows).astype(np.complex128)\n\n\n"
+        "def draws(points):\n    return np.array(points, complex)\n\n\n"
+        "def eye(exact):\n    return np.eye(2, dtype=object if exact else complex)\n\n\n"
+        "def fine(z):\n    return isinstance(z, complex) and np.exp(2j * z)\n"
+    )
+    (tmp_path / "transfer.py").write_text(
+        "import numpy as np\n\n\ndef hamiltonian(v=None):\n    return np.eye(4, dtype=np.cdouble) if v is None else v\n"
+    )
+    (tmp_path / "numerics.py").write_text("def decode(d):\n    return complex(d['re'], d['im']) + 0j\n")
+    assert complex_casts(tmp_path) == ["baxter", "baxter.horner", "baxter.horner", "baxter.block",
+                                       "baxter.draws", "baxter.eye", "transfer.hamiltonian"]
+    assert complex_casts(tmp_path, ("baxter.eye", "transfer.hamiltonian"))[-1] == "baxter.draws"
 
 
 def test_the_console_script_is_the_function_the_main_block_calls():

@@ -6,9 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import _kron_embed, dense_hecke_relations, residuals, sample_generic
+from conftest import _kron_embed, _rational_params, dense_hecke_relations, residuals, sample_generic
 from heckespin import spinrep
-from heckespin.numerics import GenericityError, InternalDefectError, ParamSet, rel_residual, stream
+from heckespin.numerics import GenericityError, InternalDefectError, rel_residual, stream
 from heckespin.spinrep import (
     build_spin_rep,
     check_hecke_relations,
@@ -204,16 +204,6 @@ def test_local_rows_match_the_dense_battery(n):
     got = residuals(check_hecke_relations(bad, p))
     for key, value in dense_hecke_relations(dense, p).items():
         assert abs(got[key] - value) <= 1e-12 * value + 1e-14, key
-
-
-def _rational_params(n):
-    """A rational point off the poles, with kappa = (3/2)^2 a square."""
-    F = Fraction
-    return ParamSet(
-        n=n, q_sqrt=F(7, 5), kappa0=F(5, 3), kappa=F(9, 4), kappan=F(2, 7),
-        upsilon0=F(3, 11), upsilonn=F(13, 6), psi0=F(-4, 5), psin=F(8, 3),
-        kappa_sqrt=F(3, 2),
-    )
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
