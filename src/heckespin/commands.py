@@ -231,7 +231,7 @@ def suite_algebra(cfg: Config, p: ParamSet):
         "commuting family pairwise", murphy_commutator_residual(rep, _block(cfg, rep.dim)),
         "the 2n-fold generator products commute with one another",
     ))
-    v0 = np.eye(rep.dim, 1, dtype=complex)
+    v0 = np.eye(rep.dim, 1, dtype=int)
     worst = np.max([np.abs(murphy_Y(rep, i, v0) - zeta[i - 1] * v0).max()
                     for i in range(1, p.n + 1)])
     distinct = np.bincount(basis.index).max() == 1  # then B's singular values are its |weights|
@@ -317,7 +317,7 @@ def suite_baxter(cfg: Config, p: ParamSet):
 
     # C_{tau_1}(t) C_{tau_n}(tau_1^{-1} t) against the other order, each the
     # cocycle along the concatenated translation words, over the stack of points
-    t = tuple(np.array([torus_point(rng, n, (0.7, 1.4)) for _ in range(4)], dtype=complex).T)
+    t = tuple(np.array([torus_point(rng, n, (0.7, 1.4)) for _ in range(4)]).T)
     first, last = tau_word(1, n), tau_word(n, n)
     return checks + [
         Check("word independence", words,
@@ -608,7 +608,7 @@ def cmd_emit_tables(args) -> int:
             return spectra
 
         p, spectra = _at_point(cfg, eigenvalues)
-        gap = max(abs(complex(x) - complex(y))
+        gap = max(abs(x - y)
                   for va, vb in itertools.combinations(spectra.values(), 2) for x, y in zip(va, vb))
         forms = {form: list(map(_c2d, vals)) for form, vals in spectra.items()}
         _write_json({"kind": "hamiltonian_spectrum", "n": p.n, "forms": forms, "max_pairwise_gap": gap,

@@ -48,12 +48,12 @@ def _numerator_poly(j: int, v, w, params: ParamSet) -> LaurentPoly:
     """N_j = 1 + b t^(v/2) - (w / kappa_j^2) t^v: the inverted-parameter
     numerator of c_j times the denominator 1 - w t^v of the step (m, v, w)
     of s_j.  b = 0, so the t^(v/2) term drops out, for 0 < j < n."""
-    kj, b = params.kappa_j(j), 0.0
+    kj, b = params.kappa_j(j), 0
     if j == 0:
         b = params.q_sqrt / kj * (params.upsilon0 - 1 / params.upsilon0)
     elif j == params.n:
         b = (params.upsilonn - 1 / params.upsilonn) / kj
-    return LaurentPoly([0 * v, v // 2, v], [1.0, b, -w / kj**2])
+    return LaurentPoly([0 * v, v // 2, v], [1, b, -w / kj**2])
 
 
 def ball_vector(poly: LaurentPoly, index: dict) -> np.ndarray:
@@ -72,7 +72,7 @@ def _step(j: int, arr: np.ndarray, params: ParamSet):
     per row: t^mu o s_j = w^m t^(mu + m v) with denominator 1 - w t^v, for
     v = -2 e_1 and w = q at j = 0, else w = 1 and v = e_j - e_(j+1) or 2 e_n."""
     n = params.n
-    v, w = np.zeros(n, dtype=np.int64), 1.0
+    v, w = np.zeros(n, dtype=np.int64), params.one
     if j == 0:
         m, w, v[0] = arr[:, 0], params.q, -2
     elif j == n:
@@ -92,7 +92,7 @@ def _dd_terms(j: int, arr: np.ndarray, params: ParamSet):
     cols = np.repeat(np.arange(len(arr)), counts)
     first = np.repeat(np.cumsum(counts) - counts, counts)
     steps = np.arange(cols.size) - first + np.minimum(m, 0)[cols]
-    return cols, arr[cols] + steps[:, None] * v, -np.sign(m[cols]) * np.power(complex(w), steps)
+    return cols, arr[cols] + steps[:, None] * v, -np.sign(m[cols]) * np.power(w, steps)
 
 
 def _scatter(arr, poly: LaurentPoly, cols, exps, coeffs) -> np.ndarray:
@@ -104,7 +104,7 @@ def _scatter(arr, poly: LaurentPoly, cols, exps, coeffs) -> np.ndarray:
         raise InternalDefectError("arity mismatch")
     digits = (2 * radius + 1) ** np.arange(n - 1, -1, -1)
     keys = (arr + radius) @ digits
-    out = np.zeros((len(arr), len(arr)), dtype=complex)
+    out = np.zeros((len(arr), len(arr)), dtype=np.result_type(poly.coeffs, coeffs))
     for e, c in zip(poly.exps, poly.coeffs[0]):
         shifted = exps + e
         inside = np.abs(shifted).sum(axis=1) <= radius
@@ -122,12 +122,12 @@ def _generator(j: int, arr, params: ParamSet) -> np.ndarray:
     n, size = params.n, len(arr)
     m, v, w = _step(j, arr, params)
     cols, exps, dd = _dd_terms(j, arr, params)
-    lhs = _scatter(arr, LaurentPoly([0 * v, v], [1.0, -w]), cols, exps, dd)
-    eye = np.eye(size)
+    lhs = _scatter(arr, LaurentPoly([0 * v, v], [1, -w]), cols, exps, dd)
+    eye = np.eye(size, dtype=int)
     image = arr + m[:, None] * v
-    rhs = _scatter(arr, LaurentPoly.one(n), np.arange(size), image, np.power(complex(w), m)) - eye
+    rhs = _scatter(arr, LaurentPoly.one(n), np.arange(size), image, np.power(w, m)) - eye
     scale = np.maximum(np.abs(lhs).max(axis=0), np.abs(rhs).max(axis=0))
-    if np.any(np.abs(lhs - rhs).max(axis=0) > 1e-12 * np.maximum(scale, 1.0)):
+    if np.any(np.abs(lhs - rhs).max(axis=0) > 1e-12 * params.roundoff * np.maximum(scale, 1.0)):
         raise InternalDefectError(f"divided difference failed re-multiplication check at j={j}")
     kj = params.kappa_j(j)
     return eye / kj + kj * _scatter(arr, _numerator_poly(j, v, w, params), cols, exps, dd)
@@ -141,20 +141,23 @@ class _Eigenbasis(NamedTuple):
     zdiag: np.ndarray  # the diagonal of Z = sum_i c_i Y_i
 
 
-def _joint_eigenbasis(mats: dict) -> _Eigenbasis:
+def _joint_eigenbasis(mats: dict, params: ParamSet) -> _Eigenbasis:
     """Every joint eigenvector of the Y_i on one ball by back-substitution.
 
-    The pattern keeps entries above _TRIANGULAR_TOL of each Y_i's scale; the
-    down-set of a monomial is what the pattern reaches from it.  Sorting by
-    down-set size orders an acyclic pattern topologically, and every Y_i must
-    be upper triangular in that order, else InternalDefectError.  Column a
-    solves (Z - z_a) v = 0 with v_a = 1, Z = sum_i c_i Y_i, all at once."""
-    ys = [mats[i] for i in sorted(mats)]
+    The pattern keeps entries above _TRIANGULAR_TOL roundoff of each Y_i's
+    scale (ParamSet.roundoff), every nonzero one of an exact type; the down-set
+    of a monomial is what the pattern reaches from it.  Sorting by down-set
+    size orders an acyclic pattern topologically, and every Y_i must be upper
+    triangular in that order, else InternalDefectError.  Column a solves
+    (Z - z_a) v = 0 with v_a = 1, Z = sum_i c_i Y_i, all at once, for any c
+    that parts the spectra: exp(i sqrt(i + 1)), or 1 / (i + 1)^2 for an exact
+    type.  A tie z_a = z_r with r outside the down-set of a is never divided by."""
+    ys, roundoff = [mats[i] for i in sorted(mats)], params.roundoff
     size = len(ys[0])
     pattern = np.eye(size, dtype=bool)
     for y in ys:
         mag = np.abs(y)
-        pattern |= mag > _TRIANGULAR_TOL * max(float(mag.max()), 1.0)
+        pattern |= mag > _TRIANGULAR_TOL * roundoff * max(float(mag.max()), 1.0)
     down = pattern
     while True:
         closed = (down.astype(float) @ down.astype(float)) > 0
@@ -166,13 +169,16 @@ def _joint_eigenbasis(mats: dict) -> _Eigenbasis:
     rank[order] = np.arange(size)
     if np.any(pattern & (rank[:, None] > rank[None, :])):
         raise InternalDefectError("translation matrices are not triangular on the ball")
-    c = np.exp(1j * np.sqrt(np.arange(2.0, len(ys) + 2)))
+    k = range(2, len(ys) + 2)
+    c = np.exp(1j * np.sqrt(k)) if roundoff else [params.one / ki**2 for ki in k]
     z = sum(ci * y for ci, y in zip(c, ys))[np.ix_(order, order)]
-    zd = z.diagonal().copy()
-    vecs = np.eye(size, dtype=complex)
+    zd, reach = z.diagonal().copy(), down[np.ix_(order, order)]
+    vecs = np.eye(size, dtype=z.dtype)
     with np.errstate(divide="ignore", invalid="ignore"):
         for r in range(size - 2, -1, -1):
-            vecs[r, r + 1 :] = z[r, r + 1 :] @ vecs[r + 1 :, r + 1 :] / (zd[r + 1 :] - zd[r])
+            gap = zd[r + 1 :] - zd[r]
+            np.divide(z[r, r + 1 :] @ vecs[r + 1 :, r + 1 :], gap, out=vecs[r, r + 1 :],
+                      where=reach[r, r + 1 :] | (gap != 0))
     out = np.empty_like(vecs)
     out[np.ix_(order, order)] = vecs
     return _Eigenbasis(out, down, rank, np.array([y.diagonal() for y in ys]), zd[rank])
@@ -185,11 +191,11 @@ def _ball(params: ParamSet, radius: int):
     read; every caller reads a ball in one pass, so none is built twice.
     Y_i multiplies the T_j along tau_word(i, n), inverting the first i - 1
     letters by the quadratic relation, T_j^{-1} = T_j + (kappa_j - 1/kappa_j)."""
-    n = params.n
+    n, roundoff = params.n, params.roundoff
     basis = l1_ball(n, radius)
     index = {mu: a for a, mu in enumerate(basis)}
     arr = np.array(basis, dtype=np.int64).reshape(-1, n)
-    eye = np.eye(len(basis), dtype=complex)
+    eye = np.eye(len(basis), dtype=int)
     gens = {j: _generator(j, arr, params) for j in range(n + 1)}
     mats = {}
     for i in range(1, n + 1):
@@ -200,11 +206,11 @@ def _ball(params: ParamSet, radius: int):
         mats[i] = np.linalg.multi_dot(factors)
         # the product's rounding, eps times the factors' sizes, must stay
         # below the pattern threshold of _joint_eigenbasis
-        noise = np.finfo(float).eps * np.prod([np.abs(f).max() for f in factors])
-        if noise > _TRIANGULAR_TOL * max(float(np.abs(mats[i]).max()), 1.0):
+        noise = roundoff * np.finfo(float).eps * np.prod([np.abs(f).max() for f in factors])
+        if noise > _TRIANGULAR_TOL * roundoff * max(float(np.abs(mats[i]).max()), 1.0):
             raise GenericityError(f"rounding in Y_{i} reaches its triangular pattern on the ball",
                                   point=params)
-    return basis, index, mats, gens, _joint_eigenbasis(mats)
+    return basis, index, mats, gens, _joint_eigenbasis(mats, params)
 
 
 def generator_matrices(params: ParamSet, radius: int):
@@ -241,29 +247,30 @@ def _degree_polynomials(labels, params: ParamSet) -> list:
     naming params, when a diagonal entry of some Y_i at a label misses
     1/gamma_i, or a predecessor in the triangular order shares the label's
     entry of Z, by _KERNEL_GAP of the largest such entry (at least 1), or
-    the leading entry is below 1e-12 of its column's largest."""
-    n, radius = params.n, sum(abs(v) for v in labels[0])
+    the leading entry is below 1e-12 of its column's largest; each threshold
+    is in units of ParamSet.roundoff, so 0 for an exact type."""
+    n, radius, roundoff = params.n, sum(abs(v) for v in labels[0]), params.roundoff
     gammas = gamma_vectors(labels, params)
     basis, index, mats, gens, eig = _ball(params, radius)
     cols = np.array([index[lam] for lam in labels], dtype=np.int64)
     inv = 1 / gammas.T
     yscale = max(float(np.abs(eig.ydiag).max()), 1.0)
-    missed = np.abs(eig.ydiag[:, cols] - inv).max(axis=0) > _KERNEL_GAP * yscale
+    missed = np.abs(eig.ydiag[:, cols] - inv).max(axis=0) > _KERNEL_GAP * roundoff * yscale
     zscale = max(float(np.abs(eig.zdiag).max()), 1.0)
     gaps = np.where(eig.rank[:, None] < eig.rank[cols],
                     np.abs(eig.zdiag[:, None] - eig.zdiag[cols]), np.inf)
-    shared = gaps.min(axis=0, initial=np.inf) < _KERNEL_GAP * zscale
+    shared = gaps.min(axis=0, initial=np.inf) <= _KERNEL_GAP * roundoff * zscale
     down = eig.down[:, cols]
     vecs = np.where(down, eig.vecs[:, cols], 0)
     top = np.abs(vecs).max(axis=0)
-    vanished = np.abs(eig.vecs[cols, cols]) < 1e-12 * top
+    vanished = np.abs(eig.vecs[cols, cols]) < 1e-12 * roundoff * top
     for l in np.flatnonzero(missed | shared | vanished)[:1]:
         why = ("no joint eigenvector" if missed[l] else "non-generic spectrum" if shared[l]
                else "leading coefficient vanished")
         raise GenericityError(f"{why} at lambda={labels[l]}", point=params)
     lead = np.arange(len(vecs))[:, None] == cols
-    vecs = np.where((np.abs(vecs) > 1e-13 * top) | lead, vecs, 0)
-    vecs[lead] = 1.0  # one by construction; pinned, never left to rounding
+    vecs = np.where((np.abs(vecs) > 1e-13 * roundoff * top) | lead, vecs, 0)
+    vecs[lead] = 1  # one by construction; pinned, never left to rounding
     joint = _eigen_residuals([mats[i] for i in range(1, n + 1)], inv, vecs)
     stab = _eigen_residuals([gens[i] for i in range(1, n + 1)],
                             [1 / params.kappa_j(i) for i in range(1, n + 1)], vecs)

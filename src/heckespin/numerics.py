@@ -3,11 +3,12 @@
 Everything downstream runs over one immutable bundle of nonzero complex
 scalars (kappa0, kappa, kappan, upsilon0, upsilonn, psi0, psin) plus a rank n
 and a square root of q.  q itself is always recovered as q_sqrt**2 so the two
-can never drift apart.
+can never drift apart.  The layers compute in the scalars' own type
+(complex, fractions or mpmath; ParamSet.roundoff).
 
 Laurent polynomials in t_1..t_n are ``LaurentPoly`` tables: one integer
-exponent table shared by the rows of a complex coefficient matrix, one row
-per polynomial.  They are built, stored as JSON and evaluated here; the
+exponent table shared by the rows of a coefficient matrix, one row per
+polynomial.  They are built, stored as JSON and evaluated here; the
 library never multiplies two of them or changes their variables.  The
 integer weights of an l1 ball (l1_ball) and their spectral vectors
 (gamma_vectors) are their formulas, a weight and a coordinate at a time.
@@ -26,6 +27,7 @@ import functools
 import itertools
 import json
 import math
+import numbers
 import operator
 import random
 from dataclasses import dataclass
@@ -61,6 +63,8 @@ def _c2d(z: complex) -> dict:
 
 
 def _d2c(d: dict) -> complex:
+    if isinstance(d["re"], bool) or isinstance(d["im"], bool):
+        raise TypeError("the parts of a complex number must be numbers, not bools")
     return complex(d["re"], d["im"])
 
 
@@ -111,6 +115,18 @@ class ParamSet:
         """1 in the parameters' scalar type: exact for exact parameters."""
         return self.kappa**0
 
+    @property
+    def roundoff(self) -> float:
+        """The unit roundoff of the parameters' scalar type in units of
+        double's, the factor of every float-only tolerance of the polynomial
+        layer: 1 for double, 0 for an exact type (fractions), mpmath's at its
+        working precision."""
+        one = self.one
+        if isinstance(one, numbers.Rational):
+            return 0.0
+        eps = one.context.eps if hasattr(one, "context") else np.finfo(np.result_type(one)).eps
+        return float(eps) / float(np.finfo(float).eps)
+
     def kappa_j(self, j: int) -> complex:
         """The deformation scalar attached to generator index j in 0..n."""
         if j == 0:
@@ -152,18 +168,19 @@ class LaurentPoly:
     """Laurent polynomials in n variables t_1..t_n, one per row of a
     coefficient matrix ``coeffs`` (rows x terms) over one integer exponent
     table ``exps`` (terms x n), of the exponents that some row uses.  Values
-    at points t are coeffs @ (t**exps).T, integer powers by repeated squaring.
+    at points t are coeffs @ (t**exps).T, integer powers by repeated squaring,
+    in the scalar type of the coefficients and the points.
 
     >>> f = LaurentPoly([(1, 0), (0, -1)], [1.0, 2.0])
     >>> f([(2.0, 4.0)])
-    array([[2.5+0.j]])
+    array([[2.5]])
     """
 
     __slots__ = ("exps", "coeffs")
 
     def __init__(self, exps, coeffs):
         exps = np.array(exps, dtype=np.int64)
-        coeffs = np.atleast_2d(np.array(coeffs, dtype=complex))
+        coeffs = np.atleast_2d(np.array(coeffs))
         if exps.ndim != 2 or coeffs.ndim != 2 or coeffs.shape[1] != len(exps):
             raise InternalDefectError("coefficient rows do not match the exponent table")
         used = coeffs.any(axis=0)
@@ -171,18 +188,20 @@ class LaurentPoly:
 
     @classmethod
     def one(cls, n: int) -> "LaurentPoly":
-        return cls([(0,) * n], [1.0])
+        return cls([(0,) * n], [1])
 
     def l1_degree(self) -> int:
         return int(np.abs(self.exps).sum(axis=1).max(initial=0))
 
     def __call__(self, points) -> np.ndarray:
-        """Complex values at the points, shape (rows, len(points))."""
+        """Values at the points, shape (rows, len(points))."""
         n = self.exps.shape[1]
         if any(len(t) != n for t in points):
             raise InternalDefectError("point arity mismatch")
-        pts = np.array(points, dtype=complex).reshape(len(points), 1, n)
-        return self.coeffs @ np.prod(pts**self.exps, axis=2).T
+        pts = np.array(points).reshape(len(points), 1, n)
+        # at least a float, so that an integer point takes negative powers
+        powers = np.power(pts, self.exps, dtype=np.result_type(pts, float))
+        return self.coeffs @ np.prod(powers, axis=2).T
 
     def to_dicts(self) -> list:
         """One JSON dict per row: n_vars and the nonzero terms, sorted by
@@ -236,7 +255,7 @@ def gamma_vectors(lams, params: ParamSet) -> np.ndarray:
              - sum(eta(lam[i] + lam[j]) for j in range(n) if j != i))
         return q ** lam[i] * k0n ** (-eta(lam[i])) * kappa**s
 
-    return np.array([[coordinate(lam, i) for i in range(n)] for lam in lams], dtype=complex)
+    return np.array([[coordinate(lam, i) for i in range(n)] for lam in lams])
 
 
 def stream(seed: int, block: bool = False) -> random.Random:

@@ -162,7 +162,7 @@ def verify_solution(sol: KZSolution, samples: int, rng) -> dict:
     n = params.n
     q = params.q
     points = [torus_point(rng, n, (0.75, 1.35)) for _ in range(samples)]
-    t = tuple(np.array(points, dtype=complex).T)
+    t = tuple(np.array(points).T)
     shifted = [t[:i] + (t[i] / q,) + t[i + 1 :] for i in range(n)]
     reflected = [act_letter(j, t, params) for j in range(n + 1)]
     # vals[c, s]: the components at the c-th of these points of sample s, a column

@@ -630,6 +630,8 @@ _MALFORMED = {
     "component arity": _COUNT,
     "component without terms": "refused: malformed solution: KeyError 'terms'",
     "text coefficient": "refused: malformed solution: TypeError",
+    "bool coefficient": "refused: malformed solution: TypeError",
+    "bool kappa0": "refused: malformed solution: TypeError",
     "params without psin": "refused: malformed solution: KeyError 'psin'",
     "fractional exponent": "refused: malformed solution: TypeError",
     "NaN psi0": "refused: malformed solution: ValueError psi0 must be finite",
@@ -652,6 +654,10 @@ def test_malformed_stored_solution_is_refused(tmp_path, capsys, corrupt):
         del comp["terms"]
     elif corrupt == "text coefficient":
         comp["terms"][0]["re"] = "x"
+    elif corrupt == "bool coefficient":
+        comp["terms"][0]["im"] = True
+    elif corrupt == "bool kappa0":
+        data["params"]["kappa0"] = {"re": True, "im": False}
     elif corrupt == "params without psin":
         del data["params"]["psin"]
     elif corrupt.endswith("psi0"):
@@ -747,12 +753,15 @@ def test_parameter_file_without_psin_is_refused(tmp_path, capsys, nested):
      "malformed parameters: TypeError"),
     (None, ["koornwinder", "compute", "--n", "3", "--lambda", "1,1"],
      "label length does not match the rank"),
+    (dict(sample_generic(seed=8, n=2).to_dict(), kappa0={"re": True, "im": False}), ["verify", "algebra"],
+     "malformed parameters: TypeError"),
 ], ids=["n=2.5", "seed=1.5", "n=true", "samples=2.5", "tolerance=text", "precision=quad",
-        "lambda=1.5,0", "flag rank 3, label 1,1"])
+        "lambda=1.5,0", "flag rank 3, label 1,1", "kappa0=true"])
 def test_settings_without_the_type_of_their_flag_are_refused(tmp_path, capsys, config,
                                                             argv, message):
     """A setting from a --params file has the type its flag has, a bool is
-    not an integer, and a label's length must be the rank a flag gives."""
+    not an integer, nor a part of a scalar, and a label's length must be the
+    rank a flag gives."""
     if config is not None:
         pfile = tmp_path / "c.json"
         pfile.write_text(json.dumps(config))

@@ -1,17 +1,19 @@
-"""The spin layers in exact and in 30-digit arithmetic.
+"""The spin and polynomial layers in exact and in 30-digit arithmetic.
 
 Every identity row of the dressed generators, the cocycle, the transfer
-matrices, the Hamiltonian forms, the matching-to-spin map and the Murphy
-elements is evaluated
-by the package's own code in the scalar type of its inputs.  At the
+matrices, the Hamiltonian forms, the matching-to-spin map, the Murphy
+elements, the joint eigenpolynomials and the polynomial qKZ solutions is
+evaluated by the package's own code in the scalar type of its inputs.  At the
 rational point conftest._rational_params, with rational spectral points
 and a rational block, each row reads exactly 0.0; at a complex mpmath point
 with 30 digits, below 1e-25.  The batteries draw from their own streams,
 with numerics.torus_point and tensorops.gaussian_block replaced by
 stand-ins of the tier's scalar type; the rows that a suite builds itself
-are rebuilt here from the same factor lists.  Each negative control's
-perturbation, the factor 101/100, reads above 1e-6."""
+are rebuilt here from the same factor lists.  The qKZ rows run where psin
+solves the existence constraint (numerics.constraint_rhs).  Each negative
+control's perturbation, the factor 101/100, reads above 1e-6."""
 
+import dataclasses
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -20,11 +22,14 @@ import numpy as np
 import pytest
 
 import heckespin.baxter
+import heckespin.qkz
 import heckespin.transfer
-from conftest import _rational_params, residuals
+from conftest import _rational_params, joint_residual, residuals
 from heckespin.baxter import baxter_j, check_ybe_re, cocycle_factors
+from heckespin.koornwinder import _joint_eigenbasis, fixed_by_si, label_polynomials
 from heckespin.matchings import intertwiner_Psi, matchmaker_betas, matchmaker_matrix
-from heckespin.numerics import ParamSet, rel_residual, stream, torus_point
+from heckespin.numerics import LaurentPoly, ParamSet, constraint_rhs, l1_ball, rel_residual, stream, torus_point
+from heckespin.qkz import build_polynomial_solution, verify_solution
 from heckespin.spinrep import (build_spin_rep, check_tl_relations, loop_weights, murphy_commutator_residual, murphy_Y,
                                principal_series_basis)
 from heckespin.tensorops import Product, apply_on_legs, evaluate, gaussian_block
@@ -81,7 +86,7 @@ def tier(request, monkeypatch):
         drawn.append(point(rng, count, band))
         return drawn[-1]
 
-    for module in (heckespin.baxter, heckespin.transfer):  # the suites' own draws
+    for module in (heckespin.baxter, heckespin.qkz, heckespin.transfer):  # the suites' own draws
         monkeypatch.setattr(module, "torus_point", recorded)
     monkeypatch.setattr(heckespin.transfer, "gaussian_block", block)
     with mpmath.workdps(30):
@@ -185,3 +190,54 @@ def test_the_murphy_elements_commute_and_share_the_highest_weight_vector_exactly
     worst = max(rel_residual(murphy_Y(rep, i, v0), zeta[i - 1] * v0) for i in range(1, n + 1))
     assert worst <= tier.bound
     assert rel_residual(murphy_Y(rep, 1, v0), tier.nudge * zeta[0] * v0) > 1e-6
+
+
+@pytest.mark.parametrize("tier, n, radius",
+                         [("fraction", 2, 3), ("fraction", 3, 2), ("mpmath", 2, 2), ("mpmath", 3, 1)],
+                         indirect=["tier"])
+def test_the_eigenpolynomials_hold_exactly(tier, n, radius, cold_ball):
+    """Y_i P = P / gamma_i for every label of the ball, and T_i P = P / kappa_i
+    at the labels s_i fixes, with leading coefficient exactly 1; the mpmath
+    tier takes one degree less, as its object arithmetic is the slower."""
+    p = tier.params(n)
+    results = label_polynomials(l1_ball(n, radius), p)
+    fixed = [r.stab[i - 1] for r in results for i in range(1, n + 1) if fixed_by_si(i, r.lam)]
+    assert max(r.residual for r in results) <= tier.bound and fixed and max(fixed) <= tier.bound
+    for r in results:
+        exps = [tuple(e) for e in r.poly.exps.tolist()]
+        assert r.poly.coeffs[0, exps.index(r.lam)] == 1 and r.monic == 0
+    # the control: one term of the widest polynomial other than its leading one nudged
+    widest = max(results, key=lambda r: len(r.poly.exps))
+    coeffs = widest.poly.coeffs.copy()
+    coeffs[0, next(k for k, e in enumerate(widest.poly.exps.tolist()) if tuple(e) != widest.lam)] *= tier.nudge
+    assert joint_residual(LaurentPoly(widest.poly.exps, coeffs), widest, p) > 1e-6
+
+
+def _constrained(p: ParamSet, m: int) -> ParamSet:
+    """p with psin solved from the existence constraint of degree m."""
+    return p.replace(psin=constraint_rhs(p.n, p.kappa0, p.kappa, p.kappan, m) / (p.psi0 * p.q**m))
+
+
+@pytest.mark.parametrize("tier, m", [(tier, m) for tier in TIERS for m in (1, -1)], indirect=["tier"])
+def test_the_qkz_equations_hold_exactly(tier, m, cold_ball):
+    """Every transport and invariance equation of the solution of degree m
+    at n = 2, on the tier's sample points; one component nudged breaks them."""
+    sol = build_polynomial_solution(_constrained(tier.params(2), m), m)
+    rows = verify_solution(sol, 2, stream(m))
+    assert len(rows) == 5 and len(tier.drawn) == 2
+    _within(rows, tier.bound)
+    coeffs = sol.components.coeffs.copy()
+    coeffs[0] *= tier.nudge
+    bad = verify_solution(dataclasses.replace(sol, components=LaurentPoly(sol.components.exps, coeffs)), 2,
+                          stream(m))
+    assert max(residuals(bad).values()) > 1e-6
+
+
+def test_a_zero_gap_is_divided_by_only_inside_a_down_set():
+    """In exact arithmetic the back-substitution leaves a tie between two
+    monomials apart when neither reaches the other, and raises
+    ZeroDivisionError on a tie inside a down-set, which no tolerance hides."""
+    p, apart = _rational_params(1), np.array([[F(2), 0], [0, F(2)]], dtype=object)
+    assert (_joint_eigenbasis({1: apart}, p).vecs == np.eye(2)).all()
+    with pytest.raises(ZeroDivisionError):
+        _joint_eigenbasis({1: np.array([[F(2), F(1)], [0, F(2)]], dtype=object)}, p)

@@ -335,7 +335,7 @@ def test_closed_form_generators_match_the_dict_action(n, radius, seed):
 
 def test_planted_lower_entry_is_a_triangularity_defect(params2):
     _basis, _index, mats = _ball(params2, 2)[:3]
-    honest = koornwinder._joint_eigenbasis(mats)
+    honest = koornwinder._joint_eigenbasis(mats, params2)
     y1 = mats[1] - np.diag(mats[1].diagonal())
     r, c = np.unravel_index(np.argmax(np.abs(y1)), y1.shape)
     assert honest.rank[r] < honest.rank[c]
@@ -343,7 +343,7 @@ def test_planted_lower_entry_is_a_triangularity_defect(params2):
     planted[1] = mats[1].copy()
     planted[1][c, r] = 1e-8 * np.abs(mats[1]).max()
     with pytest.raises(InternalDefectError, match="not triangular"):
-        koornwinder._joint_eigenbasis(planted)
+        koornwinder._joint_eigenbasis(planted, params2)
 
 
 def test_every_label_up_to_the_cap_at_a_large_coefficient_draw():

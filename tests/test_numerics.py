@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -69,6 +70,11 @@ def test_eval_matches_terms():
     t = (0.7 + 0.1j, 1.2 - 0.3j)
     expected = 3.0 * t[0] ** 2 / t[1] - 1.5
     assert abs(p([t])[0, 0] - expected) < 1e-14
+    # an integer point takes the negative power, and a rational one stays exact
+    assert p([(2, 4)])[0, 0] == 1.5
+    exact = LaurentPoly(p.exps, [Fraction(3), Fraction(-3, 2)])
+    value = exact([(Fraction(1, 2), Fraction(3))])[0, 0]
+    assert isinstance(value, Fraction) and value == Fraction(-5, 4)
 
 
 def _eval_by_terms(poly, point):

@@ -4,9 +4,9 @@ every file is opened in a with statement; four functions catch a refusal;
 one module spells a complex number as JSON; one function draws parameter
 points; one module opens the random streams and checks the run caps; one
 function multiplies out the two sides of a product identity; one module
-defines the MPO pass, and the retired transfer wrappers are gone; no spin
-layer casts to complex; and the console script is the process entry of
-cli.py."""
+defines the MPO pass, and the retired transfer wrappers are gone; no
+module casts to complex outside its numeric inputs and outputs; and the
+console script is the process entry of cli.py."""
 
 import ast
 from pathlib import Path
@@ -395,12 +395,13 @@ def test_a_planted_mpo_pass_is_flagged(tmp_path):
                                     "transfer._PASS", "transfer._apply", "transfer.transfer_apply"]
 
 
-# the spin layers, which evaluate in the scalar type of their inputs
-_SPIN_LAYERS = ("baxter", "matchings", "spinrep", "tensorops", "transfer")
-# module.function of the numeric-input defaults there that may cast to
-# complex: none is left, as torus_point's draws are complex already and
-# hamiltonian's default operand is the integer identity
-_COMPLEX_DEFAULTS: tuple = ()
+# module.function of the numeric inputs and outputs that may cast to
+# complex, each for its reason; every other site takes the scalar type of
+# the parameters and the operands
+_COMPLEX_DEFAULTS = (
+    "numerics._d2c",  # the JSON decoder: a stored number is a double
+    "commands.suite_transfer",  # the extended row: its double point, and the 40-digit columns cast back
+)
 _COMPLEX = {"complex", "complex64", "complex128", "cdouble", "csingle", "clongdouble"}
 
 
@@ -417,15 +418,14 @@ def _casts_to_complex(node) -> bool:
 
 
 def complex_casts(src: Path = SRC, allowed: tuple = _COMPLEX_DEFAULTS) -> list:
-    """module.function of every cast to complex in the spin layers
-    (_SPIN_LAYERS) outside the allowed sites: a block, an identity, a seed
-    or a constant there takes the scalar type of the parameters and the
-    operands, so that exact inputs give exact rows (tests/test_exact.py)."""
-    return [site for site in _sites(src, _casts_to_complex)
-            if site.split(".")[0] in _SPIN_LAYERS and site not in allowed]
+    """module.function of every cast to complex in the package outside the
+    allowed sites: a block, an identity, a seed, a coefficient or a
+    constant takes the scalar type of the parameters and the operands, so
+    that exact inputs give exact rows (tests/test_exact.py)."""
+    return [site for site in _sites(src, _casts_to_complex) if site not in allowed]
 
 
-def test_no_spin_layer_casts_to_complex():
+def test_no_module_casts_to_complex():
     assert complex_casts() == []
 
 
@@ -442,10 +442,14 @@ def test_a_planted_complex_cast_is_flagged(tmp_path):
     (tmp_path / "transfer.py").write_text(
         "import numpy as np\n\n\ndef hamiltonian(v=None):\n    return np.eye(4, dtype=np.cdouble) if v is None else v\n"
     )
-    (tmp_path / "numerics.py").write_text("def decode(d):\n    return complex(d['re'], d['im']) + 0j\n")
+    (tmp_path / "koornwinder.py").write_text(
+        "import numpy as np\n\n\ndef _scatter(size):\n    return np.zeros((size, size), dtype=complex)\n"
+    )
+    (tmp_path / "numerics.py").write_text("def _d2c(d):\n    return complex(d['re'], d['im']) + 0j\n")
     assert complex_casts(tmp_path) == ["baxter", "baxter.horner", "baxter.horner", "baxter.block",
-                                       "baxter.draws", "baxter.eye", "transfer.hamiltonian"]
-    assert complex_casts(tmp_path, ("baxter.eye", "transfer.hamiltonian"))[-1] == "baxter.draws"
+                                       "baxter.draws", "baxter.eye", "koornwinder._scatter",
+                                       "transfer.hamiltonian"]
+    assert complex_casts(tmp_path, ("baxter.eye", "transfer.hamiltonian"))[-1] == "numerics._d2c"
 
 
 def test_the_console_script_is_the_function_the_main_block_calls():
